@@ -358,17 +358,9 @@ fn main() {
         phase_windows(&mut s, &plain_queries)
     };
 
-    // ---- Resolve-phase gate: the dispatched-SIMD + memoized resolver vs
-    // the scalar pre-memo resolver. The gate denominator is the resolve
-    // phase recorded by the previous revision's benchmark artifact on
-    // this same container (BENCH_inference.json at the parent commit) —
-    // a live re-measurement of the "old" configuration is impossible now
-    // that the shared infrastructure (session hashers, fingerprint
-    // encoding, arena copies) also got faster: rebuilding "scalar with
-    // memos off" on the new infrastructure under-states the delta this
-    // revision actually shipped. A scalar-pinned unmemoized run is still
-    // measured and reported alongside as an on-host reference. ----
-    const PRIOR_RESOLVE_NS_PER_QUERY: f64 = 1363.2;
+    // ---- Resolve-phase reference: a scalar-pinned run with the range and
+    // LIKE memos off, measured on this host in this run and recorded next
+    // to the dispatched-SIMD + memoized resolve phase above. ----
     let scalar_unmemoized_resolve_ns = {
         safebound_core::simd::override_tier(Some(safebound_core::SimdTier::Scalar));
         let mut s = BoundSession::default()
@@ -381,7 +373,6 @@ fn main() {
         safebound_core::simd::override_tier(None);
         ns
     };
-    let resolve_speedup = PRIOR_RESOLVE_NS_PER_QUERY / resolve_ns;
 
     // ---- Range/LIKE-literal memoization on JOB-LightRanges: repeated
     // range literals (memo hits) vs the same lines resolved fresh every
@@ -415,9 +406,8 @@ fn main() {
     );
     let simd_tier = safebound_core::simd_tier().name();
     eprintln!(
-        "resolve: {resolve_ns:.0} ns/q vs prior revision {PRIOR_RESOLVE_NS_PER_QUERY:.0} ns/q \
-         ({resolve_speedup:.2}×, on-host scalar-unmemoized {scalar_unmemoized_resolve_ns:.0} \
-         ns/q); JOB-LightRanges resolve: repeated {repeated_range_resolve_ns:.0} \
+        "resolve: {resolve_ns:.0} ns/q (on-host scalar-unmemoized \
+         {scalar_unmemoized_resolve_ns:.0} ns/q); JOB-LightRanges resolve: repeated {repeated_range_resolve_ns:.0} \
          ns/q vs fresh {fresh_range_resolve_ns:.0} ns/q ({repeated_range_speedup:.2}×); \
          simd_tier={simd_tier}"
     );
@@ -685,7 +675,7 @@ fn main() {
         memo_stats.like_memo_evictions,
     );
     let json = format!(
-        "{{\n  \"workload\": \"JOB-light (IMDB scale {scale_name}, seed 1)\",\n  \"queries\": {},\n  \"simd_tier\": \"{simd_tier}\",\n  \"offline\": {{\n    \"stats_build_seconds\": {:.3},\n    \"stats_bytes\": {},\n    \"cds_sets\": {},\n    \"build_shards\": {shards},\n    \"sharded_build_ms\": {sharded_build_ms:.1},\n    \"full_rebuild_ms\": {full_rebuild_ms:.1},\n    \"incremental_refresh_ms\": {incremental_refresh_ms:.2},\n    \"incremental_refresh_speedup\": {incremental_refresh_speedup:.2},\n    \"snapshot_save_ms\": {snapshot_save_ms:.2},\n    \"snapshot_load_ms\": {snapshot_load_ms:.2},\n    \"snapshot_mmap_load_ms\": {snapshot_mmap_load_ms:.2},\n    \"snapshot_file_bytes\": {snapshot_file_bytes},\n    \"snapshot_load_speedup\": {snapshot_load_speedup:.2}\n  }},\n  \"kernel\": {{\n    \"safebound_sweep_ns_per_query\": {:.1},\n    \"safebound_reference_ns_per_query\": {:.1},\n    \"sweep_speedup\": {:.2}\n  }},\n  \"end_to_end\": {{\n    \"safebound_bound_cold_ns_per_query\": {:.1},\n    \"safebound_bound_cached_ns_per_query\": {:.1},\n    \"shape_cache_speedup\": {:.2},\n    \"repeated_literal_ns_per_query\": {repeated_literal_ns_per_query:.1},\n    \"repeated_literal_speedup\": {repeated_literal_speedup:.2},\n    \"phase_ns_per_query\": {{\"resolve\": {resolve_ns:.1}, \"assemble\": {assemble_ns:.1}, \"kernel\": {kernel_phase_ns:.1}}},\n    \"resolve_vs_prior_revision\": {{\"prior_ns\": {PRIOR_RESOLVE_NS_PER_QUERY:.1}, \"speedup\": {resolve_speedup:.2}, \"on_host_scalar_unmemoized_ns\": {scalar_unmemoized_resolve_ns:.1}}},\n    \"repeated_range_resolve\": {{\"repeated_ns\": {repeated_range_resolve_ns:.1}, \"fresh_ns\": {fresh_range_resolve_ns:.1}, \"speedup\": {repeated_range_speedup:.2}}},\n    \"range_workload_memo\": {memo_json},\n    \"postgres_estimate_ns_per_query\": {:.1},\n    \"simplicity_estimate_ns_per_query\": {:.1}\n  }},\n  \"serving\": {{\n    \"hardware_threads\": {hw_threads},\n    \"request_dispatch_1_worker_qps\": {:.0},\n    \"batched_qps_by_workers\": {{\"1\": {:.0}, \"2\": {:.0}, \"4\": {:.0}, \"8\": {:.0}}},\n    \"batched_4w_vs_request_1w\": {batched_4w_vs_request_1w:.2},\n    \"batched_4w_vs_batched_1w\": {batched_4w_vs_batched_1w:.2},\n    \"batched_4w_repeated_qps\": {batched_4w_repeated_qps:.0},\n    \"batch_dedup_hits\": {batch_dedup_hits},\n    \"batched_4w_under_refresh_qps\": {refresh_qps:.0},\n    \"refresh_swaps_during_window\": {refresh_swaps},\n    \"refresh_window_seconds\": {refresh_window_secs:.2},\n    \"qps_under_injected_latency\": {qps_under_injected_latency},\n    \"hardware_scaling_gate\": \"{scaling_gate}\"\n  }}\n}}\n",
+        "{{\n  \"workload\": \"JOB-light (IMDB scale {scale_name}, seed 1)\",\n  \"queries\": {},\n  \"simd_tier\": \"{simd_tier}\",\n  \"offline\": {{\n    \"stats_build_seconds\": {:.3},\n    \"stats_bytes\": {},\n    \"cds_sets\": {},\n    \"build_shards\": {shards},\n    \"sharded_build_ms\": {sharded_build_ms:.1},\n    \"full_rebuild_ms\": {full_rebuild_ms:.1},\n    \"incremental_refresh_ms\": {incremental_refresh_ms:.2},\n    \"incremental_refresh_speedup\": {incremental_refresh_speedup:.2},\n    \"snapshot_save_ms\": {snapshot_save_ms:.2},\n    \"snapshot_load_ms\": {snapshot_load_ms:.2},\n    \"snapshot_mmap_load_ms\": {snapshot_mmap_load_ms:.2},\n    \"snapshot_file_bytes\": {snapshot_file_bytes},\n    \"snapshot_load_speedup\": {snapshot_load_speedup:.2}\n  }},\n  \"kernel\": {{\n    \"safebound_sweep_ns_per_query\": {:.1},\n    \"safebound_reference_ns_per_query\": {:.1},\n    \"sweep_speedup\": {:.2}\n  }},\n  \"end_to_end\": {{\n    \"safebound_bound_cold_ns_per_query\": {:.1},\n    \"safebound_bound_cached_ns_per_query\": {:.1},\n    \"shape_cache_speedup\": {:.2},\n    \"repeated_literal_ns_per_query\": {repeated_literal_ns_per_query:.1},\n    \"repeated_literal_speedup\": {repeated_literal_speedup:.2},\n    \"phase_ns_per_query\": {{\"resolve\": {resolve_ns:.1}, \"assemble\": {assemble_ns:.1}, \"kernel\": {kernel_phase_ns:.1}}},\n    \"on_host_scalar_unmemoized_ns\": {scalar_unmemoized_resolve_ns:.1},\n    \"repeated_range_resolve\": {{\"repeated_ns\": {repeated_range_resolve_ns:.1}, \"fresh_ns\": {fresh_range_resolve_ns:.1}, \"speedup\": {repeated_range_speedup:.2}}},\n    \"range_workload_memo\": {memo_json},\n    \"postgres_estimate_ns_per_query\": {:.1},\n    \"simplicity_estimate_ns_per_query\": {:.1}\n  }},\n  \"serving\": {{\n    \"hardware_threads\": {hw_threads},\n    \"request_dispatch_1_worker_qps\": {:.0},\n    \"batched_qps_by_workers\": {{\"1\": {:.0}, \"2\": {:.0}, \"4\": {:.0}, \"8\": {:.0}}},\n    \"batched_4w_vs_request_1w\": {batched_4w_vs_request_1w:.2},\n    \"batched_4w_vs_batched_1w\": {batched_4w_vs_batched_1w:.2},\n    \"batched_4w_repeated_qps\": {batched_4w_repeated_qps:.0},\n    \"batch_dedup_hits\": {batch_dedup_hits},\n    \"batched_4w_under_refresh_qps\": {refresh_qps:.0},\n    \"refresh_swaps_during_window\": {refresh_swaps},\n    \"refresh_window_seconds\": {refresh_window_secs:.2},\n    \"qps_under_injected_latency\": {qps_under_injected_latency},\n    \"hardware_scaling_gate\": \"{scaling_gate}\"\n  }}\n}}\n",
         queries.len(),
         build_secs,
         stats_bytes,
@@ -726,11 +716,6 @@ fn main() {
         "acceptance: shape-cached bound() must be ≥ 2× the cold path, got {cache_speedup:.2}×"
     );
     if serving_gates {
-        assert!(
-            resolve_speedup >= 1.5,
-            "acceptance: the SIMD + memoized resolve phase must be ≥ 1.5× the prior \
-             revision's recorded resolve phase, got {resolve_speedup:.2}×"
-        );
         assert!(
             repeated_range_speedup >= 2.0,
             "acceptance: repeated-range-literal resolution must be ≥ 2× fresh-range \

@@ -8,7 +8,6 @@
 
 /// A classic Bloom filter with double hashing (`h_i = h1 + i·h2`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BloomFilter {
     bits: Vec<u64>,
     num_bits: u64,

@@ -27,9 +27,10 @@
 //!   load (no lock) because each session caches the `Arc` it last used.
 //! * **[`BoundSession`]** — mutable per-worker state: the query-shape
 //!   cache, the literal cache (whole-query bounds + per-relation
-//!   conditioned sets), the per-literal MCV memo, and every arena the
-//!   online path writes into. Sessions detect a swapped snapshot by build
-//!   id and repopulate lazily.
+//!   conditioned sets), the equality/range/LIKE resolve memos — four
+//!   instances of one `ClockCache` — and every arena the online path
+//!   writes into. Sessions detect a swapped snapshot by build id and
+//!   repopulate lazily.
 //!
 //! The expensive per-query work splits into two halves with different
 //! cacheability:
@@ -54,8 +55,8 @@
 //!   serving case runs in a few hundred nanoseconds), and a relation
 //!   whose literal sub-vector repeats copies its resolved conditioned
 //!   set instead of re-running MCV/histogram/n-gram lookups. Beneath
-//!   that, repeated equality literals (hot values) are served from a
-//!   per-session memo of resolved MCV lookups. The per-relation
+//!   that, repeated equality, range and LIKE literals (hot values) are
+//!   served from per-session memos of the resolved lookups. The per-relation
 //!   conditioned stats are resolved **once** and shared across all of a
 //!   cyclic query's relaxations (propagation uses the original query's
 //!   edges — a superset of every relaxation's edges — which is sound and
@@ -82,7 +83,8 @@
 //! eviction paths alike — runs entirely on session-owned pooled buffers).
 
 use crate::bound::{fdsb_with_cutoff, BoundError, BoundScratch, RelationBoundStats};
-use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, SetOp};
+use crate::clock_cache::ClockCache;
+use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, NgramStats, SetOp};
 use crate::config::SafeBoundConfig;
 use crate::litcache::{self, LitCache};
 use crate::piecewise::PiecewiseLinear;
@@ -149,7 +151,7 @@ const MAX_LIKE_MEMO_VALUES: usize = 1024;
 
 /// Default capacity of the per-session literal cache (whole-query bound
 /// entries plus per-relation conditioned-set entries combined; see
-/// [`crate::litcache`]). Clock-evicted at capacity, like the MCV memo.
+/// [`crate::litcache`]). Clock-evicted at capacity, like the memos.
 const MAX_LIT_ENTRIES: usize = 8192;
 
 /// Everything memoized for one query shape: the surviving acyclic
@@ -479,36 +481,77 @@ fn value_fp(v: &Value) -> u64 {
     fp_mix(fp_mix(FNV_BASIS, tag), payload)
 }
 
-/// Per-session memo of resolved MCV equality lookups, keyed by
-/// `(table symbol, filter slot) → literal`. Hot literals (repeated
-/// equality / IN values) skip the Bloom-filter probe and group-max
-/// entirely; a hit copies the memoized set through the arena, so the warm
-/// path stays allocation-free. At capacity a clock (second-chance) sweep
-/// evicts a cold entry, so literals that turn hot late still enter — the
-/// memo never freezes. Flushed whenever the session attaches to a
-/// different statistics build.
-#[derive(Debug)]
-struct EqMemo {
-    /// `(table, slot, literal fingerprint) → slab indices` (collision
-    /// bucket). Fingerprinting the literal keeps hit lookups to a single
-    /// map probe with no key clone; the stored literal is verified by
-    /// `==` on every hit.
-    map: FastMap<(Sym, u32, u64), Vec<usize>>,
-    /// Entry slab; the clock hand sweeps it in index order.
-    entries: Vec<EqMemoEntry>,
-    /// Max memoized literals before the clock starts evicting.
-    capacity: usize,
-    /// Clock hand: next slab index the eviction sweep examines.
-    hand: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
+/// Fingerprint of a `[lo, hi]` range (range memo key material) over the
+/// same normalized tag/payload words as [`value_fp`], so `Value`-equal
+/// probes — e.g. an integer and the float it normalizes from —
+/// fingerprint equally without staging any bytes.
+#[inline]
+fn range_fp(lo: &Value, hi: &Value) -> u64 {
+    use crate::simd::hash::FNV_BASIS;
+    let (tl, pl) = value_fp_words(lo);
+    let (th, ph) = value_fp_words(hi);
+    fp_mix(fp_mix(fp_mix(fp_mix(FNV_BASIS, tl), pl), th), ph)
 }
 
-/// One memoized literal with its second-chance bit.
+/// Overwrite a memoized literal in place: a recycled string slot keeps
+/// its heap buffer, so memoizing over an evicted entry allocates nothing.
+fn assign_value(dst: &mut Value, src: &Value) {
+    match (dst, src) {
+        (Value::Str(d), Value::Str(s)) => {
+            d.clear();
+            d.push_str(s);
+        }
+        (d, s) => *d = s.clone(),
+    }
+}
+
+/// One resolve-phase memo: a [`ClockCache`] owner-keyed by `(table
+/// symbol, filter slot)` plus its hit/miss tallies. A hit skips the
+/// lookup machinery entirely; at capacity the clock recycles a cold
+/// entry, so literals that turn hot late still enter — the memo never
+/// freezes. Flushed whenever the session attaches to a different
+/// statistics build.
 #[derive(Debug)]
-struct EqMemoEntry {
-    key: (Sym, u32, u64),
+struct Memo<V> {
+    cache: ClockCache<(Sym, u32), V>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<V: Default> Memo<V> {
+    fn with_capacity(capacity: usize) -> Self {
+        Memo {
+            cache: ClockCache::with_capacity(capacity),
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The memoized entry under `(sym, slot, fp)` whose stored literal
+    /// `verify` accepts (see [`ClockCache::get`]), tallying the outcome.
+    /// Every miss is followed by the real lookup and a
+    /// [`ClockCache::claim`] of the slot to memoize it in.
+    fn lookup(
+        &mut self,
+        sym: Sym,
+        slot: u32,
+        fp: u64,
+        verify: impl FnOnce(&V) -> bool,
+    ) -> Option<&V> {
+        let hit = self.cache.get((sym, slot), fp, verify);
+        match hit {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        hit
+    }
+}
+
+/// A memoized MCV equality lookup: hot literals (repeated equality / IN
+/// values) skip the Bloom-filter probe and group-max.
+#[derive(Debug)]
+struct EqEntry {
+    /// The literal, verified by `==` on every hit.
     value: Value,
     /// Which stored set answered (`Default`/`Group` hits are served as
     /// borrows of the stats; only `Owned` envelopes live in `set`).
@@ -516,469 +559,171 @@ struct EqMemoEntry {
     /// The memoized max-envelope (meaningful only when `outcome` is
     /// [`McvOutcome::Owned`]).
     set: CdsSet,
-    /// Set on every hit, cleared as the clock hand passes. Fresh entries
-    /// start unreferenced — a literal earns its second chance with a
-    /// repeat hit — so adversarial one-shot churn evicts other churn, not
-    /// the established hot set.
-    referenced: bool,
 }
 
-impl Default for EqMemo {
+impl Default for EqEntry {
     fn default() -> Self {
-        EqMemo::with_capacity(MAX_EQ_MEMO_VALUES)
-    }
-}
-
-impl EqMemo {
-    fn with_capacity(capacity: usize) -> Self {
-        EqMemo {
-            map: FastMap::default(),
-            entries: Vec::new(),
-            capacity,
-            hand: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
+        EqEntry {
+            value: Value::Null,
+            outcome: McvOutcome::Default,
+            set: CdsSet::default(),
         }
     }
-
-    /// The memoized outcome for `v`, if present. The returned set is the
-    /// entry's stored envelope — meaningful only for an
-    /// [`McvOutcome::Owned`] outcome (callers of `Default`/`Group`
-    /// outcomes borrow the answer from the stats instead).
-    fn lookup(&mut self, sym: Sym, slot: u32, v: &Value) -> Option<(McvOutcome, &CdsSet)> {
-        let fp = value_fp(v);
-        let bucket = self.map.get(&(sym, slot, fp))?;
-        let i = bucket
-            .iter()
-            .copied()
-            .find(|&i| self.entries[i].value == *v)?;
-        self.hits += 1;
-        let e = &mut self.entries[i];
-        e.referenced = true;
-        Some((e.outcome, &self.entries[i].set))
-    }
-
-    /// Memoize a freshly resolved literal (only ever called on the miss
-    /// path, where the full lookup already ran). `set` is read only for
-    /// [`McvOutcome::Owned`]. Beyond capacity the clock evicts the first
-    /// entry that went a full hand pass without a hit.
-    fn insert(&mut self, sym: Sym, slot: u32, v: &Value, outcome: McvOutcome, set: &CdsSet) {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        let stored = if outcome == McvOutcome::Owned {
-            set.clone()
-        } else {
-            CdsSet::default()
-        };
-        let key = (sym, slot, value_fp(v));
-        let i = if self.entries.len() < self.capacity {
-            self.entries.push(EqMemoEntry {
-                key,
-                value: v.clone(),
-                outcome,
-                set: stored,
-                referenced: false,
-            });
-            self.entries.len() - 1
-        } else {
-            // Second-chance sweep: terminates within two passes because
-            // the first pass clears every referenced bit it crosses.
-            let victim = loop {
-                let idx = self.hand;
-                self.hand = (self.hand + 1) % self.entries.len();
-                let e = &mut self.entries[idx];
-                if e.referenced {
-                    e.referenced = false;
-                } else {
-                    break idx;
-                }
-            };
-            let old_key = self.entries[victim].key;
-            if let Some(bucket) = self.map.get_mut(&old_key) {
-                bucket.retain(|&j| j != victim);
-                if bucket.is_empty() {
-                    self.map.remove(&old_key);
-                }
-            }
-            let e = &mut self.entries[victim];
-            e.key = key;
-            e.value = v.clone();
-            e.outcome = outcome;
-            e.set = stored;
-            e.referenced = false;
-            self.evictions += 1;
-            victim
-        };
-        self.map.entry(key).or_default().push(i);
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.hand = 0;
-    }
 }
 
-/// Session memo for range-lookup outcomes: `(table, slot, [lo, hi]) →`
-/// the histogram group that covered the range (or the no-cover outcome).
-/// Keyed by a literal fingerprint with the stored literals verified by
-/// `==` on every hit (the literal-cache pattern, which avoids cloning the
-/// probe `Value`s into a map key), with the equality memo's slab +
-/// second-chance clock and per-build flush. Zero-set outcomes (empty or
-/// inverted selections) are decided by plain `Value` comparisons *before*
-/// the lookup and are not memoized.
+/// A memoized range-lookup outcome. Zero-set outcomes (empty or inverted
+/// selections) are decided by plain `Value` comparisons *before* the
+/// lookup and are not memoized.
 #[derive(Debug)]
-struct RangeMemo {
-    /// `(table, slot, fingerprint) → slab indices` (collision bucket).
-    map: FastMap<(Sym, u32, u64), Vec<usize>>,
-    /// Entry slab; the clock hand sweeps it in index order.
-    entries: Vec<RangeMemoEntry>,
-    capacity: usize,
-    hand: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// One memoized range outcome with its second-chance bit.
-#[derive(Debug)]
-struct RangeMemoEntry {
-    key: (Sym, u32, u64),
+struct RangeEntry {
+    /// The `[lo, hi]` literals, verified by `==` on every hit (sound
+    /// because `Value`-equal ranges resolve identically: the lookup is
+    /// pure `Value` comparisons).
     lo: Value,
     hi: Value,
     /// Covering group id into the histogram's shared group sets, `None`
     /// when no level covered the range (fall back to the unconditioned
     /// CDS — itself a memoizable outcome).
     group: Option<u32>,
-    referenced: bool,
 }
 
-impl Default for RangeMemo {
+impl Default for RangeEntry {
     fn default() -> Self {
-        RangeMemo::with_capacity(MAX_RANGE_MEMO_VALUES)
+        RangeEntry {
+            lo: Value::Null,
+            hi: Value::Null,
+            group: None,
+        }
     }
 }
 
-impl RangeMemo {
-    fn with_capacity(capacity: usize) -> Self {
-        RangeMemo {
-            map: FastMap::default(),
-            entries: Vec::new(),
-            capacity,
-            hand: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Word-level FNV fingerprint of the `[lo, hi]` pair over the same
-    /// normalized tag/payload words as [`value_fp`], so `Value`-equal
-    /// probes — e.g. an integer and the float it normalizes from —
-    /// fingerprint equally without staging any bytes.
-    fn fingerprint(&self, lo: &Value, hi: &Value) -> u64 {
-        use crate::simd::hash::FNV_BASIS;
-        let (tl, pl) = value_fp_words(lo);
-        let (th, ph) = value_fp_words(hi);
-        fp_mix(fp_mix(fp_mix(fp_mix(FNV_BASIS, tl), pl), th), ph)
-    }
-
-    /// The memoized outcome for `[lo, hi]`, if present (`Some(None)` is a
-    /// memoized no-cover). Sound because `Value`-equal ranges resolve
-    /// identically: the lookup is pure `Value` comparisons.
-    fn lookup(&mut self, sym: Sym, slot: u32, lo: &Value, hi: &Value) -> Option<Option<u32>> {
-        let fp = self.fingerprint(lo, hi);
-        let bucket = self.map.get(&(sym, slot, fp))?;
-        for &i in bucket {
-            let e = &self.entries[i];
-            if e.lo == *lo && e.hi == *hi {
-                self.hits += 1;
-                let e = &mut self.entries[i];
-                e.referenced = true;
-                return Some(e.group);
-            }
-        }
-        None
-    }
-
-    /// Memoize a freshly computed outcome (miss path only).
-    fn insert(&mut self, sym: Sym, slot: u32, lo: &Value, hi: &Value, group: Option<u32>) {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        let fp = self.fingerprint(lo, hi);
-        let key = (sym, slot, fp);
-        let i = if self.entries.len() < self.capacity {
-            self.entries.push(RangeMemoEntry {
-                key,
-                lo: lo.clone(),
-                hi: hi.clone(),
-                group,
-                referenced: false,
-            });
-            self.entries.len() - 1
-        } else {
-            // Second-chance sweep (see [`EqMemo::insert`]).
-            let victim = loop {
-                let idx = self.hand;
-                self.hand = (self.hand + 1) % self.entries.len();
-                let e = &mut self.entries[idx];
-                if e.referenced {
-                    e.referenced = false;
-                } else {
-                    break idx;
-                }
-            };
-            let old_key = self.entries[victim].key;
-            if let Some(bucket) = self.map.get_mut(&old_key) {
-                bucket.retain(|&j| j != victim);
-                if bucket.is_empty() {
-                    self.map.remove(&old_key);
-                }
-            }
-            let e = &mut self.entries[victim];
-            e.key = key;
-            e.lo = lo.clone();
-            e.hi = hi.clone();
-            e.group = group;
-            e.referenced = false;
-            self.evictions += 1;
-            victim
-        };
-        self.map.entry(key).or_default().push(i);
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.hand = 0;
-    }
-}
-
-/// Session memo for LIKE resolutions: `(table, slot, pattern) →` the
-/// resolved conditioned set (or the no-gram outcome). Same fingerprint +
-/// verify keying, slab, and clock as [`RangeMemo`]; a hit copies the
-/// memoized set through the arena, skipping gram extraction, the Bloom
-/// probes, and the min-fold entirely.
-#[derive(Debug)]
-struct LikeMemo {
-    map: FastMap<(Sym, u32, u64), Vec<usize>>,
-    entries: Vec<LikeMemoEntry>,
-    capacity: usize,
-    hand: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// One memoized LIKE resolution with its second-chance bit.
-#[derive(Debug)]
-struct LikeMemoEntry {
-    key: (Sym, u32, u64),
+/// A memoized LIKE resolution: a hit skips gram extraction, the Bloom
+/// probes, and the min-fold.
+#[derive(Debug, Default)]
+struct LikeEntry {
+    /// The pattern, verified by `==` on every hit.
     pattern: String,
-    /// Resolved set; empty (and ignored) when `matched` is false.
-    set: CdsSet,
     /// Whether the pattern yielded at least one full gram.
     matched: bool,
-    referenced: bool,
-}
-
-impl Default for LikeMemo {
-    fn default() -> Self {
-        LikeMemo::with_capacity(MAX_LIKE_MEMO_VALUES)
-    }
-}
-
-impl LikeMemo {
-    fn with_capacity(capacity: usize) -> Self {
-        LikeMemo {
-            map: FastMap::default(),
-            entries: Vec::new(),
-            capacity,
-            hand: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// The memoized resolution for `pattern`: `(matched, set)`, the set
-    /// meaningful only when matched.
-    fn lookup(&mut self, sym: Sym, slot: u32, pattern: &str) -> Option<(bool, &CdsSet)> {
-        let fp = litcache::fnv1a(pattern.as_bytes());
-        let bucket = self.map.get(&(sym, slot, fp))?;
-        for &i in bucket {
-            if self.entries[i].pattern == pattern {
-                self.hits += 1;
-                self.entries[i].referenced = true;
-                let e = &self.entries[i];
-                return Some((e.matched, &e.set));
-            }
-        }
-        None
-    }
-
-    /// Memoize a freshly resolved pattern (miss path only); `set` is
-    /// `None` for unmatched patterns.
-    fn insert(&mut self, sym: Sym, slot: u32, pattern: &str, set: Option<&CdsSet>) {
-        self.misses += 1;
-        if self.capacity == 0 {
-            return;
-        }
-        let fp = litcache::fnv1a(pattern.as_bytes());
-        let key = (sym, slot, fp);
-        let i = if self.entries.len() < self.capacity {
-            self.entries.push(LikeMemoEntry {
-                key,
-                pattern: pattern.to_owned(),
-                set: set.cloned().unwrap_or_default(),
-                matched: set.is_some(),
-                referenced: false,
-            });
-            self.entries.len() - 1
-        } else {
-            let victim = loop {
-                let idx = self.hand;
-                self.hand = (self.hand + 1) % self.entries.len();
-                let e = &mut self.entries[idx];
-                if e.referenced {
-                    e.referenced = false;
-                } else {
-                    break idx;
-                }
-            };
-            let old_key = self.entries[victim].key;
-            if let Some(bucket) = self.map.get_mut(&old_key) {
-                bucket.retain(|&j| j != victim);
-                if bucket.is_empty() {
-                    self.map.remove(&old_key);
-                }
-            }
-            let e = &mut self.entries[victim];
-            e.key = key;
-            e.pattern.clear();
-            e.pattern.push_str(pattern);
-            e.set = set.cloned().unwrap_or_default();
-            e.matched = set.is_some();
-            e.referenced = false;
-            self.evictions += 1;
-            victim
-        };
-        self.map.entry(key).or_default().push(i);
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.hand = 0;
-    }
+    /// Resolved set; empty (and ignored) when `matched` is false.
+    set: CdsSet,
 }
 
 /// The session's three resolve-phase memos (equality, range, LIKE),
 /// threaded through the resolver as one bundle and flushed together on
 /// [`BoundSession::attach`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Memos {
-    eq: EqMemo,
-    range: RangeMemo,
-    like: LikeMemo,
+    eq: Memo<EqEntry>,
+    range: Memo<RangeEntry>,
+    like: Memo<LikeEntry>,
+}
+
+impl Default for Memos {
+    fn default() -> Self {
+        Memos::with_capacities(
+            MAX_EQ_MEMO_VALUES,
+            MAX_RANGE_MEMO_VALUES,
+            MAX_LIKE_MEMO_VALUES,
+        )
+    }
 }
 
 impl Memos {
-    /// All three memos capped at `capacity` (0 disables memoization).
-    fn with_capacity(capacity: usize) -> Self {
-        Memos::with_capacities(capacity, capacity, capacity)
-    }
-
     /// Per-kind capacities (0 disables that memo).
     fn with_capacities(eq: usize, range: usize, like: usize) -> Self {
         Memos {
-            eq: EqMemo::with_capacity(eq),
-            range: RangeMemo::with_capacity(range),
-            like: LikeMemo::with_capacity(like),
+            eq: Memo::with_capacity(eq),
+            range: Memo::with_capacity(range),
+            like: Memo::with_capacity(like),
         }
     }
 
     fn clear(&mut self) {
-        self.eq.clear();
-        self.range.clear();
-        self.like.clear();
+        self.eq.cache.clear();
+        self.range.cache.clear();
+        self.like.cache.clear();
     }
 }
 
-/// A coherent snapshot of every per-session cache counter, read with
-/// [`BoundSession::stats`]. One struct instead of a drawer of per-field
-/// accessors: serving layers copy it whole into their observability
-/// (`STATS` reports the pool-wide merge), and tests assert on it without
-/// chasing individual getters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
+/// Declares every per-session counter exactly once — its doc, its name
+/// and where [`BoundSession`] (bound to `$s`) reads it from — in the order
+/// the serving layer's `STATS` line reports them. Generates
+/// [`SessionStats`] with its `merge` and `fields`, and
+/// [`BoundSession::stats`].
+macro_rules! session_counters {
+    ($s:ident; $($(#[$doc:meta])* $name:ident = $src:expr,)*) => {
+        /// A coherent snapshot of every per-session cache counter, read
+        /// with [`BoundSession::stats`]. One struct instead of a drawer of
+        /// per-field accessors: serving layers copy it whole into their
+        /// observability (`STATS` reports the pool-wide merge), and tests
+        /// assert on it without chasing individual getters.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct SessionStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl SessionStats {
+            /// Field-wise accumulate (aggregating a worker pool's sessions).
+            pub fn merge(&mut self, other: &SessionStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// Every counter as `(name, value)`, in `STATS` order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name)),*].into_iter()
+            }
+        }
+
+        impl BoundSession {
+            /// Every cache counter of this session in one coherent struct.
+            pub fn stats(&self) -> SessionStats {
+                let $s = self;
+                SessionStats { $($name: $src,)* }
+            }
+        }
+    };
+}
+
+session_counters! { s;
     /// Shape-cache hits (plan/slot reuse).
-    pub shape_hits: u64,
+    shape_hits = s.shape_hits,
     /// Shape-cache misses (shape builds).
-    pub shape_misses: u64,
+    shape_misses = s.shape_misses,
     /// Shapes evicted by the LRU.
-    pub shape_evictions: u64,
-    /// Hot-literal MCV memo hits.
-    pub eq_memo_hits: u64,
-    /// MCV lookups that went to the Bloom/group machinery.
-    pub eq_memo_misses: u64,
-    /// MCV memo entries recycled by its clock.
-    pub eq_memo_evictions: u64,
-    /// Range memo hits (bucket walk skipped entirely).
-    pub range_memo_hits: u64,
-    /// Range lookups that walked the histogram hierarchy.
-    pub range_memo_misses: u64,
-    /// Range memo entries recycled by its clock.
-    pub range_memo_evictions: u64,
-    /// LIKE memo hits (gram extraction and min-fold skipped).
-    pub like_memo_hits: u64,
-    /// LIKE patterns that had to be resolved.
-    pub like_memo_misses: u64,
-    /// LIKE memo entries recycled by its clock.
-    pub like_memo_evictions: u64,
+    shape_evictions = s.shape_evictions,
     /// Whole-query literal repeats served straight from the bound cache
     /// (no resolution, no assembly, no kernel).
-    pub lit_bound_hits: u64,
+    lit_bound_hits = s.lit_cache.bound_hits,
     /// Whole-query literal vectors that had to be computed.
-    pub lit_bound_misses: u64,
+    lit_bound_misses = s.lit_cache.bound_misses,
     /// Per-relation conditioned sets served from the literal cache.
-    pub lit_cond_hits: u64,
+    lit_cond_hits = s.lit_cache.cond_hits,
     /// Per-relation literal sub-vectors that had to be resolved.
-    pub lit_cond_misses: u64,
+    lit_cond_misses = s.lit_cache.cond_misses,
     /// Literal-cache entries recycled by its clock.
-    pub lit_evictions: u64,
+    lit_evictions = s.lit_cache.evictions(),
+    /// Hot-literal MCV memo hits.
+    eq_memo_hits = s.memos.eq.hits,
+    /// MCV lookups that went to the Bloom/group machinery.
+    eq_memo_misses = s.memos.eq.misses,
+    /// MCV memo entries recycled by its clock.
+    eq_memo_evictions = s.memos.eq.cache.evictions(),
+    /// Range memo hits (bucket walk skipped entirely).
+    range_memo_hits = s.memos.range.hits,
+    /// Range lookups that walked the histogram hierarchy.
+    range_memo_misses = s.memos.range.misses,
+    /// Range memo entries recycled by its clock.
+    range_memo_evictions = s.memos.range.cache.evictions(),
+    /// LIKE memo hits (gram extraction and min-fold skipped).
+    like_memo_hits = s.memos.like.hits,
+    /// LIKE patterns that had to be resolved.
+    like_memo_misses = s.memos.like.misses,
+    /// LIKE memo entries recycled by its clock.
+    like_memo_evictions = s.memos.like.cache.evictions(),
     /// Relaxations abandoned mid-kernel by branch-and-bound (their bound
     /// was certified to exceed the best complete candidate).
-    pub relaxations_pruned: u64,
-}
-
-impl SessionStats {
-    /// Field-wise accumulate (aggregating a worker pool's sessions).
-    pub fn merge(&mut self, other: &SessionStats) {
-        self.shape_hits += other.shape_hits;
-        self.shape_misses += other.shape_misses;
-        self.shape_evictions += other.shape_evictions;
-        self.eq_memo_hits += other.eq_memo_hits;
-        self.eq_memo_misses += other.eq_memo_misses;
-        self.eq_memo_evictions += other.eq_memo_evictions;
-        self.range_memo_hits += other.range_memo_hits;
-        self.range_memo_misses += other.range_memo_misses;
-        self.range_memo_evictions += other.range_memo_evictions;
-        self.like_memo_hits += other.like_memo_hits;
-        self.like_memo_misses += other.like_memo_misses;
-        self.like_memo_evictions += other.like_memo_evictions;
-        self.lit_bound_hits += other.lit_bound_hits;
-        self.lit_bound_misses += other.lit_bound_misses;
-        self.lit_cond_hits += other.lit_cond_hits;
-        self.lit_cond_misses += other.lit_cond_misses;
-        self.lit_evictions += other.lit_evictions;
-        self.relaxations_pruned += other.relaxations_pruned;
-    }
+    relaxations_pruned = s.pruned,
 }
 
 /// Accumulated wall-clock phase split of a session's queries, recorded
@@ -998,12 +743,11 @@ pub struct PhaseBreakdown {
 }
 
 /// Reusable per-thread (per-worker) state for the online path: the
-/// query-shape plan/relaxation cache with LRU eviction, the per-literal
-/// MCV memo, the **literal cache** (whole-query bounds and per-relation
+/// query-shape plan/relaxation cache with LRU eviction, the resolve
+/// memos, the **literal cache** (whole-query bounds and per-relation
 /// conditioned sets, see [`crate::litcache`]), and every arena the online
-/// path writes into ([`BoundScratch`]
-/// for the kernel, [`CdsScratch`] for predicate resolution and assembly,
-/// pooled per-relation stats). Hold one per serving thread; a warm session
+/// path writes into ([`BoundScratch`] for the kernel, [`CdsScratch`] for
+/// predicate resolution and assembly, pooled per-relation stats). Hold one per serving thread; a warm session
 /// allocates nothing per query on the cached path.
 ///
 /// A session also pins the [`StatsSnapshot`] it last served from, so a
@@ -1093,43 +837,12 @@ impl BoundSession {
         self.snapshot.as_ref().map_or(0, |s| s.build_id)
     }
 
-    /// Every cache counter of this session in one coherent struct.
-    pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            shape_hits: self.shape_hits,
-            shape_misses: self.shape_misses,
-            shape_evictions: self.shape_evictions,
-            eq_memo_hits: self.memos.eq.hits,
-            eq_memo_misses: self.memos.eq.misses,
-            eq_memo_evictions: self.memos.eq.evictions,
-            range_memo_hits: self.memos.range.hits,
-            range_memo_misses: self.memos.range.misses,
-            range_memo_evictions: self.memos.range.evictions,
-            like_memo_hits: self.memos.like.hits,
-            like_memo_misses: self.memos.like.misses,
-            like_memo_evictions: self.memos.like.evictions,
-            lit_bound_hits: self.lit_cache.bound_hits,
-            lit_bound_misses: self.lit_cache.bound_misses,
-            lit_cond_hits: self.lit_cache.cond_hits,
-            lit_cond_misses: self.lit_cache.cond_misses,
-            lit_evictions: self.lit_cache.evictions,
-            relaxations_pruned: self.pruned,
-        }
-    }
-
-    /// Override the resolve-phase memo capacities — equality, range, and
-    /// LIKE alike (0 disables memoization; defaults 4096/4096/1024).
-    /// Existing memoized entries are discarded; intended for tests and
-    /// tuning.
-    pub fn with_memo_capacity(mut self, capacity: usize) -> Self {
-        self.memos = Memos::with_capacity(capacity);
-        self
-    }
-
-    /// [`with_memo_capacity`](Self::with_memo_capacity) with per-kind
-    /// capacities, so individual memos can be switched off — e.g. a
-    /// baseline benchmark keeping the equality memo while disabling the
-    /// range and LIKE memos. Existing memoized entries are discarded.
+    /// Override the resolve-phase memo capacities — equality, range and
+    /// LIKE (0 disables that memo; defaults 4096/4096/1024) — so
+    /// individual memos can be switched off, e.g. a baseline benchmark
+    /// keeping the equality memo while disabling the range and LIKE
+    /// memos. Existing memoized entries are discarded; intended for tests
+    /// and tuning.
     pub fn with_memo_capacities(mut self, eq: usize, range: usize, like: usize) -> Self {
         self.memos = Memos::with_capacities(eq, range, like);
         self
@@ -1705,7 +1418,7 @@ impl StatsSnapshot {
     /// shared by all relaxations' assemblies. When `lit` carries the
     /// session's literal cache, relations whose literal sub-vector (own
     /// predicate plus every propagated source, staged by
-    /// [`stage_literals`]) repeats copy their conditioned set straight
+    /// [`stage_rel_literals`]) repeats copy their conditioned set straight
     /// from the cache; fresh sub-vectors resolve and are memoized.
     fn resolve_relations(
         &self,
@@ -1881,7 +1594,7 @@ fn memo_eq<'a>(
     memo_sym: Option<Sym>,
     v: &Value,
     scratch: &mut CdsScratch,
-    memo: &mut EqMemo,
+    memo: &mut Memo<EqEntry>,
     out: &mut CdsSet,
 ) -> Resolved<'a> {
     let mcv = &fs.mcv;
@@ -1896,14 +1609,23 @@ fn memo_eq<'a>(
     let Some(sym) = memo_sym else {
         return serve(mcv.lookup_eq_outcome(v, scratch, out));
     };
-    if let Some((o, set)) = memo.lookup(sym, slot, v) {
-        if o == McvOutcome::Owned {
-            scratch.copy_set(set, out);
+    let fp = value_fp(v);
+    if let Some(e) = memo.lookup(sym, slot, fp, |e| e.value == *v) {
+        if e.outcome == McvOutcome::Owned {
+            scratch.copy_set(&e.set, out);
         }
-        return serve(o);
+        return serve(e.outcome);
     }
     let o = mcv.lookup_eq_outcome(v, scratch, out);
-    memo.insert(sym, slot, v, o, out);
+    if let Some(e) = memo.cache.claim((sym, slot), fp) {
+        assign_value(&mut e.value, v);
+        e.outcome = o;
+        if o == McvOutcome::Owned {
+            scratch.copy_set(out, &mut e.set);
+        } else {
+            scratch.clear_set(&mut e.set);
+        }
+    }
     serve(o)
 }
 
@@ -1918,18 +1640,25 @@ fn memo_range<'a>(
     memo_sym: Option<Sym>,
     lo: &Value,
     hi: &Value,
-    memo: &mut RangeMemo,
+    memo: &mut Memo<RangeEntry>,
 ) -> Resolved<'a> {
     let group = match memo_sym {
         None => hist.lookup_range_group(lo, hi),
-        Some(sym) => match memo.lookup(sym, slot, lo, hi) {
-            Some(g) => g.map(|g| g as usize),
-            None => {
-                let g = hist.lookup_range_group(lo, hi);
-                memo.insert(sym, slot, lo, hi, g.map(|g| g as u32));
-                g
+        Some(sym) => {
+            let fp = range_fp(lo, hi);
+            match memo.lookup(sym, slot, fp, |e| e.lo == *lo && e.hi == *hi) {
+                Some(e) => e.group.map(|g| g as usize),
+                None => {
+                    let g = hist.lookup_range_group(lo, hi);
+                    if let Some(e) = memo.cache.claim((sym, slot), fp) {
+                        assign_value(&mut e.lo, lo);
+                        assign_value(&mut e.hi, hi);
+                        e.group = g.map(|g| g as u32);
+                    }
+                    g
+                }
             }
-        },
+        }
     };
     match group {
         Some(g) => Resolved::Borrowed(
@@ -1941,6 +1670,43 @@ fn memo_range<'a>(
         ),
         None => Resolved::None,
     }
+}
+
+/// N-gram LIKE lookup into `out`, memoized when `memo_sym` names the
+/// owning table: a hot pattern copies its memoized set through the arena
+/// (or replays the no-gram outcome). Returns whether the pattern matched,
+/// i.e. whether `out` holds a resolution.
+fn memo_like(
+    ng: &NgramStats,
+    slot: u32,
+    memo_sym: Option<Sym>,
+    pattern: &str,
+    scratch: &mut CdsScratch,
+    memo: &mut Memo<LikeEntry>,
+    out: &mut CdsSet,
+) -> bool {
+    let Some(sym) = memo_sym else {
+        return ng.lookup_like_into(pattern, scratch, out);
+    };
+    let fp = litcache::fnv1a(pattern.as_bytes());
+    if let Some(e) = memo.lookup(sym, slot, fp, |e| e.pattern == pattern) {
+        if e.matched {
+            scratch.copy_set(&e.set, out);
+        }
+        return e.matched;
+    }
+    let matched = ng.lookup_like_into(pattern, scratch, out);
+    if let Some(e) = memo.cache.claim((sym, slot), fp) {
+        e.pattern.clear();
+        e.pattern.push_str(pattern);
+        e.matched = matched;
+        if matched {
+            scratch.copy_set(out, &mut e.set);
+        } else {
+            scratch.clear_set(&mut e.set);
+        }
+    }
+    matched
 }
 
 /// **The** predicate resolver: one copy of the soundness-critical
@@ -2037,24 +1803,7 @@ fn resolve_slots<'a>(
             let Some(ng) = stats_at(slot).ngrams.as_ref() else {
                 return Resolved::None;
             };
-            let Some(sym) = memo_sym else {
-                return if ng.lookup_like_into(pattern, scratch, out) {
-                    Resolved::Owned
-                } else {
-                    Resolved::None
-                };
-            };
-            if let Some((matched, set)) = memo.like.lookup(sym, slot, pattern) {
-                if matched {
-                    scratch.copy_set(set, out);
-                    return Resolved::Owned;
-                }
-                return Resolved::None;
-            }
-            let matched = ng.lookup_like_into(pattern, scratch, out);
-            memo.like
-                .insert(sym, slot, pattern, matched.then_some(&*out));
-            if matched {
+            if memo_like(ng, slot, memo_sym, pattern, scratch, &mut memo.like, out) {
                 Resolved::Owned
             } else {
                 Resolved::None
@@ -2904,41 +2653,16 @@ mod tests {
     }
 
     #[test]
-    fn eq_memo_clock_evicts_cold_entries() {
-        // At capacity the memo must keep admitting literals: the clock
-        // evicts a cold entry, an entry with a repeat hit survives, and
-        // the hit/miss counters stay accurate throughout.
-        let mut symbols = crate::symbol::SymbolTable::new();
-        let t = symbols.intern("t");
-        let set = CdsSet::default();
-        let v = Value::Int;
-        let mut memo = EqMemo::with_capacity(2);
-        assert!(memo.lookup(t, 0, &v(1)).is_none());
-        memo.insert(t, 0, &v(1), McvOutcome::Owned, &set);
-        assert!(memo.lookup(t, 0, &v(2)).is_none());
-        memo.insert(t, 0, &v(2), McvOutcome::Owned, &set);
-        // Literal 1 turns hot (earns its second chance); 2 stays cold.
-        assert!(memo.lookup(t, 0, &v(1)).is_some());
-        // A third literal arrives at capacity: the clock evicts cold 2.
-        assert!(memo.lookup(t, 0, &v(3)).is_none());
-        memo.insert(t, 0, &v(3), McvOutcome::Owned, &set);
-        assert_eq!(memo.evictions, 1);
-        assert!(memo.lookup(t, 0, &v(1)).is_some(), "hot literal survives");
-        assert!(memo.lookup(t, 0, &v(3)).is_some(), "late literal entered");
-        assert!(memo.lookup(t, 0, &v(2)).is_none(), "cold literal evicted");
-        assert_eq!((memo.hits, memo.misses), (3, 3));
-    }
-
-    #[test]
     fn eq_memo_admits_hot_literals_after_saturation() {
         // End-to-end regression for the frozen-memo bug: a literal first
         // seen after the memo saturates must still become a memo hit.
         let (_, sb) = build();
+        // Literal caching off: pin the MCV memo, not the literal cache.
         let mut session = BoundSession::default()
-            .with_memo_capacity(4)
-            .with_literal_capacity(0); // pin the MCV memo, not the literal cache
-                                       // Saturate the memo with a churn of distinct literals (each query
-                                       // memoizes the dimension literal and its propagated counterpart).
+            .with_memo_capacities(4, 4, 4)
+            .with_literal_capacity(0);
+        // Saturate the memo with a churn of distinct literals (each query
+        // memoizes the dimension literal and its propagated counterpart).
         for year in 0..8 {
             let q = parse_sql(&format!(
                 "SELECT COUNT(*) FROM movie_keyword mk, keyword k \

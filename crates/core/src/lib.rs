@@ -63,6 +63,7 @@
 
 pub mod bloom;
 pub mod bound;
+mod clock_cache;
 pub mod clustering;
 pub mod compression;
 pub mod conditioning;

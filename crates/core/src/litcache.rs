@@ -22,17 +22,18 @@
 //! Fingerprints are FNV-1a over a stable byte encoding of the literal
 //! stream ([`encode_literal`]); every hit is **verified** against a stored
 //! copy of the encoded bytes before anything is served, so hash collisions
-//! cost a miss, never a wrong bound. Entries are evicted by the same
-//! second-chance clock the equality memo uses, so late-arriving hot
-//! literal vectors always enter. The whole cache is session-owned: entry
-//! sets copy through the session's [`CdsScratch`] pools and byte/entry
-//! buffers retain their capacity across evictions, so a warm session stays
-//! allocation-free even at capacity with the clock churning (asserted by
-//! the `zero_alloc` integration test). The cache is flushed whenever the
-//! session attaches to a different statistics build.
+//! cost a miss, never a wrong bound. Storage, verification and eviction
+//! are [`ClockCache`]'s — the one structure the resolve memos instantiate
+//! too — so late-arriving hot literal vectors always enter. The whole
+//! cache is session-owned: entry sets copy through the session's
+//! [`CdsScratch`] pools and a recycled entry is overwritten in place, its
+//! byte and set buffers retained, so a warm session stays allocation-free
+//! even at capacity with the clock churning (asserted by the `zero_alloc`
+//! integration test). The cache is flushed whenever the session attaches
+//! to a different statistics build.
 
+use crate::clock_cache::ClockCache;
 use crate::conditioning::{CdsScratch, CdsSet};
-use crate::simd::hash::FastMap;
 use safebound_query::LiteralRef;
 use safebound_storage::Value;
 
@@ -89,8 +90,6 @@ pub(crate) fn encode_literal(lit: LiteralRef<'_>, out: &mut Vec<u8>) {
 /// conditioned set/card for per-relation entries).
 #[derive(Debug, Default)]
 struct LitEntry {
-    /// `(shape uid, rel | REL_BOUND, fingerprint)`.
-    key: (u64, u32, u64),
     /// Encoded literal vector (collision verification). Capacity is
     /// retained when the clock recycles the slot.
     bytes: Vec<u8>,
@@ -102,84 +101,53 @@ struct LitEntry {
     card: f64,
     /// The final bound (bound entries).
     bound: f64,
-    /// Second-chance bit: set on every hit, cleared as the clock passes.
-    referenced: bool,
 }
 
-/// The clock-evicted literal cache (see the module docs). One per
+/// The literal cache (see the module docs): one [`ClockCache`] holding
+/// bound and conditioned entries alike, owner-keyed by `(shape uid, rel |
+/// REL_BOUND)`, plus the per-kind hit/miss tallies. One per
 /// [`crate::estimator::BoundSession`].
 #[derive(Debug)]
 pub(crate) struct LitCache {
-    /// Key → slab index.
-    map: FastMap<(u64, u32, u64), usize>,
-    /// Entry slab; the clock hand sweeps it in index order.
-    entries: Vec<LitEntry>,
-    /// Max entries (bound + cond combined) before the clock evicts.
-    capacity: usize,
-    /// Next slab index the eviction sweep examines.
-    hand: usize,
+    cache: ClockCache<(u64, u32), LitEntry>,
     pub bound_hits: u64,
     pub bound_misses: u64,
     pub cond_hits: u64,
     pub cond_misses: u64,
-    pub evictions: u64,
 }
 
 impl LitCache {
+    /// A cache of at most `capacity` entries, bound + cond combined.
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         LitCache {
-            // Grown organically, NOT preallocated: a throwaway session
-            // (the `bound()` convenience path) must not pay for 8k-entry
-            // tables it will never fill. Steady-state allocation-freedom
-            // is unaffected — `len` never exceeds `capacity`, so once the
-            // map has grown to hold it, at-capacity churn (remove +
-            // insert) never triggers another growth.
-            map: FastMap::default(),
-            entries: Vec::new(),
-            capacity,
-            hand: 0,
+            cache: ClockCache::with_capacity(capacity),
             bound_hits: 0,
             bound_misses: 0,
             cond_hits: 0,
             cond_misses: 0,
-            evictions: 0,
         }
     }
 
     /// Whether caching is on at all (capacity 0 disables it).
     pub(crate) fn enabled(&self) -> bool {
-        self.capacity > 0
+        self.cache.enabled()
     }
 
-    /// Number of live entries.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Probe for a verified entry; updates the referenced bit on a hit.
-    /// A fingerprint match with different bytes (a collision) is a miss.
-    fn probe(&mut self, key: (u64, u32, u64), bytes: &[u8]) -> Option<usize> {
-        let &i = self.map.get(&key)?;
-        if self.entries[i].bytes != bytes {
-            return None;
-        }
-        self.entries[i].referenced = true;
-        Some(i)
+    /// Entries recycled by the clock since creation.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.cache.evictions()
     }
 
     /// The memoized bound for an exact whole-query literal repeat.
     pub(crate) fn lookup_bound(&mut self, shape_uid: u64, fp: u64, bytes: &[u8]) -> Option<f64> {
-        match self.probe((shape_uid, REL_BOUND, fp), bytes) {
-            Some(i) => {
-                self.bound_hits += 1;
-                Some(self.entries[i].bound)
-            }
-            None => {
-                self.bound_misses += 1;
-                None
-            }
+        let hit = self
+            .cache
+            .get((shape_uid, REL_BOUND), fp, |e| e.bytes == bytes);
+        match hit {
+            Some(_) => self.bound_hits += 1,
+            None => self.bound_misses += 1,
         }
+        hit.map(|e| e.bound)
     }
 
     /// The memoized conditioned resolution for one relation's literal
@@ -192,65 +160,12 @@ impl LitCache {
         fp: u64,
         bytes: &[u8],
     ) -> Option<(&CdsSet, bool, f64)> {
-        match self.probe((shape_uid, rel, fp), bytes) {
-            Some(i) => {
-                self.cond_hits += 1;
-                let e = &self.entries[i];
-                Some((&e.set, e.has_cond, e.card))
-            }
-            None => {
-                self.cond_misses += 1;
-                None
-            }
+        let hit = self.cache.get((shape_uid, rel), fp, |e| e.bytes == bytes);
+        match hit {
+            Some(_) => self.cond_hits += 1,
+            None => self.cond_misses += 1,
         }
-    }
-
-    /// Claim a slab slot for `key` (growing below capacity, second-chance
-    /// evicting at it), write the verification bytes, and index it. The
-    /// victim's set is harvested into the scratch pools and its byte
-    /// buffer reused, so churn at capacity allocates nothing once buffer
-    /// capacities have converged.
-    fn claim(&mut self, key: (u64, u32, u64), bytes: &[u8], scratch: &mut CdsScratch) -> usize {
-        let i = if self.entries.len() < self.capacity {
-            self.entries.push(LitEntry::default());
-            self.entries.len() - 1
-        } else {
-            // Second-chance sweep: terminates within two passes because
-            // the first pass clears every referenced bit it crosses.
-            let victim = loop {
-                let idx = self.hand;
-                self.hand = (self.hand + 1) % self.entries.len();
-                let e = &mut self.entries[idx];
-                if e.referenced {
-                    e.referenced = false;
-                } else {
-                    break idx;
-                }
-            };
-            // Unindex the victim — but only if the map still points at
-            // it. A fingerprint collision re-binds a key to a newer slot
-            // (the old slot keeps its stale `key` field); removing
-            // unconditionally would orphan the *live* entry.
-            if self.map.get(&self.entries[victim].key) == Some(&victim) {
-                self.map.remove(&self.entries[victim].key);
-            }
-            self.evictions += 1;
-            victim
-        };
-        let e = &mut self.entries[i];
-        e.key = key;
-        e.bytes.clear();
-        e.bytes.extend_from_slice(bytes);
-        scratch.clear_set(&mut e.set);
-        e.has_cond = false;
-        e.card = 0.0;
-        e.bound = 0.0;
-        // Fresh entries start unreferenced: a vector earns its second
-        // chance with a repeat hit, so one-shot churn evicts other churn,
-        // not the established hot set.
-        e.referenced = false;
-        self.map.insert(key, i);
-        i
+        hit.map(|e| (&e.set, e.has_cond, e.card))
     }
 
     /// Memoize a computed whole-query bound (miss path only).
@@ -262,15 +177,18 @@ impl LitCache {
         bound: f64,
         scratch: &mut CdsScratch,
     ) {
-        if self.capacity == 0 {
-            return;
+        if let Some(e) = self.cache.claim((shape_uid, REL_BOUND), fp) {
+            e.bytes.clear();
+            e.bytes.extend_from_slice(bytes);
+            // A recycled cond entry's set goes back to the pools.
+            scratch.clear_set(&mut e.set);
+            e.bound = bound;
         }
-        let i = self.claim((shape_uid, REL_BOUND, fp), bytes, scratch);
-        self.entries[i].bound = bound;
     }
 
     /// Memoize one relation's resolved conditioning (miss path only). The
-    /// set is copied in through the scratch pools.
+    /// set is copied in through the scratch pools, over whatever the
+    /// recycled slot held.
     #[allow(clippy::too_many_arguments)] // flat hot-path call, no temp struct
     pub(crate) fn insert_cond(
         &mut self,
@@ -283,24 +201,23 @@ impl LitCache {
         card: f64,
         scratch: &mut CdsScratch,
     ) {
-        if self.capacity == 0 {
-            return;
+        if let Some(e) = self.cache.claim((shape_uid, rel), fp) {
+            e.bytes.clear();
+            e.bytes.extend_from_slice(bytes);
+            if has_cond {
+                scratch.copy_set(set, &mut e.set);
+            } else {
+                scratch.clear_set(&mut e.set);
+            }
+            e.has_cond = has_cond;
+            e.card = card;
         }
-        let i = self.claim((shape_uid, rel, fp), bytes, scratch);
-        let e = &mut self.entries[i];
-        if has_cond {
-            scratch.copy_set(set, &mut e.set);
-        }
-        e.has_cond = has_cond;
-        e.card = card;
     }
 
     /// Drop every entry (statistics build change: cached sets and bounds
     /// are meaningless under any other build).
     pub(crate) fn clear(&mut self) {
-        self.map.clear();
-        self.entries.clear();
-        self.hand = 0;
+        self.cache.clear();
     }
 }
 
@@ -327,44 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_keeps_hot_entries_under_churn() {
-        let mut c = LitCache::with_capacity(2);
-        let mut s = CdsScratch::default();
-        c.insert_bound(0, 1, &bytes_of(1), 1.0, &mut s);
-        c.insert_bound(0, 2, &bytes_of(2), 2.0, &mut s);
-        // Entry 1 turns hot; entry 2 stays cold.
-        assert_eq!(c.lookup_bound(0, 1, &bytes_of(1)), Some(1.0));
-        // A third vector evicts cold 2, not hot 1.
-        c.insert_bound(0, 3, &bytes_of(3), 3.0, &mut s);
-        assert_eq!(c.evictions, 1);
-        assert_eq!(c.lookup_bound(0, 1, &bytes_of(1)), Some(1.0));
-        assert_eq!(c.lookup_bound(0, 3, &bytes_of(3)), Some(3.0));
-        assert_eq!(c.lookup_bound(0, 2, &bytes_of(2)), None);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
-    fn evicting_a_collision_stale_slot_keeps_the_live_rebind() {
-        // Two vectors colliding on one fingerprint: the second insert
-        // re-binds the key to a fresh slot, leaving the first slot stale.
-        // Evicting the stale slot must NOT unindex the live entry.
-        let mut c = LitCache::with_capacity(2);
-        let mut s = CdsScratch::default();
-        c.insert_bound(0, 1, &bytes_of(1), 10.0, &mut s); // slot 0
-        assert_eq!(c.lookup_bound(0, 1, &bytes_of(2)), None); // collision miss
-        c.insert_bound(0, 1, &bytes_of(2), 20.0, &mut s); // slot 1, re-binds key
-                                                          // At capacity: the next insert's clock picks stale slot 0.
-        c.insert_bound(0, 9, &bytes_of(9), 90.0, &mut s);
-        assert_eq!(c.evictions, 1);
-        assert_eq!(
-            c.lookup_bound(0, 1, &bytes_of(2)),
-            Some(20.0),
-            "live rebound entry must survive the stale slot's eviction"
-        );
-        assert_eq!(c.lookup_bound(0, 9, &bytes_of(9)), Some(90.0));
-    }
-
-    #[test]
     fn cond_entries_coexist_with_bound_entries() {
         let mut c = LitCache::with_capacity(8);
         let mut s = CdsScratch::default();
@@ -379,7 +258,32 @@ mod tests {
         let mut off = LitCache::with_capacity(0);
         off.insert_bound(0, 5, &bytes_of(5), 1.0, &mut s);
         assert!(!off.enabled());
-        assert_eq!(off.len(), 0);
+        assert_eq!(off.lookup_bound(0, 5, &bytes_of(5)), None);
+    }
+
+    #[test]
+    fn a_recycled_slot_is_fully_overwritten() {
+        // Capacity 1: every insert recycles the one slot, across kinds.
+        // Nothing of the previous entry may leak into the next.
+        let mut c = LitCache::with_capacity(1);
+        let mut s = CdsScratch::default();
+        let mut symbols = crate::symbol::SymbolTable::new();
+        let full = CdsSet::from_entries(vec![(
+            symbols.intern("x"),
+            crate::piecewise::PiecewiseLinear::empty(),
+        )]);
+        c.insert_cond(0, 0, 1, &bytes_of(1), &full, true, 3.0, &mut s);
+        let (set, has_cond, card) = c.lookup_cond(0, 0, 1, &bytes_of(1)).unwrap();
+        assert_eq!((set.is_empty(), has_cond, card), (false, true, 3.0));
+        // An unconditioned entry over the conditioned one.
+        c.insert_cond(0, 0, 2, &bytes_of(2), &full, false, 7.0, &mut s);
+        let (set, has_cond, card) = c.lookup_cond(0, 0, 2, &bytes_of(2)).unwrap();
+        assert_eq!((set.is_empty(), has_cond, card), (true, false, 7.0));
+        assert!(c.lookup_cond(0, 0, 1, &bytes_of(1)).is_none());
+        // A bound entry over a cond entry.
+        c.insert_bound(0, 3, &bytes_of(3), 11.0, &mut s);
+        assert_eq!(c.lookup_bound(0, 3, &bytes_of(3)), Some(11.0));
+        assert_eq!(c.evictions(), 2);
     }
 
     #[test]

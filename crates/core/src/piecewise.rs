@@ -50,7 +50,6 @@ pub const EPS: f64 = 1e-9;
 /// A non-negative piecewise-constant function on `(0, support]`, stored as
 /// `(right_edge, value)` pairs with strictly increasing edges.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PiecewiseConstant {
     segments: Vec<(f64, f64)>,
 }
@@ -536,7 +535,6 @@ pub(crate) fn sum_sweep_into(
 /// of every (compressed) cumulative degree sequence. Beyond its last knot
 /// the function is constant at its endpoint.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PiecewiseLinear {
     knots: Vec<(f64, f64)>,
 }

@@ -396,6 +396,73 @@ fn steady_state_literal_cache_eviction_churn_allocates_nothing() {
 }
 
 #[test]
+fn steady_state_memo_eviction_churn_allocates_nothing() {
+    // Resolve memos far smaller than the rotating literal set: every
+    // equality, range and LIKE literal misses its memo, is memoized, and
+    // evicts (the clock recycles slots in place). Literal caching is off
+    // so every query reaches the memos.
+    let catalog = end_to_end_catalog();
+    let sb = SafeBound::build(&catalog, SafeBoundConfig::test_small());
+    let names = [
+        "alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "hotel",
+    ];
+    let mut queries = Vec::new();
+    for i in 0..16 {
+        let year = 1985 + i;
+        let (lo, hi) = (1990 + i % 7, 1993 + i % 9);
+        let gram = &names[i % 8][i / 8..i / 8 + 3];
+        for pred in [
+            format!("f.year = {year} AND d.w = {}", i % 3),
+            format!("f.year BETWEEN {lo} AND {hi}"),
+            format!("d.name LIKE '%{gram}%'"),
+        ] {
+            queries.push(
+                parse_sql(&format!(
+                    "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND {pred}"
+                ))
+                .unwrap(),
+            );
+        }
+    }
+
+    // Capacity 4 ≪ 16 distinct literals per kind: constant eviction
+    // pressure on all three memos.
+    let mut session = BoundSession::default()
+        .with_literal_capacity(0)
+        .with_memo_capacities(4, 4, 4);
+    let warm: Vec<f64> = queries
+        .iter()
+        .map(|q| sb.bound_with_session(q, &mut session).unwrap())
+        .collect();
+    for _ in 0..4 {
+        for q in &queries {
+            sb.bound_with_session(q, &mut session).unwrap();
+        }
+    }
+
+    let before = allocation_count();
+    let mut acc = 0.0;
+    for _ in 0..20 {
+        for q in &queries {
+            acc += sb.bound_with_session(q, &mut session).unwrap();
+        }
+    }
+    let after = allocation_count();
+    assert_eq!(
+        after - before,
+        0,
+        "memo eviction churn allocated {} times",
+        after - before
+    );
+    let expected: f64 = warm.iter().sum::<f64>() * 20.0;
+    assert!((acc - expected).abs() < 1e-6 * expected.abs().max(1.0));
+    let stats = session.stats();
+    assert!(stats.eq_memo_evictions > 0, "equality churn must evict");
+    assert!(stats.range_memo_evictions > 0, "range churn must evict");
+    assert!(stats.like_memo_evictions > 0, "LIKE churn must evict");
+}
+
+#[test]
 fn steady_state_parallel_worker_sessions_allocate_nothing() {
     // The serving layout: one shared SafeBound handle (snapshot behind
     // Arc), one private session per worker thread. Each worker's warm

@@ -545,20 +545,15 @@ fn handle_connection(ctx: &ConnCtx, stream: TcpStream) -> std::io::Result<()> {
                         ),
                         None => (0, false, 0, "none".to_string()),
                     };
-                let s = ctx.service.session_stats();
-                writeln!(
+                // One line, written in pieces into the response buffer:
+                // server counters, every session counter in its declared
+                // order ([`SessionStats::fields`]), then the tail.
+                write!(
                     writer,
                     "STATS workers={} build={} swaps={} generation={} refresher={} \
                      refresh_failures={} refresh_last_error={} \
                      connections={} inflight_batches={} batch_dedup_hits={} \
-                     worker_panics={} worker_respawns={} worker_timeouts={} \
-                     shape_hits={} shape_misses={} shape_evictions={} \
-                     lit_bound_hits={} lit_bound_misses={} lit_cond_hits={} \
-                     lit_cond_misses={} lit_evictions={} eq_memo_hits={} \
-                     eq_memo_misses={} eq_memo_evictions={} \
-                     range_memo_hits={} range_memo_misses={} range_memo_evictions={} \
-                     like_memo_hits={} like_memo_misses={} like_memo_evictions={} \
-                     relaxations_pruned={} spills={} snapshot_load_failures={} simd={}",
+                     worker_panics={} worker_respawns={} worker_timeouts={}",
                     ctx.service.num_workers(),
                     ctx.service.estimator().build_id(),
                     ctx.service.estimator().swap_count(),
@@ -572,24 +567,13 @@ fn handle_connection(ctx: &ConnCtx, stream: TcpStream) -> std::io::Result<()> {
                     ctx.service.worker_panics(),
                     ctx.service.worker_respawns(),
                     ctx.service.worker_timeouts(),
-                    s.shape_hits,
-                    s.shape_misses,
-                    s.shape_evictions,
-                    s.lit_bound_hits,
-                    s.lit_bound_misses,
-                    s.lit_cond_hits,
-                    s.lit_cond_misses,
-                    s.lit_evictions,
-                    s.eq_memo_hits,
-                    s.eq_memo_misses,
-                    s.eq_memo_evictions,
-                    s.range_memo_hits,
-                    s.range_memo_misses,
-                    s.range_memo_evictions,
-                    s.like_memo_hits,
-                    s.like_memo_misses,
-                    s.like_memo_evictions,
-                    s.relaxations_pruned,
+                )?;
+                for (key, value) in ctx.service.session_stats().fields() {
+                    write!(writer, " {key}={value}")?;
+                }
+                writeln!(
+                    writer,
+                    " spills={} snapshot_load_failures={} simd={}",
                     ctx.service.spill_count(),
                     ctx.snapshot_load_failures.load(Ordering::Relaxed),
                     safebound_core::simd_tier().name(),
@@ -891,6 +875,55 @@ mod tests {
             "{simd:?}"
         );
         assert_eq!(responses[4], "BYE");
+    }
+
+    #[test]
+    fn stats_keys_and_their_order_are_frozen() {
+        // Dashboards and the repository benchmark parse this line by key
+        // and position: a reordered or renamed counter is a wire break.
+        const KEYS: [&str; 34] = [
+            "workers",
+            "build",
+            "swaps",
+            "generation",
+            "refresher",
+            "refresh_failures",
+            "refresh_last_error",
+            "connections",
+            "inflight_batches",
+            "batch_dedup_hits",
+            "worker_panics",
+            "worker_respawns",
+            "worker_timeouts",
+            "shape_hits",
+            "shape_misses",
+            "shape_evictions",
+            "lit_bound_hits",
+            "lit_bound_misses",
+            "lit_cond_hits",
+            "lit_cond_misses",
+            "lit_evictions",
+            "eq_memo_hits",
+            "eq_memo_misses",
+            "eq_memo_evictions",
+            "range_memo_hits",
+            "range_memo_misses",
+            "range_memo_evictions",
+            "like_memo_hits",
+            "like_memo_misses",
+            "like_memo_evictions",
+            "relaxations_pruned",
+            "spills",
+            "snapshot_load_failures",
+            "simd",
+        ];
+        let responses = roundtrip(&["STATS", "QUIT"]);
+        let mut tokens = responses[0].split(' ');
+        assert_eq!(tokens.next(), Some("STATS"));
+        let keys: Vec<&str> = tokens
+            .map(|t| t.split_once('=').expect("key=value token").0)
+            .collect();
+        assert_eq!(keys, KEYS);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::value::DataType;
 /// One column's metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Field {
     /// Column name, unique within the table.
     pub name: String,
@@ -35,7 +34,6 @@ impl Field {
 
 /// An ordered list of fields.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Schema {
     /// The fields, in column order.
     pub fields: Vec<Field>,

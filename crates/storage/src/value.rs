@@ -12,7 +12,6 @@ use std::hash::{Hash, Hasher};
 
 /// The type of a column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -34,7 +33,6 @@ impl fmt::Display for DataType {
 
 /// A single scalar value.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Value {
     /// SQL NULL. Never equal to anything under SQL semantics, but for
     /// grouping/sorting purposes we treat NULL = NULL and NULL < everything.
