@@ -1,0 +1,1361 @@
+//! The online phase (§3.1, §3.5, §3.6): from a query to a guaranteed
+//! cardinality upper bound.
+//!
+//! Per relation, the estimator resolves the query's predicate tree against
+//! the pre-built conditioned statistics — equality via MCV lookup, ranges
+//! via the histogram hierarchy, LIKE via n-grams, conjunction = pointwise
+//! min, disjunction/IN = pointwise sum — and applies PK–FK propagation
+//! (§4.2) for predicates sitting on joined dimension tables. The resulting
+//! per-join-column CDSs feed the FDSB (Algorithm 2). Cyclic queries take
+//! the min over spanning-tree relaxations (§3.6); joins on undeclared
+//! columns use the truncated-fallback CDS (§3.6); queries where no
+//! Berge-acyclic relaxation survives degrade to the cross-product of
+//! per-relation (conditioned) cardinality bounds instead of failing.
+//!
+//! # Architecture: shared snapshot, swappable handle, per-worker session
+//!
+//! The estimator splits into three layers with different sharing rules:
+//!
+//! * **[`StatsSnapshot`]** — the immutable, `Send + Sync` statistics
+//!   (symbol table, per-table CDS sets, conditioned stats). Everything
+//!   literal- and session-independent lives here, behind an `Arc`, shared
+//!   read-only by any number of serving threads.
+//! * **[`SafeBound`]** — a cheaply cloneable *handle*: an atomic build-id
+//!   mirror plus a mutex-protected `Arc<StatsSnapshot>` slot. A background
+//!   rebuild publishes a fresh snapshot with [`SafeBound::swap_stats`]
+//!   without pausing readers; the steady-state read path is one atomic
+//!   load (no lock) because each session caches the `Arc` it last used.
+//! * **[`BoundSession`]** — mutable per-worker state: the query-shape
+//!   cache, the literal cache (whole-query bounds + per-relation
+//!   conditioned sets), the equality/range/LIKE resolve memos — four
+//!   instances of one `ClockCache` — and every arena the online path
+//!   writes into. Sessions detect a swapped snapshot by build id and
+//!   repopulate lazily.
+//!
+//! The expensive per-query work splits into two halves with different
+//! cacheability:
+//!
+//! * **Shape-dependent, literal-independent** — spanning-tree enumeration,
+//!   join-graph construction, [`BoundPlan`] building, join-column
+//!   resolution to interned ids, and predicate-column resolution to dense
+//!   **filter slots** (including the PK–FK [`propagated_key`] composites,
+//!   whose string keys are looked up only here). A [`BoundSession`]
+//!   memoizes all of it per query *shape* ([`Query::shape_hash`] /
+//!   [`Query::same_shape`]: tables + join topology + predicate structure,
+//!   not literals), evicting the least-recently-used shape at capacity, so
+//!   repeated query templates skip straight to predicate resolution +
+//!   kernel with zero string lookups.
+//! * **Literal-dependent** — predicate resolution and statistics
+//!   assembly. These write every intermediate CDS into the session's
+//!   [`CdsScratch`] arena pools instead of cloning, and are themselves
+//!   memoized by the per-session **literal cache** ([`crate::litcache`]),
+//!   keyed under the shape's session id by fingerprints of the query's
+//!   literal vector: an exact whole-query repeat returns the memoized
+//!   bound outright (no resolution, assembly, or kernel — the dominant
+//!   serving case runs in a few hundred nanoseconds), and a relation
+//!   whose literal sub-vector repeats copies its resolved conditioned
+//!   set instead of re-running MCV/histogram/n-gram lookups. Beneath
+//!   that, repeated equality, range and LIKE literals (hot values) are
+//!   served from per-session memos of the resolved lookups. The per-relation
+//!   conditioned stats are resolved **once** and shared across all of a
+//!   cyclic query's relaxations (propagation uses the original query's
+//!   edges — a superset of every relaxation's edges — which is sound and
+//!   at least as tight).
+//!
+//! Cyclic queries take the min over their relaxations by
+//! **branch-and-bound** instead of materialize-everything-then-min: the
+//! shape entry remembers the previously winning relaxation and evaluates
+//! it first; later candidates reuse the first candidate's per-column
+//! assembly (staged per query, a pure function of the resolved
+//! conditioning) and run the kernel with a certified early exit
+//! ([`crate::bound::fdsb_with_cutoff`]) that abandons as soon as the
+//! candidate's monotonically growing partial value exceeds the best
+//! complete bound. Because partial products only ever grow past the
+//! abandon point, a pruned candidate provably cannot win — the min, and
+//! therefore the returned bound, is bit-identical to the unpruned
+//! evaluation (property-tested against [`StatsSnapshot::bound_inputs`]).
+//!
+//! Together with the allocation-free FDSB kernel, a warm session performs
+//! **zero heap allocations per query** on the cached path for equality,
+//! range, IN, and LIKE predicates (asserted by the `zero_alloc`
+//! integration test; LIKE gram extraction is backed by the session's
+//! reused `Value::Str` slots, and the literal cache — hit, miss, and
+//! eviction paths alike — runs entirely on session-owned pooled buffers).
+//!
+//! [`propagated_key`]: crate::stats::propagated_key
+
+mod assemble;
+mod resolve;
+mod session;
+
+pub use resolve::resolve_predicate;
+pub use session::{BoundSession, PhaseBreakdown, SessionStats};
+
+use crate::bound::{fdsb_with_cutoff, BoundError, RelationBoundStats};
+use crate::conditioning::CdsScratch;
+use crate::config::SafeBoundConfig;
+use crate::stats::StatsSnapshot;
+use assemble::assemble_into;
+use resolve::{stage_full_literals, stage_rel_literals};
+use safebound_query::{BoundPlan, Query};
+use safebound_storage::Catalog;
+use session::Memos;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Instant;
+
+/// Errors from the online phase.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EstimateError {
+    /// A query references a table with no statistics.
+    UnknownTable(String),
+    /// Statistics were missing mid-bound.
+    Bound(BoundError),
+    /// The serving layer lost the computation (e.g. a worker panicked
+    /// mid-query); the query itself may be fine on retry.
+    Internal(String),
+    /// The serving layer gave up waiting on the computation (per-batch
+    /// deadline exceeded); the query itself may be fine on retry.
+    Timeout,
+}
+
+impl std::fmt::Display for EstimateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EstimateError::UnknownTable(t) => write!(f, "no statistics for table {t:?}"),
+            EstimateError::Bound(e) => write!(f, "bound evaluation failed: {e}"),
+            EstimateError::Internal(m) => write!(f, "internal: {m}"),
+            EstimateError::Timeout => write!(f, "timeout: bound exceeded its deadline"),
+        }
+    }
+}
+
+impl std::error::Error for EstimateError {}
+
+impl From<BoundError> for EstimateError {
+    fn from(e: BoundError) -> Self {
+        EstimateError::Bound(e)
+    }
+}
+
+/// Interior of a [`SafeBound`] handle: the published snapshot plus an
+/// atomic mirror of its build id for the lock-free read fast path.
+#[derive(Debug)]
+struct StatsCell {
+    /// Mirrors `current.build_id`; readers whose session already holds the
+    /// matching snapshot skip the mutex entirely.
+    build_id: AtomicU64,
+    /// Number of [`SafeBound::swap_stats`] publications since creation
+    /// (refresh observability: serving front-ends report it in `STATS`).
+    swaps: AtomicU64,
+    current: Mutex<Arc<StatsSnapshot>>,
+}
+
+/// The SafeBound estimator handle: a cheaply cloneable, thread-safe view
+/// onto the current [`StatsSnapshot`].
+///
+/// Clone one handle per worker; all clones observe
+/// [`SafeBound::swap_stats`] — the hot-swap a background rebuild uses to
+/// publish fresh statistics without pausing readers. In-flight queries
+/// keep the snapshot they started with alive through their session's
+/// `Arc`; subsequent queries pick up the new build and repopulate their
+/// session caches lazily.
+#[derive(Debug, Clone)]
+pub struct SafeBound {
+    cell: Arc<StatsCell>,
+}
+
+impl SafeBound {
+    /// Build SafeBound over a catalog (runs the offline phase).
+    pub fn build(catalog: &Catalog, config: SafeBoundConfig) -> Self {
+        let stats = crate::stats::SafeBoundBuilder::new(config).build(catalog);
+        SafeBound::from_stats(stats)
+    }
+
+    /// Wrap pre-built statistics.
+    pub fn from_stats(stats: StatsSnapshot) -> Self {
+        let snap = Arc::new(stats);
+        SafeBound {
+            cell: Arc::new(StatsCell {
+                build_id: AtomicU64::new(snap.build_id),
+                swaps: AtomicU64::new(0),
+                current: Mutex::new(snap),
+            }),
+        }
+    }
+
+    /// The currently published snapshot.
+    pub fn snapshot(&self) -> Arc<StatsSnapshot> {
+        // Poison recovery: the slot only ever holds a fully formed Arc
+        // (the swap is a single assignment), so a panic elsewhere while
+        // the lock was held cannot leave it mid-update — keep serving.
+        self.cell
+            .current
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Build id of the currently published snapshot (one atomic load).
+    pub fn build_id(&self) -> u64 {
+        self.cell.build_id.load(Ordering::Acquire)
+    }
+
+    /// How many times [`SafeBound::swap_stats`] has published a new
+    /// snapshot through this handle (shared by every clone).
+    pub fn swap_count(&self) -> u64 {
+        self.cell.swaps.load(Ordering::Acquire)
+    }
+
+    /// Publish a freshly built snapshot to every clone of this handle
+    /// (hot swap; e.g. after a data refresh rebuilt statistics in the
+    /// background). Readers are never paused: queries already running
+    /// finish against the snapshot they started with, and each session
+    /// flushes its caches lazily when it next observes the new build id.
+    /// Returns the published snapshot.
+    pub fn swap_stats(&self, stats: StatsSnapshot) -> Arc<StatsSnapshot> {
+        let snap = Arc::new(stats);
+        // Same poison-recovery argument as [`SafeBound::snapshot`].
+        let mut cur = self
+            .cell
+            .current
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        *cur = snap.clone();
+        // Publish the id while holding the lock so a reader that sees the
+        // new id and misses its session cache always finds the new Arc.
+        self.cell.build_id.store(snap.build_id, Ordering::Release);
+        self.cell.swaps.fetch_add(1, Ordering::AcqRel);
+        drop(cur);
+        snap
+    }
+
+    /// A guaranteed upper bound on the query's output cardinality.
+    ///
+    /// Convenience wrapper allocating a fresh [`BoundSession`] (the cold
+    /// path); hot-path callers should hold a session and use
+    /// [`SafeBound::bound_with_session`]. The throwaway session runs with
+    /// the literal cache disabled — a single-query session can never hit
+    /// it, so staging and memoizing literal vectors would be pure
+    /// overhead.
+    pub fn bound(&self, query: &Query) -> Result<f64, EstimateError> {
+        self.bound_with_session(query, &mut BoundSession::default().with_literal_capacity(0))
+    }
+
+    /// [`SafeBound::bound`] with a caller-provided session: the query's
+    /// shape is planned once and memoized, and all per-query intermediates
+    /// live in the session's arenas. When the session already tracks the
+    /// current build, this is lock-free (one atomic load).
+    pub fn bound_with_session(
+        &self,
+        query: &Query,
+        session: &mut BoundSession,
+    ) -> Result<f64, EstimateError> {
+        let current = self.build_id();
+        let snap = match &session.snapshot {
+            Some(s) if s.build_id == current => s.clone(),
+            _ => self.snapshot(),
+        };
+        snap.bound_with_session(query, session)
+    }
+
+    /// The per-relaxation FDSB kernel inputs for a query, against the
+    /// current snapshot; see [`StatsSnapshot::bound_inputs`].
+    pub fn bound_inputs(
+        &self,
+        query: &Query,
+    ) -> Result<Vec<(BoundPlan, Vec<RelationBoundStats>)>, EstimateError> {
+        self.snapshot().bound_inputs(query)
+    }
+}
+
+impl StatsSnapshot {
+    /// A guaranteed upper bound on the query's output cardinality,
+    /// evaluated directly against this shared snapshot with a per-worker
+    /// session. This is the engine under [`SafeBound::bound_with_session`];
+    /// serving threads that already hold an `Arc<StatsSnapshot>` can call
+    /// it without going through a handle.
+    pub fn bound_with_session(
+        self: &Arc<Self>,
+        query: &Query,
+        session: &mut BoundSession,
+    ) -> Result<f64, EstimateError> {
+        // A session may outlive a statistics swap (data refresh): cached
+        // plans' interned symbols, filter slots, and memoized lookups are
+        // only valid against the build that produced them.
+        if session
+            .snapshot
+            .as_ref()
+            .is_none_or(|s| s.build_id != self.build_id)
+        {
+            session.attach(self);
+        }
+        self.bound_cached(query, session)
+    }
+
+    /// The cached-path evaluation (session already attached to `self`).
+    ///
+    /// The warm path runs in up to three tiers, each skipping everything
+    /// below it:
+    ///
+    /// 1. **Bound cache** — an exact whole-query literal repeat returns
+    ///    the memoized `f64` (no resolution, assembly, or kernel).
+    /// 2. **Conditioned cache** — relations whose literal sub-vector
+    ///    repeats copy their resolved [`CdsSet`] from the literal cache;
+    ///    only genuinely fresh relations run MCV/histogram/n-gram
+    ///    resolution.
+    /// 3. **Branch-and-bound over relaxations** — the previous winner is
+    ///    evaluated first to set a tight `best`; later relaxations share
+    ///    the first candidate's per-column assembly through the
+    ///    `AssembleStage` and abandon mid-kernel as soon as their
+    ///    partial value is certified above `best`
+    ///    ([`fdsb_with_cutoff`]).
+    ///
+    /// # Soundness of pruning
+    ///
+    /// The bound is the *min* over relaxations. A relaxation is only ever
+    /// abandoned when a monotonically growing lower bound on its value —
+    /// the product of its finished component totals times the running
+    /// (non-negative, hence non-decreasing) integral of its final root
+    /// sweep — exceeds the best complete candidate: partial products only
+    /// ever grow from there, so the abandoned relaxation cannot win and
+    /// the min is unchanged, bit for bit. Every quantity compared is
+    /// computed in the same association order as the full evaluation,
+    /// with an ulp margin on the comparison, so no rounding asymmetry can
+    /// prune a would-be winner.
+    ///
+    /// [`CdsSet`]: crate::conditioning::CdsSet
+    fn bound_cached(
+        &self,
+        query: &Query,
+        session: &mut BoundSession,
+    ) -> Result<f64, EstimateError> {
+        if query.num_relations() == 0 {
+            return Ok(0.0);
+        }
+        let hash = query.shape_hash();
+        session.tick += 1;
+        let tick = session.tick;
+        let cached = session.index.get(&hash).and_then(|bucket| {
+            bucket
+                .iter()
+                .copied()
+                .find(|&i| session.shapes[i].shape.same_shape(query))
+        });
+        let idx = match cached {
+            Some(i) => {
+                session.shape_hits += 1;
+                session.shapes[i].last_used = tick;
+                i
+            }
+            None => {
+                session.shape_misses += 1;
+                if session.shapes.len() >= session.shape_capacity {
+                    session.evict_lru();
+                }
+                let uid = session.next_shape_uid;
+                session.next_shape_uid += 1;
+                let entry = self.build_shape_entry(query, hash, tick, uid);
+                session.shapes.push(entry);
+                let i = session.shapes.len() - 1;
+                session.index.entry(hash).or_default().push(i);
+                i
+            }
+        };
+
+        let timing = session.timing;
+        // lint: allow(determinism) -- opt-in phase timing: `timing` is
+        // only true when the caller asked for a PhaseBreakdown
+        let t_resolve = timing.then(Instant::now);
+        let BoundSession {
+            shapes,
+            memos,
+            lit_cache,
+            lit_stage,
+            asm_stage,
+            kernel,
+            cds,
+            rel_stats,
+            cond,
+            pruned,
+            phases,
+            ..
+        } = session;
+        let entry = &shapes[idx];
+
+        // Tier 1: exact whole-query literal repeat → memoized bound.
+        let lit_enabled = lit_cache.enabled();
+        if lit_enabled {
+            stage_full_literals(query, lit_stage);
+            if let Some(b) = lit_cache.lookup_bound(entry.uid, lit_stage.full_fp, &lit_stage.full) {
+                if let Some(t) = t_resolve {
+                    phases.resolve_ns += t.elapsed().as_nanos() as u64;
+                    phases.queries += 1;
+                }
+                return Ok(b);
+            }
+            // Miss: stage the per-relation sub-vectors for tier 2.
+            stage_rel_literals(entry, lit_stage);
+        }
+
+        // Tier 2: resolution, with per-relation conditioned-set reuse.
+        self.resolve_relations(
+            query,
+            entry,
+            cds,
+            memos,
+            lit_enabled.then_some((&mut *lit_cache, &*lit_stage)),
+            cond,
+        )?;
+        if let Some(t) = t_resolve {
+            phases.resolve_ns += t.elapsed().as_nanos() as u64;
+        }
+
+        // Tier 3: branch-and-bound over the relaxations, previous winner
+        // first, assembly shared across candidates.
+        let n = query.num_relations();
+        while rel_stats.len() < n {
+            rel_stats.push(RelationBoundStats::default());
+        }
+        let plans = &entry.plans;
+        let multi = plans.len() > 1;
+        if multi {
+            asm_stage.begin(cds);
+        }
+        let first = if entry.last_winner < plans.len() {
+            entry.last_winner
+        } else {
+            0
+        };
+        let mut best = f64::INFINITY;
+        let mut winner = first;
+        for k in 0..plans.len() {
+            // Candidate order: `first`, then the rest in index order.
+            let idx_k = if k == 0 {
+                first
+            } else if k - 1 < first {
+                k - 1
+            } else {
+                k
+            };
+            let pe = &plans[idx_k];
+            // lint: allow(determinism) -- opt-in phase timing: `timing`
+            // is only true when the caller asked for a PhaseBreakdown
+            let t_assemble = timing.then(Instant::now);
+            for rel in 0..n {
+                let ts = self
+                    .tables
+                    .get(&query.relations[rel].table)
+                    // lint: allow(no-panic) -- resolution (which built
+                    // `cond`) already returned Err for any unknown table
+                    .expect("tables validated during resolution");
+                assemble_into(
+                    ts,
+                    &cond[rel],
+                    rel,
+                    &pe.join_cols[rel],
+                    &mut rel_stats[rel],
+                    cds,
+                    multi.then_some(&mut *asm_stage),
+                );
+            }
+            // lint: allow(determinism) -- opt-in phase timing: `timing`
+            // is only true when the caller asked for a PhaseBreakdown
+            let t_kernel = timing.then(Instant::now);
+            if let (Some(a), Some(b)) = (t_assemble, t_kernel) {
+                phases.assemble_ns += (b - a).as_nanos() as u64;
+            }
+            match fdsb_with_cutoff(&pe.plan, &rel_stats[..n], kernel, best)? {
+                Some(b) => {
+                    if b < best {
+                        best = b;
+                        winner = idx_k;
+                    }
+                }
+                None => *pruned += 1,
+            }
+            if let Some(t) = t_kernel {
+                phases.kernel_ns += t.elapsed().as_nanos() as u64;
+            }
+        }
+        let result = if best.is_finite() {
+            best
+        } else {
+            // No Berge-acyclic relaxation survived (pathologically cyclic
+            // query or an exhausted spanning-tree cap): degrade to the
+            // cross-product of per-relation conditioned cardinality
+            // bounds, which is always a sound upper bound.
+            cond[..n].iter().map(|c| c.card).product()
+        };
+        if lit_enabled {
+            lit_cache.insert_bound(entry.uid, lit_stage.full_fp, &lit_stage.full, result, cds);
+        }
+        if timing {
+            phases.queries += 1;
+        }
+        shapes[idx].last_winner = winner;
+        Ok(result)
+    }
+
+    /// The per-relaxation FDSB kernel inputs for a query — exactly what
+    /// the bound evaluates (one `(plan, stats)` pair per acyclic
+    /// relaxation; the bound is their minimum, with a cross-product
+    /// fallback when the list is empty). Exposed so benchmarks and tests
+    /// can drive [`crate::bound::fdsb_with_scratch`] and
+    /// [`crate::bound::fdsb_reference`] on identical inputs. Shares the
+    /// shape-building and assembly code with the cached path.
+    pub fn bound_inputs(
+        &self,
+        query: &Query,
+    ) -> Result<Vec<(BoundPlan, Vec<RelationBoundStats>)>, EstimateError> {
+        if query.num_relations() == 0 {
+            return Ok(Vec::new());
+        }
+        let entry = self.build_shape_entry(query, query.shape_hash(), 0, 0);
+        let mut cds = CdsScratch::default();
+        let mut memo = Memos::default();
+        let mut cond = Vec::new();
+        self.resolve_relations(query, &entry, &mut cds, &mut memo, None, &mut cond)?;
+        let n = query.num_relations();
+        let mut out = Vec::with_capacity(entry.plans.len());
+        for pe in &entry.plans {
+            let mut stats = Vec::with_capacity(n);
+            #[allow(clippy::needless_range_loop)] // four parallel arrays indexed by relation
+            for rel in 0..n {
+                let ts = self
+                    .tables
+                    .get(&query.relations[rel].table)
+                    // lint: allow(no-panic) -- resolution (which built
+                    // `cond`) already returned Err for any unknown table
+                    .expect("tables validated during resolution");
+                let mut rs = RelationBoundStats::default();
+                assemble_into(
+                    ts,
+                    &cond[rel],
+                    rel,
+                    &pe.join_cols[rel],
+                    &mut rs,
+                    &mut cds,
+                    None,
+                );
+                stats.push(rs);
+            }
+            out.push((pe.plan.clone(), stats));
+        }
+        Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use safebound_query::{parse_sql, JoinEdge, JoinGraph, Predicate, RelationRef};
+    use safebound_storage::{Column, DataType, Field, Schema, Table, Value};
+
+    /// Fact/dimension catalog: movie_keyword(movie_id, keyword_id) ⋈
+    /// keyword(id, word); movies Zipf-skewed over keywords.
+    fn catalog() -> Catalog {
+        let mut c = Catalog::new();
+        let kw_names = ["common", "frequent", "medium", "rare", "unique"];
+        let kw = Table::new(
+            "keyword",
+            Schema::new(vec![
+                Field::new("id", DataType::Int),
+                Field::new("word", DataType::Str),
+            ]),
+            vec![
+                Column::from_ints((1..=5).map(Some)),
+                Column::from_strs(kw_names.map(Some)),
+            ],
+        );
+        // keyword_id i appears 2^(6-i) times: 32,16,8,4,2 rows.
+        let mut movie_ids = Vec::new();
+        let mut kw_ids = Vec::new();
+        let mut year = Vec::new();
+        let mut mid = 0i64;
+        for k in 1i64..=5 {
+            let reps = 1 << (6 - k);
+            for r in 0..reps {
+                movie_ids.push(Some(mid % 20)); // movies repeat
+                kw_ids.push(Some(k));
+                year.push(Some(1980 + (r % 40)));
+                mid += 1;
+            }
+        }
+        let mk = Table::new(
+            "movie_keyword",
+            Schema::new(vec![
+                Field::new("movie_id", DataType::Int),
+                Field::new("keyword_id", DataType::Int),
+                Field::new("year", DataType::Int),
+            ]),
+            vec![
+                Column::from_ints(movie_ids),
+                Column::from_ints(kw_ids),
+                Column::from_ints(year),
+            ],
+        );
+        c.add_table(kw);
+        c.add_table(mk);
+        c.declare_primary_key("keyword", "id");
+        c.declare_foreign_key("movie_keyword", "keyword_id", "keyword", "id");
+        c
+    }
+
+    fn true_count(cat: &Catalog, pred: impl Fn(i64, &str) -> bool) -> f64 {
+        // |movie_keyword ⋈ keyword| with a predicate on (keyword_id, word).
+        let mk = cat.table("movie_keyword").unwrap();
+        let kw = cat.table("keyword").unwrap();
+        let mut count = 0f64;
+        for i in 0..mk.num_rows() {
+            let kid = mk.column("keyword_id").unwrap().get(i).as_i64().unwrap();
+            for j in 0..kw.num_rows() {
+                let id = kw.column("id").unwrap().get(j).as_i64().unwrap();
+                let word = kw.column("word").unwrap().get(j);
+                if id == kid && pred(id, word.as_str().unwrap()) {
+                    count += 1.0;
+                }
+            }
+        }
+        count
+    }
+
+    /// |movie_keyword ⋈ keyword| with a predicate on the fact `year`.
+    fn true_count_year(cat: &Catalog, pred: impl Fn(i64) -> bool) -> f64 {
+        let mk = cat.table("movie_keyword").unwrap();
+        let kw = cat.table("keyword").unwrap();
+        let mut count = 0f64;
+        for i in 0..mk.num_rows() {
+            let kid = mk.column("keyword_id").unwrap().get(i).as_i64().unwrap();
+            let year = mk.column("year").unwrap().get(i).as_i64().unwrap();
+            if !pred(year) {
+                continue;
+            }
+            for j in 0..kw.num_rows() {
+                if kw.column("id").unwrap().get(j).as_i64().unwrap() == kid {
+                    count += 1.0;
+                }
+            }
+        }
+        count
+    }
+
+    fn build() -> (Catalog, SafeBound) {
+        let cat = catalog();
+        let sb = SafeBound::build(&cat, SafeBoundConfig::test_small());
+        (cat, sb)
+    }
+
+    #[test]
+    fn pk_fk_join_bound_sound_and_tight() {
+        let (cat, sb) = build();
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k WHERE mk.keyword_id = k.id",
+        )
+        .unwrap();
+        let bound = sb.bound(&q).unwrap();
+        let truth = true_count(&cat, |_, _| true);
+        assert!(bound >= truth - 1e-6, "bound {bound} < truth {truth}");
+        assert!(bound <= truth * 1.5, "bound {bound} too loose vs {truth}");
+    }
+
+    #[test]
+    fn dimension_predicate_propagates_to_fact() {
+        let (cat, sb) = build();
+        // 'rare' is keyword_id 4 with only 4 fact rows.
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let bound = sb.bound(&q).unwrap();
+        let truth = true_count(&cat, |_, w| w == "rare");
+        assert_eq!(truth, 4.0);
+        assert!(bound >= truth - 1e-6, "bound {bound} < truth {truth}");
+        // Without §4.2 propagation the bound would assume 'rare' maps to
+        // the most frequent keyword (32 rows); with it we stay near 4.
+        assert!(bound <= 8.0, "propagation failed: bound {bound}");
+    }
+
+    #[test]
+    fn equality_predicate_on_fact_filter() {
+        let (_, sb) = build();
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND mk.year = 1980",
+        )
+        .unwrap();
+        let with_pred = sb.bound(&q).unwrap();
+        let q_all = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k WHERE mk.keyword_id = k.id",
+        )
+        .unwrap();
+        let without = sb.bound(&q_all).unwrap();
+        assert!(
+            with_pred < without,
+            "predicate must reduce bound: {with_pred} vs {without}"
+        );
+    }
+
+    #[test]
+    fn range_predicate_reduces_bound() {
+        let (_, sb) = build();
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND mk.year BETWEEN 1980 AND 1983",
+        )
+        .unwrap();
+        let with_pred = sb.bound(&q).unwrap();
+        let q_all = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k WHERE mk.keyword_id = k.id",
+        )
+        .unwrap();
+        assert!(with_pred <= sb.bound(&q_all).unwrap());
+    }
+
+    #[test]
+    fn single_table_bound_is_row_count() {
+        let (cat, sb) = build();
+        let q = parse_sql("SELECT COUNT(*) FROM movie_keyword").unwrap();
+        let bound = sb.bound(&q).unwrap();
+        assert!((bound - cat.table("movie_keyword").unwrap().num_rows() as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    fn in_predicate_sums() {
+        let (cat, sb) = build();
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word IN ('rare', 'unique')",
+        )
+        .unwrap();
+        let bound = sb.bound(&q).unwrap();
+        let truth = true_count(&cat, |_, w| w == "rare" || w == "unique");
+        assert_eq!(truth, 6.0);
+        assert!(bound >= truth - 1e-6);
+        assert!(bound <= 20.0, "IN bound too loose: {bound}");
+    }
+
+    #[test]
+    fn in_duplicate_literals_do_not_double_count() {
+        let (_, sb) = build();
+        let dup = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word IN ('rare', 'rare')",
+        )
+        .unwrap();
+        let single = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word IN ('rare')",
+        )
+        .unwrap();
+        let bd = sb.bound(&dup).unwrap();
+        let bs = sb.bound(&single).unwrap();
+        assert!(
+            (bd - bs).abs() < 1e-9,
+            "IN (x, x) must equal IN (x): {bd} vs {bs}"
+        );
+    }
+
+    #[test]
+    fn cyclic_query_uses_spanning_trees() {
+        // Triangle self-join on movie_keyword: cyclic; bound = min over
+        // spanning trees, must still be sound vs a quick upper sanity.
+        let (_, sb) = build();
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword a, movie_keyword b, movie_keyword c \
+             WHERE a.movie_id = b.movie_id AND b.keyword_id = c.keyword_id AND c.year = a.year",
+        )
+        .unwrap();
+        let graph = JoinGraph::new(&q);
+        assert!(!graph.is_berge_acyclic());
+        let bound = sb.bound(&q).unwrap();
+        assert!(bound.is_finite() && bound > 0.0);
+    }
+
+    #[test]
+    fn undeclared_join_column_fallback() {
+        let (_, sb) = build();
+        // `year` is not a declared join column; §3.6 fallback applies.
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword a, movie_keyword b WHERE a.year = b.year",
+        )
+        .unwrap();
+        let bound = sb.bound(&q).unwrap();
+        assert!(bound.is_finite() && bound > 0.0);
+    }
+
+    #[test]
+    fn unknown_table_errors() {
+        let (_, sb) = build();
+        let q = parse_sql("SELECT COUNT(*) FROM nonexistent").unwrap();
+        assert!(matches!(sb.bound(&q), Err(EstimateError::UnknownTable(_))));
+    }
+
+    #[test]
+    fn empty_query_is_zero() {
+        let (_, sb) = build();
+        assert_eq!(sb.bound(&Query::new()).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn never_underestimates_across_predicates() {
+        // The soundness sweep: every supported predicate shape on the
+        // dimension must keep bound ≥ truth.
+        let (cat, sb) = build();
+        for word in ["common", "frequent", "medium", "rare", "unique", "absent"] {
+            let q = parse_sql(&format!(
+                "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+                 WHERE mk.keyword_id = k.id AND k.word = '{word}'"
+            ))
+            .unwrap();
+            let bound = sb.bound(&q).unwrap();
+            let truth = true_count(&cat, |_, w| w == word);
+            assert!(
+                bound >= truth - 1e-6,
+                "word {word}: bound {bound} < truth {truth}"
+            );
+        }
+    }
+
+    #[test]
+    fn strict_and_out_of_domain_comparisons_stay_sound() {
+        // `year` spans [1980, 2019]. Every operator × literal combination
+        // (inside, at, and outside the domain) must keep bound ≥ truth —
+        // the regression for the inclusive-range resolution of Lt/Gt and
+        // the inverted ranges literals outside the domain used to create.
+        let (cat, sb) = build();
+        let mut session = BoundSession::default();
+        for op in ["<", "<=", ">", ">="] {
+            for lit in [1960i64, 1979, 1980, 1981, 2000, 2018, 2019, 2020, 2080] {
+                let q = parse_sql(&format!(
+                    "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+                     WHERE mk.keyword_id = k.id AND mk.year {op} {lit}"
+                ))
+                .unwrap();
+                let bound = sb.bound_with_session(&q, &mut session).unwrap();
+                let truth = true_count_year(&cat, |y| match op {
+                    "<" => y < lit,
+                    "<=" => y <= lit,
+                    ">" => y > lit,
+                    _ => y >= lit,
+                });
+                assert!(
+                    bound >= truth - 1e-6,
+                    "year {op} {lit}: bound {bound} < truth {truth}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn provably_empty_ranges_bound_to_zero() {
+        let (_, sb) = build();
+        // `year` min is 1980 and max is 2019: these selections are empty
+        // and the zero-set resolution must drive the bound to zero.
+        for sql in [
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND mk.year < 1980",
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND mk.year > 2019",
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND mk.year BETWEEN 1990 AND 1985",
+        ] {
+            let q = parse_sql(sql).unwrap();
+            let bound = sb.bound(&q).unwrap();
+            assert!(bound.abs() < 1e-9, "{sql}: expected 0, got {bound}");
+        }
+    }
+
+    #[test]
+    fn aliased_self_join_with_predicates_is_sound() {
+        let (cat, sb) = build();
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword a, movie_keyword b \
+             WHERE a.keyword_id = b.keyword_id AND a.year = 1980",
+        )
+        .unwrap();
+        let bound = sb.bound(&q).unwrap();
+        // Exact count of the aliased self-join with the predicate on `a`.
+        let mk = cat.table("movie_keyword").unwrap();
+        let kid = mk.column("keyword_id").unwrap();
+        let year = mk.column("year").unwrap();
+        let mut truth = 0f64;
+        for i in 0..mk.num_rows() {
+            if year.get(i) != Value::Int(1980) {
+                continue;
+            }
+            for j in 0..mk.num_rows() {
+                if kid.get(i) == kid.get(j) {
+                    truth += 1.0;
+                }
+            }
+        }
+        assert!(bound >= truth - 1e-6, "bound {bound} < truth {truth}");
+    }
+
+    #[test]
+    fn degenerate_self_edge_is_ignored_for_propagation() {
+        // A hand-built edge with left == right constrains a row against
+        // itself; it must neither panic nor condition the relation through
+        // its own predicate via cross-table propagated stats. The bound
+        // must match the same query without the degenerate edge.
+        let (cat, sb) = build();
+        let mut q = Query::new();
+        let mk = q.add_relation(RelationRef::new("movie_keyword"));
+        q.joins.push(JoinEdge {
+            left: mk,
+            left_column: "keyword_id".to_string(),
+            right: mk,
+            right_column: "movie_id".to_string(),
+        });
+        q.add_predicate(mk, Predicate::Eq("year".to_string(), Value::Int(1980)));
+        let with_edge = sb.bound(&q).unwrap();
+
+        let mut q2 = Query::new();
+        let mk2 = q2.add_relation(RelationRef::new("movie_keyword"));
+        q2.add_predicate(mk2, Predicate::Eq("year".to_string(), Value::Int(1980)));
+        let without_edge = sb.bound(&q2).unwrap();
+        assert!(
+            (with_edge - without_edge).abs() < 1e-9,
+            "degenerate self-edge changed the bound: {with_edge} vs {without_edge}"
+        );
+        // And both dominate the (row-local) truth.
+        let t = cat.table("movie_keyword").unwrap();
+        let mut truth = 0f64;
+        for i in 0..t.num_rows() {
+            if t.column("year").unwrap().get(i) == Value::Int(1980)
+                && t.column("keyword_id").unwrap().get(i) == t.column("movie_id").unwrap().get(i)
+            {
+                truth += 1.0;
+            }
+        }
+        assert!(with_edge >= truth - 1e-6);
+    }
+
+    #[test]
+    fn cross_product_fallback_when_no_relaxation_survives() {
+        // With the spanning-tree cap at 0 a cyclic query keeps its cycle,
+        // no plan survives, and the estimator must degrade to the
+        // cross-product bound instead of erroring.
+        let cat = catalog();
+        let mut cfg = SafeBoundConfig::test_small();
+        cfg.spanning_tree_cap = 0;
+        let sb = SafeBound::build(&cat, cfg);
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword a, movie_keyword b, movie_keyword c \
+             WHERE a.movie_id = b.movie_id AND b.keyword_id = c.keyword_id AND c.year = a.year",
+        )
+        .unwrap();
+        assert!(!JoinGraph::new(&q).is_berge_acyclic());
+        let bound = sb.bound(&q).unwrap();
+        let rows = cat.table("movie_keyword").unwrap().num_rows() as f64;
+        assert!(
+            (bound - rows * rows * rows).abs() < 1e-6,
+            "expected cross-product {}, got {bound}",
+            rows * rows * rows
+        );
+        // A predicate tightens the fallback through conditioned cards.
+        let qp = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword a, movie_keyword b, movie_keyword c \
+             WHERE a.movie_id = b.movie_id AND b.keyword_id = c.keyword_id AND c.year = a.year \
+             AND a.year = 1980",
+        )
+        .unwrap();
+        let bp = sb.bound(&qp).unwrap();
+        assert!(bp <= bound + 1e-9, "conditioned fallback {bp} > {bound}");
+    }
+
+    #[test]
+    fn shape_cache_reuses_plans_across_literals() {
+        let (cat, sb) = build();
+        let mut session = BoundSession::default();
+        let words = ["common", "frequent", "medium", "rare", "unique"];
+        for (i, word) in words.iter().enumerate() {
+            let q = parse_sql(&format!(
+                "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+                 WHERE mk.keyword_id = k.id AND k.word = '{word}'"
+            ))
+            .unwrap();
+            let cached = sb.bound_with_session(&q, &mut session).unwrap();
+            let cold = sb.bound(&q).unwrap();
+            assert!(
+                (cached - cold).abs() <= 1e-9 * cold.abs().max(1.0),
+                "word {word}: cached {cached} != cold {cold}"
+            );
+            let truth = true_count(&cat, |_, w| w == *word);
+            assert!(cached >= truth - 1e-6);
+            // One miss on the first template instance, hits afterwards.
+            assert_eq!(session.stats().shape_misses, 1, "iteration {i}");
+            assert_eq!(session.stats().shape_hits, i as u64);
+        }
+        assert_eq!(session.cached_shapes(), 1);
+        // Five distinct literal vectors: the bound cache missed each once.
+        assert_eq!(session.stats().lit_bound_misses, 5);
+        assert_eq!(session.stats().lit_bound_hits, 0);
+    }
+
+    #[test]
+    fn session_serves_interleaved_shapes() {
+        let (_, sb) = build();
+        let mut session = BoundSession::default();
+        let q1 = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k WHERE mk.keyword_id = k.id",
+        )
+        .unwrap();
+        let q2 = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND mk.year BETWEEN 1985 AND 1999",
+        )
+        .unwrap();
+        let (b1, b2) = (sb.bound(&q1).unwrap(), sb.bound(&q2).unwrap());
+        for _ in 0..4 {
+            assert!((sb.bound_with_session(&q1, &mut session).unwrap() - b1).abs() < 1e-9);
+            assert!((sb.bound_with_session(&q2, &mut session).unwrap() - b2).abs() < 1e-9);
+        }
+        assert_eq!(session.cached_shapes(), 2);
+        assert_eq!(session.stats().shape_misses, 2);
+        assert_eq!(session.stats().shape_hits, 6);
+        // Rounds 2-4 repeated both literal vectors exactly.
+        assert_eq!(session.stats().lit_bound_hits, 6);
+    }
+
+    #[test]
+    fn session_flushes_on_stats_rebuild() {
+        // A session warmed against one statistics build must not serve its
+        // cached symbols/plans against another: results after a rebuild
+        // must match a fresh session exactly.
+        let cat = catalog();
+        let sb1 = SafeBound::build(&cat, SafeBoundConfig::test_small());
+        let mut cfg2 = SafeBoundConfig::test_small();
+        cfg2.mcv_size = 3; // different build → different conditioning
+        let sb2 = SafeBound::build(&cat, cfg2);
+        assert_ne!(sb1.build_id(), sb2.build_id());
+
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let mut session = BoundSession::default();
+        let warm1 = sb1.bound_with_session(&q, &mut session).unwrap();
+        assert!((warm1 - sb1.bound(&q).unwrap()).abs() < 1e-9);
+        // Swap estimators under the same session: cache must flush.
+        let swapped = sb2.bound_with_session(&q, &mut session).unwrap();
+        assert!((swapped - sb2.bound(&q).unwrap()).abs() < 1e-9);
+        // And back again.
+        let back = sb1.bound_with_session(&q, &mut session).unwrap();
+        assert!((back - warm1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn swap_stats_hot_swaps_under_a_live_session() {
+        // One handle, statistics swapped underneath a warm session: the
+        // session must lazily flush and serve the new build's results,
+        // bit-identical to a fresh estimator over the same snapshot.
+        let cat = catalog();
+        let sb = SafeBound::build(&cat, SafeBoundConfig::test_small());
+        let mut cfg2 = SafeBoundConfig::test_small();
+        cfg2.mcv_size = 3;
+        let rebuilt = crate::stats::SafeBoundBuilder::new(cfg2).build(&cat);
+        let reference2 = SafeBound::from_stats(rebuilt.clone());
+
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let mut session = BoundSession::default();
+        let clone = sb.clone(); // clones observe the swap too
+        let before = sb.bound_with_session(&q, &mut session).unwrap();
+        assert!(before.is_finite());
+        let old_id = sb.build_id();
+        let warm_shapes = session.cached_shapes();
+        assert!(warm_shapes > 0);
+
+        sb.swap_stats(rebuilt);
+        assert_ne!(sb.build_id(), old_id);
+        assert_eq!(clone.build_id(), sb.build_id());
+
+        let after = sb.bound_with_session(&q, &mut session).unwrap();
+        let expect = reference2.bound(&q).unwrap();
+        assert_eq!(after.to_bits(), expect.to_bits());
+        assert_eq!(session.stats_build_id(), sb.build_id());
+        let via_clone = clone.bound(&q).unwrap();
+        assert_eq!(via_clone.to_bits(), expect.to_bits());
+    }
+
+    #[test]
+    fn shape_cache_evicts_least_recently_used() {
+        let (_, sb) = build();
+        let mut session = BoundSession::with_shape_capacity(2);
+        let qa = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k WHERE mk.keyword_id = k.id",
+        )
+        .unwrap();
+        let qb = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let qc = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND mk.year BETWEEN 1985 AND 1999",
+        )
+        .unwrap();
+        let (ba, bb, bc) = (
+            sb.bound(&qa).unwrap(),
+            sb.bound(&qb).unwrap(),
+            sb.bound(&qc).unwrap(),
+        );
+        let run = |s: &mut BoundSession, q: &Query, want: f64| {
+            let got = sb.bound_with_session(q, s).unwrap();
+            assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0));
+        };
+        run(&mut session, &qa, ba); // miss (A)
+        run(&mut session, &qb, bb); // miss (A, B) — at capacity
+        run(&mut session, &qa, ba); // hit: A now more recent than B
+        run(&mut session, &qc, bc); // miss: evicts B (LRU), keeps A
+        let s = session.stats();
+        assert_eq!((s.shape_misses, s.shape_evictions), (3, 1));
+        run(&mut session, &qa, ba); // hit: A survived
+        assert_eq!(session.stats().shape_hits, 2);
+        run(&mut session, &qb, bb); // miss again: B was evicted; evicts C
+        let s = session.stats();
+        assert_eq!((s.shape_misses, s.shape_evictions), (4, 2));
+        run(&mut session, &qc, bc); // miss: C was evicted
+        let s = session.stats();
+        assert_eq!((s.shape_misses, s.shape_evictions), (5, 3));
+        assert_eq!(session.cached_shapes(), 2);
+    }
+
+    #[test]
+    fn eq_memo_serves_hot_literals() {
+        let (_, sb) = build();
+        // Literal caching off: this test pins the MCV memo underneath it.
+        let mut session = BoundSession::default().with_literal_capacity(0);
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let first = sb.bound_with_session(&q, &mut session).unwrap();
+        assert_eq!(session.stats().eq_memo_hits, 0);
+        let misses_after_first = session.stats().eq_memo_misses;
+        assert!(misses_after_first > 0, "first literal must miss the memo");
+        let second = sb.bound_with_session(&q, &mut session).unwrap();
+        assert_eq!(first.to_bits(), second.to_bits());
+        assert!(
+            session.stats().eq_memo_hits >= misses_after_first,
+            "repeat literal must hit the memo"
+        );
+        assert_eq!(session.stats().eq_memo_misses, misses_after_first);
+        // A different literal misses, then hits, without disturbing the
+        // first entry's cached result.
+        let q2 = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'common'",
+        )
+        .unwrap();
+        let other = sb.bound_with_session(&q2, &mut session).unwrap();
+        assert!(session.stats().eq_memo_misses > misses_after_first);
+        assert_eq!(
+            sb.bound(&q2).unwrap().to_bits(),
+            other.to_bits(),
+            "memoized path must match cold path"
+        );
+        let third = sb.bound_with_session(&q, &mut session).unwrap();
+        assert_eq!(first.to_bits(), third.to_bits());
+    }
+
+    #[test]
+    fn eq_memo_admits_hot_literals_after_saturation() {
+        // End-to-end regression for the frozen-memo bug: a literal first
+        // seen after the memo saturates must still become a memo hit.
+        let (_, sb) = build();
+        // Literal caching off: pin the MCV memo, not the literal cache.
+        let mut session = BoundSession::default()
+            .with_memo_capacities(4, 4, 4)
+            .with_literal_capacity(0);
+        // Saturate the memo with a churn of distinct literals (each query
+        // memoizes the dimension literal and its propagated counterpart).
+        for year in 0..8 {
+            let q = parse_sql(&format!(
+                "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+                 WHERE mk.keyword_id = k.id AND mk.year = {}",
+                1980 + year
+            ))
+            .unwrap();
+            sb.bound_with_session(&q, &mut session).unwrap();
+        }
+        assert!(session.stats().eq_memo_evictions > 0, "churn must evict");
+        // A literal that never appeared before saturation turns hot now.
+        let late = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let cold = sb.bound(&late).unwrap();
+        let first = sb.bound_with_session(&late, &mut session).unwrap();
+        let hits_before = session.stats().eq_memo_hits;
+        let second = sb.bound_with_session(&late, &mut session).unwrap();
+        assert!(
+            session.stats().eq_memo_hits > hits_before,
+            "late-arriving hot literal must enter the memo and hit"
+        );
+        assert_eq!(first.to_bits(), cold.to_bits());
+        assert_eq!(second.to_bits(), cold.to_bits());
+    }
+
+    #[test]
+    fn literal_cache_serves_exact_repeats() {
+        let (_, sb) = build();
+        let mut session = BoundSession::default();
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let first = sb.bound_with_session(&q, &mut session).unwrap();
+        assert_eq!(session.stats().lit_bound_hits, 0);
+        assert_eq!(session.stats().lit_bound_misses, 1);
+        let second = sb.bound_with_session(&q, &mut session).unwrap();
+        assert_eq!(first.to_bits(), second.to_bits());
+        assert_eq!(session.stats().lit_bound_hits, 1);
+        // The repeat skipped resolution entirely: no further memo traffic.
+        let memo_after_first = session.stats().eq_memo_misses + session.stats().eq_memo_hits;
+        sb.bound_with_session(&q, &mut session).unwrap();
+        assert_eq!(
+            session.stats().eq_memo_misses + session.stats().eq_memo_hits,
+            memo_after_first,
+            "a bound-cache hit must not touch the MCV machinery"
+        );
+    }
+
+    #[test]
+    fn literal_cond_cache_reuses_per_relation_resolution() {
+        let (_, sb) = build();
+        let mut session = BoundSession::default();
+        // Same dimension literal, varying fact literal: the dimension
+        // relation's conditioned set (and the fact's propagated one) can
+        // only be reused where the relevant sub-vector actually repeats.
+        for year in 0..4 {
+            let q = parse_sql(&format!(
+                "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+                 WHERE mk.keyword_id = k.id AND mk.year = {} AND k.word = 'rare'",
+                1980 + year
+            ))
+            .unwrap();
+            let got = sb.bound_with_session(&q, &mut session).unwrap();
+            let cold = sb.bound(&q).unwrap();
+            assert_eq!(got.to_bits(), cold.to_bits(), "year {year}");
+        }
+        let stats = session.stats();
+        assert_eq!(stats.lit_bound_hits, 0, "all four literal vectors differ");
+        // keyword's sub-vector is ('rare') every time — propagation into
+        // movie_keyword carries the year, so only the dimension side
+        // repeats: 3 conditioned hits.
+        assert_eq!(stats.lit_cond_hits, 3);
+    }
+
+    #[test]
+    fn literal_cache_flushes_on_stats_swap() {
+        let cat = catalog();
+        let sb = SafeBound::build(&cat, SafeBoundConfig::test_small());
+        let mut cfg2 = SafeBoundConfig::test_small();
+        cfg2.mcv_size = 3;
+        let rebuilt = crate::stats::SafeBoundBuilder::new(cfg2).build(&cat);
+        let reference2 = SafeBound::from_stats(rebuilt.clone());
+
+        let q = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let mut session = BoundSession::default();
+        sb.bound_with_session(&q, &mut session).unwrap();
+        let warm = sb.bound_with_session(&q, &mut session).unwrap();
+        assert_eq!(session.stats().lit_bound_hits, 1);
+
+        sb.swap_stats(rebuilt);
+        let misses_before = session.stats().lit_bound_misses;
+        let after = sb.bound_with_session(&q, &mut session).unwrap();
+        let expect = reference2.bound(&q).unwrap();
+        assert_eq!(
+            after.to_bits(),
+            expect.to_bits(),
+            "a swapped build must not serve the old build's cached bound"
+        );
+        assert!(warm.is_finite());
+        // The flush is observable: the post-swap query missed the (empty)
+        // bound cache instead of hitting the stale entry.
+        let stats = session.stats();
+        assert_eq!(stats.lit_bound_misses, misses_before + 1);
+        assert_eq!(stats.lit_bound_hits, 1);
+    }
+
+    #[test]
+    fn pruned_relaxations_never_change_the_min() {
+        // Cyclic triangle: three spanning-tree relaxations. Branch-and-
+        // bound (previous winner first, certified mid-kernel abandons)
+        // must return exactly the min the independent unpruned inputs
+        // evaluate to — for every literal instantiation.
+        let (_, sb) = build();
+        // Literal cache off so every round actually runs the B&B loop.
+        let mut session = BoundSession::default().with_literal_capacity(0);
+        for round in 0..3 {
+            for year in [1980i64, 1985, 1990, 1995] {
+                let q = parse_sql(&format!(
+                    "SELECT COUNT(*) FROM movie_keyword a, movie_keyword b, movie_keyword c \
+                     WHERE a.movie_id = b.movie_id AND b.keyword_id = c.keyword_id \
+                     AND c.year = a.year AND a.year >= {year}"
+                ))
+                .unwrap();
+                let inputs = sb.bound_inputs(&q).unwrap();
+                assert!(inputs.len() > 1, "triangle must have several relaxations");
+                let oracle = inputs
+                    .iter()
+                    .map(|(plan, stats)| crate::bound::fdsb(plan, stats).unwrap())
+                    .fold(f64::INFINITY, f64::min);
+                let got = sb.bound_with_session(&q, &mut session).unwrap();
+                assert_eq!(
+                    got.to_bits(),
+                    oracle.to_bits(),
+                    "round {round} year {year}: pruned path diverged from unpruned min"
+                );
+            }
+        }
+        assert!(
+            session.stats().relaxations_pruned > 0,
+            "repeated templates must abandon losing relaxations: {:?}",
+            session.stats()
+        );
+    }
+
+    #[test]
+    fn bound_inputs_match_session_bound() {
+        // The exposed kernel inputs must evaluate to exactly the bound the
+        // cached path returns (they share shape building and assembly).
+        let (_, sb) = build();
+        let mut session = BoundSession::default();
+        for sql in [
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k WHERE mk.keyword_id = k.id",
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+            "SELECT COUNT(*) FROM movie_keyword a, movie_keyword b, movie_keyword c \
+             WHERE a.movie_id = b.movie_id AND b.keyword_id = c.keyword_id AND c.year = a.year",
+        ] {
+            let q = parse_sql(sql).unwrap();
+            let inputs = sb.bound_inputs(&q).unwrap();
+            let min = inputs
+                .iter()
+                .map(|(plan, stats)| crate::bound::fdsb(plan, stats).unwrap())
+                .fold(f64::INFINITY, f64::min);
+            let bound = sb.bound_with_session(&q, &mut session).unwrap();
+            assert!(
+                (min - bound).abs() <= 1e-9 * bound.abs().max(1.0),
+                "{sql}: inputs min {min} != bound {bound}"
+            );
+        }
+    }
+}
