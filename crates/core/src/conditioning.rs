@@ -546,9 +546,10 @@ fn fused_min_into(staged: &[CdsSet], scratch: &mut CdsScratch, out: &mut CdsSet)
 /// [`McvStats::lookup_eq_outcome`]): an index into the stats rather than
 /// a copy, so hot paths (and the session equality memo) can borrow the
 /// answer in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum McvOutcome {
     /// Non-MCV value: the default set dominates.
+    #[default]
     Default,
     /// Exactly one candidate group: `groups[g]` is the answer.
     Group(u32),

@@ -188,7 +188,7 @@ impl<V: Default> Memo<V> {
 
 /// A memoized MCV equality lookup: hot literals (repeated equality / IN
 /// values) skip the Bloom-filter probe and group-max.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) struct EqEntry {
     /// The literal, verified by `==` on every hit.
     pub(super) value: Value,
@@ -200,20 +200,10 @@ pub(super) struct EqEntry {
     pub(super) set: CdsSet,
 }
 
-impl Default for EqEntry {
-    fn default() -> Self {
-        EqEntry {
-            value: Value::Null,
-            outcome: McvOutcome::Default,
-            set: CdsSet::default(),
-        }
-    }
-}
-
 /// A memoized range-lookup outcome. Zero-set outcomes (empty or inverted
 /// selections) are decided by plain `Value` comparisons *before* the
 /// lookup and are not memoized.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) struct RangeEntry {
     /// The `[lo, hi]` literals, verified by `==` on every hit (sound
     /// because `Value`-equal ranges resolve identically: the lookup is
@@ -224,16 +214,6 @@ pub(super) struct RangeEntry {
     /// when no level covered the range (fall back to the unconditioned
     /// CDS — itself a memoizable outcome).
     pub(super) group: Option<u32>,
-}
-
-impl Default for RangeEntry {
-    fn default() -> Self {
-        RangeEntry {
-            lo: Value::Null,
-            hi: Value::Null,
-            group: None,
-        }
-    }
 }
 
 /// A memoized LIKE resolution: a hit skips gram extraction, the Bloom
@@ -386,8 +366,9 @@ pub struct PhaseBreakdown {
 /// memos, the **literal cache** (whole-query bounds and per-relation
 /// conditioned sets, see [`crate::litcache`]), and every arena the online
 /// path writes into ([`BoundScratch`] for the kernel, [`CdsScratch`] for
-/// predicate resolution and assembly, pooled per-relation stats). Hold one per serving thread; a warm session
-/// allocates nothing per query on the cached path.
+/// predicate resolution and assembly, pooled per-relation stats). Hold
+/// one per serving thread; a warm session allocates nothing per query on
+/// the cached path.
 ///
 /// A session also pins the [`StatsSnapshot`] it last served from, so a
 /// concurrent [`SafeBound::swap_stats`] never invalidates statistics

@@ -234,7 +234,7 @@ fn steady_state_cached_bound_allocates_nothing() {
     let mut session = BoundSession::default().with_literal_capacity(0);
     // Warm-up: build each shape and size the arena pools. Several rounds,
     // because pool rotation can realloc a smaller spare into a bigger
-    // role until convergence (see the parallel-workers test below).
+    // role until convergence.
     let warm: Vec<f64> = queries
         .iter()
         .map(|q| sb.bound_with_session(q, &mut session).unwrap())
@@ -286,6 +286,39 @@ fn steady_state_cached_bound_allocates_nothing() {
     assert_eq!(stats.like_memo_misses, stats_warm.like_memo_misses);
 }
 
+/// Warm `session` on `queries` — one pass to build each shape plus four
+/// more, because pool rotation can realloc a smaller spare into a bigger
+/// role until buffer sizes converge — then serve `rounds` more passes,
+/// asserting that they allocate nothing and reproduce the warm bounds.
+fn assert_steady_state_allocates_nothing(
+    sb: &SafeBound,
+    session: &mut BoundSession,
+    queries: &[Query],
+    rounds: usize,
+    what: &str,
+) {
+    let warm: Vec<f64> = queries
+        .iter()
+        .map(|q| sb.bound_with_session(q, session).unwrap())
+        .collect();
+    for _ in 0..4 {
+        for q in queries {
+            sb.bound_with_session(q, session).unwrap();
+        }
+    }
+    let before = allocation_count();
+    let mut acc = 0.0;
+    for _ in 0..rounds {
+        for q in queries {
+            acc += sb.bound_with_session(q, session).unwrap();
+        }
+    }
+    let allocated = allocation_count() - before;
+    assert_eq!(allocated, 0, "{what} allocated {allocated} times");
+    let expected: f64 = warm.iter().sum::<f64>() * rounds as f64;
+    assert!((acc - expected).abs() < 1e-6 * expected.abs().max(1.0));
+}
+
 #[test]
 fn steady_state_literal_cache_hits_allocate_nothing() {
     // The default session serves exact literal repeats straight from the
@@ -304,30 +337,7 @@ fn steady_state_literal_cache_hits_allocate_nothing() {
     .collect();
 
     let mut session = BoundSession::default();
-    let warm: Vec<f64> = queries
-        .iter()
-        .map(|q| sb.bound_with_session(q, &mut session).unwrap())
-        .collect();
-    for q in &queries {
-        sb.bound_with_session(q, &mut session).unwrap();
-    }
-
-    let before = allocation_count();
-    let mut acc = 0.0;
-    for _ in 0..50 {
-        for q in &queries {
-            acc += sb.bound_with_session(q, &mut session).unwrap();
-        }
-    }
-    let after = allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "literal-cache hit path allocated {} times",
-        after - before
-    );
-    let expected: f64 = warm.iter().sum::<f64>() * 50.0;
-    assert!((acc - expected).abs() < 1e-6 * expected.abs().max(1.0));
+    assert_steady_state_allocates_nothing(&sb, &mut session, &queries, 50, "literal-cache hits");
     let stats = session.stats();
     assert!(stats.lit_bound_hits >= 50 * queries.len() as u64);
 }
@@ -364,32 +374,13 @@ fn steady_state_literal_cache_eviction_churn_allocates_nothing() {
     // Capacity 4 ≪ 16 distinct vectors (each producing a bound entry and
     // conditioned entries): constant eviction pressure.
     let mut session = BoundSession::default().with_literal_capacity(4);
-    let warm: Vec<f64> = queries
-        .iter()
-        .map(|q| sb.bound_with_session(q, &mut session).unwrap())
-        .collect();
-    for _ in 0..4 {
-        for q in &queries {
-            sb.bound_with_session(q, &mut session).unwrap();
-        }
-    }
-
-    let before = allocation_count();
-    let mut acc = 0.0;
-    for _ in 0..20 {
-        for q in &queries {
-            acc += sb.bound_with_session(q, &mut session).unwrap();
-        }
-    }
-    let after = allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "literal-cache eviction churn allocated {} times",
-        after - before
+    assert_steady_state_allocates_nothing(
+        &sb,
+        &mut session,
+        &queries,
+        20,
+        "literal-cache eviction churn",
     );
-    let expected: f64 = warm.iter().sum::<f64>() * 20.0;
-    assert!((acc - expected).abs() < 1e-6 * expected.abs().max(1.0));
     let stats = session.stats();
     assert!(stats.lit_evictions > 0, "churn must actually evict");
     assert!(stats.lit_bound_misses > 0);
@@ -430,32 +421,7 @@ fn steady_state_memo_eviction_churn_allocates_nothing() {
     let mut session = BoundSession::default()
         .with_literal_capacity(0)
         .with_memo_capacities(4, 4, 4);
-    let warm: Vec<f64> = queries
-        .iter()
-        .map(|q| sb.bound_with_session(q, &mut session).unwrap())
-        .collect();
-    for _ in 0..4 {
-        for q in &queries {
-            sb.bound_with_session(q, &mut session).unwrap();
-        }
-    }
-
-    let before = allocation_count();
-    let mut acc = 0.0;
-    for _ in 0..20 {
-        for q in &queries {
-            acc += sb.bound_with_session(q, &mut session).unwrap();
-        }
-    }
-    let after = allocation_count();
-    assert_eq!(
-        after - before,
-        0,
-        "memo eviction churn allocated {} times",
-        after - before
-    );
-    let expected: f64 = warm.iter().sum::<f64>() * 20.0;
-    assert!((acc - expected).abs() < 1e-6 * expected.abs().max(1.0));
+    assert_steady_state_allocates_nothing(&sb, &mut session, &queries, 20, "memo eviction churn");
     let stats = session.stats();
     assert!(stats.eq_memo_evictions > 0, "equality churn must evict");
     assert!(stats.range_memo_evictions > 0, "range churn must evict");
@@ -487,35 +453,13 @@ fn steady_state_parallel_worker_sessions_allocate_nothing() {
             let queries = &queries;
             scope.spawn(move || {
                 let mut session = BoundSession::default();
-                // Warm-up: build shapes, size pools, populate the memo.
-                let warm: Vec<f64> = queries
-                    .iter()
-                    .map(|q| sb.bound_with_session(q, &mut session).unwrap())
-                    .collect();
-                // A few extra rounds let every pooled buffer grow to its
-                // high-water capacity (pool rotation can realloc a
-                // smaller spare into a bigger role until convergence).
-                for _ in 0..4 {
-                    for q in queries {
-                        sb.bound_with_session(q, &mut session).unwrap();
-                    }
-                }
-                let before = allocation_count();
-                let mut acc = 0.0;
-                for _ in 0..30 {
-                    for q in queries {
-                        acc += sb.bound_with_session(q, &mut session).unwrap();
-                    }
-                }
-                let after = allocation_count();
-                assert_eq!(
-                    after - before,
-                    0,
-                    "worker {worker}: warm per-worker session allocated {}",
-                    after - before
+                assert_steady_state_allocates_nothing(
+                    &sb,
+                    &mut session,
+                    queries,
+                    30,
+                    &format!("worker {worker}: warm per-worker session"),
                 );
-                let expected: f64 = warm.iter().sum::<f64>() * 30.0;
-                assert!((acc - expected).abs() < 1e-6 * expected.abs().max(1.0));
             });
         }
     });

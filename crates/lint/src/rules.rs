@@ -72,7 +72,7 @@ pub fn is_safety_marker(comment_text: &str) -> bool {
 /// (resolve → assemble → kernel) where a panic kills a worker and an
 /// allocation shows up in the zero-alloc gate.
 pub const CORE_HOT_FILES: &[&str] = &[
-    "crates/core/src/estimator.rs",
+    "crates/core/src/clock_cache.rs",
     "crates/core/src/conditioning.rs",
     "crates/core/src/piecewise.rs",
     "crates/core/src/litcache.rs",
@@ -110,7 +110,9 @@ fn in_persist(path: &str) -> bool {
 }
 
 fn in_core_hot(path: &str) -> bool {
-    CORE_HOT_FILES.contains(&path) || path.starts_with("crates/core/src/simd/")
+    CORE_HOT_FILES.contains(&path)
+        || path.starts_with("crates/core/src/estimator/")
+        || path.starts_with("crates/core/src/simd/")
 }
 
 /// Session-hot modules for `fast-map`: everything a warm `BoundSession`
@@ -333,7 +335,13 @@ mod tests {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
         // Hot paths flag…
         assert_eq!(rules_hit("crates/serve/src/server.rs", src), ["no-panic"]);
-        assert_eq!(rules_hit("crates/core/src/estimator.rs", src), ["no-panic"]);
+        for hot in [
+            "crates/core/src/estimator/mod.rs",
+            "crates/core/src/estimator/resolve.rs",
+            "crates/core/src/clock_cache.rs",
+        ] {
+            assert_eq!(rules_hit(hot, src), ["no-panic"], "{hot}");
+        }
         assert_eq!(
             rules_hit("crates/core/src/simd/search.rs", src),
             ["no-panic"]

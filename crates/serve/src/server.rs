@@ -881,41 +881,17 @@ mod tests {
     fn stats_keys_and_their_order_are_frozen() {
         // Dashboards and the repository benchmark parse this line by key
         // and position: a reordered or renamed counter is a wire break.
+        #[rustfmt::skip]
         const KEYS: [&str; 34] = [
-            "workers",
-            "build",
-            "swaps",
-            "generation",
-            "refresher",
-            "refresh_failures",
-            "refresh_last_error",
-            "connections",
-            "inflight_batches",
-            "batch_dedup_hits",
-            "worker_panics",
-            "worker_respawns",
-            "worker_timeouts",
-            "shape_hits",
-            "shape_misses",
-            "shape_evictions",
-            "lit_bound_hits",
-            "lit_bound_misses",
-            "lit_cond_hits",
-            "lit_cond_misses",
-            "lit_evictions",
-            "eq_memo_hits",
-            "eq_memo_misses",
-            "eq_memo_evictions",
-            "range_memo_hits",
-            "range_memo_misses",
-            "range_memo_evictions",
-            "like_memo_hits",
-            "like_memo_misses",
-            "like_memo_evictions",
-            "relaxations_pruned",
-            "spills",
-            "snapshot_load_failures",
-            "simd",
+            "workers", "build", "swaps", "generation", "refresher", "refresh_failures",
+            "refresh_last_error", "connections", "inflight_batches", "batch_dedup_hits",
+            "worker_panics", "worker_respawns", "worker_timeouts",
+            "shape_hits", "shape_misses", "shape_evictions",
+            "lit_bound_hits", "lit_bound_misses", "lit_cond_hits", "lit_cond_misses",
+            "lit_evictions", "eq_memo_hits", "eq_memo_misses", "eq_memo_evictions",
+            "range_memo_hits", "range_memo_misses", "range_memo_evictions",
+            "like_memo_hits", "like_memo_misses", "like_memo_evictions",
+            "relaxations_pruned", "spills", "snapshot_load_failures", "simd",
         ];
         let responses = roundtrip(&["STATS", "QUIT"]);
         let mut tokens = responses[0].split(' ');

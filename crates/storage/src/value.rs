@@ -32,10 +32,11 @@ impl fmt::Display for DataType {
 }
 
 /// A single scalar value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum Value {
     /// SQL NULL. Never equal to anything under SQL semantics, but for
     /// grouping/sorting purposes we treat NULL = NULL and NULL < everything.
+    #[default]
     Null,
     /// Integer value.
     Int(i64),
