@@ -407,8 +407,8 @@ fn main() {
     let simd_tier = safebound_core::simd_tier().name();
     eprintln!(
         "resolve: {resolve_ns:.0} ns/q (on-host scalar-unmemoized \
-         {scalar_unmemoized_resolve_ns:.0} ns/q); JOB-LightRanges resolve: repeated {repeated_range_resolve_ns:.0} \
-         ns/q vs fresh {fresh_range_resolve_ns:.0} ns/q ({repeated_range_speedup:.2}×); \
+         {scalar_unmemoized_resolve_ns:.0} ns/q); JOB-LightRanges resolve: repeated \
+         {repeated_range_resolve_ns:.0} ns/q vs fresh {fresh_range_resolve_ns:.0} ns/q ({repeated_range_speedup:.2}×); \
          simd_tier={simd_tier}"
     );
 

@@ -137,13 +137,12 @@ impl<O: Copy + Eq + Hash, V: Default> ClockCache<O, V> {
                 self.map.remove(&old_key);
             }
             self.evictions += 1;
+            // The victim is unreferenced by construction, like a fresh slot.
+            self.slots[victim].key = key;
             victim
         };
         self.map.insert(key, i);
-        let slot = &mut self.slots[i];
-        slot.key = key;
-        slot.referenced = false;
-        Some(&mut slot.value)
+        Some(&mut self.slots[i].value)
     }
 
     /// Drop every entry (statistics build change: memoized lookups are

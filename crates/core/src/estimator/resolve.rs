@@ -2,8 +2,9 @@
 //! resolution into per-relation conditioned sets
 //! ([`PhaseBreakdown::resolve_ns`](super::PhaseBreakdown::resolve_ns)).
 
-use super::session::compile_slots;
-use super::session::{EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, ShapeEntry};
+use super::session::{
+    compile_slots, EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, ShapeEntry,
+};
 use super::EstimateError;
 use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, NgramStats, SetOp};
 use crate::litcache::{self, LitCache};
