@@ -5,8 +5,8 @@
 //! |-----------------|---------------------------------------------------------------|
 //! | `safety-comment`| every `unsafe` is preceded by a `SAFETY:` comment             |
 //! | `no-panic`      | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in the |
-//! |                 | serving path, the core query hot path, or the snapshot        |
-//! |                 | persistence layer                                             |
+//! |                 | serving path (the SQL parser included), the core query hot    |
+//! |                 | path, or the snapshot persistence layer                       |
 //! | `lock-recover`  | serve never calls `.lock().unwrap()`; use `lock_recover`      |
 //! | `fast-map`      | session-hot modules use `FastMap`, not the SipHash default    |
 //! | `determinism`   | no wall clocks / thread spawns outside their owner modules    |
@@ -34,8 +34,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-panic",
         summary: "no `.unwrap()`/`.expect()`/`panic!`/`todo!`/`unimplemented!` in non-test \
-                  code of crates/serve/src, the core query hot path, or the snapshot \
-                  persistence layer",
+                  code of crates/serve/src, the SQL parser, the core query hot path, or \
+                  the snapshot persistence layer",
     },
     RuleInfo {
         name: "lock-recover",
@@ -101,8 +101,16 @@ pub const TIME_OWNER_FILES: &[&str] = &[
 /// module is held to the same panic-free bar as the serving path.
 pub const PERSIST_FILES: &[&str] = &["crates/core/src/snapshot_file.rs"];
 
+/// The SQL parser: it runs on the connection thread, on whatever bytes a
+/// client sent, outside the workers' `catch_unwind`.
+pub const PARSER_FILES: &[&str] = &["crates/query/src/parser.rs"];
+
 fn in_serve_src(path: &str) -> bool {
     path.starts_with("crates/serve/src/")
+}
+
+fn in_parser(path: &str) -> bool {
+    PARSER_FILES.contains(&path)
 }
 
 fn in_persist(path: &str) -> bool {
@@ -135,7 +143,11 @@ fn in_determinism_scope(path: &str) -> bool {
 pub fn run_all(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     safety_comment(ctx, &mut out);
-    if in_serve_src(ctx.path) || in_core_hot(ctx.path) || in_persist(ctx.path) {
+    if in_serve_src(ctx.path)
+        || in_parser(ctx.path)
+        || in_core_hot(ctx.path)
+        || in_persist(ctx.path)
+    {
         no_panic(ctx, &mut out);
     }
     if in_serve_src(ctx.path) {
@@ -351,9 +363,12 @@ mod tests {
             rules_hit("crates/core/src/snapshot_file.rs", src),
             ["no-panic"]
         );
+        // So is the SQL parser: it sees client bytes on the connection
+        // thread.
+        assert_eq!(rules_hit("crates/query/src/parser.rs", src), ["no-panic"]);
         // …cold modules don't.
         assert!(rules_hit("crates/core/src/stats.rs", src).is_empty());
-        assert!(rules_hit("crates/query/src/parser.rs", src).is_empty());
+        assert!(rules_hit("crates/query/src/ast.rs", src).is_empty());
     }
 
     #[test]

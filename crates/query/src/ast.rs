@@ -393,17 +393,13 @@ impl Query {
     /// Add a predicate for a relation; merges with an existing one via AND.
     pub fn add_predicate(&mut self, rel: usize, pred: Predicate) {
         assert!(rel < self.relations.len());
-        if let Some((_, existing)) = self.predicates.iter_mut().find(|(r, _)| *r == rel) {
-            let prev = existing.clone();
-            *existing = match prev {
-                Predicate::And(mut ps) => {
-                    ps.push(pred);
-                    Predicate::And(ps)
-                }
-                other => Predicate::And(vec![other, pred]),
-            };
-        } else {
-            self.predicates.push((rel, pred));
+        match self.predicates.iter_mut().find(|(r, _)| *r == rel) {
+            Some((_, Predicate::And(ps))) => ps.push(pred),
+            Some((_, existing)) => {
+                let first = std::mem::replace(existing, Predicate::And(Vec::new()));
+                *existing = Predicate::And(vec![first, pred]);
+            }
+            None => self.predicates.push((rel, pred)),
         }
     }
 

@@ -21,9 +21,25 @@
 //! The parser normalizes the WHERE clause into the [`Query`] form: join
 //! edges plus per-relation predicate trees. Top-level ORs mixing relations
 //! are rejected (SafeBound's disjunctions are per-relation, §3.2).
+//!
+//! It is one pass of recursive descent over the bytes of the line, with
+//! one token of look-ahead. Tokens borrow from the line, aliases are
+//! resolved against the FROM list as conjuncts complete, and the only
+//! allocations are the ones the returned [`Query`] owns; parentheses nest
+//! at most 64 deep (`MAX_NESTING`). A line with more than one thing wrong
+//! reports, in this order: the first malformed lexeme anywhere in it, the
+//! first syntax error, the first semantic error (alias resolution, what
+//! OR may hold), trailing tokens.
 
 use crate::ast::{CmpOp, Predicate, Query, RelationRef};
 use safebound_storage::Value;
+use std::borrow::Cow;
+
+/// Deepest accepted nesting of parenthesized expressions. The descent
+/// recurses once per level on the connection thread's stack, so the
+/// depth a request can ask for has to be bounded by the parser, not by
+/// the stack.
+const MAX_NESTING: usize = 64;
 
 /// Parse failure with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,429 +56,474 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
+fn error(message: impl Into<String>) -> ParseError {
+    ParseError {
         message: message.into(),
-    })
+    }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+fn err<T>(message: impl Into<String>) -> Result<T, ParseError> {
+    Err(error(message))
+}
+
+/// One lexeme, borrowing from the input line; only a string literal
+/// containing `''` owns its (unescaped) text.
+#[derive(Debug)]
+enum Token<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f64),
-    Str(String),
+    Str(Cow<'a, str>),
     Symbol(&'static str),
 }
 
-fn keyword_eq(t: &Token, kw: &str) -> bool {
-    matches!(t, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
-}
-
-fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
-    let mut tokens = Vec::new();
-    let chars: Vec<char> = input.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '(' | ')' | ',' | '.' | '*' | ';' => {
-                tokens.push(Token::Symbol(match c {
-                    '(' => "(",
-                    ')' => ")",
-                    ',' => ",",
-                    '.' => ".",
-                    '*' => "*",
-                    _ => ";",
-                }));
-                i += 1;
-            }
-            '=' => {
-                tokens.push(Token::Symbol("="));
-                i += 1;
-            }
-            '<' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::Symbol("<="));
-                    i += 2;
-                } else if chars.get(i + 1) == Some(&'>') {
-                    return err("<> (not-equal) predicates are not supported");
-                } else {
-                    tokens.push(Token::Symbol("<"));
-                    i += 1;
-                }
-            }
-            '>' => {
-                if chars.get(i + 1) == Some(&'=') {
-                    tokens.push(Token::Symbol(">="));
-                    i += 2;
-                } else {
-                    tokens.push(Token::Symbol(">"));
-                    i += 1;
-                }
-            }
-            '\'' => {
-                let mut s = String::new();
-                i += 1;
-                loop {
-                    match chars.get(i) {
-                        None => return err("unterminated string literal"),
-                        Some('\'') => {
-                            if chars.get(i + 1) == Some(&'\'') {
-                                s.push('\'');
-                                i += 2;
-                            } else {
-                                i += 1;
-                                break;
-                            }
-                        }
-                        Some(&ch) => {
-                            s.push(ch);
-                            i += 1;
-                        }
-                    }
-                }
-                tokens.push(Token::Str(s));
-            }
-            '-' | '0'..='9' => {
-                let start = i;
-                if c == '-' {
-                    i += 1;
-                }
-                let mut is_float = false;
-                while i < chars.len() && (chars[i].is_ascii_digit() || chars[i] == '.') {
-                    // A '.' followed by non-digit is a symbol (e.g. alias.col).
-                    if chars[i] == '.' {
-                        if chars.get(i + 1).is_some_and(|d| d.is_ascii_digit()) {
-                            is_float = true;
-                        } else {
-                            break;
-                        }
-                    }
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                if text == "-" {
-                    return err("stray '-'");
-                }
-                if is_float {
-                    match text.parse::<f64>() {
-                        Ok(f) => tokens.push(Token::Float(f)),
-                        Err(_) => return err(format!("bad number {text:?}")),
-                    }
-                } else {
-                    match text.parse::<i64>() {
-                        Ok(n) => tokens.push(Token::Int(n)),
-                        Err(_) => return err(format!("bad number {text:?}")),
-                    }
-                }
-            }
-            _ if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                tokens.push(Token::Ident(chars[start..i].iter().collect()));
-            }
-            _ => return err(format!("unexpected character {c:?}")),
-        }
-    }
-    Ok(tokens)
-}
-
-/// Intermediate boolean expression, pre-normalization.
-#[derive(Debug, Clone)]
-enum Expr {
-    And(Vec<Expr>),
-    Or(Vec<Expr>),
-    Join {
-        left: (String, String),
-        right: (String, String),
-    },
-    Pred {
-        alias: String,
-        pred: Predicate,
-    },
-}
-
-struct Parser {
-    tokens: Vec<Token>,
+/// Pull lexer over the bytes of the line. Every position it stops at or
+/// slices on follows an ASCII byte, so it is a `char` boundary of `src`.
+struct Lexer<'a> {
+    src: &'a str,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
+impl<'a> Lexer<'a> {
+    /// The next token, `None` at the end of the input. After an error
+    /// `pos` stays on the offending lexeme: lexing again reports it again.
+    fn next(&mut self) -> Result<Option<Token<'a>>, ParseError> {
+        let bytes = self.src.as_bytes();
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(self.pos) {
             self.pos += 1;
         }
-        t
+        let start = self.pos;
+        let Some(&c) = bytes.get(start) else {
+            return Ok(None);
+        };
+        let follows = |b: u8| bytes.get(start + 1) == Some(&b);
+        let (token, end) = match c {
+            b'(' => (Token::Symbol("("), start + 1),
+            b')' => (Token::Symbol(")"), start + 1),
+            b',' => (Token::Symbol(","), start + 1),
+            b'.' => (Token::Symbol("."), start + 1),
+            b'*' => (Token::Symbol("*"), start + 1),
+            b';' => (Token::Symbol(";"), start + 1),
+            b'=' => (Token::Symbol("="), start + 1),
+            b'<' if follows(b'=') => (Token::Symbol("<="), start + 2),
+            b'<' if follows(b'>') => return err("<> (not-equal) predicates are not supported"),
+            b'<' => (Token::Symbol("<"), start + 1),
+            b'>' if follows(b'=') => (Token::Symbol(">="), start + 2),
+            b'>' => (Token::Symbol(">"), start + 1),
+            b'\'' => self.string(start)?,
+            b'-' | b'0'..=b'9' => self.number(start)?,
+            b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
+                let len = bytes[start..]
+                    .iter()
+                    .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+                    .count();
+                (Token::Ident(&self.src[start..start + len]), start + len)
+            }
+            _ => {
+                let c = self.src[start..].chars().next().unwrap_or(char::from(c));
+                return err(format!("unexpected character {c:?}"));
+            }
+        };
+        self.pos = end;
+        Ok(Some(token))
     }
 
-    fn expect_symbol(&mut self, s: &str) -> Result<(), ParseError> {
-        match self.next() {
-            Some(Token::Symbol(sym)) if sym == s => Ok(()),
-            t => err(format!("expected {s:?}, found {t:?}")),
+    /// The string literal opening at `open`, and the position past its
+    /// closing quote. `''` inside is one quote.
+    fn string(&self, open: usize) -> Result<(Token<'a>, usize), ParseError> {
+        let bytes = self.src.as_bytes();
+        let mut unescaped: Option<String> = None;
+        let mut run = open + 1;
+        loop {
+            let Some(len) = bytes[run..].iter().position(|&b| b == b'\'') else {
+                return err("unterminated string literal");
+            };
+            let quote = run + len;
+            if bytes.get(quote + 1) == Some(&b'\'') {
+                unescaped
+                    .get_or_insert_with(String::new)
+                    .push_str(&self.src[run..=quote]);
+                run = quote + 2;
+                continue;
+            }
+            let tail = &self.src[run..quote];
+            let text = match unescaped {
+                Some(mut s) => {
+                    s.push_str(tail);
+                    Cow::Owned(s)
+                }
+                None => Cow::Borrowed(tail),
+            };
+            return Ok((Token::Str(text), quote + 1));
+        }
+    }
+
+    /// The number starting at `start` (a digit or `-`), and the position
+    /// past it.
+    fn number(&self, start: usize) -> Result<(Token<'a>, usize), ParseError> {
+        let bytes = self.src.as_bytes();
+        let digit_at = |i: usize| bytes.get(i).is_some_and(u8::is_ascii_digit);
+        let mut end = start + usize::from(bytes[start] == b'-');
+        let mut is_float = false;
+        loop {
+            if digit_at(end) {
+                end += 1;
+            } else if bytes.get(end) == Some(&b'.') && digit_at(end + 1) {
+                // A '.' followed by a non-digit is a symbol (alias.col).
+                is_float = true;
+                end += 2;
+            } else {
+                break;
+            }
+        }
+        let text = &self.src[start..end];
+        if text == "-" {
+            return err("stray '-'");
+        }
+        let token = if is_float {
+            text.parse().ok().map(Token::Float)
+        } else {
+            text.parse().ok().map(Token::Int)
+        };
+        match token {
+            Some(token) => Ok((token, end)),
+            None => err(format!("bad number {text:?}")),
+        }
+    }
+
+    /// The first lexical error in the rest of the input, if any.
+    fn error_ahead(&mut self) -> Option<ParseError> {
+        loop {
+            match self.next() {
+                Ok(Some(_)) => {}
+                Ok(None) => return None,
+                Err(e) => return Some(e),
+            }
+        }
+    }
+}
+
+/// `alias.column`, the alias empty for a bare `column`.
+type ColRef<'a> = (&'a str, &'a str);
+
+/// What one operand of `AND`/`OR` came to.
+enum Node<'a> {
+    /// A comparison with a literal, its alias not yet resolved.
+    Pred { alias: &'a str, pred: Predicate },
+    /// A column equality.
+    Join { left: ColRef<'a>, right: ColRef<'a> },
+    /// A conjunction or disjunction, already folded into the query.
+    Folded,
+}
+
+/// Recursive descent with one token of look-ahead. Joins and predicates
+/// are moved into `query` as their conjunct completes; a single
+/// comparison travels up as a [`Node`] until it is known whether an `OR`
+/// claims it.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The look-ahead token; `None` at the end of the input.
+    peeked: Option<Token<'a>>,
+    query: Query,
+    /// The first semantic error (unknown alias, OR across relations, …).
+    /// It is reported only once the whole WHERE clause is syntactically
+    /// valid: a syntax error further along the line takes precedence.
+    deferred: Option<ParseError>,
+    depth: usize,
+}
+
+impl<'a> Parser<'a> {
+    /// Consume the look-ahead token.
+    fn advance(&mut self) -> Result<Option<Token<'a>>, ParseError> {
+        let next = self.lexer.next()?;
+        Ok(std::mem::replace(&mut self.peeked, next))
+    }
+
+    fn eat_symbol(&mut self, sym: &str) -> Result<bool, ParseError> {
+        let found = matches!(self.peeked, Some(Token::Symbol(s)) if s == sym);
+        if found {
+            self.advance()?;
+        }
+        Ok(found)
+    }
+
+    fn peek_keyword(&self, kw: &str) -> bool {
+        matches!(self.peeked, Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw))
+    }
+
+    fn eat_keyword(&mut self, kw: &str) -> Result<bool, ParseError> {
+        let found = self.peek_keyword(kw);
+        if found {
+            self.advance()?;
+        }
+        Ok(found)
+    }
+
+    fn expect_symbol(&mut self, sym: &str) -> Result<(), ParseError> {
+        match self.advance()? {
+            Some(Token::Symbol(s)) if s == sym => Ok(()),
+            t => err(format!("expected {sym:?}, found {t:?}")),
         }
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.next() {
-            Some(t) if keyword_eq(&t, kw) => Ok(()),
+        match self.advance()? {
+            Some(Token::Ident(s)) if s.eq_ignore_ascii_case(kw) => Ok(()),
             t => err(format!("expected keyword {kw}, found {t:?}")),
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.next() {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.advance()? {
             Some(Token::Ident(s)) => Ok(s),
             t => err(format!("expected identifier, found {t:?}")),
         }
     }
 
     fn literal(&mut self) -> Result<Value, ParseError> {
-        match self.next() {
+        match self.advance()? {
             Some(Token::Int(n)) => Ok(Value::Int(n)),
             Some(Token::Float(f)) => Ok(Value::Float(f)),
-            Some(Token::Str(s)) => Ok(Value::Str(s)),
+            Some(Token::Str(s)) => Ok(Value::Str(s.into_owned())),
             t => err(format!("expected literal, found {t:?}")),
         }
     }
 
-    /// `alias.column` or bare `column` (alias empty).
-    fn colref(&mut self) -> Result<(String, String), ParseError> {
+    fn colref(&mut self) -> Result<ColRef<'a>, ParseError> {
         let first = self.ident()?;
-        if self.peek() == Some(&Token::Symbol(".")) {
-            self.pos += 1;
-            let col = self.ident()?;
-            Ok((first, col))
+        if self.eat_symbol(".")? {
+            Ok((first, self.ident()?))
         } else {
-            Ok((String::new(), first))
+            Ok(("", first))
         }
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
-        let mut terms = vec![self.term()?];
-        while self.peek().is_some_and(|t| keyword_eq(t, "AND")) {
-            self.pos += 1;
-            terms.push(self.term()?);
+    fn statement(&mut self) -> Result<Query, ParseError> {
+        self.peeked = self.lexer.next()?;
+        self.expect_keyword("SELECT")?;
+        self.expect_keyword("COUNT")?;
+        self.expect_symbol("(")?;
+        self.expect_symbol("*")?;
+        self.expect_symbol(")")?;
+        self.expect_keyword("FROM")?;
+        loop {
+            let table = self.ident()?;
+            let alias = if self.eat_keyword("AS")? {
+                self.ident()?
+            } else {
+                match self.peeked {
+                    Some(Token::Ident(s)) if !s.eq_ignore_ascii_case("WHERE") => self.ident()?,
+                    _ => table,
+                }
+            };
+            if self.query.relation_by_alias(alias).is_some() {
+                return err(format!("duplicate alias {alias:?}"));
+            }
+            self.query.add_relation(RelationRef::aliased(table, alias));
+            if !self.eat_symbol(",")? {
+                break;
+            }
         }
-        Ok(if terms.len() == 1 {
-            terms.pop().unwrap()
-        } else {
-            Expr::And(terms)
-        })
+        if self.eat_keyword("WHERE")? {
+            let clause = self.expr()?;
+            self.fold(clause);
+            if let Some(e) = self.deferred.take() {
+                return Err(e);
+            }
+        }
+        self.eat_symbol(";")?;
+        if let Some(t) = &self.peeked {
+            return err(format!("trailing tokens starting at {t:?}"));
+        }
+        Ok(std::mem::take(&mut self.query))
     }
 
-    fn term(&mut self) -> Result<Expr, ParseError> {
-        let mut factors = vec![self.factor()?];
-        while self.peek().is_some_and(|t| keyword_eq(t, "OR")) {
-            self.pos += 1;
-            factors.push(self.factor()?);
+    fn expr(&mut self) -> Result<Node<'a>, ParseError> {
+        let first = self.term()?;
+        if !self.peek_keyword("AND") {
+            return Ok(first);
         }
-        Ok(if factors.len() == 1 {
-            factors.pop().unwrap()
-        } else {
-            Expr::Or(factors)
-        })
+        self.fold(first);
+        while self.eat_keyword("AND")? {
+            let conjunct = self.term()?;
+            self.fold(conjunct);
+        }
+        Ok(Node::Folded)
     }
 
-    fn factor(&mut self) -> Result<Expr, ParseError> {
-        if self.peek() == Some(&Token::Symbol("(")) {
-            self.pos += 1;
-            let e = self.expr()?;
-            self.expect_symbol(")")?;
-            return Ok(e);
+    fn term(&mut self) -> Result<Node<'a>, ParseError> {
+        let mut clean = self.deferred.is_none();
+        let first = self.factor()?;
+        if !self.peek_keyword("OR") {
+            return Ok(first);
         }
-        self.comparison()
+        // A disjunction: plain predicates, all on one relation.
+        let mut rel = None;
+        let mut preds = Vec::new();
+        self.disjunct(first, clean, &mut rel, &mut preds);
+        while self.eat_keyword("OR")? {
+            clean = self.deferred.is_none();
+            let operand = self.factor()?;
+            self.disjunct(operand, clean, &mut rel, &mut preds);
+        }
+        if let (Some(rel), None) = (rel, &self.deferred) {
+            self.query.add_predicate(rel, Predicate::Or(preds));
+        }
+        Ok(Node::Folded)
     }
 
-    fn comparison(&mut self) -> Result<Expr, ParseError> {
+    fn factor(&mut self) -> Result<Node<'a>, ParseError> {
+        if !self.eat_symbol("(")? {
+            return self.comparison();
+        }
+        if self.depth == MAX_NESTING {
+            return err(format!(
+                "expression nested deeper than {MAX_NESTING} levels"
+            ));
+        }
+        self.depth += 1;
+        let inner = self.expr()?;
+        self.depth -= 1;
+        self.expect_symbol(")")?;
+        Ok(inner)
+    }
+
+    fn comparison(&mut self) -> Result<Node<'a>, ParseError> {
         let (alias, col) = self.colref()?;
-        match self.next() {
+        let column = || col.to_string();
+        let pred = match self.advance()? {
             Some(Token::Symbol("=")) => {
                 // Join or equality literal?
-                match self.peek() {
-                    Some(Token::Ident(_)) => {
-                        let rhs = self.colref()?;
-                        Ok(Expr::Join {
-                            left: (alias, col),
-                            right: rhs,
-                        })
-                    }
-                    _ => {
-                        let v = self.literal()?;
-                        Ok(Expr::Pred {
-                            alias,
-                            pred: Predicate::Eq(col, v),
-                        })
-                    }
+                if let Some(Token::Ident(_)) = self.peeked {
+                    let right = self.colref()?;
+                    return Ok(Node::Join {
+                        left: (alias, col),
+                        right,
+                    });
                 }
+                Predicate::Eq(column(), self.literal()?)
             }
             Some(Token::Symbol(op @ ("<" | "<=" | ">" | ">="))) => {
-                let v = self.literal()?;
                 let op = match op {
                     "<" => CmpOp::Lt,
                     "<=" => CmpOp::Le,
                     ">" => CmpOp::Gt,
                     _ => CmpOp::Ge,
                 };
-                Ok(Expr::Pred {
-                    alias,
-                    pred: Predicate::Cmp(col, op, v),
-                })
+                Predicate::Cmp(column(), op, self.literal()?)
             }
-            Some(t) if keyword_eq(&t, "BETWEEN") => {
+            Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("BETWEEN") => {
                 let lo = self.literal()?;
                 self.expect_keyword("AND")?;
-                let hi = self.literal()?;
-                Ok(Expr::Pred {
-                    alias,
-                    pred: Predicate::Between(col, lo, hi),
-                })
+                Predicate::Between(column(), lo, self.literal()?)
             }
-            Some(t) if keyword_eq(&t, "LIKE") => match self.next() {
-                Some(Token::Str(p)) => Ok(Expr::Pred {
-                    alias,
-                    pred: Predicate::Like(col, p),
-                }),
-                t => err(format!("LIKE requires a string pattern, found {t:?}")),
+            Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("LIKE") => match self.advance()? {
+                Some(Token::Str(pattern)) => Predicate::Like(column(), pattern.into_owned()),
+                t => return err(format!("LIKE requires a string pattern, found {t:?}")),
             },
-            Some(t) if keyword_eq(&t, "IN") => {
+            Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("IN") => {
                 self.expect_symbol("(")?;
                 let mut vals = vec![self.literal()?];
-                while self.peek() == Some(&Token::Symbol(",")) {
-                    self.pos += 1;
+                while self.eat_symbol(",")? {
                     vals.push(self.literal()?);
                 }
                 self.expect_symbol(")")?;
-                Ok(Expr::Pred {
-                    alias,
-                    pred: Predicate::In(col, vals),
-                })
+                Predicate::In(column(), vals)
             }
-            t => err(format!("expected comparison operator, found {t:?}")),
+            t => return err(format!("expected comparison operator, found {t:?}")),
+        };
+        Ok(Node::Pred { alias, pred })
+    }
+
+    /// Resolve an alias (possibly empty) to a relation index.
+    fn resolve(&self, alias: &str) -> Result<usize, ParseError> {
+        if !alias.is_empty() {
+            self.query
+                .relation_by_alias(alias)
+                .ok_or_else(|| error(format!("unknown alias {alias:?}")))
+        } else if self.query.num_relations() == 1 {
+            Ok(0)
+        } else {
+            err("bare column names require a single-relation query")
+        }
+    }
+
+    /// Move one finished conjunct into the query. Nothing is folded past
+    /// the first semantic error: the query is dropped, only the error
+    /// survives.
+    fn fold(&mut self, node: Node<'a>) {
+        if self.deferred.is_some() {
+            return;
+        }
+        let folded = match node {
+            Node::Folded => Ok(()),
+            Node::Pred { alias, pred } => self
+                .resolve(alias)
+                .map(|rel| self.query.add_predicate(rel, pred)),
+            Node::Join { left, right } => self.fold_join(left, right),
+        };
+        self.deferred = folded.err();
+    }
+
+    fn fold_join(&mut self, left: ColRef<'a>, right: ColRef<'a>) -> Result<(), ParseError> {
+        let l = self.resolve(left.0)?;
+        let r = self.resolve(right.0)?;
+        if l == r {
+            return err("intra-relation column equality is not supported");
+        }
+        self.query.add_join(l, left.1, r, right.1);
+        Ok(())
+    }
+
+    /// Collect one operand of an `OR` into `preds`. `clean` says no
+    /// semantic error was pending before the operand was parsed.
+    fn disjunct(
+        &mut self,
+        operand: Node<'a>,
+        clean: bool,
+        rel: &mut Option<usize>,
+        preds: &mut Vec<Predicate>,
+    ) {
+        if clean && matches!(operand, Node::Folded) {
+            // Whatever is wrong inside a group is hidden by the group
+            // being no operand for OR at all.
+            self.deferred = None;
+        }
+        if self.deferred.is_some() {
+            return;
+        }
+        match operand {
+            Node::Pred { alias, pred } => match self.resolve(alias) {
+                Ok(r) if rel.is_some_and(|seen| seen != r) => {
+                    self.deferred = Some(error("OR across different relations is not supported"));
+                }
+                Ok(r) => {
+                    *rel = Some(r);
+                    preds.push(pred);
+                }
+                Err(e) => self.deferred = Some(e),
+            },
+            Node::Join { .. } | Node::Folded => {
+                self.deferred = Some(error("only simple predicates are allowed inside OR"));
+            }
         }
     }
 }
 
 /// Parse a `SELECT COUNT(*)` SQL string into a [`Query`].
 pub fn parse_sql(sql: &str) -> Result<Query, ParseError> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
-    p.expect_keyword("SELECT")?;
-    p.expect_keyword("COUNT")?;
-    p.expect_symbol("(")?;
-    p.expect_symbol("*")?;
-    p.expect_symbol(")")?;
-    p.expect_keyword("FROM")?;
-
-    let mut query = Query::new();
-    loop {
-        let table = p.ident()?;
-        let alias = match p.peek() {
-            Some(t) if keyword_eq(t, "AS") => {
-                p.pos += 1;
-                p.ident()?
-            }
-            Some(Token::Ident(s)) if !s.eq_ignore_ascii_case("WHERE") => p.ident()?,
-            _ => table.clone(),
-        };
-        if query.relation_by_alias(&alias).is_some() {
-            return err(format!("duplicate alias {alias:?}"));
-        }
-        query.add_relation(RelationRef::aliased(&table, &alias));
-        if p.peek() == Some(&Token::Symbol(",")) {
-            p.pos += 1;
-        } else {
-            break;
-        }
-    }
-
-    if p.peek().is_some_and(|t| keyword_eq(t, "WHERE")) {
-        p.pos += 1;
-        let e = p.expr()?;
-        normalize(&e, &mut query)?;
-    }
-    if p.peek() == Some(&Token::Symbol(";")) {
-        p.pos += 1;
-    }
-    if p.pos != p.tokens.len() {
-        return err(format!("trailing tokens starting at {:?}", p.tokens[p.pos]));
-    }
-    Ok(query)
-}
-
-/// Resolve an alias (possibly empty) to a relation index.
-fn resolve(query: &Query, alias: &str) -> Result<usize, ParseError> {
-    if alias.is_empty() {
-        if query.num_relations() == 1 {
-            Ok(0)
-        } else {
-            err("bare column names require a single-relation query")
-        }
-    } else {
-        query.relation_by_alias(alias).ok_or_else(|| ParseError {
-            message: format!("unknown alias {alias:?}"),
-        })
-    }
-}
-
-/// Flatten the parsed boolean expression into join edges and per-relation
-/// predicates.
-fn normalize(e: &Expr, query: &mut Query) -> Result<(), ParseError> {
-    match e {
-        Expr::And(parts) => {
-            for part in parts {
-                normalize(part, query)?;
-            }
-            Ok(())
-        }
-        Expr::Join { left, right } => {
-            let l = resolve(query, &left.0)?;
-            let r = resolve(query, &right.0)?;
-            if l == r {
-                return err("intra-relation column equality is not supported");
-            }
-            query.add_join(l, &left.1, r, &right.1);
-            Ok(())
-        }
-        Expr::Pred { alias, pred } => {
-            let rel = resolve(query, alias)?;
-            query.add_predicate(rel, pred.clone());
-            Ok(())
-        }
-        Expr::Or(parts) => {
-            // All disjuncts must be plain predicates on the same relation.
-            let mut rel: Option<usize> = None;
-            let mut preds = Vec::new();
-            for part in parts {
-                match part {
-                    Expr::Pred { alias, pred } => {
-                        let r = resolve(query, alias)?;
-                        if rel.is_some_and(|x| x != r) {
-                            return err("OR across different relations is not supported");
-                        }
-                        rel = Some(r);
-                        preds.push(pred.clone());
-                    }
-                    Expr::Or(_) | Expr::And(_) | Expr::Join { .. } => {
-                        return err("only simple predicates are allowed inside OR");
-                    }
-                }
-            }
-            let rel = rel.ok_or(ParseError {
-                message: "empty OR".into(),
-            })?;
-            query.add_predicate(rel, Predicate::Or(preds));
-            Ok(())
-        }
-    }
+    let mut parser = Parser {
+        lexer: Lexer { src: sql, pos: 0 },
+        peeked: None,
+        query: Query::new(),
+        deferred: None,
+        depth: 0,
+    };
+    // A malformed lexeme anywhere in the line is reported before anything
+    // the grammar finds wrong in front of it.
+    parser
+        .statement()
+        .map_err(|e| parser.lexer.error_ahead().unwrap_or(e))
 }
 
 #[cfg(test)]

@@ -39,7 +39,9 @@
 use crate::faults::{FaultInjector, WriteFault};
 use crate::refresh::{RefreshError, ShutdownToken, StatsRefresher};
 use crate::service::BoundService;
+use safebound_core::EstimateError;
 use safebound_query::parse_sql;
+use std::borrow::Cow;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -513,7 +515,7 @@ fn handle_connection(ctx: &ConnCtx, stream: TcpStream) -> std::io::Result<()> {
                 return Ok(());
             }
         }
-        let text = String::from_utf8_lossy(&buf);
+        let text = line_text(&buf);
         let request = text.trim();
         if request.is_empty() {
             continue;
@@ -525,11 +527,12 @@ fn handle_connection(ctx: &ConnCtx, stream: TcpStream) -> std::io::Result<()> {
                 return Ok(());
             }
             "SHUTDOWN" => {
-                // Graceful server stop: answer, then trigger the token.
+                // Graceful server stop: trigger the token, then answer, so
+                // a client that has read `BYE` finds the server stopping.
                 // The accept loop sheds new work and joins every handler.
+                ctx.shutdown.trigger();
                 writeln!(writer, "BYE")?;
                 writer.flush()?;
-                ctx.shutdown.trigger();
                 return Ok(());
             }
             "PING" => writeln!(writer, "PONG")?,
@@ -621,8 +624,7 @@ fn handle_connection(ctx: &ConnCtx, stream: TcpStream) -> std::io::Result<()> {
                         Err(_) => writeln!(writer, "ERR malformed BATCH count {count:?}")?,
                     }
                 } else {
-                    let response = answer_deadline(ctx, request);
-                    writeln!(writer, "{response}")?;
+                    answer_deadline(ctx, request, &mut writer)?;
                 }
             }
         }
@@ -649,13 +651,20 @@ fn serve_batch(
     idle: &mut Instant,
 ) -> std::io::Result<bool> {
     // Parse up front; parse failures answer ERR at their position without
-    // aborting the rest of the batch.
-    let mut parsed = Vec::with_capacity(n);
+    // aborting the rest of the batch. Parsed queries go straight into the
+    // batch to dispatch; `parsed` keeps each line's outcome for the replies.
+    let mut parsed: Vec<Result<(), String>> = Vec::with_capacity(n);
+    let mut queries = Vec::with_capacity(n);
     let mut buf = Vec::new();
     for got in 0..n {
         match read_line_patiently(reader, &mut buf, ctx, idle)? {
-            LineRead::Line => parsed
-                .push(parse_sql(String::from_utf8_lossy(&buf).trim()).map_err(|e| e.to_string())),
+            LineRead::Line => parsed.push(match parse_sql(line_text(&buf).trim()) {
+                Ok(q) => {
+                    queries.push(q);
+                    Ok(())
+                }
+                Err(e) => Err(e.to_string()),
+            }),
             LineRead::Eof => break, // EOF mid-batch: answer what arrived
             LineRead::Close => {
                 if ctx.shutdown.is_triggered() {
@@ -684,24 +693,13 @@ fn serve_batch(
         }
         *idle = Instant::now();
     }
-    let queries: Vec<_> = parsed
-        .iter()
-        .filter_map(|p| p.as_ref().ok().cloned())
-        .collect();
     let mut bounds = ctx
         .service
         .bound_batch_deadline(queries.into(), ctx.batch_timeout)
         .into_iter();
     for p in &parsed {
         match p {
-            // The pool returns one bound per submitted query; a short
-            // iterator would be a pool bug, so the line degrades to
-            // `ERR internal` instead of panicking the connection thread.
-            Ok(_) => match bounds.next() {
-                Some(Ok(b)) => writeln!(writer, "OK {b}")?,
-                Some(Err(e)) => writeln!(writer, "ERR {e}")?,
-                None => writeln!(writer, "ERR internal: missing bound for query")?,
-            },
+            Ok(()) => write_bound(writer, bounds.next())?,
             Err(e) => writeln!(writer, "ERR parse: {e}")?,
         }
     }
@@ -748,19 +746,38 @@ fn drain_batch(
 
 /// One SQL request → one response line (single-query requests run under
 /// the same deadline as batches — a stuck worker answers `ERR timeout`).
-fn answer_deadline(ctx: &ConnCtx, sql: &str) -> String {
+fn answer_deadline(ctx: &ConnCtx, sql: &str, writer: &mut ResponseWriter) -> std::io::Result<()> {
     match parse_sql(sql) {
         Ok(q) => {
             let mut results = ctx
                 .service
                 .bound_batch_deadline(vec![q].into(), ctx.batch_timeout);
-            match results.pop() {
-                Some(Ok(b)) => format!("OK {b}"),
-                Some(Err(e)) => format!("ERR {e}"),
-                None => "ERR internal: missing bound for query".to_string(),
-            }
+            write_bound(writer, results.pop())
         }
-        Err(e) => format!("ERR parse: {e}"),
+        Err(e) => writeln!(writer, "ERR parse: {e}"),
+    }
+}
+
+/// The reply line for one dispatched query. The pool returns one bound
+/// per submitted query; a missing one would be a pool bug, so the line
+/// degrades to `ERR internal` instead of panicking the connection thread.
+fn write_bound(
+    writer: &mut ResponseWriter,
+    bound: Option<Result<f64, EstimateError>>,
+) -> std::io::Result<()> {
+    match bound {
+        Some(Ok(b)) => writeln!(writer, "OK {b}"),
+        Some(Err(e)) => writeln!(writer, "ERR {e}"),
+        None => writeln!(writer, "ERR internal: missing bound for query"),
+    }
+}
+
+/// A request line as text: borrowed as it stands when it is valid UTF-8,
+/// with replacement characters for whatever is not otherwise.
+fn line_text(bytes: &[u8]) -> Cow<'_, str> {
+    match std::str::from_utf8(bytes) {
+        Ok(text) => Cow::Borrowed(text),
+        Err(_) => String::from_utf8_lossy(bytes),
     }
 }
 

@@ -267,6 +267,46 @@ fn truncated_trailing_line_is_answered() {
     assert!(lines[1].starts_with("ERR parse"), "{out:?}");
 }
 
+/// A line nested 100,000 parentheses deep is a parse error like any
+/// other: it must not be able to exhaust the connection thread's stack
+/// (which would abort the whole process, not one connection).
+#[test]
+fn deeply_nested_line_is_a_parse_error_and_the_server_keeps_serving() {
+    let addr = server_addr();
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let depth = 100_000;
+    let line = format!(
+        "SELECT COUNT(*) FROM r WHERE {}r.x = 1{}\nPING\n",
+        "(".repeat(depth),
+        ")".repeat(depth)
+    );
+    writer.write_all(line.as_bytes()).unwrap();
+    writer.flush().unwrap();
+    let mut read_line = || {
+        let mut l = String::new();
+        reader.read_line(&mut l).unwrap();
+        l
+    };
+    let refusal = read_line();
+    assert!(refusal.starts_with("ERR parse: "), "{refusal:?}");
+    assert!(refusal.contains("nested deeper than"), "{refusal:?}");
+    assert_eq!(read_line(), "PONG\n", "same connection must stay in sync");
+
+    let mut probe = TcpStream::connect(addr).unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    probe.write_all(b"PING\nQUIT\n").unwrap();
+    let mut out = String::new();
+    BufReader::new(probe).read_to_string(&mut out).unwrap();
+    assert_eq!(out, "PONG\nBYE\n");
+}
+
 /// Interleaving requests from two connections must not cross-talk: each
 /// connection sees exactly its own responses, in its own order.
 #[test]
