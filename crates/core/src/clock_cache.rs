@@ -1,16 +1,19 @@
 //! The one per-session cache structure: a fingerprint-keyed map into a
 //! slab of payload slots, evicted by a second-chance clock.
 //!
-//! A [`BoundSession`](crate::estimator::BoundSession) instantiates it four
-//! times — the equality, range and LIKE resolve memos and the literal
-//! cache ([`crate::litcache`]) — differing only in the owner half of the
-//! key and the payload type. What the four share lives here, once:
+//! A [`BoundSession`](crate::estimator::BoundSession) instantiates it five
+//! times — the query-shape cache, the equality, range and LIKE resolve
+//! memos and the literal cache ([`crate::litcache`]) — differing only in
+//! the owner half of the key and the payload type. What the five share
+//! lives here, once:
 //!
 //! * **Keying** — `(owner, fingerprint)`, where the owner scopes the
-//!   fingerprint (a table's filter slot, a shape's relation). The
-//!   fingerprint only has to discriminate: [`ClockCache::get`] serves a
-//!   slot only after the caller's `verify` compared the stored literal
-//!   against the probe, so a collision costs a miss, never a wrong bound.
+//!   fingerprint (a table's filter slot, a shape's relation; `()` for the
+//!   shape cache, whose fingerprint is the whole key). The fingerprint
+//!   only has to discriminate: [`ClockCache::get`] serves a slot only
+//!   after the caller's `verify` compared the stored payload (a literal,
+//!   a shape exemplar) against the probe, so a collision costs a miss,
+//!   never a wrong bound.
 //! * **Eviction** — at capacity a clock hand sweeps the slab; a slot hit
 //!   since the hand last passed gets a second chance, the first cold slot
 //!   is recycled. Fresh slots start unreferenced — an entry earns its
@@ -19,9 +22,11 @@
 //!   always enter.
 //! * **Recycling** — [`ClockCache::claim`] hands the victim's payload back
 //!   to be overwritten in place, so its heap buffers (literal bytes,
-//!   pattern strings, CDS sets) are retained: once buffer capacities have
-//!   converged, churn at capacity allocates nothing (asserted by the
-//!   `zero_alloc` integration test).
+//!   pattern strings, CDS sets, a shape's name strings and plan vectors)
+//!   are retained: once buffer capacities have converged, churn at
+//!   capacity allocates nothing in the memos and the literal cache, and
+//!   only what a plan's own structure needs in the shape cache (asserted
+//!   by the `zero_alloc` integration test).
 //!
 //! The slab and map grow organically, never preallocated: the throwaway
 //! session of `SafeBound::bound` must not pay for tables it will never
@@ -74,7 +79,6 @@ impl<O: Copy + Eq + Hash, V: Default> ClockCache<O, V> {
     }
 
     /// Number of occupied slots.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
@@ -88,13 +92,8 @@ impl<O: Copy + Eq + Hash, V: Default> ClockCache<O, V> {
     /// A fingerprint match that fails verification (a collision) is a
     /// miss and earns the slot no second chance.
     pub(crate) fn get(&mut self, owner: O, fp: u64, verify: impl FnOnce(&V) -> bool) -> Option<&V> {
-        let &i = self.map.get(&(owner, fp))?;
-        let slot = &mut self.slots[i];
-        if !verify(&slot.value) {
-            return None;
-        }
-        slot.referenced = true;
-        Some(&slot.value)
+        let i = self.find((owner, fp), verify)?;
+        Some(&self.slots[i].value)
     }
 
     /// Bind `(owner, fp)` to a slot and hand out its payload for the
@@ -104,10 +103,47 @@ impl<O: Copy + Eq + Hash, V: Default> ClockCache<O, V> {
     /// collision, since callers only claim after a miss) re-binds to the
     /// new slot; the old slot turns stale and is recycled by the clock.
     pub(crate) fn claim(&mut self, owner: O, fp: u64) -> Option<&mut V> {
+        let i = self.bind((owner, fp))?;
+        Some(&mut self.slots[i].value)
+    }
+
+    /// [`ClockCache::get`], and on a miss straight into
+    /// [`ClockCache::claim`]: the payload under `(owner, fp)` and whether
+    /// it was a hit. After a miss the caller must overwrite the payload
+    /// before anything reads it. For callers with nothing to compute
+    /// between the probe and the claim (the shape cache builds *into* the
+    /// slot); `None` when the cache is disabled.
+    pub(crate) fn get_or_claim(
+        &mut self,
+        owner: O,
+        fp: u64,
+        verify: impl FnOnce(&V) -> bool,
+    ) -> Option<(&mut V, bool)> {
+        let key = (owner, fp);
+        let (i, hit) = match self.find(key, verify) {
+            Some(i) => (i, true),
+            None => (self.bind(key)?, false),
+        };
+        Some((&mut self.slots[i].value, hit))
+    }
+
+    /// Slab index of the verified entry under `key`, marking it hit.
+    fn find(&mut self, key: (O, u64), verify: impl FnOnce(&V) -> bool) -> Option<usize> {
+        let &i = self.map.get(&key)?;
+        let slot = &mut self.slots[i];
+        if !verify(&slot.value) {
+            return None;
+        }
+        slot.referenced = true;
+        Some(i)
+    }
+
+    /// Slab index of the slot now bound to `key`: a fresh one below
+    /// capacity, the clock's victim at it.
+    fn bind(&mut self, key: (O, u64)) -> Option<usize> {
         if self.capacity == 0 {
             return None;
         }
-        let key = (owner, fp);
         let i = if self.slots.len() < self.capacity {
             self.slots.push(Slot {
                 key,
@@ -142,7 +178,7 @@ impl<O: Copy + Eq + Hash, V: Default> ClockCache<O, V> {
             victim
         };
         self.map.insert(key, i);
-        Some(&mut self.slots[i].value)
+        Some(i)
     }
 
     /// Drop every entry (statistics build change: memoized lookups are
@@ -282,6 +318,7 @@ mod tests {
     enum Op {
         Get((u8, u64), u32),
         Claim((u8, u64), u32),
+        GetOrClaim((u8, u64), u32),
         Clear,
     }
 
@@ -291,7 +328,8 @@ mod tests {
         let key = (0u8..2, 0u64..6);
         prop_oneof![
             8 => (key.clone(), 1u32..4).prop_map(|(k, v)| Op::Get(k, v)),
-            8 => (key, 1u32..4).prop_map(|(k, v)| Op::Claim(k, v)),
+            8 => (key.clone(), 1u32..4).prop_map(|(k, v)| Op::Claim(k, v)),
+            4 => (key, 1u32..4).prop_map(|(k, v)| Op::GetOrClaim(k, v)),
             1 => Just(Op::Clear),
         ]
     }
@@ -314,6 +352,18 @@ mod tests {
                                 std::mem::replace(slot, v)
                             });
                             prop_assert_eq!(got, model.claim(capacity, key, v), "victim under {:?}", op);
+                        }
+                        Op::GetOrClaim(key, v) => {
+                            // A hit hands back the entry, a miss the victim
+                            // to overwrite — exactly `get`, then `claim`.
+                            let got = cache
+                                .get_or_claim(key.0, key.1, |&s| s == v)
+                                .map(|(slot, hit)| (std::mem::replace(slot, v), hit));
+                            let want = match model.get(key, v) {
+                                Some(stored) => Some((stored, true)),
+                                None => model.claim(capacity, key, v).map(|victim| (victim, false)),
+                            };
+                            prop_assert_eq!(got, want, "under {:?}", op);
                         }
                         Op::Clear => {
                             cache.clear();

@@ -27,10 +27,10 @@
 //!   load (no lock) because each session caches the `Arc` it last used.
 //! * **[`BoundSession`]** — mutable per-worker state: the query-shape
 //!   cache, the literal cache (whole-query bounds + per-relation
-//!   conditioned sets), the equality/range/LIKE resolve memos — four
-//!   instances of one `ClockCache` — and every arena the online path
-//!   writes into. Sessions detect a swapped snapshot by build id and
-//!   repopulate lazily.
+//!   conditioned sets), the equality/range/LIKE resolve memos — five
+//!   instances of one `ClockCache`, all evicted by its second-chance
+//!   clock — and every arena the online path writes into. Sessions detect
+//!   a swapped snapshot by build id and repopulate lazily.
 //!
 //! The expensive per-query work splits into two halves with different
 //! cacheability:
@@ -39,12 +39,18 @@
 //!   join-graph construction, [`BoundPlan`] building, join-column
 //!   resolution to interned ids, and predicate-column resolution to dense
 //!   **filter slots** (including the PK–FK [`propagated_key`] composites,
-//!   whose string keys are looked up only here). A [`BoundSession`]
-//!   memoizes all of it per query *shape* ([`Query::shape_hash`] /
-//!   [`Query::same_shape`]: tables + join topology + predicate structure,
-//!   not literals), evicting the least-recently-used shape at capacity, so
-//!   repeated query templates skip straight to predicate resolution +
-//!   kernel with zero string lookups.
+//!   which are looked up only here). A [`BoundSession`] memoizes all of it
+//!   per query *shape* ([`Query::shape_hash`] is the cache fingerprint,
+//!   [`Query::same_shape`] the verification: tables + join topology +
+//!   predicate structure, not literals), so repeated query templates skip
+//!   straight to predicate resolution + kernel with zero string lookups.
+//!   At capacity the clock recycles a shape that was not hit since its
+//!   hand last passed — second chance, not LRU: one-shot shapes (an
+//!   optimizer's sub-queries) evict each other, not the templates that
+//!   repeat — and the miss builds into the victim's entry in place, over
+//!   names borrowed from the query: relaxations are edge-index subsets,
+//!   never relaxed query clones, and a recycled entry keeps its buffers
+//!   but always takes a fresh literal-cache id.
 //! * **Literal-dependent** — predicate resolution and statistics
 //!   assembly. These write every intermediate CDS into the session's
 //!   [`CdsScratch`] arena pools instead of cloning, and are themselves
@@ -99,7 +105,7 @@ use assemble::assemble_into;
 use resolve::{stage_full_literals, stage_rel_literals};
 use safebound_query::{BoundPlan, Query};
 use safebound_storage::Catalog;
-use session::Memos;
+use session::{Memos, ShapeEntry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -333,42 +339,12 @@ impl StatsSnapshot {
         if query.num_relations() == 0 {
             return Ok(0.0);
         }
-        let hash = query.shape_hash();
-        session.tick += 1;
-        let tick = session.tick;
-        let cached = session.index.get(&hash).and_then(|bucket| {
-            bucket
-                .iter()
-                .copied()
-                .find(|&i| session.shapes[i].shape.same_shape(query))
-        });
-        let idx = match cached {
-            Some(i) => {
-                session.shape_hits += 1;
-                session.shapes[i].last_used = tick;
-                i
-            }
-            None => {
-                session.shape_misses += 1;
-                if session.shapes.len() >= session.shape_capacity {
-                    session.evict_lru();
-                }
-                let uid = session.next_shape_uid;
-                session.next_shape_uid += 1;
-                let entry = self.build_shape_entry(query, hash, tick, uid);
-                session.shapes.push(entry);
-                let i = session.shapes.len() - 1;
-                session.index.entry(hash).or_default().push(i);
-                i
-            }
-        };
-
         let timing = session.timing;
-        // lint: allow(determinism) -- opt-in phase timing: `timing` is
-        // only true when the caller asked for a PhaseBreakdown
-        let t_resolve = timing.then(Instant::now);
         let BoundSession {
             shapes,
+            next_shape_uid,
+            shape_hits,
+            shape_misses,
             memos,
             lit_cache,
             lit_stage,
@@ -381,7 +357,28 @@ impl StatsSnapshot {
             phases,
             ..
         } = session;
-        let entry = &shapes[idx];
+        let Some((entry, hit)) =
+            shapes.get_or_claim((), query.shape_hash(), |e| e.shape.same_shape(query))
+        else {
+            // Unreachable: `with_shape_capacity` keeps the capacity ≥ 1.
+            return Err(EstimateError::Internal(
+                "shape cache has no capacity".to_string(),
+            ));
+        };
+        if hit {
+            *shape_hits += 1;
+        } else {
+            // A miss builds into the claimed slot — over the clock's
+            // victim at capacity — under a uid no shape has used before.
+            *shape_misses += 1;
+            let uid = *next_shape_uid;
+            *next_shape_uid += 1;
+            self.build_shape_entry(query, uid, entry);
+        }
+
+        // lint: allow(determinism) -- opt-in phase timing: `timing` is
+        // only true when the caller asked for a PhaseBreakdown
+        let t_resolve = timing.then(Instant::now);
 
         // Tier 1: exact whole-query literal repeat → memoized bound.
         let lit_enabled = lit_cache.enabled();
@@ -493,7 +490,7 @@ impl StatsSnapshot {
         if timing {
             phases.queries += 1;
         }
-        shapes[idx].last_winner = winner;
+        entry.last_winner = winner;
         Ok(result)
     }
 
@@ -511,7 +508,8 @@ impl StatsSnapshot {
         if query.num_relations() == 0 {
             return Ok(Vec::new());
         }
-        let entry = self.build_shape_entry(query, query.shape_hash(), 0, 0);
+        let mut entry = ShapeEntry::default();
+        self.build_shape_entry(query, 0, &mut entry);
         let mut cds = CdsScratch::default();
         let mut memo = Memos::default();
         let mut cond = Vec::new();
@@ -1086,47 +1084,85 @@ mod tests {
     }
 
     #[test]
-    fn shape_cache_evicts_least_recently_used() {
+    fn shape_cache_gives_hit_shapes_a_second_chance() {
         let (_, sb) = build();
         let mut session = BoundSession::with_shape_capacity(2);
-        let qa = parse_sql(
-            "SELECT COUNT(*) FROM movie_keyword mk, keyword k WHERE mk.keyword_id = k.id",
-        )
-        .unwrap();
-        let qb = parse_sql(
-            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
-             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
-        )
-        .unwrap();
-        let qc = parse_sql(
-            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
-             WHERE mk.keyword_id = k.id AND mk.year BETWEEN 1985 AND 1999",
-        )
-        .unwrap();
-        let (ba, bb, bc) = (
-            sb.bound(&qa).unwrap(),
-            sb.bound(&qb).unwrap(),
-            sb.bound(&qc).unwrap(),
-        );
-        let run = |s: &mut BoundSession, q: &Query, want: f64| {
-            let got = sb.bound_with_session(q, s).unwrap();
-            assert!((got - want).abs() <= 1e-9 * want.abs().max(1.0));
+        let shape = |pred: &str| {
+            parse_sql(&format!(
+                "SELECT COUNT(*) FROM movie_keyword mk, keyword k WHERE mk.keyword_id = k.id{pred}"
+            ))
+            .unwrap()
         };
-        run(&mut session, &qa, ba); // miss (A)
-        run(&mut session, &qb, bb); // miss (A, B) — at capacity
-        run(&mut session, &qa, ba); // hit: A now more recent than B
-        run(&mut session, &qc, bc); // miss: evicts B (LRU), keeps A
+        let hot = shape("");
+        let churn = [
+            shape(" AND k.word = 'rare'"),
+            shape(" AND mk.year BETWEEN 1985 AND 1999"),
+            shape(" AND mk.year = 1990"),
+            shape(" AND k.id = 3"),
+        ];
+        let run = |s: &mut BoundSession, q: &Query| {
+            let got = sb.bound_with_session(q, s).unwrap();
+            assert_eq!(got.to_bits(), sb.bound(q).unwrap().to_bits());
+        };
+        run(&mut session, &hot); // miss: slot 0, unreferenced
+        run(&mut session, &churn[0]); // miss: slot 1 — at capacity
+        run(&mut session, &hot); // hit: earns its second chance
+
+        // One-shot churn: the sweep spares the once-hit shape (clearing its
+        // bit) and recycles the fresh, never-hit one — churn evicts churn.
+        run(&mut session, &churn[1]);
         let s = session.stats();
-        assert_eq!((s.shape_misses, s.shape_evictions), (3, 1));
-        run(&mut session, &qa, ba); // hit: A survived
+        assert_eq!((s.shape_hits, s.shape_misses, s.shape_evictions), (1, 3, 1));
+        run(&mut session, &hot); // hit: it survived, and is referenced again
         assert_eq!(session.stats().shape_hits, 2);
-        run(&mut session, &qb, bb); // miss again: B was evicted; evicts C
+        run(&mut session, &churn[0]); // miss: it was the victim
+        run(&mut session, &hot); // hit: still there
         let s = session.stats();
-        assert_eq!((s.shape_misses, s.shape_evictions), (4, 2));
-        run(&mut session, &qc, bc); // miss: C was evicted
+        assert_eq!((s.shape_hits, s.shape_misses, s.shape_evictions), (3, 4, 2));
+
+        // Without a hit between sweeps the second chance is spent: two
+        // more one-shot shapes take both slots.
+        run(&mut session, &churn[2]); // spares `hot` once more, evicts churn[0]
+        run(&mut session, &churn[3]); // `hot` is cold now: evicted
+        run(&mut session, &hot); // miss
         let s = session.stats();
-        assert_eq!((s.shape_misses, s.shape_evictions), (5, 3));
+        assert_eq!((s.shape_hits, s.shape_misses, s.shape_evictions), (3, 7, 5));
         assert_eq!(session.cached_shapes(), 2);
+    }
+
+    #[test]
+    fn recycled_shape_slot_never_serves_the_previous_shapes_literals() {
+        // Two shapes over *different tables* whose literal vectors are
+        // byte-identical (`[3]`), alternating through a capacity-1 shape
+        // cache: every query recycles the slot the other shape just left.
+        // The literal cache verifies literal bytes only and keys them under
+        // the shape's uid, so a recycled slot that kept its uid would serve
+        // the other shape's memoized bound.
+        let (_, sb) = build();
+        let qa =
+            parse_sql("SELECT COUNT(*) FROM movie_keyword mk WHERE mk.keyword_id = 3").unwrap();
+        let qb = parse_sql("SELECT COUNT(*) FROM keyword k WHERE k.id = 3").unwrap();
+        let (ba, bb) = (sb.bound(&qa).unwrap(), sb.bound(&qb).unwrap());
+        assert_ne!(
+            ba.to_bits(),
+            bb.to_bits(),
+            "the shapes must be tellable apart"
+        );
+        let mut session = BoundSession::with_shape_capacity(1);
+        for round in 0..100 {
+            let a = sb.bound_with_session(&qa, &mut session).unwrap();
+            let b = sb.bound_with_session(&qb, &mut session).unwrap();
+            assert_eq!(a.to_bits(), ba.to_bits(), "round {round}: shape A got {a}");
+            assert_eq!(b.to_bits(), bb.to_bits(), "round {round}: shape B got {b}");
+        }
+        let s = session.stats();
+        assert_eq!(
+            (s.shape_hits, s.shape_misses, s.shape_evictions),
+            (0, 200, 199)
+        );
+        // Every build took a fresh uid, so no memoized bound was reachable.
+        assert_eq!((s.lit_bound_hits, s.lit_bound_misses), (0, 200));
+        assert_eq!(session.cached_shapes(), 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Per-worker session state: the shape cache with everything memoized per
 //! query shape, the resolve memos, the counters, and [`BoundSession`]
-//! itself. Literal-independent; built once per shape, reused per query.
+//! itself. Literal-independent; built once per shape — into the slot the
+//! shape cache's clock recycled — and reused per query.
 
 use super::assemble::AssembleStage;
 use super::resolve::{LitStage, RelCond};
@@ -8,16 +9,15 @@ use crate::bound::{BoundScratch, RelationBoundStats};
 use crate::clock_cache::ClockCache;
 use crate::conditioning::{CdsScratch, CdsSet, McvOutcome};
 use crate::litcache::LitCache;
-use crate::simd::hash::FastMap;
-use crate::stats::{propagated_key, StatsSnapshot};
+use crate::stats::{StatsSnapshot, TableStats};
 use crate::symbol::Sym;
-use safebound_query::{BoundPlan, ColId, JoinGraph, Predicate, Query};
+use safebound_query::{for_each_spanning_forest, BoundPlan, ColId, JoinGraph, Predicate, Query};
 use safebound_storage::Value;
 use std::sync::Arc;
 
 /// Default shape-cache capacity (a backstop against unbounded growth under
 /// adversarial non-repeating traffic; real template workloads stay far
-/// below it). At capacity the least-recently-used shape is evicted.
+/// below it). At capacity a clock sweep recycles a cold shape's slot.
 const MAX_CACHED_SHAPES: usize = 1024;
 
 /// Cap on memoized per-literal MCV equality lookups per session (bounds
@@ -40,19 +40,19 @@ const MAX_LIT_ENTRIES: usize = 8192;
 
 /// Everything memoized for one query shape: the surviving acyclic
 /// relaxations' plans plus the literal-independent resolution directives.
-#[derive(Debug)]
+/// The payload of the session's shape [`ClockCache`], fingerprinted by
+/// [`Query::shape_hash`] and verified by [`Query::same_shape`]; a recycled
+/// entry is overwritten in place by [`StatsSnapshot::build_shape_entry`].
+#[derive(Debug, Default)]
 pub(super) struct ShapeEntry {
     /// Shape exemplar (literal values are ignored by comparisons).
     pub(super) shape: Query,
-    /// The exemplar's [`Query::shape_hash`] (needed to fix the session
-    /// index when entries move during LRU eviction).
-    hash: u64,
-    /// Session-unique id, never reused: the literal cache keys its entries
-    /// under it, so entries of an LRU-evicted shape become unreachable
-    /// garbage (recycled by the literal clock) instead of false hits.
+    /// Session-unique id, never reused — not even when the clock recycles
+    /// this slot for another shape: the literal cache verifies literal
+    /// bytes only and keys them under this id, so entries of an evicted
+    /// shape must become unreachable garbage (recycled by the literal
+    /// clock), never another shape's false hits.
     pub(super) uid: u64,
-    /// Session tick of the last hit (LRU ordering).
-    pub(super) last_used: u64,
     /// One plan per Berge-acyclic relaxation that planned successfully.
     pub(super) plans: Vec<PlanEntry>,
     /// Index into `plans` of the relaxation that won (had the smallest
@@ -67,7 +67,7 @@ pub(super) struct ShapeEntry {
 }
 
 /// A planned relaxation with its join-column resolution.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(super) struct PlanEntry {
     pub(super) plan: BoundPlan,
     /// Per relation: `(plan column id, interned stats symbol)` for every
@@ -93,8 +93,10 @@ pub(super) struct Propagation {
     /// The joined relation whose predicate propagates here.
     pub(super) other_rel: usize,
     /// The propagating predicate compiled to this relation's
-    /// [`propagated_key`] filter slots (the composite-key string lookups
-    /// happen once per shape, never per query).
+    /// [`propagated_key`] filter slots (the composite-key lookups happen
+    /// once per shape, never per query).
+    ///
+    /// [`propagated_key`]: crate::stats::propagated_key
     pub(super) slots: PredSlots,
 }
 
@@ -309,8 +311,8 @@ session_counters! { s;
     shape_hits = s.shape_hits,
     /// Shape-cache misses (shape builds).
     shape_misses = s.shape_misses,
-    /// Shapes evicted by the LRU.
-    shape_evictions = s.shape_evictions,
+    /// Shape slots recycled by the shape cache's clock.
+    shape_evictions = s.shapes.evictions(),
     /// Whole-query literal repeats served straight from the bound cache
     /// (no resolution, no assembly, no kernel).
     lit_bound_hits = s.lit_cache.bound_hits,
@@ -362,7 +364,7 @@ pub struct PhaseBreakdown {
 }
 
 /// Reusable per-thread (per-worker) state for the online path: the
-/// query-shape plan/relaxation cache with LRU eviction, the resolve
+/// query-shape plan/relaxation cache, the resolve
 /// memos, the **literal cache** (whole-query bounds and per-relation
 /// conditioned sets, see [`crate::litcache`]), and every arena the online
 /// path writes into ([`BoundScratch`] for the kernel, [`CdsScratch`] for
@@ -380,12 +382,8 @@ pub struct PhaseBreakdown {
 pub struct BoundSession {
     /// Snapshot the cached state was compiled against (`None` = fresh).
     pub(super) snapshot: Option<Arc<StatsSnapshot>>,
-    pub(super) shapes: Vec<ShapeEntry>,
-    pub(super) index: FastMap<u64, Vec<usize>>,
-    /// Max cached shapes before LRU eviction.
-    pub(super) shape_capacity: usize,
-    /// Monotone access counter driving LRU ordering.
-    pub(super) tick: u64,
+    /// The shape cache, keyed by [`Query::shape_hash`] alone.
+    pub(super) shapes: ClockCache<(), ShapeEntry>,
     /// Next [`ShapeEntry::uid`] (never reused within the session).
     pub(super) next_shape_uid: u64,
     pub(super) memos: Memos,
@@ -405,8 +403,6 @@ pub struct BoundSession {
     pub(super) shape_hits: u64,
     /// Shape-cache misses (shape builds) since creation.
     pub(super) shape_misses: u64,
-    /// Shapes evicted (LRU) since creation.
-    shape_evictions: u64,
 }
 
 impl Default for BoundSession {
@@ -421,15 +417,13 @@ impl BoundSession {
         BoundSession::default()
     }
 
-    /// A fresh session evicting the least-recently-used shape beyond
-    /// `capacity` cached shapes (min 1).
+    /// A fresh session holding at most `capacity` cached shapes (min 1);
+    /// beyond it a second-chance clock recycles a shape that was not hit
+    /// since the hand last passed it.
     pub fn with_shape_capacity(capacity: usize) -> Self {
         BoundSession {
             snapshot: None,
-            shapes: Vec::new(),
-            index: FastMap::default(),
-            shape_capacity: capacity.max(1),
-            tick: 0,
+            shapes: ClockCache::with_capacity(capacity.max(1)),
             next_shape_uid: 0,
             memos: Memos::default(),
             lit_cache: LitCache::with_capacity(MAX_LIT_ENTRIES),
@@ -444,7 +438,6 @@ impl BoundSession {
             phases: PhaseBreakdown::default(),
             shape_hits: 0,
             shape_misses: 0,
-            shape_evictions: 0,
         }
     }
 
@@ -493,53 +486,23 @@ impl BoundSession {
     /// slots, and memoized lookups are meaningless under any other build.
     pub(super) fn attach(&mut self, snap: &Arc<StatsSnapshot>) {
         self.shapes.clear();
-        self.index.clear();
         self.memos.clear();
         self.lit_cache.clear();
         self.snapshot = Some(snap.clone());
     }
-
-    /// Evict the least-recently-used shape, keeping the hash index dense.
-    pub(super) fn evict_lru(&mut self) {
-        let Some(victim) = self
-            .shapes
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(i, _)| i)
-        else {
-            return;
-        };
-        let hash = self.shapes[victim].hash;
-        if let Some(bucket) = self.index.get_mut(&hash) {
-            bucket.retain(|&i| i != victim);
-            if bucket.is_empty() {
-                self.index.remove(&hash);
-            }
-        }
-        let last = self.shapes.len() - 1;
-        self.shapes.swap_remove(victim);
-        if victim != last {
-            // The former tail moved into the vacated slot; re-point it.
-            let moved_hash = self.shapes[victim].hash;
-            if let Some(bucket) = self.index.get_mut(&moved_hash) {
-                for i in bucket.iter_mut() {
-                    if *i == last {
-                        *i = victim;
-                    }
-                }
-            }
-        }
-        self.shape_evictions += 1;
-    }
 }
 
 impl StatsSnapshot {
-    /// Build the memoized artifacts for a query shape: enumerate spanning
-    /// relaxations, plan the Berge-acyclic ones, resolve join columns to
-    /// plan ids and interned symbols, and compile every predicate column —
-    /// own and PK–FK-propagated (from the **original** query's edges) — to
-    /// dense filter slots, so the per-query path never touches a string.
+    /// Build the memoized artifacts for a query shape into `entry`,
+    /// overwriting whatever it held (a default entry, or the clock's victim
+    /// whose buffers are reused): enumerate spanning relaxations, plan the
+    /// Berge-acyclic ones, resolve join columns to plan ids and interned
+    /// symbols, and compile every predicate column — own and
+    /// PK–FK-propagated (from the **original** query's edges) — to dense
+    /// filter slots, so the per-query path never touches a string.
+    ///
+    /// `uid` must be fresh even for a recycled entry, and the remembered
+    /// winner is reset: both belonged to the evicted shape.
     ///
     /// Propagating along all original edges (rather than each
     /// relaxation's surviving subset) is sound: a fact row in the original
@@ -548,49 +511,58 @@ impl StatsSnapshot {
     /// conditioned row set still contains every result row — and sharing
     /// it across relaxations both tightens cyclic bounds and lets the
     /// resolution run once per query.
-    pub(super) fn build_shape_entry(
-        &self,
-        query: &Query,
-        hash: u64,
-        tick: u64,
-        uid: u64,
-    ) -> ShapeEntry {
-        let relaxations =
-            safebound_query::spanning_relaxations(query, self.config.spanning_tree_cap);
-        let mut plans = Vec::new();
-        for rq in &relaxations {
-            let graph = JoinGraph::new(rq);
-            if !graph.is_berge_acyclic() {
-                continue;
+    pub(super) fn build_shape_entry(&self, query: &Query, uid: u64, entry: &mut ShapeEntry) {
+        entry.shape.clone_from(query);
+        entry.uid = uid;
+        entry.last_winner = 0;
+
+        let n = query.num_relations();
+        let plans = &mut entry.plans;
+        let mut built = 0;
+        for_each_spanning_forest(query, self.config.spanning_tree_cap, &mut |edges| {
+            let graph = JoinGraph::from_edges(n, edges.iter().map(|&e| &query.joins[e]));
+            if built == plans.len() {
+                plans.reserve_exact(1); // most shapes have exactly one plan
+                plans.push(PlanEntry::default());
             }
-            let Ok(plan) = BoundPlan::build(rq, &graph) else {
-                continue;
-            };
+            let PlanEntry { plan, join_cols } = &mut plans[built];
+            // A relaxation that is still Berge-cyclic has no plan.
+            if plan.rebuild(n, &graph).is_err() {
+                return;
+            }
             // Plan columns each relation contributes to join variables.
             // Column names resolve to plan ids and symbols here, once per
             // shape — never inside the bound evaluation.
-            let mut join_cols: Vec<Vec<(ColId, Option<Sym>)>> =
-                vec![Vec::new(); rq.num_relations()];
+            join_cols.truncate(n);
+            join_cols.iter_mut().for_each(Vec::clear);
+            join_cols.reserve_exact(n - join_cols.len());
+            join_cols.resize_with(n, Vec::new);
             for var in &graph.vars {
-                for &(rel, ref col) in &var.attrs {
+                for &(rel, col) in &var.attrs {
                     let Some(id) = plan.col_id(col) else { continue };
                     if !join_cols[rel].iter().any(|(i, _)| *i == id) {
                         join_cols[rel].push((id, self.symbols.lookup(col)));
                     }
                 }
             }
-            plans.push(PlanEntry { plan, join_cols });
-        }
+            built += 1;
+        });
+        plans.truncate(built);
 
-        let mut resolution: Vec<RelResolution> = (0..query.num_relations())
-            .map(|_| RelResolution::default())
+        let tables: Vec<Option<&TableStats>> = query
+            .relations
+            .iter()
+            .map(|r| self.tables.get(&r.table))
             .collect();
-        #[allow(clippy::needless_range_loop)] // resolution parallels query.relations
-        for rel in 0..query.num_relations() {
-            let ts = self.tables.get(&query.relations[rel].table);
-            resolution[rel].own = query
+        let resolution = &mut entry.resolution;
+        resolution.truncate(n);
+        resolution.reserve_exact(n - resolution.len());
+        resolution.resize_with(n, RelResolution::default);
+        for (rel, res) in resolution.iter_mut().enumerate() {
+            res.propagations.clear();
+            res.own = query
                 .predicate_of(rel)
-                .map(|p| compile_slots(p, &mut |c| ts.and_then(|t| t.filter_slot(c))));
+                .map(|p| compile_slots(p, &mut |c| tables[rel].and_then(|t| t.filter_slot(c))));
         }
         for edge in &query.joins {
             if edge.left == edge.right {
@@ -606,34 +578,25 @@ impl StatsSnapshot {
                 (edge.right, &edge.right_column, edge.left, &edge.left_column),
             ];
             for (rel, my_col, other_rel, other_col) in sides {
-                let Some(pred) = query.predicate_of(other_rel) else {
+                let (Some(pred), Some(ts)) = (query.predicate_of(other_rel), tables[rel]) else {
                     continue;
                 };
-                let ts = self.tables.get(&query.relations[rel].table);
-                let other_table = &query.relations[other_rel].table;
-                let slots = compile_slots(pred, &mut |c| {
-                    ts.and_then(|t| {
-                        t.filter_slot(&propagated_key(my_col, other_table, other_col, c))
-                    })
-                });
+                let keyed =
+                    ts.propagated_slots(my_col, &query.relations[other_rel].table, other_col);
+                if keyed.is_empty() {
+                    continue; // nothing propagates along this edge side
+                }
+                let slots = compile_slots(pred, &mut |c| keyed.slot(c));
                 // A propagation with no resolvable slot is a per-query
                 // no-op; dropping it here keeps the resolution loop and
                 // the literal-cache keys to what the relation reads.
                 if slots.has_any() {
-                    resolution[rel]
-                        .propagations
-                        .push(Propagation { other_rel, slots });
+                    // Sized to fit: a relation has one or two of these.
+                    let props = &mut resolution[rel].propagations;
+                    props.reserve_exact(1);
+                    props.push(Propagation { other_rel, slots });
                 }
             }
-        }
-        ShapeEntry {
-            shape: query.clone(),
-            hash,
-            uid,
-            last_used: tick,
-            plans,
-            last_winner: 0,
-            resolution,
         }
     }
 }

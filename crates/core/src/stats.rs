@@ -91,6 +91,58 @@ pub fn propagated_key(
     format!("{fk_column}={pk_table}.{pk_column}:{dim_column}")
 }
 
+/// How a stored filter name orders against the [`propagated_key`] prefix
+/// `"{fk_column}={pk_table}.{pk_column}:"`, compared piece by piece so the
+/// prefix is never materialized: `Equal` iff `name` starts with it.
+fn cmp_to_propagated_prefix(
+    name: &str,
+    fk_column: &str,
+    pk_table: &str,
+    pk_column: &str,
+) -> std::cmp::Ordering {
+    use std::cmp::Ordering::{Equal, Less};
+    let mut rest = name.as_bytes();
+    for part in [fk_column, "=", pk_table, ".", pk_column, ":"] {
+        let part = part.as_bytes();
+        let k = part.len().min(rest.len());
+        match rest[..k].cmp(&part[..k]) {
+            Equal if rest.len() < part.len() => return Less, // a proper prefix sorts first
+            Equal => rest = &rest[k..],
+            unequal => return unequal,
+        }
+    }
+    Equal
+}
+
+/// The filter slots PK–FK-propagated into a fact table along one join
+/// edge: the run of [`propagated_key`] names sharing that edge's prefix.
+/// Resolves dimension filter columns to slots without building a key
+/// string per column ([`TableStats::propagated_slots`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PropagatedSlots<'a> {
+    /// The names under the edge's prefix (sorted, like the whole index).
+    names: &'a [String],
+    /// Slot of `names[0]`.
+    first_slot: u32,
+    prefix_len: usize,
+}
+
+impl PropagatedSlots<'_> {
+    /// Whether nothing is propagated along this edge.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The slot of `propagated_key(fk_column, pk_table, pk_column,
+    /// dim_column)` for the edge this view was opened on.
+    pub(crate) fn slot(&self, dim_column: &str) -> Option<u32> {
+        self.names
+            .binary_search_by(|n| n.as_bytes()[self.prefix_len..].cmp(dim_column.as_bytes()))
+            .ok()
+            .map(|i| self.first_slot + i as u32)
+    }
+}
+
 /// Conditioned statistics for one (possibly propagated) filter column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FilterColumnStats {
@@ -137,9 +189,10 @@ pub struct TableStats {
     pub join_columns: Vec<JoinCol>,
     /// Unconditioned compressed CDS per declared join column.
     pub base: CdsSet,
-    /// Column (or [`propagated_key`] composite) → slot in `filter_stats`.
-    filter_index: BTreeMap<String, u32>,
-    /// Filter statistics slots, addressed by `filter_index`.
+    /// Sorted column (or [`propagated_key`] composite) names; a name's
+    /// position is its slot in `filter_stats`.
+    filter_names: Vec<String>,
+    /// Filter statistics slots, parallel to `filter_names`.
     filter_stats: Vec<FilterColumnStats>,
     /// Unconditioned compressed CDS for every column, keyed by interned
     /// symbol (sorted) — the §3.6 fallback for joins on undeclared columns.
@@ -159,19 +212,15 @@ impl TableStats {
         named: BTreeMap<String, FilterColumnStats>,
         fallback_cds: Vec<(Sym, PiecewiseLinear)>,
     ) -> TableStats {
-        let mut filter_index = BTreeMap::new();
-        let mut filter_stats = Vec::with_capacity(named.len());
-        for (name, fs) in named {
-            filter_index.insert(name, filter_stats.len() as u32);
-            filter_stats.push(fs);
-        }
+        // A `BTreeMap` iterates in name order: slots are sorted by name.
+        let (filter_names, filter_stats) = named.into_iter().unzip();
         TableStats {
             table,
             table_sym,
             row_count,
             join_columns,
             base,
-            filter_index,
+            filter_names,
             filter_stats,
             fallback_cds,
         }
@@ -193,7 +242,32 @@ impl TableStats {
     /// The dense slot of a filter column — resolve once per query shape,
     /// then address statistics with [`TableStats::filter_at`].
     pub fn filter_slot(&self, name: &str) -> Option<u32> {
-        self.filter_index.get(name).copied()
+        self.filter_names
+            .binary_search_by(|n| n.as_str().cmp(name))
+            .ok()
+            .map(|i| i as u32)
+    }
+
+    /// The slots propagated into this table along the join edge
+    /// `fk_column = pk_table.pk_column`: `propagated_slots(..).slot(c)`
+    /// equals `filter_slot(&propagated_key(.., c))` for every `c`, from
+    /// two binary searches for the edge and one per column — no key
+    /// string is built.
+    pub(crate) fn propagated_slots(
+        &self,
+        fk_column: &str,
+        pk_table: &str,
+        pk_column: &str,
+    ) -> PropagatedSlots<'_> {
+        use std::cmp::Ordering::{Equal, Less};
+        let cmp = |n: &String| cmp_to_propagated_prefix(n, fk_column, pk_table, pk_column);
+        let lo = self.filter_names.partition_point(|n| cmp(n) == Less);
+        let len = self.filter_names[lo..].partition_point(|n| cmp(n) == Equal);
+        PropagatedSlots {
+            names: &self.filter_names[lo..lo + len],
+            first_slot: lo as u32,
+            prefix_len: fk_column.len() + pk_table.len() + pk_column.len() + 3,
+        }
     }
 
     /// Filter statistics by pre-resolved slot.
@@ -207,9 +281,10 @@ impl TableStats {
     /// reproduces the identical slot assignment, since `assemble` numbers
     /// slots in sorted-name order too.
     pub(crate) fn named_filters(&self) -> impl Iterator<Item = (&str, &FilterColumnStats)> {
-        self.filter_index
+        self.filter_names
             .iter()
-            .map(|(name, &slot)| (name.as_str(), &self.filter_stats[slot as usize]))
+            .map(String::as_str)
+            .zip(&self.filter_stats)
     }
 
     /// Approximate heap size in bytes.
@@ -470,6 +545,105 @@ impl SafeBoundBuilder {
             config: self.config.clone(),
             build_time: start.elapsed(),
             build_id: next_build_id(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use safebound_storage::{Column, DataType, Field, Schema};
+    use std::cmp::Ordering::Equal;
+
+    #[test]
+    fn propagated_prefix_orders_like_the_formatted_key() {
+        // Against every name, the piecewise comparison must say what
+        // comparing with the materialized prefix says: `Equal` iff the
+        // name starts with it, else the byte order of the two strings.
+        let names = [
+            "", "a", "a=", "a=b", "a=b.", "a=b.c", "a=b.c:", "a=b.c:x", "a=b.c:xy", "a=b.cc:x",
+            "a=b.d:x", "a=bb.c:x", "aa=b.c:x", "b", "a=b.c;x", "a<b.c:x", "x",
+        ];
+        let edges = [
+            ("a", "b", "c"),
+            ("a", "b", "cc"),
+            ("aa", "b", "c"),
+            ("", "", ""),
+            ("a=b", "c", "d"),
+        ];
+        for (fk, table, pk) in edges {
+            let prefix = propagated_key(fk, table, pk, "");
+            for name in names {
+                let want = if name.starts_with(&prefix) {
+                    Equal
+                } else {
+                    name.cmp(prefix.as_str())
+                };
+                assert_eq!(
+                    cmp_to_propagated_prefix(name, fk, table, pk),
+                    want,
+                    "{name:?} against {prefix:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn propagated_slots_resolve_what_the_formatted_key_resolves() {
+        let mut c = Catalog::new();
+        let ints = |n: i64| Column::from_ints((0..n).map(Some));
+        for dim in ["dim", "dimmer"] {
+            c.add_table(Table::new(
+                dim,
+                Schema::new(
+                    ["id", "w", "ww", "x"]
+                        .map(|f| Field::new(f, DataType::Int))
+                        .to_vec(),
+                ),
+                vec![ints(8), ints(8), ints(8), ints(8)],
+            ));
+            c.declare_primary_key(dim, "id");
+        }
+        c.add_table(Table::new(
+            "fact",
+            Schema::new(
+                ["fk", "fk2", "w"]
+                    .map(|f| Field::new(f, DataType::Int))
+                    .to_vec(),
+            ),
+            vec![ints(8), ints(8), ints(8)],
+        ));
+        c.declare_foreign_key("fact", "fk", "dim", "id");
+        c.declare_foreign_key("fact", "fk2", "dimmer", "id");
+        let stats = SafeBoundBuilder::new(SafeBoundConfig::test_small()).build(&c);
+        let fact = &stats.tables["fact"];
+
+        let mut resolved = 0;
+        for fk in ["fk", "fk2", "f", "fk22", "w"] {
+            for table in ["dim", "dimmer", "di", "fact"] {
+                for pk in ["id", "i", "w"] {
+                    let view = fact.propagated_slots(fk, table, pk);
+                    let mut any = false;
+                    for dim_col in ["id", "w", "ww", "x", "", "www"] {
+                        let want = fact.filter_slot(&propagated_key(fk, table, pk, dim_col));
+                        assert_eq!(view.slot(dim_col), want, "{fk}={table}.{pk}:{dim_col}");
+                        any |= want.is_some();
+                        resolved += usize::from(want.is_some());
+                    }
+                    assert_eq!(view.is_empty(), !any, "{fk}={table}.{pk}");
+                }
+            }
+        }
+        // fact.fk → dim.id and fact.fk2 → dimmer.id, three dimension
+        // filter columns each.
+        assert_eq!(resolved, 6);
+        // Plain columns still resolve by name, slots in name order.
+        assert!(fact.filter_slot("w").is_some());
+        assert_eq!(fact.filter_slot("absent"), None);
+        let names: Vec<&str> = fact.named_filters().map(|(n, _)| n).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]));
+        for (slot, name) in names.iter().enumerate() {
+            assert_eq!(fact.filter_slot(name), Some(slot as u32));
         }
     }
 }

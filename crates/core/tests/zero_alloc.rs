@@ -7,7 +7,10 @@
 //! [`BoundSession`] serves repeated query templates (same shape, any
 //! literals) through the shape cache and [`CdsScratch`](safebound_core::CdsScratch)
 //! pools without a single allocation — predicate resolution (LIKE gram
-//! extraction included) and stats assembly too.
+//! extraction included) and stats assembly too. A shape *miss* at
+//! capacity does allocate, but only what its plan's structure needs: the
+//! last audit counts it against the clone-per-relaxation build it
+//! replaced.
 
 use safebound_core::{
     fdsb_with_scratch, BoundScratch, BoundSession, DegreeSequence, RelationBoundStats, SafeBound,
@@ -463,4 +466,63 @@ fn steady_state_parallel_worker_sessions_allocate_nothing() {
             });
         }
     });
+}
+
+#[test]
+fn shape_miss_at_capacity_allocates_only_what_its_plan_needs() {
+    // Six shapes rotating through a two-slot shape cache: every query is
+    // a miss that recycles the clock's victim in place. Literal caching is
+    // off and the arenas are warm, so what is counted is the shape build
+    // alone — relaxation enumeration, join graph, plan, slot compilation
+    // and the exemplar.
+    //
+    // With a fresh `Query` clone per relaxation and per exemplar, a
+    // `String` per join attribute and a `format!` per propagated leaf, one
+    // round of these six misses cost 544 allocations (commit 650f4ce, this
+    // very test). Building over borrowed names into the recycled entry
+    // must stay at or below half of that; what remains is the join
+    // graph's and the enumeration's scratch vectors, each plan's step
+    // lists, and the predicate trees (slots and exemplar).
+    const PARENT_ALLOCATIONS_PER_ROUND: usize = 544;
+    let catalog = end_to_end_catalog();
+    let sb = SafeBound::build(&catalog, SafeBoundConfig::test_small());
+    let shapes: Vec<Query> = [
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id",
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.year = 1992 AND d.w = 0",
+        "SELECT COUNT(*) FROM fact f, dim d \
+         WHERE f.fk = d.id AND f.year BETWEEN 1991 AND 1994 AND d.w IN (0, 1)",
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND d.name LIKE '%alph%'",
+        "SELECT COUNT(*) FROM fact x, fact y WHERE x.fk = y.fk AND x.year = y.year AND x.year = 1993",
+        "SELECT COUNT(*) FROM fact x, fact y, dim d \
+         WHERE x.fk = y.fk AND y.fk = d.id AND d.w = 1 AND x.year > 1994",
+    ]
+    .iter()
+    .map(|sql| parse_sql(sql).unwrap())
+    .collect();
+
+    let mut session = BoundSession::with_shape_capacity(2).with_literal_capacity(0);
+    for _ in 0..5 {
+        for q in &shapes {
+            sb.bound_with_session(q, &mut session).unwrap();
+        }
+    }
+    let rounds = 20;
+    let misses_before = session.stats().shape_misses;
+    let before = allocation_count();
+    for _ in 0..rounds {
+        for q in &shapes {
+            sb.bound_with_session(q, &mut session).unwrap();
+        }
+    }
+    let allocated = allocation_count() - before;
+    let misses = (session.stats().shape_misses - misses_before) as usize;
+    assert_eq!(misses, rounds * shapes.len(), "every query must miss");
+    assert_eq!(session.cached_shapes(), 2);
+    let per_round = allocated / rounds;
+    assert!(
+        per_round <= PARENT_ALLOCATIONS_PER_ROUND / 2,
+        "{per_round} allocations per round of {} shape misses (parent: \
+         {PARENT_ALLOCATIONS_PER_ROUND})",
+        shapes.len()
+    );
 }

@@ -46,6 +46,32 @@ impl CostModel {
             ..Default::default()
         }
     }
+
+    /// Total cost of a scan producing `card` tuples.
+    pub fn scan_cost(&self, card: f64) -> f64 {
+        card * self.scan
+    }
+
+    /// Total cost of a hash join producing `card` tuples, from each
+    /// input's total `(cost, card)`. [`PhysPlan::cost`] and the
+    /// optimizer's DP both cost joins here, so a cost composed from
+    /// memoized child costs equals the recursive one bit for bit (one
+    /// expression, one association order).
+    ///
+    /// [`PhysPlan::cost`]: crate::plan::PhysPlan::cost
+    pub fn hash_join_cost(&self, build: (f64, f64), probe: (f64, f64), card: f64) -> f64 {
+        build.0
+            + probe.0
+            + build.1 * self.hash_build
+            + probe.1 * self.hash_probe
+            + card * self.cpu_tuple
+    }
+
+    /// Total cost of an index nested-loop join producing `card` tuples,
+    /// from the outer input's total `(cost, card)`.
+    pub fn index_join_cost(&self, outer: (f64, f64), card: f64) -> f64 {
+        outer.0 + outer.1 * self.index_lookup + card * self.cpu_tuple
+    }
 }
 
 #[cfg(test)]

@@ -214,13 +214,6 @@ fn progressive_count(catalog: &Catalog, query: &Query) -> Result<u128, ExactErro
     let n = query.num_relations();
     // Join variables: reuse the join graph's attribute classes.
     let graph = JoinGraph::new(query);
-    // var id per (rel, col) attr.
-    let mut attr_var: HashMap<(usize, String), usize> = HashMap::new();
-    for (vid, var) in graph.vars.iter().enumerate() {
-        for (rel, col) in &var.attrs {
-            attr_var.insert((*rel, col.clone()), vid);
-        }
-    }
 
     // Greedy order: smallest filtered relation first, then relations
     // connected to the processed set.
@@ -244,14 +237,14 @@ fn progressive_count(catalog: &Catalog, query: &Query) -> Result<u128, ExactErro
             let connected = order.is_empty()
                 || graph.rel_vars[rel]
                     .iter()
-                    .any(|&v| graph.vars[v].relations().iter().any(|&r| used[r]));
+                    .any(|&v| graph.vars[v].relations().any(|r| used[r]));
             let better = match best {
                 None => true,
                 Some(b) => {
                     let b_connected = order.is_empty()
                         || graph.rel_vars[b]
                             .iter()
-                            .any(|&v| graph.vars[v].relations().iter().any(|&r| used[r]));
+                            .any(|&v| graph.vars[v].relations().any(|r| used[r]));
                     (connected && !b_connected)
                         || (connected == b_connected && sizes[rel] < sizes[b])
                 }
@@ -292,12 +285,7 @@ fn progressive_count(catalog: &Catalog, query: &Query) -> Result<u128, ExactErro
             .chain(rel_attrs.iter().map(|(v, _)| *v))
             .collect::<std::collections::BTreeSet<_>>()
             .into_iter()
-            .filter(|v| {
-                graph.vars[*v]
-                    .relations()
-                    .iter()
-                    .any(|r| later_rels.contains(r))
-            })
+            .filter(|v| graph.vars[*v].relations().any(|r| later_rels.contains(&r)))
             .collect();
 
         // Group the relation's rows by shared-var values, carrying the

@@ -60,6 +60,18 @@ impl Optimizer {
         indexed_columns: &[Vec<String>],
         est: &mut dyn CardinalityEstimator,
     ) -> PhysPlan {
+        self.optimize_with_cost(query, indexed_columns, est).0
+    }
+
+    /// [`Optimizer::optimize`], also returning the chosen plan's total cost
+    /// under the planning estimates — the value the search minimized,
+    /// equal to [`PhysPlan::cost`] of the returned plan.
+    pub fn optimize_with_cost(
+        &self,
+        query: &Query,
+        indexed_columns: &[Vec<String>],
+        est: &mut dyn CardinalityEstimator,
+    ) -> (PhysPlan, f64) {
         let n = query.num_relations();
         assert!((1..=63).contains(&n), "1..=63 relations supported");
         let mut cards: HashMap<u64, f64> = HashMap::new();
@@ -105,6 +117,12 @@ impl Optimizer {
         })
     }
 
+    /// Exhaustive DP over connected subsets. Every candidate join is costed
+    /// from its inputs' memoized `(cost, card)` through the same
+    /// [`CostModel`] formulas [`PhysPlan::cost`] uses — so each cell's cost
+    /// is, bit for bit, what re-costing its plan would give — and only the
+    /// final winner is materialized as a plan tree. Returns that plan with
+    /// its composed cost.
     fn dp(
         &self,
         query: &Query,
@@ -112,72 +130,81 @@ impl Optimizer {
         adj: &[u64],
         card: &mut impl FnMut(u64, &mut dyn CardinalityEstimator) -> f64,
         est: &mut dyn CardinalityEstimator,
-    ) -> PhysPlan {
+    ) -> (PhysPlan, f64) {
         let n = query.num_relations();
-        let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let mut best: HashMap<u64, (f64, PhysPlan)> = HashMap::new();
-        for rel in 0..n {
-            let mask = 1u64 << rel;
-            let c = card(mask, est);
-            let plan = PhysPlan::Scan { rel, mask, card: c };
-            let cost = plan.cost(&self.cost);
-            best.insert(mask, (cost, plan));
+        let full: u64 = (1u64 << n) - 1;
+        // Indexed by mask; `None` = no plan (a disconnected subset).
+        let mut best: Vec<Option<Cell>> = vec![None; full as usize + 1];
+        for (rel, &neighbours) in adj.iter().enumerate() {
+            let c = card(1 << rel, est);
+            best[1 << rel] = Some(Cell {
+                cost: self.cost.scan_cost(c),
+                card: c,
+                neighbours,
+                join: Join::Scan,
+            });
         }
 
         // Masks in increasing popcount order.
-        let mut masks: Vec<u64> = (1..=full).collect();
-        masks.retain(|m| m.count_ones() >= 2);
-        masks.sort_by_key(|m| m.count_ones());
-
-        for &mask in &masks {
+        for mask in (2..=n as u32).flat_map(|k| masks_with_popcount(k, full)) {
             // Skip disconnected masks (joined by cartesian product only) —
             // except the full mask, which must always get a plan.
-            let connected = is_connected(mask, adj);
-            if !connected && mask != full {
+            if mask != full && !is_connected(mask, adj) {
                 continue;
             }
-            let mut best_here: Option<(f64, PhysPlan)> = None;
+            let mut best_here: Option<Cell> = None;
+            let mut consider = |cost: f64, card: f64, neighbours: u64, join: Join| {
+                if best_here.as_ref().is_none_or(|b| cost < b.cost) {
+                    best_here = Some(Cell {
+                        cost,
+                        card,
+                        neighbours,
+                        join,
+                    });
+                }
+            };
+            // The estimate is asked for at the first joinable split only.
+            let mut out_card: Option<f64> = None;
             // Enumerate proper submask splits.
             let mut sub = (mask - 1) & mask;
             while sub != 0 {
                 let other = mask & !sub;
-                if sub < other {
-                    // Each unordered split visited once; both orientations
-                    // are costed below.
-                    sub = (sub - 1) & mask;
-                    continue;
-                }
-                if let (Some((_, pa)), Some((_, pb))) = (best.get(&sub), best.get(&other)) {
-                    let joined = connected_pair(query, sub, other) || mask == full;
-                    if joined {
-                        let out_card = card(mask, est);
-                        for (build, probe) in [(pa, pb), (pb, pa)] {
-                            let plan = PhysPlan::HashJoin {
-                                build: Box::new(build.clone()),
-                                probe: Box::new(probe.clone()),
-                                mask,
-                                card: out_card,
-                            };
-                            let cost = plan.cost(&self.cost);
-                            if best_here.as_ref().is_none_or(|(c, _)| cost < *c) {
-                                best_here = Some((cost, plan));
+                // Each unordered split visited once (`sub > other`); both
+                // orientations are costed below.
+                if sub > other {
+                    if let (Some(a), Some(b)) = (best[sub as usize], best[other as usize]) {
+                        if a.neighbours & other != 0 || mask == full {
+                            let out = *out_card.get_or_insert_with(|| card(mask, est));
+                            let neighbours = a.neighbours | b.neighbours;
+                            for ((bm, build), (pm, probe)) in
+                                [((sub, a), (other, b)), ((other, b), (sub, a))]
+                            {
+                                consider(
+                                    self.cost.hash_join_cost(
+                                        (build.cost, build.card),
+                                        (probe.cost, probe.card),
+                                        out,
+                                    ),
+                                    out,
+                                    neighbours,
+                                    Join::Hash {
+                                        build: bm,
+                                        probe: pm,
+                                    },
+                                );
                             }
-                        }
-                        // INLJ when one side is a single indexed relation.
-                        for (outer_mask, inner_mask) in [(sub, other), (other, sub)] {
-                            if inner_mask.count_ones() == 1 {
-                                let inner = inner_mask.trailing_zeros() as usize;
-                                if self.inlj_possible(query, indexed_columns, outer_mask, inner) {
-                                    let outer_plan = best.get(&outer_mask).unwrap().1.clone();
-                                    let plan = PhysPlan::IndexJoin {
-                                        outer: Box::new(outer_plan),
-                                        inner,
-                                        mask,
-                                        card: out_card,
-                                    };
-                                    let cost = plan.cost(&self.cost);
-                                    if best_here.as_ref().is_none_or(|(c, _)| cost < *c) {
-                                        best_here = Some((cost, plan));
+                            // INLJ when one side is a single indexed relation.
+                            for ((om, outer), im) in [((sub, a), other), ((other, b), sub)] {
+                                if im.count_ones() == 1 {
+                                    let inner = im.trailing_zeros() as usize;
+                                    if self.inlj_possible(query, indexed_columns, om, inner) {
+                                        consider(
+                                            self.cost
+                                                .index_join_cost((outer.cost, outer.card), out),
+                                            out,
+                                            neighbours,
+                                            Join::Index { outer: om, inner },
+                                        );
                                     }
                                 }
                             }
@@ -186,13 +213,12 @@ impl Optimizer {
                 }
                 sub = (sub - 1) & mask;
             }
-            if let Some(bh) = best_here {
-                best.insert(mask, bh);
-            }
+            best[mask as usize] = best_here;
         }
-        best.remove(&full)
-            .map(|(_, p)| p)
+        let cost = best[full as usize]
             .expect("full mask must have a plan")
+            .cost;
+        (materialize(&best, full), cost)
     }
 
     fn greedy(
@@ -202,7 +228,7 @@ impl Optimizer {
         adj: &[u64],
         card: &mut impl FnMut(u64, &mut dyn CardinalityEstimator) -> f64,
         est: &mut dyn CardinalityEstimator,
-    ) -> PhysPlan {
+    ) -> (PhysPlan, f64) {
         let n = query.num_relations();
         // Start from the smallest estimated relation.
         let mut start = 0usize;
@@ -220,6 +246,9 @@ impl Optimizer {
             mask,
             card: best_c,
         };
+        // The running plan's total `(cost, card)`, kept alongside it so a
+        // step costs its candidates without re-walking (or cloning) it.
+        let mut so_far = (self.cost.scan_cost(best_c), best_c);
         let mut remaining: Vec<usize> = (0..n).filter(|&r| r != start).collect();
         while !remaining.is_empty() {
             // Prefer connected relations; among them minimize result card.
@@ -242,37 +271,105 @@ impl Optimizer {
                 mask: 1 << rel,
                 card: inner_card,
             };
-            // Choose cheapest among HJ orientations and INLJ.
-            let mut candidates = vec![
-                PhysPlan::HashJoin {
-                    build: Box::new(scan.clone()),
-                    probe: Box::new(plan.clone()),
+            let scanned = (self.cost.scan_cost(inner_card), inner_card);
+            // Choose cheapest among HJ orientations and INLJ (the first of
+            // equally cheap ones), then build only that one.
+            let mut costs = vec![
+                self.cost.hash_join_cost(scanned, so_far, out_card),
+                self.cost.hash_join_cost(so_far, scanned, out_card),
+            ];
+            if self.inlj_possible(query, indexed_columns, mask, rel) {
+                costs.push(self.cost.index_join_cost(so_far, out_card));
+            }
+            let (choice, cost) = costs
+                .into_iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .unwrap();
+            let so_far_plan = Box::new(plan);
+            plan = match choice {
+                0 => PhysPlan::HashJoin {
+                    build: Box::new(scan),
+                    probe: so_far_plan,
                     mask: new_mask,
                     card: out_card,
                 },
-                PhysPlan::HashJoin {
-                    build: Box::new(plan.clone()),
+                1 => PhysPlan::HashJoin {
+                    build: so_far_plan,
                     probe: Box::new(scan),
                     mask: new_mask,
                     card: out_card,
                 },
-            ];
-            if self.inlj_possible(query, indexed_columns, mask, rel) {
-                candidates.push(PhysPlan::IndexJoin {
-                    outer: Box::new(plan.clone()),
+                _ => PhysPlan::IndexJoin {
+                    outer: so_far_plan,
                     inner: rel,
                     mask: new_mask,
                     card: out_card,
-                });
-            }
-            plan = candidates
-                .into_iter()
-                .min_by(|a, b| a.cost(&self.cost).total_cmp(&b.cost(&self.cost)))
-                .unwrap();
+                },
+            };
+            so_far = (cost, out_card);
             mask = new_mask;
         }
-        plan
+        (plan, so_far.0)
     }
+}
+
+/// One DP table cell: the cheapest way found to produce a relation subset.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// Total cost of the subset's best plan, composed bottom-up.
+    cost: f64,
+    /// Estimated output cardinality of the subset.
+    card: f64,
+    /// Relations adjacent to any member (a split is joinable iff one
+    /// side's neighbours meet the other side).
+    neighbours: u64,
+    /// The winning top operator, its inputs named by their masks.
+    join: Join,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Join {
+    Scan,
+    Hash { build: u64, probe: u64 },
+    Index { outer: u64, inner: usize },
+}
+
+/// The plan tree the DP table records for `mask`.
+fn materialize(best: &[Option<Cell>], mask: u64) -> PhysPlan {
+    let cell = best[mask as usize].expect("a winning split names planned inputs");
+    let card = cell.card;
+    match cell.join {
+        Join::Scan => PhysPlan::Scan {
+            rel: mask.trailing_zeros() as usize,
+            mask,
+            card,
+        },
+        Join::Hash { build, probe } => PhysPlan::HashJoin {
+            build: Box::new(materialize(best, build)),
+            probe: Box::new(materialize(best, probe)),
+            mask,
+            card,
+        },
+        Join::Index { outer, inner } => PhysPlan::IndexJoin {
+            outer: Box::new(materialize(best, outer)),
+            inner,
+            mask,
+            card,
+        },
+    }
+}
+
+/// Every mask within `full` (a run of low bits) with `k` bits set, in
+/// ascending order (Gosper's hack: the next-larger integer with as many
+/// set bits).
+fn masks_with_popcount(k: u32, full: u64) -> impl Iterator<Item = u64> {
+    std::iter::successors(Some((1u64 << k) - 1), |&m| {
+        let low = m & m.wrapping_neg();
+        let ripple = m + low;
+        Some((((ripple ^ m) >> 2) / low) | ripple)
+    })
+    .take_while(move |&m| m <= full)
 }
 
 /// Is the relation subset connected under the join edges?
@@ -295,14 +392,6 @@ fn is_connected(mask: u64, adj: &[u64]) -> bool {
         frontier = next;
     }
     seen == mask
-}
-
-/// Does any join edge cross the two masks?
-fn connected_pair(query: &Query, a: u64, b: u64) -> bool {
-    query.joins.iter().any(|j| {
-        (a & (1 << j.left) != 0 && b & (1 << j.right) != 0)
-            || (b & (1 << j.left) != 0 && a & (1 << j.right) != 0)
-    })
 }
 
 #[cfg(test)]

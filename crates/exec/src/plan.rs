@@ -64,18 +64,16 @@ impl PhysPlan {
     /// Total cost of the plan under `m`, using the recorded cardinalities.
     pub fn cost(&self, m: &CostModel) -> f64 {
         match self {
-            PhysPlan::Scan { card, .. } => card * m.scan,
+            PhysPlan::Scan { card, .. } => m.scan_cost(*card),
             PhysPlan::HashJoin {
                 build, probe, card, ..
-            } => {
-                build.cost(m)
-                    + probe.cost(m)
-                    + build.card() * m.hash_build
-                    + probe.card() * m.hash_probe
-                    + card * m.cpu_tuple
-            }
+            } => m.hash_join_cost(
+                (build.cost(m), build.card()),
+                (probe.cost(m), probe.card()),
+                *card,
+            ),
             PhysPlan::IndexJoin { outer, card, .. } => {
-                outer.cost(m) + outer.card() * m.index_lookup + card * m.cpu_tuple
+                m.index_join_cost((outer.cost(m), outer.card()), *card)
             }
         }
     }

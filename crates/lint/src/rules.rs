@@ -6,7 +6,8 @@
 //! | `safety-comment`| every `unsafe` is preceded by a `SAFETY:` comment             |
 //! | `no-panic`      | no `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!` in the |
 //! |                 | serving path (the SQL parser included), the core query hot    |
-//! |                 | path, or the snapshot persistence layer                       |
+//! |                 | path and the planner files it builds shapes with, or the      |
+//! |                 | snapshot persistence layer                                    |
 //! | `lock-recover`  | serve never calls `.lock().unwrap()`; use `lock_recover`      |
 //! | `fast-map`      | session-hot modules use `FastMap`, not the SipHash default    |
 //! | `determinism`   | no wall clocks / thread spawns outside their owner modules    |
@@ -34,8 +35,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-panic",
         summary: "no `.unwrap()`/`.expect()`/`panic!`/`todo!`/`unimplemented!` in non-test \
-                  code of crates/serve/src, the SQL parser, the core query hot path, or \
-                  the snapshot persistence layer",
+                  code of crates/serve/src, the SQL parser, the core query hot path, the \
+                  join-graph and spanning-forest planner files, or the snapshot \
+                  persistence layer",
     },
     RuleInfo {
         name: "lock-recover",
@@ -105,12 +107,24 @@ pub const PERSIST_FILES: &[&str] = &["crates/core/src/snapshot_file.rs"];
 /// client sent, outside the workers' `catch_unwind`.
 pub const PARSER_FILES: &[&str] = &["crates/query/src/parser.rs"];
 
+/// The planner files: join graph, bound plan and spanning-forest
+/// enumeration run on every shape miss, also on an embedded optimizer
+/// thread (the `plan_loop` workload) with no `catch_unwind` around it.
+pub const PLANNER_FILES: &[&str] = &[
+    "crates/query/src/join_graph.rs",
+    "crates/query/src/spanning.rs",
+];
+
 fn in_serve_src(path: &str) -> bool {
     path.starts_with("crates/serve/src/")
 }
 
 fn in_parser(path: &str) -> bool {
     PARSER_FILES.contains(&path)
+}
+
+fn in_planner(path: &str) -> bool {
+    PLANNER_FILES.contains(&path)
 }
 
 fn in_persist(path: &str) -> bool {
@@ -145,6 +159,7 @@ pub fn run_all(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     safety_comment(ctx, &mut out);
     if in_serve_src(ctx.path)
         || in_parser(ctx.path)
+        || in_planner(ctx.path)
         || in_core_hot(ctx.path)
         || in_persist(ctx.path)
     {
@@ -366,6 +381,13 @@ mod tests {
         // So is the SQL parser: it sees client bytes on the connection
         // thread.
         assert_eq!(rules_hit("crates/query/src/parser.rs", src), ["no-panic"]);
+        // And the planner files every shape miss runs through.
+        for planner in [
+            "crates/query/src/join_graph.rs",
+            "crates/query/src/spanning.rs",
+        ] {
+            assert_eq!(rules_hit(planner, src), ["no-panic"], "{planner}");
+        }
         // …cold modules don't.
         assert!(rules_hit("crates/core/src/stats.rs", src).is_empty());
         assert!(rules_hit("crates/query/src/ast.rs", src).is_empty());

@@ -13,12 +13,29 @@ use std::fmt;
 
 /// A reference to a base table, possibly under an alias (self-joins need
 /// distinct aliases).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct RelationRef {
     /// Base table name in the catalog.
     pub table: String,
     /// Alias used in the query (defaults to the table name).
     pub alias: String,
+}
+
+// Hand-written so that `clone_from` reuses the destination's string
+// buffers (the derive's would drop and reallocate them): estimators
+// overwrite a recycled shape exemplar in place, see [`Query::clone_from`].
+impl Clone for RelationRef {
+    fn clone(&self) -> Self {
+        RelationRef {
+            table: self.table.clone(),
+            alias: self.alias.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.table.clone_from(&source.table);
+        self.alias.clone_from(&source.alias);
+    }
 }
 
 impl RelationRef {
@@ -41,7 +58,7 @@ impl RelationRef {
 
 /// An equi-join condition `relations[left].left_column =
 /// relations[right].right_column`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct JoinEdge {
     /// Index into [`Query::relations`].
     pub left: usize,
@@ -51,6 +68,25 @@ pub struct JoinEdge {
     pub right: usize,
     /// Column of the right relation.
     pub right_column: String,
+}
+
+// Buffer-reusing `clone_from`, as for [`RelationRef`].
+impl Clone for JoinEdge {
+    fn clone(&self) -> Self {
+        JoinEdge {
+            left: self.left,
+            left_column: self.left_column.clone(),
+            right: self.right,
+            right_column: self.right_column.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.left = source.left;
+        self.left_column.clone_from(&source.left_column);
+        self.right = source.right;
+        self.right_column.clone_from(&source.right_column);
+    }
 }
 
 /// Comparison operator for range predicates.
@@ -351,7 +387,7 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 /// A full conjunctive query: relations, equi-join edges, and per-relation
 /// predicates (at most one predicate tree per relation; multiple conjuncts
 /// are merged into an `And`).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct Query {
     /// The referenced relations.
     pub relations: Vec<RelationRef>,
@@ -359,6 +395,29 @@ pub struct Query {
     pub joins: Vec<JoinEdge>,
     /// `(relation index, predicate)` pairs; at most one per relation.
     pub predicates: Vec<(usize, Predicate)>,
+}
+
+impl Clone for Query {
+    fn clone(&self) -> Self {
+        Query {
+            relations: self.relations.clone(),
+            joins: self.joins.clone(),
+            predicates: self.predicates.clone(),
+        }
+    }
+
+    /// Overwrite `self` with `source`, keeping the relation and join
+    /// lists' buffers and name strings (`Vec::clone_from` assigns element
+    /// by element). Predicate trees are cloned afresh.
+    fn clone_from(&mut self, source: &Self) {
+        // Grow to fit, as `clone` would, not by doubling.
+        let (relations, joins) = (&mut self.relations, &mut self.joins);
+        relations.reserve_exact(source.relations.len().saturating_sub(relations.len()));
+        joins.reserve_exact(source.joins.len().saturating_sub(joins.len()));
+        relations.clone_from(&source.relations);
+        joins.clone_from(&source.joins);
+        self.predicates.clone_from(&source.predicates);
+    }
 }
 
 impl Query {

@@ -14,108 +14,116 @@
 //! unary results of its child variables, projecting onto its parent
 //! variable).
 
-use crate::ast::Query;
-use std::collections::HashMap;
+use crate::ast::{JoinEdge, Query};
 
-/// A join variable: the equivalence class of attributes forced equal by the
-/// query's join conditions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinVar {
-    /// Attributes `(relation index, column name)` in this class.
-    pub attrs: Vec<(usize, String)>,
+/// Union-find root lookup with path halving (shared by every pass here).
+fn find(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
 }
 
-impl JoinVar {
+/// A join variable: the equivalence class of attributes forced equal by the
+/// query's join conditions. Column names are borrowed from the query's
+/// join edges.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JoinVar<'q> {
+    /// Attributes `(relation index, column name)` in this class, sorted.
+    pub attrs: Vec<(usize, &'q str)>,
+}
+
+impl<'q> JoinVar<'q> {
     /// The column of `rel` participating in this variable (the first, if
     /// the query forces two columns of the same relation equal).
-    pub fn column_of(&self, rel: usize) -> Option<&str> {
-        self.attrs
-            .iter()
-            .find(|(r, _)| *r == rel)
-            .map(|(_, c)| c.as_str())
+    pub fn column_of(&self, rel: usize) -> Option<&'q str> {
+        self.attrs.iter().find(|(r, _)| *r == rel).map(|&(_, c)| c)
     }
 
-    /// Relation indices incident to this variable, deduplicated.
-    pub fn relations(&self) -> Vec<usize> {
-        let mut rels: Vec<usize> = self.attrs.iter().map(|(r, _)| *r).collect();
-        rels.sort_unstable();
-        rels.dedup();
-        rels
+    /// Relation indices incident to this variable, ascending and
+    /// deduplicated.
+    pub fn relations(&self) -> impl Iterator<Item = usize> + '_ {
+        self.first_attrs().map(|(r, _)| r)
+    }
+
+    /// Each incident relation with its [`JoinVar::column_of`], ascending:
+    /// `attrs` is sorted, so a relation's first attribute leads its run.
+    fn first_attrs(&self) -> impl Iterator<Item = (usize, &'q str)> + '_ {
+        let attrs = &self.attrs;
+        attrs
+            .iter()
+            .enumerate()
+            .filter(move |&(i, a)| i == 0 || attrs[i - 1].0 != a.0)
+            .map(|(_, &a)| a)
     }
 }
 
 /// The join structure of a query.
 #[derive(Debug, Clone)]
-pub struct JoinGraph {
-    /// All join variables that span at least two relations.
-    pub vars: Vec<JoinVar>,
-    /// Per relation, the variable ids it is incident to.
+pub struct JoinGraph<'q> {
+    /// All join variables that span at least two relations, sorted by
+    /// their (sorted) attribute lists.
+    pub vars: Vec<JoinVar<'q>>,
+    /// Per relation, the variable ids it is incident to, ascending.
     pub rel_vars: Vec<Vec<usize>>,
 }
 
-impl JoinGraph {
+impl<'q> JoinGraph<'q> {
     /// Build the join graph of a query.
-    pub fn new(query: &Query) -> Self {
-        // Union-find over attribute nodes.
-        let mut nodes: Vec<(usize, String)> = Vec::new();
-        let mut index: HashMap<(usize, String), usize> = HashMap::new();
+    pub fn new(query: &'q Query) -> Self {
+        Self::from_edges(query.num_relations(), &query.joins)
+    }
+
+    /// Build the join graph of `num_relations` relations under a subset of
+    /// a query's join edges — what [`JoinGraph::new`] builds for a query
+    /// holding exactly those edges, without materializing it (spanning
+    /// relaxations pass `subset.iter().map(|&e| &query.joins[e])`).
+    pub fn from_edges(num_relations: usize, edges: impl IntoIterator<Item = &'q JoinEdge>) -> Self {
+        // Union-find over attribute nodes. A query has a handful of join
+        // attributes, so a linear probe beats hashing their names.
+        let mut nodes: Vec<(usize, &'q str)> = Vec::new();
         let mut parent: Vec<usize> = Vec::new();
-
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-
-        let node_id = |rel: usize,
-                       col: &str,
-                       nodes: &mut Vec<(usize, String)>,
-                       parent: &mut Vec<usize>,
-                       index: &mut HashMap<(usize, String), usize>| {
-            if let Some(&id) = index.get(&(rel, col.to_string())) {
-                return id;
-            }
-            let id = nodes.len();
-            nodes.push((rel, col.to_string()));
-            parent.push(id);
-            index.insert((rel, col.to_string()), id);
-            id
+        let mut node_id = |attr: (usize, &'q str), parent: &mut Vec<usize>| {
+            nodes.iter().position(|n| *n == attr).unwrap_or_else(|| {
+                nodes.push(attr);
+                parent.push(parent.len());
+                parent.len() - 1
+            })
         };
-
-        for j in &query.joins {
-            let a = node_id(j.left, &j.left_column, &mut nodes, &mut parent, &mut index);
-            let b = node_id(
-                j.right,
-                &j.right_column,
-                &mut nodes,
-                &mut parent,
-                &mut index,
-            );
+        for j in edges {
+            let a = node_id((j.left, j.left_column.as_str()), &mut parent);
+            let b = node_id((j.right, j.right_column.as_str()), &mut parent);
             let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
             if ra != rb {
                 parent[ra] = rb;
             }
         }
 
-        let mut groups: HashMap<usize, Vec<(usize, String)>> = HashMap::new();
-        for (i, node) in nodes.iter().enumerate() {
+        // Walk the attributes in sorted order, opening a class at its
+        // first (smallest) member: every class comes out sorted, and the
+        // classes — disjoint, so ordered by their smallest member — come
+        // out in the order of their attribute lists.
+        let mut order: Vec<usize> = (0..nodes.len()).collect();
+        order.sort_unstable_by_key(|&i| nodes[i]);
+        let mut class_of_root = vec![usize::MAX; nodes.len()];
+        let mut vars: Vec<JoinVar<'q>> = Vec::new();
+        for i in order {
             let root = find(&mut parent, i);
-            groups.entry(root).or_default().push(node.clone());
+            if class_of_root[root] == usize::MAX {
+                class_of_root[root] = vars.len();
+                vars.push(JoinVar { attrs: Vec::new() });
+            }
+            vars[class_of_root[root]].attrs.push(nodes[i]);
         }
+        // Sorted by relation first: a class spans two relations iff its
+        // ends differ.
+        vars.retain(|v| match (v.attrs.first(), v.attrs.last()) {
+            (Some(a), Some(b)) => a.0 != b.0,
+            _ => false,
+        });
 
-        let mut vars: Vec<JoinVar> = groups
-            .into_values()
-            .map(|mut attrs| {
-                attrs.sort();
-                JoinVar { attrs }
-            })
-            .filter(|v| v.relations().len() >= 2)
-            .collect();
-        vars.sort_by(|a, b| a.attrs.cmp(&b.attrs));
-
-        let mut rel_vars = vec![Vec::new(); query.num_relations()];
+        let mut rel_vars = vec![Vec::new(); num_relations];
         for (vid, var) in vars.iter().enumerate() {
             for rel in var.relations() {
                 rel_vars[rel].push(vid);
@@ -127,22 +135,12 @@ impl JoinGraph {
     /// True iff the bipartite relation↔variable incidence graph is a
     /// forest, i.e. the query is Berge-acyclic.
     pub fn is_berge_acyclic(&self) -> bool {
-        // A forest has |edges| = |nodes| - |components| overall; count with
-        // a union-find over relation and variable nodes.
+        // Union-find over relation and variable nodes: the graph is a
+        // forest iff no incidence edge joins two already-connected nodes.
         let num_rels = self.rel_vars.len();
-        let num_nodes = num_rels + self.vars.len();
-        let mut parent: Vec<usize> = (0..num_nodes).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        let mut edges = 0usize;
+        let mut parent: Vec<usize> = (0..num_rels + self.vars.len()).collect();
         for (vid, var) in self.vars.iter().enumerate() {
             for rel in var.relations() {
-                edges += 1;
                 let (a, b) = (find(&mut parent, rel), find(&mut parent, num_rels + vid));
                 if a == b {
                     return false; // adding this edge closes a cycle
@@ -150,38 +148,35 @@ impl JoinGraph {
                 parent[a] = b;
             }
         }
-        let _ = edges;
         true
     }
 
-    /// Connected components over relations (relations joined transitively).
-    /// Relations with no join variables are singleton components.
+    /// Connected components over relations (relations joined transitively),
+    /// each ascending, ordered by their smallest relation. Relations with
+    /// no join variables are singleton components.
     pub fn relation_components(&self) -> Vec<Vec<usize>> {
         let n = self.rel_vars.len();
         let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
         for var in &self.vars {
-            let rels = var.relations();
-            for w in rels.windows(2) {
-                let (a, b) = (find(&mut parent, w[0]), find(&mut parent, w[1]));
+            let mut rels = var.relations();
+            let Some(first) = rels.next() else { continue };
+            for rel in rels {
+                let (a, b) = (find(&mut parent, first), find(&mut parent, rel));
                 if a != b {
                     parent[a] = b;
                 }
             }
         }
-        let mut comps: HashMap<usize, Vec<usize>> = HashMap::new();
+        let mut comp_of_root = vec![usize::MAX; n];
+        let mut out: Vec<Vec<usize>> = Vec::new();
         for r in 0..n {
             let root = find(&mut parent, r);
-            comps.entry(root).or_default().push(r);
+            if comp_of_root[root] == usize::MAX {
+                comp_of_root[root] = out.len();
+                out.push(Vec::new());
+            }
+            out[comp_of_root[root]].push(r);
         }
-        let mut out: Vec<Vec<usize>> = comps.into_values().collect();
-        out.sort();
         out
     }
 }
@@ -220,7 +215,7 @@ pub enum Step {
 /// indices into `steps`; `roots` holds one node per connected component of
 /// the join graph (component bounds multiply). Column names referenced by
 /// steps are interned into `columns` ([`ColId`] is an index into it).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BoundPlan {
     /// Steps in dependency order (children precede parents).
     pub steps: Vec<Step>,
@@ -252,37 +247,54 @@ impl std::error::Error for PlanError {}
 
 impl BoundPlan {
     /// Build the α/β plan for a Berge-acyclic query.
-    pub fn build(query: &Query, graph: &JoinGraph) -> Result<BoundPlan, PlanError> {
-        if query.num_relations() == 0 {
+    pub fn build(query: &Query, graph: &JoinGraph<'_>) -> Result<BoundPlan, PlanError> {
+        let mut plan = BoundPlan::default();
+        plan.rebuild(query.num_relations(), graph)?;
+        Ok(plan)
+    }
+
+    /// [`BoundPlan::build`] over `self`'s retained buffers (a recycled
+    /// plan keeps its step list and column-name strings). On `Err` the
+    /// plan is left empty.
+    pub fn rebuild(
+        &mut self,
+        num_relations: usize,
+        graph: &JoinGraph<'_>,
+    ) -> Result<(), PlanError> {
+        self.steps.clear();
+        self.roots.clear();
+        if num_relations == 0 {
             return Err(PlanError::Empty);
         }
         if !graph.is_berge_acyclic() {
             return Err(PlanError::Cyclic);
         }
-
-        let mut steps: Vec<Step> = Vec::new();
-        let mut roots = Vec::new();
-        let mut visited_rel = vec![false; query.num_relations()];
-        let mut interner = Interner::default();
-
-        // One DFS per connected component, rooted at its smallest relation.
-        for comp in graph.relation_components() {
-            let root = comp[0];
-            let node = dfs_rel(
-                root,
-                None,
-                graph,
-                &mut visited_rel,
-                &mut steps,
-                &mut interner,
-            );
-            roots.push(node);
+        // One β-step per relation; α-steps are the exception.
+        self.steps.reserve_exact(num_relations);
+        let mut visited = vec![false; num_relations];
+        let mut interner = Interner {
+            names: &mut self.columns,
+            used: 0,
+        };
+        // One DFS per connected component, rooted at its smallest
+        // relation: a DFS covers its whole component, so the next
+        // unvisited relation is always the next component's smallest.
+        for root in 0..num_relations {
+            if !visited[root] {
+                let node = dfs_rel(
+                    root,
+                    None,
+                    graph,
+                    &mut visited,
+                    &mut self.steps,
+                    &mut interner,
+                );
+                self.roots.push(node);
+            }
         }
-        Ok(BoundPlan {
-            steps,
-            roots,
-            columns: interner.names,
-        })
+        let used = interner.used;
+        self.columns.truncate(used);
+        Ok(())
     }
 
     /// The interned id of a column name, if any step references it.
@@ -299,49 +311,67 @@ impl BoundPlan {
     }
 }
 
-/// Build-time column-name interner (plans reference a handful of columns,
-/// so a linear probe beats a map).
-#[derive(Default)]
-struct Interner {
-    names: Vec<String>,
+/// Build-time column-name interner over a plan's `columns` (plans
+/// reference a handful of columns, so a linear probe beats a map). Names
+/// beyond `used` are a recycled plan's leftovers, overwritten in place.
+struct Interner<'p> {
+    names: &'p mut Vec<String>,
+    used: usize,
 }
 
-impl Interner {
+impl Interner<'_> {
     fn intern(&mut self, name: &str) -> ColId {
-        match self.names.iter().position(|n| n == name) {
-            Some(i) => i as ColId,
-            None => {
-                self.names.push(name.to_string());
-                (self.names.len() - 1) as ColId
-            }
+        if let Some(i) = self.names[..self.used].iter().position(|n| n == name) {
+            return i as ColId;
         }
+        match self.names.get_mut(self.used) {
+            Some(slot) => {
+                slot.clear();
+                slot.push_str(name);
+            }
+            None => self.names.push(name.to_string()),
+        }
+        self.used += 1;
+        (self.used - 1) as ColId
     }
 }
 
-/// Recursively emit steps for `rel`, entered via `parent_var` (None at a
-/// component root). Returns the node id of the β-step for `rel`.
+/// Recursively emit steps for `rel`, entered via `parent` — the parent
+/// variable and `rel`'s column in it (None at a component root). Returns
+/// the node id of the β-step for `rel`.
 fn dfs_rel(
     rel: usize,
-    parent_var: Option<usize>,
-    graph: &JoinGraph,
+    parent: Option<(usize, &str)>,
+    graph: &JoinGraph<'_>,
     visited: &mut [bool],
     steps: &mut Vec<Step>,
-    interner: &mut Interner,
+    interner: &mut Interner<'_>,
 ) -> usize {
     visited[rel] = true;
     let mut children = Vec::new();
     for &v in &graph.rel_vars[rel] {
-        if Some(v) == parent_var {
+        if parent.is_some_and(|(pv, _)| pv == v) {
             continue;
         }
-        let var = &graph.vars[v];
         let mut child_nodes = Vec::new();
-        for crel in var.relations() {
-            if crel != rel && !visited[crel] {
-                child_nodes.push(dfs_rel(crel, Some(v), graph, visited, steps, interner));
+        let mut own_col = None;
+        for (crel, ccol) in graph.vars[v].first_attrs() {
+            if crel == rel {
+                own_col = Some(ccol);
+            } else if !visited[crel] {
+                child_nodes.push(dfs_rel(
+                    crel,
+                    Some((v, ccol)),
+                    graph,
+                    visited,
+                    steps,
+                    interner,
+                ));
             }
         }
-        let col = interner.intern(var.column_of(rel).expect("relation incident to var"));
+        // `rel_vars` lists only variables incident to `rel`.
+        let Some(own_col) = own_col else { continue };
+        let col = interner.intern(own_col);
         match child_nodes.len() {
             0 => {} // variable only touches visited relations (impossible in a forest)
             1 => children.push((v, col, child_nodes[0])),
@@ -354,8 +384,7 @@ fn dfs_rel(
             }
         }
     }
-    let out_column =
-        parent_var.map(|v| interner.intern(graph.vars[v].column_of(rel).expect("incident")));
+    let out_column = parent.map(|(_, col)| interner.intern(col));
     steps.push(Step::Beta {
         rel,
         out_column,
@@ -398,7 +427,7 @@ mod tests {
         let z = g
             .vars
             .iter()
-            .find(|v| v.relations().len() == 3 && v.column_of(0).is_some());
+            .find(|v| v.relations().count() == 3 && v.column_of(0).is_some());
         assert!(z.is_some());
     }
 

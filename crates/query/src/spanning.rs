@@ -18,132 +18,102 @@ use crate::ast::Query;
 /// at most `cap` relaxations; if the query is already acyclic at the edge
 /// level it is returned as the single entry.
 pub fn spanning_relaxations(query: &Query, cap: usize) -> Vec<Query> {
+    let mut out = Vec::new();
+    for_each_spanning_forest(query, cap, &mut |edges| {
+        let mut q = query.clone();
+        q.joins = edges.iter().map(|&e| query.joins[e].clone()).collect();
+        out.push(q);
+    });
+    out
+}
+
+/// The enumeration under [`spanning_relaxations`]: calls `visit` with the
+/// ascending join-edge indices (into `query.joins`) of each spanning
+/// forest, at most `cap` times. A query with no relations, or `cap == 0`,
+/// is visited once with all of its edges — no relaxation at all.
+pub fn for_each_spanning_forest(query: &Query, cap: usize, visit: &mut impl FnMut(&[usize])) {
     let n = query.num_relations();
     let m = query.joins.len();
     if n == 0 || cap == 0 {
-        return vec![query.clone()];
+        visit(&(0..m).collect::<Vec<_>>());
+        return;
     }
 
-    // A spanning forest picks a maximal acyclic subset of edges. Enumerate
-    // by recursing over edges in order; at each edge choose include (if it
-    // connects two different components) or exclude (only if connectivity
-    // is still achievable with the remaining edges — we check at the end
-    // by maximality instead: a subset is a spanning forest iff it is
-    // acyclic and has rank = n - #components(full graph)).
-    let full_components = count_components(n, query.joins.iter().map(|j| (j.left, j.right)));
-    let target_rank = n - full_components;
-
-    let mut results: Vec<Vec<usize>> = Vec::new();
-    let mut chosen: Vec<usize> = Vec::new();
+    // A spanning forest is an acyclic edge subset whose rank equals the
+    // full graph's (n − #components): the number of edges that join two
+    // components when all are added in order.
     let mut parent: Vec<usize> = (0..n).collect();
-
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        edge: usize,
-        rank: usize,
-        m: usize,
-        target_rank: usize,
-        cap: usize,
-        query: &Query,
-        parent: &mut Vec<usize>,
-        chosen: &mut Vec<usize>,
-        results: &mut Vec<Vec<usize>>,
-    ) {
-        if results.len() >= cap {
-            return;
-        }
-        if rank == target_rank {
-            results.push(chosen.clone());
-            return;
-        }
-        if edge == m || rank + (m - edge) < target_rank {
-            return; // cannot reach spanning rank with remaining edges
-        }
-        let j = &query.joins[edge];
-        let (ra, rb) = (find(parent, j.left), find(parent, j.right));
+    let mut target_rank = 0;
+    for j in &query.joins {
+        let (ra, rb) = (find(&parent, j.left), find(&parent, j.right));
         if ra != rb {
-            // Include the edge.
-            let saved = parent.clone();
             parent[ra] = rb;
-            chosen.push(edge);
-            recurse(
-                edge + 1,
-                rank + 1,
-                m,
-                target_rank,
-                cap,
-                query,
-                parent,
-                chosen,
-                results,
-            );
-            chosen.pop();
-            *parent = saved;
+            target_rank += 1;
         }
-        // Exclude the edge (also the only option when it closes a cycle).
-        recurse(
-            edge + 1,
-            rank,
-            m,
-            target_rank,
-            cap,
-            query,
-            parent,
-            chosen,
-            results,
-        );
+    }
+    for (i, p) in parent.iter_mut().enumerate() {
+        *p = i;
     }
 
-    recurse(
-        0,
-        0,
-        m,
-        target_rank,
-        cap,
+    let mut walk = Walk {
         query,
-        &mut parent,
-        &mut chosen,
-        &mut results,
-    );
-
-    // Dedup edge subsets that induce identical variable structure is not
-    // needed for correctness; just materialize the relaxed queries.
-    results
-        .into_iter()
-        .map(|edges| {
-            let mut q = query.clone();
-            q.joins = edges.iter().map(|&e| query.joins[e].clone()).collect();
-            q
-        })
-        .collect()
+        target_rank,
+        left: cap,
+        parent,
+        chosen: Vec::with_capacity(target_rank),
+    };
+    walk.recurse(0, visit);
 }
 
-fn count_components(n: usize, edges: impl Iterator<Item = (usize, usize)>) -> usize {
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
+/// Union-find root lookup *without* path compression: the enumeration
+/// backtracks by undoing single links, which compression would scatter.
+/// Trees stay as shallow as the query is small.
+fn find(parent: &[usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        x = parent[x];
     }
-    let mut comps = n;
-    for (a, b) in edges {
-        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+    x
+}
+
+/// State of the include/exclude recursion over the edges in order.
+struct Walk<'q> {
+    query: &'q Query,
+    target_rank: usize,
+    /// Forests still to report before the cap is reached.
+    left: usize,
+    parent: Vec<usize>,
+    /// Edges included so far, ascending (its length is the current rank).
+    chosen: Vec<usize>,
+}
+
+impl Walk<'_> {
+    fn recurse(&mut self, edge: usize, visit: &mut impl FnMut(&[usize])) {
+        if self.left == 0 {
+            return;
+        }
+        let rank = self.chosen.len();
+        if rank == self.target_rank {
+            self.left -= 1;
+            visit(&self.chosen);
+            return;
+        }
+        let m = self.query.joins.len();
+        if edge == m || rank + (m - edge) < self.target_rank {
+            return; // cannot reach spanning rank with remaining edges
+        }
+        let j = &self.query.joins[edge];
+        let (ra, rb) = (find(&self.parent, j.left), find(&self.parent, j.right));
         if ra != rb {
-            parent[ra] = rb;
-            comps -= 1;
+            // Include the edge, then undo the one link it made.
+            self.parent[ra] = rb;
+            self.chosen.push(edge);
+            self.recurse(edge + 1, visit);
+            self.chosen.pop();
+            self.parent[ra] = ra;
         }
+        // Exclude the edge (also the only option when it closes a cycle).
+        self.recurse(edge + 1, visit);
     }
-    comps
 }
 
 #[cfg(test)]
