@@ -8,12 +8,15 @@
 //! lives here, once:
 //!
 //! * **Keying** — `(owner, fingerprint)`, where the owner scopes the
-//!   fingerprint (a table's filter slot, a shape's relation; `()` for the
-//!   shape cache, whose fingerprint is the whole key). The fingerprint
-//!   only has to discriminate: [`ClockCache::get`] serves a slot only
-//!   after the caller's `verify` compared the stored payload (a literal,
-//!   a shape exemplar) against the probe, so a collision costs a miss,
-//!   never a wrong bound.
+//!   fingerprint (a table's filter slot, the literal cache's entry kind;
+//!   `()` for the shape cache, whose fingerprint is the whole key). The
+//!   fingerprint only has to discriminate: [`ClockCache::get`] serves a
+//!   slot only after the caller's `verify` compared what the payload
+//!   stores of its key (a literal, a shape key, a signature and literal
+//!   bytes) against the probe, so a collision costs a miss, never a wrong
+//!   bound. Every instance keys by content — what the value depends on —
+//!   so an entry stays valid for as long as the statistics build does,
+//!   whichever other slot is recycled meanwhile.
 //! * **Eviction** — at capacity a clock hand sweeps the slab; a slot hit
 //!   since the hand last passed gets a second chance, the first cold slot
 //!   is recycled. Fresh slots start unreferenced — an entry earns its
@@ -21,12 +24,13 @@
 //!   churn, not the established hot set, and late-arriving hot entries
 //!   always enter.
 //! * **Recycling** — [`ClockCache::claim`] hands the victim's payload back
-//!   to be overwritten in place, so its heap buffers (literal bytes,
-//!   pattern strings, CDS sets, a shape's name strings and plan vectors)
-//!   are retained: once buffer capacities have converged, churn at
-//!   capacity allocates nothing in the memos and the literal cache, and
-//!   only what a plan's own structure needs in the shape cache (asserted
-//!   by the `zero_alloc` integration test).
+//!   to be overwritten in place, so its heap buffers (key and literal
+//!   bytes, pattern strings, CDS sets, a shape's plan vectors) are
+//!   retained: once buffer capacities have converged, churn at capacity
+//!   allocates nothing in the memos, the literal cache and a shape cache
+//!   whose bounds are memoized, and only what a plan's own structure
+//!   needs when a claimed shape slot is built (asserted by the
+//!   `zero_alloc` integration test).
 //!
 //! The slab and map grow organically, never preallocated: the throwaway
 //! session of `SafeBound::bound` must not pay for tables it will never
@@ -111,8 +115,9 @@ impl<O: Copy + Eq + Hash, V: Default> ClockCache<O, V> {
     /// [`ClockCache::claim`]: the payload under `(owner, fp)` and whether
     /// it was a hit. After a miss the caller must overwrite the payload
     /// before anything reads it. For callers with nothing to compute
-    /// between the probe and the claim (the shape cache builds *into* the
-    /// slot); `None` when the cache is disabled.
+    /// between the probe and the claim (the shape cache stores the key
+    /// and builds *into* the slot later); `None` when the cache is
+    /// disabled.
     pub(crate) fn get_or_claim(
         &mut self,
         owner: O,

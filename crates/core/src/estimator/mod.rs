@@ -40,27 +40,38 @@
 //!   resolution to interned ids, and predicate-column resolution to dense
 //!   **filter slots** (including the PK–FK [`propagated_key`] composites,
 //!   which are looked up only here). A [`BoundSession`] memoizes all of it
-//!   per query *shape* ([`Query::shape_hash`] is the cache fingerprint,
-//!   [`Query::same_shape`] the verification: tables + join topology +
-//!   predicate structure, not literals), so repeated query templates skip
-//!   straight to predicate resolution + kernel with zero string lookups.
-//!   At capacity the clock recycles a shape that was not hit since its
-//!   hand last passed — second chance, not LRU: one-shot shapes (an
-//!   optimizer's sub-queries) evict each other, not the templates that
-//!   repeat — and the miss builds into the victim's entry in place, over
-//!   names borrowed from the query: relaxations are edge-index subsets,
-//!   never relaxed query clones, and a recycled entry keeps its buffers
-//!   but always takes a fresh literal-cache id.
+//!   per query *shape* — tables + join topology + predicate structure, not
+//!   literals — so repeated query templates skip straight to predicate
+//!   resolution + kernel with zero string lookups. The shape is
+//!   identified by its **key** ([`Query::shape_key_into`]: a compact byte
+//!   string equal exactly when [`Query::same_shape`] holds), staged once
+//!   per query; [`Query::shape_hash`], the FNV of those bytes, is the
+//!   cache fingerprint and a byte compare against the slot's stored key
+//!   the verification. At capacity the clock recycles a shape that was
+//!   not hit since its hand last passed — second chance, not LRU:
+//!   one-shot shapes (an optimizer's sub-queries) evict each other, not
+//!   the templates that repeat. A miss only *claims* the victim's slot for
+//!   the new key; the plans are built — in place, over names borrowed from
+//!   the query, relaxations as edge-index subsets, the victim's buffers
+//!   reused — when the first bound has to be computed under the slot,
+//!   which a memoized bound (next point) makes unnecessary.
 //! * **Literal-dependent** — predicate resolution and statistics
 //!   assembly. These write every intermediate CDS into the session's
 //!   [`CdsScratch`] arena pools instead of cloning, and are themselves
 //!   memoized by the per-session **literal cache** ([`crate::litcache`]),
-//!   keyed under the shape's session id by fingerprints of the query's
-//!   literal vector: an exact whole-query repeat returns the memoized
-//!   bound outright (no resolution, assembly, or kernel — the dominant
-//!   serving case runs in a few hundred nanoseconds), and a relation
-//!   whose literal sub-vector repeats copies its resolved conditioned
-//!   set instead of re-running MCV/histogram/n-gram lookups. Beneath
+//!   whose entries are keyed by **content** — the bytes naming everything
+//!   the value depends on, verified byte for byte on every hit — never by
+//!   an id of the slot that computed them, so they outlive a shape's
+//!   eviction and are shared by every shape they apply to: an exact
+//!   whole-query repeat (shape key ++ literal vector) returns the
+//!   memoized bound outright (no shape build, resolution, assembly, or
+//!   kernel — the dominant serving case runs in a few hundred
+//!   nanoseconds, and re-planning a query an optimizer has planned before
+//!   costs little more per sub-query), and a relation whose *signature*
+//!   (table, own predicate shape, propagated predicates with their edges)
+//!   and literal sub-vector repeat — in this shape or any other, such as
+//!   the sub-queries of one plan — copies its resolved conditioned set
+//!   instead of re-running MCV/histogram/n-gram lookups. Beneath
 //!   that, repeated equality, range and LIKE literals (hot values) are
 //!   served from per-session memos of the resolved lookups. The per-relation
 //!   conditioned stats are resolved **once** and shared across all of a
@@ -100,6 +111,7 @@ pub use session::{BoundSession, PhaseBreakdown, SessionStats};
 use crate::bound::{fdsb_with_cutoff, BoundError, RelationBoundStats};
 use crate::conditioning::CdsScratch;
 use crate::config::SafeBoundConfig;
+use crate::litcache;
 use crate::stats::StatsSnapshot;
 use assemble::assemble_into;
 use resolve::{stage_full_literals, stage_rel_literals};
@@ -304,8 +316,9 @@ impl StatsSnapshot {
     /// The warm path runs in up to three tiers, each skipping everything
     /// below it:
     ///
-    /// 1. **Bound cache** — an exact whole-query literal repeat returns
-    ///    the memoized `f64` (no resolution, assembly, or kernel).
+    /// 1. **Bound cache** — an exact whole-query repeat returns the
+    ///    memoized `f64` (no shape build, resolution, assembly, or
+    ///    kernel).
     /// 2. **Conditioned cache** — relations whose literal sub-vector
     ///    repeats copy their resolved [`CdsSet`] from the literal cache;
     ///    only genuinely fresh relations run MCV/histogram/n-gram
@@ -342,7 +355,7 @@ impl StatsSnapshot {
         let timing = session.timing;
         let BoundSession {
             shapes,
-            next_shape_uid,
+            shape_key,
             shape_hits,
             shape_misses,
             memos,
@@ -357,9 +370,10 @@ impl StatsSnapshot {
             phases,
             ..
         } = session;
-        let Some((entry, hit)) =
-            shapes.get_or_claim((), query.shape_hash(), |e| e.shape.same_shape(query))
-        else {
+        shape_key.clear();
+        query.shape_key_into(shape_key);
+        let shape_fp = litcache::fnv1a(shape_key);
+        let Some((entry, hit)) = shapes.get_or_claim((), shape_fp, |e| e.key == *shape_key) else {
             // Unreachable: `with_shape_capacity` keeps the capacity ≥ 1.
             return Err(EstimateError::Internal(
                 "shape cache has no capacity".to_string(),
@@ -368,30 +382,46 @@ impl StatsSnapshot {
         if hit {
             *shape_hits += 1;
         } else {
-            // A miss builds into the claimed slot — over the clock's
-            // victim at capacity — under a uid no shape has used before.
+            // A miss only takes the claimed slot — the clock's victim at
+            // capacity — over for this key; what the victim had built
+            // stays in place, unread, until a build overwrites it.
             *shape_misses += 1;
-            let uid = *next_shape_uid;
-            *next_shape_uid += 1;
-            self.build_shape_entry(query, uid, entry);
+            entry.key.clear();
+            entry.key.extend_from_slice(shape_key);
+            entry.built = false;
         }
 
         // lint: allow(determinism) -- opt-in phase timing: `timing` is
         // only true when the caller asked for a PhaseBreakdown
         let t_resolve = timing.then(Instant::now);
 
-        // Tier 1: exact whole-query literal repeat → memoized bound.
+        // Tier 1: exact whole-query repeat → memoized bound, whether or
+        // not the shape's slot was ever built or has been evicted since.
         let lit_enabled = lit_cache.enabled();
         if lit_enabled {
             stage_full_literals(query, lit_stage);
-            if let Some(b) = lit_cache.lookup_bound(entry.uid, lit_stage.full_fp, &lit_stage.full) {
+            if let Some(b) = lit_cache.lookup_bound(lit_stage.bound_key(shape_key, shape_fp)) {
                 if let Some(t) = t_resolve {
                     phases.resolve_ns += t.elapsed().as_nanos() as u64;
                     phases.queries += 1;
                 }
                 return Ok(b);
             }
-            // Miss: stage the per-relation sub-vectors for tier 2.
+        }
+
+        // A bound has to be computed: now the slot needs its plans. The
+        // build is not part of the resolve phase; its share of the running
+        // timer is taken out again below.
+        let mut build_ns = 0;
+        if !entry.built {
+            let before = t_resolve.map(|t| t.elapsed());
+            self.build_shape_entry(query, entry);
+            build_ns = t_resolve
+                .zip(before)
+                .map_or(0, |(t, before)| (t.elapsed() - before).as_nanos() as u64);
+        }
+        if lit_enabled {
+            // Stage the per-relation sub-vectors for tier 2.
             stage_rel_literals(entry, lit_stage);
         }
 
@@ -405,7 +435,7 @@ impl StatsSnapshot {
             cond,
         )?;
         if let Some(t) = t_resolve {
-            phases.resolve_ns += t.elapsed().as_nanos() as u64;
+            phases.resolve_ns += t.elapsed().as_nanos() as u64 - build_ns;
         }
 
         // Tier 3: branch-and-bound over the relaxations, previous winner
@@ -485,7 +515,7 @@ impl StatsSnapshot {
             cond[..n].iter().map(|c| c.card).product()
         };
         if lit_enabled {
-            lit_cache.insert_bound(entry.uid, lit_stage.full_fp, &lit_stage.full, result, cds);
+            lit_cache.insert_bound(lit_stage.bound_key(shape_key, shape_fp), result, cds);
         }
         if timing {
             phases.queries += 1;
@@ -509,7 +539,7 @@ impl StatsSnapshot {
             return Ok(Vec::new());
         }
         let mut entry = ShapeEntry::default();
-        self.build_shape_entry(query, 0, &mut entry);
+        self.build_shape_entry(query, &mut entry);
         let mut cds = CdsScratch::default();
         let mut memo = Memos::default();
         let mut cond = Vec::new();
@@ -1135,9 +1165,9 @@ mod tests {
         // Two shapes over *different tables* whose literal vectors are
         // byte-identical (`[3]`), alternating through a capacity-1 shape
         // cache: every query recycles the slot the other shape just left.
-        // The literal cache verifies literal bytes only and keys them under
-        // the shape's uid, so a recycled slot that kept its uid would serve
-        // the other shape's memoized bound.
+        // Bound entries are keyed by shape key ++ literal bytes, so each
+        // shape finds its own bound again after every eviction — and
+        // never the other's, although the literal bytes agree.
         let (_, sb) = build();
         let qa =
             parse_sql("SELECT COUNT(*) FROM movie_keyword mk WHERE mk.keyword_id = 3").unwrap();
@@ -1160,9 +1190,243 @@ mod tests {
             (s.shape_hits, s.shape_misses, s.shape_evictions),
             (0, 200, 199)
         );
-        // Every build took a fresh uid, so no memoized bound was reachable.
-        assert_eq!((s.lit_bound_hits, s.lit_bound_misses), (0, 200));
+        // After round one every query is a bound hit through a slot that
+        // holds its key and nothing else.
+        assert_eq!((s.lit_bound_hits, s.lit_bound_misses), (198, 2));
         assert_eq!(session.cached_shapes(), 1);
+    }
+
+    /// The relation signatures of a query's shape, as built.
+    fn signatures(sb: &SafeBound, q: &Query) -> Vec<Vec<u8>> {
+        let mut entry = ShapeEntry::default();
+        sb.snapshot().build_shape_entry(q, &mut entry);
+        entry.resolution.into_iter().map(|r| r.sig).collect()
+    }
+
+    /// Bound `queries` in order through one default session, each bit-equal
+    /// to the cold path, and return the session's counters.
+    fn serve_all(sb: &SafeBound, queries: &[&Query]) -> SessionStats {
+        let mut session = BoundSession::default();
+        for (i, q) in queries.iter().enumerate() {
+            let got = sb.bound_with_session(q, &mut session).unwrap();
+            let cold = sb.bound(q).unwrap();
+            assert_eq!(got.to_bits(), cold.to_bits(), "query {i}: {got} vs {cold}");
+        }
+        session.stats()
+    }
+
+    #[test]
+    fn one_relation_reached_from_two_shapes_is_one_conditioned_entry() {
+        // `keyword` under `word = 'rare'` is resolved the same way whether
+        // it stands alone, joins `movie_keyword`, or joins it twice: the
+        // later shapes copy the first one's conditioned set. So does
+        // `movie_keyword` with `'rare'` propagated in along keyword_id,
+        // the second time a shape reaches it that way.
+        let (_, sb) = build();
+        let alone = parse_sql("SELECT COUNT(*) FROM keyword k WHERE k.word = 'rare'").unwrap();
+        let joined = parse_sql(
+            "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
+             WHERE mk.keyword_id = k.id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let reordered = parse_sql(
+            "SELECT COUNT(*) FROM keyword k, movie_keyword mk, movie_keyword mk2 \
+             WHERE mk.keyword_id = k.id AND mk2.movie_id = mk.movie_id AND k.word = 'rare'",
+        )
+        .unwrap();
+        let sigs = (signatures(&sb, &joined), signatures(&sb, &reordered));
+        assert_eq!(sigs.0[1], sigs.1[0], "keyword: same signature");
+        assert_eq!(sigs.0[0], sigs.1[1], "movie_keyword: same signature");
+        assert_eq!(signatures(&sb, &alone)[0], sigs.0[1]);
+
+        let s = serve_all(&sb, &[&alone, &joined, &reordered]);
+        assert_eq!((s.lit_bound_hits, s.lit_bound_misses), (0, 3));
+        // keyword: resolved once, copied twice; movie_keyword with the
+        // propagated literal: resolved once, copied once. `mk2` reads no
+        // literal and is never looked up.
+        assert_eq!((s.lit_cond_hits, s.lit_cond_misses), (3, 2));
+    }
+
+    /// Star catalog for the aliasing cases: two fact tables with the same
+    /// columns over two dimensions with the same columns, every column
+    /// filterable and every `fk*` declared against both dimensions' `id`,
+    /// so that relations differing in exactly one component of their
+    /// signature exist and resolve to different statistics.
+    fn twin_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        let ints = |f: &dyn Fn(i64) -> i64, n: i64| Column::from_ints((0..n).map(|i| Some(f(i))));
+        for (dim, m) in [("dim", 3), ("dim2", 4)] {
+            c.add_table(Table::new(
+                dim,
+                Schema::new(
+                    ["id", "w", "v"]
+                        .map(|f| Field::new(f, DataType::Int))
+                        .to_vec(),
+                ),
+                vec![
+                    ints(&|i| i, 12),
+                    ints(&|i| i % m, 12),
+                    ints(&|i| (i * 5) % (m + 2), 12),
+                ],
+            ));
+            c.declare_primary_key(dim, "id");
+        }
+        for (fact, m) in [("fact", 12), ("fact2", 7)] {
+            c.add_table(Table::new(
+                fact,
+                Schema::new(
+                    ["fk", "fk2", "w", "v"]
+                        .map(|f| Field::new(f, DataType::Int))
+                        .to_vec(),
+                ),
+                vec![
+                    ints(&|i| (i * i) % m, 90),
+                    ints(&|i| (i * 7 + i / 9) % 12, 90),
+                    ints(&|i| i % 5, 90),
+                    ints(&|i| (i / 4) % 6, 90),
+                ],
+            ));
+            for fk in ["fk", "fk2"] {
+                c.declare_foreign_key(fact, fk, "dim", "id");
+                c.declare_foreign_key(fact, fk, "dim2", "id");
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn relations_differing_in_one_signature_component_never_share() {
+        // Every pair below gives its `fact`/`fact2` relation (and its
+        // dimension) byte-identical literal sub-vectors; what differs is
+        // one component of the signature, named in the label. Served
+        // through one session in both orders, every bound must equal the
+        // cold path and no conditioned entry may be shared.
+        let sb = SafeBound::build(&twin_catalog(), SafeBoundConfig::test_small());
+        let q = |sql: &str| parse_sql(sql).unwrap();
+        let star = |fact: &str, fk: &str, dim: &str, fact_pred: &str, dim_pred: &str| {
+            q(&format!(
+                "SELECT COUNT(*) FROM {fact} f, {dim} d \
+                 WHERE f.{fk} = d.id AND f.{fact_pred} AND d.{dim_pred}"
+            ))
+        };
+        let base = star("fact", "fk", "dim", "w = 2", "w = 1");
+        let cases = [
+            ("table", star("fact2", "fk", "dim", "w = 2", "w = 1")),
+            ("own column", star("fact", "fk", "dim", "v = 2", "w = 1")),
+            ("own operator", star("fact", "fk", "dim", "w >= 2", "w = 1")),
+            ("edge column", star("fact", "fk2", "dim", "w = 2", "w = 1")),
+            (
+                "propagating table",
+                star("fact", "fk", "dim2", "w = 2", "w = 1"),
+            ),
+            (
+                "propagating column",
+                star("fact", "fk", "dim", "w = 2", "v = 1"),
+            ),
+            (
+                "propagating operator",
+                star("fact", "fk", "dim", "w = 2", "w <= 1"),
+            ),
+        ];
+        let fact_sig = &signatures(&sb, &base)[0];
+        for (label, other) in &cases {
+            let other_sig = &signatures(&sb, other)[0];
+            assert_ne!(fact_sig, other_sig, "{label}");
+            for pair in [[&base, other], [other, &base]] {
+                let s = serve_all(&sb, &pair);
+                // The dimension is the same relation in both queries of a
+                // pair unless the label says otherwise.
+                let dim_shared = u64::from(!label.starts_with("propagating"));
+                assert_eq!(s.lit_cond_hits, dim_shared, "{label}: {s:?}");
+                assert_eq!(s.lit_cond_misses, 4 - dim_shared, "{label}: {s:?}");
+            }
+        }
+
+        // Without the propagation (no join) and with it: `fact`'s own
+        // predicate and literal agree, the signatures must not.
+        let alone = q("SELECT COUNT(*) FROM fact f WHERE f.w = 2");
+        let joined = q("SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.w = 2");
+        // `d` carries no predicate: nothing propagates, so this one *is*
+        // the same relation as `alone`, reached from another shape.
+        assert_eq!(signatures(&sb, &alone)[0], signatures(&sb, &joined)[0]);
+        let s = serve_all(&sb, &[&alone, &joined, &base]);
+        assert_eq!((s.lit_cond_hits, s.lit_cond_misses), (1, 3));
+    }
+
+    #[test]
+    fn literal_bytes_cannot_imitate_a_propagation_record() {
+        // `fact` under `w = x` alone, against `fact` under `w = 2` with
+        // `dim.w = 1` propagated in: the signatures agree up to the end of
+        // the own predicate, where the second one's propagation record
+        // starts. `x` is chosen so that its encoding spells out that
+        // record's first nine bytes (an integer, whose tag is the record's
+        // marker byte) or its payload (a float) — signatures that merely
+        // ran into the literal bytes would agree that much further. They
+        // end in a marker no continuation shares instead.
+        let sb = SafeBound::build(&twin_catalog(), SafeBoundConfig::test_small());
+        let joined = parse_sql(
+            "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.w = 2 AND d.w = 1",
+        )
+        .unwrap();
+        let sig = signatures(&sb, &joined).swap_remove(0);
+        // Table, own flag, `Eq` tag, column.
+        let own = b"fact\xff\x01\x01w\xff";
+        assert!(sig.starts_with(own));
+        let record = &sig[own.len()..];
+        let payload: [u8; 8] = record[1..9].try_into().unwrap();
+        for x in [
+            Value::Int(i64::from_le_bytes(payload)),
+            Value::Float(f64::from_bits(u64::from_le_bytes(payload))),
+        ] {
+            let mut encoded = Vec::new();
+            litcache::encode_literal(safebound_query::LiteralRef::Value(&x), &mut encoded);
+            assert_eq!(encoded[1..], record[1..9], "{x:?} imitates the record");
+            let mut alone = Query::new();
+            let f = alone.add_relation(RelationRef::new("fact"));
+            alone.add_predicate(f, Predicate::Eq("w".into(), x));
+            let alone_sig = signatures(&sb, &alone).swap_remove(0);
+            assert_eq!(alone_sig, [&own[..], &[0]].concat());
+            assert_eq!(record[0], 1, "where one ends, the other goes on");
+            for pair in [[&alone, &joined], [&joined, &alone]] {
+                let s = serve_all(&sb, &pair);
+                assert_eq!((s.lit_cond_hits, s.lit_cond_misses), (0, 3), "{s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_relation_signature_is_a_prefix_of_another() {
+        // What makes `signature ++ literal bytes` injective: over every
+        // relation of a spread of shapes — with and without own
+        // predicates, none to two propagations, nested trees, names that
+        // are prefixes of each other (`dim`/`dim2`, `fk`/`fk2`) — equal
+        // or prefix-free.
+        let sb = SafeBound::build(&twin_catalog(), SafeBoundConfig::test_small());
+        let mut sigs: Vec<Vec<u8>> = [
+            "SELECT COUNT(*) FROM fact f",
+            "SELECT COUNT(*) FROM fact2 f WHERE f.w = 1",
+            "SELECT COUNT(*) FROM fact f WHERE f.w = 1 AND f.v < 3",
+            "SELECT COUNT(*) FROM fact f WHERE f.w = 1 OR f.w = 2",
+            "SELECT COUNT(*) FROM fact f WHERE f.w IN (1, 2, 3)",
+            "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND d.w = 1",
+            "SELECT COUNT(*) FROM fact f, dim2 d WHERE f.fk = d.id AND d.w = 1",
+            "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk2 = d.id AND d.w = 1",
+            "SELECT COUNT(*) FROM fact f, dim d, dim2 e \
+             WHERE f.fk = d.id AND f.fk2 = e.id AND d.w = 1 AND e.v BETWEEN 1 AND 2 AND f.v = 0",
+            "SELECT COUNT(*) FROM fact f, dim d, dim e \
+             WHERE f.fk = d.id AND f.fk2 = e.id AND d.w = 1 AND (e.w = 1 OR e.v > 2)",
+        ]
+        .iter()
+        .flat_map(|sql| signatures(&sb, &parse_sql(sql).unwrap()))
+        .collect();
+        sigs.sort();
+        sigs.dedup();
+        assert!(sigs.len() >= 14, "{} distinct signatures", sigs.len());
+        for (i, a) in sigs.iter().enumerate() {
+            for b in &sigs[i + 1..] {
+                assert!(!b.starts_with(a), "{a:?} is a prefix of {b:?}");
+            }
+        }
     }
 
     #[test]

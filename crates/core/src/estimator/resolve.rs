@@ -3,11 +3,12 @@
 //! ([`PhaseBreakdown::resolve_ns`](super::PhaseBreakdown::resolve_ns)).
 
 use super::session::{
-    compile_slots, EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, ShapeEntry,
+    compile_slots, EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, RelResolution,
+    ShapeEntry,
 };
 use super::EstimateError;
 use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, NgramStats, SetOp};
-use crate::litcache::{self, LitCache};
+use crate::litcache::{self, ContentKey, LitCache};
 use crate::stats::{FilterColumnStats, StatsSnapshot, TableStats};
 use crate::symbol::Sym;
 use safebound_query::{CmpOp, Predicate, Query};
@@ -31,6 +32,33 @@ pub(super) struct LitStage {
     rel_bytes: Vec<Vec<u8>>,
     /// FNV-1a of each `rel_bytes` entry.
     rel_fp: Vec<u64>,
+}
+
+impl LitStage {
+    /// The bound-cache key of the staged query: its shape key, then its
+    /// whole literal stream.
+    pub(super) fn bound_key<'a>(&'a self, shape_key: &'a [u8], shape_fp: u64) -> ContentKey<'a> {
+        ContentKey {
+            scope: shape_key,
+            scope_fp: shape_fp,
+            lits: &self.full,
+            lits_fp: self.full_fp,
+        }
+    }
+
+    /// The conditioned-cache key of relation `rel` of the staged query:
+    /// its signature, then the literal sub-stream its resolution reads.
+    /// `None` for a literal-free relation, whose resolution is trivial
+    /// (row count only).
+    fn rel_key<'a>(&'a self, rel: usize, res: &'a RelResolution) -> Option<ContentKey<'a>> {
+        let lits = &self.rel_bytes[rel];
+        (!lits.is_empty()).then_some(ContentKey {
+            scope: &res.sig,
+            scope_fp: res.sig_fp,
+            lits,
+            lits_fp: self.rel_fp[rel],
+        })
+    }
 }
 
 /// Encode the query's whole literal stream (the bound-cache key) into the
@@ -260,25 +288,25 @@ impl StatsSnapshot {
                 .get(table_name)
                 .ok_or_else(|| EstimateError::UnknownTable(table_name.clone()))?;
 
-            // A literal-free relation's resolution is trivial (row count
-            // only); everything else probes the conditioned cache first.
-            if let Some((cache, stage)) = lit.as_mut() {
-                let bytes = &stage.rel_bytes[rel];
-                if !bytes.is_empty() {
-                    if let Some((set, has_cond, card)) =
-                        cache.lookup_cond(entry.uid, rel as u32, stage.rel_fp[rel], bytes)
-                    {
-                        let rc = &mut cond[rel];
-                        rc.has_cond = has_cond;
-                        rc.cond_ref = None;
-                        rc.card = card;
-                        if has_cond {
-                            cds.copy_set(set, &mut rc.set);
-                        } else {
-                            cds.clear_set(&mut rc.set);
-                        }
-                        continue;
+            // Probe the conditioned cache first, under the relation's
+            // signature: whichever shape resolved this table under these
+            // predicates and literals serves it.
+            let res = &entry.resolution[rel];
+            let mut cached = lit
+                .as_mut()
+                .and_then(|(cache, stage)| Some((&mut **cache, stage.rel_key(rel, res)?)));
+            if let Some((cache, key)) = cached.as_mut() {
+                if let Some((set, has_cond, card)) = cache.lookup_cond(*key) {
+                    let rc = &mut cond[rel];
+                    rc.has_cond = has_cond;
+                    rc.cond_ref = None;
+                    rc.card = card;
+                    if has_cond {
+                        cds.copy_set(set, &mut rc.set);
+                    } else {
+                        cds.clear_set(&mut rc.set);
                     }
+                    continue;
                 }
             }
 
@@ -291,15 +319,13 @@ impl StatsSnapshot {
             rc.cond_ref = None;
 
             // 1. Condition on the relation's own predicates.
-            if let (Some(p), Some(slots)) =
-                (query.predicate_of(rel), entry.resolution[rel].own.as_ref())
-            {
+            if let (Some(p), Some(slots)) = (query.predicate_of(rel), res.own.as_ref()) {
                 apply_compiled(ts, slots, p, cds, memo, rc);
             }
 
             // 2. PK–FK propagation: predicates on joined dimension tables,
             //    via the shape entry's pre-compiled slots.
-            for prop in &entry.resolution[rel].propagations {
+            for prop in &res.propagations {
                 let Some(pred) = query.predicate_of(prop.other_rel) else {
                     continue;
                 };
@@ -314,21 +340,8 @@ impl StatsSnapshot {
                 }
             }
 
-            if let Some((cache, stage)) = lit.as_mut() {
-                let bytes = &stage.rel_bytes[rel];
-                if !bytes.is_empty() {
-                    let rc = &cond[rel];
-                    cache.insert_cond(
-                        entry.uid,
-                        rel as u32,
-                        stage.rel_fp[rel],
-                        bytes,
-                        rc.cond_set(ts),
-                        rc.has_cond,
-                        rc.card,
-                        cds,
-                    );
-                }
+            if let Some((cache, key)) = cached {
+                cache.insert_cond(key, rc.cond_set(ts), rc.has_cond, rc.card, cds);
             }
         }
         Ok(())

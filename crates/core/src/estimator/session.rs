@@ -1,14 +1,15 @@
 //! Per-worker session state: the shape cache with everything memoized per
 //! query shape, the resolve memos, the counters, and [`BoundSession`]
-//! itself. Literal-independent; built once per shape — into the slot the
-//! shape cache's clock recycled — and reused per query.
+//! itself. Literal-independent; built at most once per claimed shape slot
+//! — into the slot the shape cache's clock recycled, when the first bound
+//! has to be computed under it — and reused per query.
 
 use super::assemble::AssembleStage;
 use super::resolve::{LitStage, RelCond};
 use crate::bound::{BoundScratch, RelationBoundStats};
 use crate::clock_cache::ClockCache;
 use crate::conditioning::{CdsScratch, CdsSet, McvOutcome};
-use crate::litcache::LitCache;
+use crate::litcache::{self, LitCache};
 use crate::stats::{StatsSnapshot, TableStats};
 use crate::symbol::Sym;
 use safebound_query::{for_each_spanning_forest, BoundPlan, ColId, JoinGraph, Predicate, Query};
@@ -41,18 +42,17 @@ const MAX_LIT_ENTRIES: usize = 8192;
 /// Everything memoized for one query shape: the surviving acyclic
 /// relaxations' plans plus the literal-independent resolution directives.
 /// The payload of the session's shape [`ClockCache`], fingerprinted by
-/// [`Query::shape_hash`] and verified by [`Query::same_shape`]; a recycled
-/// entry is overwritten in place by [`StatsSnapshot::build_shape_entry`].
+/// [`Query::shape_hash`] and verified by comparing `key`. A claimed slot
+/// holds its key only; [`StatsSnapshot::build_shape_entry`] overwrites the
+/// rest in place when a bound first has to be computed under it.
 #[derive(Debug, Default)]
 pub(super) struct ShapeEntry {
-    /// Shape exemplar (literal values are ignored by comparisons).
-    pub(super) shape: Query,
-    /// Session-unique id, never reused — not even when the clock recycles
-    /// this slot for another shape: the literal cache verifies literal
-    /// bytes only and keys them under this id, so entries of an evicted
-    /// shape must become unreachable garbage (recycled by the literal
-    /// clock), never another shape's false hits.
-    pub(super) uid: u64,
+    /// The shape's [`Query::shape_key_into`] bytes.
+    pub(super) key: Vec<u8>,
+    /// Whether everything below belongs to `key`. Until then it is the
+    /// slot's previous tenant's and must not be read: exact repeats are
+    /// answered from the literal cache without it.
+    pub(super) built: bool,
     /// One plan per Berge-acyclic relaxation that planned successfully.
     pub(super) plans: Vec<PlanEntry>,
     /// Index into `plans` of the relaxation that won (had the smallest
@@ -85,6 +85,18 @@ pub(super) struct RelResolution {
     /// Predicates on other relations reachable through one original-query
     /// join edge, compiled against the fact side's propagated-key slots.
     pub(super) propagations: Vec<Propagation>,
+    /// The relation's **signature**: everything its conditioned set
+    /// depends on besides literals — the table; the own predicate's shape;
+    /// per entry of `propagations`, in order, this relation's column, the
+    /// other table, its column and its predicate's shape. Names end in
+    /// `0xff`, a marker byte says whether an own predicate and whether
+    /// another propagation follows, so no signature is a proper prefix of
+    /// another and `sig ++ literal sub-vector` identifies a conditioned
+    /// entry of the literal cache — for every shape that reaches the
+    /// relation this way, not only this one.
+    pub(super) sig: Vec<u8>,
+    /// FNV-1a of `sig`.
+    pub(super) sig_fp: u64,
 }
 
 /// One PK–FK propagation source (§4.2).
@@ -119,7 +131,7 @@ impl PredSlots {
     /// can never condition anything (`resolve_slots` returns `false` on
     /// every path), so callers drop such directives at shape build: the
     /// per-query resolution loop skips the no-op walk, and the literal
-    /// cache's per-relation key excludes literals the relation provably
+    /// cache's per-relation key excludes predicates the relation provably
     /// never reads.
     fn has_any(&self) -> bool {
         match self {
@@ -309,7 +321,8 @@ macro_rules! session_counters {
 session_counters! { s;
     /// Shape-cache hits (plan/slot reuse).
     shape_hits = s.shape_hits,
-    /// Shape-cache misses (shape builds).
+    /// Shape-cache misses (slot claims; a claimed slot's plans are built
+    /// only if a bound has to be computed under it).
     shape_misses = s.shape_misses,
     /// Shape slots recycled by the shape cache's clock.
     shape_evictions = s.shapes.evictions(),
@@ -384,8 +397,9 @@ pub struct BoundSession {
     pub(super) snapshot: Option<Arc<StatsSnapshot>>,
     /// The shape cache, keyed by [`Query::shape_hash`] alone.
     pub(super) shapes: ClockCache<(), ShapeEntry>,
-    /// Next [`ShapeEntry::uid`] (never reused within the session).
-    pub(super) next_shape_uid: u64,
+    /// The current query's shape key, staged once and compared against
+    /// [`ShapeEntry::key`] and the literal cache's bound entries.
+    pub(super) shape_key: Vec<u8>,
     pub(super) memos: Memos,
     pub(super) lit_cache: LitCache,
     pub(super) lit_stage: LitStage,
@@ -401,7 +415,7 @@ pub struct BoundSession {
     pub(super) phases: PhaseBreakdown,
     /// Shape-cache hits since creation.
     pub(super) shape_hits: u64,
-    /// Shape-cache misses (shape builds) since creation.
+    /// Shape-cache misses (slot claims) since creation.
     pub(super) shape_misses: u64,
 }
 
@@ -424,7 +438,7 @@ impl BoundSession {
         BoundSession {
             snapshot: None,
             shapes: ClockCache::with_capacity(capacity.max(1)),
-            next_shape_uid: 0,
+            shape_key: Vec::new(),
             memos: Memos::default(),
             lit_cache: LitCache::with_capacity(MAX_LIT_ENTRIES),
             lit_stage: LitStage::default(),
@@ -494,15 +508,15 @@ impl BoundSession {
 
 impl StatsSnapshot {
     /// Build the memoized artifacts for a query shape into `entry`,
-    /// overwriting whatever it held (a default entry, or the clock's victim
-    /// whose buffers are reused): enumerate spanning relaxations, plan the
-    /// Berge-acyclic ones, resolve join columns to plan ids and interned
-    /// symbols, and compile every predicate column — own and
-    /// PK–FK-propagated (from the **original** query's edges) — to dense
-    /// filter slots, so the per-query path never touches a string.
+    /// overwriting whatever it held besides its key (a default entry, or
+    /// the clock's victim whose buffers are reused): enumerate spanning
+    /// relaxations, plan the Berge-acyclic ones, resolve join columns to
+    /// plan ids and interned symbols, compile every predicate column — own
+    /// and PK–FK-propagated (from the **original** query's edges) — to
+    /// dense filter slots, so the per-query path never touches a string,
+    /// and write each relation's literal-cache signature.
     ///
-    /// `uid` must be fresh even for a recycled entry, and the remembered
-    /// winner is reset: both belonged to the evicted shape.
+    /// The remembered winner is reset: it belonged to the evicted shape.
     ///
     /// Propagating along all original edges (rather than each
     /// relaxation's surviving subset) is sound: a fact row in the original
@@ -511,9 +525,8 @@ impl StatsSnapshot {
     /// conditioned row set still contains every result row — and sharing
     /// it across relaxations both tightens cyclic bounds and lets the
     /// resolution run once per query.
-    pub(super) fn build_shape_entry(&self, query: &Query, uid: u64, entry: &mut ShapeEntry) {
-        entry.shape.clone_from(query);
-        entry.uid = uid;
+    pub(super) fn build_shape_entry(&self, query: &Query, entry: &mut ShapeEntry) {
+        entry.built = true;
         entry.last_winner = 0;
 
         let n = query.num_relations();
@@ -560,9 +573,15 @@ impl StatsSnapshot {
         resolution.resize_with(n, RelResolution::default);
         for (rel, res) in resolution.iter_mut().enumerate() {
             res.propagations.clear();
-            res.own = query
-                .predicate_of(rel)
-                .map(|p| compile_slots(p, &mut |c| tables[rel].and_then(|t| t.filter_slot(c))));
+            let own = query.predicate_of(rel);
+            res.own =
+                own.map(|p| compile_slots(p, &mut |c| tables[rel].and_then(|t| t.filter_slot(c))));
+            res.sig.clear();
+            push_name(&mut res.sig, &query.relations[rel].table);
+            res.sig.push(u8::from(own.is_some()));
+            if let Some(p) = own {
+                p.shape_key_into(&mut res.sig);
+            }
         }
         for edge in &query.joins {
             if edge.left == edge.right {
@@ -581,8 +600,8 @@ impl StatsSnapshot {
                 let (Some(pred), Some(ts)) = (query.predicate_of(other_rel), tables[rel]) else {
                     continue;
                 };
-                let keyed =
-                    ts.propagated_slots(my_col, &query.relations[other_rel].table, other_col);
+                let other_table = &query.relations[other_rel].table;
+                let keyed = ts.propagated_slots(my_col, other_table, other_col);
                 if keyed.is_empty() {
                     continue; // nothing propagates along this edge side
                 }
@@ -591,12 +610,28 @@ impl StatsSnapshot {
                 // no-op; dropping it here keeps the resolution loop and
                 // the literal-cache keys to what the relation reads.
                 if slots.has_any() {
+                    let res = &mut resolution[rel];
                     // Sized to fit: a relation has one or two of these.
-                    let props = &mut resolution[rel].propagations;
-                    props.reserve_exact(1);
-                    props.push(Propagation { other_rel, slots });
+                    res.propagations.reserve_exact(1);
+                    res.propagations.push(Propagation { other_rel, slots });
+                    res.sig.push(1);
+                    push_name(&mut res.sig, my_col);
+                    push_name(&mut res.sig, other_table);
+                    push_name(&mut res.sig, other_col);
+                    pred.shape_key_into(&mut res.sig);
                 }
             }
         }
+        for res in resolution.iter_mut() {
+            res.sig.push(0);
+            res.sig_fp = litcache::fnv1a(&res.sig);
+        }
     }
+}
+
+/// Append a name to a signature the way shape keys spell them: its bytes,
+/// then `0xff`, which UTF-8 never contains.
+fn push_name(sig: &mut Vec<u8>, name: &str) {
+    sig.extend_from_slice(name.as_bytes());
+    sig.push(0xff);
 }

@@ -6,26 +6,35 @@
 //! What remains per query — predicate resolution and statistics assembly —
 //! depends only on the query's **literal vector**, so repeated literals can
 //! skip it entirely. This module provides the storage for two memo levels,
-//! both keyed under a shape's session-unique id and a literal fingerprint:
+//! both keyed by **content** ([`ContentKey`]): the bytes naming everything
+//! the value depends on besides literals, then the literal bytes.
 //!
-//! * **bound entries** (`rel == REL_BOUND`), keyed by the *whole query's*
-//!   literal vector: the final `f64` bound. An exact repeat of a served
-//!   request returns it without touching resolution, assembly, or the
-//!   kernel.
-//! * **conditioned entries**, keyed per relation by the sub-vector of
-//!   literals that relation's resolution actually reads (its own predicate
-//!   plus every predicate PK–FK-propagated into it): the fully resolved
-//!   conditioned [`CdsSet`] and cardinality bound. A query repeating one
-//!   relation's literals while varying another's still skips that
-//!   relation's MCV/histogram/n-gram resolution.
+//! * **bound entries**, keyed by the query's shape key
+//!   ([`safebound_query::Query::shape_key_into`]) and its *whole* literal
+//!   vector: the final `f64` bound. An exact repeat of a served request
+//!   returns it without touching resolution, assembly, or the kernel —
+//!   also after the shape cache evicted the shape and claimed a slot for
+//!   it again, and without that slot's plans ever being built.
+//! * **conditioned entries**, keyed by a relation's signature (its table,
+//!   its own predicate's shape and every predicate PK–FK-propagated into
+//!   it; built once per shape build) and the sub-vector of literals that
+//!   relation's resolution actually reads: the fully resolved conditioned
+//!   [`CdsSet`] and cardinality bound. A query repeating one relation's
+//!   literals while varying another's still skips that relation's
+//!   MCV/histogram/n-gram resolution, and so does every *other* shape that
+//!   reaches the same relation the same way — the sub-queries an optimizer
+//!   asks about while planning one query share their relations'
+//!   resolutions.
 //!
-//! Fingerprints are FNV-1a over a stable byte encoding of the literal
-//! stream ([`encode_literal`]); every hit is **verified** against a stored
-//! copy of the encoded bytes before anything is served, so hash collisions
-//! cost a miss, never a wrong bound. Storage, verification and eviction
-//! are [`ClockCache`]'s — the one structure the resolve memos instantiate
-//! too — so late-arriving hot literal vectors always enter. The whole
-//! cache is session-owned: entry sets copy through the session's
+//! Fingerprints mix the FNV-1a of the two halves; every hit is
+//! **verified** against a stored copy of both halves' bytes before
+//! anything is served, so hash collisions cost a miss, never a wrong
+//! bound. Both first halves are self-delimiting (neither a shape key nor a
+//! signature is a proper prefix of another), so the concatenation the
+//! entry stores is as injective as the pair. Storage, verification and
+//! eviction are [`ClockCache`]'s — the one structure the resolve memos
+//! instantiate too — so late-arriving hot literal vectors always enter.
+//! The whole cache is session-owned: entry sets copy through the session's
 //! [`CdsScratch`] pools and a recycled entry is overwritten in place, its
 //! byte and set buffers retained, so a warm session stays allocation-free
 //! even at capacity with the clock churning (asserted by the `zero_alloc`
@@ -37,9 +46,49 @@ use crate::conditioning::{CdsScratch, CdsSet};
 use safebound_query::LiteralRef;
 use safebound_storage::Value;
 
-/// The `rel` component of a whole-query bound entry's key (relation
-/// indices are always `< u32::MAX`).
-pub(crate) const REL_BOUND: u32 = u32::MAX;
+/// Which memo level an entry belongs to — the owner half of its
+/// [`ClockCache`] key, so a shape key and a relation signature that
+/// happened to agree byte for byte still could not serve each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Kind {
+    Bound,
+    Cond,
+}
+
+/// Everything a literal-cache value depends on, as two byte strings and
+/// their FNV-1a hashes: `scope` is a shape key (bound entries) or a
+/// relation signature (conditioned entries) — self-delimiting, staged or
+/// built and hashed before the probe — and `lits` the encoded literal
+/// (sub-)vector read under it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ContentKey<'a> {
+    pub scope: &'a [u8],
+    pub scope_fp: u64,
+    pub lits: &'a [u8],
+    pub lits_fp: u64,
+}
+
+impl ContentKey<'_> {
+    /// The cache fingerprint: both halves' hashes, mixed in order.
+    fn fp(&self) -> u64 {
+        use crate::simd::hash::FNV_PRIME;
+        (self.scope_fp.wrapping_mul(FNV_PRIME) ^ self.lits_fp).wrapping_mul(FNV_PRIME)
+    }
+
+    /// Whether `stored` is exactly `scope ++ lits`.
+    fn matches(&self, stored: &[u8]) -> bool {
+        stored.len() == self.scope.len() + self.lits.len()
+            && stored.starts_with(self.scope)
+            && stored.ends_with(self.lits)
+    }
+
+    fn store_into(&self, bytes: &mut Vec<u8>) {
+        bytes.clear();
+        bytes.reserve_exact(self.scope.len() + self.lits.len());
+        bytes.extend_from_slice(self.scope);
+        bytes.extend_from_slice(self.lits);
+    }
+}
 
 /// FNV-1a over a byte slice (the fingerprint function). One canonical
 /// implementation lives in [`crate::simd::hash`]; batch callers hashing
@@ -90,8 +139,9 @@ pub(crate) fn encode_literal(lit: LiteralRef<'_>, out: &mut Vec<u8>) {
 /// conditioned set/card for per-relation entries).
 #[derive(Debug, Default)]
 struct LitEntry {
-    /// Encoded literal vector (collision verification). Capacity is
-    /// retained when the clock recycles the slot.
+    /// The [`ContentKey`] this entry answers, `scope ++ lits` (collision
+    /// verification). Capacity is retained when the clock recycles the
+    /// slot.
     bytes: Vec<u8>,
     /// Conditioned set (cond entries; polylines pooled on eviction).
     set: CdsSet,
@@ -104,12 +154,12 @@ struct LitEntry {
 }
 
 /// The literal cache (see the module docs): one [`ClockCache`] holding
-/// bound and conditioned entries alike, owner-keyed by `(shape uid, rel |
-/// REL_BOUND)`, plus the per-kind hit/miss tallies. One per
+/// bound and conditioned entries alike, owner-keyed by their [`Kind`],
+/// plus the per-kind hit/miss tallies. One per
 /// [`crate::estimator::BoundSession`].
 #[derive(Debug)]
 pub(crate) struct LitCache {
-    cache: ClockCache<(u64, u32), LitEntry>,
+    cache: ClockCache<Kind, LitEntry>,
     pub bound_hits: u64,
     pub bound_misses: u64,
     pub cond_hits: u64,
@@ -138,11 +188,12 @@ impl LitCache {
         self.cache.evictions()
     }
 
-    /// The memoized bound for an exact whole-query literal repeat.
-    pub(crate) fn lookup_bound(&mut self, shape_uid: u64, fp: u64, bytes: &[u8]) -> Option<f64> {
+    /// The memoized bound for an exact whole-query repeat: `key` is the
+    /// query's shape key and whole literal vector.
+    pub(crate) fn lookup_bound(&mut self, key: ContentKey<'_>) -> Option<f64> {
         let hit = self
             .cache
-            .get((shape_uid, REL_BOUND), fp, |e| e.bytes == bytes);
+            .get(Kind::Bound, key.fp(), |e| key.matches(&e.bytes));
         match hit {
             Some(_) => self.bound_hits += 1,
             None => self.bound_misses += 1,
@@ -150,17 +201,13 @@ impl LitCache {
         hit.map(|e| e.bound)
     }
 
-    /// The memoized conditioned resolution for one relation's literal
-    /// sub-vector: `(set, has_cond, card)`. The set borrow points into the
-    /// cache; callers copy it out through their scratch.
-    pub(crate) fn lookup_cond(
-        &mut self,
-        shape_uid: u64,
-        rel: u32,
-        fp: u64,
-        bytes: &[u8],
-    ) -> Option<(&CdsSet, bool, f64)> {
-        let hit = self.cache.get((shape_uid, rel), fp, |e| e.bytes == bytes);
+    /// The memoized conditioned resolution under a relation's signature
+    /// and literal sub-vector: `(set, has_cond, card)`. The set borrow
+    /// points into the cache; callers copy it out through their scratch.
+    pub(crate) fn lookup_cond(&mut self, key: ContentKey<'_>) -> Option<(&CdsSet, bool, f64)> {
+        let hit = self
+            .cache
+            .get(Kind::Cond, key.fp(), |e| key.matches(&e.bytes));
         match hit {
             Some(_) => self.cond_hits += 1,
             None => self.cond_misses += 1,
@@ -171,15 +218,12 @@ impl LitCache {
     /// Memoize a computed whole-query bound (miss path only).
     pub(crate) fn insert_bound(
         &mut self,
-        shape_uid: u64,
-        fp: u64,
-        bytes: &[u8],
+        key: ContentKey<'_>,
         bound: f64,
         scratch: &mut CdsScratch,
     ) {
-        if let Some(e) = self.cache.claim((shape_uid, REL_BOUND), fp) {
-            e.bytes.clear();
-            e.bytes.extend_from_slice(bytes);
+        if let Some(e) = self.cache.claim(Kind::Bound, key.fp()) {
+            key.store_into(&mut e.bytes);
             // A recycled cond entry's set goes back to the pools.
             scratch.clear_set(&mut e.set);
             e.bound = bound;
@@ -189,21 +233,16 @@ impl LitCache {
     /// Memoize one relation's resolved conditioning (miss path only). The
     /// set is copied in through the scratch pools, over whatever the
     /// recycled slot held.
-    #[allow(clippy::too_many_arguments)] // flat hot-path call, no temp struct
     pub(crate) fn insert_cond(
         &mut self,
-        shape_uid: u64,
-        rel: u32,
-        fp: u64,
-        bytes: &[u8],
+        key: ContentKey<'_>,
         set: &CdsSet,
         has_cond: bool,
         card: f64,
         scratch: &mut CdsScratch,
     ) {
-        if let Some(e) = self.cache.claim((shape_uid, rel), fp) {
-            e.bytes.clear();
-            e.bytes.extend_from_slice(bytes);
+        if let Some(e) = self.cache.claim(Kind::Cond, key.fp()) {
+            key.store_into(&mut e.bytes);
             if has_cond {
                 scratch.copy_set(set, &mut e.set);
             } else {
@@ -225,21 +264,28 @@ impl LitCache {
 mod tests {
     use super::*;
 
-    fn bytes_of(n: u8) -> Vec<u8> {
-        vec![n, n, n]
+    /// A key with caller-chosen fingerprints, so tests can force collisions.
+    fn key<'a>(scope: &'a [u8], scope_fp: u64, lits: &'a [u8], lits_fp: u64) -> ContentKey<'a> {
+        ContentKey {
+            scope,
+            scope_fp,
+            lits,
+            lits_fp,
+        }
     }
 
     #[test]
     fn bound_roundtrip_and_collision_verification() {
         let mut c = LitCache::with_capacity(4);
         let mut s = CdsScratch::default();
-        assert!(c.lookup_bound(7, 1, &bytes_of(1)).is_none());
-        c.insert_bound(7, 1, &bytes_of(1), 42.0, &mut s);
-        assert_eq!(c.lookup_bound(7, 1, &bytes_of(1)), Some(42.0));
-        // Same fingerprint, different bytes: a collision must miss.
-        assert_eq!(c.lookup_bound(7, 1, &bytes_of(2)), None);
-        // Different shape uid: independent keyspace.
-        assert_eq!(c.lookup_bound(8, 1, &bytes_of(1)), None);
+        let k = key(b"shape", 7, &[1, 1, 1], 1);
+        assert!(c.lookup_bound(k).is_none());
+        c.insert_bound(k, 42.0, &mut s);
+        assert_eq!(c.lookup_bound(k), Some(42.0));
+        // Same fingerprints, different bytes in either half: a collision
+        // must miss.
+        assert_eq!(c.lookup_bound(key(b"shape", 7, &[2, 2, 2], 1)), None);
+        assert_eq!(c.lookup_bound(key(b"shapf", 7, &[1, 1, 1], 1)), None);
         assert_eq!((c.bound_hits, c.bound_misses), (1, 3));
     }
 
@@ -248,17 +294,19 @@ mod tests {
         let mut c = LitCache::with_capacity(8);
         let mut s = CdsScratch::default();
         let set = CdsSet::default();
-        c.insert_cond(0, 0, 5, &bytes_of(5), &set, false, 12.0, &mut s);
-        c.insert_bound(0, 5, &bytes_of(5), 99.0, &mut s);
-        let (_, has_cond, card) = c.lookup_cond(0, 0, 5, &bytes_of(5)).unwrap();
+        // One key for both kinds: the kind is part of the cache key.
+        let k = key(b"same", 0, &[5, 5, 5], 5);
+        c.insert_cond(k, &set, false, 12.0, &mut s);
+        c.insert_bound(k, 99.0, &mut s);
+        let (_, has_cond, card) = c.lookup_cond(k).unwrap();
         assert!(!has_cond);
         assert_eq!(card, 12.0);
-        assert_eq!(c.lookup_bound(0, 5, &bytes_of(5)), Some(99.0));
+        assert_eq!(c.lookup_bound(k), Some(99.0));
         // Disabled cache never stores.
         let mut off = LitCache::with_capacity(0);
-        off.insert_bound(0, 5, &bytes_of(5), 1.0, &mut s);
+        off.insert_bound(k, 1.0, &mut s);
         assert!(!off.enabled());
-        assert_eq!(off.lookup_bound(0, 5, &bytes_of(5)), None);
+        assert_eq!(off.lookup_bound(k), None);
     }
 
     #[test]
@@ -272,17 +320,22 @@ mod tests {
             symbols.intern("x"),
             crate::piecewise::PiecewiseLinear::empty(),
         )]);
-        c.insert_cond(0, 0, 1, &bytes_of(1), &full, true, 3.0, &mut s);
-        let (set, has_cond, card) = c.lookup_cond(0, 0, 1, &bytes_of(1)).unwrap();
+        let (k1, k2, k3) = (
+            key(b"sig", 0, &[1], 1),
+            key(b"sig", 0, &[2], 2),
+            key(b"sig", 0, &[3], 3),
+        );
+        c.insert_cond(k1, &full, true, 3.0, &mut s);
+        let (set, has_cond, card) = c.lookup_cond(k1).unwrap();
         assert_eq!((set.is_empty(), has_cond, card), (false, true, 3.0));
         // An unconditioned entry over the conditioned one.
-        c.insert_cond(0, 0, 2, &bytes_of(2), &full, false, 7.0, &mut s);
-        let (set, has_cond, card) = c.lookup_cond(0, 0, 2, &bytes_of(2)).unwrap();
+        c.insert_cond(k2, &full, false, 7.0, &mut s);
+        let (set, has_cond, card) = c.lookup_cond(k2).unwrap();
         assert_eq!((set.is_empty(), has_cond, card), (true, false, 7.0));
-        assert!(c.lookup_cond(0, 0, 1, &bytes_of(1)).is_none());
+        assert!(c.lookup_cond(k1).is_none());
         // A bound entry over a cond entry.
-        c.insert_bound(0, 3, &bytes_of(3), 11.0, &mut s);
-        assert_eq!(c.lookup_bound(0, 3, &bytes_of(3)), Some(11.0));
+        c.insert_bound(k3, 11.0, &mut s);
+        assert_eq!(c.lookup_bound(k3), Some(11.0));
         assert_eq!(c.evictions(), 2);
     }
 

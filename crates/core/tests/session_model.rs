@@ -1,17 +1,22 @@
 //! Stateful model test for [`BoundSession`]: random interleavings of
 //! bounds over a small pool of query shapes and [`SafeBound::swap_stats`]
 //! hot swaps, served through one long-lived session whose shape cache is
-//! far smaller than the pool (capacities 1, 2 and 7), must agree bit for
-//! bit with the model — a fresh session per query against the build that
-//! is current at that point. Whatever the session's five clock caches
-//! hold, recycle or flush, it may only ever change *when* work happens,
-//! never a bound.
+//! far smaller than the pool (capacities 1, 2 and 7) and whose literal
+//! cache is off, far smaller than the literal set (3 entries, bound and
+//! conditioned combined) or the default, must agree bit for bit with the
+//! model — a fresh session per query against the build that is current at
+//! that point. Whatever the session's five clock caches hold, recycle or
+//! flush, it may only ever change *when* work happens, never a bound.
 //!
 //! The pool is built to provoke cross-shape mix-ups: several shapes over
-//! different tables take byte-identical literal vectors, so a recycled
-//! shape slot that kept anything of its previous tenant (its literal-cache
-//! id, its remembered winning relaxation) would serve another shape's
-//! memoized bound.
+//! different tables take byte-identical literal vectors, and the same
+//! relation under the same predicate appears in several shapes. Literal-
+//! cache entries are keyed by content and outlive their shape's slot, so a
+//! key that left out anything its value depends on — the table, a
+//! propagated predicate, the build — would serve another shape's memoized
+//! bound or conditioned set; and a recycled shape slot that kept anything
+//! of its previous tenant (its plans before the rebuild, its remembered
+//! winning relaxation) would evaluate the wrong plan.
 
 use proptest::prelude::*;
 use safebound_core::{BoundSession, SafeBound, SafeBoundBuilder, SafeBoundConfig};
@@ -20,8 +25,11 @@ use safebound_storage::{Catalog, Column, DataType, Field, Schema, Table};
 
 /// Two dimensions and a fact table referencing both, all filterable on a
 /// small integer column `w`/`year` so one literal fits every shape.
-fn catalog() -> Catalog {
+/// `refresh` is the data generation: a later one has more rows in every
+/// table, so no bound of the pool survives a swap unchanged.
+fn catalog(refresh: i64) -> Catalog {
     let mut c = Catalog::new();
+    let dim_rows = 12 + 3 * refresh;
     for (name, modulus) in [("dim_a", 3), ("dim_b", 5)] {
         c.add_table(Table::new(
             name,
@@ -30,14 +38,14 @@ fn catalog() -> Catalog {
                 Field::new("w", DataType::Int),
             ]),
             vec![
-                Column::from_ints((0..12).map(Some)),
-                Column::from_ints((0..12).map(|i| Some(i % modulus))),
+                Column::from_ints((0..dim_rows).map(Some)),
+                Column::from_ints((0..dim_rows).map(|i| Some(i % modulus))),
             ],
         ));
     }
     let (mut a, mut b, mut w) = (Vec::new(), Vec::new(), Vec::new());
     for v in 0i64..12 {
-        for r in 0..(24 / (v + 1)) {
+        for r in 0..((24 + 12 * refresh) / (v + 1)) {
             a.push(Some(v));
             b.push(Some((v * 7 + r) % 12));
             w.push(Some(r % 4));
@@ -106,44 +114,77 @@ proptest! {
 
     #[test]
     fn long_lived_session_matches_fresh_sessions(ops in collection::vec(op(), 1..120)) {
-        let cat = catalog();
-        let mut other = SafeBoundConfig::test_small();
-        other.mcv_size = 2; // a genuinely different conditioning
-        let builds = [
-            SafeBoundBuilder::new(SafeBoundConfig::test_small()).build(&cat),
-            SafeBoundBuilder::new(other).build(&cat),
-        ];
+        let builds = [0, 1].map(|refresh| {
+            SafeBoundBuilder::new(SafeBoundConfig::test_small()).build(&catalog(refresh))
+        });
         // The model: one handle per build, every bound from a fresh session.
         let models = builds.clone().map(SafeBound::from_stats);
 
-        for capacity in [1usize, 2, 7] {
-            let sb = SafeBound::from_stats(builds[0].clone());
-            let mut session = BoundSession::with_shape_capacity(capacity);
-            let (mut current, mut bounds) = (0usize, 0u64);
-            for (i, op) in ops.iter().enumerate() {
-                match *op {
-                    Op::Swap => {
-                        current ^= 1;
-                        sb.swap_stats(builds[current].clone());
-                    }
-                    Op::Bound { shape, lit } => {
-                        let q = instantiate(shape, lit);
-                        let got = sb.bound_with_session(&q, &mut session).unwrap();
-                        let want = models[current].bound(&q).unwrap();
-                        prop_assert_eq!(
-                            got.to_bits(),
-                            want.to_bits(),
-                            "capacity {}, op {} ({:?}): session {} != fresh {}",
-                            capacity, i, op, got, want
-                        );
-                        bounds += 1;
-                    }
+        // The model's answer to every `Bound`, under the build current then.
+        let mut current = 0usize;
+        let mut wanted = Vec::new();
+        for op in &ops {
+            match *op {
+                Op::Swap => current ^= 1,
+                Op::Bound { shape, lit } => {
+                    wanted.push(models[current].bound(&instantiate(shape, lit)).unwrap());
                 }
-                prop_assert!(session.cached_shapes() <= capacity);
-                let s = session.stats();
-                prop_assert_eq!(s.shape_hits + s.shape_misses, bounds);
-                prop_assert!(s.shape_evictions <= s.shape_misses);
+            }
+        }
+
+        for capacity in [1usize, 2, 7] {
+            // `None` keeps the default literal capacity.
+            for literal_capacity in [Some(0usize), Some(3), None] {
+                let sb = SafeBound::from_stats(builds[0].clone());
+                let mut session = BoundSession::with_shape_capacity(capacity);
+                if let Some(n) = literal_capacity {
+                    session = session.with_literal_capacity(n);
+                }
+                let (mut current, mut bounds) = (0usize, 0usize);
+                for (i, op) in ops.iter().enumerate() {
+                    match *op {
+                        Op::Swap => {
+                            current ^= 1;
+                            sb.swap_stats(builds[current].clone());
+                        }
+                        Op::Bound { shape, lit } => {
+                            let q = instantiate(shape, lit);
+                            let got = sb.bound_with_session(&q, &mut session).unwrap();
+                            let want = wanted[bounds];
+                            prop_assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "shape capacity {}, literal capacity {:?}, op {} ({:?}): \
+                                 session {} != fresh {}",
+                                capacity, literal_capacity, i, op, got, want
+                            );
+                            bounds += 1;
+                        }
+                    }
+                    prop_assert!(session.cached_shapes() <= capacity);
+                    let s = session.stats();
+                    prop_assert_eq!(s.shape_hits + s.shape_misses, bounds as u64);
+                    prop_assert!(s.shape_evictions <= s.shape_misses);
+                }
             }
         }
     }
+}
+
+/// What lets the model see a stale entry served across a swap: the two
+/// builds disagree on nearly every query of the pool.
+#[test]
+fn the_refreshed_build_moves_the_pools_bounds() {
+    let [before, after] = [0, 1].map(|refresh| {
+        let stats = SafeBoundBuilder::new(SafeBoundConfig::test_small()).build(&catalog(refresh));
+        SafeBound::from_stats(stats)
+    });
+    let moved = (0..27)
+        .map(|i| instantiate(i / 3, i as i64 % 3))
+        .filter(|q| before.bound(q).unwrap().to_bits() != after.bound(q).unwrap().to_bits())
+        .count();
+    assert!(
+        moved >= 24,
+        "only {moved} of 27 bounds differ across the swap"
+    );
 }

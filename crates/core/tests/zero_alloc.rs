@@ -8,9 +8,10 @@
 //! literals) through the shape cache and [`CdsScratch`](safebound_core::CdsScratch)
 //! pools without a single allocation — predicate resolution (LIKE gram
 //! extraction included) and stats assembly too. A shape *miss* at
-//! capacity does allocate, but only what its plan's structure needs: the
-//! last audit counts it against the clone-per-relaxation build it
-//! replaced.
+//! capacity allocates nothing either while its bound is memoized (the
+//! claimed slot holds a key and nothing is built), and otherwise only what
+//! its plan's structure needs: the last audit counts it against the
+//! clone-per-relaxation build it replaced.
 
 use safebound_core::{
     fdsb_with_scratch, BoundScratch, BoundSession, DegreeSequence, RelationBoundStats, SafeBound,
@@ -468,25 +469,10 @@ fn steady_state_parallel_worker_sessions_allocate_nothing() {
     });
 }
 
-#[test]
-fn shape_miss_at_capacity_allocates_only_what_its_plan_needs() {
-    // Six shapes rotating through a two-slot shape cache: every query is
-    // a miss that recycles the clock's victim in place. Literal caching is
-    // off and the arenas are warm, so what is counted is the shape build
-    // alone — relaxation enumeration, join graph, plan, slot compilation
-    // and the exemplar.
-    //
-    // With a fresh `Query` clone per relaxation and per exemplar, a
-    // `String` per join attribute and a `format!` per propagated leaf, one
-    // round of these six misses cost 544 allocations (commit 650f4ce, this
-    // very test). Building over borrowed names into the recycled entry
-    // must stay at or below half of that; what remains is the join
-    // graph's and the enumeration's scratch vectors, each plan's step
-    // lists, and the predicate trees (slots and exemplar).
-    const PARENT_ALLOCATIONS_PER_ROUND: usize = 544;
-    let catalog = end_to_end_catalog();
-    let sb = SafeBound::build(&catalog, SafeBoundConfig::test_small());
-    let shapes: Vec<Query> = [
+/// The six shapes of the two at-capacity audits below: acyclic and cyclic,
+/// every predicate kind, one literal instantiation each.
+fn rotating_shapes() -> Vec<Query> {
+    [
         "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id",
         "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.year = 1992 AND d.w = 0",
         "SELECT COUNT(*) FROM fact f, dim d \
@@ -498,7 +484,60 @@ fn shape_miss_at_capacity_allocates_only_what_its_plan_needs() {
     ]
     .iter()
     .map(|sql| parse_sql(sql).unwrap())
-    .collect();
+    .collect()
+}
+
+#[test]
+fn bound_hit_through_a_key_only_shape_slot_allocates_nothing() {
+    // Six shapes rotating through a two-slot shape cache with the literal
+    // cache on: every query claims the clock's victim for its key, finds
+    // its bound memoized under key ++ literals and returns. Nothing is
+    // built after the first round, and nothing allocated: the key is
+    // staged in the session's buffer and copied into the victim's.
+    let catalog = end_to_end_catalog();
+    let sb = SafeBound::build(&catalog, SafeBoundConfig::test_small());
+    let shapes = rotating_shapes();
+    let mut session = BoundSession::with_shape_capacity(2);
+    let rounds = 20;
+    assert_steady_state_allocates_nothing(
+        &sb,
+        &mut session,
+        &shapes,
+        rounds,
+        "bound hits through key-only shape slots",
+    );
+    let s = session.stats();
+    let queries = ((5 + rounds) * shapes.len()) as u64;
+    assert_eq!((s.shape_hits, s.shape_misses), (0, queries));
+    assert_eq!(s.shape_evictions, queries - 2);
+    let computed = shapes.len() as u64;
+    assert_eq!(
+        (s.lit_bound_hits, s.lit_bound_misses),
+        (queries - computed, computed)
+    );
+}
+
+#[test]
+fn shape_miss_at_capacity_allocates_only_what_its_plan_needs() {
+    // Six shapes rotating through a two-slot shape cache: every query is
+    // a miss that recycles the clock's victim in place. Literal caching is
+    // off — so every claimed slot is built at once — and the arenas are
+    // warm, so what is counted is the shape build alone: relaxation
+    // enumeration, join graph, plan and slot compilation (key and
+    // signatures are written into the victim's buffers).
+    //
+    // With a fresh `Query` clone per relaxation and per exemplar, a
+    // `String` per join attribute and a `format!` per propagated leaf, one
+    // round of these six misses cost 544 allocations (commit 650f4ce, this
+    // very test). Building over borrowed names into the recycled entry
+    // must stay at or below half of that. It takes 121 (135 while every
+    // entry also kept an exemplar query, predicate trees included); what
+    // remains is the join graph's and the enumeration's scratch vectors,
+    // each plan's step lists, and the slot trees.
+    const PARENT_ALLOCATIONS_PER_ROUND: usize = 544;
+    let catalog = end_to_end_catalog();
+    let sb = SafeBound::build(&catalog, SafeBoundConfig::test_small());
+    let shapes = rotating_shapes();
 
     let mut session = BoundSession::with_shape_capacity(2).with_literal_capacity(0);
     for _ in 0..5 {

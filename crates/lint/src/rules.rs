@@ -107,10 +107,12 @@ pub const PERSIST_FILES: &[&str] = &["crates/core/src/snapshot_file.rs"];
 /// client sent, outside the workers' `catch_unwind`.
 pub const PARSER_FILES: &[&str] = &["crates/query/src/parser.rs"];
 
-/// The planner files: join graph, bound plan and spanning-forest
-/// enumeration run on every shape miss, also on an embedded optimizer
-/// thread (the `plan_loop` workload) with no `catch_unwind` around it.
+/// The planner files: shape-key staging and `Query::induced` run on every
+/// estimate, join graph, bound plan and spanning-forest enumeration on
+/// every shape build — also on an embedded optimizer thread (the
+/// `plan_loop` workload) with no `catch_unwind` around it.
 pub const PLANNER_FILES: &[&str] = &[
+    "crates/query/src/ast.rs",
     "crates/query/src/join_graph.rs",
     "crates/query/src/spanning.rs",
 ];
@@ -381,8 +383,10 @@ mod tests {
         // So is the SQL parser: it sees client bytes on the connection
         // thread.
         assert_eq!(rules_hit("crates/query/src/parser.rs", src), ["no-panic"]);
-        // And the planner files every shape miss runs through.
+        // And the planner files every estimate and shape build runs
+        // through.
         for planner in [
+            "crates/query/src/ast.rs",
             "crates/query/src/join_graph.rs",
             "crates/query/src/spanning.rs",
         ] {
@@ -390,7 +394,7 @@ mod tests {
         }
         // …cold modules don't.
         assert!(rules_hit("crates/core/src/stats.rs", src).is_empty());
-        assert!(rules_hit("crates/query/src/ast.rs", src).is_empty());
+        assert!(rules_hit("crates/query/src/lib.rs", src).is_empty());
     }
 
     #[test]

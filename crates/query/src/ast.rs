@@ -13,29 +13,12 @@ use std::fmt;
 
 /// A reference to a base table, possibly under an alias (self-joins need
 /// distinct aliases).
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationRef {
     /// Base table name in the catalog.
     pub table: String,
     /// Alias used in the query (defaults to the table name).
     pub alias: String,
-}
-
-// Hand-written so that `clone_from` reuses the destination's string
-// buffers (the derive's would drop and reallocate them): estimators
-// overwrite a recycled shape exemplar in place, see [`Query::clone_from`].
-impl Clone for RelationRef {
-    fn clone(&self) -> Self {
-        RelationRef {
-            table: self.table.clone(),
-            alias: self.alias.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.table.clone_from(&source.table);
-        self.alias.clone_from(&source.alias);
-    }
 }
 
 impl RelationRef {
@@ -58,7 +41,7 @@ impl RelationRef {
 
 /// An equi-join condition `relations[left].left_column =
 /// relations[right].right_column`.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinEdge {
     /// Index into [`Query::relations`].
     pub left: usize,
@@ -68,25 +51,6 @@ pub struct JoinEdge {
     pub right: usize,
     /// Column of the right relation.
     pub right_column: String,
-}
-
-// Buffer-reusing `clone_from`, as for [`RelationRef`].
-impl Clone for JoinEdge {
-    fn clone(&self) -> Self {
-        JoinEdge {
-            left: self.left,
-            left_column: self.left_column.clone(),
-            right: self.right,
-            right_column: self.right_column.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.left = source.left;
-        self.left_column.clone_from(&source.left_column);
-        self.right = source.right;
-        self.right_column.clone_from(&source.right_column);
-    }
 }
 
 /// Comparison operator for range predicates.
@@ -250,41 +214,44 @@ impl Predicate {
         }
     }
 
-    fn shape_hash_into(&self, h: &mut Fnv) {
+    /// Append this tree's part of the shape key (see
+    /// [`Query::shape_key_into`]): per node a tag byte, then the column
+    /// name (plus the operator of a `Cmp`) or the child count and the
+    /// children. Self-delimiting like the whole key, so estimators compose
+    /// it into keys of their own.
+    pub fn shape_key_into(&self, out: &mut Vec<u8>) {
+        self.shape_into(out);
+    }
+
+    fn shape_into(&self, s: &mut impl ShapeSink) {
         match self {
             Predicate::Eq(c, _) => {
-                h.usize(1);
-                h.str(c);
+                s.byte(1);
+                s.name(c);
             }
             Predicate::Cmp(c, op, _) => {
-                h.usize(2);
-                h.str(c);
-                h.usize(*op as usize);
+                s.byte(2);
+                s.name(c);
+                s.byte(*op as u8);
             }
             Predicate::Between(c, _, _) => {
-                h.usize(3);
-                h.str(c);
+                s.byte(3);
+                s.name(c);
             }
             Predicate::Like(c, _) => {
-                h.usize(4);
-                h.str(c);
+                s.byte(4);
+                s.name(c);
             }
             Predicate::In(c, _) => {
-                h.usize(5);
-                h.str(c);
+                s.byte(5);
+                s.name(c);
             }
-            Predicate::And(ps) => {
-                h.usize(6);
-                h.usize(ps.len());
+            Predicate::And(ps) | Predicate::Or(ps) => {
+                let and = matches!(self, Predicate::And(_));
+                s.byte(if and { 6 } else { 7 });
+                s.uint(ps.len());
                 for p in ps {
-                    p.shape_hash_into(h);
-                }
-            }
-            Predicate::Or(ps) => {
-                h.usize(7);
-                h.usize(ps.len());
-                for p in ps {
-                    p.shape_hash_into(h);
+                    p.shape_into(s);
                 }
             }
         }
@@ -309,13 +276,13 @@ fn literal_hash_into(lit: LiteralRef<'_>, h: &mut Fnv) {
             }
             (None, Value::Str(s)) => {
                 h.byte(3);
-                h.str(s);
+                h.name(s);
             }
             (None, Value::Int(_)) => unreachable!("integers always normalize"),
         },
         LiteralRef::Text(s) => {
             h.byte(4);
-            h.str(s);
+            h.name(s);
         }
         LiteralRef::Arity(n) => {
             h.byte(5);
@@ -324,22 +291,56 @@ fn literal_hash_into(lit: LiteralRef<'_>, h: &mut Fnv) {
     }
 }
 
-/// Allocation-free FNV-1a accumulator for shape hashing.
+/// Where the shape traversal ([`Query::shape_into`]) writes: the FNV
+/// accumulator behind [`Query::shape_hash`] or the byte buffer behind
+/// [`Query::shape_key_into`]. One traversal feeds both, so the hash is by
+/// construction the FNV-1a of the key.
+trait ShapeSink {
+    fn byte(&mut self, b: u8);
+
+    /// A name: its bytes, then `0xff`, which UTF-8 never contains.
+    fn name(&mut self, s: &str) {
+        for &b in s.as_bytes() {
+            self.byte(b);
+        }
+        self.byte(0xff);
+    }
+
+    /// An index or a count, LEB128: one byte below 128, which is all a
+    /// real query produces.
+    fn uint(&mut self, mut v: usize) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
+    }
+}
+
+impl ShapeSink for Vec<u8> {
+    fn byte(&mut self, b: u8) {
+        self.push(b);
+    }
+
+    fn name(&mut self, s: &str) {
+        self.extend_from_slice(s.as_bytes());
+        self.push(0xff);
+    }
+}
+
+/// Allocation-free FNV-1a accumulator for shape and literal hashing.
 struct Fnv(u64);
 
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
+impl ShapeSink for Fnv {
     fn byte(&mut self, b: u8) {
         self.0 ^= b as u64;
         self.0 = self.0.wrapping_mul(0x100000001b3);
     }
-    fn str(&mut self, s: &str) {
-        for b in s.as_bytes() {
-            self.byte(*b);
-        }
-        self.byte(0xff); // delimiter
+}
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf29ce484222325)
     }
     fn usize(&mut self, v: usize) {
         for b in (v as u64).to_le_bytes() {
@@ -387,7 +388,7 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 /// A full conjunctive query: relations, equi-join edges, and per-relation
 /// predicates (at most one predicate tree per relation; multiple conjuncts
 /// are merged into an `And`).
-#[derive(Debug, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Query {
     /// The referenced relations.
     pub relations: Vec<RelationRef>,
@@ -395,29 +396,6 @@ pub struct Query {
     pub joins: Vec<JoinEdge>,
     /// `(relation index, predicate)` pairs; at most one per relation.
     pub predicates: Vec<(usize, Predicate)>,
-}
-
-impl Clone for Query {
-    fn clone(&self) -> Self {
-        Query {
-            relations: self.relations.clone(),
-            joins: self.joins.clone(),
-            predicates: self.predicates.clone(),
-        }
-    }
-
-    /// Overwrite `self` with `source`, keeping the relation and join
-    /// lists' buffers and name strings (`Vec::clone_from` assigns element
-    /// by element). Predicate trees are cloned afresh.
-    fn clone_from(&mut self, source: &Self) {
-        // Grow to fit, as `clone` would, not by doubling.
-        let (relations, joins) = (&mut self.relations, &mut self.joins);
-        relations.reserve_exact(source.relations.len().saturating_sub(relations.len()));
-        joins.reserve_exact(source.joins.len().saturating_sub(joins.len()));
-        relations.clone_from(&source.relations);
-        joins.clone_from(&source.joins);
-        self.predicates.clone_from(&source.predicates);
-    }
 }
 
 impl Query {
@@ -480,26 +458,45 @@ impl Query {
     /// operators — **not** literal values). Two queries with equal shapes
     /// share spanning relaxations, join graphs, bound plans, and
     /// join-column resolution, so estimators key their plan caches on
-    /// this. Use [`Query::same_shape`] to confirm a hash match.
+    /// this. It is the FNV-1a of the [`Query::shape_key_into`] bytes,
+    /// computed without staging them; compare those to confirm a match.
     pub fn shape_hash(&self) -> u64 {
         let mut h = Fnv::new();
-        h.usize(self.relations.len());
-        for r in &self.relations {
-            h.str(&r.table);
-        }
-        h.usize(self.joins.len());
-        for j in &self.joins {
-            h.usize(j.left);
-            h.str(&j.left_column);
-            h.usize(j.right);
-            h.str(&j.right_column);
-        }
-        h.usize(self.predicates.len());
-        for (rel, p) in &self.predicates {
-            h.usize(*rel);
-            p.shape_hash_into(&mut h);
-        }
+        self.shape_into(&mut h);
         h.finish()
+    }
+
+    /// Append the query's **shape key**: a compact byte string that is
+    /// equal for two queries exactly when [`Query::same_shape`] holds, so
+    /// a cache can keep it in place of an exemplar query and verify a hit
+    /// with a byte compare. Counts and relation indices are LEB128, names
+    /// end in `0xff`, every list is count-prefixed: the key is
+    /// self-delimiting — no key is a proper prefix of another — so
+    /// `key ++ anything` still identifies the shape.
+    pub fn shape_key_into(&self, out: &mut Vec<u8>) {
+        self.shape_into(out);
+    }
+
+    /// The one traversal behind [`Query::shape_hash`] and
+    /// [`Query::shape_key_into`]; it reads exactly what
+    /// [`Query::same_shape`] compares.
+    fn shape_into(&self, s: &mut impl ShapeSink) {
+        s.uint(self.relations.len());
+        for r in &self.relations {
+            s.name(&r.table);
+        }
+        s.uint(self.joins.len());
+        for j in &self.joins {
+            s.uint(j.left);
+            s.name(&j.left_column);
+            s.uint(j.right);
+            s.name(&j.right_column);
+        }
+        s.uint(self.predicates.len());
+        for (rel, p) in &self.predicates {
+            s.uint(*rel);
+            p.shape_into(s);
+        }
     }
 
     /// A hash of the query's **literal vector** — every value
@@ -524,7 +521,8 @@ impl Query {
 
     /// True iff `other` has the same shape (see [`Query::shape_hash`]):
     /// identical tables, join edges, and predicate structure, ignoring
-    /// aliases and literal values.
+    /// aliases and literal values. The definition
+    /// [`Query::shape_key_into`] is tested against.
     pub fn same_shape(&self, other: &Query) -> bool {
         self.relations.len() == other.relations.len()
             && self
@@ -546,31 +544,35 @@ impl Query {
     /// with both endpoints selected, and the predicates of selected
     /// relations. Relation indices are compacted.
     pub fn induced(&self, mask: u64) -> Query {
-        let mut remap = vec![usize::MAX; self.relations.len()];
-        let mut relations = Vec::new();
-        for (i, r) in self.relations.iter().enumerate() {
-            if mask & (1 << i) != 0 {
-                remap[i] = relations.len();
-                relations.push(r.clone());
-            }
-        }
-        let joins = self
-            .joins
-            .iter()
-            .filter(|j| mask & (1 << j.left) != 0 && mask & (1 << j.right) != 0)
-            .map(|j| JoinEdge {
-                left: remap[j.left],
-                left_column: j.left_column.clone(),
-                right: remap[j.right],
-                right_column: j.right_column.clone(),
-            })
-            .collect();
-        let predicates = self
-            .predicates
-            .iter()
-            .filter(|(r, _)| mask & (1 << r) != 0)
-            .map(|(r, p)| (remap[*r], p.clone()))
-            .collect();
+        let selected = |i: usize| mask & (1 << i) != 0;
+        // A selected relation's compacted index: the selected ones below it.
+        let rank = |i: usize| (mask & ((1 << i) - 1)).count_ones() as usize;
+        let kept_joins = |j: &&JoinEdge| selected(j.left) && selected(j.right);
+        let kept_predicates = |p: &&(usize, Predicate)| selected(p.0);
+
+        let mut relations = Vec::with_capacity(mask.count_ones() as usize);
+        relations.extend(
+            self.relations
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| selected(*i))
+                .map(|(_, r)| r.clone()),
+        );
+        let mut joins = Vec::with_capacity(self.joins.iter().filter(kept_joins).count());
+        joins.extend(self.joins.iter().filter(kept_joins).map(|j| JoinEdge {
+            left: rank(j.left),
+            left_column: j.left_column.clone(),
+            right: rank(j.right),
+            right_column: j.right_column.clone(),
+        }));
+        let mut predicates =
+            Vec::with_capacity(self.predicates.iter().filter(kept_predicates).count());
+        predicates.extend(
+            self.predicates
+                .iter()
+                .filter(kept_predicates)
+                .map(|(r, p)| (rank(*r), p.clone())),
+        );
         Query {
             relations,
             joins,
