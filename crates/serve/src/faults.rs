@@ -7,10 +7,11 @@
 //! ([`StatsRefresher::spawn_with_faults`](crate::StatsRefresher::spawn_with_faults)),
 //! and can inject — from a fixed seed, so chaos runs replay exactly —
 //!
-//! * **worker panics** mid-query (exercises `catch_unwind` isolation and
-//!   worker respawn),
-//! * **worker latency** (exercises per-batch deadlines and `ERR timeout`
-//!   degradation),
+//! * **panics** mid-query, on a worker or on a caller's thread answering
+//!   a single query inline (exercises `catch_unwind` isolation and the
+//!   rebuild of the shard's session),
+//! * **latency** before a query (exercises per-batch deadlines and
+//!   `ERR timeout` degradation for everyone waiting on that shard),
 //! * **refresh build failures** (exercises retry/backoff and
 //!   last-good-snapshot serving), and
 //! * **I/O errors and short writes** on the TCP response path (exercises

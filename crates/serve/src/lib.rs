@@ -3,7 +3,7 @@
 //! The concurrent serving front-end for SafeBound: everything between a
 //! built [`StatsSnapshot`](safebound_core::StatsSnapshot) and a socket.
 //!
-//! ## Layering: snapshot → handle → sessions → workers → protocol
+//! ## Layering: snapshot → handle → sessions → workers and callers → protocol
 //!
 //! ```text
 //!                    ┌───────────────────────────────┐
@@ -12,16 +12,20 @@
 //!                    └──────────────┬────────────────┘
 //!                                   │ SafeBound::swap_stats (hot swap)
 //!                    ┌──────────────▼────────────────┐
-//!                    │ SafeBound handle (build-id    │  one clone per
-//!                    │ atomic + Mutex<Arc<snapshot>>)│  worker, lock-free
+//!                    │ SafeBound handle (build-id    │  one per pool,
+//!                    │ atomic + Mutex<Arc<snapshot>>)│  lock-free
 //!                    └──────────────┬────────────────┘  steady-state reads
 //!                 ┌─────────────────┼─────────────────┐
-//!            ┌────▼────┐       ┌────▼────┐       ┌────▼────┐
-//!            │ worker 0 │  ...  │ worker i │  ...  │ worker N │  private
-//!            │ Bound-   │       │ Bound-   │       │ Bound-   │  BoundSession
-//!            │ Session  │       │ Session  │       │ Session  │  each (shape
-//!            └────▲────┘       └────▲────┘       └────▲────┘  cache+arenas)
-//!                 └───── shape-hash routing ───────────┘
+//!            ┌────▼─────┐      ┌────▼─────┐      ┌────▼─────┐  one Mutex<
+//!            │ shard 0  │ ...  │ shard i  │ ...  │ shard N  │  BoundSession>
+//!            │ session  │      │ session  │      │ session  │  per shard (shape
+//!            └─▲──────▲─┘      └─▲──────▲─┘      └─▲──────▲─┘  cache + arenas)
+//!              │      │          │      │          │      │
+//!          worker 0   │      worker i   │      worker N   │   lock: a worker
+//!          (a batch   │                 │                 │   per job, a caller
+//!           job)    caller,           caller,           caller,  per single query
+//!                   inline            inline            inline   (try_lock)
+//!                 └──────────── shape-hash routing ───────────┘
 //!                    ┌──────────────┴────────────────┐
 //!                    │ BoundService: bound(),        │
 //!                    │ bound_batch(), TCP server     │
@@ -29,29 +33,36 @@
 //! ```
 //!
 //! * **[`BoundService`](service::BoundService)** owns the [`SafeBound`]
-//!   handle plus N worker threads. Each worker holds a **private**
-//!   [`BoundSession`](safebound_core::BoundSession) — the mutable half of
-//!   the estimator (query-shape cache, arena pools, hot-literal memo) that
-//!   must never be shared. Queries are routed to workers by
+//!   handle, N [`BoundSession`](safebound_core::BoundSession)s — the
+//!   mutable half of the estimator (query-shape cache, arena pools,
+//!   hot-literal memo) — each behind its own lock, and N worker threads.
+//!   Queries are routed to shards by
 //!   [`Query::shape_hash`](safebound_query::Query::shape_hash) modulo the
 //!   pool size, so every query template consistently lands on the same
-//!   worker and its shape cache stays hot regardless of traffic
-//!   interleaving.
+//!   session and its shape cache stays hot regardless of traffic
+//!   interleaving. A session is only ever used under its lock, by one of
+//!   two parties: its shard's worker, for the length of a batch job, or a
+//!   caller with a single query, for the length of that bound.
+//! * **`bound`** (and a single SQL line over TCP) `try_lock`s the query's
+//!   shard and, when it is free, computes the bound on the calling thread:
+//!   no channel, no allocation, no context switch — a round trip to a
+//!   worker would cost ten times the literal-cache hit it buys. When
+//!   the shard is held the query queues behind the holder as a one-line
+//!   batch, under the batch deadline. The lock decides, not an option.
 //! * **`bound_batch`** ships index slices of one shared `Arc<[Query]>`
 //!   to the workers and reassembles results in order: one channel
-//!   round-trip per worker per batch instead of per query, and each
-//!   worker's session/scratch is reused across its whole slice — this is
-//!   what makes batched serving beat request-at-a-time dispatch. Before
+//!   round-trip per worker per batch, the workers running in parallel and
+//!   each holding its shard's session across its whole slice. Before
 //!   dispatch, identical lines — same shape *and* literal vector,
 //!   confirmed by full equality behind a
 //!   `(shape_hash, literal_fingerprint)` key — are **deduplicated**: one
-//!   representative runs (hitting its worker's literal cache once),
+//!   representative runs (hitting its shard's literal cache once),
 //!   duplicates get copies of the answer
 //!   ([`BoundService::batch_dedup_hits`](service::BoundService::batch_dedup_hits)).
 //! * **Hot swap**: the service never pauses. A rebuild calls
 //!   [`SafeBound::swap_stats`](safebound_core::SafeBound::swap_stats) on
 //!   the service's handle; in-flight queries finish on the snapshot they
-//!   started with (their session pins it via `Arc`), and each worker picks
+//!   started with (their session pins it via `Arc`), and each session picks
 //!   up the new build id on its next query, repopulating lazily. The
 //!   [`StatsRefresher`](refresh::StatsRefresher) runs those rebuilds on
 //!   its own background thread — on a cadence, on demand (the `REFRESH`
@@ -133,8 +144,27 @@ pub use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats, S
 /// thread that happened to hold such a lock therefore leaves the data
 /// intact, and cascading that one panic into every later `lock().unwrap()`
 /// caller would turn an isolated worker failure into a dead server.
+///
+/// The per-shard [`BoundSession`] mutexes are the one case where the data
+/// *can* be left half-updated by a panic — and every such panic is caught
+/// inside the lock and ends with the session replaced before the guard is
+/// released (`service.rs`, `PoolShared::run`), so the guard never drops
+/// during an unwind and a poisoned session mutex, were one ever seen,
+/// would still guard a consistent session.
 pub(crate) fn lock_recover<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// [`lock_recover`] without the wait: `None` when another thread holds the
+/// mutex, the guard — poisoned or not, by the same argument — otherwise.
+pub(crate) fn try_lock_recover<T>(
+    mutex: &std::sync::Mutex<T>,
+) -> Option<std::sync::MutexGuard<'_, T>> {
+    match mutex.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+        Err(std::sync::TryLockError::WouldBlock) => None,
+    }
 }

@@ -1,7 +1,8 @@
 //! A minimal `std::net` TCP front-end speaking the newline-delimited
 //! protocol documented in the crate docs: SQL in, `OK <bound>` out, one
-//! thread per connection, all bound work delegated to the shared
-//! [`BoundService`] pool.
+//! thread per connection, all bound work done on the shared
+//! [`BoundService`]'s sessions — a single SQL line on the connection's own
+//! thread when its shard is free, a `BATCH` on the pool's workers.
 //!
 //! The serving lifecycle lives here too: [`serve_with`] runs the accept
 //! loop under a [`ShutdownToken`], enforces a bounded connection budget
@@ -21,9 +22,14 @@
 //! * Responses go through a [`ResponseWriter`] that retries interrupted
 //!   and short writes — a response line is delivered whole or the
 //!   connection errors out; it is **never truncated mid-line**.
-//! * Batches run under [`ServeOptions::batch_timeout`]: lines a stuck
-//!   worker never answers come back `ERR timeout: …` while completed
-//!   lines keep their real bounds.
+//! * Batches — and single lines that find their shard held by a batch
+//!   job or another connection — wait under
+//!   [`ServeOptions::batch_timeout`]: lines a stuck worker never answers
+//!   come back `ERR timeout: …` while completed lines keep their real
+//!   bounds. The deadline bounds waiting for *another* thread; a bound
+//!   computed on the connection's own thread runs to completion (at most
+//!   ≈ 0.1 ms for a cold paper query, see ROADMAP's failure model) and a
+//!   panic in it answers `ERR internal` like a worker's.
 //! * A client that stalls mid-`BATCH` past the idle timeout gets a single
 //!   `ERR timeout …` line and a drained close instead of wedging the
 //!   handler thread (and its admission slot) forever.
@@ -69,9 +75,10 @@ pub struct ServeOptions {
     /// Poll granularity for shutdown/idle checks (accept-loop sleep and
     /// per-connection read timeout).
     pub tick: Duration,
-    /// Reply deadline per dispatched batch: lines a worker has not
-    /// answered by then degrade to `ERR timeout: …` instead of wedging
-    /// the connection behind a stuck worker. `None` waits indefinitely.
+    /// Reply deadline per dispatched batch, and per single request that
+    /// has to queue behind a busy shard: lines a worker has not answered
+    /// by then degrade to `ERR timeout: …` instead of wedging the
+    /// connection behind a stuck worker. `None` waits indefinitely.
     pub batch_timeout: Option<Duration>,
     /// Fault-injection schedule for the response write path (chaos
     /// testing; see [`crate::faults`]). Disabled by default.
@@ -744,15 +751,15 @@ fn drain_batch(
     Ok(true)
 }
 
-/// One SQL request → one response line (single-query requests run under
-/// the same deadline as batches — a stuck worker answers `ERR timeout`).
+/// One SQL request → one response line, computed on this connection's
+/// thread when the query's shard is free. When it is not, the request
+/// waits behind the shard's holder under the same deadline as a batch — a
+/// stuck worker answers `ERR timeout`.
 fn answer_deadline(ctx: &ConnCtx, sql: &str, writer: &mut ResponseWriter) -> std::io::Result<()> {
     match parse_sql(sql) {
         Ok(q) => {
-            let mut results = ctx
-                .service
-                .bound_batch_deadline(vec![q].into(), ctx.batch_timeout);
-            write_bound(writer, results.pop())
+            let bound = ctx.service.bound_deadline(&q, ctx.batch_timeout);
+            write_bound(writer, Some(bound))
         }
         Err(e) => writeln!(writer, "ERR parse: {e}"),
     }

@@ -1,41 +1,53 @@
-//! The sharded worker pool: N threads, each with a private
-//! [`BoundSession`], sharing one [`SafeBound`] handle.
+//! The sharded pool: N [`BoundSession`]s — one per shard, each behind its
+//! own lock — N worker threads, and one shared [`SafeBound`] handle.
 //!
 //! See the crate docs for the layering. The service is synchronous by
 //! design — callers block until their queries are answered — because the
-//! bound itself runs in microseconds; the win of the pool is (a) true
-//! parallelism across hardware threads and (b) batched dispatch that
-//! amortizes the channel round-trip and keeps each worker's shape cache
-//! and arenas hot across a whole slice of queries.
+//! bound itself runs in microseconds. A **single** query is answered on
+//! the thread that asked whenever its shard's session is free
+//! ([`BoundService::bound`], [`BoundService::bound_deadline`]): a channel
+//! round trip to a worker costs ten times the literal-cache hit it would
+//! buy. A **batch** goes to the workers: (a) true parallelism across
+//! hardware threads and (b) one message per worker per batch, each worker
+//! holding its shard's session — shape cache and arenas hot — across its
+//! whole slice. Which of the two a single query takes is decided by the
+//! shard's lock, never by an option: when a job (or another caller) holds
+//! the session, the query queues behind it as a one-line batch.
 //!
 //! ## Self-healing
 //!
-//! The pool survives its own workers failing:
+//! The pool survives its own sessions and workers failing:
 //!
-//! * **Panic isolation** — each job runs under `catch_unwind`. A worker
-//!   that panics mid-query answers every line of its in-flight job with
-//!   `ERR internal` (`EstimateError::Internal`), then exits, discarding
-//!   its (possibly inconsistent) session. The next dispatch to that shard
-//!   transparently **respawns** a fresh worker with a fresh session.
-//!   [`BoundService::worker_panics`] / [`BoundService::worker_respawns`]
-//!   observe both halves.
-//! * **Deadlines** — [`BoundService::bound_batch_deadline`] bounds how
-//!   long a batch waits for its replies. A stuck or slow worker degrades
-//!   the unanswered lines to `EstimateError::Timeout` instead of wedging
-//!   the caller; completed lines still return their real bounds
-//!   ([`BoundService::worker_timeouts`]).
+//! * **Panic isolation** — every bound, on a worker or on the caller's
+//!   thread, runs under `catch_unwind` *inside* the shard's lock. A panic
+//!   mid-query answers every line of that job `ERR internal`
+//!   (`EstimateError::Internal`) and replaces the shard's (possibly
+//!   inconsistent) session with a fresh one before the lock is released;
+//!   the thread — which owns nothing a panic could have corrupted — keeps
+//!   serving. [`BoundService::worker_panics`] /
+//!   [`BoundService::worker_respawns`] count the panics and the rebuilt
+//!   sessions.
+//! * **Deadlines** — [`BoundService::bound_batch_deadline`] and
+//!   [`BoundService::bound_deadline`] bound how long a caller waits for
+//!   *another* thread: a stuck or slow worker, or a shard held by someone
+//!   else, degrades the unanswered lines to `EstimateError::Timeout`
+//!   instead of wedging the caller; completed lines still return their
+//!   real bounds ([`BoundService::worker_timeouts`]). A bound computed on
+//!   the caller's own thread runs to completion — there is nobody to
+//!   abandon it to (see the failure model in ROADMAP.md for its worst
+//!   case).
 //! * **No poison propagation** — all pool mutexes recover from poisoning
 //!   (the guarded state is always fully formed; see
 //!   [`lock_recover`](crate::lock_recover)) instead of cascading one
 //!   panic into every later caller.
 
 use crate::faults::{FaultInjector, WorkerFault};
-use crate::lock_recover;
+use crate::{lock_recover, try_lock_recover};
 use safebound_core::simd::hash::FastMap;
 use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats};
 use safebound_query::Query;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,29 +66,73 @@ struct Reply {
     results: Vec<Result<f64, EstimateError>>,
 }
 
-/// State shared by the dispatcher and every (re)spawned worker thread.
+/// State shared by the callers and every worker thread.
 struct PoolShared {
     handle: SafeBound,
+    /// One session per shard. A worker holds its shard's lock for the
+    /// length of a job, a caller answering a single query inline for the
+    /// length of that bound; nothing else ever takes it.
+    sessions: Vec<Mutex<BoundSession>>,
     served: Vec<AtomicU64>,
-    /// Per-worker session-counter snapshots, refreshed after every job
-    /// (each worker's [`BoundSession`] is private to its thread; the
-    /// published copies make `STATS`-style observability possible).
+    /// Per-shard session-counter snapshots, refreshed after every job and
+    /// every inline request, so `STATS`-style observability never waits
+    /// for a session lock that a long job is holding.
     session_stats: Vec<Mutex<SessionStats>>,
     faults: FaultInjector,
-    /// Per-worker "this thread is retiring" flags. A panicking worker
-    /// raises its flag **before** sending its error reply, so a caller
-    /// that saw the reply and immediately dispatches again is guaranteed
-    /// to observe the flag and respawn — `send` alone would race with the
-    /// dying thread dropping its receiver (the send can succeed into a
-    /// queue nobody will ever read).
-    dead: Vec<AtomicBool>,
-    /// Worker jobs that panicked (each also answers its lines
-    /// `ERR internal` and retires the worker thread).
+    /// Jobs and inline requests that panicked (their lines answered
+    /// `ERR internal`).
     panics: AtomicU64,
-    /// Fresh workers spawned to replace dead ones.
+    /// Sessions rebuilt from scratch after a panic.
     respawns: AtomicU64,
-    /// Batches that hit their reply deadline with lines still unanswered.
+    /// Requests that hit their reply deadline with lines still unanswered.
     timeouts: AtomicU64,
+}
+
+impl PoolShared {
+    /// Bound one query on a shard's session — the single body behind the
+    /// worker loop and the inline path, fault hook included.
+    fn bound_one(&self, query: &Query, session: &mut BoundSession) -> Result<f64, EstimateError> {
+        match self.faults.on_worker_query() {
+            WorkerFault::None => {}
+            WorkerFault::Delay(d) => std::thread::sleep(d),
+            // lint: allow(no-panic) -- deliberate injected fault behind the
+            // `faults` feature, caught by the `catch_unwind` in `run`
+            WorkerFault::Panic => panic!("injected worker fault"),
+        }
+        self.handle.bound_with_session(query, session)
+    }
+
+    /// Run `work` — `lines` calls of [`PoolShared::bound_one`] — on shard
+    /// `w`'s session, which the caller holds locked, under `catch_unwind`.
+    /// Success counts the lines and publishes the session's counters. A
+    /// panic may have left the session arbitrarily inconsistent: it is
+    /// replaced in place, under the lock that is already held, and comes
+    /// back as the `ERR internal` every line of `work` is answered with.
+    fn run<T>(
+        &self,
+        w: usize,
+        session: &mut BoundSession,
+        lines: usize,
+        work: impl FnOnce(&mut BoundSession) -> T,
+    ) -> Result<T, EstimateError> {
+        let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| work(session))) {
+            Ok(out) => {
+                self.served[w].fetch_add(lines as u64, Ordering::Relaxed);
+                Ok(out)
+            }
+            Err(payload) => {
+                *session = BoundSession::default();
+                self.panics.fetch_add(1, Ordering::Relaxed);
+                self.respawns.fetch_add(1, Ordering::Relaxed);
+                Err(EstimateError::Internal(format!(
+                    "worker panicked: {}",
+                    panic_message(payload.as_ref())
+                )))
+            }
+        };
+        *lock_recover(&self.session_stats[w]) = session.stats();
+        outcome
+    }
 }
 
 /// One worker's dispatch endpoint. `sender` is `None` only transiently in
@@ -87,11 +143,22 @@ struct WorkerSlot {
     handle: Option<JoinHandle<()>>,
 }
 
+impl WorkerSlot {
+    /// Queue a job for the worker; hands the job back when nobody will
+    /// ever read the queue.
+    fn send(&self, job: Job) -> Result<(), Job> {
+        match self.sender.as_ref() {
+            Some(sender) => sender.send(job).map_err(|mpsc::SendError(job)| job),
+            None => Err(job),
+        }
+    }
+}
+
 /// A sharded SafeBound serving pool.
 ///
-/// Construction spawns the workers; dropping the service closes their
-/// queues and joins them. Clones of the inner [`SafeBound`] handle stay
-/// valid — in particular, calling
+/// Construction builds the sessions and spawns the workers; dropping the
+/// service closes the workers' queues and joins them. Clones of the inner
+/// [`SafeBound`] handle stay valid — in particular, calling
 /// [`SafeBound::swap_stats`](safebound_core::SafeBound::swap_stats) on
 /// [`BoundService::estimator`] hot-swaps statistics under live traffic.
 pub struct BoundService {
@@ -106,7 +173,8 @@ pub struct BoundService {
 }
 
 impl BoundService {
-    /// Spawn a pool of `workers` threads (min 1) over the given handle.
+    /// A pool of `workers` shards (min 1) — a session and a worker thread
+    /// each — over the given handle.
     pub fn new(handle: SafeBound, workers: usize) -> Self {
         Self::with_faults(handle, workers, FaultInjector::disabled())
     }
@@ -118,12 +186,14 @@ impl BoundService {
         let n = workers.max(1);
         let shared = Arc::new(PoolShared {
             handle,
+            sessions: (0..n)
+                .map(|_| Mutex::new(BoundSession::default()))
+                .collect(),
             served: (0..n).map(|_| AtomicU64::new(0)).collect(),
             session_stats: (0..n)
                 .map(|_| Mutex::new(SessionStats::default()))
                 .collect(),
             faults,
-            dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
             panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
@@ -146,12 +216,13 @@ impl BoundService {
         &self.shared.handle
     }
 
-    /// Number of worker threads.
+    /// Number of shards (sessions, and worker threads).
     pub fn num_workers(&self) -> usize {
         self.slots.len()
     }
 
-    /// Queries served so far, per worker (routing observability).
+    /// Queries served so far, per shard — by its worker or inline on a
+    /// caller's thread (routing observability).
     pub fn served_per_worker(&self) -> Vec<u64> {
         self.shared
             .served
@@ -172,26 +243,29 @@ impl BoundService {
         self.dedup_hits.load(Ordering::Relaxed)
     }
 
-    /// Worker jobs that panicked mid-query (their lines answered
-    /// `ERR internal`, the worker retired).
+    /// Jobs and inline requests that panicked mid-query (their lines
+    /// answered `ERR internal`, their shard's session rebuilt).
     pub fn worker_panics(&self) -> u64 {
         self.shared.panics.load(Ordering::Relaxed)
     }
 
-    /// Fresh workers spawned to replace panicked/dead ones.
+    /// Sessions rebuilt from scratch after a panic — one per
+    /// [`worker_panics`](BoundService::worker_panics). The name is the
+    /// frozen `STATS` key's; no thread is respawned, the one that caught
+    /// the panic keeps serving.
     pub fn worker_respawns(&self) -> u64 {
         self.shared.respawns.load(Ordering::Relaxed)
     }
 
-    /// Batches whose reply deadline expired with lines still unanswered
+    /// Requests whose reply deadline expired with lines still unanswered
     /// (those lines degraded to `ERR timeout`).
     pub fn worker_timeouts(&self) -> u64 {
         self.shared.timeouts.load(Ordering::Relaxed)
     }
 
-    /// The pool-wide merge of every worker session's cache counters
+    /// The pool-wide merge of every shard session's cache counters
     /// (shape cache, MCV memo, literal cache, pruned relaxations), as of
-    /// each worker's most recently completed job.
+    /// each shard's most recently completed job or inline request.
     pub fn session_stats(&self) -> SessionStats {
         let mut total = SessionStats::default();
         for slot in self.shared.session_stats.iter() {
@@ -200,13 +274,39 @@ impl BoundService {
         total
     }
 
-    /// Bound one query on its shape-routed worker (blocks for the reply).
+    /// Bound one query on its shape-routed shard: [`bound_deadline`]
+    /// without a deadline.
     ///
-    /// This is the request-at-a-time path: one channel round-trip per
-    /// query. Latency-bound clients are fine with it; throughput-bound
-    /// clients should use [`BoundService::bound_batch`].
+    /// [`bound_deadline`]: BoundService::bound_deadline
     pub fn bound(&self, query: &Query) -> Result<f64, EstimateError> {
-        let mut results = self.bound_batch(std::slice::from_ref(query));
+        self.bound_deadline(query, None)
+    }
+
+    /// Bound one query on its shape-routed shard, on the calling thread
+    /// when the shard's session is free — no channel, no allocation, the
+    /// same warm caches the shard's batches use.
+    ///
+    /// When the session is held — a batch job is running on the shard, or
+    /// another caller is inline on it — the query queues behind the
+    /// holder as a one-line batch and `timeout` bounds the wait exactly as
+    /// in [`BoundService::bound_batch_deadline`]
+    /// ([`EstimateError::Timeout`]). The inline bound itself runs to
+    /// completion: `timeout` limits waiting for other threads, not work
+    /// on this one. Latency-bound clients are fine with this path;
+    /// throughput-bound clients should use [`BoundService::bound_batch`].
+    pub fn bound_deadline(
+        &self,
+        query: &Query,
+        timeout: Option<Duration>,
+    ) -> Result<f64, EstimateError> {
+        let shared = &*self.shared;
+        let w = (query.shape_hash() % self.slots.len() as u64) as usize;
+        if let Some(mut session) = try_lock_recover(&shared.sessions[w]) {
+            return shared
+                .run(w, &mut session, 1, |s| shared.bound_one(query, s))
+                .unwrap_or_else(Err);
+        }
+        let mut results = self.bound_batch_deadline(vec![query.clone()].into(), timeout);
         results.pop().unwrap_or_else(|| {
             Err(EstimateError::Internal(
                 "bound_batch returned no result".to_string(),
@@ -304,9 +404,8 @@ impl BoundService {
                 indices,
                 reply: tx.clone(),
             };
-            if self.dispatch(w, job) {
-                outstanding += 1;
-            }
+            self.dispatch(w, job);
+            outstanding += 1;
         }
         drop(tx);
         let mut timed_out = false;
@@ -360,53 +459,32 @@ impl BoundService {
             .collect()
     }
 
-    /// Ship a job to worker `w`, transparently respawning it if its
-    /// thread is gone (it panicked on an earlier job, or its spawn
-    /// failed). Returns `false` only when even the respawned worker is
-    /// unreachable — the job's lines were answered `ERR internal` on its
-    /// own reply channel, so the caller must not count it outstanding.
-    fn dispatch(&self, w: usize, job: Job) -> bool {
+    /// Ship a job to worker `w`. A worker thread never exits while the
+    /// service lives — a panicked job costs its shard the session, not the
+    /// thread — so a failed send means the thread never started (its spawn
+    /// failed under resource pressure): spawn it again and retry once. If
+    /// even that worker is unreachable the job's lines are answered
+    /// `ERR internal` on its own reply channel, so the caller counts every
+    /// dispatched job as outstanding.
+    fn dispatch(&self, w: usize, job: Job) {
         let mut slot = lock_recover(&self.slots[w]);
-        let retiring = self.shared.dead[w].load(Ordering::Acquire);
-        let job = match slot.sender.as_ref() {
-            Some(sender) if !retiring => match sender.send(job) {
-                Ok(()) => return true,
-                Err(mpsc::SendError(job)) => job,
-            },
-            _ => job,
-        };
-        // The worker is dead. Reap the old thread (its panic already
-        // counted itself), spawn a replacement with a fresh session, and
-        // retry the send once.
+        let Err(job) = slot.send(job) else { return };
         if let Some(handle) = slot.handle.take() {
             let _ = handle.join();
         }
         *slot = spawn_worker(&self.shared, w);
-        self.shared.respawns.fetch_add(1, Ordering::Relaxed);
-        // `spawn_worker` always installs a sender; treat its absence like
-        // a failed send so the degrade path below covers both.
-        let sent = match slot.sender.as_ref() {
-            Some(sender) => sender.send(job),
-            None => Err(mpsc::SendError(job)),
-        };
-        match sent {
-            Ok(()) => true,
-            Err(mpsc::SendError(job)) => {
-                // Respawn failed too (thread spawn under resource
-                // pressure): degrade this job's lines rather than wedge
-                // or panic. The next dispatch retries the respawn.
-                let results = job
-                    .indices
-                    .iter()
-                    .map(|_| Err(EstimateError::Internal("worker unavailable".to_string())))
-                    .collect();
-                let _ = job.reply.send(Reply {
-                    indices: job.indices,
-                    results,
-                });
-                true // answered via the reply channel — still outstanding
-            }
-        }
+        let Err(job) = slot.send(job) else { return };
+        // Degrade this job's lines rather than wedge or panic; the next
+        // dispatch retries the spawn.
+        let results = job
+            .indices
+            .iter()
+            .map(|_| Err(EstimateError::Internal("worker unavailable".to_string())))
+            .collect();
+        let _ = job.reply.send(Reply {
+            indices: job.indices,
+            results,
+        });
     }
 
     /// Rebalance a shape-hash partition whose skew would serialize the
@@ -481,7 +559,6 @@ impl Drop for BoundService {
 /// answers `ERR internal` and retries the spawn on the next batch —
 /// instead of panicking the caller.
 fn spawn_worker(shared: &Arc<PoolShared>, w: usize) -> WorkerSlot {
-    shared.dead[w].store(false, Ordering::Release);
     let (tx, rx) = mpsc::channel::<Job>();
     let shared = shared.clone();
     let handle = std::thread::Builder::new()
@@ -503,63 +580,29 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("opaque panic payload")
 }
 
-/// A worker thread: private session, jobs until the queue closes. After
-/// each job the session's counters are published to the worker's shared
-/// stats slot (the session itself never leaves the thread).
-///
-/// Each job runs under `catch_unwind`: a panic mid-query answers every
-/// line of the job `ERR internal` and retires this thread — its session
-/// may be arbitrarily corrupted, so the replacement (spawned by the next
-/// dispatch) starts from a fresh one.
-fn worker_loop(id: usize, shared: Arc<PoolShared>, rx: mpsc::Receiver<Job>) {
-    let mut session = BoundSession::default();
+/// A worker thread: jobs until the queue closes, each on shard `w`'s
+/// session, locked once per job and released before the reply goes out
+/// (a caller that reads the reply and asks again finds the shard free).
+/// The thread owns no state of its own, so a job that panics — see
+/// [`PoolShared::run`] — is answered `ERR internal` line for line and the
+/// loop carries on.
+fn worker_loop(w: usize, shared: Arc<PoolShared>, rx: mpsc::Receiver<Job>) {
     while let Ok(job) = rx.recv() {
-        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            job.indices
-                .iter()
-                .map(|&i| {
-                    match shared.faults.on_worker_query() {
-                        WorkerFault::None => {}
-                        WorkerFault::Delay(d) => std::thread::sleep(d),
-                        // lint: allow(no-panic) -- deliberate injected fault
-                        // behind the `faults` feature, caught by the
-                        // surrounding `catch_unwind`
-                        WorkerFault::Panic => panic!("injected worker fault"),
-                    }
-                    shared
-                        .handle
-                        .bound_with_session(&job.queries[i], &mut session)
-                })
-                .collect::<Vec<_>>()
-        }));
-        match outcome {
-            Ok(results) => {
-                shared.served[id].fetch_add(results.len() as u64, Ordering::Relaxed);
-                *lock_recover(&shared.session_stats[id]) = session.stats();
-                let _ = job.reply.send(Reply {
-                    indices: job.indices,
-                    results,
-                });
-            }
-            Err(payload) => {
-                // Raise the retirement flag BEFORE replying: anyone who
-                // observes the reply and dispatches again must respawn
-                // rather than send into this thread's dying queue.
-                shared.dead[id].store(true, Ordering::Release);
-                shared.panics.fetch_add(1, Ordering::Relaxed);
-                let msg = format!("worker panicked: {}", panic_message(payload.as_ref()));
-                let results = job
-                    .indices
+        let outcome = {
+            let mut session = lock_recover(&shared.sessions[w]);
+            shared.run(w, &mut session, job.indices.len(), |s| {
+                job.indices
                     .iter()
-                    .map(|_| Err(EstimateError::Internal(msg.clone())))
-                    .collect();
-                let _ = job.reply.send(Reply {
-                    indices: job.indices,
-                    results,
-                });
-                return;
-            }
-        }
+                    .map(|&i| shared.bound_one(&job.queries[i], s))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let results =
+            outcome.unwrap_or_else(|e| job.indices.iter().map(|_| Err(e.clone())).collect());
+        let _ = job.reply.send(Reply {
+            indices: job.indices,
+            results,
+        });
     }
 }
 
@@ -825,10 +868,133 @@ mod tests {
         }
     }
 
+    /// A single request whose shard is held by someone else takes the
+    /// dispatch path and waits under its deadline; the other shard keeps
+    /// answering inline; once the holder lets go the abandoned job drains
+    /// into its dropped channel and the pool serves exactly again.
+    #[test]
+    fn busy_shard_queues_a_single_request_under_its_deadline() {
+        let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+        let service = BoundService::new(sb.clone(), 2);
+        let queries = workload();
+        let shard = |q: &Query| (q.shape_hash() % 2) as usize;
+        let held_q = &queries[0];
+        let free_q = queries
+            .iter()
+            .find(|q| shard(q) != shard(held_q))
+            .expect("the workload's templates spread over both shards");
+
+        let held = lock_recover(&service.shared.sessions[shard(held_q)]);
+        let got = service.bound_deadline(held_q, Some(Duration::from_millis(50)));
+        assert!(matches!(got, Err(EstimateError::Timeout)), "{got:?}");
+        assert_eq!(service.worker_timeouts(), 1);
+        assert_eq!(
+            service.bound(free_q).unwrap().to_bits(),
+            sb.bound(free_q).unwrap().to_bits(),
+            "a held shard must not stall the other one"
+        );
+        drop(held);
+
+        assert_eq!(
+            service.bound(held_q).unwrap().to_bits(),
+            sb.bound(held_q).unwrap().to_bits()
+        );
+        assert_eq!(service.worker_timeouts(), 1);
+        assert_eq!(service.worker_panics(), 0);
+        assert_eq!(service.worker_respawns(), 0);
+    }
+
+    /// Single requests on four threads and batches on a fifth, released
+    /// together, share the two shards' sessions: every answer is the
+    /// direct path's and every line is counted exactly once, whichever of
+    /// the two paths a single request happened to take.
+    #[test]
+    fn mixed_single_and_batch_traffic_is_exact_and_counted() {
+        const ROUNDS: usize = 50;
+        const SINGLE_THREADS: usize = 4;
+        let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+        let queries = workload(); // no duplicate lines: nothing dedups
+        let direct: Vec<u64> = queries
+            .iter()
+            .map(|q| sb.bound(q).unwrap().to_bits())
+            .collect();
+        let service = BoundService::new(sb, 2);
+        let start = std::sync::Barrier::new(SINGLE_THREADS + 1);
+        std::thread::scope(|scope| {
+            for _ in 0..SINGLE_THREADS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        for (q, want) in queries.iter().zip(&direct) {
+                            assert_eq!(service.bound(q).unwrap().to_bits(), *want);
+                        }
+                    }
+                });
+            }
+            scope.spawn(|| {
+                let shared: Arc<[Query]> = queries.clone().into();
+                start.wait();
+                for _ in 0..ROUNDS {
+                    let got = service.bound_batch_shared(shared.clone());
+                    for (got, want) in got.iter().zip(&direct) {
+                        assert_eq!(got.as_ref().unwrap().to_bits(), *want);
+                    }
+                }
+            });
+        });
+        assert_eq!(
+            service.served_per_worker().iter().sum::<u64>() as usize,
+            (SINGLE_THREADS + 1) * ROUNDS * queries.len()
+        );
+        assert_eq!(service.worker_panics(), 0);
+        assert_eq!(service.worker_timeouts(), 0);
+    }
+
+    /// A panic on the caller's own thread is isolated exactly like one on
+    /// a worker: `ERR internal` for that request, a fresh session for the
+    /// shard, no poisoned lock, exact bounds afterwards.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn inline_panic_answers_internal_and_rebuilds_the_session() {
+        use crate::faults::FaultInjector;
+        let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+        let q = &workload()[0];
+        let want = sb.bound(q).unwrap().to_bits();
+        let faults = FaultInjector::seeded(7).panic_on_queries([2]).build();
+        let service = BoundService::with_faults(sb, 1, faults);
+        let shapes = |s: &BoundService| {
+            let stats = s.session_stats();
+            (stats.shape_hits, stats.shape_misses)
+        };
+
+        assert_eq!(service.bound(q).unwrap().to_bits(), want);
+        assert_eq!(service.bound(q).unwrap().to_bits(), want);
+        assert_eq!(shapes(&service), (1, 1), "the session is warm");
+
+        let err = service.bound(q).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "internal: worker panicked: injected worker fault"
+        );
+        assert_eq!(service.worker_panics(), 1);
+        assert_eq!(service.worker_respawns(), 1);
+        assert!(!service.shared.sessions[0].is_poisoned());
+        assert_eq!(service.session_stats(), SessionStats::default());
+
+        assert_eq!(service.bound(q).unwrap().to_bits(), want);
+        assert_eq!(
+            shapes(&service),
+            (0, 1),
+            "a shape miss again: the session really was replaced"
+        );
+        assert_eq!(service.served_per_worker(), [3]);
+        assert_eq!(service.worker_timeouts(), 0);
+    }
+
     /// Deterministic panic-isolation unit test (the TCP-level version
     /// lives in `tests/chaos.rs`): a 1-worker pool with injected panics
-    /// answers the panicked job's lines `ERR internal`, respawns, and
-    /// keeps serving bit-identical bounds.
+    /// answers the panicked job's lines `ERR internal`, rebuilds the
+    /// session, and keeps serving bit-identical bounds.
     #[cfg(feature = "faults")]
     #[test]
     fn injected_panics_degrade_and_respawn() {

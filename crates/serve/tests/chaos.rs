@@ -5,9 +5,10 @@
 //! replays the same fault sequence run after run. Assertions are the
 //! self-healing invariants:
 //!
-//! * injected worker panics degrade their in-flight lines to
-//!   `ERR internal: …`, the pool respawns, and every *successful*
-//!   response stays bit-identical to a fault-free oracle;
+//! * injected panics — in a worker's batch job or on a connection thread
+//!   answering a single line — degrade their in-flight lines to
+//!   `ERR internal: …`, the shard's session is rebuilt, and every
+//!   *successful* response stays bit-identical to a fault-free oracle;
 //! * injected refresh-build failures never unpublish the last-good
 //!   snapshot, surface their reason through `REFRESH`/`STATS`, and the
 //!   refresher recovers once the schedule is exhausted;
@@ -276,6 +277,89 @@ fn server_survives_injected_worker_panics() {
     assert_eq!(field(&stats, "worker_panics"), 3);
     assert_eq!(field(&stats, "worker_respawns"), 3);
     assert_eq!(conn.roundtrip("PING"), "PONG");
+    assert_eq!(conn.roundtrip("QUIT"), "BYE");
+    server.stop();
+}
+
+const PANICKED: &str = "ERR internal: worker panicked: injected worker fault";
+
+/// Single SQL lines are answered on the connection's thread, and a panic
+/// there is isolated like one on a worker: the scheduled lines — and only
+/// those — answer `ERR internal`, every other line is the oracle's, the
+/// counters are exact, and the connection stays conversational.
+#[test]
+fn single_lines_survive_injected_inline_panics() {
+    let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+    let sqls = workload_sql();
+    let want = oracle(&sb, &sqls);
+    // One serial client: the global query sequence is the line number.
+    let panics = [3u64, 14];
+    let faults = FaultInjector::seeded(5).panic_on_queries(panics).build();
+    let service = Arc::new(BoundService::with_faults(sb, 2, faults.clone()));
+    let server = TestServer::start(service, None, ShutdownToken::new(), quick_opts());
+
+    let mut conn = server.connect();
+    for line in 0..3 * sqls.len() {
+        let got = conn.roundtrip(&sqls[line % sqls.len()]);
+        if panics.contains(&(line as u64)) {
+            assert_eq!(got, PANICKED, "line {line}");
+        } else {
+            assert_eq!(got, want[line % sqls.len()], "line {line}");
+        }
+    }
+    assert_eq!(faults.panics_injected(), 2);
+    let stats = conn.roundtrip("STATS");
+    assert_eq!(field(&stats, "worker_panics"), 2);
+    assert_eq!(field(&stats, "worker_respawns"), 2);
+    assert_eq!(field(&stats, "worker_timeouts"), 0);
+    assert_eq!(conn.roundtrip("PING"), "PONG");
+    assert_eq!(conn.roundtrip("QUIT"), "BYE");
+    server.stop();
+}
+
+/// Batches (on the worker) and single lines (inline) alternate on one
+/// connection and share one shard's session across injected panics: a
+/// panic inside a batch fails that whole job and nothing after it, a
+/// panic on a single line fails that line alone.
+#[test]
+fn singles_and_batches_interleave_across_panics() {
+    let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+    let sqls = workload_sql();
+    let want = oracle(&sb, &sqls);
+    let n = sqls.len() as u64;
+    // Round 0 is a batch, cut short by the panic at its 6th query (so it
+    // consumes 6 sequence numbers, not n); round 1 is n single lines, the
+    // 3rd of which panics; round 2 a clean batch; round 3 clean singles;
+    // round 4 a batch that panics on its first query.
+    let panics = [5, 6 + 2, 6 + 3 * n];
+    let faults = FaultInjector::seeded(13).panic_on_queries(panics).build();
+    let service = Arc::new(BoundService::with_faults(sb, 1, faults.clone()));
+    let server = TestServer::start(service, None, ShutdownToken::new(), quick_opts());
+
+    let mut conn = server.connect();
+    for round in 0..6 {
+        if round % 2 == 0 {
+            let got = conn.batch(&sqls);
+            if round == 0 || round == 4 {
+                assert!(got.iter().all(|g| g == PANICKED), "round {round}: {got:?}");
+            } else {
+                assert_eq!(got, want, "round {round}");
+            }
+        } else {
+            for (i, (sql, w)) in sqls.iter().zip(&want).enumerate() {
+                let got = conn.roundtrip(sql);
+                if round == 1 && i == 2 {
+                    assert_eq!(got, PANICKED, "round {round} line {i}");
+                } else {
+                    assert_eq!(&got, w, "round {round} line {i}");
+                }
+            }
+        }
+    }
+    assert_eq!(faults.panics_injected(), 3);
+    let stats = conn.roundtrip("STATS");
+    assert_eq!(field(&stats, "worker_panics"), 3);
+    assert_eq!(field(&stats, "worker_respawns"), 3);
     assert_eq!(conn.roundtrip("QUIT"), "BYE");
     server.stop();
 }
