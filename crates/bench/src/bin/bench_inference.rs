@@ -2,8 +2,8 @@
 //! midpoint-evaluation reference, plus the **end-to-end online path**
 //! (predicate resolution + assembly + kernel) cold vs shape-cached, the
 //! offline build-time/footprint numbers (Figs. 8a/10), and the snapshot
-//! persistence figures (crash-safe save, validated load, mmap load vs a
-//! full in-RAM rebuild), all on the JOB-light workload. Emits `BENCH_inference.json` (ns/query) so the
+//! persistence figures (crash-safe save and validated load vs a full
+//! in-RAM rebuild), all on the JOB-light workload. Emits `BENCH_inference.json` (ns/query) so the
 //! repository carries a perf trajectory across PRs.
 //!
 //! Run: `cargo run --release -p safebound-bench --bin bench_inference`
@@ -161,10 +161,10 @@ fn main() {
         incremental_refresh_secs * 1e3,
     );
 
-    // ---- Snapshot persistence (PR 10): crash-safe save, validated load,
-    // and the zero-copy mmap load, all against the full in-RAM rebuild.
-    // Correctness (bit-identical statistics both ways) is asserted once
-    // outside the timed loops so the figures measure pure I/O + decode. ----
+    // ---- Snapshot persistence (PR 10): crash-safe save and validated
+    // load against the full in-RAM rebuild. Correctness (bit-identical
+    // statistics) is asserted once outside the timed loop so the figures
+    // measure pure I/O + decode. ----
     let snap_path = std::env::temp_dir().join(format!(
         "safebound_bench_snapshot_{}.snap",
         std::process::id()
@@ -180,30 +180,16 @@ fn main() {
         "loaded snapshot diverged from the in-RAM statistics"
     );
     drop(loaded);
-    let mmapped =
-        safebound_core::snapshot_file::load_snapshot_mmap(&snap_path).expect("snapshot mmap load");
-    assert!(
-        mmapped.tables == snapshot.tables && mmapped.symbols == snapshot.symbols,
-        "mmap-loaded snapshot diverged from the in-RAM statistics"
-    );
-    drop(mmapped);
     let snapshot_load_secs = best_of_3(&mut || {
         black_box(safebound_core::load_snapshot(&snap_path).expect("snapshot load"));
-    });
-    let snapshot_mmap_load_secs = best_of_3(&mut || {
-        black_box(
-            safebound_core::snapshot_file::load_snapshot_mmap(&snap_path)
-                .expect("snapshot mmap load"),
-        );
     });
     let _ = std::fs::remove_file(&snap_path);
     let snapshot_load_speedup = full_rebuild_secs / snapshot_load_secs;
     eprintln!(
         "snapshot: save {:.2} ms ({snapshot_file_bytes} bytes), load {:.2} ms \
-         ({snapshot_load_speedup:.1}× vs full rebuild), mmap load {:.2} ms",
+         ({snapshot_load_speedup:.1}× vs full rebuild)",
         snapshot_save_secs * 1e3,
         snapshot_load_secs * 1e3,
-        snapshot_mmap_load_secs * 1e3,
     );
 
     // Pre-resolve the kernel inputs (plan + per-relation CDS stats) so the
@@ -659,7 +645,6 @@ fn main() {
     let incremental_refresh_ms = incremental_refresh_secs * 1e3;
     let snapshot_save_ms = snapshot_save_secs * 1e3;
     let snapshot_load_ms = snapshot_load_secs * 1e3;
-    let snapshot_mmap_load_ms = snapshot_mmap_load_secs * 1e3;
     let repeated_literal_speedup = cached_ns_per_query / repeated_literal_ns_per_query;
     let memo_json = format!(
         "{{\"eq_hits\": {}, \"eq_misses\": {}, \"eq_evictions\": {}, \
@@ -676,7 +661,7 @@ fn main() {
         memo_stats.like_memo_evictions,
     );
     let json = format!(
-        "{{\n  \"workload\": \"JOB-light (IMDB scale {scale_name}, seed 1)\",\n  \"queries\": {},\n  \"simd_tier\": \"{simd_tier}\",\n  \"offline\": {{\n    \"stats_build_seconds\": {:.3},\n    \"stats_bytes\": {},\n    \"cds_sets\": {},\n    \"build_shards\": {shards},\n    \"sharded_build_ms\": {sharded_build_ms:.1},\n    \"full_rebuild_ms\": {full_rebuild_ms:.1},\n    \"incremental_refresh_ms\": {incremental_refresh_ms:.2},\n    \"incremental_refresh_speedup\": {incremental_refresh_speedup:.2},\n    \"snapshot_save_ms\": {snapshot_save_ms:.2},\n    \"snapshot_load_ms\": {snapshot_load_ms:.2},\n    \"snapshot_mmap_load_ms\": {snapshot_mmap_load_ms:.2},\n    \"snapshot_file_bytes\": {snapshot_file_bytes},\n    \"snapshot_load_speedup\": {snapshot_load_speedup:.2}\n  }},\n  \"kernel\": {{\n    \"safebound_sweep_ns_per_query\": {:.1},\n    \"safebound_reference_ns_per_query\": {:.1},\n    \"sweep_speedup\": {:.2}\n  }},\n  \"end_to_end\": {{\n    \"safebound_bound_cold_ns_per_query\": {:.1},\n    \"safebound_bound_cached_ns_per_query\": {:.1},\n    \"shape_cache_speedup\": {:.2},\n    \"repeated_literal_ns_per_query\": {repeated_literal_ns_per_query:.1},\n    \"repeated_literal_speedup\": {repeated_literal_speedup:.2},\n    \"phase_ns_per_query\": {{\"resolve\": {resolve_ns:.1}, \"assemble\": {assemble_ns:.1}, \"kernel\": {kernel_phase_ns:.1}}},\n    \"on_host_scalar_unmemoized_ns\": {scalar_unmemoized_resolve_ns:.1},\n    \"repeated_range_resolve\": {{\"repeated_ns\": {repeated_range_resolve_ns:.1}, \"fresh_ns\": {fresh_range_resolve_ns:.1}, \"speedup\": {repeated_range_speedup:.2}}},\n    \"range_workload_memo\": {memo_json},\n    \"postgres_estimate_ns_per_query\": {:.1},\n    \"simplicity_estimate_ns_per_query\": {:.1}\n  }},\n  \"serving\": {{\n    \"hardware_threads\": {hw_threads},\n    \"request_dispatch_1_worker_qps\": {:.0},\n    \"batched_qps_by_workers\": {{\"1\": {:.0}, \"2\": {:.0}, \"4\": {:.0}, \"8\": {:.0}}},\n    \"batched_4w_vs_request_1w\": {batched_4w_vs_request_1w:.2},\n    \"batched_4w_vs_batched_1w\": {batched_4w_vs_batched_1w:.2},\n    \"batched_4w_repeated_qps\": {batched_4w_repeated_qps:.0},\n    \"batch_dedup_hits\": {batch_dedup_hits},\n    \"batched_4w_under_refresh_qps\": {refresh_qps:.0},\n    \"refresh_swaps_during_window\": {refresh_swaps},\n    \"refresh_window_seconds\": {refresh_window_secs:.2},\n    \"qps_under_injected_latency\": {qps_under_injected_latency},\n    \"hardware_scaling_gate\": \"{scaling_gate}\"\n  }}\n}}\n",
+        "{{\n  \"workload\": \"JOB-light (IMDB scale {scale_name}, seed 1)\",\n  \"queries\": {},\n  \"simd_tier\": \"{simd_tier}\",\n  \"offline\": {{\n    \"stats_build_seconds\": {:.3},\n    \"stats_bytes\": {},\n    \"cds_sets\": {},\n    \"build_shards\": {shards},\n    \"sharded_build_ms\": {sharded_build_ms:.1},\n    \"full_rebuild_ms\": {full_rebuild_ms:.1},\n    \"incremental_refresh_ms\": {incremental_refresh_ms:.2},\n    \"incremental_refresh_speedup\": {incremental_refresh_speedup:.2},\n    \"snapshot_save_ms\": {snapshot_save_ms:.2},\n    \"snapshot_load_ms\": {snapshot_load_ms:.2},\n    \"snapshot_file_bytes\": {snapshot_file_bytes},\n    \"snapshot_load_speedup\": {snapshot_load_speedup:.2}\n  }},\n  \"kernel\": {{\n    \"safebound_sweep_ns_per_query\": {:.1},\n    \"safebound_reference_ns_per_query\": {:.1},\n    \"sweep_speedup\": {:.2}\n  }},\n  \"end_to_end\": {{\n    \"safebound_bound_cold_ns_per_query\": {:.1},\n    \"safebound_bound_cached_ns_per_query\": {:.1},\n    \"shape_cache_speedup\": {:.2},\n    \"repeated_literal_ns_per_query\": {repeated_literal_ns_per_query:.1},\n    \"repeated_literal_speedup\": {repeated_literal_speedup:.2},\n    \"phase_ns_per_query\": {{\"resolve\": {resolve_ns:.1}, \"assemble\": {assemble_ns:.1}, \"kernel\": {kernel_phase_ns:.1}}},\n    \"on_host_scalar_unmemoized_ns\": {scalar_unmemoized_resolve_ns:.1},\n    \"repeated_range_resolve\": {{\"repeated_ns\": {repeated_range_resolve_ns:.1}, \"fresh_ns\": {fresh_range_resolve_ns:.1}, \"speedup\": {repeated_range_speedup:.2}}},\n    \"range_workload_memo\": {memo_json},\n    \"postgres_estimate_ns_per_query\": {:.1},\n    \"simplicity_estimate_ns_per_query\": {:.1}\n  }},\n  \"serving\": {{\n    \"hardware_threads\": {hw_threads},\n    \"request_dispatch_1_worker_qps\": {:.0},\n    \"batched_qps_by_workers\": {{\"1\": {:.0}, \"2\": {:.0}, \"4\": {:.0}, \"8\": {:.0}}},\n    \"batched_4w_vs_request_1w\": {batched_4w_vs_request_1w:.2},\n    \"batched_4w_vs_batched_1w\": {batched_4w_vs_batched_1w:.2},\n    \"batched_4w_repeated_qps\": {batched_4w_repeated_qps:.0},\n    \"batch_dedup_hits\": {batch_dedup_hits},\n    \"batched_4w_under_refresh_qps\": {refresh_qps:.0},\n    \"refresh_swaps_during_window\": {refresh_swaps},\n    \"refresh_window_seconds\": {refresh_window_secs:.2},\n    \"qps_under_injected_latency\": {qps_under_injected_latency},\n    \"hardware_scaling_gate\": \"{scaling_gate}\"\n  }}\n}}\n",
         queries.len(),
         build_secs,
         stats_bytes,

@@ -2,16 +2,13 @@
 //!
 //! Across all four smoke-scale paper workloads (344 queries), the full
 //! bound computation must be **bit-identical** between the in-RAM
-//! statistics, statistics round-tripped through the crash-safe snapshot
-//! file (save → `load_snapshot`), and statistics loaded through the
-//! zero-copy mmap path (save → `load_snapshot_mmap`) — and no bound from
-//! any of the three may ever fall below the exact join count. A format
-//! or validation bug that altered a single statistic would either break
-//! bit-identity or, worse, produce an underestimate; this sweep catches
-//! both.
+//! statistics and statistics round-tripped through the crash-safe
+//! snapshot file (save → `load_snapshot`) — and no bound from either may
+//! ever fall below the exact join count. A format or validation bug that
+//! altered a single statistic would either break bit-identity or, worse,
+//! produce an underestimate; this sweep catches both.
 
 use safebound_bench::{build_workloads, experiment_config, ExperimentScale};
-use safebound_core::snapshot_file::load_snapshot_mmap;
 use safebound_core::{load_snapshot, save_snapshot, SafeBound};
 use safebound_exec::exact_count;
 
@@ -27,22 +24,14 @@ fn snapshot_loaded_bounds_are_bit_identical_and_sound() {
         ));
         save_snapshot(&path, &sb.snapshot()).expect("snapshot save");
         let sb_loaded = SafeBound::from_stats(load_snapshot(&path).expect("snapshot load"));
-        let sb_mmap = SafeBound::from_stats(load_snapshot_mmap(&path).expect("mmap load"));
         let _ = std::fs::remove_file(&path);
         for bq in &w.queries {
             let bound = sb.bound(&bq.query).unwrap_or(f64::INFINITY);
             let loaded = sb_loaded.bound(&bq.query).unwrap_or(f64::INFINITY);
-            let mmapped = sb_mmap.bound(&bq.query).unwrap_or(f64::INFINITY);
             assert_eq!(
                 bound.to_bits(),
                 loaded.to_bits(),
                 "{}: in-RAM bound {bound} != file-loaded bound {loaded}",
-                bq.name,
-            );
-            assert_eq!(
-                bound.to_bits(),
-                mmapped.to_bits(),
-                "{}: in-RAM bound {bound} != mmap-loaded bound {mmapped}",
                 bq.name,
             );
             let truth = exact_count(&w.catalog, &bq.query).unwrap() as f64;

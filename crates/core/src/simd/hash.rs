@@ -1,4 +1,4 @@
-//! Multi-stream FNV-1a fingerprinting.
+//! Multi-stream FNV-1a fingerprinting and the XXH64 bulk checksum.
 //!
 //! FNV-1a is a strictly serial recurrence per stream (`h = (h ^ byte) *
 //! PRIME` — each step depends on the previous multiply), so a single
@@ -11,6 +11,12 @@
 //! per-stream math is byte-for-byte identical to the serial
 //! implementations in `litcache.rs`/`bloom.rs`, so no tier dispatch is
 //! needed — the result is bit-identical by construction on every host.
+//!
+//! Bulk checksums take the same idea inside one hash: [`xxh64`] keeps four
+//! independent lanes over 32-byte stripes and consumes a 64-bit word per
+//! multiply, so the snapshot file's megabyte-sized checksums run at memory
+//! speed rather than one multiply per byte. FNV-1a stays for the short
+//! session-cache keys.
 
 /// 64-bit FNV offset basis (matches `litcache::fnv1a`).
 pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -85,6 +91,84 @@ pub fn fnv1a_x4(a: &[u8], b: &[u8], c: &[u8], d: &[u8]) -> [u64; 4] {
         }
     }
     h
+}
+
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
+
+#[inline(always)]
+fn xxh_round(acc: u64, word: &[u8; 8]) -> u64 {
+    acc.wrapping_add(u64::from_le_bytes(*word).wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+#[inline(always)]
+fn xxh_merge(h: u64, lane: u64) -> u64 {
+    let lane = lane
+        .wrapping_mul(XXH_P2)
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1);
+    (h ^ lane).wrapping_mul(XXH_P1).wrapping_add(XXH_P4)
+}
+
+/// XXH64 with seed 0 — the content checksum of the zstd and LZ4 frame
+/// formats. Four lanes advance independently over each 32-byte stripe;
+/// the leftover words, an optional 4-byte word and the last bytes are
+/// folded in serially, then the result is avalanched. Bit-identical to
+/// the reference `XXH64(bytes, len, 0)` on every host.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let (stripes, rest) = words.as_chunks::<4>();
+    let mut h = if stripes.is_empty() {
+        XXH_P5
+    } else {
+        let mut v = [
+            XXH_P1.wrapping_add(XXH_P2),
+            XXH_P2,
+            0,
+            XXH_P1.wrapping_neg(),
+        ];
+        for [w0, w1, w2, w3] in stripes {
+            v = [
+                xxh_round(v[0], w0),
+                xxh_round(v[1], w1),
+                xxh_round(v[2], w2),
+                xxh_round(v[3], w3),
+            ];
+        }
+        let h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.into_iter().fold(h, xxh_merge)
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    for w in rest {
+        h ^= xxh_round(0, w);
+        h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+    }
+    let tail = match tail.split_first_chunk::<4>() {
+        Some((half, tail)) => {
+            h ^= u64::from(u32::from_le_bytes(*half)).wrapping_mul(XXH_P1);
+            h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+            tail
+        }
+        None => tail,
+    };
+    for &b in tail {
+        h ^= u64::from(b).wrapping_mul(XXH_P5);
+        h = h.rotate_left(11).wrapping_mul(XXH_P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(XXH_P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(XXH_P3);
+    h ^ (h >> 32)
 }
 
 /// [`std::hash::BuildHasher`] for the session-local hot maps (memo slabs,
@@ -218,6 +302,26 @@ mod tests {
         for (lane, s) in streams.into_iter().enumerate() {
             assert_eq!(h[lane], fnv1a(s));
         }
+    }
+
+    #[test]
+    fn xxh64_matches_reference_values() {
+        // Reference: libxxhash 0.8.1 `XXH64(bytes, len, 0)` with byte i =
+        // i as u8. The lengths hit every branch: empty, byte tail only,
+        // word + half-word + byte tails, exactly one stripe, a stripe plus
+        // every tail kind, and many stripes.
+        let data: Vec<u8> = (0..1027).map(|i| i as u8).collect();
+        for (len, want) in [
+            (0, 0xef46_db37_51d8_e999),
+            (3, 0xe5c7_bb45_33bc_65dd),
+            (15, 0xa948_f5f0_f6ab_ac2d),
+            (32, 0xcbf5_9c51_16ff_32b4),
+            (44, 0xa733_d156_db2b_b292),
+            (1027, 0xc2e8_4799_bd18_39c4),
+        ] {
+            assert_eq!(xxh64(&data[..len]), want, "length {len}");
+        }
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
     }
 
     #[test]

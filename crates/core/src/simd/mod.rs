@@ -3,7 +3,7 @@
 //! The inference stack spends its time in three measured loops: batched
 //! `partition_point` bucket searches during range resolution
 //! ([`search`]), FNV literal fingerprinting / Bloom double-hashing
-//! ([`hash`]), and the min/product reductions of the sweep-line kernel
+//! ([`hash`], which also holds the snapshot file's XXH64), and the min/product reductions of the sweep-line kernel
 //! ([`reduce`]). Each kernel here exists in a vector form per supported
 //! tier **and** a scalar mirror that replays the vector algorithm's exact
 //! lane layout and association order, so every tier produces bit-identical

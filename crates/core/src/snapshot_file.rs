@@ -18,10 +18,16 @@
 //! schema_fp        u64   fingerprint of table names + join columns
 //! param_fp         u64   fingerprint of the SafeBoundConfig encoding
 //! num_sections     u32
-//! per section:     id u32, offset u64, len u64, fnv1a checksum u64
+//! per section:     id u32, offset u64, len u64, xxh64 checksum u64
 //! section payloads (symbols, config, tables)
-//! trailer          u64   fnv1a over every preceding byte
+//! trailer          u64   xxh64 over every preceding byte
 //! ```
+//!
+//! Every stored checksum and fingerprint is XXH64 with seed 0
+//! ([`xxh64`]), the content checksum of the zstd and LZ4 frame formats.
+//! Version 1 files used byte-serial FNV-1a; they are refused as
+//! [`SnapshotFileError::UnsupportedVersion`] before any checksum runs
+//! (the server's `--snapshot-load` then falls back to a build).
 //!
 //! # Robustness contract
 //!
@@ -42,11 +48,9 @@
 //!   difference is [`StatsSnapshot::build_id`]: loads mint a fresh
 //!   process-unique id so sessions flush their caches.
 //!
-//! Two load modes share the same decoder: an owned read
-//! ([`load_snapshot`]) and, behind the `mmap` cargo feature, a zero-copy
-//! mapping ([`load_snapshot_mmap`]) via a hand-rolled `mmap`/`munmap`
-//! wrapper. The feature is off by default so Miri and the default CI
-//! jobs exercise the portable read path.
+//! Loading is an owned read of the whole file ([`load_snapshot`]): a
+//! private `mmap` would fault in the same pages that `read` copies, and
+//! it measured no faster, since the decoder copies every statistic out.
 //!
 //! Under the `fault-hooks` feature the file I/O helpers consult a
 //! test-only [`hooks`] registry that can inject `io::Error`s, short
@@ -59,7 +63,7 @@ use crate::conditioning::{
 };
 use crate::config::SafeBoundConfig;
 use crate::piecewise::PiecewiseLinear;
-use crate::simd::hash::{fnv1a, FastMap};
+use crate::simd::hash::{xxh64, FastMap};
 use crate::stats::{FilterColumnStats, StatsSnapshot, TableStats};
 use crate::symbol::{Sym, SymbolTable};
 use safebound_storage::Value;
@@ -73,7 +77,7 @@ pub const MAGIC: [u8; 8] = *b"SAFEBSNP";
 /// Current format version; bumped on any incompatible layout change.
 /// Readers reject other versions with
 /// [`SnapshotFileError::UnsupportedVersion`] rather than guessing.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const SEC_SYMBOLS: u32 = 1;
 const SEC_CONFIG: u32 = 2;
@@ -776,7 +780,7 @@ fn dec_config(d: &mut Dec<'_>) -> Result<SafeBoundConfig, SnapshotFileError> {
 // Fingerprints.
 // ---------------------------------------------------------------------
 
-/// FNV-1a fingerprint of the snapshot's schema: table names and their
+/// XXH64 fingerprint of the snapshot's schema: table names and their
 /// join columns, in deterministic (sorted-table, declared-column) order.
 /// Stored in the header so a reader can reject a file built against a
 /// different schema before (or without) decoding the statistics.
@@ -789,15 +793,15 @@ pub fn schema_fingerprint(snapshot: &StatsSnapshot) -> u64 {
             e.str(col);
         }
     }
-    fnv1a(&e.buf)
+    xxh64(&e.buf)
 }
 
-/// FNV-1a fingerprint of the build configuration (its canonical section
+/// XXH64 fingerprint of the build configuration (its canonical section
 /// encoding), so parameter drift between writer and reader is detected.
 pub fn param_fingerprint(config: &SafeBoundConfig) -> u64 {
     let mut e = Enc::default();
     enc_config(&mut e, config);
-    fnv1a(&e.buf)
+    xxh64(&e.buf)
 }
 
 // ---------------------------------------------------------------------
@@ -844,14 +848,14 @@ pub fn encode_snapshot(snapshot: &StatsSnapshot) -> Result<Vec<u8>, SnapshotFile
     out.count(snapshot.tables.len(), "table count");
     out.u64(total_rows);
     out.u64(schema_fingerprint(snapshot));
-    out.u64(fnv1a(&config.buf)); // == param_fingerprint(&snapshot.config)
+    out.u64(xxh64(&config.buf)); // == param_fingerprint(&snapshot.config)
     out.u32(NUM_SECTIONS as u32);
     let mut offset = HEADER_LEN as u64;
     for (id, body) in &sections {
         out.u32(*id);
         out.u64(offset);
         out.u64(body.len() as u64);
-        out.u64(fnv1a(body));
+        out.u64(xxh64(body));
         offset = offset.saturating_add(body.len() as u64);
     }
     if out.buf.len() != HEADER_LEN || out.too_large.is_some() {
@@ -862,7 +866,7 @@ pub fn encode_snapshot(snapshot: &StatsSnapshot) -> Result<Vec<u8>, SnapshotFile
     for (_, body) in &sections {
         out.buf.extend_from_slice(body);
     }
-    let trailer = fnv1a(&out.buf);
+    let trailer = xxh64(&out.buf);
     out.u64(trailer);
     Ok(out.buf)
 }
@@ -913,8 +917,11 @@ fn validate_envelope(
             have: bytes.len() as u64,
         });
     }
-    // Whole-file checksum before trusting any other field: a single
-    // flipped bit anywhere is caught here.
+    // Whole-file checksum before trusting any other field. XXH64 is not
+    // a CRC and guarantees no minimum error distance: a corruption gets
+    // past only by colliding in 64 bits. A corrupted payload byte reaches
+    // the decoder only if it collides here and in its section's checksum
+    // below.
     let body_len = bytes.len() - 8;
     let stored = {
         let mut t = Dec {
@@ -926,7 +933,7 @@ fn validate_envelope(
     let body = bytes
         .get(..body_len)
         .ok_or(SnapshotFileError::Malformed("trailer range"))?;
-    if fnv1a(body) != stored {
+    if xxh64(body) != stored {
         return Err(SnapshotFileError::ChecksumMismatch { section: "file" });
     }
 
@@ -971,7 +978,7 @@ fn validate_envelope(
         let body = bytes
             .get(offset as usize..end as usize)
             .ok_or(SnapshotFileError::Malformed("section range out of file"))?;
-        if fnv1a(body) != checksum {
+        if xxh64(body) != checksum {
             return Err(SnapshotFileError::ChecksumMismatch {
                 section: names.get(slot).copied().unwrap_or("section"),
             });
@@ -1118,126 +1125,6 @@ pub fn load_snapshot(path: &Path) -> Result<StatsSnapshot, SnapshotFileError> {
 pub fn read_header(path: &Path) -> Result<SnapshotHeader, SnapshotFileError> {
     let bytes = fio::read(path)?;
     validate_envelope(&bytes).map(|(h, _)| h)
-}
-
-// ---------------------------------------------------------------------
-// Zero-copy mmap loader (feature `mmap`).
-// ---------------------------------------------------------------------
-
-/// Load a snapshot through a zero-copy private mapping of the file
-/// (Linux). The decoder still copies the statistics it constructs, but
-/// the file image itself is never buffered — on a large snapshot the
-/// page cache is shared with every other replica process on the host.
-///
-/// Non-Linux targets fall back to the owned read; fault hooks apply only
-/// to the owned-read path (the chaos suite does not enable `mmap`).
-#[cfg(all(feature = "mmap", target_os = "linux"))]
-pub fn load_snapshot_mmap(path: &Path) -> Result<StatsSnapshot, SnapshotFileError> {
-    let file = std::fs::File::open(path)?;
-    let len = file.metadata()?.len();
-    let len = usize::try_from(len).map_err(|_| SnapshotFileError::Malformed("file too large"))?;
-    if len == 0 {
-        return Err(SnapshotFileError::Truncated {
-            needed: MIN_FILE_LEN as u64,
-            have: 0,
-        });
-    }
-    let mapping = mm::Mapping::map(&file, len)?;
-    decode_snapshot(mapping.as_slice())
-}
-
-/// Portability fallback: targets without the hand-rolled mmap wrapper
-/// load through the owned read, so callers can use one entry point
-/// unconditionally.
-#[cfg(all(feature = "mmap", not(target_os = "linux")))]
-pub fn load_snapshot_mmap(path: &Path) -> Result<StatsSnapshot, SnapshotFileError> {
-    load_snapshot(path)
-}
-
-#[cfg(all(feature = "mmap", target_os = "linux"))]
-mod mm {
-    //! Minimal read-only `mmap`/`munmap` wrapper. Hand-rolled because the
-    //! workspace carries no external dependencies; only what the snapshot
-    //! loader needs, nothing more.
-
-    use std::ffi::c_void;
-    use std::os::unix::io::AsRawFd;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    /// An owned read-only private mapping, unmapped on drop.
-    pub(super) struct Mapping {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    impl Mapping {
-        /// Map `len` bytes of `file` read-only. `len` must be nonzero
-        /// (zero-length mappings are `EINVAL`) and is checked by the
-        /// caller against the file's metadata.
-        pub(super) fn map(file: &std::fs::File, len: usize) -> std::io::Result<Mapping> {
-            if len == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "cannot map an empty file",
-                ));
-            }
-            // SAFETY: all arguments are well-formed — a null hint address,
-            // a nonzero length, a read-only private mapping, and a file
-            // descriptor that `file` keeps open across the call. The
-            // kernel either returns a valid mapping of exactly `len`
-            // bytes or MAP_FAILED, which is checked below.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(Mapping { ptr, len })
-        }
-
-        /// The mapped bytes.
-        pub(super) fn as_slice(&self) -> &[u8] {
-            // SAFETY: `ptr` is a live PROT_READ/MAP_PRIVATE mapping of
-            // exactly `len` bytes (checked against MAP_FAILED in `map`
-            // and unmapped only in `drop`). Snapshot files are published
-            // by atomic rename and never modified in place, and the
-            // mapping is private, so the bytes are stable for the
-            // borrow's lifetime.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            // SAFETY: `ptr`/`len` describe the exact mapping returned by
-            // `mmap` in `Mapping::map`; it is unmapped exactly once,
-            // here. A failed munmap leaks the mapping, which is the only
-            // safe response in a destructor.
-            let rc = unsafe { munmap(self.ptr, self.len) };
-            let _ = rc;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1587,18 +1474,79 @@ mod tests {
     }
 
     #[test]
+    fn version_one_files_are_refused_before_checksums() {
+        let mut bytes = encode_snapshot(&snapshot()).expect("encode");
+        // A file from the FNV-1a era: refused as skew, never checksummed
+        // with the wrong hash.
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(SnapshotFileError::UnsupportedVersion(1))
+        ));
+    }
+
+    /// Position of the tables section's entry (id, offset, len, checksum)
+    /// in the section table, where it comes last.
+    const TABLES_ENTRY: usize = HEADER_LEN - 28;
+
+    /// Flip the last byte of the tables payload, just before the trailer.
+    fn corrupt_tables_payload(bytes: &mut [u8]) {
+        assert_eq!(
+            bytes[TABLES_ENTRY..TABLES_ENTRY + 4],
+            SEC_TABLES.to_le_bytes()
+        );
+        let last = bytes.len() - 9;
+        bytes[last] ^= 0x01;
+    }
+
+    fn write_u64(bytes: &mut [u8], pos: usize, v: u64) {
+        bytes[pos..pos + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    #[test]
+    fn section_checksum_is_live_behind_a_recomputed_trailer() {
+        let mut bytes = encode_snapshot(&snapshot()).expect("encode");
+        corrupt_tables_payload(&mut bytes);
+        let body_len = bytes.len() - 8;
+        let trailer = xxh64(&bytes[..body_len]);
+        write_u64(&mut bytes, body_len, trailer);
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(SnapshotFileError::ChecksumMismatch { section: "tables" })
+        ));
+    }
+
+    #[test]
+    fn trailer_is_live_behind_a_recomputed_section_checksum() {
+        let mut bytes = encode_snapshot(&snapshot()).expect("encode");
+        corrupt_tables_payload(&mut bytes);
+        let offset = bytes[TABLES_ENTRY + 4..TABLES_ENTRY + 12]
+            .try_into()
+            .map(u64::from_le_bytes)
+            .expect("offset field") as usize;
+        let section = xxh64(&bytes[offset..bytes.len() - 8]);
+        write_u64(&mut bytes, TABLES_ENTRY + 20, section);
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(SnapshotFileError::ChecksumMismatch { section: "file" })
+        ));
+    }
+
+    #[test]
     fn every_single_byte_flip_is_rejected_or_harmless() {
         let snap = snapshot();
         let bytes = encode_snapshot(&snap).expect("encode");
-        // Exhaustive for a small snapshot: flip each byte in turn; the
-        // whole-file checksum must catch every flip (a flip inside the
+        // Exhaustive for a small snapshot: flip every bit of every byte in
+        // turn; the checksums must catch every flip (a flip inside the
         // trailer corrupts the stored checksum itself).
         for i in 0..bytes.len() {
-            let mut corrupt = bytes.clone();
-            corrupt[i] ^= 0x01;
-            match decode_snapshot(&corrupt) {
-                Err(_) => {}
-                Ok(_) => panic!("flip at byte {i} produced a loadable file"),
+            for bit in 0..8 {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= 1 << bit;
+                match decode_snapshot(&corrupt) {
+                    Err(_) => {}
+                    Ok(_) => panic!("flip of bit {bit} at byte {i} produced a loadable file"),
+                }
             }
         }
     }
@@ -1684,33 +1632,6 @@ mod tests {
                 "bounds must be bit-identical: {q}"
             );
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn mmap_load_matches_owned_load() {
-        let snap = snapshot();
-        let path = temp_file("mmap");
-        save_snapshot(&path, &snap).expect("save");
-        let owned = load_snapshot(&path).expect("owned load");
-        let mapped = load_snapshot_mmap(&path).expect("mmap load");
-        assert_same_stats(&owned, &mapped);
-        assert_same_stats(&snap, &mapped);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn mmap_load_rejects_corruption() {
-        let snap = snapshot();
-        let path = temp_file("mmapbad");
-        save_snapshot(&path, &snap).expect("save");
-        let mut bytes = std::fs::read(&path).expect("read");
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&path, &bytes).expect("write");
-        assert!(load_snapshot_mmap(&path).is_err());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -3,11 +3,12 @@
 //! Property: the loader is total. For **any** mutation of a valid file —
 //! flipped bytes, truncation, extension, random garbage — `decode_snapshot`
 //! returns either a typed error or a snapshot whose statistics are
-//! bit-identical to the original (the mutation landed somewhere the
-//! checksums prove harmless, which for FNV-1a over the whole file means
-//! "the mutation was a no-op"). It never panics and never yields
-//! statistics that differ from what was saved — the failure mode that
-//! would silently void the upper-bound guarantee.
+//! bit-identical to the original (the mutation was a no-op: a real
+//! change gets past only by colliding in the 64-bit XXH64 whole-file
+//! checksum, and for payload bytes in the section checksum too). It
+//! never panics and never yields statistics that differ from what was
+//! saved — the failure mode that would silently void the upper-bound
+//! guarantee.
 
 use proptest::prelude::*;
 use safebound_core::snapshot_file::{
