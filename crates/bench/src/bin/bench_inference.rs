@@ -126,7 +126,7 @@ fn main() {
         // The sharded partition→merge→finalize path must be bit-identical
         // to the single-pass statistics it is replacing.
         assert!(
-            built.tables == snapshot.tables,
+            built.tables == snapshot.tables && built.pool == snapshot.pool,
             "sharded build diverged from single-pass statistics"
         );
         black_box(built);
@@ -176,7 +176,9 @@ fn main() {
     });
     let loaded = safebound_core::load_snapshot(&snap_path).expect("snapshot load");
     assert!(
-        loaded.tables == snapshot.tables && loaded.symbols == snapshot.symbols,
+        loaded.tables == snapshot.tables
+            && loaded.pool == snapshot.pool
+            && loaded.symbols == snapshot.symbols,
         "loaded snapshot diverged from the in-RAM statistics"
     );
     drop(loaded);

@@ -17,21 +17,34 @@
 //!
 //! # Online arena
 //!
-//! The online phase never clones these structures: every lookup has an
-//! `_into` variant writing through a [`CdsScratch`] — a pool of spare
-//! polylines and sets whose capacity survives across queries — and the
-//! combining ops ([`CdsSet::combine_into`] / [`CdsSet::accumulate`] with a
-//! [`SetOp`]) merge into recycled buffers. A warm scratch makes predicate
-//! resolution and stats assembly allocation-free (asserted by the
-//! `zero_alloc` integration test). The allocating methods remain for the
-//! offline build and as convenience wrappers.
+//! Two kinds of set meet in the online phase:
+//!
+//! * **resident** — every set a snapshot stores (MCV groups and
+//!   defaults, histogram groups, n-gram groups and defaults, and the
+//!   tables' base and fallback sets) is a [`SetRange`] into the
+//!   snapshot's one [`CdsPool`]; lookups take that pool and read the set
+//!   in place through a [`CdsView`];
+//! * **owned scratch** — what a query computes (max-envelopes of several
+//!   candidate groups, LIKE min-folds, `IN`/`AND`/`OR` combinations, the
+//!   literal cache's and memos' copies) is an owned [`CdsSet`] recycled
+//!   through a [`CdsScratch`]: a pool of spare polylines and sets whose
+//!   capacity survives across queries.
+//!
+//! The combining ops ([`CdsView::combine_into`] / [`CdsSet::accumulate`]
+//! with a [`SetOp`]) read both kinds through views and write into
+//! recycled buffers, and every lookup has an `_into` variant writing
+//! through the scratch. A warm scratch makes predicate resolution and
+//! stats assembly allocation-free (asserted by the `zero_alloc`
+//! integration test). The allocating methods remain for the offline build
+//! and as convenience wrappers.
 
 use crate::bloom::BloomFilter;
 use crate::clustering::{agglomerative, naive_equal_size, self_join_distance, Linkage};
 use crate::compression::valid_compress;
 use crate::config::SafeBoundConfig;
 use crate::degree_sequence::DegreeSequence;
-use crate::piecewise::PiecewiseLinear;
+use crate::piecewise::{PiecewiseLinear, PwlView};
+use crate::pool::{CdsPool, CdsView, SetRange};
 use crate::simd::hash::FastMap;
 use crate::symbol::Sym;
 use safebound_storage::{Column, Table, Value};
@@ -70,6 +83,12 @@ impl CdsSet {
             .map(|i| &self.entries[i].1)
     }
 
+    /// The borrowed read side of this set.
+    #[inline]
+    pub fn view(&self) -> CdsView<'_> {
+        CdsView::Owned(&self.entries)
+    }
+
     /// True when the set carries no per-column CDS.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -77,16 +96,7 @@ impl CdsSet {
 
     /// Upper bound on the row-subset cardinality: the smallest endpoint.
     pub fn cardinality(&self) -> f64 {
-        let m = self
-            .entries
-            .iter()
-            .map(|(_, cds)| cds.endpoint())
-            .fold(f64::INFINITY, f64::min);
-        if m.is_finite() {
-            m
-        } else {
-            0.0
-        }
+        self.view().cardinality()
     }
 
     /// Per-column pointwise max (for grouping / defaults), with a concave
@@ -140,70 +150,64 @@ impl CdsSet {
 
     /// Approximate heap size in bytes (knot storage).
     pub fn byte_size(&self) -> usize {
-        self.entries
-            .iter()
-            .map(|(_, v)| 24 + v.knots().len() * 16)
-            .sum()
+        self.view().byte_size()
     }
 
+    /// `self = op(self, other)` through a recycled temporary.
+    pub fn accumulate(&mut self, other: CdsView<'_>, op: SetOp, scratch: &mut CdsScratch) {
+        let mut tmp = scratch.take_set();
+        self.view().combine_into(other, op, scratch, &mut tmp);
+        std::mem::swap(self, &mut tmp);
+        scratch.put_set(tmp);
+    }
+}
+
+impl CdsView<'_> {
     /// Sorted-merge combine writing into `out` (recycled through
     /// `scratch`): the arena-backed core of the online phase. Columns
     /// present on only one side are copied through, exactly like the
     /// allocating [`CdsSet::pointwise_min`]/`max`/`sum`.
     pub fn combine_into(
-        &self,
-        other: &CdsSet,
+        self,
+        other: CdsView<'_>,
         op: SetOp,
         scratch: &mut CdsScratch,
         out: &mut CdsSet,
     ) {
         scratch.clear_set(out);
-        let (a, b) = (&self.entries, &other.entries);
         let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].0.cmp(&b[j].0) {
-                std::cmp::Ordering::Equal => {
+        loop {
+            let (a, b) = (self.entry(i), other.entry(j));
+            let (sym, p) = match (a, b) {
+                (Some((sa, pa)), Some((sb, pb))) if sa == sb => {
                     let mut p = scratch.take_pwl();
                     match op {
-                        SetOp::Min => a[i].1.pointwise_min_into(&b[j].1, &mut p),
-                        SetOp::MaxEnvelope => a[i].1.pointwise_max_envelope_into(
-                            &b[j].1,
-                            &mut scratch.tmp_knots,
-                            &mut p,
-                        ),
-                        SetOp::Sum => a[i].1.pointwise_sum_into(&b[j].1, &mut p),
+                        SetOp::Min => pa.pointwise_min_into(pb, &mut p),
+                        SetOp::MaxEnvelope => {
+                            pa.pointwise_max_envelope_into(pb, &mut scratch.tmp_knots, &mut p)
+                        }
+                        SetOp::Sum => pa.pointwise_sum_into(pb, &mut p),
                     }
-                    out.entries.push((a[i].0, p));
                     i += 1;
                     j += 1;
+                    (sa, p)
                 }
-                std::cmp::Ordering::Less => {
-                    let mut p = scratch.take_pwl();
-                    p.copy_from(&a[i].1);
-                    out.entries.push((a[i].0, p));
+                (Some((sa, pa)), Some((sb, _))) if sa < sb => {
                     i += 1;
+                    (sa, scratch.copy_pwl(pa))
                 }
-                std::cmp::Ordering::Greater => {
-                    let mut p = scratch.take_pwl();
-                    p.copy_from(&b[j].1);
-                    out.entries.push((b[j].0, p));
+                (Some((sa, pa)), None) => {
+                    i += 1;
+                    (sa, scratch.copy_pwl(pa))
+                }
+                (_, Some((sb, pb))) => {
                     j += 1;
+                    (sb, scratch.copy_pwl(pb))
                 }
-            }
+                (None, None) => break,
+            };
+            out.entries.push((sym, p));
         }
-        for (sym, pwl) in a[i..].iter().chain(&b[j..]) {
-            let mut p = scratch.take_pwl();
-            p.copy_from(pwl);
-            out.entries.push((*sym, p));
-        }
-    }
-
-    /// `self = op(self, other)` through a recycled temporary.
-    pub fn accumulate(&mut self, other: &CdsSet, op: SetOp, scratch: &mut CdsScratch) {
-        let mut tmp = scratch.take_set();
-        self.combine_into(other, op, scratch, &mut tmp);
-        std::mem::swap(self, &mut tmp);
-        scratch.put_set(tmp);
     }
 }
 
@@ -259,6 +263,13 @@ impl CdsScratch {
         self.spare_pwl.push(p);
     }
 
+    /// A spare polyline from the pool overwritten with a copy of `src`.
+    pub fn copy_pwl(&mut self, src: PwlView<'_>) -> PiecewiseLinear {
+        let mut p = self.take_pwl();
+        p.copy_from(src);
+        p
+    }
+
     /// A spare, empty set from the pool.
     pub fn take_set(&mut self) -> CdsSet {
         self.spare_set.pop().unwrap_or_default()
@@ -282,19 +293,18 @@ impl CdsScratch {
     /// are reused directly instead of round-tripping through the pool —
     /// so the steady state (same relation resolved query after query) is
     /// one `memcpy` per join column.
-    pub fn copy_set(&mut self, src: &CdsSet, dst: &mut CdsSet) {
-        let keep = src.entries.len().min(dst.entries.len());
+    pub fn copy_set(&mut self, src: CdsView<'_>, dst: &mut CdsSet) {
+        let keep = src.len().min(dst.entries.len());
         for p in dst.entries.drain(keep..) {
             self.spare_pwl.push(p.1);
         }
-        for (d, s) in dst.entries.iter_mut().zip(&src.entries) {
-            d.0 = s.0;
-            d.1.copy_from(&s.1);
+        for (d, (sym, pwl)) in dst.entries.iter_mut().zip(src.iter()) {
+            d.0 = sym;
+            d.1.copy_from(pwl);
         }
-        for (sym, pwl) in &src.entries[keep..] {
-            let mut p = self.take_pwl();
-            p.copy_from(pwl);
-            dst.entries.push((*sym, p));
+        for (sym, pwl) in src.iter().skip(keep) {
+            let p = self.copy_pwl(pwl);
+            dst.entries.push((sym, p));
         }
     }
 }
@@ -474,8 +484,9 @@ impl McvIndex {
 /// for non-MCV values), all through the pool.
 fn indexed_max_into(
     index: &McvIndex,
-    groups: &[CdsSet],
-    default_set: &CdsSet,
+    groups: &[SetRange],
+    default_set: SetRange,
+    pool: &CdsPool,
     v: &Value,
     scratch: &mut CdsScratch,
     out: &mut CdsSet,
@@ -483,16 +494,30 @@ fn indexed_max_into(
     let mut ids = std::mem::take(&mut scratch.tmp_groups);
     let mut bytes = std::mem::take(&mut scratch.tmp_bytes);
     index.lookup_into(v, &mut ids, &mut bytes);
-    if ids.is_empty() {
-        scratch.copy_set(default_set, out);
-    } else {
-        scratch.copy_set(&groups[ids[0]], out);
-        for &g in &ids[1..] {
-            out.accumulate(&groups[g], SetOp::MaxEnvelope, scratch);
-        }
+    match ids.split_first() {
+        None => scratch.copy_set(pool.set(default_set), out),
+        Some((&first, rest)) => max_of_groups_into(groups, first, rest, pool, scratch, out),
     }
     scratch.tmp_groups = ids;
     scratch.tmp_bytes = bytes;
+}
+
+/// The max-envelope of the candidate groups `first` and `rest` into
+/// `out` (group ids were bounded by the group count when the index was
+/// built or loaded).
+fn max_of_groups_into(
+    groups: &[SetRange],
+    first: usize,
+    rest: &[usize],
+    pool: &CdsPool,
+    scratch: &mut CdsScratch,
+    out: &mut CdsSet,
+) {
+    let group = |g: usize| pool.set(groups.get(g).copied().unwrap_or_default());
+    scratch.copy_set(group(first), out);
+    for &g in rest {
+        out.accumulate(group(g), SetOp::MaxEnvelope, scratch);
+    }
 }
 
 /// Fused k-way pointwise-min fold over staged sets, written into `out`
@@ -524,11 +549,11 @@ fn fused_min_into(staged: &[CdsSet], scratch: &mut CdsScratch, out: &mut CdsSet)
             match set.entries.get(*c) {
                 Some((s, pwl)) if *s == sym => {
                     if first {
-                        acc.copy_from(pwl);
+                        acc.copy_from(pwl.view());
                         first = false;
                     } else {
                         let mut folded = scratch.take_pwl();
-                        acc.pointwise_min_into(pwl, &mut folded);
+                        acc.view().pointwise_min_into(pwl.view(), &mut folded);
                         std::mem::swap(&mut acc, &mut folded);
                         scratch.put_pwl(folded);
                     }
@@ -543,47 +568,54 @@ fn fused_min_into(staged: &[CdsSet], scratch: &mut CdsScratch, out: &mut CdsSet)
 }
 
 /// Which stored set answers an MCV equality probe (see
-/// [`McvStats::lookup_eq_outcome`]): an index into the stats rather than
-/// a copy, so hot paths (and the session equality memo) can borrow the
+/// [`McvStats::lookup_eq_outcome`]): a resident set's range rather than a
+/// copy, so hot paths (and the session equality memo) can read the
 /// answer in place.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) enum McvOutcome {
-    /// Non-MCV value: the default set dominates.
-    #[default]
-    Default,
-    /// Exactly one candidate group: `groups[g]` is the answer.
-    Group(u32),
+    /// Exactly one stored set dominates: the default set for a non-MCV
+    /// value, or the one candidate group.
+    Resident(SetRange),
     /// Multiple candidate groups: their max-envelope was written out.
+    #[default]
     Owned,
 }
 
-/// Equality-predicate statistics for one filter column (§3.2).
+/// Equality-predicate statistics for one filter column (§3.2). Its sets
+/// are resident in the snapshot's [`CdsPool`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct McvStats {
     /// Group CDS sets (post group-compression).
-    pub groups: Vec<CdsSet>,
+    pub groups: Vec<SetRange>,
     /// Value → group(s).
     pub index: McvIndex,
     /// Dominates the conditioned CDS of every non-MCV value (Eq. 3).
-    pub default_set: CdsSet,
+    pub default_set: SetRange,
 }
 
 impl McvStats {
     /// The conditioned CDS set for `column = v`: max over candidate groups,
     /// or the default for non-MCV values.
-    pub fn lookup_eq(&self, v: &Value) -> CdsSet {
+    pub fn lookup_eq(&self, pool: &CdsPool, v: &Value) -> CdsSet {
         let mut scratch = CdsScratch::default();
         let mut out = CdsSet::default();
-        self.lookup_eq_into(v, &mut scratch, &mut out);
+        self.lookup_eq_into(pool, v, &mut scratch, &mut out);
         out
     }
 
-    /// [`McvStats::lookup_eq`] writing into `out` through the pool.
-    pub fn lookup_eq_into(&self, v: &Value, scratch: &mut CdsScratch, out: &mut CdsSet) {
+    /// [`McvStats::lookup_eq`] writing into `out` through the scratch.
+    pub fn lookup_eq_into(
+        &self,
+        pool: &CdsPool,
+        v: &Value,
+        scratch: &mut CdsScratch,
+        out: &mut CdsSet,
+    ) {
         indexed_max_into(
             &self.index,
             &self.groups,
-            &self.default_set,
+            self.default_set,
+            pool,
             v,
             scratch,
             out,
@@ -591,13 +623,13 @@ impl McvStats {
     }
 
     /// [`McvStats::lookup_eq_into`], but classifying the answer instead of
-    /// always copying it: when a single stored set dominates (`Default` /
-    /// `Group`), `out` is left untouched and the caller reads the set in
-    /// place; only the multi-candidate max-envelope (`Owned`) is
-    /// materialized into `out`. Values are bit-identical to
-    /// `lookup_eq_into` in every case.
+    /// always copying it: when a single stored set dominates, `out` is
+    /// left untouched and the caller reads the set in place; only the
+    /// multi-candidate max-envelope (`Owned`) is materialized into `out`.
+    /// Values are bit-identical to `lookup_eq_into` in every case.
     pub(crate) fn lookup_eq_outcome(
         &self,
+        pool: &CdsPool,
         v: &Value,
         scratch: &mut CdsScratch,
         out: &mut CdsSet,
@@ -606,13 +638,10 @@ impl McvStats {
         let mut bytes = std::mem::take(&mut scratch.tmp_bytes);
         self.index.lookup_into(v, &mut ids, &mut bytes);
         let outcome = match ids[..] {
-            [] => McvOutcome::Default,
-            [g] => McvOutcome::Group(g as u32),
-            _ => {
-                scratch.copy_set(&self.groups[ids[0]], out);
-                for &g in &ids[1..] {
-                    out.accumulate(&self.groups[g], SetOp::MaxEnvelope, scratch);
-                }
+            [] => McvOutcome::Resident(self.default_set),
+            [g] => McvOutcome::Resident(self.groups.get(g).copied().unwrap_or_default()),
+            [first, ref rest @ ..] => {
+                max_of_groups_into(&self.groups, first, rest, pool, scratch, out);
                 McvOutcome::Owned
             }
         };
@@ -626,39 +655,52 @@ impl McvStats {
     /// the (empty) true conditioned CDS and drives the cardinality bound
     /// to zero, unlike an absent entry (which falls back to the
     /// unconditioned base).
-    pub fn zero_set_into(&self, scratch: &mut CdsScratch, out: &mut CdsSet) {
+    pub fn zero_set_into(&self, pool: &CdsPool, scratch: &mut CdsScratch, out: &mut CdsSet) {
         scratch.clear_set(out);
-        for (sym, _) in &self.default_set.entries {
+        for (sym, _) in pool.set(self.default_set).iter() {
             let mut p = scratch.take_pwl();
             p.make_empty();
-            out.entries.push((*sym, p));
+            out.entries.push((sym, p));
         }
     }
 
     /// Approximate heap size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.groups.iter().map(CdsSet::byte_size).sum::<usize>()
+    pub fn byte_size(&self, pool: &CdsPool) -> usize {
+        sets_byte_size(pool, &self.groups)
             + self.index.byte_size()
-            + self.default_set.byte_size()
+            + pool.set(self.default_set).byte_size()
     }
 
     /// Number of stored CDS sets (groups + default).
     pub fn num_sets(&self) -> usize {
         self.groups.len() + 1
     }
+
+    /// Every stored set, in file order (groups, then the default).
+    pub(crate) fn for_each_set_mut(&mut self, f: &mut impl FnMut(&mut SetRange)) {
+        self.groups.iter_mut().for_each(&mut *f);
+        f(&mut self.default_set);
+    }
 }
 
-/// Build MCV statistics for the named filter column.
+/// Summed [`CdsView::byte_size`] of resident sets.
+fn sets_byte_size(pool: &CdsPool, sets: &[SetRange]) -> usize {
+    sets.iter().map(|&r| pool.set(r).byte_size()).sum()
+}
+
+/// Build MCV statistics for the named filter column, its sets appended to
+/// `pool`.
 pub fn build_mcv(
     table: &Table,
     filter_col: &str,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> McvStats {
     // lint: allow(no-panic) -- offline build path: the builder only names
     // filter columns it just enumerated from this table's schema
     let col = table.column(filter_col).expect("missing filter column");
-    build_mcv_for_column(table, col, join_columns, config)
+    build_mcv_for_column(table, col, join_columns, config, pool)
 }
 
 /// Build MCV statistics for an arbitrary column aligned with `table`'s rows
@@ -672,10 +714,11 @@ pub fn build_mcv_for_column(
     col: &Column,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> McvStats {
     let unit =
         crate::partial::FilterUnitPartial::scan_column(table, col, join_columns, 0..col.len());
-    crate::partial::finalize_mcv(&unit, join_columns, config)
+    crate::partial::finalize_mcv(&unit, join_columns, config, pool)
 }
 
 /// One level of the histogram hierarchy: bucket `i` covers values in
@@ -791,13 +834,14 @@ impl RangeIndex {
 }
 
 /// Range-predicate statistics: a hierarchy of equi-depth histograms (§3.2)
-/// whose buckets store group-compressed CDS sets.
+/// whose buckets store group-compressed CDS sets, resident in the
+/// snapshot's [`CdsPool`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramStats {
     /// Levels ordered finest (2^k buckets) → coarsest (2 buckets).
     pub levels: Vec<HistogramLevel>,
     /// Group CDS sets shared by all levels.
-    pub groups: Vec<CdsSet>,
+    pub groups: Vec<SetRange>,
     /// Batched-search acceleration over the levels' boundaries
     /// (deterministic function of `levels`, so derived equality and
     /// identical rebuilds stay consistent). `None` when boundaries are
@@ -808,7 +852,7 @@ pub struct HistogramStats {
 impl HistogramStats {
     /// Assemble the hierarchy (and its batched-search key matrix, when
     /// the boundaries admit one) from built levels and group sets.
-    pub fn new(levels: Vec<HistogramLevel>, groups: Vec<CdsSet>) -> HistogramStats {
+    pub fn new(levels: Vec<HistogramLevel>, groups: Vec<SetRange>) -> HistogramStats {
         let range_index = RangeIndex::build(&levels);
         HistogramStats {
             levels,
@@ -822,18 +866,13 @@ impl HistogramStats {
     /// (`hi < lo`, i.e. an empty selection) return `None`; callers that
     /// can prove emptiness should use a zero set instead
     /// ([`McvStats::zero_set_into`]).
-    pub fn lookup_range(&self, lo: &Value, hi: &Value) -> Option<CdsSet> {
-        self.lookup_range_ref(lo, hi).cloned()
+    pub fn lookup_range(&self, pool: &CdsPool, lo: &Value, hi: &Value) -> Option<CdsSet> {
+        let g = self.lookup_range_group(lo, hi)?;
+        Some(pool.set(*self.groups.get(g)?).to_set())
     }
 
-    /// [`HistogramStats::lookup_range`] by reference (no clone): the
-    /// borrow points into the stored group sets.
-    pub fn lookup_range_ref(&self, lo: &Value, hi: &Value) -> Option<&CdsSet> {
-        self.lookup_range_group(lo, hi).map(|g| &self.groups[g])
-    }
-
-    /// The group id behind [`lookup_range_ref`](Self::lookup_range_ref):
-    /// the value the session range memo stores. When the key matrix
+    /// The group id behind [`lookup_range`](Self::lookup_range): the value
+    /// the session range memo stores. When the key matrix
     /// exists and the probe has an exact order key, the bucket of `lo` on
     /// **every** level is found in one batched branchless search
     /// ([`crate::simd::search::batched_upper_bound`]) before the covering
@@ -894,7 +933,7 @@ impl HistogramStats {
 
     /// Approximate heap size in bytes (the batched-search key matrix
     /// included).
-    pub fn byte_size(&self) -> usize {
+    pub fn byte_size(&self, pool: &CdsPool) -> usize {
         let b: usize = self
             .levels
             .iter()
@@ -904,7 +943,7 @@ impl HistogramStats {
             .range_index
             .as_ref()
             .map_or(0, |i| i.keys.len() * 8 + i.counts.len() * 4);
-        b + idx + self.groups.iter().map(CdsSet::byte_size).sum::<usize>()
+        b + idx + sets_byte_size(pool, &self.groups)
     }
 
     /// Number of stored CDS sets.
@@ -913,17 +952,19 @@ impl HistogramStats {
     }
 }
 
-/// Build the histogram hierarchy for the named filter column.
+/// Build the histogram hierarchy for the named filter column, its sets
+/// appended to `pool`.
 pub fn build_histogram(
     table: &Table,
     filter_col: &str,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> Option<HistogramStats> {
     // lint: allow(no-panic) -- offline build path: the builder only names
     // filter columns it just enumerated from this table's schema
     let col = table.column(filter_col).expect("missing filter column");
-    build_histogram_for_column(table, col, join_columns, config)
+    build_histogram_for_column(table, col, join_columns, config, pool)
 }
 
 /// Build the histogram hierarchy for an arbitrary column aligned with
@@ -937,33 +978,35 @@ pub fn build_histogram_for_column(
     col: &Column,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> Option<HistogramStats> {
     let unit =
         crate::partial::FilterUnitPartial::scan_column(table, col, join_columns, 0..col.len());
-    crate::partial::finalize_histogram(&unit, join_columns, config)
+    crate::partial::finalize_histogram(&unit, join_columns, config, pool)
 }
 
-/// LIKE-predicate statistics: MCV machinery keyed by n-grams (§3.2).
+/// LIKE-predicate statistics: MCV machinery keyed by n-grams (§3.2), its
+/// sets resident in the snapshot's [`CdsPool`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NgramStats {
     /// N-gram length.
     pub n: usize,
     /// Group CDS sets.
-    pub groups: Vec<CdsSet>,
+    pub groups: Vec<SetRange>,
     /// Gram → group(s).
     pub index: McvIndex,
     /// Dominates the conditioned CDS of any non-MCV gram.
-    pub default_set: CdsSet,
+    pub default_set: SetRange,
 }
 
 impl NgramStats {
     /// The conditioned CDS set for `column LIKE pattern`: min over the
     /// pattern's grams (each gram's rows ⊇ matching rows); `None` when the
     /// pattern yields no full gram.
-    pub fn lookup_like(&self, pattern: &str) -> Option<CdsSet> {
+    pub fn lookup_like(&self, pool: &CdsPool, pattern: &str) -> Option<CdsSet> {
         let mut scratch = CdsScratch::default();
         let mut out = CdsSet::default();
-        self.lookup_like_into(pattern, &mut scratch, &mut out)
+        self.lookup_like_into(pool, pattern, &mut scratch, &mut out)
             .then_some(out)
     }
 
@@ -974,6 +1017,7 @@ impl NgramStats {
     /// is allocation-free once the session's buffers are warm.
     pub fn lookup_like_into(
         &self,
+        pool: &CdsPool,
         pattern: &str,
         scratch: &mut CdsScratch,
         out: &mut CdsSet,
@@ -1005,7 +1049,8 @@ impl NgramStats {
             indexed_max_into(
                 &self.index,
                 &self.groups,
-                &self.default_set,
+                self.default_set,
+                pool,
                 &grams[i],
                 scratch,
                 &mut s,
@@ -1022,15 +1067,21 @@ impl NgramStats {
     }
 
     /// Approximate heap size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.groups.iter().map(CdsSet::byte_size).sum::<usize>()
+    pub fn byte_size(&self, pool: &CdsPool) -> usize {
+        sets_byte_size(pool, &self.groups)
             + self.index.byte_size()
-            + self.default_set.byte_size()
+            + pool.set(self.default_set).byte_size()
     }
 
     /// Number of stored CDS sets.
     pub fn num_sets(&self) -> usize {
         self.groups.len() + 1
+    }
+
+    /// Every stored set, in file order (groups, then the default).
+    pub(crate) fn for_each_set_mut(&mut self, f: &mut impl FnMut(&mut SetRange)) {
+        self.groups.iter_mut().for_each(&mut *f);
+        f(&mut self.default_set);
     }
 }
 
@@ -1102,11 +1153,12 @@ pub fn build_ngrams(
     filter_col: &str,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> Option<NgramStats> {
     // lint: allow(no-panic) -- offline build path: the builder only names
     // filter columns it just enumerated from this table's schema
     let col = table.column(filter_col).expect("missing filter column");
-    build_ngrams_for_column(table, col, join_columns, config)
+    build_ngrams_for_column(table, col, join_columns, config, pool)
 }
 
 /// Build n-gram statistics for an arbitrary string column aligned with
@@ -1120,10 +1172,11 @@ pub fn build_ngrams_for_column(
     col: &Column,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> Option<NgramStats> {
     let unit =
         crate::partial::FilterUnitPartial::scan_column(table, col, join_columns, 0..col.len());
-    crate::partial::finalize_ngrams(&unit, join_columns, config)
+    crate::partial::finalize_ngrams(&unit, join_columns, config, pool)
 }
 
 #[cfg(test)]
@@ -1183,11 +1236,12 @@ mod tests {
     #[test]
     fn mcv_eq_lookup_dominates_exact() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let cfg = SafeBoundConfig::test_small();
-        let mcv = build_mcv(&t, "year", &jc(), &cfg);
+        let mcv = build_mcv(&t, "year", &jc(), &cfg, &mut pool);
         let year_col = t.column("year").unwrap();
         for y in 1991i64..=1998 {
-            let set = mcv.lookup_eq(&Value::Int(y));
+            let set = mcv.lookup_eq(&pool, &Value::Int(y));
             let exact = exact_conditioned_cds(&t, |i| year_col.get(i) == Value::Int(y));
             assert!(
                 set.get(FK).unwrap().dominates(&exact),
@@ -1199,30 +1253,32 @@ mod tests {
     #[test]
     fn mcv_default_dominates_rare_values() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let mut cfg = SafeBoundConfig::test_small();
         cfg.mcv_size = 3; // only 3 most common years are MCV
-        let mcv = build_mcv(&t, "year", &jc(), &cfg);
+        let mcv = build_mcv(&t, "year", &jc(), &cfg, &mut pool);
         let year_col = t.column("year").unwrap();
         // Non-MCV years fall back to the default set, which must dominate.
         for y in 1995i64..=1998 {
-            let set = mcv.lookup_eq(&Value::Int(y));
+            let set = mcv.lookup_eq(&pool, &Value::Int(y));
             let exact = exact_conditioned_cds(&t, |i| year_col.get(i) == Value::Int(y));
             assert!(set.get(FK).unwrap().dominates(&exact), "year {y}");
         }
         // An unseen value also gets the default.
-        let unseen = mcv.lookup_eq(&Value::Int(2050));
+        let unseen = mcv.lookup_eq(&pool, &Value::Int(2050));
         assert!(unseen.cardinality() >= 0.0);
     }
 
     #[test]
     fn mcv_bloom_index_is_sound() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let mut cfg = SafeBoundConfig::test_small();
         cfg.use_bloom_filters = true;
-        let mcv = build_mcv(&t, "year", &jc(), &cfg);
+        let mcv = build_mcv(&t, "year", &jc(), &cfg, &mut pool);
         let year_col = t.column("year").unwrap();
         for y in 1991i64..=1998 {
-            let set = mcv.lookup_eq(&Value::Int(y));
+            let set = mcv.lookup_eq(&pool, &Value::Int(y));
             let exact = exact_conditioned_cds(&t, |i| year_col.get(i) == Value::Int(y));
             assert!(set.get(FK).unwrap().dominates(&exact), "bloom year {y}");
         }
@@ -1231,13 +1287,14 @@ mod tests {
     #[test]
     fn group_compression_keeps_domination() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let mut cfg = SafeBoundConfig::test_small();
         cfg.cds_groups = Some(2); // aggressive grouping
-        let mcv = build_mcv(&t, "year", &jc(), &cfg);
+        let mcv = build_mcv(&t, "year", &jc(), &cfg, &mut pool);
         assert!(mcv.groups.len() <= 2);
         let year_col = t.column("year").unwrap();
         for y in 1991i64..=1998 {
-            let set = mcv.lookup_eq(&Value::Int(y));
+            let set = mcv.lookup_eq(&pool, &Value::Int(y));
             let exact = exact_conditioned_cds(&t, |i| year_col.get(i) == Value::Int(y));
             assert!(set.get(FK).unwrap().dominates(&exact), "grouped year {y}");
         }
@@ -1246,8 +1303,9 @@ mod tests {
     #[test]
     fn histogram_range_lookup_dominates() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let cfg = SafeBoundConfig::test_small();
-        let hist = build_histogram(&t, "year", &jc(), &cfg).unwrap();
+        let hist = build_histogram(&t, "year", &jc(), &cfg, &mut pool).unwrap();
         let year_col = t.column("year").unwrap();
         for (lo, hi) in [(1991, 1992), (1993, 1996), (1991, 1998), (1997, 1998)] {
             let exact = exact_conditioned_cds(
@@ -1255,7 +1313,7 @@ mod tests {
                 |i| matches!(year_col.get(i), Value::Int(y) if y >= lo && y <= hi),
             );
             // A `None` lookup falls back to base, which trivially dominates.
-            if let Some(set) = hist.lookup_range(&Value::Int(lo), &Value::Int(hi)) {
+            if let Some(set) = hist.lookup_range(&pool, &Value::Int(lo), &Value::Int(hi)) {
                 assert!(
                     set.get(FK).unwrap().dominates(&exact),
                     "range [{lo},{hi}] must dominate"
@@ -1267,11 +1325,12 @@ mod tests {
     #[test]
     fn histogram_narrow_range_is_tighter_than_base() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let cfg = SafeBoundConfig::test_small();
-        let hist = build_histogram(&t, "year", &jc(), &cfg).unwrap();
+        let hist = build_histogram(&t, "year", &jc(), &cfg, &mut pool).unwrap();
         let base = cds_set_for_rows(&t, &jc(), None, cfg.compression_c);
         // A narrow range near the tail should produce a much smaller bound.
-        if let Some(set) = hist.lookup_range(&Value::Int(1997), &Value::Int(1998)) {
+        if let Some(set) = hist.lookup_range(&pool, &Value::Int(1997), &Value::Int(1998)) {
             assert!(set.cardinality() < base.cardinality() / 2.0);
         }
     }
@@ -1279,8 +1338,9 @@ mod tests {
     #[test]
     fn histogram_levels_are_nested_and_ordered() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let cfg = SafeBoundConfig::test_small();
-        let hist = build_histogram(&t, "year", &jc(), &cfg).unwrap();
+        let hist = build_histogram(&t, "year", &jc(), &cfg, &mut pool).unwrap();
         // Finest first, strictly fewer buckets going coarser.
         let counts: Vec<usize> = hist.levels.iter().map(|l| l.bucket_groups.len()).collect();
         for w in counts.windows(2) {
@@ -1292,11 +1352,12 @@ mod tests {
     #[test]
     fn ngram_like_lookup_dominates() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let cfg = SafeBoundConfig::test_small();
-        let ng = build_ngrams(&t, "note", &jc(), &cfg).unwrap();
+        let ng = build_ngrams(&t, "note", &jc(), &cfg, &mut pool).unwrap();
         let note_col = t.column("note").unwrap();
         for pattern in ["%action%", "%movie%", "%drama%", "%ion mo%"] {
-            let set = ng.lookup_like(pattern).unwrap();
+            let set = ng.lookup_like(&pool, pattern).unwrap();
             let exact = exact_conditioned_cds(
                 &t,
                 |i| matches!(note_col.get(i), Value::Str(s) if like_match(&s, pattern)),
@@ -1311,11 +1372,12 @@ mod tests {
     #[test]
     fn ngram_unseen_gram_uses_default() {
         let t = fact_table();
+        let mut pool = CdsPool::default();
         let mut cfg = SafeBoundConfig::test_small();
         cfg.ngram_mcv_size = 2;
-        let ng = build_ngrams(&t, "note", &jc(), &cfg).unwrap();
+        let ng = build_ngrams(&t, "note", &jc(), &cfg, &mut pool).unwrap();
         // A gram not in the tiny MCV must still yield a dominating set.
-        let set = ng.lookup_like("%drama%").unwrap();
+        let set = ng.lookup_like(&pool, "%drama%").unwrap();
         let note_col = t.column("note").unwrap();
         let exact = exact_conditioned_cds(
             &t,

@@ -6,6 +6,7 @@ use super::resolve::RelCond;
 use crate::bound::RelationBoundStats;
 use crate::conditioning::CdsScratch;
 use crate::piecewise::PiecewiseLinear;
+use crate::pool::CdsPool;
 use crate::stats::TableStats;
 use crate::symbol::Sym;
 use safebound_query::ColId;
@@ -43,14 +44,18 @@ impl AssembleStage {
 }
 
 /// Combine base/conditioned/fallback CDSs into the FDSB input for one
-/// relation, writing into a reused [`RelationBoundStats`] slot.
+/// relation, writing into a reused [`RelationBoundStats`] slot. The base
+/// and fallback sets are resident in `pool`, the conditioned set is
+/// resident or owned; all are read in place.
 ///
 /// The assembled CDS per `(rel, sym)` is a pure function of the resolved
 /// conditioning — independent of which relaxation's plan asks — so when
 /// `stage` is provided (multi-relaxation queries), the first assembly of
 /// each column is staged and later relaxations copy it bit-identically.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn assemble_into(
     ts: &TableStats,
+    pool: &CdsPool,
     rc: &RelCond,
     rel: usize,
     join_cols: &[(ColId, Option<Sym>)],
@@ -70,24 +75,23 @@ pub(super) fn assemble_into(
     for &(plan_col, sym) in join_cols {
         if let Some(stage) = stage.as_deref() {
             if let Some(p) = stage.get(rel, sym) {
-                let mut dst = cds.take_pwl();
-                dst.copy_from(p);
+                let dst = cds.copy_pwl(p.view());
                 out.set(plan_col, dst);
                 continue;
             }
         }
         let conditioned = if rc.has_cond {
-            sym.and_then(|s| rc.cond_set(ts).get(s))
+            sym.and_then(|s| rc.cond_set(pool).get(s))
         } else {
             None
         };
-        let base = sym.and_then(|s| ts.base.get(s));
+        let base = sym.and_then(|s| pool.set(ts.base).get(s));
         let mut tmp = cds.take_pwl();
         let source = match (conditioned, base) {
             // Conditioned is already ≤ base in spirit; min for safety.
             (Some(c), Some(b)) => {
                 c.pointwise_min_into(b, &mut tmp);
-                &tmp
+                tmp.view()
             }
             (Some(c), None) => c,
             (None, Some(b)) => b,
@@ -95,13 +99,13 @@ pub(super) fn assemble_into(
                 // Undeclared join column (§3.6): truncate the
                 // unconditioned fallback at the filtered-cardinality
                 // bound.
-                match sym.and_then(|s| ts.fallback(s)) {
+                match sym.and_then(|s| ts.fallback(pool, s)) {
                     Some(f) => f,
                     None => {
                         // Unknown column: a key-shaped CDS of the whole
                         // table is the only sound default.
                         tmp.make_key(ts.row_count as f64);
-                        &tmp
+                        tmp.view()
                     }
                 }
             }
@@ -109,8 +113,7 @@ pub(super) fn assemble_into(
         let mut dst = cds.take_pwl();
         source.truncate_at_into(card_bound, &mut dst);
         if let Some(stage) = stage.as_deref_mut() {
-            let mut copy = cds.take_pwl();
-            copy.copy_from(&dst);
+            let copy = cds.copy_pwl(dst.view());
             stage.entries.push((rel, sym, copy));
         }
         out.set(plan_col, dst);

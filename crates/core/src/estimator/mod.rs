@@ -105,7 +105,6 @@ mod assemble;
 mod resolve;
 mod session;
 
-pub use resolve::resolve_predicate;
 pub use session::{BoundSession, PhaseBreakdown, SessionStats};
 
 use crate::bound::{fdsb_with_cutoff, BoundError, RelationBoundStats};
@@ -478,6 +477,7 @@ impl StatsSnapshot {
                     .expect("tables validated during resolution");
                 assemble_into(
                     ts,
+                    &self.pool,
                     &cond[rel],
                     rel,
                     &pe.join_cols[rel],
@@ -559,6 +559,7 @@ impl StatsSnapshot {
                 let mut rs = RelationBoundStats::default();
                 assemble_into(
                     ts,
+                    &self.pool,
                     &cond[rel],
                     rel,
                     &pe.join_cols[rel],

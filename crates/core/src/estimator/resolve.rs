@@ -3,12 +3,12 @@
 //! ([`PhaseBreakdown::resolve_ns`](super::PhaseBreakdown::resolve_ns)).
 
 use super::session::{
-    compile_slots, EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, RelResolution,
-    ShapeEntry,
+    EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, RelResolution, ShapeEntry,
 };
 use super::EstimateError;
 use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, NgramStats, SetOp};
 use crate::litcache::{self, ContentKey, LitCache};
+use crate::pool::{CdsPool, CdsView, SetRange};
 use crate::stats::{FilterColumnStats, StatsSnapshot, TableStats};
 use crate::symbol::Sym;
 use safebound_query::{CmpOp, Predicate, Query};
@@ -123,66 +123,31 @@ pub(super) fn stage_rel_literals(entry: &ShapeEntry, stage: &mut LitStage) {
     }
 }
 
-/// Locator for a conditioned set that lives in the (immutable) statistics
-/// snapshot rather than in session memory: the resolve memos return these
-/// for hits whose answer *is* one of the stats-owned group sets, so the
-/// hot path borrows the set in place instead of copying it through the
-/// arena. Indices are only ever dereferenced against the same snapshot
-/// that produced them (session caches flush on attach).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum CondRef {
-    /// `filter_at(slot).histogram.groups[group]` (range predicates).
-    HistGroup { slot: u32, group: u32 },
-    /// `filter_at(slot).mcv.groups[group]` (single-group equality).
-    McvGroup { slot: u32, group: u32 },
-    /// `filter_at(slot).mcv.default_set` (non-MCV equality).
-    McvDefault { slot: u32 },
-}
-
-impl CondRef {
-    /// The stats-owned set this locator names.
-    fn deref(self, ts: &TableStats) -> &CdsSet {
-        match self {
-            CondRef::HistGroup { slot, group } => {
-                let hist = ts
-                    .filter_at(slot)
-                    .histogram
-                    .as_ref()
-                    // lint: allow(no-panic) -- a HistGroup locator is only
-                    // constructed after resolving against this very
-                    // histogram, so it cannot dangle
-                    .expect("CondRef::HistGroup only built from a histogram hit");
-                &hist.groups[group as usize]
-            }
-            CondRef::McvGroup { slot, group } => &ts.filter_at(slot).mcv.groups[group as usize],
-            CondRef::McvDefault { slot } => &ts.filter_at(slot).mcv.default_set,
-        }
-    }
-}
-
 /// How one predicate (sub)tree resolved: not at all, into the caller's
-/// `out` set, or as a borrow of a stats-owned set (with its locator, so
-/// the borrow can be stored index-wise in a [`RelCond`] and re-read at
-/// assembly). Borrowing is what keeps memoized warm-path resolution
-/// copy-free; every combining node materializes before accumulating.
-enum Resolved<'a> {
+/// `out` set, or as one of the snapshot's resident sets (its range, so it
+/// can be stored in a [`RelCond`] and re-read at assembly). Resolving to
+/// a resident set is what keeps memoized warm-path resolution copy-free;
+/// every combining node materializes before accumulating.
+enum Resolved {
     /// The predicate did not resolve (no usable statistics).
     None,
     /// The resolution was written into the caller's `out` set.
     Owned,
-    /// The resolution is this stats-owned set; `out` was not touched.
-    Borrowed(&'a CdsSet, CondRef),
+    /// The resolution is this resident set; `out` was not touched.
+    Resident(SetRange),
 }
 
 /// Conditioned-resolution output for one relation, reused across queries.
 #[derive(Debug, Default)]
 pub(super) struct RelCond {
     /// The conditioned CDS set (valid only when `has_cond` and
-    /// `cond_ref` is `None`).
+    /// `resident` is `None`).
     set: CdsSet,
-    /// When set, the conditioning is the stats-owned set this locator
-    /// names and `set` holds nothing meaningful.
-    cond_ref: Option<CondRef>,
+    /// When set, the conditioning is this resident set of the snapshot
+    /// and `set` holds nothing meaningful. Ranges are only ever read
+    /// against the snapshot that produced them (session caches flush on
+    /// attach).
+    resident: Option<SetRange>,
     /// Whether any predicate resolved for this relation.
     pub(super) has_cond: bool,
     /// Upper bound on the relation's filtered cardinality.
@@ -192,10 +157,10 @@ pub(super) struct RelCond {
 impl RelCond {
     /// The conditioned set, wherever it lives (only meaningful when
     /// `has_cond`).
-    pub(super) fn cond_set<'x>(&'x self, ts: &'x TableStats) -> &'x CdsSet {
-        match self.cond_ref {
-            Some(r) => r.deref(ts),
-            None => &self.set,
+    pub(super) fn cond_set<'x>(&'x self, pool: &'x CdsPool) -> CdsView<'x> {
+        match self.resident {
+            Some(r) => pool.set(r),
+            None => self.set.view(),
         }
     }
 }
@@ -299,10 +264,10 @@ impl StatsSnapshot {
                 if let Some((set, has_cond, card)) = cache.lookup_cond(*key) {
                     let rc = &mut cond[rel];
                     rc.has_cond = has_cond;
-                    rc.cond_ref = None;
+                    rc.resident = None;
                     rc.card = card;
                     if has_cond {
-                        cds.copy_set(set, &mut rc.set);
+                        cds.copy_set(set.view(), &mut rc.set);
                     } else {
                         cds.clear_set(&mut rc.set);
                     }
@@ -312,15 +277,15 @@ impl StatsSnapshot {
 
             let rc = &mut cond[rel];
             rc.has_cond = false;
-            // Clear the locator from whatever query used this slot last:
-            // `cond_set` must never deref a stale index against another
+            // Clear the range from whatever query used this slot last:
+            // `cond_set` must never read a stale range meant for another
             // relation's statistics (even the unconditioned insert path
             // below reads it).
-            rc.cond_ref = None;
+            rc.resident = None;
 
             // 1. Condition on the relation's own predicates.
             if let (Some(p), Some(slots)) = (query.predicate_of(rel), res.own.as_ref()) {
-                apply_compiled(ts, slots, p, cds, memo, rc);
+                apply_compiled(ts, &self.pool, slots, p, cds, memo, rc);
             }
 
             // 2. PK–FK propagation: predicates on joined dimension tables,
@@ -329,19 +294,19 @@ impl StatsSnapshot {
                 let Some(pred) = query.predicate_of(prop.other_rel) else {
                     continue;
                 };
-                apply_compiled(ts, &prop.slots, pred, cds, memo, rc);
+                apply_compiled(ts, &self.pool, &prop.slots, pred, cds, memo, rc);
             }
 
             rc.card = ts.row_count as f64;
             if rc.has_cond {
-                let s = rc.cond_set(ts);
+                let s = rc.cond_set(&self.pool);
                 if !s.is_empty() {
                     rc.card = s.cardinality().min(rc.card);
                 }
             }
 
             if let Some((cache, key)) = cached {
-                cache.insert_cond(key, rc.cond_set(ts), rc.has_cond, rc.card, cds);
+                cache.insert_cond(key, rc.cond_set(&self.pool), rc.has_cond, rc.card, cds);
             }
         }
         Ok(())
@@ -353,23 +318,27 @@ impl StatsSnapshot {
 /// pointwise min).
 fn apply_compiled(
     ts: &TableStats,
+    pool: &CdsPool,
     slots: &PredSlots,
     pred: &Predicate,
     cds: &mut CdsScratch,
     memo: &mut Memos,
     rc: &mut RelCond,
 ) {
+    let stats_at = |s| ts.filter_at(s);
+    let memo_sym = Some(ts.table_sym);
     if !rc.has_cond {
         // First resolution writes the slot directly: every leaf resolver
         // overwrites `out` before reading it, so no staging set (and no
         // pool round-trip) is needed, and `rc.set`'s buffers are reused
-        // in place by the arena copies. A borrowed resolution stores only
-        // its locator — the copy-free steady state. On failure the slot
+        // in place by the arena copies. A resident resolution stores only
+        // its range — the copy-free steady state. On failure the slot
         // may hold stale entries — `has_cond` stays false, which gates
         // every read.
         match resolve_slots(
-            &|s| ts.filter_at(s),
-            Some(ts.table_sym),
+            &stats_at,
+            pool,
+            memo_sym,
             slots,
             pred,
             cds,
@@ -378,37 +347,29 @@ fn apply_compiled(
         ) {
             Resolved::None => {}
             Resolved::Owned => {
-                rc.cond_ref = None;
+                rc.resident = None;
                 rc.has_cond = true;
             }
-            Resolved::Borrowed(_, r) => {
-                rc.cond_ref = Some(r);
+            Resolved::Resident(r) => {
+                rc.resident = Some(r);
                 rc.has_cond = true;
             }
         }
         return;
     }
     let mut tmp = cds.take_set();
-    let r = resolve_slots(
-        &|s| ts.filter_at(s),
-        Some(ts.table_sym),
-        slots,
-        pred,
-        cds,
-        memo,
-        &mut tmp,
-    );
+    let r = resolve_slots(&stats_at, pool, memo_sym, slots, pred, cds, memo, &mut tmp);
     if !matches!(r, Resolved::None) {
-        // A second conditioning arrived: materialize a borrowed first
+        // A second conditioning arrived: materialize a resident first
         // result, then fold pointwise. The values are identical to the
         // always-copy path — only the copies that never get combined are
         // skipped.
-        if let Some(cr) = rc.cond_ref.take() {
-            cds.copy_set(cr.deref(ts), &mut rc.set);
+        if let Some(first) = rc.resident.take() {
+            cds.copy_set(pool.set(first), &mut rc.set);
         }
         match r {
-            Resolved::Borrowed(set, _) => rc.set.accumulate(set, SetOp::Min, cds),
-            Resolved::Owned => rc.set.accumulate(&tmp, SetOp::Min, cds),
+            Resolved::Resident(set) => rc.set.accumulate(pool.set(set), SetOp::Min, cds),
+            Resolved::Owned => rc.set.accumulate(tmp.view(), SetOp::Min, cds),
             Resolved::None => unreachable!(),
         }
     }
@@ -416,44 +377,43 @@ fn apply_compiled(
 }
 
 /// MCV equality lookup, memoized when `memo_sym` names the owning table:
-/// hot literals skip the Bloom/exact probe entirely, and `Default`/
-/// single-`Group` answers (the common case) are served as borrows of the
-/// stats-owned sets — no copy at all. Only multi-group max-envelopes are
-/// materialized (and memoized) as owned sets.
-fn memo_eq<'a>(
-    fs: &'a FilterColumnStats,
+/// hot literals skip the Bloom/exact probe entirely, and answers a single
+/// stored set dominates (the default set, or one candidate group — the
+/// common case) are served as that resident set — no copy at all. Only
+/// multi-group max-envelopes are materialized (and memoized) as owned
+/// sets.
+#[allow(clippy::too_many_arguments)]
+fn memo_eq(
+    fs: &FilterColumnStats,
+    pool: &CdsPool,
     slot: u32,
     memo_sym: Option<Sym>,
     v: &Value,
     scratch: &mut CdsScratch,
     memo: &mut Memo<EqEntry>,
     out: &mut CdsSet,
-) -> Resolved<'a> {
+) -> Resolved {
     let mcv = &fs.mcv;
     let serve = |o: McvOutcome| match o {
-        McvOutcome::Default => Resolved::Borrowed(&mcv.default_set, CondRef::McvDefault { slot }),
-        McvOutcome::Group(g) => Resolved::Borrowed(
-            &mcv.groups[g as usize],
-            CondRef::McvGroup { slot, group: g },
-        ),
+        McvOutcome::Resident(r) => Resolved::Resident(r),
         McvOutcome::Owned => Resolved::Owned,
     };
     let Some(sym) = memo_sym else {
-        return serve(mcv.lookup_eq_outcome(v, scratch, out));
+        return serve(mcv.lookup_eq_outcome(pool, v, scratch, out));
     };
     let fp = value_fp(v);
     if let Some(e) = memo.lookup(sym, slot, fp, |e| e.value == *v) {
         if e.outcome == McvOutcome::Owned {
-            scratch.copy_set(&e.set, out);
+            scratch.copy_set(e.set.view(), out);
         }
         return serve(e.outcome);
     }
-    let o = mcv.lookup_eq_outcome(v, scratch, out);
+    let o = mcv.lookup_eq_outcome(pool, v, scratch, out);
     if let Some(e) = memo.cache.claim((sym, slot), fp) {
         assign_value(&mut e.value, v);
         e.outcome = o;
         if o == McvOutcome::Owned {
-            scratch.copy_set(out, &mut e.set);
+            scratch.copy_set(out.view(), &mut e.set);
         } else {
             scratch.clear_set(&mut e.set);
         }
@@ -464,16 +424,16 @@ fn memo_eq<'a>(
 /// Histogram range lookup, memoized when `memo_sym` names the owning
 /// table: hot `[lo, hi]` pairs replay their covering group (or the
 /// no-cover outcome) without walking the hierarchy, and a covered range
-/// is always served as a borrow of the stats-owned group set — the range
-/// path never copies.
-fn memo_range<'a>(
-    hist: &'a HistogramStats,
+/// is always served as its resident group set — the range path never
+/// copies.
+fn memo_range(
+    hist: &HistogramStats,
     slot: u32,
     memo_sym: Option<Sym>,
     lo: &Value,
     hi: &Value,
     memo: &mut Memo<RangeEntry>,
-) -> Resolved<'a> {
+) -> Resolved {
     let group = match memo_sym {
         None => hist.lookup_range_group(lo, hi),
         Some(sym) => {
@@ -492,14 +452,8 @@ fn memo_range<'a>(
             }
         }
     };
-    match group {
-        Some(g) => Resolved::Borrowed(
-            &hist.groups[g],
-            CondRef::HistGroup {
-                slot,
-                group: g as u32,
-            },
-        ),
+    match group.and_then(|g| hist.groups.get(g)) {
+        Some(&r) => Resolved::Resident(r),
         None => Resolved::None,
     }
 }
@@ -508,8 +462,10 @@ fn memo_range<'a>(
 /// owning table: a hot pattern copies its memoized set through the arena
 /// (or replays the no-gram outcome). Returns whether the pattern matched,
 /// i.e. whether `out` holds a resolution.
+#[allow(clippy::too_many_arguments)]
 fn memo_like(
     ng: &NgramStats,
+    pool: &CdsPool,
     slot: u32,
     memo_sym: Option<Sym>,
     pattern: &str,
@@ -518,22 +474,22 @@ fn memo_like(
     out: &mut CdsSet,
 ) -> bool {
     let Some(sym) = memo_sym else {
-        return ng.lookup_like_into(pattern, scratch, out);
+        return ng.lookup_like_into(pool, pattern, scratch, out);
     };
     let fp = litcache::fnv1a(pattern.as_bytes());
     if let Some(e) = memo.lookup(sym, slot, fp, |e| e.pattern == pattern) {
         if e.matched {
-            scratch.copy_set(&e.set, out);
+            scratch.copy_set(e.set.view(), out);
         }
         return e.matched;
     }
-    let matched = ng.lookup_like_into(pattern, scratch, out);
+    let matched = ng.lookup_like_into(pool, pattern, scratch, out);
     if let Some(e) = memo.cache.claim((sym, slot), fp) {
         e.pattern.clear();
         e.pattern.push_str(pattern);
         e.matched = matched;
         if matched {
-            scratch.copy_set(out, &mut e.set);
+            scratch.copy_set(out.view(), &mut e.set);
         } else {
             scratch.clear_set(&mut e.set);
         }
@@ -541,31 +497,50 @@ fn memo_like(
     matched
 }
 
-/// **The** predicate resolver: one copy of the soundness-critical
-/// Eq/Cmp/Between/Like/In/And/Or logic, shared by the cached online path
-/// and the string-keyed [`resolve_predicate`] adapter.
+/// **The** predicate resolver: the one copy of the soundness-critical
+/// Eq/Cmp/Between/Like/In/And/Or logic.
 ///
 /// The slot tree mirrors the predicate's structure (guaranteed by the
-/// shape cache on the cached path, by construction in the adapter), so
-/// every leaf addresses its [`FilterColumnStats`] through `stats_at` by
-/// dense index — no string lookups. Equality literals go through the memo
-/// when `memo_sym` identifies the owning table (`None` disables
-/// memoization for one-shot resolution).
+/// shape cache), so every leaf addresses its [`FilterColumnStats`]
+/// through `stats_at` by dense index — no string lookups — and reads its
+/// resident sets out of `pool`. Literals go through the memos when
+/// `memo_sym` identifies the owning table (`None` disables memoization
+/// for one-shot resolution).
 ///
-/// A single leaf that resolves to a stats-owned group set returns it as a
-/// [`Resolved::Borrowed`] locator — zero copies. Only combining nodes
+/// A single leaf that resolves to one resident set returns its range as
+/// [`Resolved::Resident`] — zero copies. Only combining nodes
 /// (`In`/`And`/`Or` with more than one resolving child) materialize into
 /// `out`; on [`Resolved::Owned`], `out` holds the answer. The accumulated
 /// values are identical either way, so cross-tier bit-identity holds.
+#[allow(clippy::too_many_arguments)]
 fn resolve_slots<'a>(
     stats_at: &impl Fn(u32) -> &'a FilterColumnStats,
+    pool: &CdsPool,
     memo_sym: Option<Sym>,
     slots: &PredSlots,
     pred: &Predicate,
     scratch: &mut CdsScratch,
     memo: &mut Memos,
     out: &mut CdsSet,
-) -> Resolved<'a> {
+) -> Resolved {
+    // Fold one more resolved child into `state`/`out` with `op`,
+    // materializing a resident first answer before accumulating.
+    let fold = |state: &mut Resolved,
+                r: Resolved,
+                tmp: &CdsSet,
+                op: SetOp,
+                scratch: &mut CdsScratch,
+                out: &mut CdsSet| {
+        if let Resolved::Resident(first) = *state {
+            scratch.copy_set(pool.set(first), out);
+            *state = Resolved::Owned;
+        }
+        match r {
+            Resolved::Resident(set) => out.accumulate(pool.set(set), op, scratch),
+            Resolved::Owned => out.accumulate(tmp.view(), op, scratch),
+            Resolved::None => {}
+        }
+    };
     match (pred, slots) {
         (Predicate::Eq(_, v), &PredSlots::Leaf(slot)) => {
             let Some(slot) = slot else {
@@ -573,6 +548,7 @@ fn resolve_slots<'a>(
             };
             memo_eq(
                 stats_at(slot),
+                pool,
                 slot,
                 memo_sym,
                 v,
@@ -604,7 +580,7 @@ fn resolve_slots<'a>(
                 CmpOp::Ge => v > max,
             };
             if empty {
-                fs.mcv.zero_set_into(scratch, out);
+                fs.mcv.zero_set_into(pool, scratch, out);
                 return Resolved::Owned;
             }
             let (lo, hi) = match op {
@@ -620,7 +596,7 @@ fn resolve_slots<'a>(
             let fs = stats_at(slot);
             if hi < lo {
                 // Inverted range: provably empty selection.
-                fs.mcv.zero_set_into(scratch, out);
+                fs.mcv.zero_set_into(pool, scratch, out);
                 return Resolved::Owned;
             }
             let Some(hist) = fs.histogram.as_ref() else {
@@ -635,7 +611,16 @@ fn resolve_slots<'a>(
             let Some(ng) = stats_at(slot).ngrams.as_ref() else {
                 return Resolved::None;
             };
-            if memo_like(ng, slot, memo_sym, pattern, scratch, &mut memo.like, out) {
+            if memo_like(
+                ng,
+                pool,
+                slot,
+                memo_sym,
+                pattern,
+                scratch,
+                &mut memo.like,
+                out,
+            ) {
                 Resolved::Owned
             } else {
                 Resolved::None
@@ -658,20 +643,13 @@ fn resolve_slots<'a>(
                     continue;
                 }
                 if matches!(state, Resolved::None) {
-                    state = memo_eq(fs, slot, memo_sym, v, scratch, &mut memo.eq, out);
+                    state = memo_eq(fs, pool, slot, memo_sym, v, scratch, &mut memo.eq, out);
                     continue;
                 }
-                // A second distinct literal: materialize a borrowed first
+                // A second distinct literal: materialize a resident first
                 // answer, then accumulate into `out`.
-                if let Resolved::Borrowed(set, _) = state {
-                    scratch.copy_set(set, out);
-                    state = Resolved::Owned;
-                }
-                match memo_eq(fs, slot, memo_sym, v, scratch, &mut memo.eq, &mut tmp) {
-                    Resolved::Borrowed(set, _) => out.accumulate(set, SetOp::Sum, scratch),
-                    Resolved::Owned => out.accumulate(&tmp, SetOp::Sum, scratch),
-                    Resolved::None => unreachable!("memo_eq always resolves"),
-                }
+                let r = memo_eq(fs, pool, slot, memo_sym, v, scratch, &mut memo.eq, &mut tmp);
+                fold(&mut state, r, &tmp, SetOp::Sum, scratch, out);
             }
             scratch.put_set(tmp);
             state
@@ -682,21 +660,12 @@ fn resolve_slots<'a>(
             let mut state = Resolved::None;
             for (p, s) in ps.iter().zip(ss) {
                 if matches!(state, Resolved::None) {
-                    state = resolve_slots(stats_at, memo_sym, s, p, scratch, memo, out);
+                    state = resolve_slots(stats_at, pool, memo_sym, s, p, scratch, memo, out);
                     continue;
                 }
-                let r = resolve_slots(stats_at, memo_sym, s, p, scratch, memo, &mut tmp);
-                if matches!(r, Resolved::None) {
-                    continue;
-                }
-                if let Resolved::Borrowed(set, _) = state {
-                    scratch.copy_set(set, out);
-                    state = Resolved::Owned;
-                }
-                match r {
-                    Resolved::Borrowed(set, _) => out.accumulate(set, SetOp::Min, scratch),
-                    Resolved::Owned => out.accumulate(&tmp, SetOp::Min, scratch),
-                    Resolved::None => unreachable!(),
+                let r = resolve_slots(stats_at, pool, memo_sym, s, p, scratch, memo, &mut tmp);
+                if !matches!(r, Resolved::None) {
+                    fold(&mut state, r, &tmp, SetOp::Min, scratch, out);
                 }
             }
             scratch.put_set(tmp);
@@ -708,27 +677,20 @@ fn resolve_slots<'a>(
             let mut state = Resolved::None;
             let mut ok = true;
             for (p, s) in ps.iter().zip(ss) {
-                if matches!(state, Resolved::None) {
-                    state = resolve_slots(stats_at, memo_sym, s, p, scratch, memo, out);
-                    if matches!(state, Resolved::None) {
-                        ok = false;
-                        break;
-                    }
-                    continue;
-                }
-                let r = resolve_slots(stats_at, memo_sym, s, p, scratch, memo, &mut tmp);
+                let into = if matches!(state, Resolved::None) {
+                    &mut *out
+                } else {
+                    &mut tmp
+                };
+                let r = resolve_slots(stats_at, pool, memo_sym, s, p, scratch, memo, into);
                 if matches!(r, Resolved::None) {
                     ok = false;
                     break;
                 }
-                if let Resolved::Borrowed(set, _) = state {
-                    scratch.copy_set(set, out);
-                    state = Resolved::Owned;
-                }
-                match r {
-                    Resolved::Borrowed(set, _) => out.accumulate(set, SetOp::Sum, scratch),
-                    Resolved::Owned => out.accumulate(&tmp, SetOp::Sum, scratch),
-                    Resolved::None => unreachable!(),
+                if matches!(state, Resolved::None) {
+                    state = r;
+                } else {
+                    fold(&mut state, r, &tmp, SetOp::Sum, scratch, out);
                 }
             }
             scratch.put_set(tmp);
@@ -741,47 +703,6 @@ fn resolve_slots<'a>(
         _ => {
             debug_assert!(false, "predicate/slot shape mismatch");
             Resolved::None
-        }
-    }
-}
-
-/// Resolve a predicate tree to a conditioned CDS set via a column-stats
-/// lookup. `None` means "no usable statistics" — the caller falls back to
-/// unconditioned CDSs, which is always sound.
-///
-/// This string-keyed entry point (offline use, tests) is a thin adapter:
-/// it compiles the predicate's columns into a transient leaf table and
-/// delegates to the same resolver the cached online path runs, so the
-/// soundness-critical Eq/Cmp/Between/Like/In/And/Or semantics exist in
-/// exactly one place.
-pub fn resolve_predicate<'a, F>(lookup: &F, pred: &Predicate) -> Option<CdsSet>
-where
-    F: Fn(&str) -> Option<&'a FilterColumnStats>,
-{
-    let mut leaves: Vec<&FilterColumnStats> = Vec::new();
-    let slots = compile_slots(pred, &mut |c| {
-        lookup(c).map(|fs| {
-            leaves.push(fs);
-            (leaves.len() - 1) as u32
-        })
-    });
-    let mut scratch = CdsScratch::default();
-    let mut memo = Memos::default();
-    let mut out = CdsSet::default();
-    match resolve_slots(
-        &|s| leaves[s as usize],
-        None,
-        &slots,
-        pred,
-        &mut scratch,
-        &mut memo,
-        &mut out,
-    ) {
-        Resolved::None => None,
-        Resolved::Owned => Some(out),
-        Resolved::Borrowed(set, _) => {
-            scratch.copy_set(set, &mut out);
-            Some(out)
         }
     }
 }

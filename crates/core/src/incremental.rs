@@ -2,7 +2,8 @@
 //!
 //! [`IncrementalBuilder`] owns a [`Catalog`] together with the retained
 //! partition-stage accumulators ([`PartialTableStats`]) and finalized
-//! [`TableStats`] of every table. Applying a
+//! statistics of every table, each in a pool of its own ([`TablePart`]).
+//! Applying a
 //! [`CatalogDelta`](safebound_storage::CatalogDelta) updates exactly the
 //! affected tables and returns a fresh [`StatsSnapshot`] ready to publish
 //! (e.g. through the serving stack's stats refresher).
@@ -29,8 +30,7 @@ use crate::config::SafeBoundConfig;
 use crate::parallel::par_map;
 use crate::partial::{partition_ranges, PartialTableStats, TableScanPlan};
 use crate::stats::{
-    finalize_partials, intern_catalog, next_build_id, scan_merged_partials, StatsSnapshot,
-    TableStats,
+    finalize_partials, intern_catalog, scan_merged_partials, StatsSnapshot, TablePart,
 };
 use crate::symbol::SymbolTable;
 use safebound_storage::{Catalog, CatalogDelta, DeltaError};
@@ -48,7 +48,7 @@ pub struct IncrementalBuilder {
     catalog: Catalog,
     symbols: SymbolTable,
     partials: BTreeMap<String, PartialTableStats>,
-    tables: BTreeMap<String, TableStats>,
+    tables: BTreeMap<String, TablePart>,
     /// Wall-clock time of the last full or incremental build step,
     /// stamped into published snapshots.
     last_build: Duration,
@@ -61,8 +61,7 @@ impl IncrementalBuilder {
         let start = Instant::now();
         let symbols = intern_catalog(&catalog);
         let merged = scan_merged_partials(&catalog, &config, REBUILD_SHARDS);
-        let built = finalize_partials(&merged, &symbols, &config);
-        let tables = built.into_iter().map(|t| (t.table.clone(), t)).collect();
+        let tables = finalize_partials(&merged, &symbols, &config);
         let partials = merged
             .into_iter()
             .map(|p| (p.table().to_string(), p))
@@ -152,8 +151,8 @@ impl IncrementalBuilder {
                 }
                 self.partials.insert(name.clone(), merged);
             }
-            let stats = self.partials[name].finalize(&self.symbols, &self.config);
-            self.tables.insert(name.clone(), stats);
+            let part = self.partials[name].finalize(&self.symbols, &self.config);
+            self.tables.insert(name.clone(), part);
         }
 
         self.last_build = start.elapsed();
@@ -163,13 +162,12 @@ impl IncrementalBuilder {
     /// A publishable snapshot of the current statistics (fresh
     /// `build_id`, so serving sessions flush their per-build caches).
     pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            tables: self.tables.clone(),
-            symbols: self.symbols.clone(),
-            config: self.config.clone(),
-            build_time: self.last_build,
-            build_id: next_build_id(),
-        }
+        StatsSnapshot::freeze(
+            self.tables.clone(),
+            self.symbols.clone(),
+            self.config.clone(),
+            self.last_build,
+        )
     }
 }
 
@@ -218,6 +216,7 @@ mod tests {
 
     fn assert_tables_identical(inc: &StatsSnapshot, full: &StatsSnapshot) {
         assert_eq!(inc.tables, full.tables);
+        assert_eq!(inc.pool, full.pool);
         assert_eq!(inc.symbols, full.symbols);
     }
 

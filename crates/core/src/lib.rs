@@ -75,6 +75,7 @@ mod litcache;
 pub mod parallel;
 pub mod partial;
 pub mod piecewise;
+pub mod pool;
 pub mod simd;
 pub mod snapshot_file;
 pub mod stats;
@@ -90,10 +91,11 @@ pub use degree_sequence::DegreeSequence;
 pub use estimator::{BoundSession, EstimateError, PhaseBreakdown, SafeBound, SessionStats};
 pub use incremental::IncrementalBuilder;
 pub use partial::{partition_ranges, FilterUnitPartial, JoinKey, PartialTableStats, TableScanPlan};
-pub use piecewise::{PiecewiseConstant, PiecewiseLinear};
+pub use piecewise::{PiecewiseConstant, PiecewiseLinear, PwlView};
+pub use pool::{CdsPool, CdsView, SetRange};
 pub use simd::{tier as simd_tier, SimdTier};
 pub use snapshot_file::{
     load_snapshot, read_header, save_snapshot, SnapshotFileError, SnapshotHeader,
 };
-pub use stats::{SafeBoundBuilder, SafeBoundStats, StatsSnapshot, TableStats};
+pub use stats::{SafeBoundBuilder, SafeBoundStats, StatsSnapshot, TablePart, TableStats};
 pub use symbol::{Sym, SymbolTable};

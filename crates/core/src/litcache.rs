@@ -43,6 +43,7 @@
 
 use crate::clock_cache::ClockCache;
 use crate::conditioning::{CdsScratch, CdsSet};
+use crate::pool::CdsView;
 use safebound_query::LiteralRef;
 use safebound_storage::Value;
 
@@ -236,7 +237,7 @@ impl LitCache {
     pub(crate) fn insert_cond(
         &mut self,
         key: ContentKey<'_>,
-        set: &CdsSet,
+        set: CdsView<'_>,
         has_cond: bool,
         card: f64,
         scratch: &mut CdsScratch,
@@ -296,7 +297,7 @@ mod tests {
         let set = CdsSet::default();
         // One key for both kinds: the kind is part of the cache key.
         let k = key(b"same", 0, &[5, 5, 5], 5);
-        c.insert_cond(k, &set, false, 12.0, &mut s);
+        c.insert_cond(k, set.view(), false, 12.0, &mut s);
         c.insert_bound(k, 99.0, &mut s);
         let (_, has_cond, card) = c.lookup_cond(k).unwrap();
         assert!(!has_cond);
@@ -325,11 +326,11 @@ mod tests {
             key(b"sig", 0, &[2], 2),
             key(b"sig", 0, &[3], 3),
         );
-        c.insert_cond(k1, &full, true, 3.0, &mut s);
+        c.insert_cond(k1, full.view(), true, 3.0, &mut s);
         let (set, has_cond, card) = c.lookup_cond(k1).unwrap();
         assert_eq!((set.is_empty(), has_cond, card), (false, true, 3.0));
         // An unconditioned entry over the conditioned one.
-        c.insert_cond(k2, &full, false, 7.0, &mut s);
+        c.insert_cond(k2, full.view(), false, 7.0, &mut s);
         let (set, has_cond, card) = c.lookup_cond(k2).unwrap();
         assert_eq!((set.is_empty(), has_cond, card), (true, false, 7.0));
         assert!(c.lookup_cond(k1).is_none());

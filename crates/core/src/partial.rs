@@ -39,8 +39,9 @@ use crate::conditioning::{
 use crate::config::SafeBoundConfig;
 use crate::degree_sequence::DegreeSequence;
 use crate::piecewise::PiecewiseLinear;
-use crate::stats::{propagated_key, FilterColumnStats, TableStats};
-use crate::symbol::{Sym, SymbolTable};
+use crate::pool::{CdsPool, CdsView, SetRange};
+use crate::stats::{propagated_key, FilterColumnStats, TablePart, TableStats};
+use crate::symbol::SymbolTable;
 use safebound_storage::{Catalog, Column, DataType, GroupKey, Table, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -141,21 +142,23 @@ impl FilterUnitPartial {
         scan_unit(&|i| col.get(i), col.data_type(), &join_cols, range)
     }
 
-    /// Finalize this unit into served filter statistics. `None` when the
-    /// table has no declared join columns or the unit has no non-NULL
-    /// values (matching the single-pass builder's guards).
+    /// Finalize this unit into served filter statistics, their sets
+    /// appended to `pool` in file order. `None` when the table has no
+    /// declared join columns or the unit has no non-NULL values (matching
+    /// the single-pass builder's guards).
     pub fn finalize(
         &self,
         join_columns: &[JoinCol],
         config: &SafeBoundConfig,
+        pool: &mut CdsPool,
     ) -> Option<FilterColumnStats> {
         if join_columns.is_empty() || self.groups.is_empty() {
             return None;
         }
-        let mcv = finalize_mcv(self, join_columns, config);
-        let histogram = finalize_histogram(self, join_columns, config);
+        let mcv = finalize_mcv(self, join_columns, config, pool);
+        let histogram = finalize_histogram(self, join_columns, config, pool);
         let ngrams = if config.enable_ngrams && self.data_type == DataType::Str {
-            finalize_ngrams(self, join_columns, config)
+            finalize_ngrams(self, join_columns, config, pool)
         } else {
             None
         };
@@ -427,40 +430,41 @@ impl PartialTableStats {
         CdsSet::from_entries(entries)
     }
 
-    /// Finalize the §3.6 fallback CDS of every schema column, sorted by
-    /// symbol.
-    pub fn finalize_fallback(
-        &self,
-        symbols: &SymbolTable,
-        config: &SafeBoundConfig,
-    ) -> Vec<(Sym, PiecewiseLinear)> {
-        let mut out: Vec<(Sym, PiecewiseLinear)> = self
-            .column_counts
-            .iter()
-            .map(|(name, counts)| {
-                (
-                    symbols.lookup(name).expect("column interned"),
-                    compress_counts(counts, config.compression_c),
-                )
-            })
-            .collect();
-        out.sort_by_key(|e| e.0);
-        out
+    /// Finalize the §3.6 fallback CDS of every schema column, as a set
+    /// keyed by column symbol.
+    pub fn finalize_fallback(&self, symbols: &SymbolTable, config: &SafeBoundConfig) -> CdsSet {
+        CdsSet::from_entries(
+            self.column_counts
+                .iter()
+                .map(|(name, counts)| {
+                    (
+                        symbols.lookup(name).expect("column interned"),
+                        compress_counts(counts, config.compression_c),
+                    )
+                })
+                .collect(),
+        )
     }
 
-    /// Finalize the whole table sequentially (units in key order). The
-    /// parallel build fans the same work out as a flat job list instead;
-    /// both produce identical statistics.
-    pub fn finalize(&self, symbols: &SymbolTable, config: &SafeBoundConfig) -> TableStats {
+    /// Finalize the whole table sequentially (units in key order) into a
+    /// pool of its own, its sets in file order. The parallel build fans
+    /// the same work out as a flat job list instead; both produce
+    /// identical statistics.
+    pub fn finalize(&self, symbols: &SymbolTable, config: &SafeBoundConfig) -> TablePart {
         let join_columns = self.join_cols(symbols);
-        let base = self.finalize_base(&join_columns, config);
+        let mut pool = CdsPool::default();
+        let base = freeze(&mut pool, self.finalize_base(&join_columns, config).view());
         let named: BTreeMap<String, FilterColumnStats> = self
             .units
             .iter()
-            .filter_map(|(k, u)| u.finalize(&join_columns, config).map(|s| (k.clone(), s)))
+            .filter_map(|(k, u)| {
+                u.finalize(&join_columns, config, &mut pool)
+                    .map(|s| (k.clone(), s))
+            })
             .collect();
-        let fallback = self.finalize_fallback(symbols, config);
-        TableStats::assemble(
+        let fallback = freeze(&mut pool, self.finalize_fallback(symbols, config).view());
+        pool.shrink_to_fit();
+        let stats = TableStats::assemble(
             self.table.clone(),
             symbols.lookup(&self.table).expect("table interned"),
             self.rows,
@@ -468,7 +472,8 @@ impl PartialTableStats {
             base,
             named,
             fallback,
-        )
+        );
+        TablePart { stats, pool }
     }
 
     /// Approximate heap size of the accumulator in bytes.
@@ -629,11 +634,20 @@ fn max_cds_over_count_maps<'a>(
     CdsSet::from_entries(entries)
 }
 
-/// Finalize equality-predicate statistics from a unit's value groups.
+/// Append an owned set to a statistics pool: the one step where a
+/// finished build result becomes resident.
+pub(crate) fn freeze(pool: &mut CdsPool, set: CdsView<'_>) -> SetRange {
+    pool.push_set(set)
+        .expect("statistics outgrow the pool's u32 indices")
+}
+
+/// Finalize equality-predicate statistics from a unit's value groups,
+/// their sets appended to `pool` (groups, then the default).
 pub(crate) fn finalize_mcv(
     unit: &FilterUnitPartial,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> McvStats {
     // MCV = top values by count; ties break by value so the cut is a pure
     // function of the counts.
@@ -668,9 +682,9 @@ pub(crate) fn finalize_mcv(
 
     let default_set = max_cds_over_count_maps(join_columns, rest.iter().map(|(_, g)| &g.join));
     McvStats {
-        groups,
+        groups: groups.iter().map(|g| freeze(pool, g.view())).collect(),
         index,
-        default_set,
+        default_set: freeze(pool, default_set.view()),
     }
 }
 
@@ -682,6 +696,7 @@ pub(crate) fn finalize_histogram(
     unit: &FilterUnitPartial,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> Option<HistogramStats> {
     let groups: Vec<(&Value, &ValueGroup)> = unit.groups.iter().collect();
     if groups.is_empty() {
@@ -759,6 +774,7 @@ pub(crate) fn finalize_histogram(
             bucket_groups: set_ids.into_iter().map(|s| assignment[s]).collect(),
         })
         .collect();
+    let gsets = gsets.iter().map(|g| freeze(pool, g.view())).collect();
     Some(HistogramStats::new(levels, gsets))
 }
 
@@ -770,6 +786,7 @@ pub(crate) fn finalize_ngrams(
     unit: &FilterUnitPartial,
     join_columns: &[JoinCol],
     config: &SafeBoundConfig,
+    pool: &mut CdsPool,
 ) -> Option<NgramStats> {
     if unit.data_type != DataType::Str {
         return None;
@@ -825,9 +842,9 @@ pub(crate) fn finalize_ngrams(
     let default_set = max_cds_over_count_maps(join_columns, rest.iter().map(|(_, (_, maps))| maps));
     Some(NgramStats {
         n,
-        groups,
+        groups: groups.iter().map(|g| freeze(pool, g.view())).collect(),
         index,
-        default_set,
+        default_set: freeze(pool, default_set.view()),
     })
 }
 
@@ -850,6 +867,7 @@ pub fn partition_ranges(rows: usize, k: usize) -> Vec<Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::symbol::Sym;
     use safebound_storage::{Field, Schema};
 
     fn fact_table() -> Table {

@@ -728,30 +728,10 @@ impl PiecewiseLinear {
         }
     }
 
-    /// Rebuild a CDS from knots previously obtained via
-    /// [`PiecewiseLinear::knots`] (the snapshot-file load path), verbatim
-    /// — no collinearity cleanup, so the result is **bit-identical** to
-    /// the polyline that was saved. Returns `None` (instead of panicking
-    /// like [`PiecewiseLinear::from_knots`]) when the knots violate the
-    /// CDS invariants every constructor maintains: the list starts with
-    /// the exact origin `(0.0, 0.0)`, x is strictly increasing, y is
-    /// non-decreasing, and no coordinate is NaN.
-    pub(crate) fn from_saved_knots(knots: Vec<(f64, f64)>) -> Option<Self> {
-        let (first, rest) = knots.split_first()?;
-        // Bit-level origin check: `-0.0 == 0.0` under `==`, but no
-        // constructor ever emits a negative-zero origin, so a file
-        // carrying one is not a faithful save.
-        if first.0.to_bits() != 0 || first.1.to_bits() != 0 {
-            return None;
-        }
-        let (mut px, mut py) = *first;
-        for &(x, y) in rest {
-            if x.is_nan() || y.is_nan() || x <= px || y < py {
-                return None;
-            }
-            (px, py) = (x, y);
-        }
-        Some(PiecewiseLinear { knots })
+    /// The borrowed read side of this polyline.
+    #[inline]
+    pub fn view(&self) -> PwlView<'_> {
+        PwlView { knots: &self.knots }
     }
 
     /// The knots.
@@ -766,55 +746,23 @@ impl PiecewiseLinear {
 
     /// Largest x knot (the number of distinct values).
     pub fn support(&self) -> f64 {
-        // Constructors guarantee at least the origin knot; an empty list
-        // reads as the empty CDS rather than panicking the hot path.
-        self.knots.last().map_or(0.0, |k| k.0)
+        self.view().support()
     }
 
     /// Value at the right end (the relation's cardinality).
     pub fn endpoint(&self) -> f64 {
-        self.knots.last().map_or(0.0, |k| k.1)
+        self.view().endpoint()
     }
 
     /// Evaluate at `x`, clamping outside `[0, support]`.
     pub fn eval(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        if x >= self.support() {
-            return self.endpoint();
-        }
-        let idx = self.knots.partition_point(|&(kx, _)| kx < x);
-        // knots[idx-1].x <= x < knots[idx].x  (idx >= 1 because x > 0)
-        let (x0, y0) = self.knots[idx - 1];
-        let (x1, y1) = self.knots[idx];
-        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        self.view().eval(x)
     }
 
     /// Generalized inverse: the smallest `x` with `F(x) ≥ y`; `support` if
     /// `y` exceeds the endpoint.
     pub fn inverse(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            return 0.0;
-        }
-        if y >= self.endpoint() {
-            // The leftmost x achieving the endpoint (flat tails snap left):
-            // since y-knots are non-decreasing, that is the first knot at
-            // the endpoint level — O(log K) like every other path.
-            let end = self.endpoint();
-            if y > end + EPS {
-                return self.support();
-            }
-            let idx = self.knots.partition_point(|&(_, ky)| ky < end - EPS);
-            return self.knots[idx].0;
-        }
-        let idx = self.knots.partition_point(|&(_, ky)| ky < y);
-        let (x0, y0) = self.knots[idx - 1];
-        let (x1, y1) = self.knots[idx];
-        if (y1 - y0).abs() <= EPS {
-            return x0;
-        }
-        x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+        self.view().inverse(y)
     }
 
     /// The slope function `ΔF` as a piecewise-constant function.
@@ -848,7 +796,7 @@ impl PiecewiseLinear {
     /// no `eval` binary searches.
     pub fn pointwise_min(&self, other: &PiecewiseLinear) -> PiecewiseLinear {
         let mut out = PiecewiseLinear::empty();
-        self.pointwise_min_into(other, &mut out);
+        self.view().pointwise_min_into(other.view(), &mut out);
         out
     }
 
@@ -866,7 +814,7 @@ impl PiecewiseLinear {
     /// `O(|self| + |other|)`.
     pub fn pointwise_sum(&self, other: &PiecewiseLinear) -> PiecewiseLinear {
         let mut out = PiecewiseLinear::empty();
-        self.pointwise_sum_into(other, &mut out);
+        self.view().pointwise_sum_into(other.view(), &mut out);
         out
     }
 
@@ -881,9 +829,9 @@ impl PiecewiseLinear {
     }
 
     /// Overwrite with a copy of `other`, reusing this knot buffer.
-    pub fn copy_from(&mut self, other: &PiecewiseLinear) {
+    pub fn copy_from(&mut self, other: PwlView<'_>) {
         self.knots.clear();
-        self.knots.extend_from_slice(&other.knots);
+        self.knots.extend_from_slice(other.knots);
     }
 
     /// Reset to the degenerate CDS of an empty relation, in place.
@@ -898,54 +846,6 @@ impl PiecewiseLinear {
         self.make_empty();
         if n > 0.0 {
             self.knots.push((n, n));
-        }
-    }
-
-    /// [`PiecewiseLinear::pointwise_min`] writing into `out`'s reused knot
-    /// buffer (no allocation once `out` has capacity).
-    pub fn pointwise_min_into(&self, other: &PiecewiseLinear, out: &mut PiecewiseLinear) {
-        combine_knots_into(&self.knots, &other.knots, true, &mut out.knots);
-    }
-
-    /// Pointwise max followed by the concave envelope, writing into `out`.
-    /// `tmp` holds the raw (possibly non-concave) max between the passes.
-    pub fn pointwise_max_envelope_into(
-        &self,
-        other: &PiecewiseLinear,
-        tmp: &mut Vec<(f64, f64)>,
-        out: &mut PiecewiseLinear,
-    ) {
-        combine_knots_into(&self.knots, &other.knots, false, tmp);
-        envelope_knots_into(tmp, &mut out.knots);
-    }
-
-    /// [`PiecewiseLinear::pointwise_sum`] writing into `out`.
-    pub fn pointwise_sum_into(&self, other: &PiecewiseLinear, out: &mut PiecewiseLinear) {
-        sum_knots_into(&self.knots, &other.knots, &mut out.knots);
-    }
-
-    /// [`PiecewiseLinear::truncate_at`] writing into `out`.
-    pub fn truncate_at_into(&self, cap: f64, out: &mut PiecewiseLinear) {
-        let cap = cap.max(0.0);
-        if self.endpoint() <= cap + EPS {
-            out.copy_from(self);
-            return;
-        }
-        let x_cut = self.inverse(cap);
-        out.knots.clear();
-        for &(x, y) in &self.knots {
-            if x < x_cut - EPS {
-                out.knots.push((x, y));
-            } else {
-                break;
-            }
-        }
-        if out.knots.is_empty() {
-            out.knots.push((0.0, 0.0));
-        }
-        push_knot(&mut out.knots, x_cut.max(EPS * 2.0), cap);
-        if self.support() > x_cut + EPS {
-            push_knot(&mut out.knots, self.support(), cap);
         }
     }
 
@@ -982,6 +882,177 @@ impl PiecewiseLinear {
             .iter()
             .chain(other.knots.iter())
             .all(|&(x, _)| self.eval(x) + tol >= other.eval(x))
+    }
+}
+
+/// A borrowed CDS polyline: the read side of [`PiecewiseLinear`] over a
+/// knot slice that lives anywhere — an owned polyline's buffer or a run
+/// of a snapshot's knot pool ([`crate::pool::CdsPool`]). Every combining
+/// op reads its inputs through views and writes an owned polyline, so a
+/// resident statistic and a session's scratch polyline feed the same
+/// code.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PwlView<'a> {
+    knots: &'a [(f64, f64)],
+}
+
+impl<'a> PwlView<'a> {
+    /// A view over knots already known to satisfy the CDS invariants (a
+    /// pool run copied from a valid polyline or checked by
+    /// [`PwlView::from_saved_knots`]).
+    #[inline]
+    pub(crate) fn of(knots: &'a [(f64, f64)]) -> Self {
+        PwlView { knots }
+    }
+
+    /// View knots read back from a snapshot file, verbatim — no
+    /// collinearity cleanup, so the result is **bit-identical** to the
+    /// polyline that was saved. Returns `None` (instead of panicking like
+    /// [`PiecewiseLinear::from_knots`]) when the knots violate the CDS
+    /// invariants every constructor maintains: the list starts with the
+    /// exact origin `(0.0, 0.0)`, x is strictly increasing, y is
+    /// non-decreasing, and no coordinate is NaN.
+    pub(crate) fn from_saved_knots(knots: &'a [(f64, f64)]) -> Option<Self> {
+        let (first, rest) = knots.split_first()?;
+        // Bit-level origin check: `-0.0 == 0.0` under `==`, but no
+        // constructor ever emits a negative-zero origin, so a file
+        // carrying one is not a faithful save.
+        if first.0.to_bits() != 0 || first.1.to_bits() != 0 {
+            return None;
+        }
+        let (mut px, mut py) = *first;
+        for &(x, y) in rest {
+            if x.is_nan() || y.is_nan() || x <= px || y < py {
+                return None;
+            }
+            (px, py) = (x, y);
+        }
+        Some(PwlView { knots })
+    }
+
+    /// The knots.
+    #[inline]
+    pub fn knots(self) -> &'a [(f64, f64)] {
+        self.knots
+    }
+
+    /// An owned copy.
+    pub fn to_pwl(self) -> PiecewiseLinear {
+        PiecewiseLinear {
+            knots: self.knots.to_vec(),
+        }
+    }
+
+    /// Largest x knot (the number of distinct values).
+    #[inline]
+    pub fn support(self) -> f64 {
+        // Constructors guarantee at least the origin knot; an empty list
+        // reads as the empty CDS rather than panicking the hot path.
+        self.knots.last().map_or(0.0, |k| k.0)
+    }
+
+    /// Value at the right end (the relation's cardinality).
+    #[inline]
+    pub fn endpoint(self) -> f64 {
+        self.knots.last().map_or(0.0, |k| k.1)
+    }
+
+    /// Approximate heap size in bytes of one stored CDS: a fixed 24 per
+    /// polyline plus 16 per knot. The one definition behind every
+    /// statistics size figure, so it depends on the knots alone, never on
+    /// where they are stored.
+    #[inline]
+    pub fn byte_size(self) -> usize {
+        24 + self.knots.len() * 16
+    }
+
+    /// Evaluate at `x`, clamping outside `[0, support]`.
+    pub fn eval(self, x: f64) -> f64 {
+        if x <= 0.0 {
+            return 0.0;
+        }
+        if x >= self.support() {
+            return self.endpoint();
+        }
+        let idx = self.knots.partition_point(|&(kx, _)| kx < x);
+        // knots[idx-1].x <= x < knots[idx].x  (idx >= 1 because x > 0)
+        let (x0, y0) = self.knots[idx - 1];
+        let (x1, y1) = self.knots[idx];
+        y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    }
+
+    /// Generalized inverse: the smallest `x` with `F(x) ≥ y`; `support` if
+    /// `y` exceeds the endpoint.
+    pub fn inverse(self, y: f64) -> f64 {
+        if y <= 0.0 {
+            return 0.0;
+        }
+        if y >= self.endpoint() {
+            // The leftmost x achieving the endpoint (flat tails snap left):
+            // since y-knots are non-decreasing, that is the first knot at
+            // the endpoint level — O(log K) like every other path.
+            let end = self.endpoint();
+            if y > end + EPS {
+                return self.support();
+            }
+            let idx = self.knots.partition_point(|&(_, ky)| ky < end - EPS);
+            return self.knots[idx].0;
+        }
+        let idx = self.knots.partition_point(|&(_, ky)| ky < y);
+        let (x0, y0) = self.knots[idx - 1];
+        let (x1, y1) = self.knots[idx];
+        if (y1 - y0).abs() <= EPS {
+            return x0;
+        }
+        x0 + (x1 - x0) * (y - y0) / (y1 - y0)
+    }
+
+    /// [`PiecewiseLinear::pointwise_min`] writing into `out`'s reused knot
+    /// buffer (no allocation once `out` has capacity).
+    pub fn pointwise_min_into(self, other: PwlView<'_>, out: &mut PiecewiseLinear) {
+        combine_knots_into(self.knots, other.knots, true, &mut out.knots);
+    }
+
+    /// Pointwise max followed by the concave envelope, writing into `out`.
+    /// `tmp` holds the raw (possibly non-concave) max between the passes.
+    pub fn pointwise_max_envelope_into(
+        self,
+        other: PwlView<'_>,
+        tmp: &mut Vec<(f64, f64)>,
+        out: &mut PiecewiseLinear,
+    ) {
+        combine_knots_into(self.knots, other.knots, false, tmp);
+        envelope_knots_into(tmp, &mut out.knots);
+    }
+
+    /// [`PiecewiseLinear::pointwise_sum`] writing into `out`.
+    pub fn pointwise_sum_into(self, other: PwlView<'_>, out: &mut PiecewiseLinear) {
+        sum_knots_into(self.knots, other.knots, &mut out.knots);
+    }
+
+    /// [`PiecewiseLinear::truncate_at`] writing into `out`.
+    pub fn truncate_at_into(self, cap: f64, out: &mut PiecewiseLinear) {
+        let cap = cap.max(0.0);
+        if self.endpoint() <= cap + EPS {
+            out.copy_from(self);
+            return;
+        }
+        let x_cut = self.inverse(cap);
+        out.knots.clear();
+        for &(x, y) in self.knots {
+            if x < x_cut - EPS {
+                out.knots.push((x, y));
+            } else {
+                break;
+            }
+        }
+        if out.knots.is_empty() {
+            out.knots.push((0.0, 0.0));
+        }
+        push_knot(&mut out.knots, x_cut.max(EPS * 2.0), cap);
+        if self.support() > x_cut + EPS {
+            push_knot(&mut out.knots, self.support(), cap);
+        }
     }
 }
 

@@ -48,9 +48,13 @@
 //!   difference is [`StatsSnapshot::build_id`]: loads mint a fresh
 //!   process-unique id so sessions flush their caches.
 //!
-//! Loading is an owned read of the whole file ([`load_snapshot`]): a
-//! private `mmap` would fault in the same pages that `read` copies, and
-//! it measured no faster, since the decoder copies every statistic out.
+//! Loading is an owned read of the whole file ([`load_snapshot`]). The
+//! decoder copies every CDS's knots, in file order, into the snapshot's
+//! one [`CdsPool`] (reserved up front from the tables section's length),
+//! one bounds check per polyline, and every other statistic into its own
+//! small buffers; a decoded snapshot holds no reference to the file
+//! bytes. A private `mmap` would fault in the same pages that `read`
+//! copies, and it measured no faster.
 //!
 //! Under the `fault-hooks` feature the file I/O helpers consult a
 //! test-only [`hooks`] registry that can inject `io::Error`s, short
@@ -59,10 +63,11 @@
 
 use crate::bloom::BloomFilter;
 use crate::conditioning::{
-    CdsSet, HistogramLevel, HistogramStats, JoinCol, McvIndex, McvStats, NgramStats,
+    HistogramLevel, HistogramStats, JoinCol, McvIndex, McvStats, NgramStats,
 };
 use crate::config::SafeBoundConfig;
-use crate::piecewise::PiecewiseLinear;
+use crate::piecewise::PwlView;
+use crate::pool::{CdsPool, CdsView, SetRange};
 use crate::simd::hash::{xxh64, FastMap};
 use crate::stats::{FilterColumnStats, StatsSnapshot, TableStats};
 use crate::symbol::{Sym, SymbolTable};
@@ -295,6 +300,14 @@ impl<'a> Dec<'a> {
         String::from_utf8(bytes.to_vec())
             .map_err(|_| SnapshotFileError::Malformed("invalid UTF-8 in string"))
     }
+
+    /// A run of `n` little-endian 64-bit words behind one bounds check.
+    fn words(&mut self, n: usize) -> Result<&'a [[u8; 8]], SnapshotFileError> {
+        let len = n
+            .checked_mul(8)
+            .ok_or(SnapshotFileError::Malformed("length overflow"))?;
+        Ok(self.take(len)?.as_chunks::<8>().0)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -330,41 +343,32 @@ fn dec_value(d: &mut Dec<'_>) -> Result<Value, SnapshotFileError> {
     }
 }
 
-fn enc_pwl(e: &mut Enc, p: &PiecewiseLinear) {
-    let knots = p.knots();
-    e.count(knots.len(), "CDS knot count");
-    for &(x, y) in knots {
-        e.f64(x);
-        e.f64(y);
-    }
-}
-
-fn dec_pwl(d: &mut Dec<'_>) -> Result<PiecewiseLinear, SnapshotFileError> {
-    let n = d.count(16)?;
-    let mut knots = Vec::with_capacity(n);
-    for _ in 0..n {
-        let x = d.f64()?;
-        let y = d.f64()?;
-        knots.push((x, y));
-    }
-    PiecewiseLinear::from_saved_knots(knots)
-        .ok_or(SnapshotFileError::Malformed("CDS knots violate invariants"))
-}
-
-fn enc_set(e: &mut Enc, s: &CdsSet) {
-    e.count(s.entries.len(), "CDS set entry count");
-    for (sym, pwl) in &s.entries {
+fn enc_set(e: &mut Enc, s: CdsView<'_>) {
+    e.count(s.len(), "CDS set entry count");
+    for (sym, pwl) in s.iter() {
         e.u32(sym.0);
-        enc_pwl(e, pwl);
+        let knots = pwl.knots();
+        e.count(knots.len(), "CDS knot count");
+        for &(x, y) in knots {
+            e.f64(x);
+            e.f64(y);
+        }
     }
 }
 
-/// Decode a [`CdsSet`], enforcing the strictly-sorted-by-symbol invariant
-/// its binary searches and sorted merges rely on, and that every symbol
-/// exists in the symbol table.
-fn dec_set(d: &mut Dec<'_>, num_syms: u32) -> Result<CdsSet, SnapshotFileError> {
+/// Decode a CDS set straight into the pool, enforcing the
+/// strictly-sorted-by-symbol invariant its binary searches and sorted
+/// merges rely on (`unsorted` names the violation), that every symbol
+/// exists in the symbol table, and the CDS invariants of every polyline.
+/// Each polyline's knots are appended behind one bounds check.
+fn dec_set(
+    d: &mut Dec<'_>,
+    num_syms: u32,
+    pool: &mut CdsPool,
+    unsorted: &'static str,
+) -> Result<SetRange, SnapshotFileError> {
     let n = d.count(8)?;
-    let mut entries = Vec::with_capacity(n);
+    let begin = pool.begin_set();
     let mut prev: Option<u32> = None;
     for _ in 0..n {
         let sym = d.u32()?;
@@ -372,14 +376,38 @@ fn dec_set(d: &mut Dec<'_>, num_syms: u32) -> Result<CdsSet, SnapshotFileError> 
             return Err(SnapshotFileError::Malformed("symbol id out of range"));
         }
         if prev.is_some_and(|p| p >= sym) {
-            return Err(SnapshotFileError::Malformed(
-                "CDS set entries not strictly sorted by symbol",
-            ));
+            return Err(SnapshotFileError::Malformed(unsorted));
         }
         prev = Some(sym);
-        entries.push((Sym(sym), dec_pwl(d)?));
+        let k = d.count(16)?;
+        let (pairs, _) = d.words(2 * k)?.as_chunks::<2>();
+        let knots = pool
+            .push_entry(
+                Sym(sym),
+                pairs
+                    .iter()
+                    .map(|[x, y]| (f64::from_le_bytes(*x), f64::from_le_bytes(*y))),
+            )
+            .ok_or(SnapshotFileError::Malformed("CDS pool index overflow"))?;
+        PwlView::from_saved_knots(knots)
+            .ok_or(SnapshotFileError::Malformed("CDS knots violate invariants"))?;
     }
-    Ok(CdsSet { entries })
+    pool.end_set(begin)
+        .ok_or(SnapshotFileError::Malformed("CDS pool index overflow"))
+}
+
+/// [`dec_set`] for every set but the fallback.
+fn dec_group(
+    d: &mut Dec<'_>,
+    num_syms: u32,
+    pool: &mut CdsPool,
+) -> Result<SetRange, SnapshotFileError> {
+    dec_set(
+        d,
+        num_syms,
+        pool,
+        "CDS set entries not strictly sorted by symbol",
+    )
 }
 
 fn enc_index(e: &mut Enc, idx: &McvIndex) {
@@ -448,11 +476,8 @@ fn dec_index(d: &mut Dec<'_>, num_groups: usize) -> Result<McvIndex, SnapshotFil
                 let num_bits = d.u64()?;
                 let num_hashes = d.u32()?;
                 let words = d.count(8)?;
-                let mut bits = Vec::with_capacity(words);
-                for _ in 0..words {
-                    bits.push(d.u64()?);
-                }
-                let f = BloomFilter::from_parts(bits, num_bits, num_hashes)
+                let bits = d.words(words)?.iter().map(|w| u64::from_le_bytes(*w));
+                let f = BloomFilter::from_parts(bits.collect(), num_bits, num_hashes)
                     .ok_or(SnapshotFileError::Malformed("inconsistent Bloom geometry"))?;
                 filters.push(f);
             }
@@ -462,23 +487,27 @@ fn dec_index(d: &mut Dec<'_>, num_groups: usize) -> Result<McvIndex, SnapshotFil
     }
 }
 
-fn enc_mcv(e: &mut Enc, m: &McvStats) {
+fn enc_mcv(e: &mut Enc, m: &McvStats, pool: &CdsPool) {
     e.count(m.groups.len(), "MCV group count");
-    for g in &m.groups {
-        enc_set(e, g);
+    for &g in &m.groups {
+        enc_set(e, pool.set(g));
     }
     enc_index(e, &m.index);
-    enc_set(e, &m.default_set);
+    enc_set(e, pool.set(m.default_set));
 }
 
-fn dec_mcv(d: &mut Dec<'_>, num_syms: u32) -> Result<McvStats, SnapshotFileError> {
+fn dec_mcv(
+    d: &mut Dec<'_>,
+    num_syms: u32,
+    pool: &mut CdsPool,
+) -> Result<McvStats, SnapshotFileError> {
     let n = d.count(4)?;
     let mut groups = Vec::with_capacity(n);
     for _ in 0..n {
-        groups.push(dec_set(d, num_syms)?);
+        groups.push(dec_group(d, num_syms, pool)?);
     }
     let index = dec_index(d, groups.len())?;
-    let default_set = dec_set(d, num_syms)?;
+    let default_set = dec_group(d, num_syms, pool)?;
     Ok(McvStats {
         groups,
         index,
@@ -486,7 +515,7 @@ fn dec_mcv(d: &mut Dec<'_>, num_syms: u32) -> Result<McvStats, SnapshotFileError
     })
 }
 
-fn enc_hist(e: &mut Enc, h: &HistogramStats) {
+fn enc_hist(e: &mut Enc, h: &HistogramStats, pool: &CdsPool) {
     e.count(h.levels.len(), "histogram level count");
     for level in &h.levels {
         e.count(level.bounds.len(), "histogram bound count");
@@ -499,8 +528,8 @@ fn enc_hist(e: &mut Enc, h: &HistogramStats) {
         }
     }
     e.count(h.groups.len(), "histogram group count");
-    for g in &h.groups {
-        enc_set(e, g);
+    for &g in &h.groups {
+        enc_set(e, pool.set(g));
     }
 }
 
@@ -509,7 +538,11 @@ fn enc_hist(e: &mut Enc, h: &HistogramStats) {
 /// least one bucket, bounds non-decreasing, group ids in range). The
 /// batched-search key matrix is a deterministic function of the levels
 /// and is rebuilt by [`HistogramStats::new`], not persisted.
-fn dec_hist(d: &mut Dec<'_>, num_syms: u32) -> Result<HistogramStats, SnapshotFileError> {
+fn dec_hist(
+    d: &mut Dec<'_>,
+    num_syms: u32,
+    pool: &mut CdsPool,
+) -> Result<HistogramStats, SnapshotFileError> {
     let num_levels = d.count(8)?;
     let mut levels = Vec::with_capacity(num_levels);
     for _ in 0..num_levels {
@@ -527,10 +560,11 @@ fn dec_hist(d: &mut Dec<'_>, num_syms: u32) -> Result<HistogramStats, SnapshotFi
                 "histogram bucket/bound shape mismatch",
             ));
         }
-        let mut bucket_groups = Vec::with_capacity(nbuckets);
-        for _ in 0..nbuckets {
-            bucket_groups.push(d.u64()? as usize);
-        }
+        let bucket_groups = d.words(nbuckets)?;
+        let bucket_groups = bucket_groups
+            .iter()
+            .map(|w| u64::from_le_bytes(*w) as usize)
+            .collect();
         levels.push(HistogramLevel {
             bounds,
             bucket_groups,
@@ -539,7 +573,7 @@ fn dec_hist(d: &mut Dec<'_>, num_syms: u32) -> Result<HistogramStats, SnapshotFi
     let num_groups = d.count(4)?;
     let mut groups = Vec::with_capacity(num_groups);
     for _ in 0..num_groups {
-        groups.push(dec_set(d, num_syms)?);
+        groups.push(dec_group(d, num_syms, pool)?);
     }
     for level in &levels {
         if level.bucket_groups.iter().any(|&g| g >= groups.len()) {
@@ -551,17 +585,21 @@ fn dec_hist(d: &mut Dec<'_>, num_syms: u32) -> Result<HistogramStats, SnapshotFi
     Ok(HistogramStats::new(levels, groups))
 }
 
-fn enc_ngrams(e: &mut Enc, n: &NgramStats) {
+fn enc_ngrams(e: &mut Enc, n: &NgramStats, pool: &CdsPool) {
     e.u64(n.n as u64);
     e.count(n.groups.len(), "n-gram group count");
-    for g in &n.groups {
-        enc_set(e, g);
+    for &g in &n.groups {
+        enc_set(e, pool.set(g));
     }
     enc_index(e, &n.index);
-    enc_set(e, &n.default_set);
+    enc_set(e, pool.set(n.default_set));
 }
 
-fn dec_ngrams(d: &mut Dec<'_>, num_syms: u32) -> Result<NgramStats, SnapshotFileError> {
+fn dec_ngrams(
+    d: &mut Dec<'_>,
+    num_syms: u32,
+    pool: &mut CdsPool,
+) -> Result<NgramStats, SnapshotFileError> {
     let n = d.u64()? as usize;
     // A zero gram length would make the extraction windows panic; the
     // builder never produces one, and huge lengths are nonsensical.
@@ -571,10 +609,10 @@ fn dec_ngrams(d: &mut Dec<'_>, num_syms: u32) -> Result<NgramStats, SnapshotFile
     let num_groups = d.count(4)?;
     let mut groups = Vec::with_capacity(num_groups);
     for _ in 0..num_groups {
-        groups.push(dec_set(d, num_syms)?);
+        groups.push(dec_group(d, num_syms, pool)?);
     }
     let index = dec_index(d, groups.len())?;
-    let default_set = dec_set(d, num_syms)?;
+    let default_set = dec_group(d, num_syms, pool)?;
     Ok(NgramStats {
         n,
         groups,
@@ -583,34 +621,38 @@ fn dec_ngrams(d: &mut Dec<'_>, num_syms: u32) -> Result<NgramStats, SnapshotFile
     })
 }
 
-fn enc_filter(e: &mut Enc, f: &FilterColumnStats) {
-    enc_mcv(e, &f.mcv);
+fn enc_filter(e: &mut Enc, f: &FilterColumnStats, pool: &CdsPool) {
+    enc_mcv(e, &f.mcv, pool);
     match &f.histogram {
         None => e.u8(0),
         Some(h) => {
             e.u8(1);
-            enc_hist(e, h);
+            enc_hist(e, h, pool);
         }
     }
     match &f.ngrams {
         None => e.u8(0),
         Some(n) => {
             e.u8(1);
-            enc_ngrams(e, n);
+            enc_ngrams(e, n, pool);
         }
     }
 }
 
-fn dec_filter(d: &mut Dec<'_>, num_syms: u32) -> Result<FilterColumnStats, SnapshotFileError> {
-    let mcv = dec_mcv(d, num_syms)?;
+fn dec_filter(
+    d: &mut Dec<'_>,
+    num_syms: u32,
+    pool: &mut CdsPool,
+) -> Result<FilterColumnStats, SnapshotFileError> {
+    let mcv = dec_mcv(d, num_syms, pool)?;
     let histogram = match d.u8()? {
         0 => None,
-        1 => Some(dec_hist(d, num_syms)?),
+        1 => Some(dec_hist(d, num_syms, pool)?),
         _ => return Err(SnapshotFileError::Malformed("bad histogram presence tag")),
     };
     let ngrams = match d.u8()? {
         0 => None,
-        1 => Some(dec_ngrams(d, num_syms)?),
+        1 => Some(dec_ngrams(d, num_syms, pool)?),
         _ => return Err(SnapshotFileError::Malformed("bad n-gram presence tag")),
     };
     Ok(FilterColumnStats {
@@ -620,7 +662,7 @@ fn dec_filter(d: &mut Dec<'_>, num_syms: u32) -> Result<FilterColumnStats, Snaps
     })
 }
 
-fn enc_table(e: &mut Enc, t: &TableStats) {
+fn enc_table(e: &mut Enc, t: &TableStats, pool: &CdsPool) {
     e.str(&t.table);
     e.u32(t.table_sym.0);
     e.u64(t.row_count);
@@ -629,21 +671,23 @@ fn enc_table(e: &mut Enc, t: &TableStats) {
         e.u32(sym.0);
         e.str(name);
     }
-    enc_set(e, &t.base);
+    enc_set(e, pool.set(t.base));
     let named: Vec<(&str, &FilterColumnStats)> = t.named_filters().collect();
     e.count(named.len(), "filter column count");
     for (name, f) in named {
         e.str(name);
-        enc_filter(e, f);
+        enc_filter(e, f, pool);
     }
-    e.count(t.fallback_cds.len(), "fallback CDS count");
-    for (sym, pwl) in &t.fallback_cds {
-        e.u32(sym.0);
-        enc_pwl(e, pwl);
-    }
+    // The fallback set's encoding is a set's: a count, then `(symbol,
+    // polyline)` pairs.
+    enc_set(e, pool.set(t.fallback_cds));
 }
 
-fn dec_table(d: &mut Dec<'_>, symbols: &SymbolTable) -> Result<TableStats, SnapshotFileError> {
+fn dec_table(
+    d: &mut Dec<'_>,
+    symbols: &SymbolTable,
+    pool: &mut CdsPool,
+) -> Result<TableStats, SnapshotFileError> {
     let num_syms = symbols.len() as u32;
     let table = d.str()?;
     let table_sym = d.u32()?;
@@ -665,7 +709,7 @@ fn dec_table(d: &mut Dec<'_>, symbols: &SymbolTable) -> Result<TableStats, Snaps
         }
         join_columns.push((Sym(sym), name));
     }
-    let base = dec_set(d, num_syms)?;
+    let base = dec_group(d, num_syms, pool)?;
     let nfilters = d.count(8)?;
     let mut named: BTreeMap<String, FilterColumnStats> = BTreeMap::new();
     let mut prev_name: Option<String> = None;
@@ -679,26 +723,16 @@ fn dec_table(d: &mut Dec<'_>, symbols: &SymbolTable) -> Result<TableStats, Snaps
                 "filter columns not strictly sorted by name",
             ));
         }
-        let f = dec_filter(d, num_syms)?;
+        let f = dec_filter(d, num_syms, pool)?;
         prev_name = Some(name.clone());
         named.insert(name, f);
     }
-    let nfallback = d.count(8)?;
-    let mut fallback_cds = Vec::with_capacity(nfallback);
-    let mut prev_sym: Option<u32> = None;
-    for _ in 0..nfallback {
-        let sym = d.u32()?;
-        if sym >= num_syms {
-            return Err(SnapshotFileError::Malformed("symbol id out of range"));
-        }
-        if prev_sym.is_some_and(|p| p >= sym) {
-            return Err(SnapshotFileError::Malformed(
-                "fallback CDS not strictly sorted by symbol",
-            ));
-        }
-        prev_sym = Some(sym);
-        fallback_cds.push((Sym(sym), dec_pwl(d)?));
-    }
+    let fallback_cds = dec_set(
+        d,
+        num_syms,
+        pool,
+        "fallback CDS not strictly sorted by symbol",
+    )?;
     Ok(TableStats::assemble(
         table,
         Sym(table_sym),
@@ -825,7 +859,7 @@ pub fn encode_snapshot(snapshot: &StatsSnapshot) -> Result<Vec<u8>, SnapshotFile
     let mut total_rows = 0u64;
     for t in snapshot.tables.values() {
         total_rows = total_rows.saturating_add(t.row_count);
-        enc_table(&mut tables, t);
+        enc_table(&mut tables, t, &snapshot.pool);
     }
 
     for enc in [&symbols, &config, &tables] {
@@ -1033,6 +1067,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<StatsSnapshot, SnapshotFileError>
         return Err(SnapshotFileError::Malformed("trailing bytes after config"));
     }
 
+    // Every knot takes 16 bytes of the tables section and every polyline
+    // at least 24 (symbol, count, origin knot), so these bounds hold for
+    // any file that decodes and the pool never regrows.
+    let mut pool = CdsPool::with_capacity(table_bytes.len() / 16, table_bytes.len() / 24);
     let mut d = Dec::new(table_bytes);
     let num_tables = d.count(8)?;
     if num_tables as u64 != header.num_tables as u64 {
@@ -1043,7 +1081,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<StatsSnapshot, SnapshotFileError>
     let mut tables: BTreeMap<String, TableStats> = BTreeMap::new();
     let mut prev_name: Option<String> = None;
     for _ in 0..num_tables {
-        let t = dec_table(&mut d, &symbols)?;
+        let t = dec_table(&mut d, &symbols, &mut pool)?;
         if prev_name.as_deref().is_some_and(|p| p >= t.table.as_str()) {
             return Err(SnapshotFileError::Malformed(
                 "tables not strictly sorted by name",
@@ -1060,6 +1098,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<StatsSnapshot, SnapshotFileError>
     // a loaded file must flush them exactly like a hot swap does.
     let snapshot = StatsSnapshot {
         tables,
+        pool,
         symbols,
         config,
         build_time: header.build_time,
@@ -1391,6 +1430,7 @@ mod tests {
 
     fn assert_same_stats(a: &StatsSnapshot, b: &StatsSnapshot) {
         assert_eq!(a.tables, b.tables, "tables must round-trip bit-identically");
+        assert_eq!(a.pool, b.pool, "every CDS must round-trip bit-identically");
         assert_eq!(a.symbols, b.symbols, "symbol table must round-trip");
         assert_eq!(
             param_fingerprint(&a.config),
@@ -1407,8 +1447,44 @@ mod tests {
         let bytes = save_snapshot(&path, &snap).expect("save");
         assert_eq!(bytes, std::fs::metadata(&path).expect("meta").len());
         let loaded = load_snapshot(&path).expect("load");
+        // The decoder reserves its pool from the tables section's length,
+        // the build sizes it exactly: equality compares contents, never
+        // capacity.
         assert_same_stats(&snap, &loaded);
+        assert_eq!(snap.byte_size(), loaded.byte_size());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn re_encoding_a_decoded_file_reproduces_it_byte_for_byte() {
+        for snap in [snapshot(), snapshot_bloom()] {
+            let bytes = encode_snapshot(&snap).expect("encode");
+            let mut decoded = decode_snapshot(&bytes).expect("decode");
+            // The one field a load does not restore: it mints a fresh id.
+            decoded.build_id = snap.build_id;
+            assert!(encode_snapshot(&decoded).expect("re-encode") == bytes);
+        }
+    }
+
+    #[test]
+    fn decoded_sets_tile_the_pool_and_keep_the_cds_invariants() {
+        let bytes = encode_snapshot(&snapshot_bloom()).expect("encode");
+        let decoded = decode_snapshot(&bytes).expect("decode");
+        let pool = &decoded.pool;
+        let (mut entries, mut knots) = (0, 0);
+        for t in decoded.tables.values() {
+            t.clone().for_each_set_mut(&mut |r| {
+                assert!(pool.contains(*r), "{r:?} lies outside the pool");
+                for (_, pwl) in pool.set(*r).iter() {
+                    assert!(PwlView::from_saved_knots(pwl.knots()).is_some());
+                    knots += pwl.knots().len();
+                }
+                entries += r.len();
+            });
+        }
+        // Every entry and knot belongs to exactly one stored set.
+        assert_eq!(entries, pool.num_entries());
+        assert_eq!(knots, pool.num_knots());
     }
 
     #[test]

@@ -70,8 +70,9 @@
 use crate::conditioning::{CdsSet, HistogramStats, JoinCol, McvStats, NgramStats};
 use crate::config::SafeBoundConfig;
 use crate::parallel::par_map;
-use crate::partial::{partition_ranges, PartialTableStats, TableScanPlan};
-use crate::piecewise::PiecewiseLinear;
+use crate::partial::{freeze, partition_ranges, PartialTableStats, TableScanPlan};
+use crate::piecewise::PwlView;
+use crate::pool::{CdsPool, SetRange};
 use crate::symbol::{Sym, SymbolTable};
 use safebound_storage::{Catalog, Table};
 use std::collections::BTreeMap;
@@ -156,10 +157,10 @@ pub struct FilterColumnStats {
 
 impl FilterColumnStats {
     /// Approximate heap size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.mcv.byte_size()
-            + self.histogram.as_ref().map_or(0, HistogramStats::byte_size)
-            + self.ngrams.as_ref().map_or(0, NgramStats::byte_size)
+    pub fn byte_size(&self, pool: &CdsPool) -> usize {
+        self.mcv.byte_size(pool)
+            + self.histogram.as_ref().map_or(0, |h| h.byte_size(pool))
+            + self.ngrams.as_ref().map_or(0, |n| n.byte_size(pool))
     }
 
     /// Number of stored CDS sets across all structures.
@@ -168,9 +169,22 @@ impl FilterColumnStats {
             + self.histogram.as_ref().map_or(0, HistogramStats::num_sets)
             + self.ngrams.as_ref().map_or(0, NgramStats::num_sets)
     }
+
+    /// Every stored set, in file order: MCV groups and default, histogram
+    /// groups, n-gram groups and default.
+    pub(crate) fn for_each_set_mut(&mut self, f: &mut impl FnMut(&mut SetRange)) {
+        self.mcv.for_each_set_mut(f);
+        if let Some(h) = &mut self.histogram {
+            h.groups.iter_mut().for_each(&mut *f);
+        }
+        if let Some(n) = &mut self.ngrams {
+            n.for_each_set_mut(f);
+        }
+    }
 }
 
-/// All statistics for one table.
+/// All statistics for one table. Every CDS set in it is a [`SetRange`]
+/// into the owning snapshot's [`CdsPool`].
 ///
 /// Filter statistics live in a dense slot vector ([`TableStats::filter_at`])
 /// with a name index resolved once per query *shape*
@@ -188,15 +202,15 @@ pub struct TableStats {
     /// Declared join columns (keys + foreign keys) with their symbols.
     pub join_columns: Vec<JoinCol>,
     /// Unconditioned compressed CDS per declared join column.
-    pub base: CdsSet,
+    pub base: SetRange,
     /// Sorted column (or [`propagated_key`] composite) names; a name's
     /// position is its slot in `filter_stats`.
     filter_names: Vec<String>,
     /// Filter statistics slots, parallel to `filter_names`.
     filter_stats: Vec<FilterColumnStats>,
     /// Unconditioned compressed CDS for every column, keyed by interned
-    /// symbol (sorted) — the §3.6 fallback for joins on undeclared columns.
-    pub fallback_cds: Vec<(Sym, PiecewiseLinear)>,
+    /// symbol — the §3.6 fallback for joins on undeclared columns.
+    pub fallback_cds: SetRange,
 }
 
 impl TableStats {
@@ -208,9 +222,9 @@ impl TableStats {
         table_sym: Sym,
         row_count: u64,
         join_columns: Vec<JoinCol>,
-        base: CdsSet,
+        base: SetRange,
         named: BTreeMap<String, FilterColumnStats>,
-        fallback_cds: Vec<(Sym, PiecewiseLinear)>,
+        fallback_cds: SetRange,
     ) -> TableStats {
         // A `BTreeMap` iterates in name order: slots are sorted by name.
         let (filter_names, filter_stats) = named.into_iter().unzip();
@@ -227,11 +241,8 @@ impl TableStats {
     }
 
     /// The fallback CDS for a column symbol.
-    pub fn fallback(&self, sym: Sym) -> Option<&PiecewiseLinear> {
-        self.fallback_cds
-            .binary_search_by_key(&sym, |e| e.0)
-            .ok()
-            .map(|i| &self.fallback_cds[i].1)
+    pub fn fallback<'p>(&self, pool: &'p CdsPool, sym: Sym) -> Option<PwlView<'p>> {
+        pool.set(self.fallback_cds).get(sym)
     }
 
     /// Filter statistics for a column (or propagated-key composite) name.
@@ -288,18 +299,14 @@ impl TableStats {
     }
 
     /// Approximate heap size in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.base.byte_size()
+    pub fn byte_size(&self, pool: &CdsPool) -> usize {
+        pool.set(self.base).byte_size()
             + self
                 .filter_stats
                 .iter()
-                .map(FilterColumnStats::byte_size)
+                .map(|f| f.byte_size(pool))
                 .sum::<usize>()
-            + self
-                .fallback_cds
-                .iter()
-                .map(|(_, v)| 24 + v.knots().len() * 16)
-                .sum::<usize>()
+            + pool.set(self.fallback_cds).byte_size()
     }
 
     /// Total number of stored CDS sets (the quantity group compression
@@ -311,6 +318,27 @@ impl TableStats {
             .map(FilterColumnStats::num_sets)
             .sum::<usize>()
     }
+
+    /// Every stored set, in file order: the base set, each filter
+    /// column's sets in name order, the fallback set.
+    pub(crate) fn for_each_set_mut(&mut self, f: &mut impl FnMut(&mut SetRange)) {
+        f(&mut self.base);
+        for fs in &mut self.filter_stats {
+            fs.for_each_set_mut(f);
+        }
+        f(&mut self.fallback_cds);
+    }
+}
+
+/// One table's statistics with its sets in a pool of its own: what a
+/// build job finalizes and the incremental builder retains, before
+/// [`StatsSnapshot::freeze`] copies every table into the snapshot's pool.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TablePart {
+    /// The table's statistics, ranges into `pool`.
+    pub stats: TableStats,
+    /// Storage of the table's sets.
+    pub pool: CdsPool,
 }
 
 /// The complete statistics produced by the offline phase: an **immutable
@@ -325,6 +353,10 @@ impl TableStats {
 pub struct StatsSnapshot {
     /// Per-table statistics.
     pub tables: BTreeMap<String, TableStats>,
+    /// Storage of every CDS set the tables name, laid out in snapshot
+    /// file order (tables by name; per table its base set, its filter
+    /// columns' sets by name, its fallback set), whichever route built it.
+    pub pool: CdsPool,
     /// Interned table/column names shared by all statistics containers.
     pub symbols: SymbolTable,
     /// The configuration used to build them.
@@ -352,12 +384,46 @@ const _: fn() = || {
 impl StatsSnapshot {
     /// Approximate heap size in bytes (the Fig. 8a metric).
     pub fn byte_size(&self) -> usize {
-        self.tables.values().map(TableStats::byte_size).sum()
+        self.tables.values().map(|t| t.byte_size(&self.pool)).sum()
     }
 
     /// Total stored CDS sets across all tables.
     pub fn num_sets(&self) -> usize {
         self.tables.values().map(TableStats::num_sets).sum()
+    }
+
+    /// Publish built tables as a snapshot: copy every table's sets, in
+    /// file order, out of its own pool into the snapshot's one pool — the
+    /// step every build route ends with, so equal statistics are equal
+    /// snapshots whichever route built them. Each table's pool is freed
+    /// as soon as it is copied.
+    pub(crate) fn freeze(
+        parts: BTreeMap<String, TablePart>,
+        symbols: SymbolTable,
+        config: SafeBoundConfig,
+        build_time: Duration,
+    ) -> StatsSnapshot {
+        let mut pool = CdsPool::with_capacity(
+            parts.values().map(|p| p.pool.num_knots()).sum(),
+            parts.values().map(|p| p.pool.num_entries()).sum(),
+        );
+        let tables = parts
+            .into_iter()
+            .map(|(name, mut part)| {
+                let local = &part.pool;
+                part.stats
+                    .for_each_set_mut(&mut |r| *r = freeze(&mut pool, local.set(*r)));
+                (name, part.stats)
+            })
+            .collect();
+        StatsSnapshot {
+            tables,
+            pool,
+            symbols,
+            config,
+            build_time,
+            build_id: next_build_id(),
+        }
     }
 }
 
@@ -435,15 +501,17 @@ pub(crate) fn scan_merged_partials(
     merged
 }
 
-/// Stage 3 of the pipeline: finalize merged partials into [`TableStats`]
+/// Stage 3 of the pipeline: finalize merged partials into [`TablePart`]s
 /// on one flat work list — one job per table for the base CDS + §3.6
 /// fallbacks, one job per filter unit (group compression of each unit's
-/// CDS sets happens inside its job, so it parallelizes for free).
+/// CDS sets happens inside its job, so it parallelizes for free). Each
+/// unit job fills a pool of its own; each table's sets are then gathered
+/// into the table's pool in file order.
 pub(crate) fn finalize_partials(
     merged: &[PartialTableStats],
     symbols: &SymbolTable,
     config: &SafeBoundConfig,
-) -> Vec<TableStats> {
+) -> BTreeMap<String, TablePart> {
     let join_cols: Vec<Vec<JoinCol>> = merged.iter().map(|p| p.join_cols(symbols)).collect();
     enum FinJob<'a> {
         Base(usize),
@@ -457,28 +525,26 @@ pub(crate) fn finalize_partials(
         }
     }
     enum FinOut {
-        Base(CdsSet, Vec<(Sym, PiecewiseLinear)>),
+        Base(CdsSet, CdsSet),
         // Boxed: FilterColumnStats carries the histogram's padded key
         // matrix, which would otherwise dominate every Base result too.
-        Unit(Option<Box<FilterColumnStats>>),
+        Unit(Option<Box<(FilterColumnStats, CdsPool)>>),
     }
     let outs = par_map(&jobs, |job| match job {
         FinJob::Base(ti) => FinOut::Base(
             merged[*ti].finalize_base(&join_cols[*ti], config),
             merged[*ti].finalize_fallback(symbols, config),
         ),
-        FinJob::Unit(ti, key) => FinOut::Unit(
-            merged[*ti]
-                .unit(key)
-                .expect("unit key from iteration")
-                .finalize(&join_cols[*ti], config)
-                .map(Box::new),
-        ),
+        FinJob::Unit(ti, key) => {
+            let mut pool = CdsPool::default();
+            let unit = merged[*ti].unit(key).expect("unit key from iteration");
+            let stats = unit.finalize(&join_cols[*ti], config, &mut pool);
+            pool.shrink_to_fit();
+            FinOut::Unit(stats.map(|s| Box::new((s, pool))))
+        }
     });
-    #[allow(clippy::type_complexity)]
-    let mut bases: Vec<Option<(CdsSet, Vec<(Sym, PiecewiseLinear)>)>> =
-        merged.iter().map(|_| None).collect();
-    let mut named: Vec<BTreeMap<String, FilterColumnStats>> =
+    let mut bases: Vec<Option<(CdsSet, CdsSet)>> = merged.iter().map(|_| None).collect();
+    let mut named: Vec<BTreeMap<String, (FilterColumnStats, CdsPool)>> =
         merged.iter().map(|_| BTreeMap::new()).collect();
     for (job, out) in jobs.iter().zip(outs) {
         match (job, out) {
@@ -499,7 +565,18 @@ pub(crate) fn finalize_partials(
         .zip(bases.into_iter().zip(named))
         .map(|((partial, jc), (base, named))| {
             let (base, fallback) = base.expect("every table has a base job");
-            TableStats::assemble(
+            let mut pool = CdsPool::default();
+            let base = freeze(&mut pool, base.view());
+            let named = named
+                .into_iter()
+                .map(|(key, (mut fs, unit_pool))| {
+                    fs.for_each_set_mut(&mut |r| *r = freeze(&mut pool, unit_pool.set(*r)));
+                    (key, fs)
+                })
+                .collect();
+            let fallback = freeze(&mut pool, fallback.view());
+            pool.shrink_to_fit();
+            let stats = TableStats::assemble(
                 partial.table().to_string(),
                 symbols.lookup(partial.table()).expect("table interned"),
                 partial.row_count(),
@@ -507,7 +584,8 @@ pub(crate) fn finalize_partials(
                 base,
                 named,
                 fallback,
-            )
+            );
+            (stats.table.clone(), TablePart { stats, pool })
         })
         .collect()
 }
@@ -537,15 +615,8 @@ impl SafeBoundBuilder {
         let start = Instant::now();
         let symbols = intern_catalog(catalog);
         let merged = scan_merged_partials(catalog, &self.config, partitions.max(1));
-        let built = finalize_partials(&merged, &symbols, &self.config);
-        let tables = built.into_iter().map(|ts| (ts.table.clone(), ts)).collect();
-        StatsSnapshot {
-            tables,
-            symbols,
-            config: self.config.clone(),
-            build_time: start.elapsed(),
-            build_id: next_build_id(),
-        }
+        let parts = finalize_partials(&merged, &symbols, &self.config);
+        StatsSnapshot::freeze(parts, symbols, self.config.clone(), start.elapsed())
     }
 }
 

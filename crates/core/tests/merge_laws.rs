@@ -127,6 +127,7 @@ proptest! {
         let single = builder.build(&catalog);
         let sharded = builder.build_partitioned(&catalog, k);
         prop_assert!(single.tables == sharded.tables, "k={k}: finalized tables diverge");
+        prop_assert!(single.pool == sharded.pool, "k={k}: statistics pools diverge");
         prop_assert!(single.symbols == sharded.symbols);
     }
 

@@ -223,7 +223,9 @@ proptest! {
             ],
         );
         let jc: Vec<JoinCol> = vec![(Sym(0), "fk".to_string())];
-        let Some(hist) = build_histogram(&table, "v", &jc, &SafeBoundConfig::test_small()) else {
+        let mut pool = safebound_core::CdsPool::default();
+        let Some(hist) = build_histogram(&table, "v", &jc, &SafeBoundConfig::test_small(), &mut pool)
+        else {
             return Ok(()); // degenerate column: nothing to compare
         };
         for (lo, hi) in &probes {

@@ -109,6 +109,7 @@ fn build_snapshot(db: &Db) -> StatsSnapshot {
 /// Statistics equality that ignores the (intentionally fresh) build id.
 fn same_stats(a: &StatsSnapshot, b: &StatsSnapshot) -> bool {
     a.tables == b.tables
+        && a.pool == b.pool
         && a.symbols == b.symbols
         && param_fingerprint(&a.config) == param_fingerprint(&b.config)
         && a.build_time == b.build_time

@@ -15,7 +15,7 @@
 
 use safebound_core::{
     fdsb_with_scratch, BoundScratch, BoundSession, DegreeSequence, RelationBoundStats, SafeBound,
-    SafeBoundConfig,
+    SafeBoundBuilder, SafeBoundConfig,
 };
 use safebound_query::{parse_sql, BoundPlan, JoinGraph, Query, RelationRef};
 use safebound_storage::{Catalog, Column, DataType, Field, Schema, Table};
@@ -563,5 +563,75 @@ fn shape_miss_at_capacity_allocates_only_what_its_plan_needs() {
         "{per_round} allocations per round of {} shape misses (parent: \
          {PARENT_ALLOCATIONS_PER_ROUND})",
         shapes.len()
+    );
+}
+
+/// A fact table of eight integer columns whose first `join_width` are
+/// foreign keys into `dim`: every fact-side CDS set carries one polyline
+/// per foreign key, while the tables, the filter units (one per column)
+/// and the number of stored sets stay the same for every width.
+fn fact_with_join_width(join_width: usize) -> Catalog {
+    let mut c = Catalog::new();
+    let dim = Table::new(
+        "dim",
+        Schema::new(vec![
+            Field::new("id", DataType::Int),
+            Field::new("w", DataType::Int),
+        ]),
+        vec![
+            Column::from_ints((0..24).map(Some)),
+            Column::from_ints((0..24).map(|i| Some(i % 5))),
+        ],
+    );
+    let rows = 240i64;
+    let names: Vec<String> = (0..8).map(|i| format!("k{i}")).collect();
+    let fact = Table::new(
+        "fact",
+        Schema::new(names.iter().map(|n| Field::new(n, DataType::Int)).collect()),
+        (0..8i64)
+            .map(|i| Column::from_ints((0..rows).map(|r| Some((r * (i + 1) + r / (i + 2)) % 24))))
+            .collect(),
+    );
+    c.add_table(dim);
+    c.add_table(fact);
+    c.declare_primary_key("dim", "id");
+    for name in &names[..join_width] {
+        c.declare_foreign_key("fact", name, "dim", "id");
+    }
+    c
+}
+
+#[test]
+fn snapshot_load_allocations_do_not_grow_with_polylines() {
+    // Every stored polyline's knots decode into the snapshot's one knot
+    // pool, so a load allocates per table, filter unit and index, never
+    // per polyline or per set: doubling every fact-side set's width
+    // (twice the polylines, same sets) must leave the count nearly flat.
+    // With a knot `Vec` per polyline and an entry `Vec` per set, the
+    // count grew by at least one per added polyline.
+    use safebound_core::snapshot_file::{decode_snapshot, encode_snapshot};
+    let mut config = SafeBoundConfig::test_small();
+    config.pk_fk_propagation = false; // keep the unit count fixed
+    let load = |join_width: usize| {
+        let built = SafeBoundBuilder::new(config.clone()).build(&fact_with_join_width(join_width));
+        let bytes = encode_snapshot(&built).unwrap();
+        let before = allocation_count();
+        let loaded = decode_snapshot(&bytes).unwrap();
+        let allocated = allocation_count() - before;
+        assert_eq!(loaded.num_sets(), built.num_sets());
+        (allocated, loaded.num_sets(), loaded.pool.num_entries())
+    };
+    let (narrow, narrow_sets, narrow_polylines) = load(3);
+    let (wide, wide_sets, wide_polylines) = load(6);
+    assert_eq!(narrow_sets, wide_sets, "the fixture must keep its sets");
+    assert!(
+        wide_polylines >= narrow_polylines * 3 / 2,
+        "{narrow_polylines} → {wide_polylines} polylines"
+    );
+    let grown = wide.saturating_sub(narrow);
+    assert!(
+        grown * 10 < wide_polylines - narrow_polylines,
+        "a load allocated {narrow} → {wide} times for {narrow_polylines} → \
+         {wide_polylines} polylines in {wide_sets} sets"
     );
 }

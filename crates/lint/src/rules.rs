@@ -78,6 +78,7 @@ pub const CORE_HOT_FILES: &[&str] = &[
     "crates/core/src/conditioning.rs",
     "crates/core/src/piecewise.rs",
     "crates/core/src/litcache.rs",
+    "crates/core/src/pool.rs",
 ];
 
 /// Modules that own wall-clock time or thread lifecycles; `determinism`

@@ -889,6 +889,7 @@ mod tests {
         mutated.apply_delta(&delta).unwrap();
         let full = SafeBoundBuilder::new(cfg).build(&mutated);
         assert_eq!(sb.snapshot().tables, full.tables);
+        assert_eq!(sb.snapshot().pool, full.pool);
         assert_eq!(source.catalog().table("r").unwrap().num_rows(), 6);
         refresher.stop();
     }

@@ -147,6 +147,7 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
             "{}: sharded statistics diverge from single-pass",
             w.name
         );
+        assert_eq!(single.pool, sharded.pool, "{}", w.name);
         assert_eq!(single.symbols, sharded.symbols, "{}", w.name);
 
         // Delta refresh: append resampled rows to the largest table, then
@@ -171,6 +172,7 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
             "{}: delta-refreshed statistics diverge from full rebuild",
             w.name
         );
+        assert_eq!(refreshed.pool, full.pool, "{}", w.name);
 
         // Bound-level bit-identity across every query in the workload,
         // plus soundness of the delta-refreshed bounds on a subset.
