@@ -346,11 +346,10 @@ fn main() {
         phase_windows(&mut s, &plain_queries)
     };
 
-    // ---- Resolve-phase reference: a scalar-pinned run with the range and
-    // LIKE memos off, measured on this host in this run and recorded next
-    // to the dispatched-SIMD + memoized resolve phase above. ----
-    let scalar_unmemoized_resolve_ns = {
-        safebound_core::simd::override_tier(Some(safebound_core::SimdTier::Scalar));
+    // ---- Resolve-phase reference: a run with the range and LIKE memos
+    // off, measured on this host in this run and recorded next to the
+    // memoized resolve phase above. ----
+    let unmemoized_resolve_ns = {
         let mut s = BoundSession::default()
             .with_literal_capacity(0)
             .with_memo_capacities(4096, 0, 0);
@@ -358,7 +357,6 @@ fn main() {
             sb.bound_with_session(q, &mut s).unwrap(); // warm shapes
         }
         let (ns, _, _) = phase_windows(&mut s, &plain_queries);
-        safebound_core::simd::override_tier(None);
         ns
     };
 
@@ -394,8 +392,8 @@ fn main() {
     );
     let simd_tier = safebound_core::simd_tier().name();
     eprintln!(
-        "resolve: {resolve_ns:.0} ns/q (on-host scalar-unmemoized \
-         {scalar_unmemoized_resolve_ns:.0} ns/q); JOB-LightRanges resolve: repeated \
+        "resolve: {resolve_ns:.0} ns/q (on-host unmemoized \
+         {unmemoized_resolve_ns:.0} ns/q); JOB-LightRanges resolve: repeated \
          {repeated_range_resolve_ns:.0} ns/q vs fresh {fresh_range_resolve_ns:.0} ns/q ({repeated_range_speedup:.2}×); \
          simd_tier={simd_tier}"
     );
@@ -663,7 +661,7 @@ fn main() {
         memo_stats.like_memo_evictions,
     );
     let json = format!(
-        "{{\n  \"workload\": \"JOB-light (IMDB scale {scale_name}, seed 1)\",\n  \"queries\": {},\n  \"simd_tier\": \"{simd_tier}\",\n  \"offline\": {{\n    \"stats_build_seconds\": {:.3},\n    \"stats_bytes\": {},\n    \"cds_sets\": {},\n    \"build_shards\": {shards},\n    \"sharded_build_ms\": {sharded_build_ms:.1},\n    \"full_rebuild_ms\": {full_rebuild_ms:.1},\n    \"incremental_refresh_ms\": {incremental_refresh_ms:.2},\n    \"incremental_refresh_speedup\": {incremental_refresh_speedup:.2},\n    \"snapshot_save_ms\": {snapshot_save_ms:.2},\n    \"snapshot_load_ms\": {snapshot_load_ms:.2},\n    \"snapshot_file_bytes\": {snapshot_file_bytes},\n    \"snapshot_load_speedup\": {snapshot_load_speedup:.2}\n  }},\n  \"kernel\": {{\n    \"safebound_sweep_ns_per_query\": {:.1},\n    \"safebound_reference_ns_per_query\": {:.1},\n    \"sweep_speedup\": {:.2}\n  }},\n  \"end_to_end\": {{\n    \"safebound_bound_cold_ns_per_query\": {:.1},\n    \"safebound_bound_cached_ns_per_query\": {:.1},\n    \"shape_cache_speedup\": {:.2},\n    \"repeated_literal_ns_per_query\": {repeated_literal_ns_per_query:.1},\n    \"repeated_literal_speedup\": {repeated_literal_speedup:.2},\n    \"phase_ns_per_query\": {{\"resolve\": {resolve_ns:.1}, \"assemble\": {assemble_ns:.1}, \"kernel\": {kernel_phase_ns:.1}}},\n    \"on_host_scalar_unmemoized_ns\": {scalar_unmemoized_resolve_ns:.1},\n    \"repeated_range_resolve\": {{\"repeated_ns\": {repeated_range_resolve_ns:.1}, \"fresh_ns\": {fresh_range_resolve_ns:.1}, \"speedup\": {repeated_range_speedup:.2}}},\n    \"range_workload_memo\": {memo_json},\n    \"postgres_estimate_ns_per_query\": {:.1},\n    \"simplicity_estimate_ns_per_query\": {:.1}\n  }},\n  \"serving\": {{\n    \"hardware_threads\": {hw_threads},\n    \"request_dispatch_1_worker_qps\": {:.0},\n    \"batched_qps_by_workers\": {{\"1\": {:.0}, \"2\": {:.0}, \"4\": {:.0}, \"8\": {:.0}}},\n    \"batched_4w_vs_request_1w\": {batched_4w_vs_request_1w:.2},\n    \"batched_4w_vs_batched_1w\": {batched_4w_vs_batched_1w:.2},\n    \"batched_4w_repeated_qps\": {batched_4w_repeated_qps:.0},\n    \"batch_dedup_hits\": {batch_dedup_hits},\n    \"batched_4w_under_refresh_qps\": {refresh_qps:.0},\n    \"refresh_swaps_during_window\": {refresh_swaps},\n    \"refresh_window_seconds\": {refresh_window_secs:.2},\n    \"qps_under_injected_latency\": {qps_under_injected_latency},\n    \"hardware_scaling_gate\": \"{scaling_gate}\"\n  }}\n}}\n",
+        "{{\n  \"workload\": \"JOB-light (IMDB scale {scale_name}, seed 1)\",\n  \"queries\": {},\n  \"simd_tier\": \"{simd_tier}\",\n  \"offline\": {{\n    \"stats_build_seconds\": {:.3},\n    \"stats_bytes\": {},\n    \"cds_sets\": {},\n    \"build_shards\": {shards},\n    \"sharded_build_ms\": {sharded_build_ms:.1},\n    \"full_rebuild_ms\": {full_rebuild_ms:.1},\n    \"incremental_refresh_ms\": {incremental_refresh_ms:.2},\n    \"incremental_refresh_speedup\": {incremental_refresh_speedup:.2},\n    \"snapshot_save_ms\": {snapshot_save_ms:.2},\n    \"snapshot_load_ms\": {snapshot_load_ms:.2},\n    \"snapshot_file_bytes\": {snapshot_file_bytes},\n    \"snapshot_load_speedup\": {snapshot_load_speedup:.2}\n  }},\n  \"kernel\": {{\n    \"safebound_sweep_ns_per_query\": {:.1},\n    \"safebound_reference_ns_per_query\": {:.1},\n    \"sweep_speedup\": {:.2}\n  }},\n  \"end_to_end\": {{\n    \"safebound_bound_cold_ns_per_query\": {:.1},\n    \"safebound_bound_cached_ns_per_query\": {:.1},\n    \"shape_cache_speedup\": {:.2},\n    \"repeated_literal_ns_per_query\": {repeated_literal_ns_per_query:.1},\n    \"repeated_literal_speedup\": {repeated_literal_speedup:.2},\n    \"phase_ns_per_query\": {{\"resolve\": {resolve_ns:.1}, \"assemble\": {assemble_ns:.1}, \"kernel\": {kernel_phase_ns:.1}}},\n    \"on_host_scalar_unmemoized_ns\": {unmemoized_resolve_ns:.1},\n    \"repeated_range_resolve\": {{\"repeated_ns\": {repeated_range_resolve_ns:.1}, \"fresh_ns\": {fresh_range_resolve_ns:.1}, \"speedup\": {repeated_range_speedup:.2}}},\n    \"range_workload_memo\": {memo_json},\n    \"postgres_estimate_ns_per_query\": {:.1},\n    \"simplicity_estimate_ns_per_query\": {:.1}\n  }},\n  \"serving\": {{\n    \"hardware_threads\": {hw_threads},\n    \"request_dispatch_1_worker_qps\": {:.0},\n    \"batched_qps_by_workers\": {{\"1\": {:.0}, \"2\": {:.0}, \"4\": {:.0}, \"8\": {:.0}}},\n    \"batched_4w_vs_request_1w\": {batched_4w_vs_request_1w:.2},\n    \"batched_4w_vs_batched_1w\": {batched_4w_vs_batched_1w:.2},\n    \"batched_4w_repeated_qps\": {batched_4w_repeated_qps:.0},\n    \"batch_dedup_hits\": {batch_dedup_hits},\n    \"batched_4w_under_refresh_qps\": {refresh_qps:.0},\n    \"refresh_swaps_during_window\": {refresh_swaps},\n    \"refresh_window_seconds\": {refresh_window_secs:.2},\n    \"qps_under_injected_latency\": {qps_under_injected_latency},\n    \"hardware_scaling_gate\": \"{scaling_gate}\"\n  }}\n}}\n",
         queries.len(),
         build_secs,
         stats_bytes,

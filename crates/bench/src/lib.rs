@@ -6,8 +6,6 @@
 //! paper-vs-measured record and `DESIGN.md` §3 for the experiment index.
 
 #![warn(missing_docs)]
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `safebound-core`'s `simd` module; everything else forbids it outright.
 #![forbid(unsafe_code)]
 
 pub mod figures;

@@ -9,8 +9,6 @@
 //! its RNG seed from its own name, so failures are reproducible run to
 //! run.
 
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `safebound-core`'s `simd` module; the compat shims forbid it outright.
 #![forbid(unsafe_code)]
 
 /// Deterministic generator (SplitMix64) used to drive strategies.

@@ -6,8 +6,6 @@
 //! generated with this shim is stable across runs of this repository, not
 //! bit-identical to data generated with upstream `rand`.
 
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `safebound-core`'s `simd` module; the compat shims forbid it outright.
 #![forbid(unsafe_code)]
 
 /// Seedable random number generators.

@@ -182,11 +182,10 @@ impl BoundScratch {
     }
 }
 
-/// `∫ f dx` over raw segments, through the lane-parallel reduction (every
-/// dispatch tier replays the same four-accumulator combine tree, so the
-/// total is bit-identical across tiers — see [`crate::simd::reduce`]).
+/// `∫ f dx` over raw segments, through the fixed four-accumulator combine
+/// tree of [`crate::simd::reduce::weighted_total`].
 fn total_of(segs: &[(f64, f64)]) -> f64 {
-    crate::simd::reduce::weighted_total(segs, crate::simd::tier())
+    crate::simd::reduce::weighted_total(segs)
 }
 
 /// Evaluate the FDSB of a plan. Returns a guaranteed upper bound on the

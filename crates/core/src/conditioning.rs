@@ -892,7 +892,6 @@ impl HistogramStats {
                     &index.counts,
                     probe,
                     &mut idxs[..self.levels.len()],
-                    crate::simd::tier(),
                 );
                 for (level, &idx) in self.levels.iter().zip(idxs.iter()) {
                     if let Some(b) = level.check_covering(idx as usize, lo, hi) {

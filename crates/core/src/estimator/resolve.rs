@@ -511,7 +511,7 @@ fn memo_like(
 /// [`Resolved::Resident`] — zero copies. Only combining nodes
 /// (`In`/`And`/`Or` with more than one resolving child) materialize into
 /// `out`; on [`Resolved::Owned`], `out` holds the answer. The accumulated
-/// values are identical either way, so cross-tier bit-identity holds.
+/// values are identical either way, so both paths give bit-identical bounds.
 #[allow(clippy::too_many_arguments)]
 fn resolve_slots<'a>(
     stats_at: &impl Fn(u32) -> &'a FilterColumnStats,

@@ -55,11 +55,7 @@
 //! ```
 
 #![warn(missing_docs)]
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `core::simd`; inside their `unsafe fn`s every unsafe operation must
-// still be an explicit block with its own `SAFETY:` argument
-// (machine-checked by `safebound-lint`'s `safety-comment` rule).
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod bloom;
 pub mod bound;
@@ -93,7 +89,7 @@ pub use incremental::IncrementalBuilder;
 pub use partial::{partition_ranges, FilterUnitPartial, JoinKey, PartialTableStats, TableScanPlan};
 pub use piecewise::{PiecewiseConstant, PiecewiseLinear, PwlView};
 pub use pool::{CdsPool, CdsView, SetRange};
-pub use simd::{tier as simd_tier, SimdTier};
+pub use simd::tier as simd_tier;
 pub use snapshot_file::{
     load_snapshot, read_header, save_snapshot, SnapshotFileError, SnapshotHeader,
 };

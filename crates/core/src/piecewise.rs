@@ -212,8 +212,7 @@ pub const HEAP_FAN_IN: usize = 8;
 /// per-event reduction instead of the 8-wide lane kernel: filling (and
 /// reducing) mostly-padding lanes costs more than it saves until the
 /// fan-in approaches the lane count. The cutover depends only on the
-/// fan-in — never on the dispatch tier — so sweep output stays
-/// bit-identical across tiers.
+/// fan-in, so each fan-in has one fixed association order.
 const SEQ_FAN_IN: usize = 4;
 
 /// Reusable cursor/heap storage for the k-way piecewise-constant sweeps.
@@ -432,9 +431,8 @@ fn sweep_impl<const BOUNDED: bool>(
         // Narrow linear path: O(K·m) sequential min-scan, product
         // recomputed per event (no incremental drift). At fan-in ≤ 4 the
         // lane kernel's fixed 8-wide array fill costs more than the
-        // reduction it saves, so every tier runs this plain loop. The
-        // path choice depends only on `k`, never on the dispatch tier,
-        // so results stay bit-identical across tiers.
+        // reduction it saves. The path choice depends only on `k`, so
+        // each fan-in has one fixed association order.
         loop {
             let mut edge = f64::INFINITY;
             let mut value = 1.0f64;
@@ -458,11 +456,9 @@ fn sweep_impl<const BOUNDED: bool>(
         }
     } else {
         // Wide linear path (5..=8 inputs): the per-event reduction runs
-        // through the fixed-shape lane kernel. Unused lanes carry the
-        // exact identities (+∞ for min, 1.0 for product), and every
-        // dispatch tier replays the same reduction tree, so results are
-        // bit-identical across tiers (see `simd::reduce`).
-        let tier = crate::simd::tier();
+        // through the fixed-tree lane kernel. Unused lanes carry the
+        // exact identities (+∞ for min, 1.0 for product), so padding
+        // never changes a result (see `simd::reduce`).
         debug_assert!(k <= EVENT_LANES);
         loop {
             let mut edges = [f64::INFINITY; EVENT_LANES];
@@ -472,7 +468,7 @@ fn sweep_impl<const BOUNDED: bool>(
                 edges[l] = e;
                 values[l] = v;
             }
-            let (edge, value) = event_min_prod(&edges, &values, tier);
+            let (edge, value) = event_min_prod(&edges, &values);
             if edge >= support - EPS {
                 emit!(support, value);
                 return true;

@@ -9,8 +9,8 @@
 //! independent streams: the kernels below keep 2 or 4 accumulators live in
 //! one pass so the out-of-order core overlaps the multiply chains. The
 //! per-stream math is byte-for-byte identical to the serial
-//! implementations in `litcache.rs`/`bloom.rs`, so no tier dispatch is
-//! needed — the result is bit-identical by construction on every host.
+//! implementations in `litcache.rs`/`bloom.rs`, so the result is
+//! bit-identical by construction on every host.
 //!
 //! Bulk checksums take the same idea inside one hash: [`xxh64`] keeps four
 //! independent lanes over 32-byte stripes and consumes a 64-bit word per

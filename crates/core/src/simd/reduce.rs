@@ -1,31 +1,26 @@
-//! Lane-parallel min / product / weighted-sum reductions for the
-//! sweep-line kernel.
+//! Fixed-tree min / product / weighted-sum reductions for the sweep-line
+//! kernel.
 //!
 //! Floating-point reductions are only bit-stable under a **fixed
 //! association order**, so each kernel here defines one lane layout and
-//! combine tree and implements it identically on every tier; the scalar
-//! mirror replays the exact same tree. Two deliberate choices keep the
-//! tiers in lockstep:
+//! combine tree, and that tree is part of its contract: reassociating it
+//! would move the bits of every bound. Two rules keep it exact:
 //!
-//! * `min` is *compare-and-select* (`if a < b { a } else { b }`) on every
-//!   tier — never `vminq_f64`/`_mm_min_pd` semantics differences — so
-//!   `-0.0` ties and NaN propagation resolve the same way everywhere.
-//! * No FMA: multiplies and adds round separately, exactly as the scalar
-//!   mirror does.
+//! * `min` is *compare-and-select* (`if a < b { a } else { b }`), never
+//!   `f64::min`, so `-0.0` ties and NaN propagation resolve one way.
+//! * No FMA: multiplies and adds round separately.
 //!
 //! Padding identities are exact (`min(x, +∞) = x`, `x × 1.0 = x`,
 //! `acc + 0.0 = acc` for the finite non-negative inputs the sweep
-//! produces), so callers pad fixed-width lane arrays without affecting
-//! results.
-
-use super::SimdTier;
+//! produces), so callers pad fixed-width lane arrays — edges with `+∞`,
+//! values with `1.0` — without affecting results.
 
 /// Lane width of [`event_min_prod`] inputs (the sweep's linear-path
 /// fan-in cap).
 pub const EVENT_LANES: usize = 8;
 
-/// Compare-and-select minimum — the single `min` definition every tier
-/// implements (`a` wins strict-less ties; NaN in `b` propagates).
+/// Compare-and-select minimum (`a` wins strict-less ties; NaN in `b`
+/// propagates).
 #[inline]
 fn sel_min(a: f64, b: f64) -> f64 {
     if a < b {
@@ -43,27 +38,7 @@ fn sel_min(a: f64, b: f64) -> f64 {
 /// Callers with fewer than 8 live lanes pad `edges` with `+∞` and
 /// `values` with `1.0`.
 #[inline]
-pub fn event_min_prod(edges: &[f64; 8], values: &[f64; 8], tier: SimdTier) -> (f64, f64) {
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `tier` is `Avx2` only when runtime detection (or the
-        // test seam) established AVX2 support; the `&[f64; 8]` borrows
-        // satisfy the kernel's fixed 8-lane loads.
-        SimdTier::Avx2 => unsafe { x86::event_min_prod_avx2(edges, values) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86-64 baseline, so the target
-        // feature is always available on this arch.
-        SimdTier::Sse2 => unsafe { x86::event_min_prod_sse2(edges, values) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON (ASIMD) is architecturally guaranteed on AArch64.
-        SimdTier::Neon => unsafe { neon::event_min_prod_neon(edges, values) },
-        _ => event_min_prod_scalar(edges, values),
-    }
-}
-
-/// Scalar mirror of [`event_min_prod`]: the reference association order.
-#[inline]
-pub fn event_min_prod_scalar(edges: &[f64; 8], values: &[f64; 8]) -> (f64, f64) {
+pub fn event_min_prod(edges: &[f64; 8], values: &[f64; 8]) -> (f64, f64) {
     let m = [
         sel_min(edges[0], edges[4]),
         sel_min(edges[1], edges[5]),
@@ -88,23 +63,7 @@ pub fn event_min_prod_scalar(edges: &[f64; 8], values: &[f64; 8]) -> (f64, f64) 
 /// `(a0+a1)+(a2+a3)`, with the `len % 4` tail folded in sequentially
 /// afterwards.
 #[inline]
-pub fn weighted_total(segs: &[(f64, f64)], tier: SimdTier) -> f64 {
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `tier` is `Avx2` only when runtime detection (or the
-        // test seam) established AVX2 support; the kernel reads `segs`
-        // through ordinary slice indexing.
-        SimdTier::Avx2 => unsafe { x86::weighted_total_avx2(segs) },
-        _ => weighted_total_scalar(segs),
-    }
-}
-
-/// Scalar mirror of [`weighted_total`]: identical lane layout and combine
-/// tree (also the SSE2/NEON implementation — with only two 64-bit lanes
-/// per register the shuffle overhead outweighs the arithmetic, so those
-/// tiers share the mirror and bit-identity is free).
-#[inline]
-pub fn weighted_total_scalar(segs: &[(f64, f64)]) -> f64 {
+pub fn weighted_total(segs: &[(f64, f64)]) -> f64 {
     let chunks = segs.len() / 4;
     let mut acc = [0.0f64; 4];
     let mut prev = 0.0f64;
@@ -123,185 +82,20 @@ pub fn weighted_total_scalar(segs: &[(f64, f64)]) -> f64 {
     total
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn event_min_prod_avx2(edges: &[f64; 8], values: &[f64; 8]) -> (f64, f64) {
-        // SAFETY: the `&[f64; 8]` borrows guarantee 8 readable lanes
-        // behind `as_ptr()` (unaligned loads at +0 and +4 stay in
-        // bounds), the stores target local `[f64; 4]` buffers, and the
-        // dispatcher only routes here after establishing AVX2.
-        unsafe {
-            let e_lo = _mm256_loadu_pd(edges.as_ptr());
-            let e_hi = _mm256_loadu_pd(edges.as_ptr().add(4));
-            // Compare-and-select min: take the low lane exactly when it is
-            // strictly less (ordered), matching `sel_min`.
-            let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(e_lo, e_hi);
-            let m = _mm256_blendv_pd(e_hi, e_lo, lt);
-            let v_lo = _mm256_loadu_pd(values.as_ptr());
-            let v_hi = _mm256_loadu_pd(values.as_ptr().add(4));
-            let p = _mm256_mul_pd(v_lo, v_hi);
-            let mut mb = [0.0f64; 4];
-            let mut pb = [0.0f64; 4];
-            _mm256_storeu_pd(mb.as_mut_ptr(), m);
-            _mm256_storeu_pd(pb.as_mut_ptr(), p);
-            let m01 = if mb[0] < mb[1] { mb[0] } else { mb[1] };
-            let m23 = if mb[2] < mb[3] { mb[2] } else { mb[3] };
-            (
-                if m01 < m23 { m01 } else { m23 },
-                (pb[0] * pb[1]) * (pb[2] * pb[3]),
-            )
-        }
-    }
-
-    /// # Safety
-    /// SSE2 is part of the x86-64 baseline; always available.
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn event_min_prod_sse2(edges: &[f64; 8], values: &[f64; 8]) -> (f64, f64) {
-        // Two 128-bit halves per operand; select via and/andnot/or since
-        // SSE2 predates blendv.
-        let mut mb = [0.0f64; 4];
-        let mut pb = [0.0f64; 4];
-        for half in 0..2 {
-            // SAFETY: `half * 2` and `4 + half * 2` index at most lane 6
-            // of the 8-lane input borrows, so every 2-lane unaligned
-            // load/store stays in bounds; SSE2 is baseline on x86-64.
-            unsafe {
-                let e_lo = _mm_loadu_pd(edges.as_ptr().add(half * 2));
-                let e_hi = _mm_loadu_pd(edges.as_ptr().add(4 + half * 2));
-                let lt = _mm_cmplt_pd(e_lo, e_hi);
-                let m = _mm_or_pd(_mm_and_pd(lt, e_lo), _mm_andnot_pd(lt, e_hi));
-                let v_lo = _mm_loadu_pd(values.as_ptr().add(half * 2));
-                let v_hi = _mm_loadu_pd(values.as_ptr().add(4 + half * 2));
-                let p = _mm_mul_pd(v_lo, v_hi);
-                _mm_storeu_pd(mb.as_mut_ptr().add(half * 2), m);
-                _mm_storeu_pd(pb.as_mut_ptr().add(half * 2), p);
-            }
-        }
-        let m01 = if mb[0] < mb[1] { mb[0] } else { mb[1] };
-        let m23 = if mb[2] < mb[3] { mb[2] } else { mb[3] };
-        (
-            if m01 < m23 { m01 } else { m23 },
-            (pb[0] * pb[1]) * (pb[2] * pb[3]),
-        )
-    }
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn weighted_total_avx2(segs: &[(f64, f64)]) -> f64 {
-        let chunks = segs.len() / 4;
-        let mut acc = _mm256_setzero_pd();
-        let mut prev = 0.0f64;
-        for chunk in segs[..chunks * 4].chunks_exact(4) {
-            // `(f64, f64)` has no guaranteed layout, so build the vectors
-            // from scalar field loads rather than transmuting the slice.
-            let edges = _mm256_set_pd(chunk[3].0, chunk[2].0, chunk[1].0, chunk[0].0);
-            let prevs = _mm256_set_pd(chunk[2].0, chunk[1].0, chunk[0].0, prev);
-            let values = _mm256_set_pd(chunk[3].1, chunk[2].1, chunk[1].1, chunk[0].1);
-            // Separate mul + add (no FMA) to match the scalar mirror.
-            let widths = _mm256_sub_pd(edges, prevs);
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(widths, values));
-            prev = chunk[3].0;
-        }
-        let mut lanes = [0.0f64; 4];
-        // SAFETY: the unaligned store writes exactly 4 lanes into the
-        // local `[f64; 4]`; AVX2 was established by the dispatcher.
-        unsafe { _mm256_storeu_pd(lanes.as_mut_ptr(), acc) };
-        let mut total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-        for &(edge, value) in &segs[chunks * 4..] {
-            total += (edge - prev) * value;
-            prev = edge;
-        }
-        total
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::*;
-
-    /// # Safety
-    /// NEON is architecturally guaranteed on AArch64.
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn event_min_prod_neon(edges: &[f64; 8], values: &[f64; 8]) -> (f64, f64) {
-        // Compare-and-select (vbsl on the vclt mask), NOT vminq_f64 — the
-        // latter's NaN/−0.0 semantics differ from `sel_min`.
-        let mut mb = [0.0f64; 4];
-        let mut pb = [0.0f64; 4];
-        for half in 0..2 {
-            // SAFETY: `half * 2` and `4 + half * 2` index at most lane 6
-            // of the 8-lane input borrows, so every 2-lane load/store
-            // stays in bounds; NEON is architecturally guaranteed on
-            // AArch64.
-            unsafe {
-                let e_lo = vld1q_f64(edges.as_ptr().add(half * 2));
-                let e_hi = vld1q_f64(edges.as_ptr().add(4 + half * 2));
-                let lt = vcltq_f64(e_lo, e_hi);
-                let m = vbslq_f64(lt, e_lo, e_hi);
-                let v_lo = vld1q_f64(values.as_ptr().add(half * 2));
-                let v_hi = vld1q_f64(values.as_ptr().add(4 + half * 2));
-                let p = vmulq_f64(v_lo, v_hi);
-                vst1q_f64(mb.as_mut_ptr().add(half * 2), m);
-                vst1q_f64(pb.as_mut_ptr().add(half * 2), p);
-            }
-        }
-        let m01 = if mb[0] < mb[1] { mb[0] } else { mb[1] };
-        let m23 = if mb[2] < mb[3] { mb[2] } else { mb[3] };
-        (
-            if m01 < m23 { m01 } else { m23 },
-            (pb[0] * pb[1]) * (pb[2] * pb[3]),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::available_tiers;
 
     #[test]
     fn event_min_prod_padding_identities() {
         // 3 live lanes padded to 8: min over live edges, product over live
-        // values, regardless of tier.
+        // values.
         let mut edges = [f64::INFINITY; 8];
         let mut values = [1.0f64; 8];
         edges[..3].copy_from_slice(&[4.0, 2.5, 9.0]);
         values[..3].copy_from_slice(&[0.5, 3.0, 2.0]);
-        for tier in available_tiers() {
-            let (e, p) = event_min_prod(&edges, &values, tier);
-            assert_eq!(e.to_bits(), 2.5f64.to_bits(), "{tier:?}");
-            assert_eq!(p.to_bits(), 3.0f64.to_bits(), "{tier:?}");
-        }
-    }
-
-    #[test]
-    fn event_min_prod_tiers_match_scalar_bitwise() {
-        let edges = [1.5, -0.0, 0.0, 7.25, 1.5, 3.0, -2.0, f64::INFINITY];
-        let values = [0.1, 2.0, 0.0, 5.5, 1.0e300, 1.0e-300, 4.0, 1.0];
-        let (se, sp) = event_min_prod_scalar(&edges, &values);
-        for tier in available_tiers() {
-            let (e, p) = event_min_prod(&edges, &values, tier);
-            assert_eq!(e.to_bits(), se.to_bits(), "{tier:?}");
-            assert_eq!(p.to_bits(), sp.to_bits(), "{tier:?}");
-        }
-    }
-
-    #[test]
-    fn weighted_total_tiers_match_scalar_bitwise() {
-        let segs: Vec<(f64, f64)> = (1..23)
-            .map(|i| (i as f64 * 0.7, (i % 5) as f64 * 1.31))
-            .collect();
-        for len in [0, 1, 3, 4, 5, 8, 11, segs.len()] {
-            let expect = weighted_total_scalar(&segs[..len]);
-            for tier in available_tiers() {
-                let got = weighted_total(&segs[..len], tier);
-                assert_eq!(got.to_bits(), expect.to_bits(), "{tier:?} len={len}");
-            }
-        }
+        let (e, p) = event_min_prod(&edges, &values);
+        assert_eq!(e.to_bits(), 2.5f64.to_bits());
+        assert_eq!(p.to_bits(), 3.0f64.to_bits());
     }
 }

@@ -3,28 +3,19 @@
 //! A range predicate walks every histogram level running
 //! `partition_point(|b| b <= lo)` on that level's bucket boundaries. The
 //! boundaries are `Value`s, but when every boundary **and** the probe are
-//! exactly representable as `f64` (see [`order_key_of`] /
+//! exactly representable as `f64` (see [`order_key`] /
 //! [`int_is_order_exact`]), the walk collapses to integer comparisons on a
 //! monotone 64-bit **order key** — `f64` bits mapped so that signed `i64`
-//! comparison matches `f64::total_cmp`. That unlocks two things:
-//!
-//! * a **branchless** binary search whose iteration count depends only on
-//!   the (padded) row width, so every row takes the same number of steps;
-//! * searching **4 rows per pass** on AVX2 with 64-bit gathers, one lane
-//!   per level.
+//! comparison matches `f64::total_cmp`. That allows a **branchless**
+//! binary search whose iteration count depends only on the (padded) row
+//! width, so every row takes the same number of steps.
 //!
 //! Rows are padded with `i64::MAX`. A probe can legitimately equal
 //! `i64::MAX` (a positive NaN with an all-ones payload), in which case
 //! padding compares `<=` and the raw result can overrun the row — callers
 //! of the row primitives clamp to the real row length, exactly matching
-//! `partition_point`'s `<= len` contract.
-//!
-//! SSE2 lacks 64-bit signed compares and NEON lacks gathers, so those
-//! tiers share the scalar branchless mirror (bit-identity for free — the
-//! kernel is integer-exact, so only the AVX2 lane layout needs the
-//! lockstep argument above).
-
-use super::SimdTier;
+//! `partition_point`'s `<= len` contract. The kernels are integer-exact,
+//! so no association order is involved.
 
 /// Maps `f64` bits to an `i64` whose signed order equals
 /// [`f64::total_cmp`]: flip the sign bit's weight for non-negative values
@@ -71,10 +62,6 @@ pub fn upper_bound_branchless(row: &[i64], probe: i64) -> usize {
 /// level-major key matrix (each row padded to `stride` with `i64::MAX`),
 /// written to `out[..n_rows]` clamped to `counts[r]` (the row's real
 /// element count). Rows beyond the counts' coverage are not touched.
-///
-/// AVX2 searches 4 rows per pass with 64-bit gathers; every other tier
-/// runs the scalar mirror. Both produce the identical indices because the
-/// kernel is integer-exact.
 #[inline]
 pub fn batched_upper_bound(
     keys: &[i64],
@@ -82,113 +69,18 @@ pub fn batched_upper_bound(
     counts: &[u32],
     probe: i64,
     out: &mut [u32],
-    tier: SimdTier,
 ) {
     debug_assert!(stride > 0 && keys.len() == stride * counts.len());
     debug_assert!(out.len() >= counts.len());
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `tier` is `Avx2` only when runtime detection (or the
-        // test seam) established AVX2 support, and the debug-asserted
-        // `keys.len() == stride * counts.len()` / `out.len() >=
-        // counts.len()` contract above is exactly what the kernel's
-        // gathers and stores index within.
-        SimdTier::Avx2 => unsafe {
-            x86::batched_upper_bound_avx2(keys, stride, counts, probe, out)
-        },
-        _ => batched_upper_bound_scalar(keys, stride, counts, probe, out),
-    }
-}
-
-/// Scalar mirror of [`batched_upper_bound`].
-#[inline]
-pub fn batched_upper_bound_scalar(
-    keys: &[i64],
-    stride: usize,
-    counts: &[u32],
-    probe: i64,
-    out: &mut [u32],
-) {
     for (r, &count) in counts.iter().enumerate() {
         let row = &keys[r * stride..(r + 1) * stride];
         out[r] = (upper_bound_branchless(row, probe) as u32).min(count);
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available; `keys` must hold
-    /// `stride * counts.len()` elements (debug-asserted by the caller).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn batched_upper_bound_avx2(
-        keys: &[i64],
-        stride: usize,
-        counts: &[u32],
-        probe: i64,
-        out: &mut [u32],
-    ) {
-        let n_rows = counts.len();
-        // SAFETY: AVX2 was established by the dispatcher. Every gather
-        // index stays in bounds of `keys` (length `stride * n_rows`, per
-        // the caller's debug-asserted contract): lane `l` of `off` starts
-        // at `(r + l) * stride` and the binary search advances it by at
-        // most `stride - 1` within its own row, so `off + half - 1` and
-        // the final `off` both index `< (r + l + 1) * stride <= keys.len()`.
-        // The store targets a local `[i64; 4]`.
-        unsafe {
-            let probe_v = _mm256_set1_epi64x(probe);
-            let mut r = 0usize;
-            while r + 4 <= n_rows {
-                // Lane l searches row r+l; `off` tracks each lane's absolute
-                // cursor into `keys` (row start + in-row base).
-                let mut off = _mm256_set_epi64x(
-                    ((r + 3) * stride) as i64,
-                    ((r + 2) * stride) as i64,
-                    ((r + 1) * stride) as i64,
-                    (r * stride) as i64,
-                );
-                let mut len = stride;
-                while len > 1 {
-                    let half = len / 2;
-                    let idx = _mm256_add_epi64(off, _mm256_set1_epi64x(half as i64 - 1));
-                    let mid = _mm256_i64gather_epi64::<8>(keys.as_ptr(), idx);
-                    // Advance a lane by `half` exactly when mid <= probe,
-                    // i.e. NOT (mid > probe).
-                    let gt = _mm256_cmpgt_epi64(mid, probe_v);
-                    let adv = _mm256_andnot_si256(gt, _mm256_set1_epi64x(half as i64));
-                    off = _mm256_add_epi64(off, adv);
-                    len -= half;
-                }
-                // Final element test: lanes where row[base] <= probe get +1
-                // (the `<=` mask is all-ones = -1, so subtract it).
-                let last = _mm256_i64gather_epi64::<8>(keys.as_ptr(), off);
-                let gt = _mm256_cmpgt_epi64(last, probe_v);
-                let le = _mm256_andnot_si256(gt, _mm256_set1_epi64x(-1));
-                let res = _mm256_sub_epi64(off, le);
-                let mut lanes = [0i64; 4];
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), res);
-                for l in 0..4 {
-                    let idx = lanes[l] as usize - (r + l) * stride;
-                    out[r + l] = (idx as u32).min(counts[r + l]);
-                }
-                r += 4;
-            }
-            // Remaining rows: scalar mirror (identical branchless loop).
-            for rr in r..n_rows {
-                let row = &keys[rr * stride..(rr + 1) * stride];
-                out[rr] = (super::upper_bound_branchless(row, probe) as u32).min(counts[rr]);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simd::available_tiers;
 
     #[test]
     fn order_key_matches_total_cmp() {
@@ -237,7 +129,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_tiers_match_scalar() {
+    fn batched_matches_partition_point() {
         // 6 rows, stride 7, varying real counts padded with i64::MAX.
         let stride = 7usize;
         let counts: Vec<u32> = vec![7, 5, 1, 6, 3, 7];
@@ -252,12 +144,12 @@ mod tests {
             }
         }
         for probe in [-10, -5, -4, 0, 3, 7, 100, i64::MAX] {
-            let mut expect = vec![0u32; counts.len()];
-            batched_upper_bound_scalar(&keys, stride, &counts, probe, &mut expect);
-            for tier in available_tiers() {
-                let mut got = vec![0u32; counts.len()];
-                batched_upper_bound(&keys, stride, &counts, probe, &mut got, tier);
-                assert_eq!(got, expect, "{tier:?} probe {probe}");
+            let mut got = vec![0u32; counts.len()];
+            batched_upper_bound(&keys, stride, &counts, probe, &mut got);
+            for (r, &c) in counts.iter().enumerate() {
+                let row = &keys[r * stride..r * stride + c as usize];
+                let expect = row.partition_point(|&k| k <= probe) as u32;
+                assert_eq!(got[r], expect, "row {r} probe {probe}");
             }
         }
     }

@@ -1,91 +1,30 @@
-//! Cross-tier bit-identity of the dispatched SIMD kernels (PR 8).
+//! Reference checks of the `core::simd` kernels.
 //!
-//! Every kernel in `core::simd` ships a scalar mirror that replays the
-//! vector algorithm's exact lane layout and association order; the
-//! dispatch contract is that every tier the host can execute produces
-//! **bit-identical** results. These properties drive each kernel with
-//! adversarial inputs — negative zero, infinities, integers beyond 2^53,
-//! empty and degenerate shapes — and compare every available tier against
-//! the scalar mirror bit for bit. The end-to-end counterpart (full bound
-//! computation, dispatched vs forced-scalar) lives in `simd_soundness.rs`.
+//! Each property drives a kernel with adversarial inputs — negative zero,
+//! infinities, integers beyond 2^53, empty and degenerate shapes — and
+//! compares it with an independent reference: `partition_point` for the
+//! batched search, `f64::total_cmp` for the order key, the serial FNV
+//! recurrence for the multi-stream hashes, the direct Bloom probe for the
+//! pre-hashed one, and the scalar hierarchy walk for the histogram range
+//! lookup. The end-to-end check that no bound falls below the exact count
+//! is `tests/soundness.rs`'s `workload_soundness_sweep`.
 
 use proptest::prelude::*;
 use safebound_core::bloom::BloomFilter;
 use safebound_core::conditioning::{build_histogram, JoinCol};
 use safebound_core::simd::hash::{fnv1a, fnv1a_pair, fnv1a_seeded, fnv1a_x4};
-use safebound_core::simd::reduce::{
-    event_min_prod, event_min_prod_scalar, weighted_total, weighted_total_scalar,
-};
-use safebound_core::simd::search::{
-    batched_upper_bound, batched_upper_bound_scalar, int_is_order_exact, order_key,
-};
-use safebound_core::simd::{available_tiers, SimdTier};
+use safebound_core::simd::search::{batched_upper_bound, int_is_order_exact, order_key};
 use safebound_core::symbol::Sym;
 use safebound_core::SafeBoundConfig;
 use safebound_storage::{Column, DataType, Field, Schema, Table, Value};
 
-/// Every tier except the scalar mirror itself (the comparison baseline).
-fn vector_tiers() -> Vec<SimdTier> {
-    available_tiers()
-        .into_iter()
-        .filter(|&t| t != SimdTier::Scalar)
-        .collect()
-}
-
-/// Sweep edges: finite magnitudes of both signs, the signed zeros, and
-/// the `+∞` lane padding the sweep uses for exhausted cursors.
-fn edge_strategy() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        5 => -1e12f64..1e12,
-        1 => Just(0.0),
-        1 => Just(-0.0),
-        1 => Just(f64::INFINITY),
-        1 => Just(1e-320), // subnormal
-    ]
-}
-
-/// Sweep values: probability-like factors plus the `1.0` lane padding.
-fn value_strategy() -> impl Strategy<Value = f64> {
-    prop_oneof![
-        5 => 0.0f64..1e6,
-        1 => Just(1.0),
-        1 => Just(-0.0),
-        1 => Just(1e-320),
-    ]
-}
-
 proptest! {
-    /// 8-lane event reduction: min of edges / product of values.
-    #[test]
-    fn event_min_prod_matches_scalar_mirror(
-        edges in proptest::array::uniform8(edge_strategy()),
-        values in proptest::array::uniform8(value_strategy()),
-    ) {
-        let (m0, p0) = event_min_prod_scalar(&edges, &values);
-        for tier in vector_tiers() {
-            let (m, p) = event_min_prod(&edges, &values, tier);
-            prop_assert_eq!(m.to_bits(), m0.to_bits(), "min under {:?}", tier);
-            prop_assert_eq!(p.to_bits(), p0.to_bits(), "prod under {:?}", tier);
-        }
-    }
-
-    /// Strided-accumulator integration over raw segments (empty included).
-    #[test]
-    fn weighted_total_matches_scalar_mirror(
-        segs in proptest::collection::vec((edge_strategy(), value_strategy()), 0..40),
-    ) {
-        let t0 = weighted_total_scalar(&segs);
-        for tier in vector_tiers() {
-            let t = weighted_total(&segs, tier);
-            prop_assert_eq!(t.to_bits(), t0.to_bits(), "total under {:?}", tier);
-        }
-    }
-
     /// Batched multi-row upper bound over a padded key matrix: every row
-    /// index must match the scalar mirror exactly, including rows whose
-    /// probe lands in the `i64::MAX` padding and rows of count 0.
+    /// index must equal `partition_point` clamped to the row's count,
+    /// including rows whose probe lands in the `i64::MAX` padding and rows
+    /// of count 0.
     #[test]
-    fn batched_upper_bound_matches_scalar_mirror(
+    fn batched_upper_bound_matches_partition_point(
         rows in proptest::collection::vec(
             proptest::collection::vec(any::<i64>(), 0..12),
             1..9,
@@ -101,15 +40,9 @@ proptest! {
             sorted.resize(stride, i64::MAX);
             keys.extend_from_slice(&sorted);
         }
-        let mut expect = vec![u32::MAX; rows.len()];
-        batched_upper_bound_scalar(&keys, stride, &counts, probe, &mut expect);
-        for tier in vector_tiers() {
-            let mut got = vec![u32::MAX; rows.len()];
-            batched_upper_bound(&keys, stride, &counts, probe, &mut got, tier);
-            prop_assert_eq!(&got, &expect, "indices under {:?}", tier);
-        }
-        // The indices are real upper bounds, clamped to each row's count.
-        for (r, (row, &idx)) in rows.iter().zip(&expect).enumerate() {
+        let mut got = vec![u32::MAX; rows.len()];
+        batched_upper_bound(&keys, stride, &counts, probe, &mut got);
+        for (r, (row, &idx)) in rows.iter().zip(&got).enumerate() {
             let mut sorted = row.clone();
             sorted.sort_unstable();
             let reference = sorted.partition_point(|&k| k <= probe) as u32;
@@ -179,8 +112,8 @@ proptest! {
         }
     }
 
-    /// The dispatched histogram range lookup (batched search over the key
-    /// matrix) equals the scalar hierarchy walk on every probe — mixed
+    /// The histogram range lookup (batched search over the key matrix)
+    /// equals the scalar hierarchy walk on every probe — mixed
     /// int/float boundaries, negative zero, beyond-2^53 integers, and
     /// inverted ranges included.
     #[test]

@@ -8,8 +8,6 @@
 //! plans with true cardinalities.
 
 #![warn(missing_docs)]
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `safebound-core`'s `simd` module; everything else forbids it outright.
 #![forbid(unsafe_code)]
 
 pub mod cost;

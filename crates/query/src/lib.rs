@@ -6,8 +6,6 @@
 //! relaxation for cyclic queries (§3.6).
 
 #![warn(missing_docs)]
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `safebound-core`'s `simd` module; everything else forbids it outright.
 #![forbid(unsafe_code)]
 
 pub mod ast;

@@ -102,7 +102,7 @@
 //! | `<SQL text>`                | `OK <bound>` or `ERR <message>`         |
 //! | `BATCH <n>` then `n` SQL lines | `n` `OK`/`ERR` lines (batched pool dispatch), or one `ERR overloaded` |
 //! | `PING`                      | `PONG`                                  |
-//! | `STATS`                     | `STATS workers=<n> build=<id> swaps=<n> generation=<n> refresher=on\|off connections=<n> inflight_batches=<n> batch_dedup_hits=<n> …` plus the pool-wide [`SessionStats`](safebound_core::SessionStats) merge (`shape_*`, `lit_bound_*`, `lit_cond_*`, `lit_evictions`, `eq_memo_*`, `range_memo_*`, `like_memo_*`, `relaxations_pruned`), `spills=<n>`, `snapshot_load_failures=<n>`, and the selected SIMD dispatch tier `simd=avx2\|sse2\|neon\|scalar` |
+//! | `STATS`                     | `STATS workers=<n> build=<id> swaps=<n> generation=<n> refresher=on\|off connections=<n> inflight_batches=<n> batch_dedup_hits=<n> …` plus the pool-wide [`SessionStats`](safebound_core::SessionStats) merge (`shape_*`, `lit_bound_*`, `lit_cond_*`, `lit_evictions`, `eq_memo_*`, `range_memo_*`, `like_memo_*`, `relaxations_pruned`), `spills=<n>`, `snapshot_load_failures=<n>`, and `simd=scalar` (a frozen key: the kernels have one portable tier) |
 //! | `REFRESH`                   | `REFRESHED build=<id> generation=<n>` after a fresh rebuild publishes (`ERR` without a refresher) |
 //! | `SNAPSHOT SAVE <path>`      | `SAVED bytes=<n>` after the published statistics are written through the crash-safe single-file writer (tmp + fsync + atomic rename), or `ERR snapshot save: <reason>` |
 //! | `SNAPSHOT LOAD <path>`      | `LOADED build=<id>` after the file validates (magic, version, checksums, fingerprints) and hot-swaps in, or `ERR snapshot load: <reason>` — a rejected file never unpublishes the last-good snapshot and bumps `snapshot_load_failures` in `STATS` |
@@ -117,8 +117,6 @@
 //! bundled IMDB generator.
 
 #![warn(missing_docs)]
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `safebound-core`'s `simd` module; everything else forbids it outright.
 #![forbid(unsafe_code)]
 
 pub mod faults;

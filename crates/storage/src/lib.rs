@@ -11,8 +11,6 @@
 //! executor operate on the same data representation.
 
 #![warn(missing_docs)]
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `safebound-core`'s `simd` module; everything else forbids it outright.
 #![forbid(unsafe_code)]
 
 pub mod catalog;

@@ -27,8 +27,6 @@
 //! TCP line-protocol front-end over shared statistics snapshots).
 
 #![warn(missing_docs)]
-// `unsafe` in this workspace is confined to the SIMD kernels in
-// `safebound-core`'s `simd` module; everything else forbids it outright.
 #![forbid(unsafe_code)]
 
 pub use safebound_baselines as baselines;
