@@ -110,7 +110,7 @@ pub use session::{BoundSession, PhaseBreakdown, SessionStats};
 use crate::bound::{fdsb_with_cutoff, BoundError, RelationBoundStats};
 use crate::conditioning::CdsScratch;
 use crate::config::SafeBoundConfig;
-use crate::litcache;
+use crate::simd::hash::fnv1a;
 use crate::stats::StatsSnapshot;
 use assemble::assemble_into;
 use resolve::{stage_full_literals, stage_rel_literals};
@@ -371,7 +371,7 @@ impl StatsSnapshot {
         } = session;
         shape_key.clear();
         query.shape_key_into(shape_key);
-        let shape_fp = litcache::fnv1a(shape_key);
+        let shape_fp = fnv1a(shape_key);
         let Some((entry, hit)) = shapes.get_or_claim((), shape_fp, |e| e.key == *shape_key) else {
             // Unreachable: `with_shape_capacity` keeps the capacity ≥ 1.
             return Err(EstimateError::Internal(
@@ -1380,7 +1380,7 @@ mod tests {
             Value::Float(f64::from_bits(u64::from_le_bytes(payload))),
         ] {
             let mut encoded = Vec::new();
-            litcache::encode_literal(safebound_query::LiteralRef::Value(&x), &mut encoded);
+            crate::litcache::encode_literal(safebound_query::LiteralRef::Value(&x), &mut encoded);
             assert_eq!(encoded[1..], record[1..9], "{x:?} imitates the record");
             let mut alone = Query::new();
             let f = alone.add_relation(RelationRef::new("fact"));

@@ -9,6 +9,7 @@ use super::EstimateError;
 use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, NgramStats, SetOp};
 use crate::litcache::{self, ContentKey, LitCache};
 use crate::pool::{CdsPool, CdsView, SetRange};
+use crate::simd::hash::fnv1a;
 use crate::stats::{FilterColumnStats, StatsSnapshot, TableStats};
 use crate::symbol::Sym;
 use safebound_query::{CmpOp, Predicate, Query};
@@ -80,7 +81,7 @@ pub(super) fn stage_full_literals(query: &Query, stage: &mut LitStage) {
         }
         stage.spans.push((start, stage.full.len() as u32));
     }
-    stage.full_fp = litcache::fnv1a(&stage.full);
+    stage.full_fp = fnv1a(&stage.full);
 }
 
 /// Stage each relation's conditioned-cache sub-vector — its own literals
@@ -103,23 +104,9 @@ pub(super) fn stage_rel_literals(entry: &ShapeEntry, stage: &mut LitStage) {
         }
         stage.rel_bytes[rel] = buf;
     }
-    // Fingerprint four relations per pass: FNV is a serial multiply chain
-    // per stream, but independent streams overlap in the core
-    // ([`crate::simd::hash::fnv1a_x4`] matches `litcache::fnv1a` lane for
-    // lane).
     stage.rel_fp.clear();
-    let mut rel = 0;
-    while rel + 4 <= n {
-        stage.rel_fp.extend_from_slice(&crate::simd::hash::fnv1a_x4(
-            &stage.rel_bytes[rel],
-            &stage.rel_bytes[rel + 1],
-            &stage.rel_bytes[rel + 2],
-            &stage.rel_bytes[rel + 3],
-        ));
-        rel += 4;
-    }
-    for r in rel..n {
-        stage.rel_fp.push(litcache::fnv1a(&stage.rel_bytes[r]));
+    for bytes in &stage.rel_bytes[..n] {
+        stage.rel_fp.push(fnv1a(bytes));
     }
 }
 
@@ -184,7 +171,7 @@ fn value_fp_words(v: &Value) -> (u64, u64) {
         (Some(i), _) => (1, i as u64),
         (None, Value::Null) => (0, 0),
         (None, Value::Float(f)) => (2, f.to_bits()),
-        (None, Value::Str(s)) => (3, litcache::fnv1a(s.as_bytes())),
+        (None, Value::Str(s)) => (3, fnv1a(s.as_bytes())),
         (None, Value::Int(_)) => unreachable!("integers always normalize"),
     }
 }
@@ -476,7 +463,7 @@ fn memo_like(
     let Some(sym) = memo_sym else {
         return ng.lookup_like_into(pool, pattern, scratch, out);
     };
-    let fp = litcache::fnv1a(pattern.as_bytes());
+    let fp = fnv1a(pattern.as_bytes());
     if let Some(e) = memo.lookup(sym, slot, fp, |e| e.pattern == pattern) {
         if e.matched {
             scratch.copy_set(e.set.view(), out);

@@ -9,7 +9,8 @@ use super::resolve::{LitStage, RelCond};
 use crate::bound::{BoundScratch, RelationBoundStats};
 use crate::clock_cache::ClockCache;
 use crate::conditioning::{CdsScratch, CdsSet, McvOutcome};
-use crate::litcache::{self, LitCache};
+use crate::litcache::LitCache;
+use crate::simd::hash::fnv1a;
 use crate::stats::{StatsSnapshot, TableStats};
 use crate::symbol::Sym;
 use safebound_query::{for_each_spanning_forest, BoundPlan, ColId, JoinGraph, Predicate, Query};
@@ -624,7 +625,7 @@ impl StatsSnapshot {
         }
         for res in resolution.iter_mut() {
             res.sig.push(0);
-            res.sig_fp = litcache::fnv1a(&res.sig);
+            res.sig_fp = fnv1a(&res.sig);
         }
     }
 }

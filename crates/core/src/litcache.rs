@@ -91,15 +91,6 @@ impl ContentKey<'_> {
     }
 }
 
-/// FNV-1a over a byte slice (the fingerprint function). One canonical
-/// implementation lives in [`crate::simd::hash`]; batch callers hashing
-/// several independent streams use its multi-stream variants
-/// ([`crate::simd::hash::fnv1a_x4`]) for instruction-level parallelism —
-/// all produce identical digests.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    crate::simd::hash::fnv1a(bytes)
-}
-
 /// Append one literal's stable encoding: a type tag, then a fixed-width or
 /// length-prefixed payload, so a concatenated stream parses unambiguously
 /// (verification is a byte compare). Integral floats encode like the
@@ -264,6 +255,7 @@ impl LitCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::hash::fnv1a;
 
     /// A key with caller-chosen fingerprints, so tests can force collisions.
     fn key<'a>(scope: &'a [u8], scope_fp: u64, lits: &'a [u8], lits_fp: u64) -> ContentKey<'a> {

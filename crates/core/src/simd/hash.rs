@@ -1,26 +1,22 @@
-//! Multi-stream FNV-1a fingerprinting and the XXH64 bulk checksum.
+//! FNV-1a fingerprints, the XXH64 bulk checksum and the hasher of the
+//! session-local maps.
 //!
-//! FNV-1a is a strictly serial recurrence per stream (`h = (h ^ byte) *
-//! PRIME` — each step depends on the previous multiply), so a single
-//! stream cannot be vectorized without changing the hash function.
-//! Portable 64-bit SIMD multiplies also don't exist below AVX-512DQ
-//! (`_mm256_mullo_epi64` requires it; SSE2/AVX2 only offer 32×32→64).
-//! What *can* be exploited is instruction-level parallelism across
-//! independent streams: the kernels below keep 2 or 4 accumulators live in
-//! one pass so the out-of-order core overlaps the multiply chains. The
-//! per-stream math is byte-for-byte identical to the serial
-//! implementations in `litcache.rs`/`bloom.rs`, so the result is
-//! bit-identical by construction on every host.
+//! FNV-1a (`h = (h ^ byte) * PRIME`, one multiply per byte) keys the
+//! short session-cache entries: [`fnv1a`] fingerprints shape keys,
+//! relation signatures and literal streams. The Bloom filter derives its
+//! double-hashing pair from two seeded FNV-1a hashes of the same key in
+//! one pass ([`fnv1a_pair`], with [`fnv1a_seeded`] as its serial
+//! reference); those hashes index the filter bits stored in the snapshot
+//! file, so they are part of the persisted format.
 //!
-//! Bulk checksums take the same idea inside one hash: [`xxh64`] keeps four
-//! independent lanes over 32-byte stripes and consumes a 64-bit word per
-//! multiply, so the snapshot file's megabyte-sized checksums run at memory
-//! speed rather than one multiply per byte. FNV-1a stays for the short
-//! session-cache keys.
+//! Bulk checksums need more than one multiply per byte: [`xxh64`] keeps
+//! four independent lanes over 32-byte stripes and consumes a 64-bit word
+//! per multiply, so the snapshot file's megabyte-sized checksums run at
+//! memory speed.
 
-/// 64-bit FNV offset basis (matches `litcache::fnv1a`).
+/// 64-bit FNV offset basis.
 pub const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-/// 64-bit FNV prime (matches `litcache::fnv1a`).
+/// 64-bit FNV prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Seed mixing used by the Bloom filter's seeded FNV variant.
@@ -29,8 +25,7 @@ fn seeded_basis(seed: u64) -> u64 {
     FNV_BASIS ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// Unseeded FNV-1a over one stream (reference mirror for the multi-stream
-/// kernels; identical to `litcache::fnv1a`).
+/// Unseeded FNV-1a over one stream: the session-cache fingerprint.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_BASIS;
@@ -41,8 +36,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Seeded FNV-1a over one stream (reference mirror; identical to
-/// `bloom::fnv1a`).
+/// Seeded FNV-1a over one stream (the serial reference for
+/// [`fnv1a_pair`]).
 #[inline]
 pub fn fnv1a_seeded(bytes: &[u8], seed: u64) -> u64 {
     let mut h = seeded_basis(seed);
@@ -69,28 +64,6 @@ pub fn fnv1a_pair(bytes: &[u8], seed_a: u64, seed_b: u64) -> (u64, u64) {
         hb = hb.wrapping_mul(FNV_PRIME);
     }
     (ha, hb)
-}
-
-/// Unseeded FNV-1a of four independent byte streams, interleaved over the
-/// common prefix (all four accumulators advance per iteration) with the
-/// per-stream tails finished serially. Each lane equals `fnv1a` of that
-/// stream exactly.
-#[inline]
-pub fn fnv1a_x4(a: &[u8], b: &[u8], c: &[u8], d: &[u8]) -> [u64; 4] {
-    let mut h = [FNV_BASIS; 4];
-    let common = a.len().min(b.len()).min(c.len()).min(d.len());
-    for i in 0..common {
-        h[0] = (h[0] ^ u64::from(a[i])).wrapping_mul(FNV_PRIME);
-        h[1] = (h[1] ^ u64::from(b[i])).wrapping_mul(FNV_PRIME);
-        h[2] = (h[2] ^ u64::from(c[i])).wrapping_mul(FNV_PRIME);
-        h[3] = (h[3] ^ u64::from(d[i])).wrapping_mul(FNV_PRIME);
-    }
-    for (lane, s) in [a, b, c, d].into_iter().enumerate() {
-        for &byte in &s[common..] {
-            h[lane] = (h[lane] ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
 }
 
 const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
@@ -292,15 +265,6 @@ mod tests {
             let (ha, hb) = fnv1a_pair(bytes, 0x5bd1_e995, 0x27d4_eb2f);
             assert_eq!(ha, fnv1a_seeded(bytes, 0x5bd1_e995));
             assert_eq!(hb, fnv1a_seeded(bytes, 0x27d4_eb2f));
-        }
-    }
-
-    #[test]
-    fn x4_matches_four_serial_hashes() {
-        let streams: [&[u8]; 4] = [b"", b"a", b"literal-bytes", b"a much longer literal stream"];
-        let h = fnv1a_x4(streams[0], streams[1], streams[2], streams[3]);
-        for (lane, s) in streams.into_iter().enumerate() {
-            assert_eq!(h[lane], fnv1a(s));
         }
     }
 

@@ -4,15 +4,15 @@
 //! infinities, integers beyond 2^53, empty and degenerate shapes — and
 //! compares it with an independent reference: `partition_point` for the
 //! batched search, `f64::total_cmp` for the order key, the serial FNV
-//! recurrence for the multi-stream hashes, the direct Bloom probe for the
-//! pre-hashed one, and the scalar hierarchy walk for the histogram range
-//! lookup. The end-to-end check that no bound falls below the exact count
+//! recurrence for the Bloom filter's hash pair, the direct Bloom probe
+//! for the pre-hashed one, and the scalar hierarchy walk for the
+//! histogram range lookup. The end-to-end check that no bound falls below the exact count
 //! is `tests/soundness.rs`'s `workload_soundness_sweep`.
 
 use proptest::prelude::*;
 use safebound_core::bloom::BloomFilter;
 use safebound_core::conditioning::{build_histogram, JoinCol};
-use safebound_core::simd::hash::{fnv1a, fnv1a_pair, fnv1a_seeded, fnv1a_x4};
+use safebound_core::simd::hash::{fnv1a_pair, fnv1a_seeded};
 use safebound_core::simd::search::{batched_upper_bound, int_is_order_exact, order_key};
 use safebound_core::symbol::Sym;
 use safebound_core::SafeBoundConfig;
@@ -76,21 +76,17 @@ proptest! {
         }
     }
 
-    /// Multi-stream FNV kernels equal the serial recurrences per stream.
+    /// The Bloom filter's two-accumulator FNV pass equals the serial
+    /// seeded recurrence per seed.
     #[test]
-    fn fnv_multi_stream_matches_serial(
+    fn fnv_pair_matches_serial(
         a in proptest::collection::vec(any::<u8>(), 0..64),
-        b in proptest::collection::vec(any::<u8>(), 0..64),
-        c in proptest::collection::vec(any::<u8>(), 0..64),
-        d in proptest::collection::vec(any::<u8>(), 0..64),
         seed_a in any::<u64>(),
         seed_b in any::<u64>(),
     ) {
         let (ha, hb) = fnv1a_pair(&a, seed_a, seed_b);
         prop_assert_eq!(ha, fnv1a_seeded(&a, seed_a));
         prop_assert_eq!(hb, fnv1a_seeded(&a, seed_b));
-        let h = fnv1a_x4(&a, &b, &c, &d);
-        prop_assert_eq!(h, [fnv1a(&a), fnv1a(&b), fnv1a(&c), fnv1a(&d)]);
     }
 
     /// The Bloom filter's pre-hashed probe is exactly the direct probe.

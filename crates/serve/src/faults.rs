@@ -24,8 +24,8 @@
 //!
 //! The real implementation only compiles under the **`faults` cargo
 //! feature**; without it `FaultInjector` is a zero-sized struct whose
-//! hooks are inlined no-ops, so release builds and the benchmark gates
-//! carry zero overhead. The production code paths call the hooks
+//! hooks are inlined no-ops, so release builds and the repository
+//! benchmark carry zero overhead. The production code paths call the hooks
 //! unconditionally and never mention the feature themselves.
 
 use std::time::Duration;
@@ -79,8 +79,6 @@ mod imp {
         panic_queries: Vec<u64>,
         /// Worker-query sequence numbers that sleep `delay` first.
         delay_queries: Vec<u64>,
-        /// Every `delay_every`-th worker query sleeps `delay` (0 = off).
-        delay_every: u64,
         delay: Duration,
         /// Remaining refresher builds to fail.
         refresh_failures_left: AtomicU64,
@@ -161,9 +159,7 @@ mod imp {
             if inner.panic_queries.contains(&seq) {
                 return WorkerFault::Panic;
             }
-            if inner.delay_queries.contains(&seq)
-                || (inner.delay_every > 0 && seq % inner.delay_every == inner.delay_every - 1)
-            {
+            if inner.delay_queries.contains(&seq) {
                 return WorkerFault::Delay(inner.delay);
             }
             WorkerFault::None
@@ -292,13 +288,6 @@ mod imp {
             delay: Duration,
         ) -> Self {
             self.inner.delay_queries.extend(seqs);
-            self.inner.delay = delay;
-            self
-        }
-
-        /// Sleep `delay` before every `every`-th worker query.
-        pub fn delay_every(mut self, every: u64, delay: Duration) -> Self {
-            self.inner.delay_every = every;
             self.inner.delay = delay;
             self
         }

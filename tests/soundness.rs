@@ -129,14 +129,19 @@ proptest! {
 /// finalize) and a delta-refreshed snapshot must be **bit-identical** —
 /// statistics and every bound — to a single-pass full rebuild, and the
 /// delta-refreshed bounds must never underestimate the mutated catalog's
-/// exact counts (checked on a per-workload subset).
+/// exact counts (checked on a per-workload subset). Along the way, one
+/// long-lived default session and one with the range and LIKE memos off
+/// must agree bit for bit on every query: a memo hit replays the
+/// resolution it stored.
 #[test]
 fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
-    use safebound::core::{IncrementalBuilder, SafeBoundBuilder};
+    use safebound::core::{BoundSession, IncrementalBuilder, SafeBoundBuilder};
     use safebound_bench::{build_workloads, experiment_config, ExperimentScale};
     use safebound_datagen::{delete_batch, insert_batch};
 
     let scale = ExperimentScale::smoke();
+    let mut memo_on = BoundSession::default();
+    let mut memo_off = BoundSession::default().with_memo_capacities(4096, 0, 0);
     for w in build_workloads(&scale) {
         let cfg = experiment_config();
         let builder = SafeBoundBuilder::new(cfg.clone());
@@ -190,6 +195,19 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
                 w.name,
                 bq.name
             );
+            let on = sb_single
+                .bound_with_session(&bq.query, &mut memo_on)
+                .unwrap();
+            let off = sb_single
+                .bound_with_session(&bq.query, &mut memo_off)
+                .unwrap();
+            assert_eq!(
+                on.to_bits(),
+                off.to_bits(),
+                "{} / {}: range/LIKE memos change the bound ({on} vs {off})",
+                w.name,
+                bq.name
+            );
             let r = sb_refreshed.bound(&bq.query).unwrap();
             let f = sb_full.bound(&bq.query).unwrap();
             assert_eq!(
@@ -210,6 +228,11 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
             }
         }
     }
+    let stats = memo_on.stats();
+    assert!(
+        stats.range_memo_hits > 0,
+        "the memo session must replay range resolutions: {stats:?}"
+    );
 }
 
 /// Deterministic regression sweep over the generated benchmark workloads
