@@ -40,9 +40,8 @@
 //!   limit ([`INLINE_FAN_IN`]).
 //!
 //! The pre-optimization evaluator (breakpoint unions + midpoint
-//! re-evaluation by binary search) is retained as [`fdsb_reference`] — the
-//! oracle for equivalence tests and the baseline the `inference` benchmark
-//! measures speedups against.
+//! re-evaluation by binary search) is retained as [`fdsb_reference`], the
+//! oracle for equivalence tests.
 
 use crate::piecewise::{
     product_sweep_bounded, product_sweep_into, push_seg, reference as pw_ref, PiecewiseConstant,

@@ -40,7 +40,7 @@
 //! The pre-sweep implementations (union of breakpoints, re-evaluating
 //! every input at each interval midpoint by binary search —
 //! `O(K·m·log K)`) are retained in [`reference`] as the oracle for
-//! property tests and as the baseline for the `inference` benchmark.
+//! property tests.
 
 use crate::simd::reduce::{event_min_prod, EVENT_LANES};
 
@@ -1054,9 +1054,8 @@ impl<'a> PwlView<'a> {
 
 /// The pre-sweep implementations: union-of-breakpoints followed by
 /// midpoint re-evaluation of every input by binary search (`O(K·m·log K)`
-/// per op). Retained verbatim as (a) the oracle the property tests compare
-/// the sweeps against and (b) the baseline the `inference` benchmark
-/// measures the sweep speedup over. Not used on any production path.
+/// per op). Retained verbatim as the oracle the property tests compare
+/// the sweeps against. Not used on any production path.
 pub mod reference {
     use super::{PiecewiseConstant, PiecewiseLinear, EPS};
 

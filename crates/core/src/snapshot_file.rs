@@ -56,10 +56,11 @@
 //! bytes. A private `mmap` would fault in the same pages that `read`
 //! copies, and it measured no faster.
 //!
-//! Under the `fault-hooks` feature the file I/O helpers consult a
-//! test-only [`hooks`] registry that can inject `io::Error`s, short
-//! reads/writes, and byte corruption — the serve crate's chaos suite
-//! drives it through deterministic schedules.
+//! Every file I/O helper consults the [`hooks`] registry, which can
+//! inject `io::Error`s, short reads/writes, and byte corruption for
+//! paths under an installed prefix. It is always compiled and inert while
+//! empty; the serve crate's chaos suite drives it through deterministic
+//! schedules.
 
 use crate::bloom::BloomFilter;
 use crate::conditioning::{
@@ -1167,14 +1168,13 @@ pub fn read_header(path: &Path) -> Result<SnapshotHeader, SnapshotFileError> {
 }
 
 // ---------------------------------------------------------------------
-// Fault-injectable file I/O (feature `fault-hooks`).
+// Fault-injectable file I/O.
 // ---------------------------------------------------------------------
 
-/// Test-only fault-injection seams for the snapshot file I/O, compiled
-/// under the `fault-hooks` feature. The serve crate's chaos suite
-/// installs deterministic schedules here; production builds compile the
-/// I/O helpers straight down to `std::fs`.
-#[cfg(feature = "fault-hooks")]
+/// Fault-injection seams for the snapshot file I/O. The serve crate's
+/// chaos suite installs deterministic schedules here; with no hook
+/// installed every operation costs one uncontended registry lock and
+/// then goes straight to `std::fs`.
 pub mod hooks {
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -1263,25 +1263,24 @@ pub mod hooks {
 }
 
 /// The snapshot module's only route to the filesystem: thin `std::fs`
-/// wrappers that consult the [`hooks`] registry when `fault-hooks` is
-/// compiled in and are plain passthroughs otherwise.
+/// wrappers that consult the [`hooks`] registry first.
 mod fio {
+    use super::hooks::{consult, FileFault, FileOp};
     use std::io::Write;
     use std::path::Path;
 
     pub(super) fn read(path: &Path) -> std::io::Result<Vec<u8>> {
-        #[cfg(feature = "fault-hooks")]
-        match super::hooks::consult(super::hooks::FileOp::Read, path) {
-            super::hooks::FileFault::None => {}
-            super::hooks::FileFault::Error(kind) => {
+        match consult(FileOp::Read, path) {
+            FileFault::None => {}
+            FileFault::Error(kind) => {
                 return Err(std::io::Error::new(kind, "injected read fault"));
             }
-            super::hooks::FileFault::Short(n) => {
+            FileFault::Short(n) => {
                 let mut bytes = std::fs::read(path)?;
                 bytes.truncate(n);
                 return Ok(bytes);
             }
-            super::hooks::FileFault::CorruptByte { offset, xor } => {
+            FileFault::CorruptByte { offset, xor } => {
                 let mut bytes = std::fs::read(path)?;
                 if !bytes.is_empty() {
                     let i = offset % bytes.len();
@@ -1300,15 +1299,12 @@ mod fio {
         path: &Path,
         bytes: &[u8],
     ) -> std::io::Result<()> {
-        #[cfg(not(feature = "fault-hooks"))]
-        let _ = path;
-        #[cfg(feature = "fault-hooks")]
-        match super::hooks::consult(super::hooks::FileOp::Write, path) {
-            super::hooks::FileFault::None | super::hooks::FileFault::CorruptByte { .. } => {}
-            super::hooks::FileFault::Error(kind) => {
+        match consult(FileOp::Write, path) {
+            FileFault::None | FileFault::CorruptByte { .. } => {}
+            FileFault::Error(kind) => {
                 return Err(std::io::Error::new(kind, "injected write fault"));
             }
-            super::hooks::FileFault::Short(n) => {
+            FileFault::Short(n) => {
                 // A torn write: some prefix lands on disk, then the
                 // device errors. Only the tmp file is affected; the
                 // rename never runs.
@@ -1323,32 +1319,21 @@ mod fio {
     }
 
     pub(super) fn sync_file(file: &std::fs::File, path: &Path) -> std::io::Result<()> {
-        #[cfg(not(feature = "fault-hooks"))]
-        let _ = path;
-        #[cfg(feature = "fault-hooks")]
-        if let super::hooks::FileFault::Error(kind) =
-            super::hooks::consult(super::hooks::FileOp::SyncFile, path)
-        {
+        if let FileFault::Error(kind) = consult(FileOp::SyncFile, path) {
             return Err(std::io::Error::new(kind, "injected fsync fault"));
         }
         file.sync_all()
     }
 
     pub(super) fn rename(from: &Path, to: &Path) -> std::io::Result<()> {
-        #[cfg(feature = "fault-hooks")]
-        if let super::hooks::FileFault::Error(kind) =
-            super::hooks::consult(super::hooks::FileOp::Rename, to)
-        {
+        if let FileFault::Error(kind) = consult(FileOp::Rename, to) {
             return Err(std::io::Error::new(kind, "injected rename fault"));
         }
         std::fs::rename(from, to)
     }
 
     pub(super) fn sync_dir(dir: &Path) -> std::io::Result<()> {
-        #[cfg(feature = "fault-hooks")]
-        if let super::hooks::FileFault::Error(kind) =
-            super::hooks::consult(super::hooks::FileOp::SyncDir, dir)
-        {
+        if let FileFault::Error(kind) = consult(FileOp::SyncDir, dir) {
             return Err(std::io::Error::new(kind, "injected directory fsync fault"));
         }
         // Make the rename durable: fsync the directory entry. Directory
@@ -1711,7 +1696,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[cfg(feature = "fault-hooks")]
     #[test]
     fn injected_read_faults_surface_as_typed_errors() {
         use hooks::{FileFault, FileOp};
@@ -1758,7 +1742,6 @@ mod tests {
         let _ = std::fs::remove_dir(&dir);
     }
 
-    #[cfg(feature = "fault-hooks")]
     #[test]
     fn injected_write_faults_never_corrupt_the_published_file() {
         use hooks::{FileFault, FileOp};

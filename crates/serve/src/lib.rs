@@ -92,6 +92,13 @@
 //!   workers and [`StatsRefresher::stop`](refresh::StatsRefresher::stop)
 //!   joins the refresher: no thread outlives the server.
 //!
+//! ## Fault injection
+//!
+//! [`faults`] is always compiled and inert unless a seeded schedule is
+//! installed ([`FaultInjector::seeded`]); every production path runs
+//! [`FaultInjector::disabled`]. The chaos suites drive it under plain
+//! `cargo test`.
+//!
 //! ## Line protocol
 //!
 //! [`server::serve`] speaks a minimal newline-delimited text protocol
@@ -124,9 +131,7 @@ pub mod refresh;
 pub mod server;
 pub mod service;
 
-#[cfg(feature = "faults")]
-pub use faults::FaultBuilder;
-pub use faults::FaultInjector;
+pub use faults::{FaultBuilder, FaultInjector};
 pub use refresh::{DeltaSource, RefreshConfig, RefreshError, ShutdownToken, StatsRefresher};
 pub use server::{serve, serve_with, ServeOptions};
 pub use service::BoundService;

@@ -95,8 +95,8 @@ impl PoolShared {
         match self.faults.on_worker_query() {
             WorkerFault::None => {}
             WorkerFault::Delay(d) => std::thread::sleep(d),
-            // lint: allow(no-panic) -- deliberate injected fault behind the
-            // `faults` feature, caught by the `catch_unwind` in `run`
+            // lint: allow(no-panic) -- deliberate injected fault, only under
+            // a seeded schedule, caught by the `catch_unwind` in `run`
             WorkerFault::Panic => panic!("injected worker fault"),
         }
         self.handle.bound_with_session(query, session)
@@ -953,7 +953,6 @@ mod tests {
     /// A panic on the caller's own thread is isolated exactly like one on
     /// a worker: `ERR internal` for that request, a fresh session for the
     /// shard, no poisoned lock, exact bounds afterwards.
-    #[cfg(feature = "faults")]
     #[test]
     fn inline_panic_answers_internal_and_rebuilds_the_session() {
         use crate::faults::FaultInjector;
@@ -995,7 +994,6 @@ mod tests {
     /// lives in `tests/chaos.rs`): a 1-worker pool with injected panics
     /// answers the panicked job's lines `ERR internal`, rebuilds the
     /// session, and keeps serving bit-identical bounds.
-    #[cfg(feature = "faults")]
     #[test]
     fn injected_panics_degrade_and_respawn() {
         use crate::faults::FaultInjector;
@@ -1037,7 +1035,6 @@ mod tests {
     /// A stalled worker must degrade its lines to `ERR timeout` without
     /// losing the lines other workers answered, and without killing the
     /// (merely slow) worker.
-    #[cfg(feature = "faults")]
     #[test]
     fn injected_delay_degrades_to_timeout() {
         use crate::faults::FaultInjector;

@@ -1,5 +1,6 @@
-//! Chaos suite: the serving stack under deterministic fault injection
-//! (`--features faults`; this whole file is compiled out without it).
+//! Chaos suite: the serving stack under deterministic fault injection.
+//! The fault layer is always compiled and inert until a test installs a
+//! seeded schedule, so this suite runs under plain `cargo test`.
 //!
 //! Every schedule is seeded and the clients are serial, so each test
 //! replays the same fault sequence run after run. Assertions are the
@@ -23,7 +24,6 @@
 //!   exhausted;
 //! * after all of the above, `SHUTDOWN` still drains and joins every
 //!   thread (accept loop, handlers, workers, refresher).
-#![cfg(feature = "faults")]
 
 use safebound_core::{SafeBound, SafeBoundBuilder, SafeBoundConfig};
 use safebound_query::parse_sql;
