@@ -38,7 +38,7 @@
 //! integration test). The allocating methods remain for the offline build
 //! and as convenience wrappers.
 
-use crate::bloom::BloomFilter;
+use crate::bloom::{BloomBank, BloomFilter};
 use crate::clustering::{agglomerative, naive_equal_size, self_join_distance, Linkage};
 use crate::compression::valid_compress;
 use crate::config::SafeBoundConfig;
@@ -431,9 +431,10 @@ pub(crate) fn value_bytes(v: &Value) -> Vec<u8> {
 pub enum McvIndex {
     /// Exact value → group id.
     Exact(FastMap<Value, usize>),
-    /// One filter per group; a value belongs to every group whose filter
-    /// answers positive (max over them keeps the bound sound).
-    Bloom(Vec<BloomFilter>),
+    /// One filter per group, all in one bank; a value belongs to every
+    /// group whose filter answers positive (max over them keeps the bound
+    /// sound).
+    Bloom(BloomBank),
 }
 
 impl McvIndex {
@@ -454,18 +455,12 @@ impl McvIndex {
                     out.push(g);
                 }
             }
-            McvIndex::Bloom(filters) => {
+            McvIndex::Bloom(bank) => {
                 value_bytes_into(v, bytes);
                 // Hash once, probe every per-group filter with the pair
                 // (the double-hashing pair depends only on the key).
                 let (h1, h2) = BloomFilter::hash_key(bytes);
-                out.extend(
-                    filters
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, f)| f.contains_hashed(h1, h2))
-                        .map(|(g, _)| g),
-                );
+                out.extend(bank.positives(h1, h2));
             }
         }
     }
@@ -474,7 +469,7 @@ impl McvIndex {
     pub fn byte_size(&self) -> usize {
         match self {
             McvIndex::Exact(map) => map.len() * 48,
-            McvIndex::Bloom(filters) => filters.iter().map(BloomFilter::byte_size).sum(),
+            McvIndex::Bloom(bank) => bank.byte_size(),
         }
     }
 }

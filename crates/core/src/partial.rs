@@ -30,7 +30,7 @@
 //! than approximate; see `crates/core/src/stats.rs` for the pipeline and
 //! the incremental-soundness table.
 
-use crate::bloom::BloomFilter;
+use crate::bloom::BloomBank;
 use crate::compression::valid_compress;
 use crate::conditioning::{
     group_compress, string_ngrams, value_bytes, CdsSet, HistogramLevel, HistogramStats, JoinCol,
@@ -663,14 +663,11 @@ pub(crate) fn finalize_mcv(
     let (groups, assignment) = group_compress(sets, config.cds_groups, config.cluster_input_cap);
 
     let index = if config.use_bloom_filters {
-        let mut filters: Vec<BloomFilter> = groups
-            .iter()
-            .map(|_| BloomFilter::new(mcv_len.max(1), config.bloom_bits_per_key))
-            .collect();
+        let mut bank = BloomBank::new(groups.len(), mcv_len.max(1), config.bloom_bits_per_key);
         for ((v, _), g) in mcv.iter().zip(&assignment) {
-            filters[*g].insert(&value_bytes(v));
+            bank.insert(*g, &value_bytes(v));
         }
-        McvIndex::Bloom(filters)
+        McvIndex::Bloom(bank)
     } else {
         McvIndex::Exact(
             mcv.iter()
@@ -822,14 +819,11 @@ pub(crate) fn finalize_ngrams(
     let (groups, assignment) = group_compress(sets, config.cds_groups, config.cluster_input_cap);
 
     let index = if config.use_bloom_filters {
-        let mut filters: Vec<BloomFilter> = groups
-            .iter()
-            .map(|_| BloomFilter::new(mcv_len.max(1), config.bloom_bits_per_key))
-            .collect();
+        let mut bank = BloomBank::new(groups.len(), mcv_len.max(1), config.bloom_bits_per_key);
         for ((g, _), gr) in mcv.iter().zip(&assignment) {
-            filters[*gr].insert(&value_bytes(&Value::Str(g.clone())));
+            bank.insert(*gr, &value_bytes(&Value::Str(g.clone())));
         }
-        McvIndex::Bloom(filters)
+        McvIndex::Bloom(bank)
     } else {
         McvIndex::Exact(
             mcv.iter()

@@ -20,14 +20,31 @@
 //! num_sections     u32
 //! per section:     id u32, offset u64, len u64, xxh64 checksum u64
 //! section payloads (symbols, config, tables)
-//! trailer          u64   xxh64 over every preceding byte
+//! trailer          u64   xxh64 over the header and section table
 //! ```
 //!
 //! Every stored checksum and fingerprint is XXH64 with seed 0
 //! ([`xxh64`]), the content checksum of the zstd and LZ4 frame formats.
-//! Version 1 files used byte-serial FNV-1a; they are refused as
+//! The section payloads tile the bytes between the section table and the
+//! trailer exactly — no gap, no overlap, in any id order — so every byte
+//! of the file is covered by exactly one checksum: the header and section
+//! table by the trailer, each payload by its section's entry, and the
+//! trailer by itself. A load hashes each byte once.
+//!
+//! # Version history
+//!
+//! - **1**: byte-serial FNV-1a checksums; the trailer covered every
+//!   preceding byte.
+//! - **2**: XXH64 checksums; the trailer still covered every preceding
+//!   byte, so every payload byte was hashed twice per load.
+//! - **3** (current): the trailer covers the header and section table
+//!   only, and the sections must tile the body. Same byte layout and size
+//!   as version 2.
+//!
+//! Files of any other version are refused as
 //! [`SnapshotFileError::UnsupportedVersion`] before any checksum runs
-//! (the server's `--snapshot-load` then falls back to a build).
+//! (the server's `--snapshot-load` then falls back to a build); a
+//! version-2 file must be saved again.
 //!
 //! # Robustness contract
 //!
@@ -36,8 +53,9 @@
 //!   directory. A crash at any point leaves the old file or the new file
 //!   on disk, never a hybrid.
 //! - **Validate before construct**: [`load_snapshot`] checks magic,
-//!   format version, the whole-file checksum, and every per-section
-//!   checksum *before* decoding a single statistic, then validates all
+//!   format version, the trailer checksum, the section tiling and every
+//!   per-section checksum *before* decoding a single statistic, then
+//!   validates all
 //!   structural invariants (sorted CDS sets, Bloom geometry, histogram
 //!   bucket shapes, symbol ranges) during decoding. Every failure is a
 //!   typed [`SnapshotFileError`]; nothing on the load path panics (the
@@ -51,7 +69,8 @@
 //! Loading is an owned read of the whole file ([`load_snapshot`]). The
 //! decoder copies every CDS's knots, in file order, into the snapshot's
 //! one [`CdsPool`] (reserved up front from the tables section's length),
-//! one bounds check per polyline, and every other statistic into its own
+//! one bounds check per polyline, each MCV index's Bloom words into one
+//! exactly sized [`BloomBank`], and every other statistic into its own
 //! small buffers; a decoded snapshot holds no reference to the file
 //! bytes. A private `mmap` would fault in the same pages that `read`
 //! copies, and it measured no faster.
@@ -62,7 +81,7 @@
 //! empty; the serve crate's chaos suite drives it through deterministic
 //! schedules.
 
-use crate::bloom::BloomFilter;
+use crate::bloom::BloomBank;
 use crate::conditioning::{
     HistogramLevel, HistogramStats, JoinCol, McvIndex, McvStats, NgramStats,
 };
@@ -83,7 +102,7 @@ pub const MAGIC: [u8; 8] = *b"SAFEBSNP";
 /// Current format version; bumped on any incompatible layout change.
 /// Readers reject other versions with
 /// [`SnapshotFileError::UnsupportedVersion`] rather than guessing.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const SEC_SYMBOLS: u32 = 1;
 const SEC_CONFIG: u32 = 2;
@@ -226,6 +245,7 @@ impl Enc {
 
 /// Bounds-checked little-endian cursor over an in-memory file image.
 /// Every read is validated; nothing here can panic.
+#[derive(Clone)]
 struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -426,11 +446,10 @@ fn enc_index(e: &mut Enc, idx: &McvIndex) {
                 e.u64(g as u64);
             }
         }
-        McvIndex::Bloom(filters) => {
+        McvIndex::Bloom(bank) => {
             e.u8(1);
-            e.count(filters.len(), "Bloom filter count");
-            for f in filters {
-                let (bits, num_bits, num_hashes) = f.parts();
+            e.count(bank.len(), "Bloom filter count");
+            for (bits, num_bits, num_hashes) in bank.iter() {
                 e.u64(num_bits);
                 e.u32(num_hashes);
                 e.count(bits.len(), "Bloom word count");
@@ -444,7 +463,8 @@ fn enc_index(e: &mut Enc, idx: &McvIndex) {
 
 /// Decode an [`McvIndex`], bounding every group id by `num_groups` (the
 /// lookup path indexes `groups[g]` directly) and rebuilding Bloom filters
-/// through the geometry-validating constructor.
+/// into one exactly sized [`BloomBank`] through its geometry-validating
+/// constructor.
 fn dec_index(d: &mut Dec<'_>, num_groups: usize) -> Result<McvIndex, SnapshotFileError> {
     match d.u8()? {
         0 => {
@@ -472,17 +492,27 @@ fn dec_index(d: &mut Dec<'_>, num_groups: usize) -> Result<McvIndex, SnapshotFil
                     "Bloom filter count disagrees with group count",
                 ));
             }
-            let mut filters = Vec::with_capacity(n);
+            // A first pass over the filter headers sums the words, so the
+            // bank's buffer is allocated once at its exact size.
+            let mut scan = d.clone();
+            let mut total = 0usize;
+            for _ in 0..n {
+                scan.u64()?;
+                scan.u32()?;
+                let words = scan.count(8)?;
+                scan.words(words)?;
+                total = total.saturating_add(words);
+            }
+            let mut bank = BloomBank::with_capacity(n, total);
             for _ in 0..n {
                 let num_bits = d.u64()?;
                 let num_hashes = d.u32()?;
                 let words = d.count(8)?;
                 let bits = d.words(words)?.iter().map(|w| u64::from_le_bytes(*w));
-                let f = BloomFilter::from_parts(bits.collect(), num_bits, num_hashes)
+                bank.push(bits, num_bits, num_hashes)
                     .ok_or(SnapshotFileError::Malformed("inconsistent Bloom geometry"))?;
-                filters.push(f);
             }
-            Ok(McvIndex::Bloom(filters))
+            Ok(McvIndex::Bloom(bank))
         }
         _ => Err(SnapshotFileError::Malformed("unknown MCV index tag")),
     }
@@ -713,19 +743,17 @@ fn dec_table(
     let base = dec_group(d, num_syms, pool)?;
     let nfilters = d.count(8)?;
     let mut named: BTreeMap<String, FilterColumnStats> = BTreeMap::new();
-    let mut prev_name: Option<String> = None;
     for _ in 0..nfilters {
         let name = d.str()?;
         // Strictly ascending names: feeding the sorted map back through
         // `TableStats::assemble` then reproduces the exact slot
         // numbering of the original build.
-        if prev_name.as_deref().is_some_and(|p| p >= name.as_str()) {
+        if named.last_key_value().is_some_and(|(p, _)| *p >= name) {
             return Err(SnapshotFileError::Malformed(
                 "filter columns not strictly sorted by name",
             ));
         }
         let f = dec_filter(d, num_syms, pool)?;
-        prev_name = Some(name.clone());
         named.insert(name, f);
     }
     let fallback_cds = dec_set(
@@ -898,10 +926,12 @@ pub fn encode_snapshot(snapshot: &StatsSnapshot) -> Result<Vec<u8>, SnapshotFile
         // layout edit can never ship a file with lying offsets.
         return Err(SnapshotFileError::Malformed("header layout drift"));
     }
+    // The section table already holds every payload's checksum: the
+    // trailer covers the header and the table, not the payloads again.
+    let trailer = xxh64(&out.buf);
     for (_, body) in &sections {
         out.buf.extend_from_slice(body);
     }
-    let trailer = xxh64(&out.buf);
     out.u64(trailer);
     Ok(out.buf)
 }
@@ -926,9 +956,9 @@ pub struct SnapshotHeader {
     pub param_fingerprint: u64,
 }
 
-/// Validate the file envelope (magic, version, whole-file checksum) and
-/// parse the header + section table. Returns the header and the three
-/// section byte ranges, each already checksum-verified.
+/// Validate the file envelope (magic, version, trailer checksum, section
+/// tiling) and parse the header + section table. Returns the header and
+/// the three section byte ranges, each already checksum-verified.
 fn validate_envelope(
     bytes: &[u8],
 ) -> Result<(SnapshotHeader, [&[u8]; NUM_SECTIONS]), SnapshotFileError> {
@@ -952,11 +982,11 @@ fn validate_envelope(
             have: bytes.len() as u64,
         });
     }
-    // Whole-file checksum before trusting any other field. XXH64 is not
-    // a CRC and guarantees no minimum error distance: a corruption gets
-    // past only by colliding in 64 bits. A corrupted payload byte reaches
-    // the decoder only if it collides here and in its section's checksum
-    // below.
+    // The trailer checks the header and section table before any other
+    // field is trusted. XXH64 is not a CRC and guarantees no minimum
+    // error distance: a corruption gets past only by colliding in 64
+    // bits. The payloads are covered by their section checksums below,
+    // and the tiling check leaves no byte outside every checksum.
     let body_len = bytes.len() - 8;
     let stored = {
         let mut t = Dec {
@@ -965,10 +995,10 @@ fn validate_envelope(
         };
         t.u64()?
     };
-    let body = bytes
-        .get(..body_len)
+    let header = bytes
+        .get(..HEADER_LEN)
         .ok_or(SnapshotFileError::Malformed("trailer range"))?;
-    if xxh64(body) != stored {
+    if xxh64(header) != stored {
         return Err(SnapshotFileError::ChecksumMismatch { section: "file" });
     }
 
@@ -999,9 +1029,9 @@ fn validate_envelope(
         }
         ranges[slot] = Some((offset, len, checksum));
     }
-    let names = ["symbols", "config", "tables"];
-    let mut sections: [&[u8]; NUM_SECTIONS] = [&[]; NUM_SECTIONS];
-    for (slot, range) in ranges.iter().enumerate() {
+    // Per slot: (offset, end, checksum).
+    let mut spans = [(0u64, 0u64, 0u64); NUM_SECTIONS];
+    for (span, range) in spans.iter_mut().zip(&ranges) {
         let (offset, len, checksum) =
             range.ok_or(SnapshotFileError::Malformed("missing section"))?;
         let end = offset
@@ -1010,6 +1040,28 @@ fn validate_envelope(
         if offset < HEADER_LEN as u64 || end > body_len as u64 {
             return Err(SnapshotFileError::Malformed("section range out of file"));
         }
+        *span = (offset, end, checksum);
+    }
+    // The payloads must tile the body exactly: a byte in a gap would be
+    // covered by no checksum, a byte in an overlap by two.
+    let mut sorted = spans;
+    sorted.sort_unstable();
+    let mut at = HEADER_LEN as u64;
+    for (offset, end, _) in sorted {
+        if offset < at {
+            return Err(SnapshotFileError::Malformed("sections overlap"));
+        }
+        if offset > at {
+            return Err(SnapshotFileError::Malformed("gap between sections"));
+        }
+        at = end;
+    }
+    if at != body_len as u64 {
+        return Err(SnapshotFileError::Malformed("gap between sections"));
+    }
+    let names = ["symbols", "config", "tables"];
+    let mut sections: [&[u8]; NUM_SECTIONS] = [&[]; NUM_SECTIONS];
+    for (slot, &(offset, end, checksum)) in spans.iter().enumerate() {
         let body = bytes
             .get(offset as usize..end as usize)
             .ok_or(SnapshotFileError::Malformed("section range out of file"))?;
@@ -1023,10 +1075,8 @@ fn validate_envelope(
     // The param fingerprint is definitionally the config section's
     // checksum; a disagreement means the header was forged or the writer
     // is buggy.
-    if let Some((_, _, config_checksum)) = ranges[1] {
-        if param_fp != config_checksum {
-            return Err(SnapshotFileError::FingerprintMismatch { kind: "params" });
-        }
+    if param_fp != spans[1].2 {
+        return Err(SnapshotFileError::FingerprintMismatch { kind: "params" });
     }
     Ok((
         SnapshotHeader {
@@ -1080,15 +1130,13 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<StatsSnapshot, SnapshotFileError>
         ));
     }
     let mut tables: BTreeMap<String, TableStats> = BTreeMap::new();
-    let mut prev_name: Option<String> = None;
     for _ in 0..num_tables {
         let t = dec_table(&mut d, &symbols, &mut pool)?;
-        if prev_name.as_deref().is_some_and(|p| p >= t.table.as_str()) {
+        if tables.last_key_value().is_some_and(|(p, _)| *p >= t.table) {
             return Err(SnapshotFileError::Malformed(
                 "tables not strictly sorted by name",
             ));
         }
-        prev_name = Some(t.table.clone());
         tables.insert(t.table.clone(), t);
     }
     if !d.done() {
@@ -1546,9 +1594,28 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn version_two_files_are_refused_before_checksums() {
+        let mut bytes = encode_snapshot(&snapshot()).expect("encode");
+        // Version 2 has this layout but a trailer over every byte: refused
+        // as skew, never checked against the wrong trailer definition.
+        bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(SnapshotFileError::UnsupportedVersion(2))
+        ));
+    }
+
     /// Position of the tables section's entry (id, offset, len, checksum)
     /// in the section table, where it comes last.
     const TABLES_ENTRY: usize = HEADER_LEN - 28;
+
+    /// Recompute the trailer over the (edited) header and section table.
+    fn reseal(bytes: &mut [u8]) {
+        let trailer = xxh64(&bytes[..HEADER_LEN]);
+        let body_len = bytes.len() - 8;
+        write_u64(bytes, body_len, trailer);
+    }
 
     /// Flip the last byte of the tables payload, just before the trailer.
     fn corrupt_tables_payload(bytes: &mut [u8]) {
@@ -1568,12 +1635,52 @@ mod tests {
     fn section_checksum_is_live_behind_a_recomputed_trailer() {
         let mut bytes = encode_snapshot(&snapshot()).expect("encode");
         corrupt_tables_payload(&mut bytes);
-        let body_len = bytes.len() - 8;
-        let trailer = xxh64(&bytes[..body_len]);
-        write_u64(&mut bytes, body_len, trailer);
+        reseal(&mut bytes);
         assert!(matches!(
             decode_snapshot(&bytes),
             Err(SnapshotFileError::ChecksumMismatch { section: "tables" })
+        ));
+    }
+
+    #[test]
+    fn a_flipped_header_byte_fails_the_trailer() {
+        let mut bytes = encode_snapshot(&snapshot()).expect("encode");
+        // The build time: a field no later check would catch.
+        bytes[20] ^= 0x01;
+        assert!(matches!(
+            decode_snapshot(&bytes),
+            Err(SnapshotFileError::ChecksumMismatch { section: "file" })
+        ));
+    }
+
+    #[test]
+    fn a_gap_or_overlap_in_the_section_table_is_malformed() {
+        let bytes = encode_snapshot(&snapshot()).expect("encode");
+        let field = |b: &[u8], pos: usize| {
+            u64::from_le_bytes(b[pos..pos + 8].try_into().expect("u64 field"))
+        };
+        // Move the tables section's start by one byte either way, keeping
+        // its end, and reseal: the trailer passes, the tiling must not.
+        for (shift, want) in [(1i64, "gap between sections"), (-1, "sections overlap")] {
+            let mut edited = bytes.clone();
+            let offset = field(&edited, TABLES_ENTRY + 4).wrapping_add_signed(shift);
+            let len = field(&edited, TABLES_ENTRY + 12).wrapping_add_signed(-shift);
+            write_u64(&mut edited, TABLES_ENTRY + 4, offset);
+            write_u64(&mut edited, TABLES_ENTRY + 12, len);
+            reseal(&mut edited);
+            assert!(matches!(
+                decode_snapshot(&edited),
+                Err(SnapshotFileError::Malformed(m)) if m == want
+            ));
+        }
+        // A tables section that stops one byte short of the trailer.
+        let mut edited = bytes.clone();
+        let len = field(&edited, TABLES_ENTRY + 12) - 1;
+        write_u64(&mut edited, TABLES_ENTRY + 12, len);
+        reseal(&mut edited);
+        assert!(matches!(
+            decode_snapshot(&edited),
+            Err(SnapshotFileError::Malformed("gap between sections"))
         ));
     }
 

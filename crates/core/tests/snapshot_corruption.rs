@@ -3,12 +3,14 @@
 //! Property: the loader is total. For **any** mutation of a valid file —
 //! flipped bytes, truncation, extension, random garbage — `decode_snapshot`
 //! returns either a typed error or a snapshot whose statistics are
-//! bit-identical to the original (the mutation was a no-op: a real
-//! change gets past only by colliding in the 64-bit XXH64 whole-file
-//! checksum, and for payload bytes in the section checksum too). It
-//! never panics and never yields statistics that differ from what was
-//! saved — the failure mode that would silently void the upper-bound
-//! guarantee.
+//! bit-identical to the original (the mutation was a no-op). Every byte
+//! of a format-3 file is covered by exactly one 64-bit XXH64 checksum:
+//! the header and section table by the trailer, each section payload by
+//! its entry in the section table, whose payloads must tile the body. A
+//! real change gets past only by colliding in the checksum that covers
+//! it. The loader never panics and never yields statistics that differ
+//! from what was saved — the failure mode that would silently void the
+//! upper-bound guarantee.
 
 use proptest::prelude::*;
 use safebound_core::snapshot_file::{
@@ -129,7 +131,7 @@ proptest! {
         prop_assert!(decoded.build_id != snap.build_id, "load must mint a fresh id");
         // Re-encoding the decoded snapshot reproduces the same bytes,
         // except the saved build id in the header (offset 12..20) and
-        // the whole-file trailer checksum that covers it (last 8 bytes).
+        // the trailer checksum that covers it (last 8 bytes).
         let bytes2 = encode_snapshot(&decoded).expect("re-encode");
         prop_assert!(bytes.len() == bytes2.len());
         prop_assert!(

@@ -635,3 +635,63 @@ fn snapshot_load_allocations_do_not_grow_with_polylines() {
          {wide_polylines} polylines in {wide_sets} sets"
     );
 }
+
+#[test]
+fn snapshot_load_allocations_do_not_grow_with_bloom_filters() {
+    // Every MCV index keeps its per-group Bloom filters in one word
+    // buffer, sized exactly on decode, so a load allocates per index,
+    // never per filter: keeping every MCV value its own group (many
+    // filters) instead of two groups (few) must leave the count nearly
+    // flat. With a word `Vec` per filter, the count grew by one per added
+    // filter.
+    use safebound_core::conditioning::McvIndex;
+    use safebound_core::snapshot_file::{decode_snapshot, encode_snapshot};
+    use safebound_core::StatsSnapshot;
+    fn bloom_filters(snap: &StatsSnapshot) -> usize {
+        let names = ["id", "w"]
+            .map(String::from)
+            .into_iter()
+            .chain((0..8).map(|i| format!("k{i}")));
+        let mut filters = 0;
+        for name in names {
+            for t in snap.tables.values() {
+                let Some(f) = t.filter(&name) else { continue };
+                let ngrams = f.ngrams.as_ref().map(|n| &n.index);
+                for index in std::iter::once(&f.mcv.index).chain(ngrams) {
+                    if let McvIndex::Bloom(bank) = index {
+                        filters += bank.len();
+                    }
+                }
+            }
+        }
+        filters
+    }
+    let mut config = SafeBoundConfig::test_small();
+    config.pk_fk_propagation = false; // keep the unit count fixed
+    config.use_bloom_filters = true;
+    let catalog = fact_with_join_width(3);
+    let load = |cds_groups: Option<usize>| {
+        let built = SafeBoundBuilder::new(SafeBoundConfig {
+            cds_groups,
+            ..config.clone()
+        })
+        .build(&catalog);
+        let bytes = encode_snapshot(&built).unwrap();
+        let before = allocation_count();
+        let loaded = decode_snapshot(&bytes).unwrap();
+        let allocated = allocation_count() - before;
+        assert_eq!(bloom_filters(&loaded), bloom_filters(&built));
+        (allocated, bloom_filters(&loaded))
+    };
+    let (few, few_filters) = load(Some(2));
+    let (many, many_filters) = load(None);
+    assert!(
+        many_filters >= few_filters * 4,
+        "{few_filters} → {many_filters} Bloom filters"
+    );
+    let grown = many.saturating_sub(few);
+    assert!(
+        grown * 10 < many_filters - few_filters,
+        "a load allocated {few} → {many} times for {few_filters} → {many_filters} Bloom filters"
+    );
+}

@@ -221,7 +221,7 @@ fn cmd_serve(args: &[String]) {
     };
     let workers = service.num_workers();
     drop(service); // joins the worker threads
-    eprintln!("shutdown complete: refresher and {workers} workers joined");
+    eprintln!("shutdown complete: refresher and the workers of {workers} shards joined");
 }
 
 fn cmd_query(args: &[String]) {

@@ -35,7 +35,10 @@
 //! * **[`BoundService`](service::BoundService)** owns the [`SafeBound`]
 //!   handle, N [`BoundSession`](safebound_core::BoundSession)s — the
 //!   mutable half of the estimator (query-shape cache, arena pools,
-//!   hot-literal memo) — each behind its own lock, and N worker threads.
+//!   hot-literal memo) — each behind its own lock, and up to N worker
+//!   threads. Construction spawns none: a shard's worker starts with the
+//!   first batch job dispatched to it, so a service that only answers
+//!   single queries inline never spawns or joins a thread.
 //!   Queries are routed to shards by
 //!   [`Query::shape_hash`](safebound_query::Query::shape_hash) modulo the
 //!   pool size, so every query template consistently lands on the same
@@ -89,7 +92,7 @@
 //! * **Graceful shutdown** — triggering the token (or the `SHUTDOWN`
 //!   verb) stops the accept loop, which joins every connection handler;
 //!   dropping the [`BoundService`](service::BoundService) then joins the
-//!   workers and [`StatsRefresher::stop`](refresh::StatsRefresher::stop)
+//!   workers that started and [`StatsRefresher::stop`](refresh::StatsRefresher::stop)
 //!   joins the refresher: no thread outlives the server.
 //!
 //! ## Fault injection

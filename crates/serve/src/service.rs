@@ -1,5 +1,5 @@
 //! The sharded pool: N [`BoundSession`]s — one per shard, each behind its
-//! own lock — N worker threads, and one shared [`SafeBound`] handle.
+//! own lock — up to N worker threads, and one shared [`SafeBound`] handle.
 //!
 //! See the crate docs for the layering. The service is synchronous by
 //! design — callers block until their queries are answered — because the
@@ -13,6 +13,12 @@
 //! whole slice. Which of the two a single query takes is decided by the
 //! shard's lock, never by an option: when a job (or another caller) holds
 //! the session, the query queues behind it as a one-line batch.
+//!
+//! A shard's worker thread starts with the first job dispatched to it
+//! (see `BoundService::dispatch`), not with the service: a service that
+//! only ever answers single queries inline — a restart answering its
+//! first queries, a connection sending one SQL line at a time — never
+//! spawns or joins a thread.
 //!
 //! ## Self-healing
 //!
@@ -135,9 +141,11 @@ impl PoolShared {
     }
 }
 
-/// One worker's dispatch endpoint. `sender` is `None` only transiently in
-/// `Drop`; `handle` is `None` when the thread failed to spawn (the next
-/// dispatch retries).
+/// One worker's dispatch endpoint. Both fields are `None` until the
+/// shard's first job spawns its thread, and `sender` again in `Drop`;
+/// `handle` is `None` when the thread failed to spawn (the next dispatch
+/// retries).
+#[derive(Default)]
 struct WorkerSlot {
     sender: Option<mpsc::Sender<Job>>,
     handle: Option<JoinHandle<()>>,
@@ -156,9 +164,10 @@ impl WorkerSlot {
 
 /// A sharded SafeBound serving pool.
 ///
-/// Construction builds the sessions and spawns the workers; dropping the
-/// service closes the workers' queues and joins them. Clones of the inner
-/// [`SafeBound`] handle stay valid — in particular, calling
+/// Construction builds the sessions; each shard's worker thread is
+/// spawned by the first batch job dispatched to it. Dropping the service
+/// closes the queues of the workers that started and joins them. Clones
+/// of the inner [`SafeBound`] handle stay valid — in particular, calling
 /// [`SafeBound::swap_stats`](safebound_core::SafeBound::swap_stats) on
 /// [`BoundService::estimator`] hot-swaps statistics under live traffic.
 pub struct BoundService {
@@ -173,8 +182,8 @@ pub struct BoundService {
 }
 
 impl BoundService {
-    /// A pool of `workers` shards (min 1) — a session and a worker thread
-    /// each — over the given handle.
+    /// A pool of `workers` shards (min 1) — a session each, and a worker
+    /// thread once a batch reaches the shard — over the given handle.
     pub fn new(handle: SafeBound, workers: usize) -> Self {
         Self::with_faults(handle, workers, FaultInjector::disabled())
     }
@@ -198,9 +207,7 @@ impl BoundService {
             respawns: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
         });
-        let slots = (0..n)
-            .map(|w| Mutex::new(spawn_worker(&shared, w)))
-            .collect();
+        let slots = (0..n).map(|_| Mutex::default()).collect();
         BoundService {
             shared,
             slots,
@@ -216,7 +223,8 @@ impl BoundService {
         &self.shared.handle
     }
 
-    /// Number of shards (sessions, and worker threads).
+    /// Number of shards (sessions, and worker threads once each shard has
+    /// had a batch).
     pub fn num_workers(&self) -> usize {
         self.slots.len()
     }
@@ -459,11 +467,12 @@ impl BoundService {
             .collect()
     }
 
-    /// Ship a job to worker `w`. A worker thread never exits while the
-    /// service lives — a panicked job costs its shard the session, not the
-    /// thread — so a failed send means the thread never started (its spawn
-    /// failed under resource pressure): spawn it again and retry once. If
-    /// even that worker is unreachable the job's lines are answered
+    /// Ship a job to worker `w`. This is the only place a worker starts. A
+    /// worker thread never exits while the service lives — a panicked job
+    /// costs its shard the session, not the thread — so a failed send
+    /// means the thread has not started: this is the shard's first job, or
+    /// its spawn failed under resource pressure. Spawn it and retry once.
+    /// If even that worker is unreachable the job's lines are answered
     /// `ERR internal` on its own reply channel, so the caller counts every
     /// dispatched job as outstanding.
     fn dispatch(&self, w: usize, job: Job) {
@@ -539,7 +548,8 @@ const SPILL_MIN: usize = 16;
 
 impl Drop for BoundService {
     fn drop(&mut self) {
-        // Closing the senders ends each worker's recv loop.
+        // Closing the senders ends each started worker's recv loop; a
+        // shard that never had a batch has no thread to join.
         let mut handles = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let mut slot = lock_recover(slot);
@@ -554,10 +564,11 @@ impl Drop for BoundService {
     }
 }
 
-/// Spawn worker `w`'s thread and dispatch endpoint. A failed thread spawn
-/// (resource pressure) yields a slot whose sends fail — the dispatcher
-/// answers `ERR internal` and retries the spawn on the next batch —
-/// instead of panicking the caller.
+/// Spawn worker `w`'s thread and dispatch endpoint (from
+/// `BoundService::dispatch` only). A failed thread spawn (resource
+/// pressure) yields a slot whose sends fail — the dispatcher answers
+/// `ERR internal` and retries the spawn on the next batch — instead of
+/// panicking the caller.
 fn spawn_worker(shared: &Arc<PoolShared>, w: usize) -> WorkerSlot {
     let (tx, rx) = mpsc::channel::<Job>();
     let shared = shared.clone();
@@ -675,6 +686,79 @@ mod tests {
         }
         qs.push(parse_sql("SELECT COUNT(*) FROM fact").unwrap());
         qs
+    }
+
+    /// Each shard's worker thread, `None` while it has not started.
+    fn worker_threads(service: &BoundService) -> Vec<Option<std::thread::ThreadId>> {
+        service
+            .slots
+            .iter()
+            .map(|slot| lock_recover(slot).handle.as_ref().map(|h| h.thread().id()))
+            .collect()
+    }
+
+    #[test]
+    fn workers_start_on_their_shards_first_batch() {
+        let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+        let service = BoundService::new(sb.clone(), 4);
+        assert_eq!(worker_threads(&service), [None; 4], "fresh service");
+        let queries = workload();
+        for q in &queries {
+            assert_eq!(
+                service.bound(q).unwrap().to_bits(),
+                sb.bound(q).unwrap().to_bits()
+            );
+        }
+        assert_eq!(
+            worker_threads(&service),
+            [None; 4],
+            "inline single queries spawn no worker"
+        );
+
+        // A batch routed to one shard starts that shard's worker only.
+        let shard = |q: &Query| (q.shape_hash() % 4) as usize;
+        let home = shard(&queries[0]);
+        let one_shard: Vec<Query> = queries
+            .iter()
+            .filter(|q| shard(q) == home)
+            .cloned()
+            .collect();
+        service.bound_batch(&one_shard);
+        let first = worker_threads(&service);
+        for (w, thread) in first.iter().enumerate() {
+            assert_eq!(thread.is_some(), w == home, "shard {w}: {first:?}");
+        }
+        service.bound_batch(&one_shard);
+        assert_eq!(
+            worker_threads(&service),
+            first,
+            "a second batch spawns no more"
+        );
+
+        // A batch over every template starts exactly the shards it
+        // reaches; the running worker keeps its thread.
+        let results = service.bound_batch(&queries);
+        for (q, got) in queries.iter().zip(results) {
+            assert_eq!(got.unwrap().to_bits(), sb.bound(q).unwrap().to_bits());
+        }
+        let all = worker_threads(&service);
+        for (w, thread) in all.iter().enumerate() {
+            assert_eq!(thread.is_some(), queries.iter().any(|q| shard(q) == w));
+        }
+        assert_eq!(all[home], first[home]);
+        assert_eq!(service.num_workers(), 4, "shards are counted, not threads");
+    }
+
+    #[test]
+    fn dropping_a_never_batched_service_joins_nothing() {
+        let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+        let service = BoundService::new(sb, 2);
+        for q in &workload() {
+            service.bound(q).unwrap();
+        }
+        assert!(worker_threads(&service).iter().all(Option::is_none));
+        // `Drop` finds no handle in any slot: nothing to close or join.
+        drop(service);
     }
 
     #[test]
