@@ -37,6 +37,10 @@
 //! fill. `len` never exceeds `capacity`, so once the map has grown to hold
 //! it, at-capacity churn (remove + insert) never triggers another growth.
 
+// Per-query serving path: a panic here kills a worker mid-batch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::simd::hash::FastMap;
 use std::hash::Hash;
 

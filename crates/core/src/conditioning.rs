@@ -38,6 +38,10 @@
 //! integration test). The allocating methods remain for the offline build
 //! and as convenience wrappers.
 
+// Per-query serving path: a panic here kills a worker mid-batch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::bloom::{BloomBank, BloomFilter};
 use crate::clustering::{agglomerative, naive_equal_size, self_join_distance, Linkage};
 use crate::compression::valid_compress;
@@ -319,11 +323,9 @@ pub fn cds_set_for_rows(
 ) -> CdsSet {
     let mut entries = Vec::with_capacity(join_columns.len());
     for (sym, jc) in join_columns {
+        #[expect(clippy::panic, reason = "offline build; missing join column is a bug")]
         let col = table
             .column(jc)
-            // lint: allow(no-panic) -- offline build path: join columns
-            // come from the catalog's own schema walk, so a missing one
-            // is a builder bug worth failing the (non-serving) build for
             .unwrap_or_else(|| panic!("missing join column {jc}"));
         let ds = match rows {
             Some(rows) => DegreeSequence::of_column_rows(col, rows),
@@ -692,8 +694,7 @@ pub fn build_mcv(
     config: &SafeBoundConfig,
     pool: &mut CdsPool,
 ) -> McvStats {
-    // lint: allow(no-panic) -- offline build path: the builder only names
-    // filter columns it just enumerated from this table's schema
+    #[expect(clippy::expect_used, reason = "offline build names only real columns")]
     let col = table.column(filter_col).expect("missing filter column");
     build_mcv_for_column(table, col, join_columns, config, pool)
 }
@@ -955,8 +956,7 @@ pub fn build_histogram(
     config: &SafeBoundConfig,
     pool: &mut CdsPool,
 ) -> Option<HistogramStats> {
-    // lint: allow(no-panic) -- offline build path: the builder only names
-    // filter columns it just enumerated from this table's schema
+    #[expect(clippy::expect_used, reason = "offline build names only real columns")]
     let col = table.column(filter_col).expect("missing filter column");
     build_histogram_for_column(table, col, join_columns, config, pool)
 }
@@ -1149,8 +1149,7 @@ pub fn build_ngrams(
     config: &SafeBoundConfig,
     pool: &mut CdsPool,
 ) -> Option<NgramStats> {
-    // lint: allow(no-panic) -- offline build path: the builder only names
-    // filter columns it just enumerated from this table's schema
+    #[expect(clippy::expect_used, reason = "offline build names only real columns")]
     let col = table.column(filter_col).expect("missing filter column");
     build_ngrams_for_column(table, col, join_columns, config, pool)
 }

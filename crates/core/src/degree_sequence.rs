@@ -38,6 +38,7 @@ impl DegreeSequence {
     /// Extract the degree sequence of a column restricted to the rows in
     /// `rows` (used when conditioning on predicates).
     pub fn of_column_rows(column: &Column, rows: &[usize]) -> Self {
+        #[expect(clippy::disallowed_methods, reason = "offline build, not session-hot")]
         let mut counts: HashMap<GroupKey<'_>, u64> = HashMap::new();
         for &i in rows {
             match column.group_key(i) {

@@ -101,6 +101,10 @@
 //!
 //! [`propagated_key`]: crate::stats::propagated_key
 
+// The query hot path, submodules included: a panic kills a worker mid-batch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 mod assemble;
 mod resolve;
 mod session;
@@ -390,8 +394,7 @@ impl StatsSnapshot {
             entry.built = false;
         }
 
-        // lint: allow(determinism) -- opt-in phase timing: `timing` is
-        // only true when the caller asked for a PhaseBreakdown
+        #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
         let t_resolve = timing.then(Instant::now);
 
         // Tier 1: exact whole-query repeat → memoized bound, whether or
@@ -465,15 +468,13 @@ impl StatsSnapshot {
                 k
             };
             let pe = &plans[idx_k];
-            // lint: allow(determinism) -- opt-in phase timing: `timing`
-            // is only true when the caller asked for a PhaseBreakdown
+            #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
             let t_assemble = timing.then(Instant::now);
             for rel in 0..n {
+                #[expect(clippy::expect_used, reason = "resolution validated every table")]
                 let ts = self
                     .tables
                     .get(&query.relations[rel].table)
-                    // lint: allow(no-panic) -- resolution (which built
-                    // `cond`) already returned Err for any unknown table
                     .expect("tables validated during resolution");
                 assemble_into(
                     ts,
@@ -486,8 +487,7 @@ impl StatsSnapshot {
                     multi.then_some(&mut *asm_stage),
                 );
             }
-            // lint: allow(determinism) -- opt-in phase timing: `timing`
-            // is only true when the caller asked for a PhaseBreakdown
+            #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
             let t_kernel = timing.then(Instant::now);
             if let (Some(a), Some(b)) = (t_assemble, t_kernel) {
                 phases.assemble_ns += (b - a).as_nanos() as u64;
@@ -550,11 +550,10 @@ impl StatsSnapshot {
             let mut stats = Vec::with_capacity(n);
             #[allow(clippy::needless_range_loop)] // four parallel arrays indexed by relation
             for rel in 0..n {
+                #[expect(clippy::expect_used, reason = "resolution validated every table")]
                 let ts = self
                     .tables
                     .get(&query.relations[rel].table)
-                    // lint: allow(no-panic) -- resolution (which built
-                    // `cond`) already returned Err for any unknown table
                     .expect("tables validated during resolution");
                 let mut rs = RelationBoundStats::default();
                 assemble_into(

@@ -56,6 +56,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Clocks and threads only in `parallel`, `stats` and `incremental`;
+// session-hot maps are `FastMap` (clippy.toml).
+#![deny(clippy::disallowed_methods)]
 
 pub mod bloom;
 pub mod bound;

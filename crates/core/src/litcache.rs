@@ -41,6 +41,10 @@
 //! integration test). The cache is flushed whenever the session attaches
 //! to a different statistics build.
 
+// Per-query serving path: a panic here kills a worker mid-batch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::clock_cache::ClockCache;
 use crate::conditioning::{CdsScratch, CdsSet};
 use crate::pool::CdsView;

@@ -19,6 +19,9 @@
 //! the machine quadratically (`cores × cores` live threads) without
 //! adding any parallelism.
 
+// The scoped build pool: spawning threads is its purpose.
+#![allow(clippy::disallowed_methods)]
+
 use std::cell::Cell;
 use std::num::NonZeroUsize;
 

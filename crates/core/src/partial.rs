@@ -236,6 +236,7 @@ impl TableScanPlan {
                 if table.column(&fk.fk_column).is_none() {
                     continue;
                 }
+                #[expect(clippy::disallowed_methods, reason = "offline build, not session-hot")]
                 let mut pk_rows: HashMap<Value, usize> = HashMap::new();
                 for i in 0..pk_col.len() {
                     let v = pk_col.get(i);
@@ -504,6 +505,7 @@ fn resolve_join_cols<'t>(table: &'t Table, join_columns: &[JoinCol]) -> Vec<&'t 
 
 /// Count a column's non-NULL values (by [`GroupKey`]) over `range`.
 fn count_column(col: &Column, range: Range<usize>) -> JoinCountMap {
+    #[expect(clippy::disallowed_methods, reason = "offline build, not session-hot")]
     let mut counts: HashMap<GroupKey<'_>, u64> = HashMap::new();
     for i in range {
         match col.group_key(i) {
@@ -540,6 +542,7 @@ fn scan_unit(
         if v.is_null() {
             continue;
         }
+        #[expect(clippy::disallowed_methods, reason = "offline build, not session-hot")]
         let acc = groups.entry(v).or_insert_with(|| Acc {
             rows: 0,
             join: vec![HashMap::new(); join_cols.len()],
@@ -749,6 +752,7 @@ pub(crate) fn finalize_histogram(
         for w in cuts.windows(2) {
             let (glo, ghi) = (group_index(w[0]), group_index(w[1]));
             bounds.push(groups[glo].0.clone());
+            #[expect(clippy::disallowed_methods, reason = "offline build, not session-hot")]
             let mut sums: Vec<JoinCountMap> = vec![HashMap::new(); join_columns.len()];
             for (_, g) in &groups[glo..ghi] {
                 for (dst, src) in sums.iter_mut().zip(&g.join) {
@@ -789,12 +793,14 @@ pub(crate) fn finalize_ngrams(
         return None;
     }
     let n = config.ngram_size;
+    #[expect(clippy::disallowed_methods, reason = "offline build, not session-hot")]
     let mut by_gram: HashMap<String, (u64, Vec<JoinCountMap>)> = HashMap::new();
     for (v, g) in &unit.groups {
         let Value::Str(s) = v else {
             continue;
         };
         for gram in string_ngrams(s, n) {
+            #[expect(clippy::disallowed_methods, reason = "offline build, not session-hot")]
             let e = by_gram
                 .entry(gram)
                 .or_insert_with(|| (0, vec![HashMap::new(); join_columns.len()]));

@@ -42,6 +42,10 @@
 //! `O(K·m·log K)`) are retained in [`reference`] as the oracle for
 //! property tests.
 
+// Per-query serving path: a panic here kills a worker mid-batch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::simd::reduce::{event_min_prod, EVENT_LANES};
 
 /// Tolerance for merging breakpoints and comparing ranks.
@@ -404,8 +408,7 @@ fn sweep_impl<const BOUNDED: bool>(
             }
             emit!(edge, if zeros > 0 { 0.0 } else { prod });
             while !heap.is_empty() && heap[0].0 <= edge + EPS {
-                // lint: allow(no-panic) -- the loop condition just
-                // checked the heap is non-empty
+                #[expect(clippy::unwrap_used, reason = "the loop condition checked non-empty")]
                 let (_, i) = heap_pop(heap).unwrap();
                 let f = fns[i as usize];
                 let c = &mut cursors[i as usize];
@@ -541,8 +544,7 @@ pub struct PiecewiseLinear {
 /// list must already hold the origin `(0, 0)`.
 #[inline]
 pub(crate) fn push_knot(out: &mut Vec<(f64, f64)>, x: f64, y: f64) {
-    // lint: allow(no-panic) -- documented precondition: every caller
-    // seeds the list with the origin knot before appending
+    #[expect(clippy::expect_used, reason = "callers seed the origin knot first")]
     let &(px, py) = out.last().expect("knot list must hold the origin");
     if x <= px + EPS {
         return;
@@ -694,8 +696,7 @@ impl PiecewiseLinear {
         );
         let mut out: Vec<(f64, f64)> = vec![(0.0, 0.0)];
         for &(x, y) in &knots[1..] {
-            // lint: allow(no-panic) -- `out` was seeded with the origin
-            // above and never shrinks in this loop
+            #[expect(clippy::unwrap_used, reason = "`out` is seeded with the origin")]
             let &(px, py) = out.last().unwrap();
             assert!(x > px - EPS, "x must increase: {x} after {px}");
             assert!(y >= py - EPS, "y must not decrease: {y} after {py}");

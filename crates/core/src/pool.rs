@@ -13,6 +13,10 @@
 //! run or an owned [`CdsSet`]'s entries, so the online phase's combining
 //! ops take a resident set and a session's scratch set alike.
 
+// Per-query serving path: a panic here kills a worker mid-batch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use crate::conditioning::CdsSet;
 use crate::piecewise::{PiecewiseLinear, PwlView};
 use crate::symbol::Sym;

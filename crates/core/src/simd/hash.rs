@@ -194,8 +194,7 @@ impl std::hash::Hasher for MapHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
-            // lint: allow(no-panic) -- chunks_exact(8) yields exactly
-            // 8-byte slices, so the array conversion cannot fail
+            #[expect(clippy::unwrap_used, reason = "chunks_exact(8) yields 8-byte slices")]
             self.mix(u64::from_le_bytes(c.try_into().unwrap()));
         }
         let rem = chunks.remainder();
@@ -254,6 +253,7 @@ impl std::hash::Hasher for MapHasher {
 pub type FastMap<K, V> = std::collections::HashMap<K, V, MapBuildHasher>;
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

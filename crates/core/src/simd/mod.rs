@@ -9,6 +9,10 @@
 //! padding and association order; those decide the bits of every bound,
 //! so they change only together with a re-audit of the callers.
 
+// Kernel primitives, submodules included: a panic kills a worker mid-batch.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 pub mod hash;
 pub mod reduce;
 pub mod search;

@@ -59,7 +59,8 @@
 //!   structural invariants (sorted CDS sets, Bloom geometry, histogram
 //!   bucket shapes, symbol ranges) during decoding. Every failure is a
 //!   typed [`SnapshotFileError`]; nothing on the load path panics (the
-//!   module sits in the `no-panic` lint scope).
+//!   module denies `clippy::unwrap_used`, `expect_used`, `panic`, `todo`
+//!   and `unimplemented`).
 //! - **Bit-identical round trip**: a decoded snapshot's statistics
 //!   compare equal to the originals, so bounds computed from a loaded
 //!   file match the in-RAM build bit for bit. The one intentional
@@ -80,6 +81,11 @@
 //! paths under an installed prefix. It is always compiled and inert while
 //! empty; the serve crate's chaos suite drives it through deterministic
 //! schedules.
+
+// A bad file is a typed error, never a panic; the writer runs on the
+// refresher thread, where a panic would stop background refresh.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 use crate::bloom::BloomBank;
 use crate::conditioning::{

@@ -67,6 +67,10 @@
 //! see [`crate::parallel`]); results are indexed and reassembled in
 //! order, so the output is deterministic.
 
+// The builder reports its wall time (`build_ms`); timing never feeds
+// back into statistics content.
+#![allow(clippy::disallowed_methods)]
+
 use crate::conditioning::{CdsSet, HistogramStats, JoinCol, McvStats, NgramStats};
 use crate::config::SafeBoundConfig;
 use crate::parallel::par_map;

@@ -7,6 +7,11 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// No panics: the parser runs on the connection thread, on a client's raw
+// bytes; every estimate and shape build runs `ast`, `join_graph` and
+// `spanning`, also on an optimizer thread. Neither has a `catch_unwind`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
 
 pub mod ast;
 pub mod join_graph;

@@ -34,6 +34,10 @@
 //!     when several), print the response lines.
 //! ```
 
+// Bad flags and unreachable servers are reported by `fail`, never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+
 use safebound_core::{SafeBound, SafeBoundBuilder, SafeBoundConfig};
 use safebound_datagen::{imdb_catalog, ImdbScale};
 use safebound_serve::{

@@ -128,6 +128,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// The serving path never panics: a bad request degrades to an `ERR` reply
+// and a poisoned lock recovers through `lock_recover`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented)]
+// Clocks and threads only in `refresh`, `server` and `service` (clippy.toml).
+#![deny(clippy::disallowed_methods)]
 
 pub mod faults;
 pub mod refresh;

@@ -62,6 +62,9 @@
 //! successfully built snapshot is also persisted (atomically) after it is
 //! swapped in, and a failed save never fails the refresh.
 
+// Owns the refresher thread, its cadence and its backoff.
+#![allow(clippy::disallowed_methods)]
+
 use crate::faults::FaultInjector;
 use crate::lock_recover;
 use safebound_core::{IncrementalBuilder, SafeBound, SafeBoundConfig, StatsSnapshot};

@@ -42,6 +42,9 @@
 //!   statistics; `SNAPSHOT SAVE` goes through the crash-safe writer, so
 //!   a failed save never leaves a partial file at the target path.
 
+// Owns the connection threads, deadlines and idle timeouts.
+#![allow(clippy::disallowed_methods)]
+
 use crate::faults::{FaultInjector, WriteFault};
 use crate::refresh::{RefreshError, ShutdownToken, StatsRefresher};
 use crate::service::BoundService;

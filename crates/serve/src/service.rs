@@ -101,8 +101,7 @@ impl PoolShared {
         match self.faults.on_worker_query() {
             WorkerFault::None => {}
             WorkerFault::Delay(d) => std::thread::sleep(d),
-            // lint: allow(no-panic) -- deliberate injected fault, only under
-            // a seeded schedule, caught by the `catch_unwind` in `run`
+            #[expect(clippy::panic, reason = "seeded injected fault; `run` catches it")]
             WorkerFault::Panic => panic!("injected worker fault"),
         }
         self.handle.bound_with_session(query, session)
@@ -365,6 +364,7 @@ impl BoundService {
         if queries.is_empty() {
             return Vec::new();
         }
+        #[expect(clippy::disallowed_methods, reason = "the batch reply deadline")]
         let deadline = timeout.map(|t| Instant::now() + t);
         let n = self.slots.len();
         let shared = queries;
@@ -426,6 +426,7 @@ impl BoundService {
                     // with `ERR internal` below.
                     Err(_) => break,
                 },
+                #[expect(clippy::disallowed_methods, reason = "the batch reply deadline")]
                 Some(d) => match rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
                     Ok(r) => r,
                     Err(mpsc::RecvTimeoutError::Timeout) => {
@@ -572,6 +573,7 @@ impl Drop for BoundService {
 fn spawn_worker(shared: &Arc<PoolShared>, w: usize) -> WorkerSlot {
     let (tx, rx) = mpsc::channel::<Job>();
     let shared = shared.clone();
+    #[expect(clippy::disallowed_methods, reason = "the pool owns its workers")]
     let handle = std::thread::Builder::new()
         .name(format!("safebound-worker-{w}"))
         .spawn(move || worker_loop(w, shared, rx))
@@ -618,6 +620,7 @@ fn worker_loop(w: usize, shared: Arc<PoolShared>, rx: mpsc::Receiver<Job>) {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use safebound_core::{SafeBoundBuilder, SafeBoundConfig};
