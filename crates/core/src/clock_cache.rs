@@ -8,11 +8,11 @@
 //! lives here, once:
 //!
 //! * **Keying** — `(owner, fingerprint)`, where the owner scopes the
-//!   fingerprint (a table's filter slot, the literal cache's entry kind;
-//!   `()` for the shape cache, whose fingerprint is the whole key). The
+//!   fingerprint (a table's filter slot; `()` for the shape cache and
+//!   the literal cache, whose keys are whole queries). The
 //!   fingerprint only has to discriminate: [`ClockCache::get`] serves a
 //!   slot only after the caller's `verify` compared what the payload
-//!   stores of its key (a literal, a shape key, a signature and literal
+//!   stores of its key (a literal, a shape key, a shape key and literal
 //!   bytes) against the probe, so a collision costs a miss, never a wrong
 //!   bound. Every instance keys by content — what the value depends on —
 //!   so an entry stays valid for as long as the statistics build does,

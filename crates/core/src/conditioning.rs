@@ -26,9 +26,9 @@
 //!   in place through a [`CdsView`];
 //! * **owned scratch** — what a query computes (max-envelopes of several
 //!   candidate groups, LIKE min-folds, `IN`/`AND`/`OR` combinations, the
-//!   literal cache's and memos' copies) is an owned [`CdsSet`] recycled
-//!   through a [`CdsScratch`]: a pool of spare polylines and sets whose
-//!   capacity survives across queries.
+//!   memos' copies) is an owned [`CdsSet`] recycled through a
+//!   [`CdsScratch`]: a pool of spare polylines and sets whose capacity
+//!   survives across queries.
 //!
 //! The combining ops ([`CdsView::combine_into`] / [`CdsSet::accumulate`]
 //! with a [`SetOp`]) read both kinds through views and write into

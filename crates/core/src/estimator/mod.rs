@@ -26,11 +26,11 @@
 //!   without pausing readers; the steady-state read path is one atomic
 //!   load (no lock) because each session caches the `Arc` it last used.
 //! * **[`BoundSession`]** — mutable per-worker state: the query-shape
-//!   cache, the literal cache (whole-query bounds + per-relation
-//!   conditioned sets), the equality/range/LIKE resolve memos — five
-//!   instances of one `ClockCache`, all evicted by its second-chance
-//!   clock — and every arena the online path writes into. Sessions detect
-//!   a swapped snapshot by build id and repopulate lazily.
+//!   cache, the literal cache (whole-query bounds), the equality/range/
+//!   LIKE resolve memos — five instances of one `ClockCache`, all evicted
+//!   by its second-chance clock — and every arena the online path writes
+//!   into. Sessions detect a swapped snapshot by build id and repopulate
+//!   lazily.
 //!
 //! The expensive per-query work splits into two halves with different
 //! cacheability:
@@ -57,23 +57,19 @@
 //!   which a memoized bound (next point) makes unnecessary.
 //! * **Literal-dependent** — predicate resolution and statistics
 //!   assembly. These write every intermediate CDS into the session's
-//!   [`CdsScratch`] arena pools instead of cloning, and are themselves
-//!   memoized by the per-session **literal cache** ([`crate::litcache`]),
-//!   whose entries are keyed by **content** — the bytes naming everything
-//!   the value depends on, verified byte for byte on every hit — never by
-//!   an id of the slot that computed them, so they outlive a shape's
-//!   eviction and are shared by every shape they apply to: an exact
-//!   whole-query repeat (shape key ++ literal vector) returns the
-//!   memoized bound outright (no shape build, resolution, assembly, or
-//!   kernel — the dominant serving case runs in a few hundred
-//!   nanoseconds, and re-planning a query an optimizer has planned before
-//!   costs little more per sub-query), and a relation whose *signature*
-//!   (table, own predicate shape, propagated predicates with their edges)
-//!   and literal sub-vector repeat — in this shape or any other, such as
-//!   the sub-queries of one plan — copies its resolved conditioned set
-//!   instead of re-running MCV/histogram/n-gram lookups. Beneath
-//!   that, repeated equality, range and LIKE literals (hot values) are
-//!   served from per-session memos of the resolved lookups. The per-relation
+//!   [`CdsScratch`] arena pools instead of cloning. An exact whole-query
+//!   repeat skips them: the per-session **literal cache**
+//!   ([`crate::litcache`]) keys each computed bound by **content** — the
+//!   shape key ++ the literal vector, verified byte for byte on every
+//!   hit — never by an id of the slot that computed it, so an entry
+//!   outlives its shape's eviction and returns the memoized bound
+//!   outright (no shape build, resolution, assembly, or kernel — the
+//!   dominant serving case runs in a few hundred nanoseconds, and
+//!   re-planning a query an optimizer has planned before costs little
+//!   more per sub-query). Fresh literals resolve through per-session
+//!   memos of the equality, range and LIKE lookups, shared by every shape
+//!   that reads the same column: a leaf whose answer is one stored set
+//!   is served as that resident set, with no copy. The per-relation
 //!   conditioned stats are resolved **once** and shared across all of a
 //!   cyclic query's relaxations (propagation uses the original query's
 //!   edges — a superset of every relaxation's edges — which is sound and
@@ -117,7 +113,7 @@ use crate::config::SafeBoundConfig;
 use crate::simd::hash::fnv1a;
 use crate::stats::StatsSnapshot;
 use assemble::assemble_into;
-use resolve::{stage_full_literals, stage_rel_literals};
+use resolve::stage_literals;
 use safebound_query::{BoundPlan, Query};
 use safebound_storage::Catalog;
 use session::{Memos, ShapeEntry};
@@ -316,17 +312,13 @@ impl StatsSnapshot {
 
     /// The cached-path evaluation (session already attached to `self`).
     ///
-    /// The warm path runs in up to three tiers, each skipping everything
-    /// below it:
+    /// The warm path runs in two tiers:
     ///
     /// 1. **Bound cache** — an exact whole-query repeat returns the
     ///    memoized `f64` (no shape build, resolution, assembly, or
     ///    kernel).
-    /// 2. **Conditioned cache** — relations whose literal sub-vector
-    ///    repeats copy their resolved [`CdsSet`] from the literal cache;
-    ///    only genuinely fresh relations run MCV/histogram/n-gram
-    ///    resolution.
-    /// 3. **Branch-and-bound over relaxations** — the previous winner is
+    /// 2. **Branch-and-bound over relaxations** — after memoized
+    ///    resolution (see [`crate::estimator`]), the previous winner is
     ///    evaluated first to set a tight `best`; later relaxations share
     ///    the first candidate's per-column assembly through the
     ///    `AssembleStage` and abandon mid-kernel as soon as their
@@ -345,8 +337,6 @@ impl StatsSnapshot {
     /// computed in the same association order as the full evaluation,
     /// with an ulp margin on the comparison, so no rounding asymmetry can
     /// prune a would-be winner.
-    ///
-    /// [`CdsSet`]: crate::conditioning::CdsSet
     fn bound_cached(
         &self,
         query: &Query,
@@ -401,7 +391,7 @@ impl StatsSnapshot {
         // not the shape's slot was ever built or has been evicted since.
         let lit_enabled = lit_cache.enabled();
         if lit_enabled {
-            stage_full_literals(query, lit_stage);
+            stage_literals(query, lit_stage);
             if let Some(b) = lit_cache.lookup_bound(lit_stage.bound_key(shape_key, shape_fp)) {
                 if let Some(t) = t_resolve {
                     phases.resolve_ns += t.elapsed().as_nanos() as u64;
@@ -422,25 +412,12 @@ impl StatsSnapshot {
                 .zip(before)
                 .map_or(0, |(t, before)| (t.elapsed() - before).as_nanos() as u64);
         }
-        if lit_enabled {
-            // Stage the per-relation sub-vectors for tier 2.
-            stage_rel_literals(entry, lit_stage);
-        }
-
-        // Tier 2: resolution, with per-relation conditioned-set reuse.
-        self.resolve_relations(
-            query,
-            entry,
-            cds,
-            memos,
-            lit_enabled.then_some((&mut *lit_cache, &*lit_stage)),
-            cond,
-        )?;
+        self.resolve_relations(query, entry, cds, memos, cond)?;
         if let Some(t) = t_resolve {
             phases.resolve_ns += t.elapsed().as_nanos() as u64 - build_ns;
         }
 
-        // Tier 3: branch-and-bound over the relaxations, previous winner
+        // Tier 2: branch-and-bound over the relaxations, previous winner
         // first, assembly shared across candidates.
         let n = query.num_relations();
         while rel_stats.len() < n {
@@ -515,7 +492,7 @@ impl StatsSnapshot {
             cond[..n].iter().map(|c| c.card).product()
         };
         if lit_enabled {
-            lit_cache.insert_bound(lit_stage.bound_key(shape_key, shape_fp), result, cds);
+            lit_cache.insert_bound(lit_stage.bound_key(shape_key, shape_fp), result);
         }
         if timing {
             phases.queries += 1;
@@ -543,7 +520,7 @@ impl StatsSnapshot {
         let mut cds = CdsScratch::default();
         let mut memo = Memos::default();
         let mut cond = Vec::new();
-        self.resolve_relations(query, &entry, &mut cds, &mut memo, None, &mut cond)?;
+        self.resolve_relations(query, &entry, &mut cds, &mut memo, &mut cond)?;
         let n = query.num_relations();
         let mut out = Vec::with_capacity(entry.plans.len());
         for pe in &entry.plans {
@@ -1196,13 +1173,6 @@ mod tests {
         assert_eq!(session.cached_shapes(), 1);
     }
 
-    /// The relation signatures of a query's shape, as built.
-    fn signatures(sb: &SafeBound, q: &Query) -> Vec<Vec<u8>> {
-        let mut entry = ShapeEntry::default();
-        sb.snapshot().build_shape_entry(q, &mut entry);
-        entry.resolution.into_iter().map(|r| r.sig).collect()
-    }
-
     /// Bound `queries` in order through one default session, each bit-equal
     /// to the cold path, and return the session's counters.
     fn serve_all(sb: &SafeBound, queries: &[&Query]) -> SessionStats {
@@ -1216,10 +1186,10 @@ mod tests {
     }
 
     #[test]
-    fn one_relation_reached_from_two_shapes_is_one_conditioned_entry() {
+    fn one_relation_reached_from_two_shapes_shares_its_memo_entries() {
         // `keyword` under `word = 'rare'` is resolved the same way whether
         // it stands alone, joins `movie_keyword`, or joins it twice: the
-        // later shapes copy the first one's conditioned set. So does
+        // later shapes hit the first one's equality memo entry. So does
         // `movie_keyword` with `'rare'` propagated in along keyword_id,
         // the second time a shape reaches it that way.
         let (_, sb) = build();
@@ -1234,24 +1204,19 @@ mod tests {
              WHERE mk.keyword_id = k.id AND mk2.movie_id = mk.movie_id AND k.word = 'rare'",
         )
         .unwrap();
-        let sigs = (signatures(&sb, &joined), signatures(&sb, &reordered));
-        assert_eq!(sigs.0[1], sigs.1[0], "keyword: same signature");
-        assert_eq!(sigs.0[0], sigs.1[1], "movie_keyword: same signature");
-        assert_eq!(signatures(&sb, &alone)[0], sigs.0[1]);
-
         let s = serve_all(&sb, &[&alone, &joined, &reordered]);
         assert_eq!((s.lit_bound_hits, s.lit_bound_misses), (0, 3));
-        // keyword: resolved once, copied twice; movie_keyword with the
-        // propagated literal: resolved once, copied once. `mk2` reads no
+        // keyword: looked up once, served twice; movie_keyword with the
+        // propagated literal: looked up once, served once. `mk2` reads no
         // literal and is never looked up.
-        assert_eq!((s.lit_cond_hits, s.lit_cond_misses), (3, 2));
+        assert_eq!((s.eq_memo_hits, s.eq_memo_misses), (3, 2));
     }
 
     /// Star catalog for the aliasing cases: two fact tables with the same
     /// columns over two dimensions with the same columns, every column
     /// filterable and every `fk*` declared against both dimensions' `id`,
-    /// so that relations differing in exactly one component of their
-    /// signature exist and resolve to different statistics.
+    /// so that relations differing in exactly one input of their
+    /// resolution exist and resolve to different statistics.
     fn twin_catalog() -> Catalog {
         let mut c = Catalog::new();
         let ints = |f: &dyn Fn(i64) -> i64, n: i64| Column::from_ints((0..n).map(|i| Some(f(i))));
@@ -1295,12 +1260,12 @@ mod tests {
     }
 
     #[test]
-    fn relations_differing_in_one_signature_component_never_share() {
+    fn relations_differing_in_one_resolution_input_never_share() {
         // Every pair below gives its `fact`/`fact2` relation (and its
-        // dimension) byte-identical literal sub-vectors; what differs is
-        // one component of the signature, named in the label. Served
+        // dimension) byte-identical literals; what differs is one input
+        // of the fact relation's resolution, named in the label. Served
         // through one session in both orders, every bound must equal the
-        // cold path and no conditioned entry may be shared.
+        // cold path.
         let sb = SafeBound::build(&twin_catalog(), SafeBoundConfig::test_small());
         let q = |sql: &str| parse_sql(sql).unwrap();
         let star = |fact: &str, fk: &str, dim: &str, fact_pred: &str, dim_pred: &str| {
@@ -1328,103 +1293,42 @@ mod tests {
                 star("fact", "fk", "dim", "w = 2", "w <= 1"),
             ),
         ];
-        let fact_sig = &signatures(&sb, &base)[0];
-        for (label, other) in &cases {
-            let other_sig = &signatures(&sb, other)[0];
-            assert_ne!(fact_sig, other_sig, "{label}");
+        for (_, other) in &cases {
             for pair in [[&base, other], [other, &base]] {
-                let s = serve_all(&sb, &pair);
-                // The dimension is the same relation in both queries of a
-                // pair unless the label says otherwise.
-                let dim_shared = u64::from(!label.starts_with("propagating"));
-                assert_eq!(s.lit_cond_hits, dim_shared, "{label}: {s:?}");
-                assert_eq!(s.lit_cond_misses, 4 - dim_shared, "{label}: {s:?}");
+                serve_all(&sb, &pair);
             }
         }
 
         // Without the propagation (no join) and with it: `fact`'s own
-        // predicate and literal agree, the signatures must not.
+        // predicate and literal agree, the bounds differ.
         let alone = q("SELECT COUNT(*) FROM fact f WHERE f.w = 2");
         let joined = q("SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.w = 2");
-        // `d` carries no predicate: nothing propagates, so this one *is*
-        // the same relation as `alone`, reached from another shape.
-        assert_eq!(signatures(&sb, &alone)[0], signatures(&sb, &joined)[0]);
-        let s = serve_all(&sb, &[&alone, &joined, &base]);
-        assert_eq!((s.lit_cond_hits, s.lit_cond_misses), (1, 3));
+        serve_all(&sb, &[&alone, &joined, &base]);
     }
 
     #[test]
-    fn literal_bytes_cannot_imitate_a_propagation_record() {
+    fn literals_spelling_edge_names_match_the_cold_path() {
         // `fact` under `w = x` alone, against `fact` under `w = 2` with
-        // `dim.w = 1` propagated in: the signatures agree up to the end of
-        // the own predicate, where the second one's propagation record
-        // starts. `x` is chosen so that its encoding spells out that
-        // record's first nine bytes (an integer, whose tag is the record's
-        // marker byte) or its payload (a float) — signatures that merely
-        // ran into the literal bytes would agree that much further. They
-        // end in a marker no continuation shares instead.
+        // `dim.w = 1` propagated in. `x`'s eight bytes are the edge names
+        // `fk 0xff dim 0xff i`, as an integer and as a float: literals that
+        // imitated a per-relation key record when the literal cache still
+        // kept one. Served through one session in both orders, every bound
+        // must equal the cold path.
         let sb = SafeBound::build(&twin_catalog(), SafeBoundConfig::test_small());
         let joined = parse_sql(
             "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.w = 2 AND d.w = 1",
         )
         .unwrap();
-        let sig = signatures(&sb, &joined).swap_remove(0);
-        // Table, own flag, `Eq` tag, column.
-        let own = b"fact\xff\x01\x01w\xff";
-        assert!(sig.starts_with(own));
-        let record = &sig[own.len()..];
-        let payload: [u8; 8] = record[1..9].try_into().unwrap();
+        let payload = *b"fk\xffdim\xffi";
         for x in [
             Value::Int(i64::from_le_bytes(payload)),
             Value::Float(f64::from_bits(u64::from_le_bytes(payload))),
         ] {
-            let mut encoded = Vec::new();
-            crate::litcache::encode_literal(safebound_query::LiteralRef::Value(&x), &mut encoded);
-            assert_eq!(encoded[1..], record[1..9], "{x:?} imitates the record");
             let mut alone = Query::new();
             let f = alone.add_relation(RelationRef::new("fact"));
             alone.add_predicate(f, Predicate::Eq("w".into(), x));
-            let alone_sig = signatures(&sb, &alone).swap_remove(0);
-            assert_eq!(alone_sig, [&own[..], &[0]].concat());
-            assert_eq!(record[0], 1, "where one ends, the other goes on");
             for pair in [[&alone, &joined], [&joined, &alone]] {
-                let s = serve_all(&sb, &pair);
-                assert_eq!((s.lit_cond_hits, s.lit_cond_misses), (0, 3), "{s:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn no_relation_signature_is_a_prefix_of_another() {
-        // What makes `signature ++ literal bytes` injective: over every
-        // relation of a spread of shapes — with and without own
-        // predicates, none to two propagations, nested trees, names that
-        // are prefixes of each other (`dim`/`dim2`, `fk`/`fk2`) — equal
-        // or prefix-free.
-        let sb = SafeBound::build(&twin_catalog(), SafeBoundConfig::test_small());
-        let mut sigs: Vec<Vec<u8>> = [
-            "SELECT COUNT(*) FROM fact f",
-            "SELECT COUNT(*) FROM fact2 f WHERE f.w = 1",
-            "SELECT COUNT(*) FROM fact f WHERE f.w = 1 AND f.v < 3",
-            "SELECT COUNT(*) FROM fact f WHERE f.w = 1 OR f.w = 2",
-            "SELECT COUNT(*) FROM fact f WHERE f.w IN (1, 2, 3)",
-            "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND d.w = 1",
-            "SELECT COUNT(*) FROM fact f, dim2 d WHERE f.fk = d.id AND d.w = 1",
-            "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk2 = d.id AND d.w = 1",
-            "SELECT COUNT(*) FROM fact f, dim d, dim2 e \
-             WHERE f.fk = d.id AND f.fk2 = e.id AND d.w = 1 AND e.v BETWEEN 1 AND 2 AND f.v = 0",
-            "SELECT COUNT(*) FROM fact f, dim d, dim e \
-             WHERE f.fk = d.id AND f.fk2 = e.id AND d.w = 1 AND (e.w = 1 OR e.v > 2)",
-        ]
-        .iter()
-        .flat_map(|sql| signatures(&sb, &parse_sql(sql).unwrap()))
-        .collect();
-        sigs.sort();
-        sigs.dedup();
-        assert!(sigs.len() >= 14, "{} distinct signatures", sigs.len());
-        for (i, a) in sigs.iter().enumerate() {
-            for b in &sigs[i + 1..] {
-                assert!(!b.starts_with(a), "{a:?} is a prefix of {b:?}");
+                serve_all(&sb, &pair);
             }
         }
     }
@@ -1533,12 +1437,12 @@ mod tests {
     }
 
     #[test]
-    fn literal_cond_cache_reuses_per_relation_resolution() {
+    fn a_repeated_dimension_literal_hits_the_eq_memo() {
         let (_, sb) = build();
         let mut session = BoundSession::default();
-        // Same dimension literal, varying fact literal: the dimension
-        // relation's conditioned set (and the fact's propagated one) can
-        // only be reused where the relevant sub-vector actually repeats.
+        // Same dimension literal, varying fact literal: no literal vector
+        // repeats, so every bound is computed, and only the lookups whose
+        // literal actually repeats may be served from the memo.
         for year in 0..4 {
             let q = parse_sql(&format!(
                 "SELECT COUNT(*) FROM movie_keyword mk, keyword k \
@@ -1552,10 +1456,9 @@ mod tests {
         }
         let stats = session.stats();
         assert_eq!(stats.lit_bound_hits, 0, "all four literal vectors differ");
-        // keyword's sub-vector is ('rare') every time — propagation into
-        // movie_keyword carries the year, so only the dimension side
-        // repeats: 3 conditioned hits.
-        assert_eq!(stats.lit_cond_hits, 3);
+        // ('rare') on keyword and propagated into movie_keyword repeats:
+        // 2 misses, then 2 hits per query; each year misses once.
+        assert_eq!((stats.eq_memo_hits, stats.eq_memo_misses), (6, 6));
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! The resolve phase: literal staging, cache probes, and predicate
+//! The resolve phase: literal staging, the bound-cache key, and predicate
 //! resolution into per-relation conditioned sets
 //! ([`PhaseBreakdown::resolve_ns`](super::PhaseBreakdown::resolve_ns)).
 
-use super::session::{
-    EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, RelResolution, ShapeEntry,
-};
+use super::session::{EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, ShapeEntry};
 use super::EstimateError;
 use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, NgramStats, SetOp};
-use crate::litcache::{self, ContentKey, LitCache};
+use crate::litcache::{self, ContentKey};
 use crate::pool::{CdsPool, CdsView, SetRange};
 use crate::simd::hash::fnv1a;
 use crate::stats::{FilterColumnStats, StatsSnapshot, TableStats};
@@ -15,24 +13,17 @@ use crate::symbol::Sym;
 use safebound_query::{CmpOp, Predicate, Query};
 use safebound_storage::Value;
 
-/// Per-query staging for the literal cache: the encoded literal streams
-/// and their fingerprints (see [`crate::litcache`]). Buffers retain
-/// capacity across queries, so staging is allocation-free once warm.
+/// Per-query staging for the literal cache: the query's encoded literal
+/// stream and its fingerprint (see [`crate::litcache`]). The buffer
+/// retains capacity across queries, so staging is allocation-free once
+/// warm.
 #[derive(Debug, Default)]
 pub(super) struct LitStage {
     /// The whole query's encoded literal stream, relations in order (the
     /// bound-cache key vector).
-    pub(super) full: Vec<u8>,
+    full: Vec<u8>,
     /// FNV-1a of `full`.
-    pub(super) full_fp: u64,
-    /// Byte range of each relation's own literals within `full`.
-    spans: Vec<(u32, u32)>,
-    /// Per relation: the sub-stream its resolution reads — own literals
-    /// followed by each PK–FK-propagated source's, in directive order
-    /// (the conditioned-entry key vector).
-    rel_bytes: Vec<Vec<u8>>,
-    /// FNV-1a of each `rel_bytes` entry.
-    rel_fp: Vec<u64>,
+    full_fp: u64,
 }
 
 impl LitStage {
@@ -46,68 +37,21 @@ impl LitStage {
             lits_fp: self.full_fp,
         }
     }
-
-    /// The conditioned-cache key of relation `rel` of the staged query:
-    /// its signature, then the literal sub-stream its resolution reads.
-    /// `None` for a literal-free relation, whose resolution is trivial
-    /// (row count only).
-    fn rel_key<'a>(&'a self, rel: usize, res: &'a RelResolution) -> Option<ContentKey<'a>> {
-        let lits = &self.rel_bytes[rel];
-        (!lits.is_empty()).then_some(ContentKey {
-            scope: &res.sig,
-            scope_fp: res.sig_fp,
-            lits,
-            lits_fp: self.rel_fp[rel],
-        })
-    }
 }
 
 /// Encode the query's whole literal stream (the bound-cache key) into the
-/// session staging buffers. Cheap enough for the exact-repeat fast path:
-/// one encoding pass and one FNV fold; the per-relation sub-vectors are
-/// staged separately ([`stage_rel_literals`]) only after a bound-cache
-/// miss, since a whole-query hit never reads them.
-pub(super) fn stage_full_literals(query: &Query, stage: &mut LitStage) {
-    let n = query.num_relations();
+/// session staging buffer: one encoding pass and one FNV fold.
+pub(super) fn stage_literals(query: &Query, stage: &mut LitStage) {
     stage.full.clear();
-    stage.spans.clear();
-    for rel in 0..n {
-        let start = stage.full.len() as u32;
+    for rel in 0..query.num_relations() {
         if let Some(p) = query.predicate_of(rel) {
             p.visit_literals(&mut |lit| {
                 litcache::encode_literal(lit, &mut stage.full);
                 true
             });
         }
-        stage.spans.push((start, stage.full.len() as u32));
     }
     stage.full_fp = fnv1a(&stage.full);
-}
-
-/// Stage each relation's conditioned-cache sub-vector — its own literals
-/// followed by each PK–FK-propagated source's, in directive order (the
-/// shape fixes that order, so equal bytes imply byte-identical resolution
-/// inputs). Requires [`stage_full_literals`] to have run for this query.
-pub(super) fn stage_rel_literals(entry: &ShapeEntry, stage: &mut LitStage) {
-    let n = stage.spans.len();
-    while stage.rel_bytes.len() < n {
-        stage.rel_bytes.push(Vec::new());
-    }
-    for rel in 0..n {
-        let mut buf = std::mem::take(&mut stage.rel_bytes[rel]);
-        buf.clear();
-        let (s, e) = stage.spans[rel];
-        buf.extend_from_slice(&stage.full[s as usize..e as usize]);
-        for prop in &entry.resolution[rel].propagations {
-            let (s, e) = stage.spans[prop.other_rel];
-            buf.extend_from_slice(&stage.full[s as usize..e as usize]);
-        }
-        stage.rel_bytes[rel] = buf;
-    }
-    stage.rel_fp.clear();
-    for bytes in &stage.rel_bytes[..n] {
-        stage.rel_fp.push(fnv1a(bytes));
-    }
 }
 
 /// How one predicate (sub)tree resolved: not at all, into the caller's
@@ -214,18 +158,13 @@ fn assign_value(dst: &mut Value, src: &Value) {
 impl StatsSnapshot {
     /// Resolve every relation's predicates (own + propagated) into the
     /// session's conditioned-set slots. Runs once per query; the result is
-    /// shared by all relaxations' assemblies. When `lit` carries the
-    /// session's literal cache, relations whose literal sub-vector (own
-    /// predicate plus every propagated source, staged by
-    /// [`stage_rel_literals`]) repeats copy their conditioned set straight
-    /// from the cache; fresh sub-vectors resolve and are memoized.
+    /// shared by all relaxations' assemblies.
     pub(super) fn resolve_relations(
         &self,
         query: &Query,
         entry: &ShapeEntry,
         cds: &mut CdsScratch,
         memo: &mut Memos,
-        mut lit: Option<(&mut LitCache, &LitStage)>,
         cond: &mut Vec<RelCond>,
     ) -> Result<(), EstimateError> {
         let n = query.num_relations();
@@ -239,35 +178,12 @@ impl StatsSnapshot {
                 .tables
                 .get(table_name)
                 .ok_or_else(|| EstimateError::UnknownTable(table_name.clone()))?;
-
-            // Probe the conditioned cache first, under the relation's
-            // signature: whichever shape resolved this table under these
-            // predicates and literals serves it.
             let res = &entry.resolution[rel];
-            let mut cached = lit
-                .as_mut()
-                .and_then(|(cache, stage)| Some((&mut **cache, stage.rel_key(rel, res)?)));
-            if let Some((cache, key)) = cached.as_mut() {
-                if let Some((set, has_cond, card)) = cache.lookup_cond(*key) {
-                    let rc = &mut cond[rel];
-                    rc.has_cond = has_cond;
-                    rc.resident = None;
-                    rc.card = card;
-                    if has_cond {
-                        cds.copy_set(set.view(), &mut rc.set);
-                    } else {
-                        cds.clear_set(&mut rc.set);
-                    }
-                    continue;
-                }
-            }
-
             let rc = &mut cond[rel];
             rc.has_cond = false;
             // Clear the range from whatever query used this slot last:
             // `cond_set` must never read a stale range meant for another
-            // relation's statistics (even the unconditioned insert path
-            // below reads it).
+            // relation's statistics.
             rc.resident = None;
 
             // 1. Condition on the relation's own predicates.
@@ -290,10 +206,6 @@ impl StatsSnapshot {
                 if !s.is_empty() {
                     rc.card = s.cardinality().min(rc.card);
                 }
-            }
-
-            if let Some((cache, key)) = cached {
-                cache.insert_cond(key, rc.cond_set(&self.pool), rc.has_cond, rc.card, cds);
             }
         }
         Ok(())

@@ -10,7 +10,6 @@ use crate::bound::{BoundScratch, RelationBoundStats};
 use crate::clock_cache::ClockCache;
 use crate::conditioning::{CdsScratch, CdsSet, McvOutcome};
 use crate::litcache::LitCache;
-use crate::simd::hash::fnv1a;
 use crate::stats::{StatsSnapshot, TableStats};
 use crate::symbol::Sym;
 use safebound_query::{for_each_spanning_forest, BoundPlan, ColId, JoinGraph, Predicate, Query};
@@ -36,9 +35,9 @@ const MAX_RANGE_MEMO_VALUES: usize = 4096;
 const MAX_LIKE_MEMO_VALUES: usize = 1024;
 
 /// Default capacity of the per-session literal cache (whole-query bound
-/// entries plus per-relation conditioned-set entries combined; see
-/// [`crate::litcache`]). Clock-evicted at capacity, like the memos.
-const MAX_LIT_ENTRIES: usize = 8192;
+/// entries; see [`crate::litcache`]). Clock-evicted at capacity, like the
+/// memos, and the same cap as the scalar memos.
+const MAX_LIT_ENTRIES: usize = 4096;
 
 /// Everything memoized for one query shape: the surviving acyclic
 /// relaxations' plans plus the literal-independent resolution directives.
@@ -86,18 +85,6 @@ pub(super) struct RelResolution {
     /// Predicates on other relations reachable through one original-query
     /// join edge, compiled against the fact side's propagated-key slots.
     pub(super) propagations: Vec<Propagation>,
-    /// The relation's **signature**: everything its conditioned set
-    /// depends on besides literals — the table; the own predicate's shape;
-    /// per entry of `propagations`, in order, this relation's column, the
-    /// other table, its column and its predicate's shape. Names end in
-    /// `0xff`, a marker byte says whether an own predicate and whether
-    /// another propagation follows, so no signature is a proper prefix of
-    /// another and `sig ++ literal sub-vector` identifies a conditioned
-    /// entry of the literal cache — for every shape that reaches the
-    /// relation this way, not only this one.
-    pub(super) sig: Vec<u8>,
-    /// FNV-1a of `sig`.
-    pub(super) sig_fp: u64,
 }
 
 /// One PK–FK propagation source (§4.2).
@@ -129,11 +116,10 @@ pub(super) enum PredSlots {
 
 impl PredSlots {
     /// Whether any leaf resolved to a usable filter slot. A tree with none
-    /// can never condition anything (`resolve_slots` returns `false` on
-    /// every path), so callers drop such directives at shape build: the
-    /// per-query resolution loop skips the no-op walk, and the literal
-    /// cache's per-relation key excludes predicates the relation provably
-    /// never reads.
+    /// can never condition anything (`resolve_slots` returns
+    /// `Resolved::None` on every path), so callers drop such directives at
+    /// shape build and the per-query resolution loop skips the no-op
+    /// walk.
     fn has_any(&self) -> bool {
         match self {
             PredSlots::Leaf(slot) => slot.is_some(),
@@ -284,7 +270,9 @@ impl Memos {
 /// and where [`BoundSession`] (bound to `$s`) reads it from — in the order
 /// the serving layer's `STATS` line reports them. Generates
 /// [`SessionStats`] with its `merge` and `fields`, and
-/// [`BoundSession::stats`].
+/// [`BoundSession::stats`]. A counter whose cache is gone stays as a
+/// frozen key that always reads `0` (`lit_cond_hits`, `lit_cond_misses`),
+/// so the `STATS` key list never changes under a client.
 macro_rules! session_counters {
     ($s:ident; $($(#[$doc:meta])* $name:ident = $src:expr,)*) => {
         /// A coherent snapshot of every per-session cache counter, read
@@ -332,11 +320,12 @@ session_counters! { s;
     lit_bound_hits = s.lit_cache.bound_hits,
     /// Whole-query literal vectors that had to be computed.
     lit_bound_misses = s.lit_cache.bound_misses,
-    /// Per-relation conditioned sets served from the literal cache.
-    lit_cond_hits = s.lit_cache.cond_hits,
-    /// Per-relation literal sub-vectors that had to be resolved.
-    lit_cond_misses = s.lit_cache.cond_misses,
-    /// Literal-cache entries recycled by its clock.
+    /// Frozen at 0: the literal cache holds whole-query bounds only. The
+    /// key keeps its `STATS` position so existing parsers stay valid.
+    lit_cond_hits = 0,
+    /// Frozen at 0, like `lit_cond_hits`.
+    lit_cond_misses = 0,
+    /// Literal-cache (bound) entries recycled by its clock.
     lit_evictions = s.lit_cache.evictions(),
     /// Hot-literal MCV memo hits.
     eq_memo_hits = s.memos.eq.hits,
@@ -378,13 +367,12 @@ pub struct PhaseBreakdown {
 }
 
 /// Reusable per-thread (per-worker) state for the online path: the
-/// query-shape plan/relaxation cache, the resolve
-/// memos, the **literal cache** (whole-query bounds and per-relation
-/// conditioned sets, see [`crate::litcache`]), and every arena the online
-/// path writes into ([`BoundScratch`] for the kernel, [`CdsScratch`] for
-/// predicate resolution and assembly, pooled per-relation stats). Hold
-/// one per serving thread; a warm session allocates nothing per query on
-/// the cached path.
+/// query-shape plan/relaxation cache, the resolve memos, the **literal
+/// cache** (whole-query bounds, see [`crate::litcache`]), and every arena
+/// the online path writes into ([`BoundScratch`] for the kernel,
+/// [`CdsScratch`] for predicate resolution and assembly, pooled
+/// per-relation stats). Hold one per serving thread; a warm session
+/// allocates nothing per query on the cached path.
 ///
 /// A session also pins the [`StatsSnapshot`] it last served from, so a
 /// concurrent [`SafeBound::swap_stats`] never invalidates statistics
@@ -478,9 +466,9 @@ impl BoundSession {
         self
     }
 
-    /// Override the literal-cache capacity (default 8192 entries across
-    /// bound and conditioned kinds; 0 disables literal caching — every
-    /// query resolves and assembles as if each literal vector were fresh).
+    /// Override the literal-cache capacity (default 4096 whole-query bound
+    /// entries; 0 disables literal caching — every query resolves and
+    /// assembles as if each literal vector were fresh).
     pub fn with_literal_capacity(mut self, capacity: usize) -> Self {
         self.lit_cache = LitCache::with_capacity(capacity);
         self
@@ -512,10 +500,9 @@ impl StatsSnapshot {
     /// overwriting whatever it held besides its key (a default entry, or
     /// the clock's victim whose buffers are reused): enumerate spanning
     /// relaxations, plan the Berge-acyclic ones, resolve join columns to
-    /// plan ids and interned symbols, compile every predicate column — own
-    /// and PK–FK-propagated (from the **original** query's edges) — to
-    /// dense filter slots, so the per-query path never touches a string,
-    /// and write each relation's literal-cache signature.
+    /// plan ids and interned symbols, and compile every predicate column —
+    /// own and PK–FK-propagated (from the **original** query's edges) — to
+    /// dense filter slots, so the per-query path never touches a string.
     ///
     /// The remembered winner is reset: it belonged to the evicted shape.
     ///
@@ -574,15 +561,9 @@ impl StatsSnapshot {
         resolution.resize_with(n, RelResolution::default);
         for (rel, res) in resolution.iter_mut().enumerate() {
             res.propagations.clear();
-            let own = query.predicate_of(rel);
-            res.own =
-                own.map(|p| compile_slots(p, &mut |c| tables[rel].and_then(|t| t.filter_slot(c))));
-            res.sig.clear();
-            push_name(&mut res.sig, &query.relations[rel].table);
-            res.sig.push(u8::from(own.is_some()));
-            if let Some(p) = own {
-                p.shape_key_into(&mut res.sig);
-            }
+            res.own = query
+                .predicate_of(rel)
+                .map(|p| compile_slots(p, &mut |c| tables[rel].and_then(|t| t.filter_slot(c))));
         }
         for edge in &query.joins {
             if edge.left == edge.right {
@@ -608,31 +589,15 @@ impl StatsSnapshot {
                 }
                 let slots = compile_slots(pred, &mut |c| keyed.slot(c));
                 // A propagation with no resolvable slot is a per-query
-                // no-op; dropping it here keeps the resolution loop and
-                // the literal-cache keys to what the relation reads.
+                // no-op; dropping it here keeps the resolution loop to
+                // what the relation reads.
                 if slots.has_any() {
-                    let res = &mut resolution[rel];
+                    let props = &mut resolution[rel].propagations;
                     // Sized to fit: a relation has one or two of these.
-                    res.propagations.reserve_exact(1);
-                    res.propagations.push(Propagation { other_rel, slots });
-                    res.sig.push(1);
-                    push_name(&mut res.sig, my_col);
-                    push_name(&mut res.sig, other_table);
-                    push_name(&mut res.sig, other_col);
-                    pred.shape_key_into(&mut res.sig);
+                    props.reserve_exact(1);
+                    props.push(Propagation { other_rel, slots });
                 }
             }
         }
-        for res in resolution.iter_mut() {
-            res.sig.push(0);
-            res.sig_fp = fnv1a(&res.sig);
-        }
     }
-}
-
-/// Append a name to a signature the way shape keys spell them: its bytes,
-/// then `0xff`, which UTF-8 never contains.
-fn push_name(sig: &mut Vec<u8>, name: &str) {
-    sig.extend_from_slice(name.as_bytes());
-    sig.push(0xff);
 }

@@ -173,7 +173,7 @@ impl CdsPool {
 /// through [`PwlView`]s.
 #[derive(Debug, Clone, Copy)]
 pub enum CdsView<'a> {
-    /// An owned set (session scratch, literal cache, build output).
+    /// An owned set (session scratch, memo entries, build output).
     Owned(&'a [(Sym, PiecewiseLinear)]),
     /// A snapshot-resident set.
     Pooled {

@@ -7,9 +7,10 @@
 //! [`SafeBound::swap_stats`] hot swap.
 //!
 //! Overlap is the point: literal pools are tiny, so batches are dense in
-//! exact repeats (bound-cache hits), partial repeats (conditioned-cache
-//! hits), and fresh vectors (full resolution), interleaved across acyclic
-//! and cyclic (multi-relaxation, pruning-active) templates.
+//! exact repeats (bound-cache hits), partial repeats (memo hits for the
+//! repeated literals), and fresh vectors (full resolution), interleaved
+//! across acyclic and cyclic (multi-relaxation, pruning-active)
+//! templates.
 
 use proptest::prelude::*;
 use safebound_core::{fdsb, BoundSession, SafeBound, SafeBoundBuilder, SafeBoundConfig};

@@ -2,8 +2,8 @@
 //! bounds over a small pool of query shapes and [`SafeBound::swap_stats`]
 //! hot swaps, served through one long-lived session whose shape cache is
 //! far smaller than the pool (capacities 1, 2 and 7) and whose literal
-//! cache is off, far smaller than the literal set (3 entries, bound and
-//! conditioned combined) or the default, must agree bit for bit with the
+//! cache is off, far smaller than the literal set (3 bound entries) or the
+//! default, must agree bit for bit with the
 //! model — a fresh session per query against the build that is current at
 //! that point. Whatever the session's five clock caches hold, recycle or
 //! flush, it may only ever change *when* work happens, never a bound.
@@ -11,12 +11,12 @@
 //! The pool is built to provoke cross-shape mix-ups: several shapes over
 //! different tables take byte-identical literal vectors, and the same
 //! relation under the same predicate appears in several shapes. Literal-
-//! cache entries are keyed by content and outlive their shape's slot, so a
-//! key that left out anything its value depends on — the table, a
-//! propagated predicate, the build — would serve another shape's memoized
-//! bound or conditioned set; and a recycled shape slot that kept anything
-//! of its previous tenant (its plans before the rebuild, its remembered
-//! winning relaxation) would evaluate the wrong plan.
+//! cache entries and memo entries are keyed by content and outlive their
+//! shape's slot, so a key that left out anything its value depends on —
+//! the table, a propagated predicate, the build — would serve another
+//! shape's memoized bound or lookup; and a recycled shape slot that kept
+//! anything of its previous tenant (its plans before the rebuild, its
+//! remembered winning relaxation) would evaluate the wrong plan.
 
 use proptest::prelude::*;
 use safebound_core::{BoundSession, SafeBound, SafeBoundBuilder, SafeBoundConfig};

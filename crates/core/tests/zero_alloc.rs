@@ -375,8 +375,8 @@ fn steady_state_literal_cache_eviction_churn_allocates_nothing() {
         );
     }
 
-    // Capacity 4 ≪ 16 distinct vectors (each producing a bound entry and
-    // conditioned entries): constant eviction pressure.
+    // Capacity 4 ≪ 16 distinct vectors (each producing a bound entry):
+    // constant eviction pressure.
     let mut session = BoundSession::default().with_literal_capacity(4);
     assert_steady_state_allocates_nothing(
         &sb,
@@ -523,14 +523,14 @@ fn shape_miss_at_capacity_allocates_only_what_its_plan_needs() {
     // a miss that recycles the clock's victim in place. Literal caching is
     // off — so every claimed slot is built at once — and the arenas are
     // warm, so what is counted is the shape build alone: relaxation
-    // enumeration, join graph, plan and slot compilation (key and
-    // signatures are written into the victim's buffers).
+    // enumeration, join graph, plan and slot compilation (the key is
+    // written into the victim's buffer).
     //
     // With a fresh `Query` clone per relaxation and per exemplar, a
     // `String` per join attribute and a `format!` per propagated leaf, one
     // round of these six misses cost 544 allocations (commit 650f4ce, this
     // very test). Building over borrowed names into the recycled entry
-    // must stay at or below half of that. It takes 121 (135 while every
+    // must stay at or below half of that. It takes 119 (135 while every
     // entry also kept an exemplar query, predicate trees included); what
     // remains is the join graph's and the enumeration's scratch vectors,
     // each plan's step lists, and the slot trees.

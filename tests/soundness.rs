@@ -258,3 +258,88 @@ fn workload_soundness_sweep() {
         }
     }
 }
+
+/// The paper's online path — fresh literals over known shapes — through
+/// long-lived sessions: every JOB-light and JOB-LightRanges template with
+/// each integer literal re-drawn from a fixed seed, a few thousand lines.
+/// Routed by `shape_hash() % 2` through two default sessions (the way the
+/// server shards), and separately through one session whose literal cache
+/// holds 4 bounds (every computed bound evicts another), every bound must
+/// be bit-identical to the cold path's.
+#[test]
+fn fresh_literal_stream_is_bit_identical_to_the_cold_path() {
+    use safebound::core::BoundSession;
+    use safebound_query::Predicate;
+    use safebound_storage::Value;
+
+    /// `|v + d|` for a seeded `d` in `[-8, 8]`: narrow enough that some
+    /// lines repeat (bound-cache hits), wide enough that most are fresh.
+    fn redraw(p: &mut Predicate, state: &mut u64) {
+        let mut next = |v: &mut Value| {
+            if let Value::Int(i) = v {
+                // splitmix64
+                *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = *state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^= z >> 31;
+                *i = (*i + (z % 17) as i64 - 8).abs();
+            }
+        };
+        match p {
+            Predicate::Eq(_, v) | Predicate::Cmp(_, _, v) => next(v),
+            Predicate::Between(_, lo, hi) => {
+                next(lo);
+                next(hi);
+            }
+            Predicate::In(_, vs) => vs.iter_mut().for_each(next),
+            Predicate::Like(..) => {}
+            Predicate::And(ps) | Predicate::Or(ps) => {
+                ps.iter_mut().for_each(|p| redraw(p, state));
+            }
+        }
+    }
+
+    let seed = 42;
+    let catalog = safebound_datagen::imdb_catalog(&safebound_datagen::ImdbScale::tiny(), seed);
+    let templates: Vec<_> = safebound_datagen::job_light(seed)
+        .into_iter()
+        .chain(
+            safebound_datagen::job_light_ranges(seed)
+                .into_iter()
+                .take(30),
+        )
+        .map(|bq| bq.query)
+        .collect();
+    let sb = SafeBound::build(&catalog, safebound_bench::experiment_config());
+    let mut shards = [BoundSession::default(), BoundSession::default()];
+    let mut tiny = BoundSession::default().with_literal_capacity(4);
+    let mut state = 0x5EED_u64;
+    for line in 0..3000 {
+        let mut q = templates[line % templates.len()].clone();
+        for (_, p) in &mut q.predicates {
+            redraw(p, &mut state);
+        }
+        let cold = sb.bound(&q).unwrap();
+        let shard = &mut shards[(q.shape_hash() % 2) as usize];
+        for (label, session) in [("shard", shard), ("capacity 4", &mut tiny)] {
+            let got = sb.bound_with_session(&q, session).unwrap();
+            assert_eq!(
+                got.to_bits(),
+                cold.to_bits(),
+                "line {line} ({label}): {got} vs cold {cold}"
+            );
+        }
+    }
+    let mut stats = shards[0].stats();
+    stats.merge(&shards[1].stats());
+    assert!(stats.lit_bound_hits > 0 && stats.lit_bound_misses > stats.lit_bound_hits);
+    assert!(
+        shards.iter().all(|s| s.stats().lit_bound_misses > 0),
+        "{stats:?}"
+    );
+    assert!(tiny.stats().lit_evictions > 0);
+    for s in [stats, tiny.stats()] {
+        assert_eq!((s.lit_cond_hits, s.lit_cond_misses), (0, 0), "frozen keys");
+    }
+}
