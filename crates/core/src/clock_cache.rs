@@ -1,11 +1,11 @@
 //! The one per-session cache structure: a fingerprint-keyed map into a
 //! slab of payload slots, evicted by a second-chance clock.
 //!
-//! A [`BoundSession`](crate::estimator::BoundSession) instantiates it five
-//! times — the query-shape cache, the equality, range and LIKE resolve
-//! memos and the literal cache ([`crate::litcache`]) — differing only in
-//! the owner half of the key and the payload type. What the five share
-//! lives here, once:
+//! A [`BoundSession`](crate::estimator::BoundSession) instantiates it four
+//! times — the query-shape cache, the equality and LIKE resolve memos and
+//! the literal cache ([`crate::litcache`]) — differing only in the owner
+//! half of the key and the payload type. What the four share lives here,
+//! once:
 //!
 //! * **Keying** — `(owner, fingerprint)`, where the owner scopes the
 //!   fingerprint (a table's filter slot; `()` for the shape cache and

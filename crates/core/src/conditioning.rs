@@ -728,27 +728,16 @@ pub struct HistogramLevel {
 }
 
 impl HistogramLevel {
-    /// The bucket index covering `[lo, hi]` entirely, if a single one does.
+    /// The bucket index covering `[lo, hi]` entirely, if a single one does:
+    /// the bucket containing `lo` (found by `partition_point` over the
+    /// inner bounds, so at most `nb - 1`) when it also contains `hi`.
     /// Inverted ranges (`hi < lo`) cover nothing and return `None`.
     fn covering_bucket(&self, lo: &Value, hi: &Value) -> Option<usize> {
         if self.bounds.len() < 2 || hi < lo {
             return None;
         }
-        // Find the bucket containing lo.
         let nb = self.bucket_groups.len();
-        let mut idx = self.bounds[1..nb].partition_point(|b| b <= lo);
-        if idx >= nb {
-            idx = nb - 1;
-        }
-        self.check_covering(idx, lo, hi)
-    }
-
-    /// Whether bucket `idx` (the one containing `lo`) also covers `hi`;
-    /// the verification half of [`covering_bucket`](Self::covering_bucket),
-    /// shared with the batched key search (which computes `idx` from order
-    /// keys but verifies with the same `Value` comparisons).
-    fn check_covering(&self, idx: usize, lo: &Value, hi: &Value) -> Option<usize> {
-        let nb = self.bucket_groups.len();
+        let idx = self.bounds[1..nb].partition_point(|b| b <= lo);
         let upper = &self.bounds[idx + 1];
         let covered = if idx + 1 == nb {
             hi <= upper
@@ -756,76 +745,6 @@ impl HistogramLevel {
             hi < upper
         };
         (covered && lo >= &self.bounds[idx]).then_some(idx)
-    }
-}
-
-/// Precomputed order-key matrix over a histogram hierarchy's inner bucket
-/// boundaries, enabling the batched branchless search of
-/// [`crate::simd::search`] across all levels at once. Built only when
-/// every searched boundary is exactly representable as `f64` (see
-/// [`probe_key`]); otherwise lookups fall back to the per-level scalar
-/// walk.
-#[derive(Debug, Clone, PartialEq)]
-struct RangeIndex {
-    /// Level-major rows of [`crate::simd::search::order_key`]s for
-    /// `bounds[1..nb]`, each padded to `stride` with `i64::MAX`.
-    keys: Vec<i64>,
-    /// Row width (max inner-boundary count over levels, at least 1).
-    stride: usize,
-    /// Per level: real (unpadded) key count, `nb - 1`.
-    counts: Vec<u32>,
-}
-
-/// Levels cap for the stack-allocated batched-search result buffer; deeper
-/// hierarchies (never produced by the builder, which stops at 2 buckets)
-/// fall back to the scalar walk.
-const MAX_BATCH_LEVELS: usize = 16;
-
-/// The order key of a boundary or probe value, if integer comparisons on
-/// it are exactly equivalent to the `Value` total order: floats key by
-/// their own bits (total_cmp order), integers only when they survive the
-/// `i64 → f64` round trip (exact integers embed injectively and
-/// order-preservingly among floats, matching `Value::cmp`'s widening).
-/// Strings and nulls have no numeric key.
-fn probe_key(v: &Value) -> Option<i64> {
-    use crate::simd::search::{int_is_order_exact, order_key};
-    match v {
-        Value::Int(i) if int_is_order_exact(*i) => Some(order_key(*i as f64)),
-        Value::Float(f) => Some(order_key(*f)),
-        _ => None,
-    }
-}
-
-impl RangeIndex {
-    /// Build the key matrix, or `None` when any searched boundary lacks an
-    /// exact key (or the hierarchy is degenerate).
-    fn build(levels: &[HistogramLevel]) -> Option<RangeIndex> {
-        if levels.is_empty() || levels.len() > MAX_BATCH_LEVELS {
-            return None;
-        }
-        let mut stride = 1usize;
-        let mut counts = Vec::with_capacity(levels.len());
-        for level in levels {
-            let nb = level.bucket_groups.len();
-            if nb == 0 || level.bounds.len() != nb + 1 {
-                return None;
-            }
-            counts.push((nb - 1) as u32);
-            stride = stride.max(nb - 1);
-        }
-        let mut keys = Vec::with_capacity(stride * levels.len());
-        for level in levels {
-            let nb = level.bucket_groups.len();
-            for b in &level.bounds[1..nb] {
-                keys.push(probe_key(b)?);
-            }
-            keys.resize(keys.len() + stride - (nb - 1), i64::MAX);
-        }
-        Some(RangeIndex {
-            keys,
-            stride,
-            counts,
-        })
     }
 }
 
@@ -838,76 +757,16 @@ pub struct HistogramStats {
     pub levels: Vec<HistogramLevel>,
     /// Group CDS sets shared by all levels.
     pub groups: Vec<SetRange>,
-    /// Batched-search acceleration over the levels' boundaries
-    /// (deterministic function of `levels`, so derived equality and
-    /// identical rebuilds stay consistent). `None` when boundaries are
-    /// non-numeric or otherwise un-keyable.
-    range_index: Option<RangeIndex>,
 }
 
 impl HistogramStats {
-    /// Assemble the hierarchy (and its batched-search key matrix, when
-    /// the boundaries admit one) from built levels and group sets.
-    pub fn new(levels: Vec<HistogramLevel>, groups: Vec<SetRange>) -> HistogramStats {
-        let range_index = RangeIndex::build(&levels);
-        HistogramStats {
-            levels,
-            groups,
-            range_index,
-        }
-    }
-    /// The conditioned CDS set of the smallest bucket fully covering
-    /// `[lo, hi]`; `None` when even the 2-bucket level cannot cover it
-    /// (caller falls back to the unconditioned CDS). Inverted ranges
-    /// (`hi < lo`, i.e. an empty selection) return `None`; callers that
-    /// can prove emptiness should use a zero set instead
-    /// ([`McvStats::zero_set_into`]).
-    pub fn lookup_range(&self, pool: &CdsPool, lo: &Value, hi: &Value) -> Option<CdsSet> {
-        let g = self.lookup_range_group(lo, hi)?;
-        Some(pool.set(*self.groups.get(g)?).to_set())
-    }
-
-    /// The group id behind [`lookup_range`](Self::lookup_range): the value
-    /// the session range memo stores. When the key matrix
-    /// exists and the probe has an exact order key, the bucket of `lo` on
-    /// **every** level is found in one batched branchless search
-    /// ([`crate::simd::search::batched_upper_bound`]) before the covering
-    /// checks run with plain `Value` comparisons — bit-identical to the
-    /// scalar walk because exact keys order exactly like `Value::cmp`.
+    /// The group id (into [`groups`](Self::groups)) of the smallest bucket
+    /// fully covering `[lo, hi]`: one walk down the levels, finest first.
+    /// `None` when even the 2-bucket level cannot cover it (caller falls
+    /// back to the unconditioned CDS). Inverted ranges (`hi < lo`, i.e. an
+    /// empty selection) return `None`; callers that can prove emptiness
+    /// should use a zero set instead ([`McvStats::zero_set_into`]).
     pub fn lookup_range_group(&self, lo: &Value, hi: &Value) -> Option<usize> {
-        if hi < lo {
-            return None;
-        }
-        if let Some(index) = &self.range_index {
-            if let Some(probe) = probe_key(lo) {
-                debug_assert!(self.levels.len() <= MAX_BATCH_LEVELS);
-                let mut idxs = [0u32; MAX_BATCH_LEVELS];
-                crate::simd::search::batched_upper_bound(
-                    &index.keys,
-                    index.stride,
-                    &index.counts,
-                    probe,
-                    &mut idxs[..self.levels.len()],
-                );
-                for (level, &idx) in self.levels.iter().zip(idxs.iter()) {
-                    if let Some(b) = level.check_covering(idx as usize, lo, hi) {
-                        return Some(level.bucket_groups[b]);
-                    }
-                }
-                return None;
-            }
-        }
-        self.lookup_range_group_scalar(lo, hi)
-    }
-
-    /// Reference scalar walk under [`lookup_range_group`](Self::lookup_range_group)
-    /// (also the fallback for un-keyable hierarchies or probes). Public
-    /// only for the equivalence tests.
-    #[doc(hidden)]
-    pub fn lookup_range_group_scalar(&self, lo: &Value, hi: &Value) -> Option<usize> {
-        if hi < lo {
-            return None;
-        }
         for level in &self.levels {
             if let Some(b) = level.covering_bucket(lo, hi) {
                 return Some(level.bucket_groups[b]);
@@ -926,19 +785,14 @@ impl HistogramStats {
         self.levels.last().and_then(|l| l.bounds.last())
     }
 
-    /// Approximate heap size in bytes (the batched-search key matrix
-    /// included).
+    /// Approximate heap size in bytes.
     pub fn byte_size(&self, pool: &CdsPool) -> usize {
         let b: usize = self
             .levels
             .iter()
             .map(|l| l.bounds.len() * 24 + l.bucket_groups.len() * 8)
             .sum();
-        let idx = self
-            .range_index
-            .as_ref()
-            .map_or(0, |i| i.keys.len() * 8 + i.counts.len() * 4);
-        b + idx + sets_byte_size(pool, &self.groups)
+        b + sets_byte_size(pool, &self.groups)
     }
 
     /// Number of stored CDS sets.
@@ -1306,7 +1160,8 @@ mod tests {
                 |i| matches!(year_col.get(i), Value::Int(y) if y >= lo && y <= hi),
             );
             // A `None` lookup falls back to base, which trivially dominates.
-            if let Some(set) = hist.lookup_range(&pool, &Value::Int(lo), &Value::Int(hi)) {
+            if let Some(g) = hist.lookup_range_group(&Value::Int(lo), &Value::Int(hi)) {
+                let set = pool.set(hist.groups[g]).to_set();
                 assert!(
                     set.get(FK).unwrap().dominates(&exact),
                     "range [{lo},{hi}] must dominate"
@@ -1323,7 +1178,8 @@ mod tests {
         let hist = build_histogram(&t, "year", &jc(), &cfg, &mut pool).unwrap();
         let base = cds_set_for_rows(&t, &jc(), None, cfg.compression_c);
         // A narrow range near the tail should produce a much smaller bound.
-        if let Some(set) = hist.lookup_range(&pool, &Value::Int(1997), &Value::Int(1998)) {
+        if let Some(g) = hist.lookup_range_group(&Value::Int(1997), &Value::Int(1998)) {
+            let set = pool.set(hist.groups[g]).to_set();
             assert!(set.cardinality() < base.cardinality() / 2.0);
         }
     }

@@ -26,9 +26,9 @@
 //!   without pausing readers; the steady-state read path is one atomic
 //!   load (no lock) because each session caches the `Arc` it last used.
 //! * **[`BoundSession`]** — mutable per-worker state: the query-shape
-//!   cache, the literal cache (whole-query bounds), the equality/range/
-//!   LIKE resolve memos — five instances of one `ClockCache`, all evicted
-//!   by its second-chance clock — and every arena the online path writes
+//!   cache, the literal cache (whole-query bounds), the equality and LIKE
+//!   resolve memos — four instances of one `ClockCache`, all evicted by
+//!   its second-chance clock — and every arena the online path writes
 //!   into. Sessions detect a swapped snapshot by build id and repopulate
 //!   lazily.
 //!
@@ -67,9 +67,10 @@
 //!   dominant serving case runs in a few hundred nanoseconds, and
 //!   re-planning a query an optimizer has planned before costs little
 //!   more per sub-query). Fresh literals resolve through per-session
-//!   memos of the equality, range and LIKE lookups, shared by every shape
-//!   that reads the same column: a leaf whose answer is one stored set
-//!   is served as that resident set, with no copy. The per-relation
+//!   memos of the equality and LIKE lookups, shared by every shape that
+//!   reads the same column; a range walks the histogram levels directly.
+//!   A leaf whose answer is one stored set is served as that resident
+//!   set, with no copy. The per-relation
 //!   conditioned stats are resolved **once** and shared across all of a
 //!   cyclic query's relaxations (propagation uses the original query's
 //!   edges — a superset of every relaxation's edges — which is sound and
@@ -1379,7 +1380,7 @@ mod tests {
         let (_, sb) = build();
         // Literal caching off: pin the MCV memo, not the literal cache.
         let mut session = BoundSession::default()
-            .with_memo_capacities(4, 4, 4)
+            .with_memo_capacities(4, 4)
             .with_literal_capacity(0);
         // Saturate the memo with a churn of distinct literals (each query
         // memoizes the dimension literal and its propagated counterpart).

@@ -2,7 +2,7 @@
 //! resolution into per-relation conditioned sets
 //! ([`PhaseBreakdown::resolve_ns`](super::PhaseBreakdown::resolve_ns)).
 
-use super::session::{EqEntry, LikeEntry, Memo, Memos, PredSlots, RangeEntry, ShapeEntry};
+use super::session::{EqEntry, LikeEntry, Memo, Memos, PredSlots, ShapeEntry};
 use super::EstimateError;
 use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, NgramStats, SetOp};
 use crate::litcache::{self, ContentKey};
@@ -103,44 +103,26 @@ fn fp_mix(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// Two-word fingerprint material for one literal, honoring the
-/// [`Value::normalized_int`] normalization (an integer and the float it
-/// normalizes from yield the same words, exactly like
-/// [`litcache::encode_literal`]'s byte encoding — the tags below mirror
-/// its). Strings fold their bytes through serial FNV first, so the hot
-/// numeric literals never touch a byte buffer.
-#[inline]
-fn value_fp_words(v: &Value) -> (u64, u64) {
-    match (v.normalized_int(), v) {
-        (Some(i), _) => (1, i as u64),
-        (None, Value::Null) => (0, 0),
-        (None, Value::Float(f)) => (2, f.to_bits()),
-        (None, Value::Str(s)) => (3, fnv1a(s.as_bytes())),
-        (None, Value::Int(_)) => unreachable!("integers always normalize"),
-    }
-}
-
-/// Fingerprint of a single literal (equality memo key material). Memo
+/// Fingerprint of a single literal (equality memo key material): a tag
+/// and a payload word, honoring the [`Value::normalized_int`]
+/// normalization (an integer and the float it normalizes from fingerprint
+/// equally, exactly like [`litcache::encode_literal`]'s byte encoding —
+/// the tags below mirror its). Strings fold their bytes through serial
+/// FNV first, so the hot numeric literals never touch a byte buffer. Memo
 /// fingerprints are session-internal: collisions are verified by `Value`
 /// equality on every hit, so the hash only has to discriminate, never
 /// authenticate.
 #[inline]
 fn value_fp(v: &Value) -> u64 {
     use crate::simd::hash::FNV_BASIS;
-    let (tag, payload) = value_fp_words(v);
+    let (tag, payload) = match (v.normalized_int(), v) {
+        (Some(i), _) => (1, i as u64),
+        (None, Value::Null) => (0, 0),
+        (None, Value::Float(f)) => (2, f.to_bits()),
+        (None, Value::Str(s)) => (3, fnv1a(s.as_bytes())),
+        (None, Value::Int(_)) => unreachable!("integers always normalize"),
+    };
     fp_mix(fp_mix(FNV_BASIS, tag), payload)
-}
-
-/// Fingerprint of a `[lo, hi]` range (range memo key material) over the
-/// same normalized tag/payload words as [`value_fp`], so `Value`-equal
-/// probes — e.g. an integer and the float it normalizes from —
-/// fingerprint equally without staging any bytes.
-#[inline]
-fn range_fp(lo: &Value, hi: &Value) -> u64 {
-    use crate::simd::hash::FNV_BASIS;
-    let (tl, pl) = value_fp_words(lo);
-    let (th, ph) = value_fp_words(hi);
-    fp_mix(fp_mix(fp_mix(fp_mix(FNV_BASIS, tl), pl), th), ph)
 }
 
 /// Overwrite a memoized literal in place: a recycled string slot keeps
@@ -320,37 +302,11 @@ fn memo_eq(
     serve(o)
 }
 
-/// Histogram range lookup, memoized when `memo_sym` names the owning
-/// table: hot `[lo, hi]` pairs replay their covering group (or the
-/// no-cover outcome) without walking the hierarchy, and a covered range
-/// is always served as its resident group set — the range path never
-/// copies.
-fn memo_range(
-    hist: &HistogramStats,
-    slot: u32,
-    memo_sym: Option<Sym>,
-    lo: &Value,
-    hi: &Value,
-    memo: &mut Memo<RangeEntry>,
-) -> Resolved {
-    let group = match memo_sym {
-        None => hist.lookup_range_group(lo, hi),
-        Some(sym) => {
-            let fp = range_fp(lo, hi);
-            match memo.lookup(sym, slot, fp, |e| e.lo == *lo && e.hi == *hi) {
-                Some(e) => e.group.map(|g| g as usize),
-                None => {
-                    let g = hist.lookup_range_group(lo, hi);
-                    if let Some(e) = memo.cache.claim((sym, slot), fp) {
-                        assign_value(&mut e.lo, lo);
-                        assign_value(&mut e.hi, hi);
-                        e.group = g.map(|g| g as u32);
-                    }
-                    g
-                }
-            }
-        }
-    };
+/// Histogram range lookup: one walk down the hierarchy, unmemoized (the
+/// walk costs less than a memo probe would). A covered range is always
+/// served as its resident group set — the range path never copies.
+fn resolve_range(hist: &HistogramStats, lo: &Value, hi: &Value) -> Resolved {
+    let group = hist.lookup_range_group(lo, hi);
     match group.and_then(|g| hist.groups.get(g)) {
         Some(&r) => Resolved::Resident(r),
         None => Resolved::None,
@@ -486,7 +442,7 @@ fn resolve_slots<'a>(
                 CmpOp::Lt | CmpOp::Le => (min, if v < max { v } else { max }),
                 CmpOp::Gt | CmpOp::Ge => (if v > min { v } else { min }, max),
             };
-            memo_range(hist, slot, memo_sym, lo, hi, &mut memo.range)
+            resolve_range(hist, lo, hi)
         }
         (Predicate::Between(_, lo, hi), &PredSlots::Leaf(slot)) => {
             let Some(slot) = slot else {
@@ -501,7 +457,7 @@ fn resolve_slots<'a>(
             let Some(hist) = fs.histogram.as_ref() else {
                 return Resolved::None;
             };
-            memo_range(hist, slot, memo_sym, lo, hi, &mut memo.range)
+            resolve_range(hist, lo, hi)
         }
         (Predicate::Like(_, pattern), &PredSlots::Leaf(slot)) => {
             let Some(slot) = slot else {

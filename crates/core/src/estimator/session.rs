@@ -26,10 +26,6 @@ const MAX_CACHED_SHAPES: usize = 1024;
 /// sweep evicts cold entries, so late-arriving hot literals still enter.
 const MAX_EQ_MEMO_VALUES: usize = 4096;
 
-/// Cap on memoized range-lookup outcomes per session. Entries are tiny
-/// (two literals and a group id), so the cap matches the equality memo.
-const MAX_RANGE_MEMO_VALUES: usize = 4096;
-
 /// Cap on memoized LIKE resolutions per session. Each entry carries a
 /// resolved [`CdsSet`], so the cap is tighter than the scalar memos.
 const MAX_LIKE_MEMO_VALUES: usize = 1024;
@@ -201,22 +197,6 @@ pub(super) struct EqEntry {
     pub(super) set: CdsSet,
 }
 
-/// A memoized range-lookup outcome. Zero-set outcomes (empty or inverted
-/// selections) are decided by plain `Value` comparisons *before* the
-/// lookup and are not memoized.
-#[derive(Debug, Default)]
-pub(super) struct RangeEntry {
-    /// The `[lo, hi]` literals, verified by `==` on every hit (sound
-    /// because `Value`-equal ranges resolve identically: the lookup is
-    /// pure `Value` comparisons).
-    pub(super) lo: Value,
-    pub(super) hi: Value,
-    /// Covering group id into the histogram's shared group sets, `None`
-    /// when no level covered the range (fall back to the unconditioned
-    /// CDS — itself a memoizable outcome).
-    pub(super) group: Option<u32>,
-}
-
 /// A memoized LIKE resolution: a hit skips gram extraction, the Bloom
 /// probes, and the min-fold.
 #[derive(Debug, Default)]
@@ -229,39 +209,32 @@ pub(super) struct LikeEntry {
     pub(super) set: CdsSet,
 }
 
-/// The session's three resolve-phase memos (equality, range, LIKE),
-/// threaded through the resolver as one bundle and flushed together on
+/// The session's two resolve-phase memos (equality and LIKE), threaded
+/// through the resolver as one bundle and flushed together on
 /// [`BoundSession::attach`].
 #[derive(Debug)]
 pub(super) struct Memos {
     pub(super) eq: Memo<EqEntry>,
-    pub(super) range: Memo<RangeEntry>,
     pub(super) like: Memo<LikeEntry>,
 }
 
 impl Default for Memos {
     fn default() -> Self {
-        Memos::with_capacities(
-            MAX_EQ_MEMO_VALUES,
-            MAX_RANGE_MEMO_VALUES,
-            MAX_LIKE_MEMO_VALUES,
-        )
+        Memos::with_capacities(MAX_EQ_MEMO_VALUES, MAX_LIKE_MEMO_VALUES)
     }
 }
 
 impl Memos {
     /// Per-kind capacities (0 disables that memo).
-    fn with_capacities(eq: usize, range: usize, like: usize) -> Self {
+    fn with_capacities(eq: usize, like: usize) -> Self {
         Memos {
             eq: Memo::with_capacity(eq),
-            range: Memo::with_capacity(range),
             like: Memo::with_capacity(like),
         }
     }
 
     fn clear(&mut self) {
         self.eq.cache.clear();
-        self.range.cache.clear();
         self.like.cache.clear();
     }
 }
@@ -271,8 +244,9 @@ impl Memos {
 /// the serving layer's `STATS` line reports them. Generates
 /// [`SessionStats`] with its `merge` and `fields`, and
 /// [`BoundSession::stats`]. A counter whose cache is gone stays as a
-/// frozen key that always reads `0` (`lit_cond_hits`, `lit_cond_misses`),
-/// so the `STATS` key list never changes under a client.
+/// frozen key that always reads `0` (`lit_cond_hits`, `lit_cond_misses`,
+/// `range_memo_hits`, `range_memo_misses`, `range_memo_evictions`), so
+/// the `STATS` key list never changes under a client.
 macro_rules! session_counters {
     ($s:ident; $($(#[$doc:meta])* $name:ident = $src:expr,)*) => {
         /// A coherent snapshot of every per-session cache counter, read
@@ -333,12 +307,14 @@ session_counters! { s;
     eq_memo_misses = s.memos.eq.misses,
     /// MCV memo entries recycled by its clock.
     eq_memo_evictions = s.memos.eq.cache.evictions(),
-    /// Range memo hits (bucket walk skipped entirely).
-    range_memo_hits = s.memos.range.hits,
-    /// Range lookups that walked the histogram hierarchy.
-    range_memo_misses = s.memos.range.misses,
-    /// Range memo entries recycled by its clock.
-    range_memo_evictions = s.memos.range.cache.evictions(),
+    /// Frozen at 0: range lookups are not memoized (each walks the
+    /// histogram levels). The key keeps its `STATS` position so existing
+    /// parsers stay valid.
+    range_memo_hits = 0,
+    /// Frozen at 0, like `range_memo_hits`.
+    range_memo_misses = 0,
+    /// Frozen at 0, like `range_memo_hits`.
+    range_memo_evictions = 0,
     /// LIKE memo hits (gram extraction and min-fold skipped).
     like_memo_hits = s.memos.like.hits,
     /// LIKE patterns that had to be resolved.
@@ -455,14 +431,13 @@ impl BoundSession {
         self.snapshot.as_ref().map_or(0, |s| s.build_id)
     }
 
-    /// Override the resolve-phase memo capacities — equality, range and
-    /// LIKE (0 disables that memo; defaults 4096/4096/1024) — so
-    /// individual memos can be switched off, e.g. a baseline benchmark
-    /// keeping the equality memo while disabling the range and LIKE
-    /// memos. Existing memoized entries are discarded; intended for tests
-    /// and tuning.
-    pub fn with_memo_capacities(mut self, eq: usize, range: usize, like: usize) -> Self {
-        self.memos = Memos::with_capacities(eq, range, like);
+    /// Override the resolve-phase memo capacities — equality and LIKE (0
+    /// disables that memo; defaults 4096/1024) — so individual memos can
+    /// be switched off, e.g. a check keeping the equality memo while
+    /// disabling the LIKE memo. Existing memoized entries are discarded;
+    /// intended for tests and tuning.
+    pub fn with_memo_capacities(mut self, eq: usize, like: usize) -> Self {
+        self.memos = Memos::with_capacities(eq, like);
         self
     }
 

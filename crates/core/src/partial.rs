@@ -776,7 +776,10 @@ pub(crate) fn finalize_histogram(
         })
         .collect();
     let gsets = gsets.iter().map(|g| freeze(pool, g.view())).collect();
-    Some(HistogramStats::new(levels, gsets))
+    Some(HistogramStats {
+        levels,
+        groups: gsets,
+    })
 }
 
 /// Finalize LIKE-predicate n-gram statistics from a unit's value groups:

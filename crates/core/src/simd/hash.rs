@@ -3,7 +3,8 @@
 //!
 //! FNV-1a (`h = (h ^ byte) * PRIME`, one multiply per byte) keys the
 //! short session-cache entries: [`fnv1a`] fingerprints shape keys,
-//! relation signatures and literal streams. The Bloom filter derives its
+//! literal streams, and the resolve memos' string literals and LIKE
+//! patterns. The Bloom filter derives its
 //! double-hashing pair from two seeded FNV-1a hashes of the same key in
 //! one pass ([`fnv1a_pair`], with [`fnv1a_seeded`] as its serial
 //! reference); those hashes index the filter bits stored in the snapshot

@@ -1,11 +1,9 @@
 //! Fixed-shape kernels for the online hot paths.
 //!
-//! The inference stack spends its time in three measured loops: batched
-//! `partition_point` bucket searches during range resolution
-//! ([`search`]), FNV literal fingerprinting / Bloom double-hashing
-//! ([`hash`], which also holds the snapshot file's XXH64), and the
-//! min/product reductions of the sweep-line kernel ([`reduce`]). Every
-//! kernel is portable safe Rust. Each module documents its lane layout,
+//! Two measured loops live here: FNV literal fingerprinting and Bloom
+//! double-hashing ([`hash`], which also holds the snapshot file's XXH64),
+//! and the min/product reductions of the sweep-line kernel ([`reduce`]).
+//! Every kernel is portable safe Rust. `reduce` documents its lane layout,
 //! padding and association order; those decide the bits of every bound,
 //! so they change only together with a re-audit of the callers.
 
@@ -15,7 +13,6 @@
 
 pub mod hash;
 pub mod reduce;
-pub mod search;
 
 /// The kernel tier. There is one: the kernels are portable scalar code.
 ///

@@ -572,9 +572,7 @@ fn enc_hist(e: &mut Enc, h: &HistogramStats, pool: &CdsPool) {
 
 /// Decode a [`HistogramStats`], enforcing the bucket-shape invariants the
 /// covering-bucket search indexes by (`bounds.len() == buckets + 1`, at
-/// least one bucket, bounds non-decreasing, group ids in range). The
-/// batched-search key matrix is a deterministic function of the levels
-/// and is rebuilt by [`HistogramStats::new`], not persisted.
+/// least one bucket, bounds non-decreasing, group ids in range).
 fn dec_hist(
     d: &mut Dec<'_>,
     num_syms: u32,
@@ -619,7 +617,7 @@ fn dec_hist(
             ));
         }
     }
-    Ok(HistogramStats::new(levels, groups))
+    Ok(HistogramStats { levels, groups })
 }
 
 fn enc_ngrams(e: &mut Enc, n: &NgramStats, pool: &CdsPool) {

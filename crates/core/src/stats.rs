@@ -28,10 +28,8 @@
 //!    commutative**: `scan(p₁) ⊕ … ⊕ scan(p_k) = scan(p₁ ∪ … ∪ p_k)` for
 //!    any partitioning, in any order. Merging is cheap and sequential.
 //! 3. **Finalize** — every expensive deterministic construction (MCV
-//!    sort + group compression, histogram hierarchy — including the
-//!    order-key matrix backing the batched SIMD bucket search
-//!    ([`crate::simd::search`]) — n-gram tables, Bloom indexes, CDS
-//!    compression) runs as a pure function of the merged counts, again on
+//!    sort + group compression, histogram hierarchy, n-gram tables, Bloom
+//!    indexes, CDS compression) runs as a pure function of the merged counts, again on
 //!    one flat `par_map` work list with one job per (table base + §3.6
 //!    fallbacks) and one per filter unit.
 //!

@@ -1,81 +1,23 @@
-//! Reference checks of the `core::simd` kernels.
+//! Reference checks of the online lookup kernels.
 //!
 //! Each property drives a kernel with adversarial inputs — negative zero,
-//! infinities, integers beyond 2^53, empty and degenerate shapes — and
-//! compares it with an independent reference: `partition_point` for the
-//! batched search, `f64::total_cmp` for the order key, the serial FNV
-//! recurrence for the Bloom filter's hash pair, the direct Bloom probe
-//! for the pre-hashed one, and the scalar hierarchy walk for the
-//! histogram range lookup. The end-to-end check that no bound falls below the exact count
-//! is `tests/soundness.rs`'s `workload_soundness_sweep`.
+//! integers beyond 2^53, mixed int/float probes, inverted ranges, empty
+//! keys — and compares it with an independent reference written here: the
+//! serial FNV recurrence for the Bloom filter's hash pair, the direct
+//! Bloom probe for the pre-hashed one, and a linear scan over every
+//! bucket of every level for the histogram range lookup. The end-to-end
+//! check that no bound falls below the exact count is
+//! `tests/soundness.rs`'s `workload_soundness_sweep`.
 
 use proptest::prelude::*;
 use safebound_core::bloom::BloomFilter;
-use safebound_core::conditioning::{build_histogram, JoinCol};
+use safebound_core::conditioning::{build_histogram, HistogramStats, JoinCol};
 use safebound_core::simd::hash::{fnv1a_pair, fnv1a_seeded};
-use safebound_core::simd::search::{batched_upper_bound, int_is_order_exact, order_key};
 use safebound_core::symbol::Sym;
 use safebound_core::SafeBoundConfig;
 use safebound_storage::{Column, DataType, Field, Schema, Table, Value};
 
 proptest! {
-    /// Batched multi-row upper bound over a padded key matrix: every row
-    /// index must equal `partition_point` clamped to the row's count,
-    /// including rows whose probe lands in the `i64::MAX` padding and rows
-    /// of count 0.
-    #[test]
-    fn batched_upper_bound_matches_partition_point(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(any::<i64>(), 0..12),
-            1..9,
-        ),
-        probe in any::<i64>(),
-    ) {
-        let stride = rows.iter().map(Vec::len).max().unwrap().max(1);
-        let counts: Vec<u32> = rows.iter().map(|r| r.len() as u32).collect();
-        let mut keys = Vec::with_capacity(stride * rows.len());
-        for r in &rows {
-            let mut sorted = r.clone();
-            sorted.sort_unstable();
-            sorted.resize(stride, i64::MAX);
-            keys.extend_from_slice(&sorted);
-        }
-        let mut got = vec![u32::MAX; rows.len()];
-        batched_upper_bound(&keys, stride, &counts, probe, &mut got);
-        for (r, (row, &idx)) in rows.iter().zip(&got).enumerate() {
-            let mut sorted = row.clone();
-            sorted.sort_unstable();
-            let reference = sorted.partition_point(|&k| k <= probe) as u32;
-            prop_assert_eq!(idx, reference.min(counts[r]), "row {}", r);
-        }
-    }
-
-    /// The order key embeds `f64` total order and order-exact integers
-    /// into one `i64` order (the invariant the batched search keys rely
-    /// on). Integers beyond 2^53 that survive the round trip must keep
-    /// their order against float boundaries.
-    #[test]
-    fn order_key_preserves_total_order(
-        a in prop_oneof![any::<f64>(), Just(-0.0), Just(0.0)],
-        b in prop_oneof![any::<f64>(), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
-        i in prop_oneof![any::<i64>(), (1i64 << 53)..i64::MAX],
-    ) {
-        prop_assume!(!a.is_nan() && !b.is_nan());
-        prop_assert_eq!(
-            order_key(a).cmp(&order_key(b)),
-            a.total_cmp(&b),
-            "float keys must mirror total_cmp"
-        );
-        if int_is_order_exact(i) {
-            prop_assert_eq!((i as f64) as i64, i);
-            prop_assert_eq!(
-                order_key(i as f64).cmp(&order_key(b)),
-                (i as f64).total_cmp(&b),
-                "order-exact int {} must embed consistently", i
-            );
-        }
-    }
-
     /// The Bloom filter's two-accumulator FNV pass equals the serial
     /// seeded recurrence per seed.
     #[test]
@@ -108,12 +50,12 @@ proptest! {
         }
     }
 
-    /// The histogram range lookup (batched search over the key matrix)
-    /// equals the scalar hierarchy walk on every probe — mixed
-    /// int/float boundaries, negative zero, beyond-2^53 integers, and
-    /// inverted ranges included.
+    /// The histogram range lookup (a `partition_point` walk per level)
+    /// equals [`scan_range_group`]'s linear scan on every probe — mixed
+    /// int/float probes, negative zero, beyond-2^53 integers, inverted
+    /// ranges, and every pair of the hierarchy's own boundaries included.
     #[test]
-    fn histogram_range_group_matches_scalar_walk(
+    fn histogram_range_group_matches_linear_scan(
         values in proptest::collection::vec(
             prop_oneof![
                 4 => -50i64..50,
@@ -160,9 +102,45 @@ proptest! {
         for (lo, hi) in &probes {
             prop_assert_eq!(
                 hist.lookup_range_group(lo, hi),
-                hist.lookup_range_group_scalar(lo, hi),
+                scan_range_group(&hist, lo, hi),
                 "probe [{:?}, {:?}]", lo, hi
             );
         }
+        // Every pair of the hierarchy's own boundaries: the probes where a
+        // half-open bucket and a level's closed last bucket differ.
+        let mut edges: Vec<&Value> = hist.levels.iter().flat_map(|l| &l.bounds).collect();
+        edges.sort();
+        edges.dedup();
+        for &lo in &edges {
+            for &hi in &edges {
+                prop_assert_eq!(
+                    hist.lookup_range_group(lo, hi),
+                    scan_range_group(&hist, lo, hi),
+                    "boundary probe [{:?}, {:?}]", lo, hi
+                );
+            }
+        }
     }
+}
+
+/// The range lookup's specification, written as a scan: the group of the
+/// first bucket, levels finest first and buckets in order, whose
+/// `[bounds[i], bounds[i+1])` contains both ends of `[lo, hi]` (closed at
+/// the top for a level's last bucket). An inverted range is an empty
+/// selection and covers nothing.
+fn scan_range_group(hist: &HistogramStats, lo: &Value, hi: &Value) -> Option<usize> {
+    if hi < lo {
+        return None;
+    }
+    for level in &hist.levels {
+        let nb = level.bucket_groups.len();
+        for i in 0..nb {
+            let upper = &level.bounds[i + 1];
+            let below_upper = if i + 1 == nb { hi <= upper } else { hi < upper };
+            if level.bounds[i] <= *lo && below_upper {
+                return Some(level.bucket_groups[i]);
+            }
+        }
+    }
+    None
 }

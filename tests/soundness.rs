@@ -130,9 +130,9 @@ proptest! {
 /// statistics and every bound — to a single-pass full rebuild, and the
 /// delta-refreshed bounds must never underestimate the mutated catalog's
 /// exact counts (checked on a per-workload subset). Along the way, one
-/// long-lived default session and one with the range and LIKE memos off
-/// must agree bit for bit on every query: a memo hit replays the
-/// resolution it stored.
+/// long-lived default session and one with the LIKE memo off must agree
+/// bit for bit on every query: a memo hit replays the resolution it
+/// stored.
 #[test]
 fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
     use safebound::core::{BoundSession, IncrementalBuilder, SafeBoundBuilder};
@@ -141,7 +141,7 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
 
     let scale = ExperimentScale::smoke();
     let mut memo_on = BoundSession::default();
-    let mut memo_off = BoundSession::default().with_memo_capacities(4096, 0, 0);
+    let mut memo_off = BoundSession::default().with_memo_capacities(4096, 0);
     for w in build_workloads(&scale) {
         let cfg = experiment_config();
         let builder = SafeBoundBuilder::new(cfg.clone());
@@ -204,7 +204,7 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
             assert_eq!(
                 on.to_bits(),
                 off.to_bits(),
-                "{} / {}: range/LIKE memos change the bound ({on} vs {off})",
+                "{} / {}: the LIKE memo changes the bound ({on} vs {off})",
                 w.name,
                 bq.name
             );
@@ -230,8 +230,8 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
     }
     let stats = memo_on.stats();
     assert!(
-        stats.range_memo_hits > 0,
-        "the memo session must replay range resolutions: {stats:?}"
+        stats.like_memo_hits > 0,
+        "the memo session must replay LIKE resolutions: {stats:?}"
     );
 }
 
