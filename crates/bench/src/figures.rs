@@ -654,7 +654,7 @@ pub fn ablation(workload: &Workload) -> Vec<AblationRow> {
             };
             if truth > 0.0 {
                 rels.push(bound / truth);
-                if bound < truth * (1.0 - 1e-9) {
+                if bound < truth {
                     under += 1;
                 }
             }

@@ -36,7 +36,7 @@ fn snapshot_loaded_bounds_are_bit_identical_and_sound() {
             );
             let truth = exact_count(&w.catalog, &bq.query).unwrap() as f64;
             assert!(
-                bound >= truth * (1.0 - 1e-9),
+                bound >= truth,
                 "{}: UNDERESTIMATE bound={bound} truth={truth}",
                 bq.name,
             );

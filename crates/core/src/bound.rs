@@ -44,8 +44,8 @@
 //! oracle for equivalence tests.
 
 use crate::piecewise::{
-    product_sweep_bounded, product_sweep_into, push_seg, reference as pw_ref, PiecewiseConstant,
-    PiecewiseLinear, SweepScratch, EPS,
+    product_sweep_into, push_seg, reference as pw_ref, PiecewiseConstant, PiecewiseLinear,
+    SweepScratch, EPS,
 };
 use safebound_query::{BoundPlan, ColId, Step};
 
@@ -202,57 +202,8 @@ pub fn fdsb_with_scratch(
     relations: &[RelationBoundStats],
     scratch: &mut BoundScratch,
 ) -> Result<f64, BoundError> {
-    Ok(fdsb_impl(plan, relations, scratch, f64::INFINITY)?
-        .expect("an unbounded evaluation never abandons"))
-}
-
-/// [`fdsb_with_scratch`] with a **certified early exit** — the kernel side
-/// of branch-and-bound over a cyclic query's relaxations.
-///
-/// `cutoff` is the best (smallest) bound another relaxation has already
-/// produced. While evaluating the plan's **final component root**, the
-/// running integral of the root product sweep is monotone non-decreasing
-/// (piecewise-constant values are never negative), and every *other*
-/// component's total is already fixed; their product times the running
-/// integral is therefore a lower bound on this plan's final value. As soon
-/// as that lower bound exceeds `cutoff`, the plan provably cannot win the
-/// min over relaxations and evaluation abandons, returning `Ok(None)`.
-///
-/// **Bit-identity:** a completed evaluation multiplies its component
-/// totals in exactly [`fdsb_with_scratch`]'s association order, and an
-/// abandoned plan's true bound is strictly above `cutoff` (the comparison
-/// carries an ulp-margin for the incremental-vs-batch summation
-/// difference), so `min(cutoff, …)` is unchanged — pruning never alters
-/// the estimator's result, only the work spent producing it.
-pub fn fdsb_with_cutoff(
-    plan: &BoundPlan,
-    relations: &[RelationBoundStats],
-    scratch: &mut BoundScratch,
-    cutoff: f64,
-) -> Result<Option<f64>, BoundError> {
-    fdsb_impl(plan, relations, scratch, cutoff)
-}
-
-/// Shared evaluator under [`fdsb_with_scratch`] (`cutoff = ∞`, never
-/// abandons) and [`fdsb_with_cutoff`].
-fn fdsb_impl(
-    plan: &BoundPlan,
-    relations: &[RelationBoundStats],
-    scratch: &mut BoundScratch,
-    cutoff: f64,
-) -> Result<Option<f64>, BoundError> {
     scratch.begin();
-    // The early exit engages only on the last step, and only when it is
-    // the final component's root (always true for plans the builder
-    // emits: each component's root is its last step and components are
-    // emitted in order — checked defensively anyway). At that point every
-    // other root's total is already final; their product, folded in the
-    // exact association order of the final product below, scales the
-    // running root sweep into a certified lower bound on the plan value.
-    let last_step = plan.steps.len().wrapping_sub(1);
-    let prune_here = cutoff.is_finite() && plan.roots.last() == Some(&last_step);
-
-    for (step_idx, step) in plan.steps.iter().enumerate() {
+    for step in &plan.steps {
         match step {
             Step::Alpha { inputs, .. } => {
                 let mut out = scratch.take_buf();
@@ -347,29 +298,7 @@ fn fdsb_impl(
                         spill.extend(scratch.factors[..children.len()].iter().map(|b| &b[..]));
                         &spill
                     };
-                    if prune_here && step_idx == last_step && out_column.is_none() {
-                        // Final component root: every other root's total is
-                        // fixed; fold them in the final product's exact
-                        // association order and stream-abandon the sweep.
-                        let prefix =
-                            plan.roots[..plan.roots.len() - 1]
-                                .iter()
-                                .fold(1.0f64, |acc, &r| {
-                                    let node = &scratch.nodes[r];
-                                    acc * if node.is_scalar {
-                                        node.scalar
-                                    } else {
-                                        total_of(&node.segs)
-                                    }
-                                });
-                        if !product_sweep_bounded(fns, &mut scratch.sweep, &mut out, prefix, cutoff)
-                        {
-                            scratch.free.push(out);
-                            return Ok(None);
-                        }
-                    } else {
-                        product_sweep_into(fns, &mut scratch.sweep, &mut out);
-                    }
+                    product_sweep_into(fns, &mut scratch.sweep, &mut out);
                 }
                 let node = if out_column.is_none() {
                     let mut slot = NodeSlot {
@@ -400,7 +329,7 @@ fn fdsb_impl(
             total_of(&node.segs)
         };
     }
-    Ok(Some(bound))
+    Ok(bound)
 }
 
 /// Materialize the slope function `Δ F̂₀` of an anchor CDS into `out` —
@@ -906,37 +835,6 @@ mod tests {
         ];
         let bound = fdsb_checked(&plan, &stats);
         assert_eq!(bound, 0.0);
-    }
-
-    #[test]
-    fn cutoff_abandons_losers_and_preserves_bits() {
-        let (plan, stats) = {
-            let mut q = Query::new();
-            let r = q.add_relation(RelationRef::new("r"));
-            let s = q.add_relation(RelationRef::new("s"));
-            q.add_join(r, "x", s, "x");
-            let plan = plan_of(&q);
-            let stats = vec![
-                stats_for(&plan, &[("x", &[3, 2, 1])], None),
-                stats_for(&plan, &[("x", &[2, 2])], None),
-            ];
-            (plan, stats)
-        };
-        let mut scratch = BoundScratch::default();
-        let full = fdsb_with_scratch(&plan, &stats, &mut scratch).unwrap(); // 10.0
-                                                                            // A cutoff above the bound: completes, bit-identical.
-        let some = fdsb_with_cutoff(&plan, &stats, &mut scratch, full * 2.0).unwrap();
-        assert_eq!(some.map(f64::to_bits), Some(full.to_bits()));
-        // A cutoff at the bound itself: must NOT abandon (ties keep the
-        // min exact) and must still return the identical value.
-        let tie = fdsb_with_cutoff(&plan, &stats, &mut scratch, full).unwrap();
-        assert_eq!(tie.map(f64::to_bits), Some(full.to_bits()));
-        // A cutoff strictly below: certified abandon.
-        let none = fdsb_with_cutoff(&plan, &stats, &mut scratch, full * 0.5).unwrap();
-        assert_eq!(none, None);
-        // The scratch stays usable after an abandon.
-        let again = fdsb_with_scratch(&plan, &stats, &mut scratch).unwrap();
-        assert_eq!(again.to_bits(), full.to_bits());
     }
 
     #[test]

@@ -76,18 +76,9 @@
 //!   edges — a superset of every relaxation's edges — which is sound and
 //!   at least as tight).
 //!
-//! Cyclic queries take the min over their relaxations by
-//! **branch-and-bound** instead of materialize-everything-then-min: the
-//! shape entry remembers the previously winning relaxation and evaluates
-//! it first; later candidates reuse the first candidate's per-column
-//! assembly (staged per query, a pure function of the resolved
-//! conditioning) and run the kernel with a certified early exit
-//! ([`crate::bound::fdsb_with_cutoff`]) that abandons as soon as the
-//! candidate's monotonically growing partial value exceeds the best
-//! complete bound. Because partial products only ever grow past the
-//! abandon point, a pruned candidate provably cannot win — the min, and
-//! therefore the returned bound, is bit-identical to the unpruned
-//! evaluation (property-tested against [`StatsSnapshot::bound_inputs`]).
+//! Cyclic queries take the min over their relaxations: every relaxation's
+//! plan is evaluated, in index order, and the bound is the min — exactly
+//! the min over [`StatsSnapshot::bound_inputs`], bit for bit.
 //!
 //! Together with the allocation-free FDSB kernel, a warm session performs
 //! **zero heap allocations per query** on the cached path for equality,
@@ -108,7 +99,7 @@ mod session;
 
 pub use session::{BoundSession, PhaseBreakdown, SessionStats};
 
-use crate::bound::{fdsb_with_cutoff, BoundError, RelationBoundStats};
+use crate::bound::{fdsb_with_scratch, BoundError, RelationBoundStats};
 use crate::conditioning::CdsScratch;
 use crate::config::SafeBoundConfig;
 use crate::simd::hash::fnv1a;
@@ -318,26 +309,11 @@ impl StatsSnapshot {
     /// 1. **Bound cache** — an exact whole-query repeat returns the
     ///    memoized `f64` (no shape build, resolution, assembly, or
     ///    kernel).
-    /// 2. **Branch-and-bound over relaxations** — after memoized
-    ///    resolution (see [`crate::estimator`]), the previous winner is
-    ///    evaluated first to set a tight `best`; later relaxations share
-    ///    the first candidate's per-column assembly through the
-    ///    `AssembleStage` and abandon mid-kernel as soon as their
-    ///    partial value is certified above `best`
-    ///    ([`fdsb_with_cutoff`]).
-    ///
-    /// # Soundness of pruning
-    ///
-    /// The bound is the *min* over relaxations. A relaxation is only ever
-    /// abandoned when a monotonically growing lower bound on its value —
-    /// the product of its finished component totals times the running
-    /// (non-negative, hence non-decreasing) integral of its final root
-    /// sweep — exceeds the best complete candidate: partial products only
-    /// ever grow from there, so the abandoned relaxation cannot win and
-    /// the min is unchanged, bit for bit. Every quantity compared is
-    /// computed in the same association order as the full evaluation,
-    /// with an ulp margin on the comparison, so no rounding asymmetry can
-    /// prune a would-be winner.
+    /// 2. **Every relaxation** — after memoized resolution (see
+    ///    [`crate::estimator`]), each relaxation's plan is assembled and
+    ///    evaluated with [`fdsb_with_scratch`] in index order; the bound
+    ///    is the min, with the cross-product fallback when no relaxation
+    ///    has a plan.
     fn bound_cached(
         &self,
         query: &Query,
@@ -355,12 +331,10 @@ impl StatsSnapshot {
             memos,
             lit_cache,
             lit_stage,
-            asm_stage,
             kernel,
             cds,
             rel_stats,
             cond,
-            pruned,
             phases,
             ..
         } = session;
@@ -418,34 +392,13 @@ impl StatsSnapshot {
             phases.resolve_ns += t.elapsed().as_nanos() as u64 - build_ns;
         }
 
-        // Tier 2: branch-and-bound over the relaxations, previous winner
-        // first, assembly shared across candidates.
+        // Tier 2: every relaxation, in index order; the bound is the min.
         let n = query.num_relations();
         while rel_stats.len() < n {
             rel_stats.push(RelationBoundStats::default());
         }
-        let plans = &entry.plans;
-        let multi = plans.len() > 1;
-        if multi {
-            asm_stage.begin(cds);
-        }
-        let first = if entry.last_winner < plans.len() {
-            entry.last_winner
-        } else {
-            0
-        };
         let mut best = f64::INFINITY;
-        let mut winner = first;
-        for k in 0..plans.len() {
-            // Candidate order: `first`, then the rest in index order.
-            let idx_k = if k == 0 {
-                first
-            } else if k - 1 < first {
-                k - 1
-            } else {
-                k
-            };
-            let pe = &plans[idx_k];
+        for pe in &entry.plans {
             #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
             let t_assemble = timing.then(Instant::now);
             for rel in 0..n {
@@ -458,11 +411,9 @@ impl StatsSnapshot {
                     ts,
                     &self.pool,
                     &cond[rel],
-                    rel,
                     &pe.join_cols[rel],
                     &mut rel_stats[rel],
                     cds,
-                    multi.then_some(&mut *asm_stage),
                 );
             }
             #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
@@ -470,15 +421,7 @@ impl StatsSnapshot {
             if let (Some(a), Some(b)) = (t_assemble, t_kernel) {
                 phases.assemble_ns += (b - a).as_nanos() as u64;
             }
-            match fdsb_with_cutoff(&pe.plan, &rel_stats[..n], kernel, best)? {
-                Some(b) => {
-                    if b < best {
-                        best = b;
-                        winner = idx_k;
-                    }
-                }
-                None => *pruned += 1,
-            }
+            best = best.min(fdsb_with_scratch(&pe.plan, &rel_stats[..n], kernel)?);
             if let Some(t) = t_kernel {
                 phases.kernel_ns += t.elapsed().as_nanos() as u64;
             }
@@ -498,7 +441,6 @@ impl StatsSnapshot {
         if timing {
             phases.queries += 1;
         }
-        entry.last_winner = winner;
         Ok(result)
     }
 
@@ -538,11 +480,9 @@ impl StatsSnapshot {
                     ts,
                     &self.pool,
                     &cond[rel],
-                    rel,
                     &pe.join_cols[rel],
                     &mut rs,
                     &mut cds,
-                    None,
                 );
                 stats.push(rs);
             }
@@ -1499,13 +1439,13 @@ mod tests {
     }
 
     #[test]
-    fn pruned_relaxations_never_change_the_min() {
-        // Cyclic triangle: three spanning-tree relaxations. Branch-and-
-        // bound (previous winner first, certified mid-kernel abandons)
-        // must return exactly the min the independent unpruned inputs
-        // evaluate to — for every literal instantiation.
+    fn cyclic_bound_is_the_min_over_every_relaxation() {
+        // Cyclic triangle: three spanning-tree relaxations. The session
+        // evaluates every one and must return exactly the min the
+        // independent inputs evaluate to — for every literal
+        // instantiation.
         let (_, sb) = build();
-        // Literal cache off so every round actually runs the B&B loop.
+        // Literal cache off so every round actually runs the relaxations.
         let mut session = BoundSession::default().with_literal_capacity(0);
         for round in 0..3 {
             for year in [1980i64, 1985, 1990, 1995] {
@@ -1525,15 +1465,11 @@ mod tests {
                 assert_eq!(
                     got.to_bits(),
                     oracle.to_bits(),
-                    "round {round} year {year}: pruned path diverged from unpruned min"
+                    "round {round} year {year}: session diverged from the min over bound_inputs"
                 );
             }
         }
-        assert!(
-            session.stats().relaxations_pruned > 0,
-            "repeated templates must abandon losing relaxations: {:?}",
-            session.stats()
-        );
+        assert_eq!(session.stats().relaxations_pruned, 0, "a frozen key");
     }
 
     #[test]

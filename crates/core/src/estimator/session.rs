@@ -4,7 +4,6 @@
 //! — into the slot the shape cache's clock recycled, when the first bound
 //! has to be computed under it — and reused per query.
 
-use super::assemble::AssembleStage;
 use super::resolve::{LitStage, RelCond};
 use crate::bound::{BoundScratch, RelationBoundStats};
 use crate::clock_cache::ClockCache;
@@ -51,12 +50,6 @@ pub(super) struct ShapeEntry {
     pub(super) built: bool,
     /// One plan per Berge-acyclic relaxation that planned successfully.
     pub(super) plans: Vec<PlanEntry>,
-    /// Index into `plans` of the relaxation that won (had the smallest
-    /// bound) on this shape's most recent query. Branch-and-bound
-    /// evaluates it first: with repeated templates the same relaxation
-    /// keeps winning, so the first candidate sets a tight `best` and the
-    /// rest abandon as early as possible.
-    pub(super) last_winner: usize,
     /// Per relation of the original query: compiled predicate-resolution
     /// directives (shared by every relaxation).
     pub(super) resolution: Vec<RelResolution>,
@@ -321,9 +314,10 @@ session_counters! { s;
     like_memo_misses = s.memos.like.misses,
     /// LIKE memo entries recycled by its clock.
     like_memo_evictions = s.memos.like.cache.evictions(),
-    /// Relaxations abandoned mid-kernel by branch-and-bound (their bound
-    /// was certified to exceed the best complete candidate).
-    relaxations_pruned = s.pruned,
+    /// Frozen at 0: every relaxation is evaluated and the bound is the
+    /// min. The key keeps its `STATS` position so existing parsers stay
+    /// valid.
+    relaxations_pruned = 0,
 }
 
 /// Accumulated wall-clock phase split of a session's queries, recorded
@@ -368,13 +362,10 @@ pub struct BoundSession {
     pub(super) memos: Memos,
     pub(super) lit_cache: LitCache,
     pub(super) lit_stage: LitStage,
-    pub(super) asm_stage: AssembleStage,
     pub(super) kernel: BoundScratch,
     pub(super) cds: CdsScratch,
     pub(super) rel_stats: Vec<RelationBoundStats>,
     pub(super) cond: Vec<RelCond>,
-    /// Relaxations abandoned by branch-and-bound since creation.
-    pub(super) pruned: u64,
     /// Whether to accumulate [`PhaseBreakdown`] timings.
     pub(super) timing: bool,
     pub(super) phases: PhaseBreakdown,
@@ -407,12 +398,10 @@ impl BoundSession {
             memos: Memos::default(),
             lit_cache: LitCache::with_capacity(MAX_LIT_ENTRIES),
             lit_stage: LitStage::default(),
-            asm_stage: AssembleStage::default(),
             kernel: BoundScratch::default(),
             cds: CdsScratch::default(),
             rel_stats: Vec::new(),
             cond: Vec::new(),
-            pruned: 0,
             timing: false,
             phases: PhaseBreakdown::default(),
             shape_hits: 0,
@@ -479,8 +468,6 @@ impl StatsSnapshot {
     /// own and PK–FK-propagated (from the **original** query's edges) — to
     /// dense filter slots, so the per-query path never touches a string.
     ///
-    /// The remembered winner is reset: it belonged to the evicted shape.
-    ///
     /// Propagating along all original edges (rather than each
     /// relaxation's surviving subset) is sound: a fact row in the original
     /// result has, for every original edge with propagated statistics, a
@@ -490,7 +477,6 @@ impl StatsSnapshot {
     /// resolution run once per query.
     pub(super) fn build_shape_entry(&self, query: &Query, entry: &mut ShapeEntry) {
         entry.built = true;
-        entry.last_winner = 0;
 
         let n = query.num_relations();
         let plans = &mut entry.plans;

@@ -80,9 +80,7 @@ pub mod snapshot_file;
 pub mod stats;
 pub mod symbol;
 
-pub use bound::{
-    fdsb, fdsb_with_cutoff, fdsb_with_scratch, BoundError, BoundScratch, RelationBoundStats,
-};
+pub use bound::{fdsb, fdsb_with_scratch, BoundError, BoundScratch, RelationBoundStats};
 pub use compression::{valid_compress, Segmentation};
 pub use conditioning::{CdsScratch, CdsSet, SetOp};
 pub use config::SafeBoundConfig;

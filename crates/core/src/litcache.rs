@@ -250,4 +250,78 @@ mod tests {
         encode_literal(LiteralRef::Value(&Value::Int(0)), &mut b);
         assert_ne!(a, b, "negative zero must not alias integer zero");
     }
+
+    /// `Value`'s laws on the values where a widening comparison breaks:
+    /// ±2^53 ± k, ±2^63, `i64::MIN`/`MAX`, ±0.0, subnormals, ±∞ and NaN,
+    /// each as an `Int` and as a `Float` where it is one. `Ord` is
+    /// antisymmetric and transitive, and `a == b` exactly when their
+    /// literal encodings are equal, which then implies equal hashes.
+    #[test]
+    fn value_order_hash_and_encoding_agree() {
+        use std::cmp::Ordering;
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut vals = vec![
+            Value::Null,
+            Value::Str(String::new()),
+            Value::Str("a".into()),
+        ];
+        let two53 = 1i64 << 53;
+        for base in [two53, -two53, 0, 1 << 62, -(1 << 62)] {
+            for k in -3..=3 {
+                vals.push(Value::Int(base + k));
+                vals.push(Value::Float((base + k) as f64));
+                vals.push(Value::Float((base + k) as f64 + 0.5));
+            }
+        }
+        for f in [
+            9_223_372_036_854_775_808.0,  // 2^63
+            -9_223_372_036_854_775_808.0, // -2^63 = i64::MIN
+            9_223_372_036_854_774_784.0,  // the float just below 2^63
+            -9_223_372_036_854_777_856.0, // the float just below -2^63
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            vals.push(Value::Float(f));
+        }
+        for i in [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX] {
+            vals.push(Value::Int(i));
+        }
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let enc = |v: &Value| {
+            let mut out = Vec::new();
+            encode_literal(LiteralRef::Value(v), &mut out);
+            out
+        };
+        for a in &vals {
+            for b in &vals {
+                let ab = a.cmp(b);
+                assert_eq!(ab, b.cmp(a).reverse(), "antisymmetry: {a:?} vs {b:?}");
+                assert_eq!(ab == Ordering::Equal, enc(a) == enc(b), "{a:?} vs {b:?}");
+                if ab == Ordering::Equal {
+                    assert_eq!(hash(a), hash(b), "{a:?} == {b:?}");
+                    assert_eq!(a.normalized_int(), b.normalized_int(), "{a:?} == {b:?}");
+                }
+                for c in &vals {
+                    if ab != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                        let ac = a.cmp(c);
+                        assert_ne!(ac, Ordering::Greater, "{a:?} ≤ {b:?} ≤ {c:?}");
+                        if ab == Ordering::Less || b.cmp(c) == Ordering::Less {
+                            assert_eq!(ac, Ordering::Less, "{a:?} ≤ {b:?} ≤ {c:?}");
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -302,81 +302,14 @@ pub(crate) fn product_sweep_into(
     scratch: &mut SweepScratch,
     out: &mut Vec<(f64, f64)>,
 ) {
-    // BOUNDED = false monomorphizes the integral bookkeeping away: the
-    // flagship kernel path stays exactly the branch-free sweep.
-    let done = sweep_impl::<false>(fns, scratch, out, 1.0, f64::INFINITY);
-    debug_assert!(done, "an unbounded sweep never abandons");
-}
-
-/// Relative margin on the early-exit comparison of
-/// [`product_sweep_bounded`]. The running integral is accumulated
-/// incrementally while the final caller re-totals the emitted segments in
-/// one pass; the two sums associate differently, so they can differ by a
-/// few ulps (≲ `segments × ε`). Pruning only when the scaled running
-/// integral exceeds `cutoff × (1 + margin)` keeps the abandon decision
-/// *certified* — an abandoned sweep's true total is provably above the
-/// cutoff — which is what makes branch-and-bound over relaxations
-/// bit-identical to evaluating everything (see `estimator` docs).
-const PRUNE_MARGIN: f64 = 1e-9;
-
-/// [`product_sweep_into`] with a certified early exit: while sweeping, the
-/// running integral of the emitted product — monotone non-decreasing,
-/// since piecewise-constant CDS-derived values are never negative — is
-/// tracked, and once `scale × integral` exceeds `cutoff` (with
-/// [`PRUNE_MARGIN`] headroom) the sweep abandons and returns `false`
-/// (`out` then holds an unfinished prefix and must not be used). A
-/// completed sweep returns `true` with `out` bit-identical to
-/// [`product_sweep_into`]'s.
-pub(crate) fn product_sweep_bounded(
-    fns: &[&[(f64, f64)]],
-    scratch: &mut SweepScratch,
-    out: &mut Vec<(f64, f64)>,
-    scale: f64,
-    cutoff: f64,
-) -> bool {
-    sweep_impl::<true>(fns, scratch, out, scale, cutoff)
-}
-
-/// Shared sweep body: `BOUNDED = true` adds the per-segment running
-/// integral and early-exit comparison; `false` compiles them out.
-#[allow(unused_assignments)] // `covered` is dead only at the terminal emit
-fn sweep_impl<const BOUNDED: bool>(
-    fns: &[&[(f64, f64)]],
-    scratch: &mut SweepScratch,
-    out: &mut Vec<(f64, f64)>,
-    scale: f64,
-    cutoff: f64,
-) -> bool {
     assert!(!fns.is_empty());
-    let scaled_cutoff = cutoff * (1.0 + PRUNE_MARGIN);
-    // Running integral of `out` (tracked against the emitted segments, so
-    // slivers dropped or merged by `push_seg` are accounted exactly as a
-    // final re-total would see them, modulo association order).
-    let mut acc = 0.0f64;
-    let mut covered = 0.0f64;
-    macro_rules! emit {
-        ($edge:expr, $value:expr) => {{
-            push_seg(out, $edge, $value);
-            if BOUNDED {
-                if let Some(&(end, v)) = out.last() {
-                    if end > covered {
-                        acc += (end - covered) * v;
-                        covered = end;
-                    }
-                }
-                if scale * acc > scaled_cutoff {
-                    return false;
-                }
-            }
-        }};
-    }
     out.clear();
     let support = fns
         .iter()
         .map(|f| f.last().map_or(0.0, |s| s.0))
         .fold(f64::INFINITY, f64::min);
     if support <= 0.0 || !support.is_finite() {
-        return true;
+        return;
     }
     let k = fns.len();
     let cursors = &mut scratch.cursors;
@@ -403,10 +336,10 @@ fn sweep_impl<const BOUNDED: bool>(
         loop {
             let edge = heap[0].0;
             if edge >= support - EPS {
-                emit!(support, if zeros > 0 { 0.0 } else { prod });
-                return true;
+                push_seg(out, support, if zeros > 0 { 0.0 } else { prod });
+                return;
             }
-            emit!(edge, if zeros > 0 { 0.0 } else { prod });
+            push_seg(out, edge, if zeros > 0 { 0.0 } else { prod });
             while !heap.is_empty() && heap[0].0 <= edge + EPS {
                 #[expect(clippy::unwrap_used, reason = "the loop condition checked non-empty")]
                 let (_, i) = heap_pop(heap).unwrap();
@@ -447,10 +380,10 @@ fn sweep_impl<const BOUNDED: bool>(
                 value *= v;
             }
             if edge >= support - EPS {
-                emit!(support, value);
-                return true;
+                push_seg(out, support, value);
+                return;
             }
-            emit!(edge, value);
+            push_seg(out, edge, value);
             for (f, c) in fns.iter().zip(cursors.iter_mut()) {
                 while *c + 1 < f.len() && f[*c].0 <= edge + EPS {
                     *c += 1;
@@ -473,10 +406,10 @@ fn sweep_impl<const BOUNDED: bool>(
             }
             let (edge, value) = event_min_prod(&edges, &values);
             if edge >= support - EPS {
-                emit!(support, value);
-                return true;
+                push_seg(out, support, value);
+                return;
             }
-            emit!(edge, value);
+            push_seg(out, edge, value);
             for (f, c) in fns.iter().zip(cursors.iter_mut()) {
                 while *c + 1 < f.len() && f[*c].0 <= edge + EPS {
                     *c += 1;

@@ -1,7 +1,7 @@
-//! Property test for the literal cache and branch-and-bound pruning:
+//! Property test for the literal cache and the min over relaxations:
 //! random query batches with **overlapping literal vectors** served
-//! through one warm session (literal cache on, pruned assembly on) must
-//! produce bounds **bit-identical** to the uncached, unpruned reference —
+//! through one warm session (literal cache on) must produce bounds
+//! **bit-identical** to the uncached reference —
 //! the per-relaxation kernel inputs of [`StatsSnapshot::bound_inputs`],
 //! evaluated independently and min-folded — including across a mid-batch
 //! [`SafeBound::swap_stats`] hot swap.
@@ -9,8 +9,7 @@
 //! Overlap is the point: literal pools are tiny, so batches are dense in
 //! exact repeats (bound-cache hits), partial repeats (memo hits for the
 //! repeated literals), and fresh vectors (full resolution), interleaved
-//! across acyclic and cyclic (multi-relaxation, pruning-active)
-//! templates.
+//! across acyclic and cyclic (multi-relaxation) templates.
 
 use proptest::prelude::*;
 use safebound_core::{fdsb, BoundSession, SafeBound, SafeBoundBuilder, SafeBoundConfig};
@@ -61,7 +60,7 @@ fn catalog() -> Catalog {
 
 /// Instantiate template `t` with two literal-pool indices. Templates span
 /// equality, range, IN, LIKE, propagated predicates, and a cyclic
-/// self-join (several relaxations → pruning engages).
+/// self-join (several relaxations, each evaluated).
 fn instantiate(t: usize, a: usize, b: usize) -> safebound_query::Query {
     let names = ["alpha", "bravo", "charlie", "delta", "echo", "foxtrot"];
     let year = 1990 + (a % 12) as i64;
@@ -85,7 +84,7 @@ fn instantiate(t: usize, a: usize, b: usize) -> safebound_query::Query {
             (w + 1) % 4
         ),
         // Cyclic: two fact aliases closed over fk and year — min over
-        // spanning-tree relaxations, where branch-and-bound prunes.
+        // spanning-tree relaxations.
         4 => format!(
             "SELECT COUNT(*) FROM fact x, fact y \
              WHERE x.fk = y.fk AND x.year = y.year AND x.year = {year}"
@@ -98,7 +97,7 @@ fn instantiate(t: usize, a: usize, b: usize) -> safebound_query::Query {
     parse_sql(&sql).expect("template SQL parses")
 }
 
-/// The uncached, unpruned reference: independent per-relaxation kernel
+/// The uncached reference: independent per-relaxation kernel
 /// inputs, each evaluated with the allocating [`fdsb`], min-folded.
 fn oracle(sb: &SafeBound, q: &safebound_query::Query) -> f64 {
     let inputs = sb.bound_inputs(q).expect("workload resolves");
@@ -113,7 +112,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
-    fn cached_pruned_bounds_match_uncached_unpruned_bits(
+    fn cached_bounds_match_uncached_bits(
         batch in collection::vec((0usize..6, 0usize..8, 0usize..6), 8..48),
         swap_at_frac in 0usize..100,
     ) {

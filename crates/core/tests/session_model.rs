@@ -15,8 +15,8 @@
 //! shape's slot, so a key that left out anything its value depends on —
 //! the table, a propagated predicate, the build — would serve another
 //! shape's memoized bound or lookup; and a recycled shape slot that kept
-//! anything of its previous tenant (its plans before the rebuild, its
-//! remembered winning relaxation) would evaluate the wrong plan.
+//! anything of its previous tenant (its plans before the rebuild) would
+//! evaluate the wrong plan.
 
 use proptest::prelude::*;
 use safebound_core::{BoundSession, SafeBound, SafeBoundBuilder, SafeBoundConfig};
@@ -73,7 +73,7 @@ fn catalog(refresh: i64) -> Catalog {
 
 /// Shape `s` of the pool instantiated with literal `lit`. Shapes 0–5 all
 /// take the one-integer literal vector `[lit]`; 6 is literal-free; 7 and 8
-/// are cyclic (several relaxations, so the remembered winner matters).
+/// are cyclic (several relaxations, so a slot holds several plans).
 fn instantiate(s: usize, lit: i64) -> Query {
     let sql = match s % 9 {
         0 => format!("SELECT COUNT(*) FROM dim_a d WHERE d.w = {lit}"),

@@ -66,7 +66,7 @@
 #![allow(clippy::disallowed_methods)]
 
 use crate::faults::FaultInjector;
-use crate::lock_recover;
+use crate::{lock_recover, panic_message};
 use safebound_core::{IncrementalBuilder, SafeBound, SafeBoundConfig, StatsSnapshot};
 use safebound_storage::{Catalog, CatalogDelta};
 use std::collections::VecDeque;
@@ -335,7 +335,7 @@ impl StatsRefresher {
                             .unwrap_or_else(|payload| {
                                 Err(format!(
                                     "snapshot source panicked: {}",
-                                    panic_text(payload.as_ref())
+                                    panic_message(payload.as_ref())
                                 ))
                             }),
                     };
@@ -668,15 +668,6 @@ pub fn file_source(
             Err(format!("snapshot load: {e}"))
         }
     }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("opaque panic payload")
 }
 
 #[cfg(test)]

@@ -48,7 +48,7 @@
 //!   panic into every later caller.
 
 use crate::faults::{FaultInjector, WorkerFault};
-use crate::{lock_recover, try_lock_recover};
+use crate::{lock_recover, panic_message, try_lock_recover};
 use safebound_core::simd::hash::FastMap;
 use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats};
 use safebound_query::Query;
@@ -271,7 +271,7 @@ impl BoundService {
     }
 
     /// The pool-wide merge of every shard session's cache counters
-    /// (shape cache, MCV memo, literal cache, pruned relaxations), as of
+    /// (shape cache, MCV memo, literal cache), as of
     /// each shard's most recently completed job or inline request.
     pub fn session_stats(&self) -> SessionStats {
         let mut total = SessionStats::default();
@@ -582,15 +582,6 @@ fn spawn_worker(shared: &Arc<PoolShared>, w: usize) -> WorkerSlot {
         sender: Some(tx),
         handle,
     }
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&'static str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("opaque panic payload")
 }
 
 /// A worker thread: jobs until the queue closes, each on shard `w`'s

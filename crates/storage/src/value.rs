@@ -5,6 +5,14 @@
 //! (`NULL` sorts first, numbers compare numerically across `Int`/`Float`,
 //! strings compare lexicographically) and a hash that is consistent with
 //! equality.
+//!
+//! A mixed `Int`/`Float` comparison is **exact**: the integer is compared
+//! with the float's integral part and then its fraction, never rounded to
+//! `f64`. So `Int(2^53 + 1) > Float(2^53)`, unlike PostgreSQL's
+//! `int8 = float8`, which widens the integer and calls them equal.
+//! `Int(i) == Float(f)` exactly when `Float(f).normalized_int() ==
+//! Some(i)`, so `Eq`, `Hash` and every byte encoding built on
+//! [`Value::normalized_int`] agree with the exact-count oracle.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -108,8 +116,8 @@ impl Value {
                 if f.fract() == 0.0
                     && f.is_finite()
                     && (*f != 0.0 || f.is_sign_positive())
-                    && *f >= i64::MIN as f64
-                    && *f <= i64::MAX as f64 =>
+                    && *f >= I64_LOWER
+                    && *f < -I64_LOWER =>
             {
                 Some(*f as i64)
             }
@@ -141,8 +149,8 @@ impl Ord for Value {
             (_, Null) => Ordering::Greater,
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => total_cmp_f64(*a, *b),
-            (Int(a), Float(b)) => total_cmp_f64(*a as f64, *b),
-            (Float(a), Int(b)) => total_cmp_f64(*a, *b as f64),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             // Numbers sort before strings; the ordering across types only
             // needs to be consistent, queries never compare across types.
@@ -154,6 +162,42 @@ impl Ord for Value {
 
 fn total_cmp_f64(a: f64, b: f64) -> Ordering {
     a.total_cmp(&b)
+}
+
+/// `-2^63` (`i64::MIN`, exact in `f64`); `2^63` is its negation, the
+/// first float above every `i64`.
+const I64_LOWER: f64 = i64::MIN as f64;
+
+/// Exact comparison of an integer with a float. NaN and ±∞ sit where
+/// [`f64::total_cmp`] puts them (a NaN with its sign bit set below every
+/// number, any other NaN above), and `-0.0` just below `0`, as it sits
+/// just below `0.0` among floats.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() {
+        return if f.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    let t = f.trunc();
+    if t < I64_LOWER {
+        return Ordering::Greater; // also -∞
+    }
+    if t >= -I64_LOWER {
+        return Ordering::Less; // also +∞
+    }
+    // `t` is integral and in `i64` range, so the cast is exact.
+    i.cmp(&(t as i64)).then_with(|| {
+        let frac = f - t; // exact
+        if frac > 0.0 {
+            Ordering::Less
+        } else if frac < 0.0 || f.is_sign_negative() && f == 0.0 {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    })
 }
 
 impl Hash for Value {
@@ -254,6 +298,41 @@ mod tests {
         assert_eq!(Value::Float(-0.0).normalized_int(), None);
         assert_eq!(Value::Float(0.0).normalized_int(), Some(0));
         assert_eq!(Value::Int(0).normalized_int(), Some(0));
+    }
+
+    #[test]
+    fn mixed_comparison_is_exact_beyond_2_pow_53() {
+        let two53 = 9_007_199_254_740_992i64;
+        assert!(Value::Int(two53 + 1) > Value::Float(two53 as f64));
+        assert!(Value::Float(two53 as f64) < Value::Int(two53 + 1));
+        assert_eq!(Value::Int(two53), Value::Float(two53 as f64));
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Int(-1) < Value::Float(-0.5));
+        assert!(Value::Int(0) > Value::Float(-0.5));
+        assert!(Value::Int(0) > Value::Float(-0.0));
+        assert!(Value::Int(-1) < Value::Float(-0.0));
+        assert!(Value::Int(0) < Value::Float(f64::from_bits(1)));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::INFINITY));
+        assert!(Value::Int(i64::MIN) > Value::Float(f64::NEG_INFINITY));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MIN) > Value::Float(-f64::NAN));
+    }
+
+    #[test]
+    fn normalized_int_never_saturates() {
+        assert_eq!(
+            Value::Float(9_223_372_036_854_775_808.0).normalized_int(),
+            None
+        );
+        assert_eq!(
+            Value::Float(i64::MIN as f64).normalized_int(),
+            Some(i64::MIN)
+        );
+        assert_eq!(
+            Value::Float(-9_223_372_036_854_777_856.0).normalized_int(),
+            None
+        );
     }
 
     #[test]

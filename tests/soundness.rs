@@ -124,6 +124,45 @@ proptest! {
     }
 }
 
+/// The committed bounds of the 344 smoke-scale paper queries, one line
+/// each: workload, query name, the bound's `to_bits()` in hex, the bound.
+const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/smoke_bounds.tsv");
+
+/// Compares `got` (the bounds reached through `route`) with the golden
+/// file. On a mismatch the regenerated file is written under
+/// `CARGO_TARGET_TMPDIR`, so an intended change becomes a reviewed diff
+/// of the committed file, and the panic names the first differing lines.
+fn check_golden(route: &str, got: &str) {
+    let want = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_default();
+    if want == got {
+        return;
+    }
+    let out =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("smoke_bounds.{route}.tsv"));
+    std::fs::write(&out, got).unwrap();
+    let (mut w, mut g) = (want.lines(), got.lines());
+    let mut diffs = Vec::new();
+    for line in 1.. {
+        match (w.next(), g.next()) {
+            (None, None) => break,
+            (a, b) if a != b => diffs.push(format!(
+                "line {line}:\n  golden: {}\n  {route}: {}",
+                a.unwrap_or("<end of file>"),
+                b.unwrap_or("<end of file>")
+            )),
+            _ => {}
+        }
+        if diffs.len() == 5 {
+            break;
+        }
+    }
+    panic!(
+        "{route} bounds differ from {GOLDEN_PATH} (regenerated file: {}):\n{}",
+        out.display(),
+        diffs.join("\n")
+    );
+}
+
 /// PR 7 acceptance sweep: across all four generated workloads (the full
 /// 344-query smoke suite), a sharded build (k = 4, partition→merge→
 /// finalize) and a delta-refreshed snapshot must be **bit-identical** —
@@ -132,7 +171,8 @@ proptest! {
 /// exact counts (checked on a per-workload subset). Along the way, one
 /// long-lived default session and one with the LIKE memo off must agree
 /// bit for bit on every query: a memo hit replays the resolution it
-/// stored.
+/// stored. Both the cold bounds and the long-lived session's must match
+/// the committed golden file byte for byte.
 #[test]
 fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
     use safebound::core::{BoundSession, IncrementalBuilder, SafeBoundBuilder};
@@ -142,6 +182,7 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
     let scale = ExperimentScale::smoke();
     let mut memo_on = BoundSession::default();
     let mut memo_off = BoundSession::default().with_memo_capacities(4096, 0);
+    let (mut golden_cold, mut golden_session) = (String::new(), String::new());
     for w in build_workloads(&scale) {
         let cfg = experiment_config();
         let builder = SafeBoundBuilder::new(cfg.clone());
@@ -201,6 +242,10 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
             let off = sb_single
                 .bound_with_session(&bq.query, &mut memo_off)
                 .unwrap();
+            for (text, v) in [(&mut golden_cold, a), (&mut golden_session, on)] {
+                let line = format!("{}\t{}\t{:016x}\t{v}\n", w.name, bq.name, v.to_bits());
+                text.push_str(&line);
+            }
             assert_eq!(
                 on.to_bits(),
                 off.to_bits(),
@@ -228,6 +273,8 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
             }
         }
     }
+    check_golden("cold", &golden_cold);
+    check_golden("session", &golden_session);
     let stats = memo_on.stats();
     assert!(
         stats.like_memo_hits > 0,
@@ -249,7 +296,7 @@ fn workload_soundness_sweep() {
             let truth = exact_count(&w.catalog, &bq.query).unwrap() as f64;
             let bound = sb.bound(&bq.query).unwrap();
             assert!(
-                bound >= truth * (1.0 - 1e-9),
+                bound >= truth,
                 "{} / {}: bound {bound} < truth {truth}\n{}",
                 w.name,
                 bq.name,
@@ -341,5 +388,75 @@ fn fresh_literal_stream_is_bit_identical_to_the_cold_path() {
     assert!(tiny.stats().lit_evictions > 0);
     for s in [stats, tiny.stats()] {
         assert_eq!((s.lit_cond_hits, s.lit_cond_misses), (0, 0), "frozen keys");
+    }
+}
+
+/// A mixed `Int`/`Float` comparison beyond 2^53 is exact in the oracle, the
+/// statistics and the literal cache alike. Under a comparison that widened
+/// the integer to `f64`, `t.a = 2^53` (a float literal) counted the 150 rows
+/// holding `2^53 + 1` while the statistics, keyed by the literal's exact
+/// integer, found none of them: a bound below the exact count.
+#[test]
+fn mixed_int_float_equality_beyond_2_pow_53_is_sound() {
+    use safebound::core::BoundSession;
+    const TWO53: i64 = 1 << 53;
+    let n = 200i64;
+    let a: Vec<_> = (0..n)
+        .map(|i| Some(if i < 150 { TWO53 + 1 } else { i }))
+        .collect();
+    let f: Vec<_> = (0..n)
+        .map(|i| Some(if i < 150 { TWO53 as f64 } else { i as f64 }))
+        .collect();
+    let s: Vec<String> = (0..n).map(|i| format!("s{}", i % 7)).collect();
+    let mut catalog = Catalog::new();
+    catalog.add_table(Table::new(
+        "t",
+        Schema::new(vec![
+            Field::new("a", DataType::Int),
+            Field::new("k", DataType::Int),
+            Field::new("s", DataType::Str),
+            Field::new("f", DataType::Float),
+        ]),
+        vec![
+            Column::from_ints(a),
+            Column::from_ints((0..n).map(|i| Some(i % 10))),
+            Column::from_strs(s.iter().map(|s| Some(s.as_str()))),
+            Column::from_floats(f),
+        ],
+    ));
+    catalog.add_table(Table::new(
+        "d",
+        Schema::new(vec![Field::not_null("id", DataType::Int)]),
+        vec![Column::from_ints((0..10).map(Some))],
+    ));
+    catalog.declare_primary_key("d", "id");
+    catalog.declare_foreign_key("t", "k", "d", "id");
+
+    let join = "SELECT COUNT(*) FROM t t, d d WHERE t.k = d.id AND";
+    let queries = [
+        format!("{join} t.a = 9007199254740992.0"),
+        "SELECT COUNT(*) FROM t t WHERE t.a = 9007199254740992.0".to_string(),
+        format!("{join} t.a IN (9007199254740992.0, 3)"),
+        format!("{join} t.f = 9007199254740993"),
+        format!("{join} t.a <= 9007199254740992.0"),
+        format!("{join} t.a >= 9007199254740992.0"),
+        format!("{join} t.f >= 9007199254740993"),
+    ];
+    for cfg in [SafeBoundConfig::test_small(), SafeBoundConfig::default()] {
+        let sb = SafeBound::build(&catalog, cfg);
+        let mut session = BoundSession::default();
+        for sql in &queries {
+            let q = parse_sql(sql).unwrap();
+            let truth = exact_count(&catalog, &q).unwrap() as f64;
+            let cold = sb.bound(&q).unwrap();
+            assert!(cold >= truth, "{sql}: bound {cold} < truth {truth}");
+            for round in 0..2 {
+                let warm = sb.bound_with_session(&q, &mut session).unwrap();
+                assert!(
+                    warm >= truth,
+                    "{sql} (round {round}): bound {warm} < truth {truth}"
+                );
+            }
+        }
     }
 }
