@@ -373,7 +373,7 @@ impl_tuple_strategy!(A, B, C, D, E, G);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Acceptable length specifications for [`vec`].
+    /// Acceptable length specifications for [`vec`](fn@vec).
     pub trait IntoSizeRange {
         /// Draw a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -403,7 +403,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// See [`vec`].
+    /// See [`vec`](fn@vec).
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

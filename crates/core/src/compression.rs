@@ -55,7 +55,7 @@ pub fn compress_cds(ds: &DegreeSequence, seg: Segmentation) -> PiecewiseLinear {
     }
 }
 
-/// Model the **DS** directly (the pre-SafeBound approach of [4]): dominate
+/// Model the **DS** directly (the pre-SafeBound approach of \[4\]): dominate
 /// `f` with a piecewise-constant step function, then integrate. Inflates
 /// the relation's cardinality — kept as the Fig. 9b baseline.
 pub fn compress_ds(ds: &DegreeSequence, seg: Segmentation) -> PiecewiseLinear {

@@ -215,7 +215,7 @@ impl CdsView<'_> {
     }
 }
 
-/// The per-column combining operation of an arena [`CdsSet::combine_into`].
+/// The per-column combining operation of an arena [`CdsView::combine_into`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetOp {
     /// Pointwise min (predicate conjunction, §3.3).

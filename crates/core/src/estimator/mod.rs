@@ -59,7 +59,7 @@
 //!   assembly. These write every intermediate CDS into the session's
 //!   [`CdsScratch`] arena pools instead of cloning. An exact whole-query
 //!   repeat skips them: the per-session **literal cache**
-//!   ([`crate::litcache`]) keys each computed bound by **content** — the
+//!   (the crate's `litcache` module) keys each computed bound by **content** — the
 //!   shape key ++ the literal vector, verified byte for byte on every
 //!   hit — never by an id of the slot that computed it, so an entry
 //!   outlives its shape's eviction and returns the memoized bound

@@ -338,7 +338,7 @@ pub struct PhaseBreakdown {
 
 /// Reusable per-thread (per-worker) state for the online path: the
 /// query-shape plan/relaxation cache, the resolve memos, the **literal
-/// cache** (whole-query bounds, see [`crate::litcache`]), and every arena
+/// cache** (whole-query bounds, see the crate's `litcache` module), and every arena
 /// the online path writes into ([`BoundScratch`] for the kernel,
 /// [`CdsScratch`] for predicate resolution and assembly, pooled
 /// per-relation stats). Hold one per serving thread; a warm session

@@ -4,7 +4,7 @@
 //! partition-stage accumulators ([`PartialTableStats`]) and finalized
 //! statistics of every table, each in a pool of its own ([`TablePart`]).
 //! Applying a
-//! [`CatalogDelta`](safebound_storage::CatalogDelta) updates exactly the
+//! [`CatalogDelta`] updates exactly the
 //! affected tables and returns a fresh [`StatsSnapshot`] ready to publish
 //! (e.g. through the serving stack's stats refresher).
 //!

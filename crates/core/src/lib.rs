@@ -5,9 +5,9 @@
 //! from compressed degree sequences.
 //!
 //! ## Offline phase
-//! [`SafeBoundBuilder`](stats::SafeBoundBuilder) scans a
+//! [`SafeBoundBuilder`] scans a
 //! [`Catalog`](safebound_storage::Catalog) and produces
-//! [`SafeBoundStats`](stats::SafeBoundStats): per join column, a compressed
+//! [`SafeBoundStats`]: per join column, a compressed
 //! cumulative degree sequence (CDS) produced by `ValidCompress`
 //! (Algorithm 1, [`compression::valid_compress`]); per filter column,
 //! CDSs conditioned on equality (MCV lists), ranges (a hierarchy of
@@ -15,19 +15,19 @@
 //! compressed by complete-linkage clustering and indexed by Bloom filters.
 //!
 //! ## Online phase
-//! [`SafeBound`](estimator::SafeBound) takes a conjunctive query, resolves
+//! [`SafeBound`] takes a conjunctive query, resolves
 //! conditioned CDSs per relation, and evaluates the Functional Degree
 //! Sequence Bound (Algorithm 2, [`bound::fdsb`]) over the query's join
 //! tree in time log-linear in the total number of CDS segments.
 //!
 //! ## Concurrent serving
 //! The offline phase produces an immutable, `Send + Sync`
-//! [`StatsSnapshot`](stats::StatsSnapshot) shared behind an `Arc`;
-//! [`SafeBound`](estimator::SafeBound) is a cheaply cloneable handle over
+//! [`StatsSnapshot`] shared behind an `Arc`;
+//! [`SafeBound`] is a cheaply cloneable handle over
 //! it with a lock-free read fast path and a
 //! [`swap_stats`](estimator::SafeBound::swap_stats) hot swap for
 //! background rebuilds. Each serving thread holds its own
-//! [`BoundSession`](estimator::BoundSession) (shape cache + arenas); the
+//! [`BoundSession`] (shape cache + arenas); the
 //! `safebound-serve` crate assembles these into a sharded worker pool.
 //!
 //! ```

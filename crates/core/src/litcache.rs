@@ -62,9 +62,12 @@ impl ContentKey<'_> {
             && stored.ends_with(self.lits)
     }
 
+    /// Overwrite a slot's key. A buffer grows to a power of two, so once
+    /// a slot has held a key of each size class in the traffic it never
+    /// grows again, however the clock deals keys to slots.
     fn store_into(&self, bytes: &mut Vec<u8>) {
         bytes.clear();
-        bytes.reserve_exact(self.scope.len() + self.lits.len());
+        bytes.reserve((self.scope.len() + self.lits.len()).next_power_of_two());
         bytes.extend_from_slice(self.scope);
         bytes.extend_from_slice(self.lits);
     }

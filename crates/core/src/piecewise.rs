@@ -39,7 +39,7 @@
 //!
 //! The pre-sweep implementations (union of breakpoints, re-evaluating
 //! every input at each interval midpoint by binary search —
-//! `O(K·m·log K)`) are retained in [`reference`] as the oracle for
+//! `O(K·m·log K)`) are retained in [`reference`](mod@reference) as the oracle for
 //! property tests.
 
 // Per-query serving path: a panic here kills a worker mid-batch.

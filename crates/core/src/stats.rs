@@ -82,7 +82,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Key under which PK–FK-propagated statistics are stored in
-/// [`TableStats::filter_stats`]: it encodes the exact join edge
+/// `TableStats::filter_stats`: it encodes the exact join edge
 /// (`fk_column = pk_table.pk_column`) and the dimension filter column, so
 /// the online phase applies the propagation only to matching query edges.
 pub fn propagated_key(
@@ -334,7 +334,7 @@ impl TableStats {
 
 /// One table's statistics with its sets in a pool of its own: what a
 /// build job finalizes and the incremental builder retains, before
-/// [`StatsSnapshot::freeze`] copies every table into the snapshot's pool.
+/// `StatsSnapshot::freeze` copies every table into the snapshot's pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TablePart {
     /// The table's statistics, ranges into `pool`.

@@ -20,5 +20,5 @@ pub mod spanning;
 
 pub use ast::{CmpOp, JoinEdge, LiteralRef, Predicate, Query, RelationRef};
 pub use join_graph::{BoundPlan, ColId, JoinGraph, JoinVar, PlanError, Step};
-pub use parser::{parse_sql, ParseError};
+pub use parser::{parse_sql, parse_sql_into, ParseError};
 pub use spanning::{for_each_spanning_forest, spanning_relaxations};

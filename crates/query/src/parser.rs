@@ -24,22 +24,207 @@
 //!
 //! It is one pass of recursive descent over the bytes of the line, with
 //! one token of look-ahead. Tokens borrow from the line, aliases are
-//! resolved against the FROM list as conjuncts complete, and the only
-//! allocations are the ones the returned [`Query`] owns; parentheses nest
-//! at most 64 deep (`MAX_NESTING`). A line with more than one thing wrong
-//! reports, in this order: the first malformed lexeme anywhere in it, the
-//! first syntax error, the first semantic error (alias resolution, what
-//! OR may hold), trailing tokens.
+//! resolved against the FROM list as conjuncts complete, and parentheses
+//! nest at most 64 deep (`MAX_NESTING`). A line with more than one thing
+//! wrong reports, in this order: the first malformed lexeme anywhere in
+//! it, the first syntax error, the first semantic error (alias
+//! resolution, what OR may hold), trailing tokens.
+//!
+//! ## Allocation
+//!
+//! [`parse_sql_into`] parses into a query the caller keeps, such as a
+//! serving connection's query or a slot of a recycled batch. It first
+//! takes the target apart into its thread's stock of spare buffers, then
+//! builds the new query from that stock: every name and string literal is
+//! a stocked `String`, every `AND`/`OR`/`IN` list a stocked vector, and
+//! the target's three top-level vectors keep their capacity. A string of
+//! `n` bytes is served from a class of capacities that holds it, and a
+//! fresh one gets the next power of two, so a stocked string never grows.
+//! Re-parsing a line of the shape the target last held, with literals no
+//! longer than before, therefore allocates nothing. So does a line of
+//! another shape once the thread has taken back such parts from earlier
+//! targets, as a connection re-parsing batch slots of mixed templates
+//! does. The stock keeps at most 64 KiB of buffers per thread (strings
+//! under 512 bytes) and frees the rest.
+//! What still allocates: the thread's first re-parses (the stock's own
+//! shelves), lists longer than the 8 entries a fresh one holds, a string
+//! literal with a doubled quote (the lexer unescapes it into a new
+//! string) and an error's message. [`parse_sql`] is the same parse into a
+//! new query.
 
-use crate::ast::{CmpOp, Predicate, Query, RelationRef};
+use crate::ast::{CmpOp, JoinEdge, Predicate, Query, RelationRef};
 use safebound_storage::Value;
 use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// Deepest accepted nesting of parenthesized expressions. The descent
 /// recurses once per level on the connection thread's stack, so the
 /// depth a request can ask for has to be bounded by the parser, not by
 /// the stack.
 const MAX_NESTING: usize = 64;
+
+/// Number of string capacity classes stocked: class `k` holds strings
+/// of capacity `2^k` to `2^(k+1) - 1`, so strings of 512 bytes or more are
+/// freed rather than kept.
+const STRING_CLASSES: usize = 9;
+
+/// Heap bytes the buffers in one thread's stock may hold; a buffer that
+/// would take it past this is freed instead.
+const STOCK_BYTES: usize = 64 << 10;
+
+/// Capacity of a fresh `AND`/`OR`/`IN` list.
+const LIST_CAPACITY: usize = 8;
+
+/// Buffers taken back from parse targets, for the next parse on the same
+/// thread to build from (see the module docs).
+struct Stock {
+    /// By capacity class: `strings[k]` holds capacities in `[2^k, 2^(k+1))`.
+    strings: [Vec<String>; STRING_CLASSES],
+    /// Empty `AND`/`OR` lists.
+    lists: Vec<Vec<Predicate>>,
+    /// Empty `IN` lists.
+    values: Vec<Vec<Value>>,
+    /// Heap bytes of the stocked buffers, at most [`STOCK_BYTES`].
+    bytes: usize,
+}
+
+thread_local! {
+    static STOCK: RefCell<Stock> = const { RefCell::new(Stock::EMPTY) };
+}
+
+impl Stock {
+    const EMPTY: Stock = Stock {
+        strings: [const { Vec::new() }; STRING_CLASSES],
+        lists: Vec::new(),
+        values: Vec::new(),
+        bytes: 0,
+    };
+
+    /// Whether `bytes` more fit the budget; if so they are counted.
+    fn admit(&mut self, bytes: usize) -> bool {
+        let fits = self.bytes + bytes <= STOCK_BYTES;
+        if fits {
+            self.bytes += bytes;
+        }
+        fits
+    }
+
+    /// `text` in a stocked string of capacity at least its length, or in a
+    /// fresh one of the next power of two.
+    fn string(&mut self, text: &str) -> String {
+        if text.is_empty() {
+            return String::new();
+        }
+        // The smallest class whose every capacity holds `text`.
+        let class = (usize::BITS - (text.len() - 1).leading_zeros()) as usize;
+        let stocked = self.strings.iter_mut().skip(class).find_map(Vec::pop);
+        let mut s = match stocked {
+            Some(s) => {
+                self.bytes -= s.capacity();
+                s
+            }
+            None if class < STRING_CLASSES => String::with_capacity(1 << class),
+            None => String::with_capacity(text.len()),
+        };
+        s.clear();
+        s.push_str(text);
+        s
+    }
+
+    /// A string token's text: the lexer's own string when it unescaped
+    /// one, a stocked string otherwise.
+    fn text(&mut self, token: Cow<'_, str>) -> String {
+        match token {
+            Cow::Borrowed(text) => self.string(text),
+            Cow::Owned(text) => text,
+        }
+    }
+
+    fn list(&mut self) -> Vec<Predicate> {
+        match self.lists.pop() {
+            Some(list) => {
+                self.bytes -= list.capacity() * size_of::<Predicate>();
+                list
+            }
+            None => Vec::with_capacity(LIST_CAPACITY),
+        }
+    }
+
+    fn values(&mut self) -> Vec<Value> {
+        match self.values.pop() {
+            Some(values) => {
+                self.bytes -= values.capacity() * size_of::<Value>();
+                values
+            }
+            None => Vec::with_capacity(LIST_CAPACITY),
+        }
+    }
+
+    fn put_string(&mut self, s: String) {
+        let Some(class) = s.capacity().checked_ilog2() else {
+            return;
+        };
+        if (class as usize) < STRING_CLASSES && self.admit(s.capacity()) {
+            self.strings[class as usize].push(s);
+        }
+    }
+
+    fn put_value(&mut self, v: Value) {
+        if let Value::Str(s) = v {
+            self.put_string(s);
+        }
+    }
+
+    fn put_predicate(&mut self, p: Predicate) {
+        match p {
+            Predicate::Eq(c, v) | Predicate::Cmp(c, _, v) => {
+                self.put_string(c);
+                self.put_value(v);
+            }
+            Predicate::Between(c, lo, hi) => {
+                self.put_string(c);
+                self.put_value(lo);
+                self.put_value(hi);
+            }
+            Predicate::Like(c, pattern) => {
+                self.put_string(c);
+                self.put_string(pattern);
+            }
+            Predicate::In(c, mut vs) => {
+                self.put_string(c);
+                for v in vs.drain(..) {
+                    self.put_value(v);
+                }
+                if vs.capacity() > 0 && self.admit(vs.capacity() * size_of::<Value>()) {
+                    self.values.push(vs);
+                }
+            }
+            Predicate::And(mut ps) | Predicate::Or(mut ps) => {
+                for p in ps.drain(..) {
+                    self.put_predicate(p);
+                }
+                if ps.capacity() > 0 && self.admit(ps.capacity() * size_of::<Predicate>()) {
+                    self.lists.push(ps);
+                }
+            }
+        }
+    }
+
+    /// Take `query` apart, leaving it empty with its three vectors' capacity.
+    fn put_query(&mut self, query: &mut Query) {
+        for r in query.relations.drain(..) {
+            self.put_string(r.table);
+            self.put_string(r.alias);
+        }
+        for j in query.joins.drain(..) {
+            self.put_string(j.left_column);
+            self.put_string(j.right_column);
+        }
+        for (_, p) in query.predicates.drain(..) {
+            self.put_predicate(p);
+        }
+    }
+}
 
 /// Parse failure with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,12 +404,13 @@ enum Node<'a> {
 /// Recursive descent with one token of look-ahead. Joins and predicates
 /// are moved into `query` as their conjunct completes; a single
 /// comparison travels up as a [`Node`] until it is known whether an `OR`
-/// claims it.
-struct Parser<'a> {
+/// claims it. Every string and list comes from `stock`.
+struct Parser<'a, 'q> {
     lexer: Lexer<'a>,
     /// The look-ahead token; `None` at the end of the input.
     peeked: Option<Token<'a>>,
-    query: Query,
+    query: &'q mut Query,
+    stock: &'q mut Stock,
     /// The first semantic error (unknown alias, OR across relations, …).
     /// It is reported only once the whole WHERE clause is syntactically
     /// valid: a syntax error further along the line takes precedence.
@@ -232,7 +418,7 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Parser<'a, '_> {
     /// Consume the look-ahead token.
     fn advance(&mut self) -> Result<Option<Token<'a>>, ParseError> {
         let next = self.lexer.next()?;
@@ -284,7 +470,7 @@ impl<'a> Parser<'a> {
         match self.advance()? {
             Some(Token::Int(n)) => Ok(Value::Int(n)),
             Some(Token::Float(f)) => Ok(Value::Float(f)),
-            Some(Token::Str(s)) => Ok(Value::Str(s.into_owned())),
+            Some(Token::Str(s)) => Ok(Value::Str(self.stock.text(s))),
             t => err(format!("expected literal, found {t:?}")),
         }
     }
@@ -298,7 +484,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn statement(&mut self) -> Result<Query, ParseError> {
+    fn statement(&mut self) -> Result<(), ParseError> {
         self.peeked = self.lexer.next()?;
         self.expect_keyword("SELECT")?;
         self.expect_keyword("COUNT")?;
@@ -319,7 +505,11 @@ impl<'a> Parser<'a> {
             if self.query.relation_by_alias(alias).is_some() {
                 return err(format!("duplicate alias {alias:?}"));
             }
-            self.query.add_relation(RelationRef::aliased(table, alias));
+            let relation = RelationRef {
+                table: self.stock.string(table),
+                alias: self.stock.string(alias),
+            };
+            self.query.relations.push(relation);
             if !self.eat_symbol(",")? {
                 break;
             }
@@ -335,7 +525,7 @@ impl<'a> Parser<'a> {
         if let Some(t) = &self.peeked {
             return err(format!("trailing tokens starting at {t:?}"));
         }
-        Ok(std::mem::take(&mut self.query))
+        Ok(())
     }
 
     fn expr(&mut self) -> Result<Node<'a>, ParseError> {
@@ -359,7 +549,7 @@ impl<'a> Parser<'a> {
         }
         // A disjunction: plain predicates, all on one relation.
         let mut rel = None;
-        let mut preds = Vec::new();
+        let mut preds = self.stock.list();
         self.disjunct(first, clean, &mut rel, &mut preds);
         while self.eat_keyword("OR")? {
             clean = self.deferred.is_none();
@@ -367,7 +557,7 @@ impl<'a> Parser<'a> {
             self.disjunct(operand, clean, &mut rel, &mut preds);
         }
         if let (Some(rel), None) = (rel, &self.deferred) {
-            self.query.add_predicate(rel, Predicate::Or(preds));
+            self.add_predicate(rel, Predicate::Or(preds));
         }
         Ok(Node::Folded)
     }
@@ -390,7 +580,6 @@ impl<'a> Parser<'a> {
 
     fn comparison(&mut self) -> Result<Node<'a>, ParseError> {
         let (alias, col) = self.colref()?;
-        let column = || col.to_string();
         let pred = match self.advance()? {
             Some(Token::Symbol("=")) => {
                 // Join or equality literal?
@@ -401,7 +590,8 @@ impl<'a> Parser<'a> {
                         right,
                     });
                 }
-                Predicate::Eq(column(), self.literal()?)
+                let v = self.literal()?;
+                Predicate::Eq(self.stock.string(col), v)
             }
             Some(Token::Symbol(op @ ("<" | "<=" | ">" | ">="))) => {
                 let op = match op {
@@ -410,25 +600,31 @@ impl<'a> Parser<'a> {
                     ">" => CmpOp::Gt,
                     _ => CmpOp::Ge,
                 };
-                Predicate::Cmp(column(), op, self.literal()?)
+                let v = self.literal()?;
+                Predicate::Cmp(self.stock.string(col), op, v)
             }
             Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("BETWEEN") => {
                 let lo = self.literal()?;
                 self.expect_keyword("AND")?;
-                Predicate::Between(column(), lo, self.literal()?)
+                let hi = self.literal()?;
+                Predicate::Between(self.stock.string(col), lo, hi)
             }
             Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("LIKE") => match self.advance()? {
-                Some(Token::Str(pattern)) => Predicate::Like(column(), pattern.into_owned()),
+                Some(Token::Str(pattern)) => {
+                    let pattern = self.stock.text(pattern);
+                    Predicate::Like(self.stock.string(col), pattern)
+                }
                 t => return err(format!("LIKE requires a string pattern, found {t:?}")),
             },
             Some(Token::Ident(kw)) if kw.eq_ignore_ascii_case("IN") => {
                 self.expect_symbol("(")?;
-                let mut vals = vec![self.literal()?];
+                let mut vals = self.stock.values();
+                vals.push(self.literal()?);
                 while self.eat_symbol(",")? {
                     vals.push(self.literal()?);
                 }
                 self.expect_symbol(")")?;
-                Predicate::In(column(), vals)
+                Predicate::In(self.stock.string(col), vals)
             }
             t => return err(format!("expected comparison operator, found {t:?}")),
         };
@@ -457,9 +653,9 @@ impl<'a> Parser<'a> {
         }
         let folded = match node {
             Node::Folded => Ok(()),
-            Node::Pred { alias, pred } => self
-                .resolve(alias)
-                .map(|rel| self.query.add_predicate(rel, pred)),
+            Node::Pred { alias, pred } => {
+                self.resolve(alias).map(|rel| self.add_predicate(rel, pred))
+            }
             Node::Join { left, right } => self.fold_join(left, right),
         };
         self.deferred = folded.err();
@@ -471,8 +667,28 @@ impl<'a> Parser<'a> {
         if l == r {
             return err("intra-relation column equality is not supported");
         }
-        self.query.add_join(l, left.1, r, right.1);
+        let edge = JoinEdge {
+            left: l,
+            left_column: self.stock.string(left.1),
+            right: r,
+            right_column: self.stock.string(right.1),
+        };
+        self.query.joins.push(edge);
         Ok(())
+    }
+
+    /// [`Query::add_predicate`] with the `AND` list taken from the stock.
+    fn add_predicate(&mut self, rel: usize, pred: Predicate) {
+        match self.query.predicates.iter_mut().find(|(r, _)| *r == rel) {
+            Some((_, Predicate::And(ps))) => ps.push(pred),
+            Some((_, existing)) => {
+                let mut both = self.stock.list();
+                both.push(std::mem::replace(existing, Predicate::And(Vec::new())));
+                both.push(pred);
+                *existing = Predicate::And(both);
+            }
+            None => self.query.predicates.push((rel, pred)),
+        }
     }
 
     /// Collect one operand of an `OR` into `preds`. `clean` says no
@@ -510,20 +726,52 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parse a `SELECT COUNT(*)` SQL string into a [`Query`].
+/// Parse a `SELECT COUNT(*)` SQL string into a new [`Query`]:
+/// [`parse_sql_into`] on an empty target.
 pub fn parse_sql(sql: &str) -> Result<Query, ParseError> {
+    let mut query = Query::new();
+    parse_sql_into(sql, &mut query)?;
+    Ok(query)
+}
+
+/// Parse a `SELECT COUNT(*)` SQL string into `query`, replacing what it
+/// held and reusing its strings and vectors (see the module docs for what
+/// that saves). The result equals [`parse_sql`]'s, whatever the target
+/// held before. On an error the target is left empty.
+pub fn parse_sql_into(sql: &str, query: &mut Query) -> Result<(), ParseError> {
+    let stocked = STOCK.try_with(|cell| {
+        let mut stock = cell.try_borrow_mut().ok()?;
+        Some(parse_with_stock(sql, query, &mut stock))
+    });
+    match stocked {
+        Ok(Some(parsed)) => parsed,
+        // The thread is exiting and its stock is gone.
+        _ => {
+            let mut empty = Stock::EMPTY;
+            parse_with_stock(sql, query, &mut empty)
+        }
+    }
+}
+
+fn parse_with_stock(sql: &str, query: &mut Query, stock: &mut Stock) -> Result<(), ParseError> {
+    stock.put_query(query);
     let mut parser = Parser {
         lexer: Lexer { src: sql, pos: 0 },
         peeked: None,
-        query: Query::new(),
+        query,
+        stock,
         deferred: None,
         depth: 0,
     };
     // A malformed lexeme anywhere in the line is reported before anything
     // the grammar finds wrong in front of it.
-    parser
+    let parsed = parser
         .statement()
-        .map_err(|e| parser.lexer.error_ahead().unwrap_or(e))
+        .map_err(|e| parser.lexer.error_ahead().unwrap_or(e));
+    if parsed.is_err() {
+        parser.stock.put_query(parser.query);
+    }
+    parsed
 }
 
 #[cfg(test)]

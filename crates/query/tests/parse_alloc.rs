@@ -1,12 +1,21 @@
 //! Allocation audit for the SQL front end, in the style of
 //! `crates/core/tests/zero_alloc.rs`: a counting global allocator wraps
-//! the system allocator, and parsing a line may allocate only what the
-//! returned [`Query`] owns — its three vectors, one `String` per table,
-//! alias and column, one per string literal, the `And`/`Or`/`IN` lists —
-//! plus the reallocations of those vectors as they grow. Nothing for a
-//! character buffer, a token list, an expression tree or a clone.
+//! the system allocator. Two rules:
+//!
+//! * Parsing a line into a new query may allocate only what the returned
+//!   [`Query`] owns — its three vectors, one `String` per table, alias
+//!   and column, one per string literal, the `And`/`Or`/`IN` lists — plus
+//!   the reallocations of those vectors as they grow. Nothing for a
+//!   character buffer, a token list, an expression tree or a clone.
+//! * Re-parsing into a target with `parse_sql_into` allocates nothing
+//!   when the line has the shape the target last held and literals no
+//!   longer than before, and nothing either once the thread has taken
+//!   back the parts of every shape it parses in turn. The exceptions are
+//!   the thread's first re-parses, which allocate its stock's shelves,
+//!   and a string literal with a doubled quote, which the lexer unescapes
+//!   into a new `String`.
 
-use safebound_query::{parse_sql, Predicate, Query};
+use safebound_query::{parse_sql, parse_sql_into, Predicate, Query};
 use safebound_storage::Value;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -154,4 +163,82 @@ fn a_rejected_line_allocates_only_its_message() {
     let allocated = allocation_count() - before;
     assert_eq!(e.message, "expected literal, found None");
     assert!(allocated <= 3 + 2 + GROWTH_SLACK, "{allocated}");
+}
+
+/// The same line with every digit moved on by one (9 wraps to 0): new
+/// literals of the same length, on the same shape.
+fn fresh_literals(sql: &str, round: u8) -> String {
+    sql.chars()
+        .map(|c| match c.to_digit(10) {
+            Some(d) => char::from(b'0' + ((d as u8 + round) % 10)),
+            None => c,
+        })
+        .collect()
+}
+
+/// What the lexer allocates on every parse of `sql`: one unescaped copy
+/// per string literal with a doubled quote.
+fn lexer_copies(sql: &str) -> usize {
+    sql.matches("''").count()
+}
+
+// `parse_sql` builds from the same per-thread stock and keeps what it
+// takes, so the expected queries are parsed before a measurement starts.
+
+#[test]
+fn reparsing_a_known_shape_with_fresh_literals_allocates_nothing() {
+    // The thread's stock allocates its shelves on its first re-parses.
+    for sql in JOB_LIGHT {
+        let mut warm = parse_sql(sql).unwrap();
+        parse_sql_into(sql, &mut warm).unwrap();
+    }
+    for sql in JOB_LIGHT {
+        let rounds: Vec<(String, Query)> = (1..4)
+            .map(|round| {
+                let fresh = fresh_literals(sql, round);
+                let want = parse_sql(&fresh).unwrap();
+                (fresh, want)
+            })
+            .collect();
+        let mut target = parse_sql(sql).unwrap();
+        for (fresh, want) in &rounds {
+            let before = allocation_count();
+            parse_sql_into(fresh, &mut target).unwrap();
+            let allocated = allocation_count() - before;
+            assert_eq!(allocated, lexer_copies(sql), "{fresh}");
+            assert_eq!(format!("{target:?}"), format!("{want:?}"));
+        }
+    }
+}
+
+#[test]
+fn reparsing_mixed_shapes_into_one_target_allocates_nothing_once_warm() {
+    // One target takes every line in turn, as a recycled batch slot does:
+    // each parse gives back the previous shape's parts and builds from
+    // what the thread has stocked.
+    let rounds: Vec<Vec<(String, Query)>> = (0..5)
+        .map(|round| {
+            JOB_LIGHT
+                .iter()
+                .map(|sql| {
+                    let fresh = fresh_literals(sql, round);
+                    let want = parse_sql(&fresh).unwrap();
+                    (fresh, want)
+                })
+                .collect()
+        })
+        .collect();
+    let mut target = Query::new();
+    for (round, lines) in rounds.iter().enumerate() {
+        for ((fresh, want), sql) in lines.iter().zip(JOB_LIGHT) {
+            let before = allocation_count();
+            parse_sql_into(fresh, &mut target).unwrap();
+            let allocated = allocation_count() - before;
+            // Two rounds stock the thread with every shape's parts.
+            if round >= 2 {
+                assert_eq!(allocated, lexer_copies(sql), "round {round}: {fresh}");
+            }
+            assert_eq!(format!("{target:?}"), format!("{want:?}"));
+        }
+    }
 }

@@ -9,7 +9,7 @@
 //! malformed lexeme anywhere in the line first, then the first syntax
 //! error, then the first semantic one, then trailing tokens.
 
-use safebound_query::parse_sql;
+use safebound_query::{parse_sql, parse_sql_into, Query};
 
 #[rustfmt::skip]
 const FROZEN: &[(&str, Result<&str, &str>)] = &[
@@ -532,6 +532,31 @@ fn every_frozen_input_parses_to_the_recorded_result() {
             .map_err(|e| e.message);
         let got = got.as_ref().map(String::as_str).map_err(String::as_str);
         assert_eq!(got, *want, "{sql:?}");
+    }
+}
+
+/// Parsing into a target that last held another input — parsed or
+/// refused — gives exactly what parsing into a new query gives: nothing of
+/// the earlier input survives into the later one.
+#[test]
+fn every_frozen_input_reparses_into_a_used_target_exactly() {
+    let fresh: Vec<Result<String, String>> = FROZEN
+        .iter()
+        .map(|(sql, _)| {
+            parse_sql(sql)
+                .map(|q| format!("{q:?}"))
+                .map_err(|e| e.message)
+        })
+        .collect();
+    for (a, _) in FROZEN {
+        for ((b, _), want) in FROZEN.iter().zip(&fresh) {
+            let mut target = Query::new();
+            let _ = parse_sql_into(a, &mut target);
+            let got = parse_sql_into(b, &mut target)
+                .map(|()| format!("{target:?}"))
+                .map_err(|e| e.message);
+            assert_eq!(&got, want, "{b:?} parsed into a target that held {a:?}");
+        }
     }
 }
 

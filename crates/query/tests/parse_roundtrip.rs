@@ -9,7 +9,7 @@
 //! parentheses, omitted aliases on a single relation, the final `;`).
 
 use proptest::prelude::*;
-use safebound_query::{parse_sql, CmpOp, Predicate, Query, RelationRef};
+use safebound_query::{parse_sql, parse_sql_into, CmpOp, Predicate, Query, RelationRef};
 use safebound_storage::Value;
 use std::fmt::Write;
 
@@ -297,6 +297,21 @@ proptest! {
         prop_assert_eq!(&parsed, &q, "{}", sql);
         // `Value`'s equality folds 1 and 1.0 together; `Debug` does not.
         prop_assert_eq!(format!("{parsed:?}"), format!("{q:?}"), "{}", sql);
+    }
+
+    #[test]
+    fn rendered_queries_parse_back_into_a_used_target(
+        q in query(),
+        prior in query(),
+        style in style(),
+    ) {
+        // The target holds another generated query, built by hand: its
+        // buffers and capacities are nothing the parser made.
+        let sql = render(&q, style);
+        let mut target = prior;
+        let parsed = parse_sql_into(&sql, &mut target);
+        prop_assert!(parsed.is_ok(), "{sql}\n{parsed:?}");
+        prop_assert_eq!(format!("{target:?}"), format!("{q:?}"), "{}", sql);
     }
 }
 

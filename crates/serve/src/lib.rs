@@ -1,7 +1,7 @@
 //! # safebound-serve
 //!
 //! The concurrent serving front-end for SafeBound: everything between a
-//! built [`StatsSnapshot`](safebound_core::StatsSnapshot) and a socket.
+//! built [`StatsSnapshot`] and a socket.
 //!
 //! ## Layering: snapshot → handle → sessions → workers and callers → protocol
 //!
@@ -32,8 +32,8 @@
 //!                    └───────────────────────────────┘
 //! ```
 //!
-//! * **[`BoundService`](service::BoundService)** owns the [`SafeBound`]
-//!   handle, N [`BoundSession`](safebound_core::BoundSession)s — the
+//! * **[`BoundService`]** owns the [`SafeBound`]
+//!   handle, N [`BoundSession`]s — the
 //!   mutable half of the estimator (query-shape cache, arena pools,
 //!   hot-literal memo) — each behind its own lock, and up to N worker
 //!   threads. Construction spawns none: a shard's worker starts with the
@@ -52,31 +52,39 @@
 //!   worker would cost ten times the literal-cache hit it buys. When
 //!   the shard is held the query queues behind the holder as a one-line
 //!   batch, under the batch deadline. The lock decides, not an option.
-//! * **`bound_batch`** ships index slices of one shared `Arc<[Query]>`
-//!   to the workers and reassembles results in order: one channel
-//!   round-trip per worker per batch, the workers running in parallel and
-//!   each holding its shard's session across its whole slice. Before
-//!   dispatch, identical lines — same shape *and* literal vector,
-//!   confirmed by full equality behind a
-//!   `(shape_hash, literal_fingerprint)` key — are **deduplicated**: one
-//!   representative runs (hitting its shard's literal cache once),
-//!   duplicates get copies of the answer
+//! * **`bound_batch`** and its variants are wrappers over one batch path.
+//!   It ships index slices of one shared `Arc<[Query]>` to the workers'
+//!   job queues and gathers their answers in input order: one job per
+//!   worker per batch, the workers running in parallel, each holding its
+//!   shard's session across its whole slice. Before dispatch, identical
+//!   lines — same shape *and* literal vector, confirmed by full equality
+//!   behind a `(shape_hash, literal_fingerprint)` key — are
+//!   **deduplicated**: one representative runs (hitting its shard's
+//!   literal cache once), duplicates get copies of the answer
 //!   ([`BoundService::batch_dedup_hits`](service::BoundService::batch_dedup_hits)).
+//!   The path's scratch costs a fixed number of allocations per batch,
+//!   whatever its length. Over TCP, a `BATCH` parses into a recycled
+//!   batch lent out with its in-flight permit: its lines re-parse into the
+//!   queries of earlier batches, each job drops its handle on the batch
+//!   before it answers, and the batch goes back to the pool once the
+//!   replies are written. One a late worker still holds is left to it. A
+//!   fresh-literal line on a known template thus allocates nothing from
+//!   its bytes to its dispatch (`tests/batch_alloc.rs`).
 //! * **Hot swap**: the service never pauses. A rebuild calls
 //!   [`SafeBound::swap_stats`](safebound_core::SafeBound::swap_stats) on
 //!   the service's handle; in-flight queries finish on the snapshot they
 //!   started with (their session pins it via `Arc`), and each session picks
 //!   up the new build id on its next query, repopulating lazily. The
-//!   [`StatsRefresher`](refresh::StatsRefresher) runs those rebuilds on
+//!   [`StatsRefresher`] runs those rebuilds on
 //!   its own background thread — on a cadence, on demand (the `REFRESH`
 //!   verb), or both — so statistics stay fresh under live traffic without
 //!   ever borrowing a serving thread.
 //!
 //! ## Serving lifecycle
 //!
-//! [`serve_with`](server::serve_with) runs the accept loop under a
-//! [`ShutdownToken`](refresh::ShutdownToken) with admission control
-//! ([`ServeOptions`](server::ServeOptions)):
+//! [`serve_with`] runs the accept loop under a
+//! [`ShutdownToken`] with admission control
+//! ([`ServeOptions`]):
 //!
 //! * **Connection budget** — at `max_connections` live connections, new
 //!   accepts (and connections whose handler thread fails to spawn under
@@ -86,12 +94,16 @@
 //!   buffered `BATCH` requests, further batches are drained (bounded, one
 //!   reused line buffer) and answered with a single `ERR overloaded`, so
 //!   server memory stays flat under burst load instead of queueing
-//!   without limit.
+//!   without limit. The same budget bounds the recycled batches kept
+//!   between requests, each at most 256 KiB (slots × longest line).
+//! * **Kept buffers** — a connection's line and reply buffers shrink back
+//!   to 4 KiB after a request that grew them past 64 KiB, so an idle
+//!   connection holds no more than that whatever it sent before.
 //! * **Idle timeout** — a connection with no complete request for
 //!   `idle_timeout` is answered `BYE` and closed.
 //! * **Graceful shutdown** — triggering the token (or the `SHUTDOWN`
 //!   verb) stops the accept loop, which joins every connection handler;
-//!   dropping the [`BoundService`](service::BoundService) then joins the
+//!   dropping the [`BoundService`] then joins the
 //!   workers that started and [`StatsRefresher::stop`](refresh::StatsRefresher::stop)
 //!   joins the refresher: no thread outlives the server.
 //!
@@ -112,7 +124,7 @@
 //! | `<SQL text>`                | `OK <bound>` or `ERR <message>`         |
 //! | `BATCH <n>` then `n` SQL lines | `n` `OK`/`ERR` lines (batched pool dispatch), or one `ERR overloaded` |
 //! | `PING`                      | `PONG`                                  |
-//! | `STATS`                     | `STATS workers=<n> build=<id> swaps=<n> generation=<n> refresher=on\|off connections=<n> inflight_batches=<n> batch_dedup_hits=<n> …` plus the pool-wide [`SessionStats`](safebound_core::SessionStats) merge (`shape_*`, `lit_bound_*`, `lit_cond_hits=0 lit_cond_misses=0` (frozen keys: the literal cache holds whole-query bounds only), `lit_evictions`, `eq_memo_*`, `range_memo_hits=0 range_memo_misses=0 range_memo_evictions=0` (frozen keys: range lookups are not memoized), `like_memo_*`, `relaxations_pruned=0` (a frozen key: every relaxation is evaluated)), `spills=<n>`, `snapshot_load_failures=<n>`, and `simd=scalar` (a frozen key: the kernels have one portable tier) |
+//! | `STATS`                     | `STATS workers=<n> build=<id> swaps=<n> generation=<n> refresher=on\|off connections=<n> inflight_batches=<n> batch_dedup_hits=<n> …` plus the pool-wide [`SessionStats`] merge (`shape_*`, `lit_bound_*`, `lit_cond_hits=0 lit_cond_misses=0` (frozen keys: the literal cache holds whole-query bounds only), `lit_evictions`, `eq_memo_*`, `range_memo_hits=0 range_memo_misses=0 range_memo_evictions=0` (frozen keys: range lookups are not memoized), `like_memo_*`, `relaxations_pruned=0` (a frozen key: every relaxation is evaluated)), `spills=<n>`, `snapshot_load_failures=<n>`, and `simd=scalar` (a frozen key: the kernels have one portable tier) |
 //! | `REFRESH`                   | `REFRESHED build=<id> generation=<n>` after a fresh rebuild publishes (`ERR` without a refresher) |
 //! | `SNAPSHOT SAVE <path>`      | `SAVED bytes=<n>` after the published statistics are written through the crash-safe single-file writer (tmp + fsync + atomic rename), or `ERR snapshot save: <reason>` |
 //! | `SNAPSHOT LOAD <path>`      | `LOADED build=<id>` after the file validates (magic, version, checksums, fingerprints) and hot-swaps in, or `ERR snapshot load: <reason>` — a rejected file never unpublishes the last-good snapshot and bumps `snapshot_load_failures` in `STATS` |
@@ -151,7 +163,7 @@ pub use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats, S
 /// Acquire a mutex, recovering from poisoning instead of propagating it.
 ///
 /// Every mutex in this crate guards state that is valid at all times —
-/// counters, fully formed handles/snapshots, channel endpoints — updated
+/// counters, fully formed handles/snapshots, job queues — updated
 /// by single assignments that cannot be observed half-done. A panic on a
 /// thread that happened to hold such a lock therefore leaves the data
 /// intact, and cascading that one panic into every later `lock().unwrap()`

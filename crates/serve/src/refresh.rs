@@ -3,7 +3,7 @@
 //!
 //! [`StatsRefresher`] owns the background half of the hot-swap story PR 3
 //! started: a dedicated thread rebuilds a
-//! [`StatsSnapshot`](safebound_core::StatsSnapshot) from a caller-provided
+//! [`StatsSnapshot`] from a caller-provided
 //! source (usually the live catalog) on a configurable cadence and/or on
 //! demand, and publishes it through
 //! [`SafeBound::swap_stats`](safebound_core::SafeBound::swap_stats) — so
@@ -36,7 +36,7 @@
 //!
 //! [`DeltaSource`] is an incremental alternative to the usual
 //! rescan-the-catalog source closure: it owns an
-//! [`IncrementalBuilder`](safebound_core::IncrementalBuilder) plus a queue
+//! [`IncrementalBuilder`] plus a queue
 //! of pending [`CatalogDelta`]s. Writers [`submit`](DeltaSource::submit)
 //! deltas from any thread; each refresher build attempt drains the queue,
 //! applies the deltas to the owned catalog (maintaining statistics

@@ -19,7 +19,7 @@
 //! The response path is built to fail *loudly and boundedly* rather than
 //! silently or indefinitely:
 //!
-//! * Responses go through a [`ResponseWriter`] that retries interrupted
+//! * Responses go through a `ResponseWriter` that retries interrupted
 //!   and short writes — a response line is delivered whole or the
 //!   connection errors out; it is **never truncated mid-line**.
 //! * Batches — and single lines that find their shard held by a batch
@@ -46,15 +46,16 @@
 #![allow(clippy::disallowed_methods)]
 
 use crate::faults::{FaultInjector, WriteFault};
+use crate::lock_recover;
 use crate::refresh::{RefreshError, ShutdownToken, StatsRefresher};
 use crate::service::BoundService;
 use safebound_core::EstimateError;
-use safebound_query::parse_sql;
+use safebound_query::{parse_sql_into, Query};
 use std::borrow::Cow;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -71,7 +72,8 @@ pub struct ServeOptions {
     /// Max `BATCH` requests in flight across all connections (each batch
     /// buffers up to `MAX_BATCH` parsed queries, so this budget bounds the
     /// server's queueing memory); a batch over budget is drained and
-    /// answered with a single `ERR overloaded` line.
+    /// answered with a single `ERR overloaded` line. It also bounds the
+    /// parsed batches kept for reuse between requests.
     pub max_inflight_batches: usize,
     /// Close a connection after this long without a complete request.
     pub idle_timeout: Duration,
@@ -102,11 +104,15 @@ impl Default for ServeOptions {
 }
 
 /// Counting semaphore over in-flight batches (see
-/// [`ServeOptions::max_inflight_batches`]).
-#[derive(Debug)]
+/// [`ServeOptions::max_inflight_batches`]), and the pool of parsed
+/// batches its permits hand out.
 struct BatchBudget {
     max: usize,
     in_flight: AtomicUsize,
+    /// Parsed batches between requests. A batch goes back before its
+    /// permit's slot is released and is taken after a slot is acquired,
+    /// so the pool and the permits together never hold more than `max`.
+    idle: Mutex<Vec<ParsedBatch>>,
 }
 
 impl BatchBudget {
@@ -114,6 +120,7 @@ impl BatchBudget {
         Arc::new(BatchBudget {
             max,
             in_flight: AtomicUsize::new(0),
+            idle: Mutex::new(Vec::new()),
         })
     }
 
@@ -129,7 +136,13 @@ impl BatchBudget {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Some(BatchPermit(self.clone())),
+                Ok(_) => {
+                    let batch = lock_recover(&self.idle).pop().unwrap_or_default();
+                    return Some(BatchPermit {
+                        budget: self.clone(),
+                        batch,
+                    });
+                }
                 Err(now) => cur = now,
             }
         }
@@ -140,12 +153,69 @@ impl BatchBudget {
     }
 }
 
-/// RAII slot in the batch budget; dropping releases it.
-struct BatchPermit(Arc<BatchBudget>);
+/// RAII slot in the batch budget, with the parsed batch it lends out;
+/// dropping returns the batch to the pool, if it is worth keeping, and
+/// releases the slot.
+struct BatchPermit {
+    budget: Arc<BatchBudget>,
+    batch: ParsedBatch,
+}
 
 impl Drop for BatchPermit {
     fn drop(&mut self) {
-        self.0.in_flight.fetch_sub(1, Ordering::Release);
+        let mut batch = std::mem::take(&mut self.batch);
+        if batch.keep() {
+            lock_recover(&self.budget.idle).push(batch);
+        }
+        self.budget.in_flight.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// Bytes a recycled batch may hold between requests, estimated as its
+/// slots times the longest line it has parsed: a batch past it is freed
+/// instead of pooled, and the next request starts from an empty one.
+const KEPT_BATCH_BYTES: usize = 256 << 10;
+
+/// The parse targets of one `BATCH`, recycled through the batch budget:
+/// the `k`-th line that parses goes into slot `k`, so steady traffic
+/// re-parses into the same queries and allocates nothing for them.
+#[derive(Default)]
+struct ParsedBatch {
+    /// Parse targets. Slots past the current request's parsed lines hold
+    /// queries of earlier requests.
+    queries: Arc<[Query]>,
+    /// Per request line: `Ok` when it parsed into the next slot, the
+    /// parse error's text otherwise.
+    lines: Vec<Result<(), String>>,
+    /// The longest line this batch has parsed, in bytes.
+    widest: usize,
+}
+
+impl ParsedBatch {
+    /// Slot `k` of a request of `n` lines, growing the slots when `k` is
+    /// past them. The batch is never shared while a permit holds it (its
+    /// jobs drop their handles before answering); should it be, it is
+    /// replaced rather than waited for.
+    fn slot(&mut self, k: usize, n: usize) -> Option<&mut Query> {
+        if k >= self.queries.len() || Arc::get_mut(&mut self.queries).is_none() {
+            let len = (2 * self.queries.len()).max(16).min(n).max(k + 1);
+            let mut grown: Vec<Query> = Vec::with_capacity(len);
+            if let Some(old) = Arc::get_mut(&mut self.queries) {
+                grown.extend(old.iter_mut().map(std::mem::take));
+            }
+            grown.resize_with(len, Query::default);
+            self.queries = grown.into();
+        }
+        Arc::get_mut(&mut self.queries)?.get_mut(k)
+    }
+
+    /// Whether the pool should keep this batch: nobody else holds it (a
+    /// worker that missed the deadline still may; it is left to that
+    /// worker), and it is within [`KEPT_BATCH_BYTES`].
+    fn keep(&mut self) -> bool {
+        let slots = self.queries.len().max(self.lines.capacity());
+        Arc::get_mut(&mut self.queries).is_some()
+            && slots.saturating_mul(self.widest) <= KEPT_BATCH_BYTES
     }
 }
 
@@ -290,6 +360,26 @@ fn shed(stream: &TcpStream) {
 /// per-connection buffering, which the admission story relies on.
 const MAX_LINE: usize = 1 << 20;
 
+/// Starting capacity of a connection's line and reply buffers.
+const BUFFER_START: usize = 4096;
+
+/// Capacity a connection's line or reply buffer may keep between
+/// requests. A request that grew one past it (a long line, the replies of
+/// a large batch) gives the memory back afterwards: the buffer shrinks to
+/// [`BUFFER_START`], and the connection's single-line query is rebuilt.
+const KEPT_BUFFER_BYTES: usize = 64 << 10;
+
+/// Shrink a buffer a request grew past [`KEPT_BUFFER_BYTES`] back to
+/// [`BUFFER_START`]; whether it had to.
+fn settle(buf: &mut Vec<u8>) -> bool {
+    let oversized = buf.capacity() > KEPT_BUFFER_BYTES;
+    if oversized {
+        buf.clear();
+        buf.shrink_to(BUFFER_START);
+    }
+    oversized
+}
+
 /// A buffering response writer that delivers every line **whole**.
 ///
 /// `write` only appends to an internal buffer (it cannot fail); `flush`
@@ -315,7 +405,7 @@ impl ResponseWriter {
     fn new(stream: TcpStream, ctx: &ConnCtx) -> Self {
         ResponseWriter {
             stream,
-            buf: Vec::with_capacity(4096),
+            buf: Vec::with_capacity(BUFFER_START),
             faults: ctx.faults.clone(),
             shutdown: ctx.shutdown.clone(),
             tick: ctx.tick,
@@ -488,6 +578,16 @@ fn snapshot_verb(ctx: &ConnCtx, rest: &str) -> String {
     }
 }
 
+/// What the connection loop does after a request line is answered.
+enum Next {
+    /// Flush the buffered reply and read the next request.
+    Reply,
+    /// Close the connection (its last reply is already flushed).
+    Close,
+    /// Read and answer a batch of this many lines.
+    Batch(usize),
+}
+
 /// Serve one client until `QUIT`, EOF, idle timeout, shutdown, or an I/O
 /// error.
 fn handle_connection(ctx: &ConnCtx, stream: TcpStream) -> std::io::Result<()> {
@@ -498,7 +598,9 @@ fn handle_connection(ctx: &ConnCtx, stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(ctx.tick))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = ResponseWriter::new(stream, ctx);
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(BUFFER_START);
+    // Every single SQL line parses into this one query.
+    let mut query = Query::new();
     let mut idle = Instant::now();
     loop {
         match read_line_patiently(&mut reader, &mut buf, ctx, &idle)? {
@@ -525,128 +627,160 @@ fn handle_connection(ctx: &ConnCtx, stream: TcpStream) -> std::io::Result<()> {
                 return Ok(());
             }
         }
-        let text = line_text(&buf);
-        let request = text.trim();
-        if request.is_empty() {
-            continue;
-        }
-        match request {
-            "QUIT" => {
-                writeln!(writer, "BYE")?;
-                writer.flush()?;
-                return Ok(());
+        let next = {
+            let text = line_text(&buf);
+            let request = text.trim();
+            if request.is_empty() {
+                continue;
             }
-            "SHUTDOWN" => {
-                // Graceful server stop: trigger the token, then answer, so
-                // a client that has read `BYE` finds the server stopping.
-                // The accept loop sheds new work and joins every handler.
-                ctx.shutdown.trigger();
-                writeln!(writer, "BYE")?;
-                writer.flush()?;
-                return Ok(());
-            }
-            "PING" => writeln!(writer, "PONG")?,
-            "STATS" => {
-                let (generation, refreshing, refresh_failures, refresh_last_error) =
-                    match &ctx.refresher {
-                        Some(r) => (
-                            r.generation(),
-                            true,
-                            r.failure_count(),
-                            r.last_error()
-                                .map_or_else(|| "none".to_string(), |e| stats_token(&e)),
-                        ),
-                        None => (0, false, 0, "none".to_string()),
-                    };
-                // One line, written in pieces into the response buffer:
-                // server counters, every session counter in its declared
-                // order ([`SessionStats::fields`]), then the tail.
-                write!(
-                    writer,
-                    "STATS workers={} build={} swaps={} generation={} refresher={} \
-                     refresh_failures={} refresh_last_error={} \
-                     connections={} inflight_batches={} batch_dedup_hits={} \
-                     worker_panics={} worker_respawns={} worker_timeouts={}",
-                    ctx.service.num_workers(),
-                    ctx.service.estimator().build_id(),
-                    ctx.service.estimator().swap_count(),
-                    generation,
-                    if refreshing { "on" } else { "off" },
-                    refresh_failures,
-                    refresh_last_error,
-                    ctx.active.load(Ordering::Acquire),
-                    ctx.batches.in_use(),
-                    ctx.service.batch_dedup_hits(),
-                    ctx.service.worker_panics(),
-                    ctx.service.worker_respawns(),
-                    ctx.service.worker_timeouts(),
-                )?;
-                for (key, value) in ctx.service.session_stats().fields() {
-                    write!(writer, " {key}={value}")?;
-                }
-                writeln!(
-                    writer,
-                    " spills={} snapshot_load_failures={} simd={}",
-                    ctx.service.spill_count(),
-                    ctx.snapshot_load_failures.load(Ordering::Relaxed),
-                    safebound_core::simd_tier().name(),
-                )?
-            }
-            "REFRESH" => match &ctx.refresher {
-                Some(r) => match r.refresh_blocking() {
-                    Ok((build, generation)) => {
-                        writeln!(writer, "REFRESHED build={build} generation={generation}")?
+            answer(ctx, request, &mut writer, &mut query)?
+        };
+        match next {
+            Next::Reply => {}
+            Next::Close => return Ok(()),
+            Next::Batch(n) => match ctx.batches.try_acquire() {
+                Some(mut permit) => {
+                    let done = serve_batch(
+                        ctx,
+                        &mut reader,
+                        &mut writer,
+                        n,
+                        &mut idle,
+                        &mut buf,
+                        &mut permit.batch,
+                    )?;
+                    drop(permit);
+                    if !done {
+                        return Ok(()); // closed mid-batch
                     }
-                    // A failed rebuild answers with its reason — the
-                    // last-good snapshot is still being served — and a
-                    // stopped refresher says so; neither hangs the verb.
-                    Err(RefreshError::Stopped) => writeln!(writer, "ERR refresh stopped")?,
-                    Err(RefreshError::Failed(reason)) => writeln!(writer, "ERR refresh {reason}")?,
-                },
-                None => writeln!(writer, "ERR no refresher configured")?,
+                }
+                None => {
+                    // Over the in-flight budget: consume the announced
+                    // lines (bounded, the connection's line buffer —
+                    // memory stays flat) and shed.
+                    if !drain_batch(ctx, &mut reader, n, &mut idle, &mut buf)? {
+                        return Ok(());
+                    }
+                    writeln!(writer, "ERR overloaded")?
+                }
             },
-            _ => {
-                if let Some(rest) = request.strip_prefix("SNAPSHOT ") {
-                    let response = snapshot_verb(ctx, rest);
-                    writeln!(writer, "{response}")?;
-                } else if let Some(count) = request.strip_prefix("BATCH ") {
-                    match count.trim().parse::<usize>() {
-                        Ok(n) if n <= MAX_BATCH => match ctx.batches.try_acquire() {
-                            Some(permit) => {
-                                let done =
-                                    serve_batch(ctx, &mut reader, &mut writer, n, &mut idle)?;
-                                drop(permit);
-                                if !done {
-                                    return Ok(()); // closed mid-batch
-                                }
-                            }
-                            None => {
-                                // Over the in-flight budget: consume the
-                                // announced lines (bounded, one reused
-                                // buffer — memory stays flat) and shed.
-                                if !drain_batch(ctx, &mut reader, n, &mut idle)? {
-                                    return Ok(());
-                                }
-                                writeln!(writer, "ERR overloaded")?
-                            }
-                        },
-                        Ok(n) => writeln!(writer, "ERR batch of {n} exceeds {MAX_BATCH}")?,
-                        Err(_) => writeln!(writer, "ERR malformed BATCH count {count:?}")?,
-                    }
-                } else {
-                    answer_deadline(ctx, request, &mut writer)?;
-                }
-            }
         }
         writer.flush()?;
+        settle(&mut writer.buf);
+        if settle(&mut buf) {
+            query = Query::new();
+        }
         idle = Instant::now();
     }
 }
 
-/// Read `n` SQL lines, answer all of them through one pool dispatch
-/// (bounded by [`ServeOptions::batch_timeout`]). Returns `false` when the
-/// connection should close; EOF mid-batch still answers the lines that
-/// arrived.
+/// Answer one request line that is not part of a batch: a verb, or SQL
+/// parsed into `query`. A `BATCH` header is answered by the caller, which
+/// owns the lines that follow it.
+fn answer(
+    ctx: &ConnCtx,
+    request: &str,
+    writer: &mut ResponseWriter,
+    query: &mut Query,
+) -> std::io::Result<Next> {
+    match request {
+        "QUIT" => {
+            writeln!(writer, "BYE")?;
+            writer.flush()?;
+            return Ok(Next::Close);
+        }
+        "SHUTDOWN" => {
+            // Graceful server stop: trigger the token, then answer, so
+            // a client that has read `BYE` finds the server stopping.
+            // The accept loop sheds new work and joins every handler.
+            ctx.shutdown.trigger();
+            writeln!(writer, "BYE")?;
+            writer.flush()?;
+            return Ok(Next::Close);
+        }
+        "PING" => writeln!(writer, "PONG")?,
+        "STATS" => {
+            let (generation, refreshing, refresh_failures, refresh_last_error) =
+                match &ctx.refresher {
+                    Some(r) => (
+                        r.generation(),
+                        true,
+                        r.failure_count(),
+                        r.last_error()
+                            .map_or_else(|| "none".to_string(), |e| stats_token(&e)),
+                    ),
+                    None => (0, false, 0, "none".to_string()),
+                };
+            // One line, written in pieces into the response buffer:
+            // server counters, every session counter in its declared
+            // order ([`SessionStats::fields`]), then the tail.
+            write!(
+                writer,
+                "STATS workers={} build={} swaps={} generation={} refresher={} \
+                 refresh_failures={} refresh_last_error={} \
+                 connections={} inflight_batches={} batch_dedup_hits={} \
+                 worker_panics={} worker_respawns={} worker_timeouts={}",
+                ctx.service.num_workers(),
+                ctx.service.estimator().build_id(),
+                ctx.service.estimator().swap_count(),
+                generation,
+                if refreshing { "on" } else { "off" },
+                refresh_failures,
+                refresh_last_error,
+                ctx.active.load(Ordering::Acquire),
+                ctx.batches.in_use(),
+                ctx.service.batch_dedup_hits(),
+                ctx.service.worker_panics(),
+                ctx.service.worker_respawns(),
+                ctx.service.worker_timeouts(),
+            )?;
+            for (key, value) in ctx.service.session_stats().fields() {
+                write!(writer, " {key}={value}")?;
+            }
+            writeln!(
+                writer,
+                " spills={} snapshot_load_failures={} simd={}",
+                ctx.service.spill_count(),
+                ctx.snapshot_load_failures.load(Ordering::Relaxed),
+                safebound_core::simd_tier().name(),
+            )?
+        }
+        "REFRESH" => match &ctx.refresher {
+            Some(r) => match r.refresh_blocking() {
+                Ok((build, generation)) => {
+                    writeln!(writer, "REFRESHED build={build} generation={generation}")?
+                }
+                // A failed rebuild answers with its reason — the
+                // last-good snapshot is still being served — and a
+                // stopped refresher says so; neither hangs the verb.
+                Err(RefreshError::Stopped) => writeln!(writer, "ERR refresh stopped")?,
+                Err(RefreshError::Failed(reason)) => writeln!(writer, "ERR refresh {reason}")?,
+            },
+            None => writeln!(writer, "ERR no refresher configured")?,
+        },
+        _ => {
+            if let Some(rest) = request.strip_prefix("SNAPSHOT ") {
+                let response = snapshot_verb(ctx, rest);
+                writeln!(writer, "{response}")?;
+            } else if let Some(count) = request.strip_prefix("BATCH ") {
+                match count.trim().parse::<usize>() {
+                    Ok(n) if n <= MAX_BATCH => return Ok(Next::Batch(n)),
+                    Ok(n) => writeln!(writer, "ERR batch of {n} exceeds {MAX_BATCH}")?,
+                    Err(_) => writeln!(writer, "ERR malformed BATCH count {count:?}")?,
+                }
+            } else {
+                answer_deadline(ctx, request, query, writer)?;
+            }
+        }
+    }
+    Ok(Next::Reply)
+}
+
+/// Read `n` SQL lines through the connection's line buffer `buf`, parse
+/// them into `batch`'s recycled slots, and answer all of them through one
+/// pool dispatch (bounded by [`ServeOptions::batch_timeout`]). Returns
+/// `false` when the connection should close; EOF mid-batch still answers
+/// the lines that arrived.
 ///
 /// A client that stalls mid-batch past the idle timeout (or sends an
 /// overlong line) is answered with a single `ERR timeout`/`ERR …` line
@@ -659,22 +793,27 @@ fn serve_batch(
     writer: &mut ResponseWriter,
     n: usize,
     idle: &mut Instant,
+    buf: &mut Vec<u8>,
+    batch: &mut ParsedBatch,
 ) -> std::io::Result<bool> {
     // Parse up front; parse failures answer ERR at their position without
-    // aborting the rest of the batch. Parsed queries go straight into the
-    // batch to dispatch; `parsed` keeps each line's outcome for the replies.
-    let mut parsed: Vec<Result<(), String>> = Vec::with_capacity(n);
-    let mut queries = Vec::with_capacity(n);
-    let mut buf = Vec::new();
+    // aborting the rest of the batch. A line that parses takes the next
+    // slot; `batch.lines` keeps each line's outcome for the replies.
+    batch.lines.clear();
+    let mut parsed = 0;
     for got in 0..n {
-        match read_line_patiently(reader, &mut buf, ctx, idle)? {
-            LineRead::Line => parsed.push(match parse_sql(line_text(&buf).trim()) {
-                Ok(q) => {
-                    queries.push(q);
-                    Ok(())
-                }
-                Err(e) => Err(e.to_string()),
-            }),
+        match read_line_patiently(reader, buf, ctx, idle)? {
+            LineRead::Line => {
+                batch.widest = batch.widest.max(buf.len());
+                let outcome = match batch.slot(parsed, n) {
+                    Some(query) => {
+                        parse_sql_into(line_text(buf).trim(), query).map_err(|e| e.to_string())
+                    }
+                    None => Err("no parse target".to_string()),
+                };
+                parsed += usize::from(outcome.is_ok());
+                batch.lines.push(outcome);
+            }
             LineRead::Eof => break, // EOF mid-batch: answer what arrived
             LineRead::Close => {
                 if ctx.shutdown.is_triggered() {
@@ -705,10 +844,10 @@ fn serve_batch(
     }
     let mut bounds = ctx
         .service
-        .bound_batch_deadline(queries.into(), ctx.batch_timeout)
+        .bound_prefix(&batch.queries, parsed, ctx.batch_timeout)
         .into_iter();
-    for p in &parsed {
-        match p {
+    for line in &batch.lines {
+        match line {
             Ok(()) => write_bound(writer, bounds.next())?,
             Err(e) => writeln!(writer, "ERR parse: {e}")?,
         }
@@ -735,17 +874,18 @@ fn drain_refused(ctx: &ConnCtx, reader: &mut impl Read) {
     }
 }
 
-/// Consume (and discard) the `n` lines of a shed batch so the protocol
-/// stream stays in sync. Returns `false` when the connection should close.
+/// Consume (and discard) the `n` lines of a shed batch through the line
+/// buffer `buf` so the protocol stream stays in sync. Returns `false` when
+/// the connection should close.
 fn drain_batch(
     ctx: &ConnCtx,
     reader: &mut impl BufRead,
     n: usize,
     idle: &mut Instant,
+    buf: &mut Vec<u8>,
 ) -> std::io::Result<bool> {
-    let mut buf = Vec::new();
     for _ in 0..n {
-        match read_line_patiently(reader, &mut buf, ctx, idle)? {
+        match read_line_patiently(reader, buf, ctx, idle)? {
             LineRead::Line => *idle = Instant::now(), // still actively sending
             LineRead::Eof => break,
             LineRead::Close | LineRead::Overlong => return Ok(false),
@@ -754,14 +894,20 @@ fn drain_batch(
     Ok(true)
 }
 
-/// One SQL request → one response line, computed on this connection's
-/// thread when the query's shard is free. When it is not, the request
-/// waits behind the shard's holder under the same deadline as a batch — a
-/// stuck worker answers `ERR timeout`.
-fn answer_deadline(ctx: &ConnCtx, sql: &str, writer: &mut ResponseWriter) -> std::io::Result<()> {
-    match parse_sql(sql) {
-        Ok(q) => {
-            let bound = ctx.service.bound_deadline(&q, ctx.batch_timeout);
+/// One SQL request → one response line, parsed into the connection's
+/// query and computed on this connection's thread when the query's shard
+/// is free. When it is not, the request waits behind the shard's holder
+/// under the same deadline as a batch — a stuck worker answers `ERR
+/// timeout`.
+fn answer_deadline(
+    ctx: &ConnCtx,
+    sql: &str,
+    query: &mut Query,
+    writer: &mut ResponseWriter,
+) -> std::io::Result<()> {
+    match parse_sql_into(sql, query) {
+        Ok(()) => {
+            let bound = ctx.service.bound_deadline(query, ctx.batch_timeout);
             write_bound(writer, Some(bound))
         }
         Err(e) => writeln!(writer, "ERR parse: {e}"),
@@ -996,6 +1142,66 @@ mod tests {
             "{responses:?}"
         );
         assert_eq!(responses[2], "BYE");
+    }
+
+    #[test]
+    fn settle_gives_back_what_a_request_grew_past_the_cap() {
+        // The replies of a 65,536-line batch, then a 900 KB line.
+        for grown in [1_300_000, 900_000] {
+            let mut buf = Vec::with_capacity(BUFFER_START);
+            buf.resize(grown, b'x');
+            assert!(settle(&mut buf));
+            assert_eq!(buf.capacity(), BUFFER_START);
+        }
+        // The replies of a 256-line batch stay: the next one reuses them.
+        let mut buf = Vec::with_capacity(BUFFER_START);
+        buf.resize(6_000, b'x');
+        let kept = buf.capacity();
+        assert!(!settle(&mut buf));
+        assert_eq!(buf.capacity(), kept);
+    }
+
+    #[test]
+    fn the_batch_pool_keeps_only_unshared_batches_within_the_cap() {
+        let budget = BatchBudget::new(2);
+        let idle = |b: &BatchBudget| lock_recover(&b.idle).len();
+        let fill = |permit: &mut BatchPermit, lines: usize, width: usize| {
+            for k in 0..lines {
+                let sql = format!("SELECT COUNT(*) FROM t WHERE t.a = {k}");
+                let slot = permit.batch.slot(k, lines).unwrap();
+                parse_sql_into(&sql, slot).unwrap();
+            }
+            permit.batch.widest = width;
+        };
+
+        // Within the cap: pooled, and handed out again with its slots.
+        let mut permit = budget.try_acquire().unwrap();
+        fill(&mut permit, 256, 400);
+        drop(permit);
+        assert_eq!(idle(&budget), 1);
+        let mut permit = budget.try_acquire().unwrap();
+        assert_eq!(idle(&budget), 0);
+        assert_eq!(permit.batch.queries.len(), 256);
+        // Past the cap (slots × longest line): freed on return.
+        fill(&mut permit, 1024, 400);
+        drop(permit);
+        assert_eq!(idle(&budget), 0);
+        // Still held by someone else (a worker past its deadline): left
+        // to them.
+        let mut permit = budget.try_acquire().unwrap();
+        fill(&mut permit, 16, 100);
+        let late_worker = permit.batch.queries.clone();
+        drop(permit);
+        assert_eq!(idle(&budget), 0);
+        drop(late_worker);
+        // Pool and permits together never exceed the budget.
+        let (mut a, mut b) = (budget.try_acquire().unwrap(), budget.try_acquire().unwrap());
+        assert!(budget.try_acquire().is_none());
+        fill(&mut a, 16, 100);
+        fill(&mut b, 16, 100);
+        drop((a, b));
+        assert_eq!(idle(&budget), 2);
+        assert_eq!(budget.in_use(), 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! design — callers block until their queries are answered — because the
 //! bound itself runs in microseconds. A **single** query is answered on
 //! the thread that asked whenever its shard's session is free
-//! ([`BoundService::bound`], [`BoundService::bound_deadline`]): a channel
+//! ([`BoundService::bound`], [`BoundService::bound_deadline`]): a queue
 //! round trip to a worker costs ten times the literal-cache hit it would
 //! buy. A **batch** goes to the workers: (a) true parallelism across
 //! hardware threads and (b) one message per worker per batch, each worker
@@ -44,7 +44,7 @@
 //!   case).
 //! * **No poison propagation** — all pool mutexes recover from poisoning
 //!   (the guarded state is always fully formed; see
-//!   [`lock_recover`](crate::lock_recover)) instead of cascading one
+//!   `lock_recover` in the crate root) instead of cascading one
 //!   panic into every later caller.
 
 use crate::faults::{FaultInjector, WorkerFault};
@@ -52,24 +52,131 @@ use crate::{lock_recover, panic_message, try_lock_recover};
 use safebound_core::simd::hash::FastMap;
 use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats};
 use safebound_query::Query;
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One unit of work shipped to a worker: a shared view of the batch plus
-/// the indices this worker owns, and the channel to answer on.
+/// One bound's outcome, as the batch path returns it per line.
+type Answer = Result<f64, EstimateError>;
+
+/// One unit of work shipped to a worker: a shared view of the batch and
+/// the claim to answer the lines this worker owns.
 struct Job {
     queries: Arc<[Query]>,
-    indices: Vec<usize>,
-    reply: mpsc::Sender<Reply>,
+    reply: Reply,
 }
 
-/// A worker's answers for its slice, tagged with the original indices.
+/// Where a batch's answers land: each job fills in its lines, and the
+/// dispatcher waits until every job has answered or its deadline passes.
+/// A job that answers after the deadline writes into answers nobody reads.
+struct Answers {
+    state: Mutex<AnswerState>,
+    filled: Condvar,
+}
+
+struct AnswerState {
+    /// Per line of the batch, its answer once its job has answered.
+    lines: Vec<Option<Answer>>,
+    /// Jobs that have not answered yet.
+    pending: usize,
+}
+
+/// A job's claim on its batch's answers: the line indices it owns. It is
+/// answered once, by [`Reply::send`]; a reply dropped unanswered (its job
+/// lost with its worker) answers its lines `ERR internal` instead of
+/// leaving the dispatcher waiting for them.
 struct Reply {
     indices: Vec<usize>,
-    results: Vec<Result<f64, EstimateError>>,
+    answers: Arc<Answers>,
+    sent: bool,
+}
+
+impl Reply {
+    /// Answer every line: one result per index, or one error for all.
+    fn send(mut self, outcome: Result<Vec<Answer>, EstimateError>) {
+        self.fill(outcome);
+    }
+
+    fn fill(&mut self, outcome: Result<Vec<Answer>, EstimateError>) {
+        let mut state = lock_recover(&self.answers.state);
+        match outcome {
+            Ok(results) => {
+                for (&i, r) in self.indices.iter().zip(results) {
+                    if let Some(line) = state.lines.get_mut(i) {
+                        *line = Some(r);
+                    }
+                }
+            }
+            Err(e) => {
+                for &i in &self.indices {
+                    if let Some(line) = state.lines.get_mut(i) {
+                        *line = Some(Err(e.clone()));
+                    }
+                }
+            }
+        }
+        state.pending = state.pending.saturating_sub(1);
+        self.sent = true;
+        drop(state);
+        self.answers.filled.notify_one();
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.sent {
+            self.fill(Err(EstimateError::Internal(
+                "worker lost before answering".to_string(),
+            )));
+        }
+    }
+}
+
+/// A worker's job queue. Unbounded like a channel, but its `VecDeque`
+/// keeps its capacity, so steady traffic queues jobs without allocating.
+#[derive(Default)]
+struct JobQueue {
+    state: Mutex<QueueState>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct QueueState {
+    jobs: VecDeque<Job>,
+    /// Set when the service drops: the worker drains the queue and exits.
+    closed: bool,
+}
+
+impl JobQueue {
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        lock_recover(&self.state)
+    }
+
+    /// The next job, waiting for one; `None` once the queue is closed and
+    /// empty.
+    fn next(&self) -> Option<Job> {
+        let mut state = self.lock();
+        loop {
+            if let Some(job) = state.jobs.pop_front() {
+                return Some(job);
+            }
+            if state.closed {
+                return None;
+            }
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
+    }
 }
 
 /// State shared by the callers and every worker thread.
@@ -141,22 +248,25 @@ impl PoolShared {
 }
 
 /// One worker's dispatch endpoint. Both fields are `None` until the
-/// shard's first job spawns its thread, and `sender` again in `Drop`;
-/// `handle` is `None` when the thread failed to spawn (the next dispatch
-/// retries).
+/// shard's first job spawns its thread; `handle` is `None` when the
+/// thread failed to spawn (the next dispatch retries).
 #[derive(Default)]
 struct WorkerSlot {
-    sender: Option<mpsc::Sender<Job>>,
+    queue: Option<Arc<JobQueue>>,
     handle: Option<JoinHandle<()>>,
 }
 
 impl WorkerSlot {
-    /// Queue a job for the worker; hands the job back when nobody will
-    /// ever read the queue.
+    /// Queue a job for the worker; hands the job back when no thread
+    /// reads the queue.
     fn send(&self, job: Job) -> Result<(), Job> {
-        match self.sender.as_ref() {
-            Some(sender) => sender.send(job).map_err(|mpsc::SendError(job)| job),
-            None => Err(job),
+        match (&self.queue, &self.handle) {
+            (Some(queue), Some(thread)) if !thread.is_finished() => {
+                queue.lock().jobs.push_back(job);
+                queue.ready.notify_one();
+                Ok(())
+            }
+            _ => Err(job),
         }
     }
 }
@@ -290,7 +400,7 @@ impl BoundService {
     }
 
     /// Bound one query on its shape-routed shard, on the calling thread
-    /// when the shard's session is free — no channel, no allocation, the
+    /// when the shard's session is free — no queue, no allocation, the
     /// same warm caches the shard's batches use.
     ///
     /// When the session is held — a batch job is running on the shard, or
@@ -313,7 +423,7 @@ impl BoundService {
                 .run(w, &mut session, 1, |s| shared.bound_one(query, s))
                 .unwrap_or_else(Err);
         }
-        let mut results = self.bound_batch_deadline(vec![query.clone()].into(), timeout);
+        let mut results = self.bound_prefix(&vec![query.clone()].into(), 1, timeout);
         results.pop().unwrap_or_else(|| {
             Err(EstimateError::Internal(
                 "bound_batch returned no result".to_string(),
@@ -354,118 +464,167 @@ impl BoundService {
     /// the still-unanswered lines return [`EstimateError::Timeout`] and
     /// the call returns — a stuck worker degrades its lines instead of
     /// wedging the caller. Lines answered in time keep their real bounds.
-    /// (The late worker's eventual reply goes to a dropped channel and is
-    /// discarded; the worker itself stays up.)
+    /// (The late worker's eventual answers land in a buffer nobody reads;
+    /// the worker itself stays up.)
     pub fn bound_batch_deadline(
         &self,
         queries: Arc<[Query]>,
         timeout: Option<Duration>,
     ) -> Vec<Result<f64, EstimateError>> {
-        if queries.is_empty() {
+        self.bound_prefix(&queries, queries.len(), timeout)
+    }
+
+    /// The one batch path: bound the first `len` queries of `queries`
+    /// (all of them if there are fewer). Every `bound_batch*` method is
+    /// this on a whole slice; the server calls it on a recycled batch
+    /// whose slots past `len` hold queries of earlier requests.
+    ///
+    /// Its scratch — shape hashes, dedup links, routes, per-shard index
+    /// lists, the answer buffer — costs a fixed number of allocations
+    /// whatever `len` is: one per vector, and one per job for its index
+    /// list and its worker's results. Every job drops its handle on
+    /// `queries` before it answers, so once this returns without a
+    /// timeout the caller's `Arc` is the only one left.
+    pub(crate) fn bound_prefix(
+        &self,
+        queries: &Arc<[Query]>,
+        len: usize,
+        timeout: Option<Duration>,
+    ) -> Vec<Result<f64, EstimateError>> {
+        let lines = &queries[..len.min(queries.len())];
+        if lines.is_empty() {
             return Vec::new();
         }
         #[expect(clippy::disallowed_methods, reason = "the batch reply deadline")]
         let deadline = timeout.map(|t| Instant::now() + t);
         let n = self.slots.len();
-        let shared = queries;
-        // One shape-hash walk per line, reused by dedup keying and shard
-        // routing below.
-        let hashes: Vec<u64> = shared.iter().map(Query::shape_hash).collect();
-        // Dedup identical (shape, literal) lines onto a representative.
-        let mut canon: Vec<usize> = (0..shared.len()).collect();
-        if shared.len() > 1 {
-            let mut groups: FastMap<(u64, u64), Vec<usize>> = FastMap::default();
-            let mut hits = 0u64;
-            for (i, q) in shared.iter().enumerate() {
-                let key = (hashes[i], q.literal_fingerprint());
-                let bucket = groups.entry(key).or_default();
-                match bucket.iter().find(|&&j| shared[j] == *q) {
-                    Some(&j) => {
-                        canon[i] = j;
-                        hits += 1;
-                    }
-                    None => bucket.push(i),
-                }
-            }
-            if hits > 0 {
-                self.dedup_hits.fetch_add(hits, Ordering::Relaxed);
-            }
+        // One shape-hash walk per line: the dedup key below, then the
+        // line's shard.
+        let mut route: Vec<u64> = lines.iter().map(Query::shape_hash).collect();
+        let canon = self.dedup(lines, &route);
+        for r in &mut route {
+            *r %= n as u64;
         }
-        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut load = vec![0usize; n];
         let mut uniques = 0usize;
         for (i, &canon_i) in canon.iter().enumerate() {
             if canon_i == i {
-                parts[(hashes[i] % n as u64) as usize].push(i);
+                load[route[i] as usize] += 1;
                 uniques += 1;
             }
         }
-        self.balance_parts(&mut parts, uniques);
-        let (tx, rx) = mpsc::channel();
-        let mut outstanding = 0usize;
-        let mut out: Vec<Option<Result<f64, EstimateError>>> = vec![None; shared.len()];
+        self.balance(&mut route, &canon, &mut load, uniques);
+        let mut parts: Vec<Vec<usize>> = load.iter().map(|&l| Vec::with_capacity(l)).collect();
+        for (i, &canon_i) in canon.iter().enumerate() {
+            if canon_i == i {
+                parts[route[i] as usize].push(i);
+            }
+        }
+        let jobs = parts.iter().filter(|p| !p.is_empty()).count();
+        let answers = Arc::new(Answers {
+            state: Mutex::new(AnswerState {
+                lines: vec![None; lines.len()],
+                pending: jobs,
+            }),
+            filled: Condvar::new(),
+        });
         for (w, indices) in parts.into_iter().enumerate() {
             if indices.is_empty() {
                 continue;
             }
-            let job = Job {
-                queries: shared.clone(),
+            let reply = Reply {
                 indices,
-                reply: tx.clone(),
+                answers: answers.clone(),
+                sent: false,
             };
-            self.dispatch(w, job);
-            outstanding += 1;
-        }
-        drop(tx);
-        let mut timed_out = false;
-        for _ in 0..outstanding {
-            let reply = match deadline {
-                None => match rx.recv() {
-                    Ok(r) => r,
-                    // Every remaining reply sender is gone: a worker died
-                    // without answering. The unanswered lines are filled
-                    // with `ERR internal` below.
-                    Err(_) => break,
+            self.dispatch(
+                w,
+                Job {
+                    queries: queries.clone(),
+                    reply,
                 },
-                #[expect(clippy::disallowed_methods, reason = "the batch reply deadline")]
-                Some(d) => match rx.recv_timeout(d.saturating_duration_since(Instant::now())) {
-                    Ok(r) => r,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
+            );
+        }
+        let mut state = lock_recover(&answers.state);
+        let mut timed_out = false;
+        while state.pending > 0 {
+            state = match deadline {
+                None => answers
+                    .filled
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(d) => {
+                    #[expect(clippy::disallowed_methods, reason = "the batch reply deadline")]
+                    let left = d.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         timed_out = true;
                         break;
                     }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                },
+                    answers
+                        .filled
+                        .wait_timeout(state, left)
+                        .map_or_else(|p| p.into_inner().0, |(guard, _)| guard)
+                }
             };
-            for (i, r) in reply.indices.into_iter().zip(reply.results) {
-                out[i] = Some(r);
-            }
         }
+        // Late jobs write into the emptied buffer and are ignored.
+        let answered = std::mem::take(&mut state.lines);
+        drop(state);
         if timed_out {
             self.shared.timeouts.fetch_add(1, Ordering::Relaxed);
         }
-        // Degrade representatives whose worker never answered.
-        for (i, slot) in out.iter_mut().enumerate() {
-            if canon[i] == i && slot.is_none() {
-                *slot = Some(Err(if timed_out {
-                    EstimateError::Timeout
-                } else {
-                    EstimateError::Internal("worker lost before answering".to_string())
-                }));
-            }
-        }
-        // Fan representatives' answers back out to their duplicates.
-        // Every representative slot was filled (answered, or degraded in
-        // the loop above); an empty one would be a dispatcher bug, so it
-        // degrades to `ERR internal` rather than panicking the caller.
-        (0..shared.len())
-            .map(|i| {
-                out[canon[i]].clone().unwrap_or_else(|| {
-                    Err(EstimateError::Internal(
-                        "representative answer missing".to_string(),
-                    ))
-                })
+        // Fan representatives' answers out to their duplicates. A line
+        // without an answer belongs to a job that missed the deadline; an
+        // empty slot otherwise would be a dispatcher bug, so it degrades
+        // to `ERR internal` rather than panicking the caller.
+        canon
+            .iter()
+            .map(|&rep| match answered.get(rep) {
+                Some(Some(answer)) => answer.clone(),
+                _ if timed_out => Err(EstimateError::Timeout),
+                _ => Err(EstimateError::Internal(
+                    "representative answer missing".to_string(),
+                )),
             })
             .collect()
+    }
+
+    /// Each line's representative: the first earlier line identical to it
+    /// — same shape **and** literal vector, confirmed by full query
+    /// equality behind the `(shape_hash, literal_fingerprint)` key — or
+    /// itself. Counts the lines answered this way.
+    fn dedup(&self, lines: &[Query], hashes: &[u64]) -> Vec<usize> {
+        let mut canon: Vec<usize> = (0..lines.len()).collect();
+        if lines.len() < 2 {
+            return canon;
+        }
+        // Per key, the latest representative; `earlier` chains each
+        // representative to the one before it under the same key.
+        let mut latest: FastMap<(u64, u64), usize> =
+            FastMap::with_capacity_and_hasher(lines.len(), Default::default());
+        let mut earlier: Vec<Option<usize>> = vec![None; lines.len()];
+        let mut hits = 0u64;
+        for (i, q) in lines.iter().enumerate() {
+            let key = (hashes[i], q.literal_fingerprint());
+            let mut rep = latest.get(&key).copied();
+            while let Some(j) = rep {
+                if lines[j] == *q {
+                    break;
+                }
+                rep = earlier[j];
+            }
+            match rep {
+                Some(j) => {
+                    canon[i] = j;
+                    hits += 1;
+                }
+                None => earlier[i] = latest.insert(key, i),
+            }
+        }
+        if hits > 0 {
+            self.dedup_hits.fetch_add(hits, Ordering::Relaxed);
+        }
+        canon
     }
 
     /// Ship a job to worker `w`. This is the only place a worker starts. A
@@ -474,63 +633,69 @@ impl BoundService {
     /// means the thread has not started: this is the shard's first job, or
     /// its spawn failed under resource pressure. Spawn it and retry once.
     /// If even that worker is unreachable the job's lines are answered
-    /// `ERR internal` on its own reply channel, so the caller counts every
-    /// dispatched job as outstanding.
+    /// `ERR internal` here, so the caller counts every dispatched job as
+    /// pending.
     fn dispatch(&self, w: usize, job: Job) {
         let mut slot = lock_recover(&self.slots[w]);
         let Err(job) = slot.send(job) else { return };
         if let Some(handle) = slot.handle.take() {
             let _ = handle.join();
         }
+        // Jobs left in a lost worker's queue are dropped with it, and
+        // their replies answer `ERR internal`.
         *slot = spawn_worker(&self.shared, w);
-        let Err(job) = slot.send(job) else { return };
+        let Err(Job { queries, reply }) = slot.send(job) else {
+            return;
+        };
         // Degrade this job's lines rather than wedge or panic; the next
         // dispatch retries the spawn.
-        let results = job
-            .indices
-            .iter()
-            .map(|_| Err(EstimateError::Internal("worker unavailable".to_string())))
-            .collect();
-        let _ = job.reply.send(Reply {
-            indices: job.indices,
-            results,
-        });
+        drop(queries);
+        reply.send(Err(EstimateError::Internal(
+            "worker unavailable".to_string(),
+        )));
     }
 
-    /// Rebalance a shape-hash partition whose skew would serialize the
+    /// Rebalance a shape-hash routing whose skew would serialize the
     /// batch: pure shape routing sends every instance of one template to
     /// the same worker, so a single-shape workload drives 1 of N workers.
     /// Any shard holding more than **twice its fair share** (and past a
-    /// small floor, so short batches keep full cache affinity) is cut back
-    /// to the fair share; the surplus is dealt to the least-loaded workers
-    /// in contiguous runs. Balanced template mixes never trip the
-    /// threshold, so the common case keeps exact shape→worker affinity.
-    fn balance_parts(&self, parts: &mut [Vec<usize>], total: usize) {
-        let n = parts.len();
+    /// small floor, so short batches keep full cache affinity) keeps its
+    /// first fair share of representatives; the surplus is dealt to the
+    /// least-loaded workers in contiguous runs. Balanced template mixes
+    /// never trip the threshold, so the common case keeps exact
+    /// shape→worker affinity. `route` holds each line's shard and `load`
+    /// each shard's representatives; both are updated in place.
+    fn balance(&self, route: &mut [u64], canon: &[usize], load: &mut [usize], total: usize) {
+        let n = load.len();
         if n <= 1 || total == 0 {
             return;
         }
         let fair = total.div_ceil(n);
         let threshold = (2 * fair).max(SPILL_MIN);
-        let mut spilled: Vec<usize> = Vec::new();
-        for part in parts.iter_mut() {
-            if part.len() > threshold {
-                spilled.extend(part.drain(fair..));
-            }
-        }
-        if spilled.is_empty() {
+        let surplus: usize = load
+            .iter()
+            .filter(|&&l| l > threshold)
+            .map(|l| l - fair)
+            .sum();
+        if surplus == 0 {
             return;
+        }
+        // The surplus in shard order, each shard's in line order.
+        let mut spilled: Vec<usize> = Vec::with_capacity(surplus);
+        for (w, shard_load) in load.iter_mut().enumerate() {
+            if *shard_load <= threshold {
+                continue;
+            }
+            let reps = (0..route.len()).filter(|&i| canon[i] == i && route[i] == w as u64);
+            spilled.extend(reps.skip(fair));
+            *shard_load = fair;
         }
         self.spills
             .fetch_add(spilled.len() as u64, Ordering::Relaxed);
         // Greedy deal: fill the least-loaded shard up to the fair share,
         // repeat. Terminates because the total fits in n × fair slots.
         while !spilled.is_empty() {
-            let Some((target, len)) = parts
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (i, p.len()))
-                .min_by_key(|&(_, len)| len)
+            let Some((target, len)) = load.iter().copied().enumerate().min_by_key(|&(_, len)| len)
             else {
                 // No shards to deal into (n == 0 cannot reach here, but
                 // degrade by dropping the spill rather than panicking).
@@ -538,7 +703,10 @@ impl BoundService {
             };
             let take = fair.saturating_sub(len).max(1).min(spilled.len());
             let at = spilled.len() - take;
-            parts[target].extend(spilled.drain(at..));
+            for i in spilled.drain(at..) {
+                route[i] = target as u64;
+            }
+            load[target] += take;
         }
     }
 }
@@ -549,12 +717,15 @@ const SPILL_MIN: usize = 16;
 
 impl Drop for BoundService {
     fn drop(&mut self) {
-        // Closing the senders ends each started worker's recv loop; a
-        // shard that never had a batch has no thread to join.
+        // Closing the queues ends each started worker's loop once it has
+        // drained its jobs; a shard that never had a batch has no thread
+        // to join.
         let mut handles = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             let mut slot = lock_recover(slot);
-            slot.sender = None;
+            if let Some(queue) = slot.queue.take() {
+                queue.close();
+            }
             if let Some(h) = slot.handle.take() {
                 handles.push(h);
             }
@@ -571,42 +742,40 @@ impl Drop for BoundService {
 /// `ERR internal` and retries the spawn on the next batch — instead of
 /// panicking the caller.
 fn spawn_worker(shared: &Arc<PoolShared>, w: usize) -> WorkerSlot {
-    let (tx, rx) = mpsc::channel::<Job>();
-    let shared = shared.clone();
+    let queue = Arc::new(JobQueue::default());
+    let (shared, jobs) = (shared.clone(), queue.clone());
     #[expect(clippy::disallowed_methods, reason = "the pool owns its workers")]
     let handle = std::thread::Builder::new()
         .name(format!("safebound-worker-{w}"))
-        .spawn(move || worker_loop(w, shared, rx))
+        .spawn(move || worker_loop(w, shared, jobs))
         .ok();
     WorkerSlot {
-        sender: Some(tx),
+        queue: Some(queue),
         handle,
     }
 }
 
 /// A worker thread: jobs until the queue closes, each on shard `w`'s
-/// session, locked once per job and released before the reply goes out
-/// (a caller that reads the reply and asks again finds the shard free).
-/// The thread owns no state of its own, so a job that panics — see
-/// [`PoolShared::run`] — is answered `ERR internal` line for line and the
-/// loop carries on.
-fn worker_loop(w: usize, shared: Arc<PoolShared>, rx: mpsc::Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
+/// session, locked once per job and released before the answers go out
+/// (a caller that reads them and asks again finds the shard free). The
+/// job's handle on its batch is dropped before it answers, so the batch's
+/// owner gets it back unshared. The thread owns no state of its own, so a
+/// job that panics — see [`PoolShared::run`] — is answered `ERR internal`
+/// line for line and the loop carries on.
+fn worker_loop(w: usize, shared: Arc<PoolShared>, queue: Arc<JobQueue>) {
+    while let Some(Job { queries, reply }) = queue.next() {
         let outcome = {
             let mut session = lock_recover(&shared.sessions[w]);
-            shared.run(w, &mut session, job.indices.len(), |s| {
-                job.indices
+            shared.run(w, &mut session, reply.indices.len(), |s| {
+                reply
+                    .indices
                     .iter()
-                    .map(|&i| shared.bound_one(&job.queries[i], s))
+                    .map(|&i| shared.bound_one(&queries[i], s))
                     .collect::<Vec<_>>()
             })
         };
-        let results =
-            outcome.unwrap_or_else(|e| job.indices.iter().map(|_| Err(e.clone())).collect());
-        let _ = job.reply.send(Reply {
-            indices: job.indices,
-            results,
-        });
+        drop(queries);
+        reply.send(outcome);
     }
 }
 
@@ -774,6 +943,22 @@ mod tests {
             for (q, want) in queries.iter().zip(&direct) {
                 assert_eq!(service.bound(q).unwrap().to_bits(), want.to_bits());
             }
+        }
+    }
+
+    /// Every job drops its handle on the batch before it answers, so the
+    /// caller gets the batch back unshared the moment the call returns —
+    /// what lets the server recycle it.
+    #[test]
+    fn a_batch_is_unshared_once_its_answers_are_in() {
+        let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+        let service = BoundService::new(sb, 2);
+        let mut batch: Arc<[Query]> = workload().into();
+        for round in 0..200 {
+            let len = batch.len() - round % 3;
+            let answers = service.bound_prefix(&batch, len, Some(Duration::from_secs(30)));
+            assert_eq!(answers.len(), len);
+            assert!(Arc::get_mut(&mut batch).is_some(), "round {round}");
         }
     }
 
@@ -949,7 +1134,7 @@ mod tests {
     /// A single request whose shard is held by someone else takes the
     /// dispatch path and waits under its deadline; the other shard keeps
     /// answering inline; once the holder lets go the abandoned job drains
-    /// into its dropped channel and the pool serves exactly again.
+    /// into answers nobody reads and the pool serves exactly again.
     #[test]
     fn busy_shard_queues_a_single_request_under_its_deadline() {
         let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());

@@ -580,6 +580,103 @@ fn injected_latency_degrades_to_timeout() {
     server.stop();
 }
 
+/// What the server answers for one line, from the fault-free handle: the
+/// bound, the bound's error, or the parse error. `f64`'s `Display` is
+/// shortest-round-trip, so equal `OK` text is equal bits.
+fn expected_reply(sb: &SafeBound, line: &str) -> String {
+    match parse_sql(line) {
+        Ok(q) => match sb.bound(&q) {
+            Ok(b) => format!("OK {b}"),
+            Err(e) => format!("ERR {e}"),
+        },
+        Err(e) => format!("ERR parse: {e}"),
+    }
+}
+
+/// Batches parse into recycled queries: a slot that held one template's
+/// query (or was skipped by a parse error) takes another's, and a batch a
+/// late worker still holds is left to it. On one connection — two
+/// batches of different templates with parse errors between their lines,
+/// a batch whose only shard misses the deadline, one more batch — every
+/// reply reads exactly as a fresh parse and a fault-free bound say.
+#[test]
+fn recycled_batches_answer_exactly_across_templates_errors_and_a_timeout() {
+    let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+    let first: Vec<String> = vec![
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.year = 1991".into(),
+        "not sql at all".into(),
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND d.w IN (1, 3)".into(),
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.year BETWEEN 1990 AND 1994"
+            .into(),
+        "SELECT COUNT(*) FROM fact WHERE year <> 1995".into(),
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND (d.w = 0 OR d.w = 2) \
+         AND f.year > 1993"
+            .into(),
+        "SELECT COUNT(*) FROM nonexistent".into(),
+    ];
+    let second: Vec<String> = vec![
+        "SELECT COUNT(*) FROM fact WHERE fact.year < 1996".into(),
+        "SELECT COUNT(*) FROM dim WHERE dim.w = 1 AND dim.id >= 4".into(),
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.year = 'x''y'".into(),
+        "SELECT COUNT(*) FROM fact f WHERE g.year = 1".into(),
+        "SELECT COUNT(*) FROM fact".into(),
+        "SELECT COUNT(*) FROM dim d, fact f WHERE d.id = f.fk AND d.w = 3 AND f.year IN (1990, \
+         1999, 2001)"
+            .into(),
+    ];
+    let third: Vec<String> = vec![
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.year = 1997".into(),
+        "SELECT COUNT(*) FROM fact WHERE".into(),
+        "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND d.w = 2".into(),
+    ];
+    let parsed = |lines: &[String]| lines.iter().filter(|l| parse_sql(l).is_ok()).count() as u64;
+    // One shard, so the worker's query sequence is the parsed lines in
+    // order: delay the third batch's first.
+    let delayed = parsed(&first) + parsed(&second);
+    let faults = FaultInjector::seeded(11)
+        .delay_queries([delayed], Duration::from_millis(400))
+        .build();
+    let service = Arc::new(BoundService::with_faults(sb.clone(), 1, faults));
+    let opts = ServeOptions {
+        batch_timeout: Some(Duration::from_millis(50)),
+        ..quick_opts()
+    };
+    let server = TestServer::start(service, None, ShutdownToken::new(), opts);
+    let mut conn = server.connect();
+    let exact = |lines: &[String]| -> Vec<String> {
+        lines.iter().map(|l| expected_reply(&sb, l)).collect()
+    };
+
+    let got = conn.batch(&first);
+    assert_eq!(got, exact(&first));
+    assert_eq!(
+        got[4],
+        "ERR parse: parse error: <> (not-equal) predicates are not supported"
+    );
+    assert_eq!(conn.batch(&second), exact(&second));
+
+    let got = conn.batch(&third);
+    for ((line, reply), want) in third.iter().zip(&got).zip(exact(&third)) {
+        if want.starts_with("OK ") {
+            assert_eq!(reply, "ERR timeout: bound exceeded its deadline", "{line}");
+        } else {
+            assert_eq!(*reply, want, "{line}");
+        }
+    }
+    // The late worker still holds that batch; the next one parses into a
+    // batch of its own once the worker is free again.
+    std::thread::sleep(Duration::from_millis(500));
+    let mut fourth = second.clone();
+    fourth.extend(first.iter().rev().cloned());
+    assert_eq!(conn.batch(&fourth), exact(&fourth));
+
+    let stats = conn.roundtrip("STATS");
+    assert_eq!(field(&stats, "worker_timeouts"), 1);
+    assert_eq!(field(&stats, "worker_panics"), 0);
+    assert_eq!(conn.roundtrip("QUIT"), "BYE");
+    server.stop();
+}
+
 /// Everything at once — worker panics, write faults, and refresh failures
 /// in one run — then `SHUTDOWN` over the wire must still drain and join
 /// every thread (`TestServer::stop` proves it by unwrapping the service

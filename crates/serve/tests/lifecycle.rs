@@ -355,6 +355,52 @@ fn overloaded_batches_are_shed_with_bounded_memory() {
     server.stop();
 }
 
+/// A connection whose buffers a request grew past their cap — the
+/// replies of a batch beyond 64 KiB, then a 900 KB line — shrinks them
+/// and rebuilds its query (the capacities are asserted by the server's
+/// unit tests), and keeps answering exactly: the next batch and single
+/// lines match the handle's bounds.
+#[test]
+fn a_connection_keeps_serving_exactly_after_shrinking_its_buffers() {
+    let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+    let service = Arc::new(BoundService::new(sb.clone(), 2));
+    let server = TestServer::start(service, None, ShutdownToken::new(), quick_opts());
+    let sqls = workload_sql();
+    let want: Vec<String> = sqls
+        .iter()
+        .map(|sql| format!("OK {}", sb.bound(&parse_sql(sql).unwrap()).unwrap()))
+        .collect();
+
+    let mut conn = server.connect();
+    let lines = 12_000;
+    conn.send(&format!("BATCH {lines}"));
+    for i in 0..lines {
+        conn.send(&sqls[i % sqls.len()]);
+    }
+    for i in 0..lines {
+        assert_eq!(conn.recv().unwrap(), want[i % sqls.len()], "line {i}");
+    }
+    let long = format!(
+        "SELECT COUNT(*) FROM fact WHERE fact.year = '{}'",
+        "y".repeat(900_000)
+    );
+    let long_want = sb.bound(&parse_sql(&long).unwrap()).unwrap();
+    assert_eq!(conn.roundtrip(&long), format!("OK {long_want}"));
+
+    conn.send(&format!("BATCH {}", sqls.len()));
+    for sql in &sqls {
+        conn.send(sql);
+    }
+    for w in &want {
+        assert_eq!(&conn.recv().unwrap(), w);
+    }
+    for (sql, w) in sqls.iter().zip(&want) {
+        assert_eq!(&conn.roundtrip(sql), w);
+    }
+    assert_eq!(conn.roundtrip("QUIT"), "BYE");
+    server.stop();
+}
+
 #[test]
 fn connection_budget_sheds_excess_clients() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
