@@ -12,8 +12,9 @@
 //!     the REFRESH verb; --idle-secs 0 disables the idle timeout;
 //!     --batch-timeout-secs 0 disables the per-batch reply deadline)
 //!     until killed or told to SHUTDOWN — on which every connection
-//!     handler, worker, and the refresher is joined before the process
-//!     exits.
+//!     handler and the refresher is joined before the process exits.
+//!     --workers sets the number of shard sessions (every bound runs on
+//!     the connection thread that asked for it).
 //!
 //!     --snapshot-load PATH  Serve statistics from a snapshot file written
 //!                           by SNAPSHOT SAVE / --snapshot-save instead of
@@ -114,7 +115,7 @@ fn cmd_serve(args: &[String]) {
                 snapshot_save = Some(it.next().cloned().unwrap_or_else(|| usage()).into())
             }
             "--batch-timeout-secs" => {
-                // 0 = wait indefinitely for workers (no degradation).
+                // 0 = wait indefinitely for a busy shard (no degradation).
                 opts.batch_timeout = match parse("--batch-timeout-secs") {
                     0 => None,
                     n => Some(Duration::from_secs(n)),
@@ -173,7 +174,7 @@ fn cmd_serve(args: &[String]) {
 
     // Lifecycle: one token threaded through the refresher, the accept
     // loop, and every connection handler; SHUTDOWN (or an accept-loop
-    // error) drains all of them, then workers and refresher are joined.
+    // error) drains all of them, then the refresher is joined.
     // The in-memory catalog rebuild cannot itself fail, but the source
     // contract is fallible (a real deployment re-scans external data) —
     // a failure would be retried under backoff and surfaced in STATS.
@@ -197,7 +198,7 @@ fn cmd_serve(args: &[String]) {
         Err(e) => die(format_args!("cannot bind {addr}: {e}")),
     };
     eprintln!(
-        "serving on {addr} with {workers} workers (line protocol; try PING / SQL / STATS / \
+        "serving on {addr} with {workers} shards (line protocol; try PING / SQL / STATS / \
          REFRESH / SHUTDOWN), refresh cadence: {}",
         if refresh_secs > 0 {
             format!("{refresh_secs}s")
@@ -216,7 +217,7 @@ fn cmd_serve(args: &[String]) {
     }
 
     // Graceful exit: handlers are already joined by serve_with; join the
-    // refresher, then the worker pool.
+    // refresher, then drop the service (it owns no thread).
     eprintln!("shutdown: connections drained, stopping refresher…");
     refresher.stop();
     drop(refresher);
@@ -224,8 +225,8 @@ fn cmd_serve(args: &[String]) {
         unreachable!("all connection handlers joined by serve_with")
     };
     let workers = service.num_workers();
-    drop(service); // joins the worker threads
-    eprintln!("shutdown complete: refresher and the workers of {workers} shards joined");
+    drop(service);
+    eprintln!("shutdown complete: refresher joined, {workers} shard sessions dropped");
 }
 
 fn cmd_query(args: &[String]) {

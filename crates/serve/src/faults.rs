@@ -1,17 +1,17 @@
 //! Deterministic fault injection for the serving stack.
 //!
-//! A [`FaultInjector`] is threaded through the worker pool
+//! A [`FaultInjector`] is threaded through the sharded service
 //! ([`BoundService::with_faults`](crate::BoundService::with_faults)), the
 //! TCP response path ([`ServeOptions::faults`](crate::ServeOptions)), and
 //! the statistics refresher
 //! ([`StatsRefresher::spawn_with_faults`](crate::StatsRefresher::spawn_with_faults)),
 //! and can inject — from a fixed seed, so chaos runs replay exactly —
 //!
-//! * **panics** mid-query, on a worker or on a caller's thread answering
-//!   a single query inline (exercises `catch_unwind` isolation and the
-//!   rebuild of the shard's session),
-//! * **latency** before a query (exercises per-batch deadlines and
-//!   `ERR timeout` degradation for everyone waiting on that shard),
+//! * **panics** mid-query, in a single query or a batch (exercises
+//!   `catch_unwind` isolation and the rebuild of the shard's session),
+//! * **latency** before a query, which keeps its shard's session out
+//!   (exercises the deadlines and `ERR timeout` degradation of everyone
+//!   waiting for that shard),
 //! * **refresh build failures** (exercises retry/backoff and
 //!   last-good-snapshot serving), and
 //! * **I/O errors and short writes** on the TCP response path (exercises
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a worker should do before executing one query.
+/// What the service should do before bounding one query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WorkerFault {
     /// Proceed normally.
@@ -70,9 +70,9 @@ fn mix(x: u64) -> u64 {
 #[derive(Debug, Default)]
 struct Inner {
     seed: u64,
-    /// Worker-query sequence numbers (global, from 0) that panic.
+    /// Query sequence numbers (global, from 0) that panic.
     panic_queries: Vec<u64>,
-    /// Worker-query sequence numbers that sleep first, each with its
+    /// Query sequence numbers that sleep first, each with its
     /// own delay.
     delay_queries: Vec<(u64, Duration)>,
     /// Remaining refresher builds to fail.
@@ -125,12 +125,7 @@ impl FaultInjector {
         }
     }
 
-    /// Whether any fault schedule is installed.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Worker panics injected so far.
+    /// Query panics injected so far.
     pub fn panics_injected(&self) -> u64 {
         self.0.as_ref().map_or(0, |i| {
             i.panic_queries
@@ -250,8 +245,8 @@ pub struct FaultBuilder {
 }
 
 impl FaultBuilder {
-    /// Panic the worker executing the given global query sequence
-    /// numbers (counted across all workers, from 0).
+    /// Panic the bound of the given global query sequence numbers
+    /// (counted across all shards, from 0).
     pub fn panic_on_queries(mut self, seqs: impl IntoIterator<Item = u64>) -> Self {
         self.inner.panic_queries.extend(seqs);
         self

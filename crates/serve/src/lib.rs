@@ -3,7 +3,7 @@
 //! The concurrent serving front-end for SafeBound: everything between a
 //! built [`StatsSnapshot`] and a socket.
 //!
-//! ## Layering: snapshot → handle → sessions → workers and callers → protocol
+//! ## Layering: snapshot → handle → sessions → callers → protocol
 //!
 //! ```text
 //!                    ┌───────────────────────────────┐
@@ -16,60 +16,51 @@
 //!                    │ atomic + Mutex<Arc<snapshot>>)│  lock-free
 //!                    └──────────────┬────────────────┘  steady-state reads
 //!                 ┌─────────────────┼─────────────────┐
-//!            ┌────▼─────┐      ┌────▼─────┐      ┌────▼─────┐  one Mutex<
-//!            │ shard 0  │ ...  │ shard i  │ ...  │ shard N  │  BoundSession>
-//!            │ session  │      │ session  │      │ session  │  per shard (shape
-//!            └─▲──────▲─┘      └─▲──────▲─┘      └─▲──────▲─┘  cache + arenas)
-//!              │      │          │      │          │      │
-//!          worker 0   │      worker i   │      worker N   │   lock: a worker
-//!          (a batch   │                 │                 │   per job, a caller
-//!           job)    caller,           caller,           caller,  per single query
-//!                   inline            inline            inline   (try_lock)
-//!                 └──────────── shape-hash routing ───────────┘
+//!            ┌────▼─────┐      ┌────▼─────┐      ┌────▼─────┐  per shard: a locked
+//!            │ shard 0  │ ...  │ shard i  │ ...  │ shard N  │  slot holding its
+//!            │ session  │      │ session  │      │ session  │  BoundSession (shape
+//!            └────▲─────┘      └────▲─────┘      └────▲─────┘  cache + arenas),
+//!                 │                 │                 │        and a Condvar
+//!                 └──── take, compute, put back ──────┘  on the caller's
+//!                       (shape-hash routing)                 own thread
 //!                    ┌──────────────┴────────────────┐
-//!                    │ BoundService: bound(),        │
-//!                    │ bound_batch(), TCP server     │
-//!                    └───────────────────────────────┘
+//!                    │ BoundService: bound(),        │  callers: connection
+//!                    │ bound_batch(), TCP server     │  threads, in-process
+//!                    └───────────────────────────────┘  planners
 //! ```
 //!
 //! * **[`BoundService`]** owns the [`SafeBound`]
-//!   handle, N [`BoundSession`]s — the
+//!   handle and N [`BoundSession`]s — the
 //!   mutable half of the estimator (query-shape cache, arena pools,
-//!   hot-literal memo) — each behind its own lock, and up to N worker
-//!   threads. Construction spawns none: a shard's worker starts with the
-//!   first batch job dispatched to it, so a service that only answers
-//!   single queries inline never spawns or joins a thread.
+//!   hot-literal memo) — one per shard. It starts no thread: every bound
+//!   runs on the thread that asked for it.
 //!   Queries are routed to shards by
 //!   [`Query::shape_hash`](safebound_query::Query::shape_hash) modulo the
 //!   pool size, so every query template consistently lands on the same
 //!   session and its shape cache stays hot regardless of traffic
-//!   interleaving. A session is only ever used under its lock, by one of
-//!   two parties: its shard's worker, for the length of a batch job, or a
-//!   caller with a single query, for the length of that bound.
-//! * **`bound`** (and a single SQL line over TCP) `try_lock`s the query's
-//!   shard and, when it is free, computes the bound on the calling thread:
-//!   no channel, no allocation, no context switch — a round trip to a
-//!   worker would cost ten times the literal-cache hit it buys. When
-//!   the shard is held the query queues behind the holder as a one-line
-//!   batch, under the batch deadline. The lock decides, not an option.
-//! * **`bound_batch`** and its variants are wrappers over one batch path.
-//!   It ships index slices of one shared `Arc<[Query]>` to the workers'
-//!   job queues and gathers their answers in input order: one job per
-//!   worker per batch, the workers running in parallel, each holding its
-//!   shard's session across its whole slice. Before dispatch, identical
-//!   lines — same shape *and* literal vector, confirmed by full equality
-//!   behind a `(shape_hash, literal_fingerprint)` key — are
-//!   **deduplicated**: one representative runs (hitting its shard's
-//!   literal cache once), duplicates get copies of the answer
+//!   interleaving. A caller takes a shard's session out, computes, and
+//!   puts it back; a caller that finds it out waits for it, under its
+//!   deadline.
+//! * **`bound`** (and a single SQL line over TCP) computes the bound on
+//!   the calling thread, on the query's shard's session: no queue, no
+//!   allocation, no context switch.
+//! * **`bound_batch`** and its variants are wrappers over one batch path,
+//!   also on the calling thread. Identical lines — same shape *and*
+//!   literal vector, confirmed by full equality behind a
+//!   `(shape_hash, literal_fingerprint)` key — are **deduplicated**: one
+//!   representative runs (hitting its shard's literal cache once),
+//!   duplicates get copies of the answer
 //!   ([`BoundService::batch_dedup_hits`](service::BoundService::batch_dedup_hits)).
-//!   The path's scratch costs a fixed number of allocations per batch,
-//!   whatever its length. Over TCP, a `BATCH` parses into a recycled
-//!   batch lent out with its in-flight permit: its lines re-parse into the
-//!   queries of earlier batches, each job drops its handle on the batch
-//!   before it answers, and the batch goes back to the pool once the
-//!   replies are written. One a late worker still holds is left to it. A
-//!   fresh-literal line on a known template thus allocates nothing from
-//!   its bytes to its dispatch (`tests/batch_alloc.rs`).
+//!   The representatives are computed shard by shard, each shard's session
+//!   taken once for all of its lines, and the answers return in input
+//!   order. The path's scratch costs a fixed number of allocations per
+//!   batch, whatever its length. Over TCP, a `BATCH` parses into a
+//!   recycled batch lent out with its in-flight permit: its lines re-parse
+//!   into the queries of earlier batches, and the batch goes back to the
+//!   pool once the replies are written. A fresh-literal line on a known
+//!   template thus allocates nothing from its bytes to its bound
+//!   (`tests/batch_alloc.rs`). One connection's batch runs on one core;
+//!   connections run in parallel.
 //! * **Hot swap**: the service never pauses. A rebuild calls
 //!   [`SafeBound::swap_stats`](safebound_core::SafeBound::swap_stats) on
 //!   the service's handle; in-flight queries finish on the snapshot they
@@ -103,9 +94,9 @@
 //!   `idle_timeout` is answered `BYE` and closed.
 //! * **Graceful shutdown** — triggering the token (or the `SHUTDOWN`
 //!   verb) stops the accept loop, which joins every connection handler;
-//!   dropping the [`BoundService`] then joins the
-//!   workers that started and [`StatsRefresher::stop`](refresh::StatsRefresher::stop)
-//!   joins the refresher: no thread outlives the server.
+//!   [`StatsRefresher::stop`](refresh::StatsRefresher::stop) joins the
+//!   refresher: no thread outlives the server. The [`BoundService`] owns
+//!   no thread, so dropping it joins nothing.
 //!
 //! ## Fault injection
 //!
@@ -122,9 +113,9 @@
 //! | request                     | response                                |
 //! |-----------------------------|-----------------------------------------|
 //! | `<SQL text>`                | `OK <bound>` or `ERR <message>`         |
-//! | `BATCH <n>` then `n` SQL lines | `n` `OK`/`ERR` lines (batched pool dispatch), or one `ERR overloaded` |
+//! | `BATCH <n>` then `n` SQL lines | `n` `OK`/`ERR` lines (one batched bound), or one `ERR overloaded` |
 //! | `PING`                      | `PONG`                                  |
-//! | `STATS`                     | `STATS workers=<n> build=<id> swaps=<n> generation=<n> refresher=on\|off connections=<n> inflight_batches=<n> batch_dedup_hits=<n> …` plus the pool-wide [`SessionStats`] merge (`shape_*`, `lit_bound_*`, `lit_cond_hits=0 lit_cond_misses=0` (frozen keys: the literal cache holds whole-query bounds only), `lit_evictions`, `eq_memo_*`, `range_memo_hits=0 range_memo_misses=0 range_memo_evictions=0` (frozen keys: range lookups are not memoized), `like_memo_*`, `relaxations_pruned=0` (a frozen key: every relaxation is evaluated)), `spills=<n>`, `snapshot_load_failures=<n>`, and `simd=scalar` (a frozen key: the kernels have one portable tier) |
+//! | `STATS`                     | `STATS workers=<n>` (the shard count) `build=<id> swaps=<n> generation=<n> refresher=on\|off connections=<n> inflight_batches=<n> batch_dedup_hits=<n> …` plus the pool-wide [`SessionStats`] merge (`shape_*`, `lit_bound_*`, `lit_cond_hits=0 lit_cond_misses=0` (frozen keys: the literal cache holds whole-query bounds only), `lit_evictions`, `eq_memo_*`, `range_memo_hits=0 range_memo_misses=0 range_memo_evictions=0` (frozen keys: range lookups are not memoized), `like_memo_*`, `relaxations_pruned=0` (a frozen key: every relaxation is evaluated)), `spills=0` (a frozen key: no line leaves its shard), `snapshot_load_failures=<n>`, and `simd=scalar` (a frozen key: the kernels have one portable tier) |
 //! | `REFRESH`                   | `REFRESHED build=<id> generation=<n>` after a fresh rebuild publishes (`ERR` without a refresher) |
 //! | `SNAPSHOT SAVE <path>`      | `SAVED bytes=<n>` after the published statistics are written through the crash-safe single-file writer (tmp + fsync + atomic rename), or `ERR snapshot save: <reason>` |
 //! | `SNAPSHOT LOAD <path>`      | `LOADED build=<id>` after the file validates (magic, version, checksums, fingerprints) and hot-swaps in, or `ERR snapshot load: <reason>` — a rejected file never unpublishes the last-good snapshot and bumps `snapshot_load_failures` in `STATS` |
@@ -144,7 +135,8 @@
 // and a poisoned lock recovers through `lock_recover`.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
-// Clocks and threads only in `refresh`, `server` and `service` (clippy.toml).
+// Clocks only in `refresh`, `server` and `service`, threads only in
+// `refresh` and `server` (clippy.toml).
 #![deny(clippy::disallowed_methods)]
 
 pub mod faults;
@@ -163,34 +155,21 @@ pub use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats, S
 /// Acquire a mutex, recovering from poisoning instead of propagating it.
 ///
 /// Every mutex in this crate guards state that is valid at all times —
-/// counters, fully formed handles/snapshots, job queues — updated
-/// by single assignments that cannot be observed half-done. A panic on a
-/// thread that happened to hold such a lock therefore leaves the data
-/// intact, and cascading that one panic into every later `lock().unwrap()`
-/// caller would turn an isolated worker failure into a dead server.
+/// counters, fully formed handles/snapshots, a shard's session slot —
+/// updated by single assignments that cannot be observed half-done. A
+/// panic on a thread that happened to hold such a lock therefore leaves
+/// the data intact, and cascading that one panic into every later
+/// `lock().unwrap()` caller would turn an isolated failure into a dead
+/// server.
 ///
-/// The per-shard [`BoundSession`] mutexes are the one case where the data
-/// *can* be left half-updated by a panic — and every such panic is caught
-/// inside the lock and ends with the session replaced before the guard is
-/// released (`service.rs`, `PoolShared::run`), so the guard never drops
-/// during an unwind and a poisoned session mutex, were one ever seen,
-/// would still guard a consistent session.
+/// A [`BoundSession`] *can* be left half-updated by a panic, but no
+/// session is ever used under a lock: a caller takes it out of its shard,
+/// computes under `catch_unwind`, and puts back a fresh session after a
+/// panic (`service.rs`, `BoundService::run`).
 pub(crate) fn lock_recover<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// [`lock_recover`] without the wait: `None` when another thread holds the
-/// mutex, the guard — poisoned or not, by the same argument — otherwise.
-pub(crate) fn try_lock_recover<T>(
-    mutex: &std::sync::Mutex<T>,
-) -> Option<std::sync::MutexGuard<'_, T>> {
-    match mutex.try_lock() {
-        Ok(guard) => Some(guard),
-        Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-        Err(std::sync::TryLockError::WouldBlock) => None,
-    }
 }
 
 /// Best-effort text of a caught panic payload.

@@ -28,9 +28,9 @@
 //! whole serving stack: the accept loop polls it between accepts,
 //! connection handlers poll it on their read tick, and the refresher polls
 //! it between rebuilds. Triggering the token drains everything; every
-//! thread is joined on the way out (the server joins its handlers, the
-//! refresher joins in [`StatsRefresher::stop`]/`Drop`, and dropping the
-//! [`BoundService`](crate::BoundService) joins the workers).
+//! thread is joined on the way out (the server joins its handlers, and
+//! the refresher joins in [`StatsRefresher::stop`]/`Drop`; the
+//! [`BoundService`](crate::BoundService) owns no thread).
 //!
 //! ## Delta-driven refresh
 //!

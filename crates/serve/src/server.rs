@@ -1,8 +1,8 @@
 //! A minimal `std::net` TCP front-end speaking the newline-delimited
 //! protocol documented in the crate docs: SQL in, `OK <bound>` out, one
-//! thread per connection, all bound work done on the shared
-//! [`BoundService`]'s sessions — a single SQL line on the connection's own
-//! thread when its shard is free, a `BATCH` on the pool's workers.
+//! thread per connection. Every bound runs on the connection's own thread,
+//! on the shared [`BoundService`]'s sessions: a single SQL line on its
+//! shard's session, a `BATCH` on each of its shards' sessions in turn.
 //!
 //! The serving lifecycle lives here too: [`serve_with`] runs the accept
 //! loop under a [`ShutdownToken`], enforces a bounded connection budget
@@ -11,8 +11,7 @@
 //! timeouts, and — when given a [`StatsRefresher`] — serves the `REFRESH`
 //! verb and reports refresh health in `STATS`. On shutdown the accept
 //! loop stops, every connection handler is joined, and the caller can
-//! then drop the service (joining the workers) and stop the refresher for
-//! a fully clean exit.
+//! then drop the service and stop the refresher for a fully clean exit.
 //!
 //! ## Degraded modes
 //!
@@ -22,14 +21,13 @@
 //! * Responses go through a `ResponseWriter` that retries interrupted
 //!   and short writes — a response line is delivered whole or the
 //!   connection errors out; it is **never truncated mid-line**.
-//! * Batches — and single lines that find their shard held by a batch
-//!   job or another connection — wait under
-//!   [`ServeOptions::batch_timeout`]: lines a stuck worker never answers
-//!   come back `ERR timeout: …` while completed lines keep their real
-//!   bounds. The deadline bounds waiting for *another* thread; a bound
-//!   computed on the connection's own thread runs to completion (at most
-//!   ≈ 0.1 ms for a cold paper query, see ROADMAP's failure model) and a
-//!   panic in it answers `ERR internal` like a worker's.
+//! * A request whose shard's session another connection holds waits for
+//!   it under [`ServeOptions::batch_timeout`]: the lines of a shard still
+//!   held at the deadline come back `ERR timeout: …` while the other lines
+//!   keep their real bounds. The deadline bounds waiting for *another*
+//!   connection; a bound computed on the connection's own thread runs to
+//!   completion (at most ≈ 0.1 ms for a cold paper query, see ROADMAP's
+//!   failure model) and a panic in it answers `ERR internal`.
 //! * A client that stalls mid-`BATCH` past the idle timeout gets a single
 //!   `ERR timeout …` line and a drained close instead of wedging the
 //!   handler thread (and its admission slot) forever.
@@ -80,10 +78,10 @@ pub struct ServeOptions {
     /// Poll granularity for shutdown/idle checks (accept-loop sleep and
     /// per-connection read timeout).
     pub tick: Duration,
-    /// Reply deadline per dispatched batch, and per single request that
-    /// has to queue behind a busy shard: lines a worker has not answered
-    /// by then degrade to `ERR timeout: …` instead of wedging the
-    /// connection behind a stuck worker. `None` waits indefinitely.
+    /// How long a request — a batch or a single line — may wait for shard
+    /// sessions other connections hold: lines whose shard is still held by
+    /// then degrade to `ERR timeout: …` instead of wedging the connection
+    /// behind a stuck one. `None` waits indefinitely.
     pub batch_timeout: Option<Duration>,
     /// Fault-injection schedule for the response write path (chaos
     /// testing; see [`crate::faults`]). Disabled by default.
@@ -163,7 +161,7 @@ struct BatchPermit {
 
 impl Drop for BatchPermit {
     fn drop(&mut self) {
-        let mut batch = std::mem::take(&mut self.batch);
+        let batch = std::mem::take(&mut self.batch);
         if batch.keep() {
             lock_recover(&self.budget.idle).push(batch);
         }
@@ -183,7 +181,7 @@ const KEPT_BATCH_BYTES: usize = 256 << 10;
 struct ParsedBatch {
     /// Parse targets. Slots past the current request's parsed lines hold
     /// queries of earlier requests.
-    queries: Arc<[Query]>,
+    queries: Vec<Query>,
     /// Per request line: `Ok` when it parsed into the next slot, the
     /// parse error's text otherwise.
     lines: Vec<Result<(), String>>,
@@ -193,29 +191,20 @@ struct ParsedBatch {
 
 impl ParsedBatch {
     /// Slot `k` of a request of `n` lines, growing the slots when `k` is
-    /// past them. The batch is never shared while a permit holds it (its
-    /// jobs drop their handles before answering); should it be, it is
-    /// replaced rather than waited for.
-    fn slot(&mut self, k: usize, n: usize) -> Option<&mut Query> {
-        if k >= self.queries.len() || Arc::get_mut(&mut self.queries).is_none() {
+    /// past them.
+    fn slot(&mut self, k: usize, n: usize) -> &mut Query {
+        if k >= self.queries.len() {
             let len = (2 * self.queries.len()).max(16).min(n).max(k + 1);
-            let mut grown: Vec<Query> = Vec::with_capacity(len);
-            if let Some(old) = Arc::get_mut(&mut self.queries) {
-                grown.extend(old.iter_mut().map(std::mem::take));
-            }
-            grown.resize_with(len, Query::default);
-            self.queries = grown.into();
+            self.queries.resize_with(len, Query::default);
         }
-        Arc::get_mut(&mut self.queries)?.get_mut(k)
+        &mut self.queries[k]
     }
 
-    /// Whether the pool should keep this batch: nobody else holds it (a
-    /// worker that missed the deadline still may; it is left to that
-    /// worker), and it is within [`KEPT_BATCH_BYTES`].
-    fn keep(&mut self) -> bool {
+    /// Whether the pool should keep this batch: it is within
+    /// [`KEPT_BATCH_BYTES`].
+    fn keep(&self) -> bool {
         let slots = self.queries.len().max(self.lines.capacity());
-        Arc::get_mut(&mut self.queries).is_some()
-            && slots.saturating_mul(self.widest) <= KEPT_BATCH_BYTES
+        slots.saturating_mul(self.widest) <= KEPT_BATCH_BYTES
     }
 }
 
@@ -739,8 +728,8 @@ fn answer(
             }
             writeln!(
                 writer,
-                " spills={} snapshot_load_failures={} simd={}",
-                ctx.service.spill_count(),
+                // `spills` is a frozen key: no line leaves its shard.
+                " spills=0 snapshot_load_failures={} simd={}",
                 ctx.snapshot_load_failures.load(Ordering::Relaxed),
                 safebound_core::simd_tier().name(),
             )?
@@ -778,9 +767,9 @@ fn answer(
 
 /// Read `n` SQL lines through the connection's line buffer `buf`, parse
 /// them into `batch`'s recycled slots, and answer all of them through one
-/// pool dispatch (bounded by [`ServeOptions::batch_timeout`]). Returns
-/// `false` when the connection should close; EOF mid-batch still answers
-/// the lines that arrived.
+/// [`BoundService::bound_batch_deadline`] (its waits bounded by
+/// [`ServeOptions::batch_timeout`]). Returns `false` when the connection
+/// should close; EOF mid-batch still answers the lines that arrived.
 ///
 /// A client that stalls mid-batch past the idle timeout (or sends an
 /// overlong line) is answered with a single `ERR timeout`/`ERR …` line
@@ -805,12 +794,9 @@ fn serve_batch(
         match read_line_patiently(reader, buf, ctx, idle)? {
             LineRead::Line => {
                 batch.widest = batch.widest.max(buf.len());
-                let outcome = match batch.slot(parsed, n) {
-                    Some(query) => {
-                        parse_sql_into(line_text(buf).trim(), query).map_err(|e| e.to_string())
-                    }
-                    None => Err("no parse target".to_string()),
-                };
+                let query = batch.slot(parsed, n);
+                let outcome =
+                    parse_sql_into(line_text(buf).trim(), query).map_err(|e| e.to_string());
                 parsed += usize::from(outcome.is_ok());
                 batch.lines.push(outcome);
             }
@@ -844,7 +830,7 @@ fn serve_batch(
     }
     let mut bounds = ctx
         .service
-        .bound_prefix(&batch.queries, parsed, ctx.batch_timeout)
+        .bound_batch_deadline(&batch.queries[..parsed], ctx.batch_timeout)
         .into_iter();
     for line in &batch.lines {
         match line {
@@ -895,10 +881,9 @@ fn drain_batch(
 }
 
 /// One SQL request → one response line, parsed into the connection's
-/// query and computed on this connection's thread when the query's shard
-/// is free. When it is not, the request waits behind the shard's holder
-/// under the same deadline as a batch — a stuck worker answers `ERR
-/// timeout`.
+/// query and computed on this connection's thread. When another
+/// connection holds the query's shard, the request waits for it under the
+/// same deadline as a batch — a stuck holder answers `ERR timeout`.
 fn answer_deadline(
     ctx: &ConnCtx,
     sql: &str,
@@ -914,8 +899,8 @@ fn answer_deadline(
     }
 }
 
-/// The reply line for one dispatched query. The pool returns one bound
-/// per submitted query; a missing one would be a pool bug, so the line
+/// The reply line for one query. The service returns one bound per
+/// submitted query; a missing one would be a service bug, so the line
 /// degrades to `ERR internal` instead of panicking the connection thread.
 fn write_bound(
     writer: &mut ResponseWriter,
@@ -1162,13 +1147,13 @@ mod tests {
     }
 
     #[test]
-    fn the_batch_pool_keeps_only_unshared_batches_within_the_cap() {
+    fn the_batch_pool_keeps_only_batches_within_the_cap() {
         let budget = BatchBudget::new(2);
         let idle = |b: &BatchBudget| lock_recover(&b.idle).len();
         let fill = |permit: &mut BatchPermit, lines: usize, width: usize| {
             for k in 0..lines {
                 let sql = format!("SELECT COUNT(*) FROM t WHERE t.a = {k}");
-                let slot = permit.batch.slot(k, lines).unwrap();
+                let slot = permit.batch.slot(k, lines);
                 parse_sql_into(&sql, slot).unwrap();
             }
             permit.batch.widest = width;
@@ -1186,14 +1171,6 @@ mod tests {
         fill(&mut permit, 1024, 400);
         drop(permit);
         assert_eq!(idle(&budget), 0);
-        // Still held by someone else (a worker past its deadline): left
-        // to them.
-        let mut permit = budget.try_acquire().unwrap();
-        fill(&mut permit, 16, 100);
-        let late_worker = permit.batch.queries.clone();
-        drop(permit);
-        assert_eq!(idle(&budget), 0);
-        drop(late_worker);
         // Pool and permits together never exceed the budget.
         let (mut a, mut b) = (budget.try_acquire().unwrap(), budget.try_acquire().unwrap());
         assert!(budget.try_acquire().is_none());

@@ -1,15 +1,15 @@
 //! Allocation audit of the serving path, from request bytes to reply
 //! bytes, over loopback TCP. It is the only test in its binary: the
 //! counting allocator below counts every thread but the client's (the
-//! accept loop, the connection handler, the workers), so no other test
-//! may run beside it.
+//! accept loop and the connection handler, which computes the bounds), so
+//! no other test may run beside it.
 //!
 //! After warm-up, on templates the sessions know and with literals they
 //! have not seen:
 //! * a single SQL line allocates nothing: it parses into the connection's
-//!   query and is bounded inline;
+//!   query and is bounded on the connection's thread;
 //! * a `BATCH` allocates [`BATCH_ALLOCATIONS`] times whatever its length,
-//!   all of it the dispatcher's per-batch scratch. Its lines parse into
+//!   all of it the batch path's per-batch scratch. Its lines parse into
 //!   the recycled batch's slots and allocate nothing.
 
 use safebound_core::{SafeBound, SafeBoundConfig};
@@ -24,11 +24,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// What one batch allocates on a two-shard service whose batches reach
-/// both shards: the dispatcher's shape-hash routes, representatives, dedup
-/// map and links, shard loads, shard index lists (one outer, one per job),
-/// answer buffer and its `Arc`, each worker's result list (one per job),
-/// and the returned results.
-const BATCH_ALLOCATIONS: usize = 13;
+/// both shards: the shape-hash routes, the representatives, the dedup map
+/// and its links, and the returned results.
+const BATCH_ALLOCATIONS: usize = 5;
 
 struct CountingAlloc;
 
@@ -226,11 +224,11 @@ fn fresh_literal_requests_allocate_a_constant_per_batch_and_nothing_per_line() {
     let mut rng = Rng(7);
     let mut lines = |n: usize| -> Vec<String> { (0..n).map(|_| fresh_line(&mut rng)).collect() };
 
-    // Warm-up: start both workers; fill both sessions' literal caches
-    // until every slot has been recycled several times, so its key buffer
-    // has grown to the largest key size class (40,960 lines over 2 × 4096
-    // slots); grow the recycled batch to 256 slots; stock the handler's
-    // parser with every template's parts.
+    // Warm-up: fill both sessions' literal caches until every slot has
+    // been recycled several times, so its key buffer has grown to the
+    // largest key size class (40,960 lines over 2 × 4096 slots); grow the
+    // recycled batch to 256 slots; stock the handler's parser with every
+    // template's parts.
     for _ in 0..160 {
         client.batch(&lines(256));
     }

@@ -2,28 +2,34 @@
 //! The fault layer is always compiled and inert until a test installs a
 //! seeded schedule, so this suite runs under plain `cargo test`.
 //!
-//! Every schedule is seeded and the clients are serial, so each test
-//! replays the same fault sequence run after run. Assertions are the
-//! self-healing invariants:
+//! Every schedule is seeded and each connection is a serial client, so
+//! each test replays the same fault sequence run after run. Where a second
+//! connection overlaps a delayed one, it sends 100 ms after the delayed
+//! batch, so the delayed query has taken its shard well inside its
+//! 400 ms. Assertions are the self-healing invariants:
 //!
-//! * injected panics — in a worker's batch job or on a connection thread
-//!   answering a single line — degrade their in-flight lines to
-//!   `ERR internal: …`, the shard's session is rebuilt, and every
-//!   *successful* response stays bit-identical to a fault-free oracle;
+//! * injected panics — in a batch or in a single line — degrade the
+//!   lines computed on that shard's session to `ERR internal: …`, the
+//!   session is rebuilt, and every *successful* response stays
+//!   bit-identical to a fault-free oracle;
 //! * injected refresh-build failures never unpublish the last-good
 //!   snapshot, surface their reason through `REFRESH`/`STATS`, and the
 //!   refresher recovers once the schedule is exhausted;
 //! * injected write errors and short writes on the TCP response path are
 //!   absorbed by the retrying writer — response lines arrive whole;
-//! * injected worker latency degrades to `ERR timeout: …` under the
-//!   per-batch deadline, and the (slow, not dead) worker recovers;
+//! * injected latency keeps a shard's session out: another connection
+//!   waiting for that shard degrades to `ERR timeout: …` at its deadline,
+//!   a connection on another shard is not held up, the delayed connection
+//!   gets exact answers, and the shard serves exactly afterwards;
 //! * injected snapshot-file read errors, corruption, and truncation on a
 //!   file-backed refresher surface as typed `ERR refresh snapshot load:`
 //!   answers and `snapshot_load_failures` in `STATS`, never unpublish the
 //!   last-good snapshot, and the refresher recovers once the schedule is
 //!   exhausted;
+//! * a failed save-on-publish still publishes, is counted and named in
+//!   `STATS`, and leaves the previously saved file intact;
 //! * after all of the above, `SHUTDOWN` still drains and joins every
-//!   thread (accept loop, handlers, workers, refresher).
+//!   thread (accept loop, handlers, refresher).
 
 use safebound_core::{SafeBound, SafeBoundBuilder, SafeBoundConfig};
 use safebound_query::parse_sql;
@@ -36,7 +42,7 @@ use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn catalog() -> Catalog {
     let mut c = Catalog::new();
@@ -155,7 +161,7 @@ impl TestServer {
         let Ok(service) = Arc::try_unwrap(self.service) else {
             panic!("a connection handler leaked a service reference past join");
         };
-        drop(service); // joins the worker threads
+        drop(service);
     }
 }
 
@@ -197,11 +203,19 @@ impl Conn {
 
     /// Send the workload as one `BATCH` and collect its responses.
     fn batch(&mut self, sqls: &[String]) -> Vec<String> {
+        self.send_batch(sqls);
+        self.recv_batch(sqls.len())
+    }
+
+    fn send_batch(&mut self, sqls: &[String]) {
         self.send(&format!("BATCH {}", sqls.len()));
         for sql in sqls {
             self.send(sql);
         }
-        (0..sqls.len())
+    }
+
+    fn recv_batch(&mut self, n: usize) -> Vec<String> {
+        (0..n)
             .map(|_| self.recv().expect("batch response"))
             .collect()
     }
@@ -222,10 +236,11 @@ fn quick_opts() -> ServeOptions {
     }
 }
 
-/// ≥ 3 injected worker panics under live TCP: every panicked round
-/// degrades to `ERR internal: …` (whole rounds — a 1-worker pool runs each
-/// batch as one job), every healthy round is bit-identical to the oracle,
-/// the pool respawns after each panic, and shutdown still joins everyone.
+/// ≥ 3 injected panics under live TCP: every panicked round degrades to
+/// `ERR internal: …` (whole rounds — a 1-shard pool computes each batch in
+/// one take of its session), every healthy round is bit-identical to the
+/// oracle, the session is rebuilt after each panic, and shutdown still
+/// joins everyone.
 #[test]
 fn server_survives_injected_worker_panics() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
@@ -247,8 +262,9 @@ fn server_survives_injected_worker_panics() {
             .filter(|r| r.starts_with("ERR internal: worker panicked"))
             .count();
         if errs > 0 {
-            // Panic isolation is all-or-nothing per job: with one worker
-            // the whole round rides one job, so every line degrades.
+            // Panic isolation is all-or-nothing per take of a session:
+            // with one shard the whole round is one take, so every line
+            // degrades.
             assert_eq!(errs, got.len(), "round {round}: partial job? {got:?}");
             err_rounds += 1;
         } else {
@@ -283,10 +299,9 @@ fn server_survives_injected_worker_panics() {
 
 const PANICKED: &str = "ERR internal: worker panicked: injected worker fault";
 
-/// Single SQL lines are answered on the connection's thread, and a panic
-/// there is isolated like one on a worker: the scheduled lines — and only
-/// those — answer `ERR internal`, every other line is the oracle's, the
-/// counters are exact, and the connection stays conversational.
+/// A panic in a single SQL line is isolated: the scheduled lines — and
+/// only those — answer `ERR internal`, every other line is the oracle's,
+/// the counters are exact, and the connection stays conversational.
 #[test]
 fn single_lines_survive_injected_inline_panics() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
@@ -317,10 +332,10 @@ fn single_lines_survive_injected_inline_panics() {
     server.stop();
 }
 
-/// Batches (on the worker) and single lines (inline) alternate on one
-/// connection and share one shard's session across injected panics: a
-/// panic inside a batch fails that whole job and nothing after it, a
-/// panic on a single line fails that line alone.
+/// Batches and single lines alternate on one connection and share one
+/// shard's session across injected panics: a panic inside a batch fails
+/// that whole batch and nothing after it, a panic on a single line fails
+/// that line alone.
 #[test]
 fn singles_and_batches_interleave_across_panics() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
@@ -510,6 +525,89 @@ fn snapshot_file_faults_keep_last_good_and_recover() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Save-on-publish under an injected write failure: the `REFRESH` still
+/// publishes, the failed save is counted and named in `STATS`, the file
+/// saved before it stays byte-identical, and the next `REFRESH` saves a
+/// file that loads to bit-identical bounds.
+#[test]
+fn a_failed_save_on_publish_still_publishes_and_keeps_the_last_file() {
+    let config = SafeBoundConfig::test_small();
+    let sb = SafeBound::build(&catalog(), config.clone());
+    let sqls = workload_sql();
+    let want = oracle(&sb, &sqls);
+    let dir = std::env::temp_dir().join(format!("safebound_chaos_save_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("published.snap");
+    let shutdown = ShutdownToken::new();
+    let refresher = Arc::new(StatsRefresher::spawn(
+        sb.clone(),
+        {
+            let cat = catalog();
+            move || Ok(SafeBoundBuilder::new(config.clone()).build(&cat))
+        },
+        RefreshConfig {
+            backoff_base: Duration::from_millis(1),
+            save_path: Some(path.clone()),
+            ..RefreshConfig::default()
+        },
+        shutdown.clone(),
+    ));
+    let service = Arc::new(BoundService::new(sb.clone(), 2));
+    let server = TestServer::start(service, Some(refresher.clone()), shutdown, quick_opts());
+    let mut conn = server.connect();
+
+    let resp = conn.roundtrip("REFRESH");
+    assert!(resp.starts_with("REFRESHED build="), "{resp:?}");
+    assert_eq!(refresher.snapshot_saves(), 1);
+    let saved = std::fs::read(&path).unwrap();
+
+    // The writer writes `<save_path>.tmp` and renames it over the file, so
+    // the hook is installed on the directory holding both.
+    let injector = FaultInjector::seeded(17).fail_snapshot_writes(1).build();
+    let hook = injector
+        .install_file_hook(&dir)
+        .expect("enabled injector with a write budget installs a hook");
+    let resp = conn.roundtrip("REFRESH");
+    assert!(
+        resp.starts_with("REFRESHED build="),
+        "still publishes: {resp:?}"
+    );
+    let published = field(&resp, "build");
+    assert_eq!(refresher.snapshot_save_failures(), 1);
+    assert_eq!(refresher.snapshot_saves(), 1);
+    let stats = conn.roundtrip("STATS");
+    assert_eq!(field(&stats, "build"), published);
+    assert_eq!(
+        field(&stats, "refresh_failures"),
+        0,
+        "the refresh succeeded"
+    );
+    assert!(
+        stats.contains("refresh_last_error=snapshot_save:"),
+        "{stats:?}"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), saved, "last saved file kept");
+    assert_eq!(conn.batch(&sqls), want, "the published build serves");
+    drop(hook);
+
+    let resp = conn.roundtrip("REFRESH");
+    assert!(resp.starts_with("REFRESHED build="), "{resp:?}");
+    assert_eq!(refresher.snapshot_saves(), 2);
+    assert_eq!(refresher.snapshot_save_failures(), 1);
+    let loaded = SafeBound::from_stats(safebound_core::load_snapshot(&path).unwrap());
+    for sql in &sqls {
+        let q = parse_sql(sql).unwrap();
+        assert_eq!(
+            loaded.bound(&q).unwrap().to_bits(),
+            sb.bound(&q).unwrap().to_bits(),
+            "{sql}"
+        );
+    }
+    assert_eq!(conn.roundtrip("QUIT"), "BYE");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Injected I/O errors and short writes on the response path: the
 /// retrying writer must deliver every response byte-complete — faulting
 /// every second write attempt, all responses stay bit-identical.
@@ -544,9 +642,11 @@ fn write_faults_never_truncate_responses() {
     server.stop();
 }
 
-/// Injected worker latency + a short per-batch deadline: the stalled
-/// round degrades to `ERR timeout: …`, the worker is respected as slow
-/// (no respawn), and once the delay passes the pool serves exact bounds.
+/// Injected latency + a short deadline: connection A's batch holds the
+/// only shard for 400 ms, and connection B's batch, sent meanwhile, waits
+/// for it and degrades to `ERR timeout: …` at its deadline. A's own
+/// replies are exact, nothing is rebuilt, and once A is done B is served
+/// exactly again.
 #[test]
 fn injected_latency_degrades_to_timeout() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
@@ -562,21 +662,69 @@ fn injected_latency_degrades_to_timeout() {
     };
     let server = TestServer::start(service, None, ShutdownToken::new(), opts);
 
-    let mut conn = server.connect();
-    let got = conn.batch(&sqls);
+    let (mut a, mut b) = (server.connect(), server.connect());
+    a.send_batch(&sqls);
+    // Let A's first line — query 0, the delayed one — take the shard.
+    std::thread::sleep(Duration::from_millis(100));
+    let got = b.batch(&sqls);
     assert!(
-        got.iter().all(|r| r.starts_with("ERR timeout")),
-        "stalled round must degrade, got {got:?}"
+        got.iter().all(|r| r == TIMED_OUT),
+        "the waiting round must degrade, got {got:?}"
     );
-    // The worker was slow, not dead: give it time to drain, then expect
-    // exact service again — and no respawn, because nothing panicked.
-    std::thread::sleep(Duration::from_millis(500));
-    assert_eq!(conn.batch(&sqls), want, "post-stall responses diverged");
-    let stats = conn.roundtrip("STATS");
-    assert!(field(&stats, "worker_timeouts") >= 1);
+    assert_eq!(a.recv_batch(sqls.len()), want, "the delayed round is exact");
+    assert_eq!(b.batch(&sqls), want, "post-stall responses diverged");
+    let stats = b.roundtrip("STATS");
+    assert_eq!(field(&stats, "worker_timeouts"), 1);
     assert_eq!(field(&stats, "worker_panics"), 0);
     assert_eq!(field(&stats, "worker_respawns"), 0);
-    assert_eq!(conn.roundtrip("QUIT"), "BYE");
+    assert_eq!(a.roundtrip("QUIT"), "BYE");
+    assert_eq!(b.roundtrip("QUIT"), "BYE");
+    server.stop();
+}
+
+const TIMED_OUT: &str = "ERR timeout: bound exceeded its deadline";
+
+/// On two shards, connection A's batch holds shard 0 under an injected
+/// 400 ms delay; connection B's batch, routed only to shard 1, is answered
+/// exactly and without a timeout before A's delay ends.
+#[test]
+fn a_held_shard_does_not_hold_up_another_shards_batch() {
+    let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
+    let sqls = workload_sql();
+    let on_shard = |w: u64| -> Vec<String> {
+        sqls.iter()
+            .filter(|sql| parse_sql(sql).unwrap().shape_hash() % 2 == w)
+            .cloned()
+            .collect()
+    };
+    let (first, second) = (on_shard(0), on_shard(1));
+    assert!(!first.is_empty() && !second.is_empty());
+    let delay = Duration::from_millis(400);
+    let faults = FaultInjector::seeded(21).delay_queries([0], delay).build();
+    let service = Arc::new(BoundService::with_faults(sb.clone(), 2, faults));
+    let opts = ServeOptions {
+        batch_timeout: Some(Duration::from_millis(50)),
+        ..quick_opts()
+    };
+    let server = TestServer::start(service, None, ShutdownToken::new(), opts);
+
+    let (mut a, mut b) = (server.connect(), server.connect());
+    let sent = Instant::now();
+    a.send_batch(&first);
+    // Let A's first line — query 0, the delayed one — take shard 0.
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(b.batch(&second), oracle(&sb, &second));
+    assert!(
+        sent.elapsed() < delay,
+        "B waited for A: {:?}",
+        sent.elapsed()
+    );
+    assert_eq!(a.recv_batch(first.len()), oracle(&sb, &first));
+    assert!(sent.elapsed() >= delay);
+    let stats = b.roundtrip("STATS");
+    assert_eq!(field(&stats, "worker_timeouts"), 0);
+    assert_eq!(a.roundtrip("QUIT"), "BYE");
+    assert_eq!(b.roundtrip("QUIT"), "BYE");
     server.stop();
 }
 
@@ -594,11 +742,13 @@ fn expected_reply(sb: &SafeBound, line: &str) -> String {
 }
 
 /// Batches parse into recycled queries: a slot that held one template's
-/// query (or was skipped by a parse error) takes another's, and a batch a
-/// late worker still holds is left to it. On one connection — two
-/// batches of different templates with parse errors between their lines,
-/// a batch whose only shard misses the deadline, one more batch — every
-/// reply reads exactly as a fresh parse and a fault-free bound say.
+/// query (or was skipped by a parse error) takes another's, and a batch
+/// whose shard missed its deadline is recycled like any other. Two
+/// batches of different templates with parse errors between their lines
+/// on connection A, then a delayed batch on A while connection B's batch
+/// waits for the only shard past its deadline, then one more batch on
+/// each: every reply reads exactly as a fresh parse and a fault-free bound
+/// say, except B's timed-out lines.
 #[test]
 fn recycled_batches_answer_exactly_across_templates_errors_and_a_timeout() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
@@ -630,8 +780,8 @@ fn recycled_batches_answer_exactly_across_templates_errors_and_a_timeout() {
         "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND d.w = 2".into(),
     ];
     let parsed = |lines: &[String]| lines.iter().filter(|l| parse_sql(l).is_ok()).count() as u64;
-    // One shard, so the worker's query sequence is the parsed lines in
-    // order: delay the third batch's first.
+    // One shard, so the query sequence is the parsed lines in order:
+    // delay the third batch's first.
     let delayed = parsed(&first) + parsed(&second);
     let faults = FaultInjector::seeded(11)
         .delay_queries([delayed], Duration::from_millis(400))
@@ -642,38 +792,42 @@ fn recycled_batches_answer_exactly_across_templates_errors_and_a_timeout() {
         ..quick_opts()
     };
     let server = TestServer::start(service, None, ShutdownToken::new(), opts);
-    let mut conn = server.connect();
+    let (mut a, mut b) = (server.connect(), server.connect());
     let exact = |lines: &[String]| -> Vec<String> {
         lines.iter().map(|l| expected_reply(&sb, l)).collect()
     };
 
-    let got = conn.batch(&first);
+    let got = a.batch(&first);
     assert_eq!(got, exact(&first));
     assert_eq!(
         got[4],
         "ERR parse: parse error: <> (not-equal) predicates are not supported"
     );
-    assert_eq!(conn.batch(&second), exact(&second));
+    assert_eq!(a.batch(&second), exact(&second));
 
-    let got = conn.batch(&third);
-    for ((line, reply), want) in third.iter().zip(&got).zip(exact(&third)) {
-        if want.starts_with("OK ") {
-            assert_eq!(reply, "ERR timeout: bound exceeded its deadline", "{line}");
+    a.send_batch(&third);
+    // Let A's delayed line take the shard, then B waits for it.
+    std::thread::sleep(Duration::from_millis(100));
+    let got = b.batch(&second);
+    for ((line, reply), want) in second.iter().zip(&got).zip(exact(&second)) {
+        if parse_sql(line).is_ok() {
+            assert_eq!(reply, TIMED_OUT, "{line}");
         } else {
             assert_eq!(*reply, want, "{line}");
         }
     }
-    // The late worker still holds that batch; the next one parses into a
-    // batch of its own once the worker is free again.
-    std::thread::sleep(Duration::from_millis(500));
+    assert_eq!(a.recv_batch(third.len()), exact(&third));
+
     let mut fourth = second.clone();
     fourth.extend(first.iter().rev().cloned());
-    assert_eq!(conn.batch(&fourth), exact(&fourth));
+    assert_eq!(a.batch(&fourth), exact(&fourth));
+    assert_eq!(b.batch(&fourth), exact(&fourth));
 
-    let stats = conn.roundtrip("STATS");
+    let stats = a.roundtrip("STATS");
     assert_eq!(field(&stats, "worker_timeouts"), 1);
     assert_eq!(field(&stats, "worker_panics"), 0);
-    assert_eq!(conn.roundtrip("QUIT"), "BYE");
+    assert_eq!(a.roundtrip("QUIT"), "BYE");
+    assert_eq!(b.roundtrip("QUIT"), "BYE");
     server.stop();
 }
 
@@ -738,8 +892,8 @@ fn shutdown_joins_every_thread_after_chaos() {
     // the handler triggers the token, so poll briefly rather than racing
     // the handler thread.
     assert_eq!(conn.roundtrip("SHUTDOWN"), "BYE");
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while !server.shutdown.is_triggered() && std::time::Instant::now() < deadline {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !server.shutdown.is_triggered() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(server.shutdown.is_triggered());

@@ -8,8 +8,7 @@
 //! bit-identical to the pre-swap reference (the catalog is unchanged, so
 //! a rebuild publishes statistically identical — and deterministically
 //! built — statistics under a new build id), and the final shutdown must
-//! drain the accept loop, every connection handler, the worker pool, and
-//! the refresher.
+//! drain the accept loop, every connection handler and the refresher.
 
 use safebound_core::{SafeBound, SafeBoundBuilder, SafeBoundConfig};
 use safebound_query::parse_sql;
@@ -119,8 +118,8 @@ impl TestServer {
     }
 
     /// Trigger shutdown and prove every thread drains: the accept loop
-    /// returns (joining its handlers), the service Arc becomes unique
-    /// (dropping it joins the workers), and the refresher stops.
+    /// returns (joining its handlers), the service Arc becomes unique, and
+    /// the refresher stops.
     fn stop(mut self) {
         self.shutdown.trigger();
         self.thread
@@ -136,7 +135,7 @@ impl TestServer {
         let Ok(service) = Arc::try_unwrap(self.service) else {
             panic!("a connection handler leaked a service reference past join");
         };
-        drop(service); // joins the worker threads
+        drop(service);
     }
 }
 
