@@ -2,10 +2,9 @@
 //! slab of payload slots, evicted by a second-chance clock.
 //!
 //! A [`BoundSession`](crate::estimator::BoundSession) instantiates it four
-//! times — the query-shape cache, the equality and LIKE resolve memos and
-//! the literal cache ([`crate::litcache`]) — differing only in the owner
-//! half of the key and the payload type. What the four share lives here,
-//! once:
+//! times — the query-shape cache, the literal cache and the equality and
+//! LIKE resolve memos — differing only in the owner half of the key and
+//! the payload type. What the four share lives here, once:
 //!
 //! * **Keying** — `(owner, fingerprint)`, where the owner scopes the
 //!   fingerprint (a table's filter slot; `()` for the shape cache and
@@ -37,7 +36,8 @@
 //! fill. `len` never exceeds `capacity`, so once the map has grown to hold
 //! it, at-capacity churn (remove + insert) never triggers another growth.
 
-// Per-query serving path: a panic here kills a worker mid-batch.
+// Per-query serving path: a panic here would answer `ERR internal` and
+// cost the serving layer a rebuilt session.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
 

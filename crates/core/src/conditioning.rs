@@ -38,7 +38,8 @@
 //! integration test). The allocating methods remain for the offline build
 //! and as convenience wrappers.
 
-// Per-query serving path: a panic here kills a worker mid-batch.
+// Per-query serving path: a panic here would answer `ERR internal` and
+// cost the serving layer a rebuilt session.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
 
@@ -249,11 +250,6 @@ pub struct CdsScratch {
     gram_slots: Vec<Value>,
     /// Char staging for the wildcard-free chunks of a LIKE pattern.
     tmp_chars: Vec<char>,
-    /// Per-gram resolved sets staged for the fused LIKE min-fold (the
-    /// sets themselves recycle through `spare_set`).
-    staged_like: Vec<CdsSet>,
-    /// Cursors of the fused min-fold's k-way merge.
-    fold_cursors: Vec<usize>,
 }
 
 impl CdsScratch {
@@ -515,53 +511,6 @@ fn max_of_groups_into(
     for &g in rest {
         out.accumulate(group(g), SetOp::MaxEnvelope, scratch);
     }
-}
-
-/// Fused k-way pointwise-min fold over staged sets, written into `out`
-/// (cleared first) through the pool. For every join column (ascending
-/// symbol order), the participating sets' polylines are min-folded
-/// pairwise **in staging order** — the exact association the equivalent
-/// chain `out = s0; out.accumulate(s1, Min); …` performs, with absent
-/// columns copied through — so the fused result is bit-identical to the
-/// chain's while building each output column exactly once.
-fn fused_min_into(staged: &[CdsSet], scratch: &mut CdsScratch, out: &mut CdsSet) {
-    scratch.clear_set(out);
-    let mut cursors = std::mem::take(&mut scratch.fold_cursors);
-    cursors.clear();
-    cursors.resize(staged.len(), 0);
-    loop {
-        // Next column: the smallest pending symbol across all sets.
-        let mut next: Option<Sym> = None;
-        for (set, &c) in staged.iter().zip(cursors.iter()) {
-            if let Some(&(sym, _)) = set.entries.get(c) {
-                if next.is_none_or(|m| sym < m) {
-                    next = Some(sym);
-                }
-            }
-        }
-        let Some(sym) = next else { break };
-        let mut acc = scratch.take_pwl();
-        let mut first = true;
-        for (set, c) in staged.iter().zip(cursors.iter_mut()) {
-            match set.entries.get(*c) {
-                Some((s, pwl)) if *s == sym => {
-                    if first {
-                        acc.copy_from(pwl.view());
-                        first = false;
-                    } else {
-                        let mut folded = scratch.take_pwl();
-                        acc.view().pointwise_min_into(pwl.view(), &mut folded);
-                        std::mem::swap(&mut acc, &mut folded);
-                        scratch.put_pwl(folded);
-                    }
-                    *c += 1;
-                }
-                _ => {}
-            }
-        }
-        out.entries.push((sym, acc));
-    }
-    scratch.fold_cursors = cursors;
 }
 
 /// Which stored set answers an MCV equality probe (see
@@ -881,19 +830,15 @@ impl NgramStats {
             scratch.gram_slots = grams;
             return false;
         }
-        // Resolve each distinct gram into a staged set, then min-fold all
-        // of them per join column in one fused k-way pass. The fold calls
-        // `pointwise_min_into` on each column's polylines in exactly the
-        // order the old pairwise `accumulate` chain did (columns missing
-        // from a set impose no constraint, matching the chain's
-        // copy-through), so the result is bit-identical — it just skips
-        // the k−1 intermediate rebuilds of every untouched column.
-        let mut staged = std::mem::take(&mut scratch.staged_like);
+        // Min-fold each distinct gram's set into `out` as it resolves, in
+        // sorted gram order (columns missing from a set impose no
+        // constraint: `accumulate` copies them through).
+        let mut gram_set = scratch.take_set();
         for i in 0..count {
             if i > 0 && grams[i] == grams[i - 1] {
                 continue; // staged prefix is sorted: duplicates are adjacent
             }
-            let mut s = scratch.take_set();
+            let into = if i == 0 { &mut *out } else { &mut gram_set };
             indexed_max_into(
                 &self.index,
                 &self.groups,
@@ -901,15 +846,13 @@ impl NgramStats {
                 pool,
                 &grams[i],
                 scratch,
-                &mut s,
+                into,
             );
-            staged.push(s);
+            if i > 0 {
+                out.accumulate(gram_set.view(), SetOp::Min, scratch);
+            }
         }
-        fused_min_into(&staged, scratch, out);
-        for s in staged.drain(..) {
-            scratch.put_set(s);
-        }
-        scratch.staged_like = staged;
+        scratch.put_set(gram_set);
         scratch.gram_slots = grams;
         true
     }

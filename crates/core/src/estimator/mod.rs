@@ -12,7 +12,7 @@
 //! Berge-acyclic relaxation survives degrade to the cross-product of
 //! per-relation (conditioned) cardinality bounds instead of failing.
 //!
-//! # Architecture: shared snapshot, swappable handle, per-worker session
+//! # Architecture: shared snapshot, swappable handle, one session per caller
 //!
 //! The estimator splits into three layers with different sharing rules:
 //!
@@ -25,15 +25,22 @@
 //!   rebuild publishes a fresh snapshot with [`SafeBound::swap_stats`]
 //!   without pausing readers; the steady-state read path is one atomic
 //!   load (no lock) because each session caches the `Arc` it last used.
-//! * **[`BoundSession`]** — mutable per-worker state: the query-shape
-//!   cache, the literal cache (whole-query bounds), the equality and LIKE
-//!   resolve memos — four instances of one `ClockCache`, all evicted by
-//!   its second-chance clock — and every arena the online path writes
-//!   into. Sessions detect a swapped snapshot by build id and repopulate
-//!   lazily.
+//! * **[`BoundSession`]** — mutable state used by one caller at a time:
+//!   the query-shape cache, the literal cache (whole-query bounds), the
+//!   equality and LIKE resolve memos — four instances of one
+//!   `ClockCache`, all evicted by its second-chance clock — and every
+//!   arena the online path writes into. Sessions detect a swapped
+//!   snapshot by build id and repopulate lazily.
 //!
-//! The expensive per-query work splits into two halves with different
-//! cacheability:
+//! # One engine
+//!
+//! [`SafeBound::bound`], [`SafeBound::bound_with_session`] and
+//! [`SafeBound::bound_inputs`] are thin callers of one private engine,
+//! which runs Algorithm 2's online pipeline in order: shape probe,
+//! literal-cache probe, shape build on a miss, resolution, then per
+//! relaxation assembly and a caller-supplied step — the FDSB kernel for
+//! a bound, a copy of the inputs for `bound_inputs`. The expensive
+//! per-query work splits into two halves with different cacheability:
 //!
 //! * **Shape-dependent, literal-independent** — spanning-tree enumeration,
 //!   join-graph construction, [`BoundPlan`] building, join-column
@@ -57,20 +64,20 @@
 //!   which a memoized bound (next point) makes unnecessary.
 //! * **Literal-dependent** — predicate resolution and statistics
 //!   assembly. These write every intermediate CDS into the session's
-//!   [`CdsScratch`] arena pools instead of cloning. An exact whole-query
-//!   repeat skips them: the per-session **literal cache**
-//!   (the crate's `litcache` module) keys each computed bound by **content** — the
-//!   shape key ++ the literal vector, verified byte for byte on every
-//!   hit — never by an id of the slot that computed it, so an entry
-//!   outlives its shape's eviction and returns the memoized bound
-//!   outright (no shape build, resolution, assembly, or kernel — the
-//!   dominant serving case runs in a few hundred nanoseconds, and
-//!   re-planning a query an optimizer has planned before costs little
-//!   more per sub-query). Fresh literals resolve through per-session
-//!   memos of the equality and LIKE lookups, shared by every shape that
-//!   reads the same column; a range walks the histogram levels directly.
-//!   A leaf whose answer is one stored set is served as that resident
-//!   set, with no copy. The per-relation
+//!   [`CdsScratch`](crate::conditioning::CdsScratch) arena pools instead
+//!   of cloning. An exact whole-query
+//!   repeat skips them: the per-session **literal cache** keys each
+//!   computed bound by **content** — the shape key ++ the encoded literal
+//!   vector, verified byte for byte on every hit — never by an id of the
+//!   slot that computed it, so an entry outlives its shape's eviction and
+//!   returns the memoized bound outright (no shape build, resolution,
+//!   assembly, or kernel — the dominant serving case runs in a few
+//!   hundred nanoseconds, and re-planning a query an optimizer has
+//!   planned before costs little more per sub-query). Fresh literals
+//!   resolve through per-session memos of the equality and LIKE lookups,
+//!   shared by every shape that reads the same column; a range walks the
+//!   histogram levels directly. A leaf whose answer is one stored set is
+//!   served as that resident set, with no copy. The per-relation
 //!   conditioned stats are resolved **once** and shared across all of a
 //!   cyclic query's relaxations (propagation uses the original query's
 //!   edges — a superset of every relaxation's edges — which is sound and
@@ -78,7 +85,8 @@
 //!
 //! Cyclic queries take the min over their relaxations: every relaxation's
 //! plan is evaluated, in index order, and the bound is the min — exactly
-//! the min over [`StatsSnapshot::bound_inputs`], bit for bit.
+//! the min over [`SafeBound::bound_inputs`], bit for bit, since both run
+//! the same engine.
 //!
 //! Together with the allocation-free FDSB kernel, a warm session performs
 //! **zero heap allocations per query** on the cached path for equality,
@@ -89,7 +97,8 @@
 //!
 //! [`propagated_key`]: crate::stats::propagated_key
 
-// The query hot path, submodules included: a panic kills a worker mid-batch.
+// The query hot path, submodules included: a panic would answer
+// `ERR internal` and cost the serving layer a rebuilt session.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
 
@@ -99,8 +108,7 @@ mod session;
 
 pub use session::{BoundSession, PhaseBreakdown, SessionStats};
 
-use crate::bound::{fdsb_with_scratch, BoundError, RelationBoundStats};
-use crate::conditioning::CdsScratch;
+use crate::bound::{fdsb_with_scratch, BoundError, BoundScratch, RelationBoundStats};
 use crate::config::SafeBoundConfig;
 use crate::simd::hash::fnv1a;
 use crate::stats::StatsSnapshot;
@@ -108,7 +116,6 @@ use assemble::assemble_into;
 use resolve::stage_literals;
 use safebound_query::{BoundPlan, Query};
 use safebound_storage::Catalog;
-use session::{Memos, ShapeEntry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -120,7 +127,7 @@ pub enum EstimateError {
     UnknownTable(String),
     /// Statistics were missing mid-bound.
     Bound(BoundError),
-    /// The serving layer lost the computation (e.g. a worker panicked
+    /// The serving layer lost the computation (e.g. the bound panicked
     /// mid-query); the query itself may be fine on retry.
     Internal(String),
     /// The serving layer gave up waiting on the computation (per-batch
@@ -163,7 +170,7 @@ struct StatsCell {
 /// The SafeBound estimator handle: a cheaply cloneable, thread-safe view
 /// onto the current [`StatsSnapshot`].
 ///
-/// Clone one handle per worker; all clones observe
+/// Clone one handle per thread; all clones observe
 /// [`SafeBound::swap_stats`] — the hot-swap a background rebuild uses to
 /// publish fresh statistics without pausing readers. In-flight queries
 /// keep the snapshot they started with alive through their session's
@@ -260,88 +267,133 @@ impl SafeBound {
         query: &Query,
         session: &mut BoundSession,
     ) -> Result<f64, EstimateError> {
-        let current = self.build_id();
-        let snap = match &session.snapshot {
-            Some(s) if s.build_id == current => s.clone(),
-            _ => self.snapshot(),
-        };
-        snap.bound_with_session(query, session)
+        self.run(query, session, fdsb_with_scratch)
     }
 
     /// The per-relaxation FDSB kernel inputs for a query, against the
-    /// current snapshot; see [`StatsSnapshot::bound_inputs`].
+    /// current snapshot — exactly what the bound evaluates: one `(plan,
+    /// stats)` pair per acyclic relaxation, in evaluation order. The bound
+    /// is their minimum, or the cross-product fallback when the list is
+    /// empty. Exposed so benchmarks and tests can drive
+    /// [`crate::bound::fdsb_with_scratch`] and
+    /// [`crate::bound::fdsb_reference`] on identical inputs.
     pub fn bound_inputs(
         &self,
         query: &Query,
     ) -> Result<Vec<(BoundPlan, Vec<RelationBoundStats>)>, EstimateError> {
-        self.snapshot().bound_inputs(query)
+        let mut inputs = Vec::new();
+        let mut session = BoundSession::default().with_literal_capacity(0);
+        self.run(query, &mut session, |plan, stats, _| {
+            inputs.push((plan.clone(), stats.to_vec()));
+            // A copy bounds nothing: the engine's min stays infinite.
+            Ok(f64::INFINITY)
+        })?;
+        Ok(inputs)
+    }
+
+    /// Attach `session` to the current snapshot — unless it already
+    /// serves that build, in which case this costs one atomic load — and
+    /// run the engine. A session may outlive a statistics swap (data
+    /// refresh): cached plans' interned symbols, filter slots, and
+    /// memoized lookups are only valid against the build that produced
+    /// them, so attaching to another build flushes them.
+    fn run(
+        &self,
+        query: &Query,
+        session: &mut BoundSession,
+        step: impl FnMut(
+            &BoundPlan,
+            &[RelationBoundStats],
+            &mut BoundScratch,
+        ) -> Result<f64, BoundError>,
+    ) -> Result<f64, EstimateError> {
+        let current = self.build_id();
+        let snap = match &session.snapshot {
+            Some(s) if s.build_id == current => s.clone(),
+            _ => {
+                let snap = self.snapshot();
+                if session
+                    .snapshot
+                    .as_ref()
+                    .is_none_or(|s| s.build_id != snap.build_id)
+                {
+                    session.attach(&snap);
+                }
+                snap
+            }
+        };
+        snap.evaluate(query, session, step)
+    }
+}
+
+/// The opt-in phase clock behind [`PhaseBreakdown`]: each lap is the time
+/// since the previous one, 0 while timing is off.
+struct LapClock(Option<Instant>);
+
+impl LapClock {
+    fn start(on: bool) -> Self {
+        #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
+        LapClock(on.then(Instant::now))
+    }
+
+    /// Nanoseconds since the previous lap (or the start).
+    fn lap(&mut self) -> u64 {
+        let Some(last) = &mut self.0 else { return 0 };
+        #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
+        let now = Instant::now();
+        let ns = (now - *last).as_nanos() as u64;
+        *last = now;
+        ns
     }
 }
 
 impl StatsSnapshot {
-    /// A guaranteed upper bound on the query's output cardinality,
-    /// evaluated directly against this shared snapshot with a per-worker
-    /// session. This is the engine under [`SafeBound::bound_with_session`];
-    /// serving threads that already hold an `Arc<StatsSnapshot>` can call
-    /// it without going through a handle.
-    pub fn bound_with_session(
-        self: &Arc<Self>,
-        query: &Query,
-        session: &mut BoundSession,
-    ) -> Result<f64, EstimateError> {
-        // A session may outlive a statistics swap (data refresh): cached
-        // plans' interned symbols, filter slots, and memoized lookups are
-        // only valid against the build that produced them.
-        if session
-            .snapshot
-            .as_ref()
-            .is_none_or(|s| s.build_id != self.build_id)
-        {
-            session.attach(self);
-        }
-        self.bound_cached(query, session)
-    }
-
-    /// The cached-path evaluation (session already attached to `self`).
+    /// **The** engine: the only code that turns a query into a bound, on
+    /// a session already attached to `self`.
     ///
-    /// The warm path runs in two tiers:
-    ///
-    /// 1. **Bound cache** — an exact whole-query repeat returns the
-    ///    memoized `f64` (no shape build, resolution, assembly, or
-    ///    kernel).
-    /// 2. **Every relaxation** — after memoized resolution (see
-    ///    [`crate::estimator`]), each relaxation's plan is assembled and
-    ///    evaluated with [`fdsb_with_scratch`] in index order; the bound
-    ///    is the min, with the cross-product fallback when no relaxation
-    ///    has a plan.
-    fn bound_cached(
+    /// 1. **Shape probe** — the session's shape cache claims or finds the
+    ///    query's slot.
+    /// 2. **Literal-cache probe** — an exact whole-query repeat returns
+    ///    the memoized bound (no shape build, resolution, assembly or
+    ///    step).
+    /// 3. **Shape build**, when the slot was claimed but never built.
+    /// 4. **Resolution** (see [`crate::estimator`]), once per query.
+    /// 5. **Every relaxation**, in index order: assembly, then `step` on
+    ///    the plan, its inputs and the kernel scratch. The bound is the
+    ///    min of the steps' results, with the cross-product fallback when
+    ///    no relaxation has a plan; it is memoized in the literal cache.
+    fn evaluate(
         &self,
         query: &Query,
         session: &mut BoundSession,
+        mut step: impl FnMut(
+            &BoundPlan,
+            &[RelationBoundStats],
+            &mut BoundScratch,
+        ) -> Result<f64, BoundError>,
     ) -> Result<f64, EstimateError> {
-        if query.num_relations() == 0 {
+        let n = query.num_relations();
+        if n == 0 {
             return Ok(0.0);
         }
-        let timing = session.timing;
         let BoundSession {
             shapes,
-            shape_key,
+            key,
             shape_hits,
             shape_misses,
             memos,
-            lit_cache,
-            lit_stage,
             kernel,
             cds,
             rel_stats,
             cond,
+            timing,
             phases,
             ..
         } = session;
-        shape_key.clear();
-        query.shape_key_into(shape_key);
-        let shape_fp = fnv1a(shape_key);
-        let Some((entry, hit)) = shapes.get_or_claim((), shape_fp, |e| e.key == *shape_key) else {
+        key.clear();
+        query.shape_key_into(key);
+        let shape_fp = fnv1a(key);
+        let Some((entry, hit)) = shapes.get_or_claim((), shape_fp, |e| e.key == *key) else {
             // Unreachable: `with_shape_capacity` keeps the capacity ≥ 1.
             return Err(EstimateError::Internal(
                 "shape cache has no capacity".to_string(),
@@ -355,78 +407,56 @@ impl StatsSnapshot {
             // stays in place, unread, until a build overwrites it.
             *shape_misses += 1;
             entry.key.clear();
-            entry.key.extend_from_slice(shape_key);
+            entry.key.extend_from_slice(key);
             entry.built = false;
         }
+        let mut clock = LapClock::start(*timing);
+        if *timing {
+            phases.queries += 1;
+        }
 
-        #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
-        let t_resolve = timing.then(Instant::now);
-
-        // Tier 1: exact whole-query repeat → memoized bound, whether or
-        // not the shape's slot was ever built or has been evicted since.
-        let lit_enabled = lit_cache.enabled();
-        if lit_enabled {
-            stage_literals(query, lit_stage);
-            if let Some(b) = lit_cache.lookup_bound(lit_stage.bound_key(shape_key, shape_fp)) {
-                if let Some(t) = t_resolve {
-                    phases.resolve_ns += t.elapsed().as_nanos() as u64;
-                    phases.queries += 1;
-                }
-                return Ok(b);
+        // An exact whole-query repeat → memoized bound, whether or not the
+        // shape's slot was ever built or has been evicted since.
+        let lit_fp = memos
+            .lit
+            .cache
+            .enabled()
+            .then(|| stage_literals(query, key, shape_fp));
+        if let Some(fp) = lit_fp {
+            if let Some(e) = memos.lit.lookup((), fp, |e| e.bytes == *key) {
+                phases.resolve_ns += clock.lap();
+                return Ok(e.bound);
             }
         }
 
         // A bound has to be computed: now the slot needs its plans. The
-        // build is not part of the resolve phase; its share of the running
-        // timer is taken out again below.
-        let mut build_ns = 0;
+        // build is not part of the resolve phase: its lap is dropped.
         if !entry.built {
-            let before = t_resolve.map(|t| t.elapsed());
+            phases.resolve_ns += clock.lap();
             self.build_shape_entry(query, entry);
-            build_ns = t_resolve
-                .zip(before)
-                .map_or(0, |(t, before)| (t.elapsed() - before).as_nanos() as u64);
+            clock.lap();
         }
         self.resolve_relations(query, entry, cds, memos, cond)?;
-        if let Some(t) = t_resolve {
-            phases.resolve_ns += t.elapsed().as_nanos() as u64 - build_ns;
-        }
+        phases.resolve_ns += clock.lap();
 
-        // Tier 2: every relaxation, in index order; the bound is the min.
-        let n = query.num_relations();
-        while rel_stats.len() < n {
-            rel_stats.push(RelationBoundStats::default());
+        if rel_stats.len() < n {
+            rel_stats.resize_with(n, RelationBoundStats::default);
         }
         let mut best = f64::INFINITY;
         for pe in &entry.plans {
-            #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
-            let t_assemble = timing.then(Instant::now);
-            for rel in 0..n {
-                #[expect(clippy::expect_used, reason = "resolution validated every table")]
+            for (rel, out) in rel_stats[..n].iter_mut().enumerate() {
+                let table = &query.relations[rel].table;
                 let ts = self
                     .tables
-                    .get(&query.relations[rel].table)
-                    .expect("tables validated during resolution");
-                assemble_into(
-                    ts,
-                    &self.pool,
-                    &cond[rel],
-                    &pe.join_cols[rel],
-                    &mut rel_stats[rel],
-                    cds,
-                );
+                    .get(table)
+                    .ok_or_else(|| EstimateError::UnknownTable(table.clone()))?;
+                assemble_into(ts, &self.pool, &cond[rel], &pe.join_cols[rel], out, cds);
             }
-            #[expect(clippy::disallowed_methods, reason = "opt-in PhaseBreakdown timing")]
-            let t_kernel = timing.then(Instant::now);
-            if let (Some(a), Some(b)) = (t_assemble, t_kernel) {
-                phases.assemble_ns += (b - a).as_nanos() as u64;
-            }
-            best = best.min(fdsb_with_scratch(&pe.plan, &rel_stats[..n], kernel)?);
-            if let Some(t) = t_kernel {
-                phases.kernel_ns += t.elapsed().as_nanos() as u64;
-            }
+            phases.assemble_ns += clock.lap();
+            best = best.min(step(&pe.plan, &rel_stats[..n], kernel)?);
+            phases.kernel_ns += clock.lap();
         }
-        let result = if best.is_finite() {
+        let bound = if best.is_finite() {
             best
         } else {
             // No Berge-acyclic relaxation survived (pathologically cyclic
@@ -435,60 +465,10 @@ impl StatsSnapshot {
             // bounds, which is always a sound upper bound.
             cond[..n].iter().map(|c| c.card).product()
         };
-        if lit_enabled {
-            lit_cache.insert_bound(lit_stage.bound_key(shape_key, shape_fp), result);
+        if let Some(e) = lit_fp.and_then(|fp| memos.lit.cache.claim((), fp)) {
+            e.store(key, bound);
         }
-        if timing {
-            phases.queries += 1;
-        }
-        Ok(result)
-    }
-
-    /// The per-relaxation FDSB kernel inputs for a query — exactly what
-    /// the bound evaluates (one `(plan, stats)` pair per acyclic
-    /// relaxation; the bound is their minimum, with a cross-product
-    /// fallback when the list is empty). Exposed so benchmarks and tests
-    /// can drive [`crate::bound::fdsb_with_scratch`] and
-    /// [`crate::bound::fdsb_reference`] on identical inputs. Shares the
-    /// shape-building and assembly code with the cached path.
-    pub fn bound_inputs(
-        &self,
-        query: &Query,
-    ) -> Result<Vec<(BoundPlan, Vec<RelationBoundStats>)>, EstimateError> {
-        if query.num_relations() == 0 {
-            return Ok(Vec::new());
-        }
-        let mut entry = ShapeEntry::default();
-        self.build_shape_entry(query, &mut entry);
-        let mut cds = CdsScratch::default();
-        let mut memo = Memos::default();
-        let mut cond = Vec::new();
-        self.resolve_relations(query, &entry, &mut cds, &mut memo, &mut cond)?;
-        let n = query.num_relations();
-        let mut out = Vec::with_capacity(entry.plans.len());
-        for pe in &entry.plans {
-            let mut stats = Vec::with_capacity(n);
-            #[allow(clippy::needless_range_loop)] // four parallel arrays indexed by relation
-            for rel in 0..n {
-                #[expect(clippy::expect_used, reason = "resolution validated every table")]
-                let ts = self
-                    .tables
-                    .get(&query.relations[rel].table)
-                    .expect("tables validated during resolution");
-                let mut rs = RelationBoundStats::default();
-                assemble_into(
-                    ts,
-                    &self.pool,
-                    &cond[rel],
-                    &pe.join_cols[rel],
-                    &mut rs,
-                    &mut cds,
-                );
-                stats.push(rs);
-            }
-            out.push((pe.plan.clone(), stats));
-        }
-        Ok(out)
+        Ok(bound)
     }
 }
 

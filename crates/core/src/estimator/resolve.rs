@@ -1,57 +1,69 @@
-//! The resolve phase: literal staging, the bound-cache key, and predicate
-//! resolution into per-relation conditioned sets
+//! The resolve phase: literal staging, the literal-cache key, and
+//! predicate resolution into per-relation conditioned sets
 //! ([`PhaseBreakdown::resolve_ns`](super::PhaseBreakdown::resolve_ns)).
 
 use super::session::{EqEntry, LikeEntry, Memo, Memos, PredSlots, ShapeEntry};
 use super::EstimateError;
 use crate::conditioning::{CdsScratch, CdsSet, HistogramStats, McvOutcome, NgramStats, SetOp};
-use crate::litcache::{self, ContentKey};
 use crate::pool::{CdsPool, CdsView, SetRange};
-use crate::simd::hash::fnv1a;
+use crate::simd::hash::{fnv1a, FNV_PRIME};
 use crate::stats::{FilterColumnStats, StatsSnapshot, TableStats};
 use crate::symbol::Sym;
-use safebound_query::{CmpOp, Predicate, Query};
+use safebound_query::{CmpOp, LiteralRef, Predicate, Query};
 use safebound_storage::Value;
 
-/// Per-query staging for the literal cache: the query's encoded literal
-/// stream and its fingerprint (see [`crate::litcache`]). The buffer
+/// Append the query's whole literal stream, relations in order, to `key`,
+/// which holds the query's shape key (hashed to `shape_fp`): the result is
+/// the literal cache's key ([`LitEntry`](super::session::LitEntry)).
+/// Returns its fingerprint, both halves' hashes mixed in order. The buffer
 /// retains capacity across queries, so staging is allocation-free once
 /// warm.
-#[derive(Debug, Default)]
-pub(super) struct LitStage {
-    /// The whole query's encoded literal stream, relations in order (the
-    /// bound-cache key vector).
-    full: Vec<u8>,
-    /// FNV-1a of `full`.
-    full_fp: u64,
-}
-
-impl LitStage {
-    /// The bound-cache key of the staged query: its shape key, then its
-    /// whole literal stream.
-    pub(super) fn bound_key<'a>(&'a self, shape_key: &'a [u8], shape_fp: u64) -> ContentKey<'a> {
-        ContentKey {
-            scope: shape_key,
-            scope_fp: shape_fp,
-            lits: &self.full,
-            lits_fp: self.full_fp,
-        }
-    }
-}
-
-/// Encode the query's whole literal stream (the bound-cache key) into the
-/// session staging buffer: one encoding pass and one FNV fold.
-pub(super) fn stage_literals(query: &Query, stage: &mut LitStage) {
-    stage.full.clear();
+pub(super) fn stage_literals(query: &Query, key: &mut Vec<u8>, shape_fp: u64) -> u64 {
+    let shape_len = key.len();
     for rel in 0..query.num_relations() {
         if let Some(p) = query.predicate_of(rel) {
             p.visit_literals(&mut |lit| {
-                litcache::encode_literal(lit, &mut stage.full);
+                encode_literal(lit, key);
                 true
             });
         }
     }
-    stage.full_fp = fnv1a(&stage.full);
+    fp_mix(shape_fp.wrapping_mul(FNV_PRIME), fnv1a(&key[shape_len..]))
+}
+
+/// Append one literal's stable encoding: a type tag, then a fixed-width or
+/// length-prefixed payload, so a concatenated stream parses unambiguously
+/// (verification is a byte compare). Integral floats encode like the
+/// corresponding integer, consistent with `Value::eq`.
+fn encode_literal(lit: LiteralRef<'_>, out: &mut Vec<u8>) {
+    match lit {
+        LiteralRef::Value(v) => match (v.normalized_int(), v) {
+            (Some(i), _) => {
+                out.push(1);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            (None, Value::Null) => out.push(0),
+            (None, Value::Float(f)) => {
+                out.push(2);
+                out.extend_from_slice(&f.to_bits().to_le_bytes());
+            }
+            (None, Value::Str(s)) => {
+                out.push(3);
+                out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+                out.extend_from_slice(s.as_bytes());
+            }
+            (None, Value::Int(_)) => unreachable!("integers always normalize"),
+        },
+        LiteralRef::Text(s) => {
+            out.push(4);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+        LiteralRef::Arity(n) => {
+            out.push(5);
+            out.extend_from_slice(&(n as u32).to_le_bytes());
+        }
+    }
 }
 
 /// How one predicate (sub)tree resolved: not at all, into the caller's
@@ -99,14 +111,13 @@ impl RelCond {
 /// Word-level FNV mix step shared by the memo fingerprints.
 #[inline]
 fn fp_mix(h: u64, w: u64) -> u64 {
-    use crate::simd::hash::FNV_PRIME;
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
 /// Fingerprint of a single literal (equality memo key material): a tag
 /// and a payload word, honoring the [`Value::normalized_int`]
 /// normalization (an integer and the float it normalizes from fingerprint
-/// equally, exactly like [`litcache::encode_literal`]'s byte encoding —
+/// equally, exactly like [`encode_literal`]'s byte encoding —
 /// the tags below mirror its). Strings fold their bytes through serial
 /// FNV first, so the hot numeric literals never touch a byte buffer. Memo
 /// fingerprints are session-internal: collisions are verified by `Value`
@@ -207,7 +218,7 @@ fn apply_compiled(
     rc: &mut RelCond,
 ) {
     let stats_at = |s| ts.filter_at(s);
-    let memo_sym = Some(ts.table_sym);
+    let sym = ts.table_sym;
     if !rc.has_cond {
         // First resolution writes the slot directly: every leaf resolver
         // overwrites `out` before reading it, so no staging set (and no
@@ -216,16 +227,7 @@ fn apply_compiled(
         // its range — the copy-free steady state. On failure the slot
         // may hold stale entries — `has_cond` stays false, which gates
         // every read.
-        match resolve_slots(
-            &stats_at,
-            pool,
-            memo_sym,
-            slots,
-            pred,
-            cds,
-            memo,
-            &mut rc.set,
-        ) {
+        match resolve_slots(&stats_at, pool, sym, slots, pred, cds, memo, &mut rc.set) {
             Resolved::None => {}
             Resolved::Owned => {
                 rc.resident = None;
@@ -239,7 +241,7 @@ fn apply_compiled(
         return;
     }
     let mut tmp = cds.take_set();
-    let r = resolve_slots(&stats_at, pool, memo_sym, slots, pred, cds, memo, &mut tmp);
+    let r = resolve_slots(&stats_at, pool, sym, slots, pred, cds, memo, &mut tmp);
     if !matches!(r, Resolved::None) {
         // A second conditioning arrived: materialize a resident first
         // result, then fold pointwise. The values are identical to the
@@ -257,8 +259,8 @@ fn apply_compiled(
     cds.put_set(tmp);
 }
 
-/// MCV equality lookup, memoized when `memo_sym` names the owning table:
-/// hot literals skip the Bloom/exact probe entirely, and answers a single
+/// MCV equality lookup, memoized under the owning table's `sym`: hot
+/// literals skip the Bloom/exact probe entirely, and answers a single
 /// stored set dominates (the default set, or one candidate group — the
 /// common case) are served as that resident set — no copy at all. Only
 /// multi-group max-envelopes are materialized (and memoized) as owned
@@ -268,10 +270,10 @@ fn memo_eq(
     fs: &FilterColumnStats,
     pool: &CdsPool,
     slot: u32,
-    memo_sym: Option<Sym>,
+    sym: Sym,
     v: &Value,
     scratch: &mut CdsScratch,
-    memo: &mut Memo<EqEntry>,
+    memo: &mut Memo<(Sym, u32), EqEntry>,
     out: &mut CdsSet,
 ) -> Resolved {
     let mcv = &fs.mcv;
@@ -279,11 +281,8 @@ fn memo_eq(
         McvOutcome::Resident(r) => Resolved::Resident(r),
         McvOutcome::Owned => Resolved::Owned,
     };
-    let Some(sym) = memo_sym else {
-        return serve(mcv.lookup_eq_outcome(pool, v, scratch, out));
-    };
     let fp = value_fp(v);
-    if let Some(e) = memo.lookup(sym, slot, fp, |e| e.value == *v) {
+    if let Some(e) = memo.lookup((sym, slot), fp, |e| e.value == *v) {
         if e.outcome == McvOutcome::Owned {
             scratch.copy_set(e.set.view(), out);
         }
@@ -313,8 +312,8 @@ fn resolve_range(hist: &HistogramStats, lo: &Value, hi: &Value) -> Resolved {
     }
 }
 
-/// N-gram LIKE lookup into `out`, memoized when `memo_sym` names the
-/// owning table: a hot pattern copies its memoized set through the arena
+/// N-gram LIKE lookup into `out`, memoized under the owning table's `sym`:
+/// a hot pattern copies its memoized set through the arena
 /// (or replays the no-gram outcome). Returns whether the pattern matched,
 /// i.e. whether `out` holds a resolution.
 #[allow(clippy::too_many_arguments)]
@@ -322,17 +321,14 @@ fn memo_like(
     ng: &NgramStats,
     pool: &CdsPool,
     slot: u32,
-    memo_sym: Option<Sym>,
+    sym: Sym,
     pattern: &str,
     scratch: &mut CdsScratch,
-    memo: &mut Memo<LikeEntry>,
+    memo: &mut Memo<(Sym, u32), LikeEntry>,
     out: &mut CdsSet,
 ) -> bool {
-    let Some(sym) = memo_sym else {
-        return ng.lookup_like_into(pool, pattern, scratch, out);
-    };
     let fp = fnv1a(pattern.as_bytes());
-    if let Some(e) = memo.lookup(sym, slot, fp, |e| e.pattern == pattern) {
+    if let Some(e) = memo.lookup((sym, slot), fp, |e| e.pattern == pattern) {
         if e.matched {
             scratch.copy_set(e.set.view(), out);
         }
@@ -358,9 +354,8 @@ fn memo_like(
 /// The slot tree mirrors the predicate's structure (guaranteed by the
 /// shape cache), so every leaf addresses its [`FilterColumnStats`]
 /// through `stats_at` by dense index — no string lookups — and reads its
-/// resident sets out of `pool`. Literals go through the memos when
-/// `memo_sym` identifies the owning table (`None` disables memoization
-/// for one-shot resolution).
+/// resident sets out of `pool`. Literals go through the memos, owner-keyed
+/// by the owning table's `sym`.
 ///
 /// A single leaf that resolves to one resident set returns its range as
 /// [`Resolved::Resident`] — zero copies. Only combining nodes
@@ -371,7 +366,7 @@ fn memo_like(
 fn resolve_slots<'a>(
     stats_at: &impl Fn(u32) -> &'a FilterColumnStats,
     pool: &CdsPool,
-    memo_sym: Option<Sym>,
+    sym: Sym,
     slots: &PredSlots,
     pred: &Predicate,
     scratch: &mut CdsScratch,
@@ -405,7 +400,7 @@ fn resolve_slots<'a>(
                 stats_at(slot),
                 pool,
                 slot,
-                memo_sym,
+                sym,
                 v,
                 scratch,
                 &mut memo.eq,
@@ -466,16 +461,7 @@ fn resolve_slots<'a>(
             let Some(ng) = stats_at(slot).ngrams.as_ref() else {
                 return Resolved::None;
             };
-            if memo_like(
-                ng,
-                pool,
-                slot,
-                memo_sym,
-                pattern,
-                scratch,
-                &mut memo.like,
-                out,
-            ) {
+            if memo_like(ng, pool, slot, sym, pattern, scratch, &mut memo.like, out) {
                 Resolved::Owned
             } else {
                 Resolved::None
@@ -498,12 +484,12 @@ fn resolve_slots<'a>(
                     continue;
                 }
                 if matches!(state, Resolved::None) {
-                    state = memo_eq(fs, pool, slot, memo_sym, v, scratch, &mut memo.eq, out);
+                    state = memo_eq(fs, pool, slot, sym, v, scratch, &mut memo.eq, out);
                     continue;
                 }
                 // A second distinct literal: materialize a resident first
                 // answer, then accumulate into `out`.
-                let r = memo_eq(fs, pool, slot, memo_sym, v, scratch, &mut memo.eq, &mut tmp);
+                let r = memo_eq(fs, pool, slot, sym, v, scratch, &mut memo.eq, &mut tmp);
                 fold(&mut state, r, &tmp, SetOp::Sum, scratch, out);
             }
             scratch.put_set(tmp);
@@ -515,10 +501,10 @@ fn resolve_slots<'a>(
             let mut state = Resolved::None;
             for (p, s) in ps.iter().zip(ss) {
                 if matches!(state, Resolved::None) {
-                    state = resolve_slots(stats_at, pool, memo_sym, s, p, scratch, memo, out);
+                    state = resolve_slots(stats_at, pool, sym, s, p, scratch, memo, out);
                     continue;
                 }
-                let r = resolve_slots(stats_at, pool, memo_sym, s, p, scratch, memo, &mut tmp);
+                let r = resolve_slots(stats_at, pool, sym, s, p, scratch, memo, &mut tmp);
                 if !matches!(r, Resolved::None) {
                     fold(&mut state, r, &tmp, SetOp::Min, scratch, out);
                 }
@@ -537,7 +523,7 @@ fn resolve_slots<'a>(
                 } else {
                     &mut tmp
                 };
-                let r = resolve_slots(stats_at, pool, memo_sym, s, p, scratch, memo, into);
+                let r = resolve_slots(stats_at, pool, sym, s, p, scratch, memo, into);
                 if matches!(r, Resolved::None) {
                     ok = false;
                     break;
@@ -558,6 +544,111 @@ fn resolve_slots<'a>(
         _ => {
             debug_assert!(false, "predicate/slot shape mismatch");
             Resolved::None
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn encoding_is_injective_across_kinds() {
+        let mut a = Vec::new();
+        let mut b = Vec::new();
+        encode_literal(LiteralRef::Value(&Value::Int(3)), &mut a);
+        encode_literal(LiteralRef::Value(&Value::Float(3.0)), &mut b);
+        assert_eq!(a, b, "integral floats encode like ints (Value::eq)");
+        b.clear();
+        encode_literal(LiteralRef::Value(&Value::Float(3.5)), &mut b);
+        assert_ne!(a, b);
+        a.clear();
+        b.clear();
+        encode_literal(LiteralRef::Text("ab"), &mut a);
+        encode_literal(LiteralRef::Value(&Value::Str("ab".into())), &mut b);
+        assert_ne!(a, b, "LIKE pattern and string literal must not alias");
+        assert_ne!(fnv1a(&a), fnv1a(&b));
+        // -0.0 is unequal to 0 under Value's total order (`-0.0 < 0.0`),
+        // so it must not share 0's encoding — otherwise a byte-verified
+        // hit could serve `> 0`'s bound for `> -0.0`.
+        a.clear();
+        b.clear();
+        encode_literal(LiteralRef::Value(&Value::Float(-0.0)), &mut a);
+        encode_literal(LiteralRef::Value(&Value::Int(0)), &mut b);
+        assert_ne!(a, b, "negative zero must not alias integer zero");
+    }
+
+    /// `Value`'s laws on the values where a widening comparison breaks:
+    /// ±2^53 ± k, ±2^63, `i64::MIN`/`MAX`, ±0.0, subnormals, ±∞ and NaN,
+    /// each as an `Int` and as a `Float` where it is one. `Ord` is
+    /// antisymmetric and transitive, and `a == b` exactly when their
+    /// literal encodings are equal, which then implies equal hashes.
+    #[test]
+    fn value_order_hash_and_encoding_agree() {
+        use std::cmp::Ordering;
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut vals = vec![
+            Value::Null,
+            Value::Str(String::new()),
+            Value::Str("a".into()),
+        ];
+        let two53 = 1i64 << 53;
+        for base in [two53, -two53, 0, 1 << 62, -(1 << 62)] {
+            for k in -3..=3 {
+                vals.push(Value::Int(base + k));
+                vals.push(Value::Float((base + k) as f64));
+                vals.push(Value::Float((base + k) as f64 + 0.5));
+            }
+        }
+        for f in [
+            9_223_372_036_854_775_808.0,  // 2^63
+            -9_223_372_036_854_775_808.0, // -2^63 = i64::MIN
+            9_223_372_036_854_774_784.0,  // the float just below 2^63
+            -9_223_372_036_854_777_856.0, // the float just below -2^63
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            vals.push(Value::Float(f));
+        }
+        for i in [i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX] {
+            vals.push(Value::Int(i));
+        }
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            v.hash(&mut h);
+            h.finish()
+        };
+        let enc = |v: &Value| {
+            let mut out = Vec::new();
+            encode_literal(LiteralRef::Value(v), &mut out);
+            out
+        };
+        for a in &vals {
+            for b in &vals {
+                let ab = a.cmp(b);
+                assert_eq!(ab, b.cmp(a).reverse(), "antisymmetry: {a:?} vs {b:?}");
+                assert_eq!(ab == Ordering::Equal, enc(a) == enc(b), "{a:?} vs {b:?}");
+                if ab == Ordering::Equal {
+                    assert_eq!(hash(a), hash(b), "{a:?} == {b:?}");
+                    assert_eq!(a.normalized_int(), b.normalized_int(), "{a:?} == {b:?}");
+                }
+                for c in &vals {
+                    if ab != Ordering::Greater && b.cmp(c) != Ordering::Greater {
+                        let ac = a.cmp(c);
+                        assert_ne!(ac, Ordering::Greater, "{a:?} ≤ {b:?} ≤ {c:?}");
+                        if ab == Ordering::Less || b.cmp(c) == Ordering::Less {
+                            assert_eq!(ac, Ordering::Less, "{a:?} ≤ {b:?} ≤ {c:?}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -1,14 +1,13 @@
-//! Per-worker session state: the shape cache with everything memoized per
-//! query shape, the resolve memos, the counters, and [`BoundSession`]
-//! itself. Literal-independent; built at most once per claimed shape slot
-//! — into the slot the shape cache's clock recycled, when the first bound
-//! has to be computed under it — and reused per query.
+//! A bound session's state: the shape cache with everything memoized per
+//! query shape (literal-independent; built at most once per claimed shape
+//! slot — into the slot the shape cache's clock recycled, when the first
+//! bound has to be computed under it — and reused per query), the literal
+//! cache and the resolve memos, the counters, and [`BoundSession`] itself.
 
-use super::resolve::{LitStage, RelCond};
+use super::resolve::RelCond;
 use crate::bound::{BoundScratch, RelationBoundStats};
 use crate::clock_cache::ClockCache;
 use crate::conditioning::{CdsScratch, CdsSet, McvOutcome};
-use crate::litcache::LitCache;
 use crate::stats::{StatsSnapshot, TableStats};
 use crate::symbol::Sym;
 use safebound_query::{for_each_spanning_forest, BoundPlan, ColId, JoinGraph, Predicate, Query};
@@ -30,8 +29,8 @@ const MAX_EQ_MEMO_VALUES: usize = 4096;
 const MAX_LIKE_MEMO_VALUES: usize = 1024;
 
 /// Default capacity of the per-session literal cache (whole-query bound
-/// entries; see [`crate::litcache`]). Clock-evicted at capacity, like the
-/// memos, and the same cap as the scalar memos.
+/// entries; see [`LitEntry`]). Clock-evicted at capacity, like the memos,
+/// and the same cap as the equality memo.
 const MAX_LIT_ENTRIES: usize = 4096;
 
 /// Everything memoized for one query shape: the surviving acyclic
@@ -134,20 +133,20 @@ pub(super) fn compile_slots(
     }
 }
 
-/// One resolve-phase memo: a [`ClockCache`] owner-keyed by `(table
-/// symbol, filter slot)` plus its hit/miss tallies. A hit skips the
-/// lookup machinery entirely; at capacity the clock recycles a cold
-/// entry, so literals that turn hot late still enter — the memo never
-/// freezes. Flushed whenever the session attaches to a different
-/// statistics build.
+/// One session memo: a [`ClockCache`] plus its hit/miss tallies. The
+/// resolve memos are owner-keyed by `(table symbol, filter slot)`, the
+/// literal cache by `()`. A hit skips the work it memoizes entirely; at
+/// capacity the clock recycles a cold entry, so entries that turn hot
+/// late still enter — the memo never freezes. Flushed whenever the
+/// session attaches to a different statistics build.
 #[derive(Debug)]
-pub(super) struct Memo<V> {
-    pub(super) cache: ClockCache<(Sym, u32), V>,
+pub(super) struct Memo<O, V> {
+    pub(super) cache: ClockCache<O, V>,
     hits: u64,
     misses: u64,
 }
 
-impl<V: Default> Memo<V> {
+impl<O: Copy + Eq + std::hash::Hash, V: Default> Memo<O, V> {
     fn with_capacity(capacity: usize) -> Self {
         Memo {
             cache: ClockCache::with_capacity(capacity),
@@ -156,23 +155,51 @@ impl<V: Default> Memo<V> {
         }
     }
 
-    /// The memoized entry under `(sym, slot, fp)` whose stored literal
-    /// `verify` accepts (see [`ClockCache::get`]), tallying the outcome.
-    /// Every miss is followed by the real lookup and a
-    /// [`ClockCache::claim`] of the slot to memoize it in.
+    /// The memoized entry under `(owner, fp)` whose stored key `verify`
+    /// accepts (see [`ClockCache::get`]), tallying the outcome. Every miss
+    /// is followed by the real work and a [`ClockCache::claim`] of the
+    /// slot to memoize it in.
     pub(super) fn lookup(
         &mut self,
-        sym: Sym,
-        slot: u32,
+        owner: O,
         fp: u64,
         verify: impl FnOnce(&V) -> bool,
     ) -> Option<&V> {
-        let hit = self.cache.get((sym, slot), fp, verify);
+        let hit = self.cache.get(owner, fp, verify);
         match hit {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
         hit
+    }
+}
+
+/// A memoized whole-query bound: the **literal cache**'s entry. Its key is
+/// the query's content — its shape key followed by its encoded literal
+/// stream ([`super::resolve::stage_literals`]) — never an id of the shape
+/// slot that computed it, so an entry outlives its shape's eviction. No
+/// shape key is a proper prefix of another, so the concatenation is as
+/// injective as the pair. Every hit compares the stored bytes with the
+/// probe before serving, so a fingerprint collision costs a miss, never a
+/// wrong bound.
+#[derive(Debug, Default)]
+pub(super) struct LitEntry {
+    /// The key this entry answers. Capacity is retained when the clock
+    /// recycles the slot.
+    pub(super) bytes: Vec<u8>,
+    /// The final bound.
+    pub(super) bound: f64,
+}
+
+impl LitEntry {
+    /// Overwrite a claimed slot. The key buffer grows to a power of two,
+    /// so once a slot has held a key of each size class in the traffic it
+    /// never grows again, however the clock deals keys to slots.
+    pub(super) fn store(&mut self, key: &[u8], bound: f64) {
+        self.bytes.clear();
+        self.bytes.reserve(key.len().next_power_of_two());
+        self.bytes.extend_from_slice(key);
+        self.bound = bound;
     }
 }
 
@@ -202,31 +229,29 @@ pub(super) struct LikeEntry {
     pub(super) set: CdsSet,
 }
 
-/// The session's two resolve-phase memos (equality and LIKE), threaded
-/// through the resolver as one bundle and flushed together on
-/// [`BoundSession::attach`].
+/// The session's memos — the literal cache and the equality and LIKE
+/// resolve memos — threaded through the engine as one bundle and flushed
+/// together on [`BoundSession::attach`].
 #[derive(Debug)]
 pub(super) struct Memos {
-    pub(super) eq: Memo<EqEntry>,
-    pub(super) like: Memo<LikeEntry>,
+    pub(super) lit: Memo<(), LitEntry>,
+    pub(super) eq: Memo<(Sym, u32), EqEntry>,
+    pub(super) like: Memo<(Sym, u32), LikeEntry>,
 }
 
 impl Default for Memos {
     fn default() -> Self {
-        Memos::with_capacities(MAX_EQ_MEMO_VALUES, MAX_LIKE_MEMO_VALUES)
+        Memos {
+            lit: Memo::with_capacity(MAX_LIT_ENTRIES),
+            eq: Memo::with_capacity(MAX_EQ_MEMO_VALUES),
+            like: Memo::with_capacity(MAX_LIKE_MEMO_VALUES),
+        }
     }
 }
 
 impl Memos {
-    /// Per-kind capacities (0 disables that memo).
-    fn with_capacities(eq: usize, like: usize) -> Self {
-        Memos {
-            eq: Memo::with_capacity(eq),
-            like: Memo::with_capacity(like),
-        }
-    }
-
     fn clear(&mut self) {
+        self.lit.cache.clear();
         self.eq.cache.clear();
         self.like.cache.clear();
     }
@@ -253,7 +278,8 @@ macro_rules! session_counters {
         }
 
         impl SessionStats {
-            /// Field-wise accumulate (aggregating a worker pool's sessions).
+            /// Field-wise accumulate (aggregating several sessions, e.g.
+            /// one per serving shard).
             pub fn merge(&mut self, other: &SessionStats) {
                 $(self.$name += other.$name;)*
             }
@@ -284,16 +310,16 @@ session_counters! { s;
     shape_evictions = s.shapes.evictions(),
     /// Whole-query literal repeats served straight from the bound cache
     /// (no resolution, no assembly, no kernel).
-    lit_bound_hits = s.lit_cache.bound_hits,
+    lit_bound_hits = s.memos.lit.hits,
     /// Whole-query literal vectors that had to be computed.
-    lit_bound_misses = s.lit_cache.bound_misses,
+    lit_bound_misses = s.memos.lit.misses,
     /// Frozen at 0: the literal cache holds whole-query bounds only. The
     /// key keeps its `STATS` position so existing parsers stay valid.
     lit_cond_hits = 0,
     /// Frozen at 0, like `lit_cond_hits`.
     lit_cond_misses = 0,
     /// Literal-cache (bound) entries recycled by its clock.
-    lit_evictions = s.lit_cache.evictions(),
+    lit_evictions = s.memos.lit.cache.evictions(),
     /// Hot-literal MCV memo hits.
     eq_memo_hits = s.memos.eq.hits,
     /// MCV lookups that went to the Bloom/group machinery.
@@ -336,13 +362,13 @@ pub struct PhaseBreakdown {
     pub queries: u64,
 }
 
-/// Reusable per-thread (per-worker) state for the online path: the
-/// query-shape plan/relaxation cache, the resolve memos, the **literal
-/// cache** (whole-query bounds, see the crate's `litcache` module), and every arena
-/// the online path writes into ([`BoundScratch`] for the kernel,
-/// [`CdsScratch`] for predicate resolution and assembly, pooled
-/// per-relation stats). Hold one per serving thread; a warm session
-/// allocates nothing per query on the cached path.
+/// Reusable state for the online path: the query-shape plan/relaxation
+/// cache, the **literal cache** (whole-query bounds, see
+/// [`crate::estimator`]), the resolve memos, and every arena the online
+/// path writes into ([`BoundScratch`] for the kernel, [`CdsScratch`] for
+/// predicate resolution and assembly, pooled per-relation stats). A
+/// session serves one caller at a time; a warm session allocates nothing
+/// per query on the cached path.
 ///
 /// A session also pins the [`StatsSnapshot`] it last served from, so a
 /// concurrent [`SafeBound::swap_stats`] never invalidates statistics
@@ -357,11 +383,10 @@ pub struct BoundSession {
     /// The shape cache, keyed by [`Query::shape_hash`] alone.
     pub(super) shapes: ClockCache<(), ShapeEntry>,
     /// The current query's shape key, staged once and compared against
-    /// [`ShapeEntry::key`] and the literal cache's bound entries.
-    pub(super) shape_key: Vec<u8>,
+    /// [`ShapeEntry::key`], then — when the literal cache is on — its
+    /// literal stream: together the key of a [`LitEntry`].
+    pub(super) key: Vec<u8>,
     pub(super) memos: Memos,
-    pub(super) lit_cache: LitCache,
-    pub(super) lit_stage: LitStage,
     pub(super) kernel: BoundScratch,
     pub(super) cds: CdsScratch,
     pub(super) rel_stats: Vec<RelationBoundStats>,
@@ -394,10 +419,8 @@ impl BoundSession {
         BoundSession {
             snapshot: None,
             shapes: ClockCache::with_capacity(capacity.max(1)),
-            shape_key: Vec::new(),
+            key: Vec::new(),
             memos: Memos::default(),
-            lit_cache: LitCache::with_capacity(MAX_LIT_ENTRIES),
-            lit_stage: LitStage::default(),
             kernel: BoundScratch::default(),
             cds: CdsScratch::default(),
             rel_stats: Vec::new(),
@@ -426,7 +449,8 @@ impl BoundSession {
     /// disabling the LIKE memo. Existing memoized entries are discarded;
     /// intended for tests and tuning.
     pub fn with_memo_capacities(mut self, eq: usize, like: usize) -> Self {
-        self.memos = Memos::with_capacities(eq, like);
+        self.memos.eq = Memo::with_capacity(eq);
+        self.memos.like = Memo::with_capacity(like);
         self
     }
 
@@ -434,7 +458,7 @@ impl BoundSession {
     /// entries; 0 disables literal caching — every query resolves and
     /// assembles as if each literal vector were fresh).
     pub fn with_literal_capacity(mut self, capacity: usize) -> Self {
-        self.lit_cache = LitCache::with_capacity(capacity);
+        self.memos.lit = Memo::with_capacity(capacity);
         self
     }
 
@@ -454,7 +478,6 @@ impl BoundSession {
     pub(super) fn attach(&mut self, snap: &Arc<StatsSnapshot>) {
         self.shapes.clear();
         self.memos.clear();
-        self.lit_cache.clear();
         self.snapshot = Some(snap.clone());
     }
 }
@@ -560,5 +583,55 @@ impl StatsSnapshot {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lookup(c: &mut Memo<(), LitEntry>, fp: u64, key: &[u8]) -> Option<f64> {
+        c.lookup((), fp, |e| e.bytes == key).map(|e| e.bound)
+    }
+
+    fn insert(c: &mut Memo<(), LitEntry>, fp: u64, key: &[u8], bound: f64) {
+        if let Some(e) = c.cache.claim((), fp) {
+            e.store(key, bound);
+        }
+    }
+
+    #[test]
+    fn literal_cache_roundtrip_and_collision_verification() {
+        let mut c = Memo::with_capacity(4);
+        assert!(lookup(&mut c, 7, b"shape\x01\x01").is_none());
+        insert(&mut c, 7, b"shape\x01\x01", 42.0);
+        assert_eq!(lookup(&mut c, 7, b"shape\x01\x01"), Some(42.0));
+        // Same fingerprint, different bytes in either half: a collision
+        // must miss.
+        assert_eq!(lookup(&mut c, 7, b"shape\x02\x02"), None);
+        assert_eq!(lookup(&mut c, 7, b"shapf\x01\x01"), None);
+        assert_eq!((c.hits, c.misses), (1, 3));
+    }
+
+    #[test]
+    fn a_disabled_literal_cache_never_stores() {
+        let mut off = Memo::with_capacity(0);
+        insert(&mut off, 5, b"same", 1.0);
+        assert!(!off.cache.enabled());
+        assert_eq!(lookup(&mut off, 5, b"same"), None);
+    }
+
+    #[test]
+    fn a_recycled_literal_slot_is_fully_overwritten() {
+        // Capacity 1: every insert recycles the one slot. Nothing of the
+        // previous entry may leak into the next, even when the new key is
+        // a prefix of the old one's bytes.
+        let mut c = Memo::with_capacity(1);
+        insert(&mut c, 1, b"shape\x01\x02", 3.0);
+        assert_eq!(lookup(&mut c, 1, b"shape\x01\x02"), Some(3.0));
+        insert(&mut c, 2, b"shape\x01", 7.0);
+        assert_eq!(lookup(&mut c, 2, b"shape\x01"), Some(7.0));
+        assert!(lookup(&mut c, 1, b"shape\x01\x02").is_none());
+        assert_eq!(c.cache.evictions(), 1);
     }
 }

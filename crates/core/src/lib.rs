@@ -28,7 +28,8 @@
 //! [`swap_stats`](estimator::SafeBound::swap_stats) hot swap for
 //! background rebuilds. Each serving thread holds its own
 //! [`BoundSession`] (shape cache + arenas); the
-//! `safebound-serve` crate assembles these into a sharded worker pool.
+//! `safebound-serve` crate keeps one per shard and lends it to the
+//! thread that asks for a bound.
 //!
 //! ```
 //! use safebound_core::{SafeBound, SafeBoundConfig};
@@ -56,8 +57,9 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-// Clocks and threads only in `parallel`, `stats` and `incremental`;
-// session-hot maps are `FastMap` (clippy.toml).
+// Clocks and threads only in `parallel`, `stats` and `incremental`, plus
+// the estimator's opt-in phase clock; session-hot maps are `FastMap`
+// (clippy.toml).
 #![deny(clippy::disallowed_methods)]
 
 pub mod bloom;
@@ -70,7 +72,6 @@ pub mod config;
 pub mod degree_sequence;
 pub mod estimator;
 pub mod incremental;
-mod litcache;
 pub mod parallel;
 pub mod partial;
 pub mod piecewise;

@@ -42,7 +42,8 @@
 //! `O(K·m·log K)`) are retained in [`reference`](mod@reference) as the oracle for
 //! property tests.
 
-// Per-query serving path: a panic here kills a worker mid-batch.
+// Per-query serving path: a panic here would answer `ERR internal` and
+// cost the serving layer a rebuilt session.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
 

@@ -13,7 +13,8 @@
 //! run or an owned [`CdsSet`]'s entries, so the online phase's combining
 //! ops take a resident set and a session's scratch set alike.
 
-// Per-query serving path: a panic here kills a worker mid-batch.
+// Per-query serving path: a panic here would answer `ERR internal` and
+// cost the serving layer a rebuilt session.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
 

@@ -7,7 +7,8 @@
 //! padding and association order; those decide the bits of every bound,
 //! so they change only together with a re-audit of the callers.
 
-// Kernel primitives, submodules included: a panic kills a worker mid-batch.
+// Kernel primitives, submodules included: a panic would answer
+// `ERR internal` and cost the serving layer a rebuilt session.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
 

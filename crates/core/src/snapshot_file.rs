@@ -1190,17 +1190,19 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+/// Every step consults the hooks with `path`, the target the caller
+/// named, so a hook installed on the save path sees the whole save.
 fn write_tmp_and_rename(path: &Path, tmp: &Path, bytes: &[u8]) -> Result<(), SnapshotFileError> {
     let mut file = std::fs::File::create(tmp)?;
-    fio::write_all(&mut file, tmp, bytes)?;
-    fio::sync_file(&file, tmp)?;
+    fio::write_all(&mut file, path, bytes)?;
+    fio::sync_file(&file, path)?;
     drop(file);
     fio::rename(tmp, path)?;
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
     };
-    fio::sync_dir(parent)?;
+    fio::sync_dir(parent, path)?;
     Ok(())
 }
 
@@ -1233,6 +1235,7 @@ pub mod hooks {
     use std::sync::{Arc, Mutex, PoisonError};
 
     /// The file operation the snapshot I/O layer is about to perform.
+    /// Every step of a save is consulted with the save's target path.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum FileOp {
         /// Whole-file read on the load path.
@@ -1346,6 +1349,7 @@ mod fio {
         std::fs::read(path)
     }
 
+    /// Write the tmp file of the save targeting `path`.
     pub(super) fn write_all(
         file: &mut std::fs::File,
         path: &Path,
@@ -1370,6 +1374,7 @@ mod fio {
         file.write_all(bytes)
     }
 
+    /// Fsync the tmp file of the save targeting `path`.
     pub(super) fn sync_file(file: &std::fs::File, path: &Path) -> std::io::Result<()> {
         if let FileFault::Error(kind) = consult(FileOp::SyncFile, path) {
             return Err(std::io::Error::new(kind, "injected fsync fault"));
@@ -1384,8 +1389,9 @@ mod fio {
         std::fs::rename(from, to)
     }
 
-    pub(super) fn sync_dir(dir: &Path) -> std::io::Result<()> {
-        if let FileFault::Error(kind) = consult(FileOp::SyncDir, dir) {
+    /// Fsync `dir`, the parent of the save targeting `path`.
+    pub(super) fn sync_dir(dir: &Path, path: &Path) -> std::io::Result<()> {
+        if let FileFault::Error(kind) = consult(FileOp::SyncDir, path) {
             return Err(std::io::Error::new(kind, "injected directory fsync fault"));
         }
         // Make the rename durable: fsync the directory entry. Directory
@@ -1895,5 +1901,35 @@ mod tests {
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[test]
+    fn a_hook_on_the_save_path_sees_every_step_of_the_save() {
+        use hooks::{FileFault, FileOp};
+        use std::sync::{Arc, Mutex};
+        let snap = snapshot();
+        let path = temp_file("hooked_save");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        {
+            let seen = seen.clone();
+            let _guard = hooks::install(path.clone(), move |op, p| {
+                seen.lock().expect("lock").push((op, p.to_path_buf()));
+                FileFault::None
+            });
+            save_snapshot(&path, &snap).expect("save");
+        }
+        let seen = seen.lock().expect("lock").clone();
+        let ops: Vec<FileOp> = seen.iter().map(|(op, _)| *op).collect();
+        assert_eq!(
+            ops,
+            [
+                FileOp::Write,
+                FileOp::SyncFile,
+                FileOp::Rename,
+                FileOp::SyncDir
+            ]
+        );
+        assert!(seen.iter().all(|(_, p)| *p == path), "{seen:?}");
+        let _ = std::fs::remove_file(&path);
     }
 }

@@ -4,7 +4,8 @@
 //! The contract under test: a [`StatsSnapshot`] is immutable and shared
 //! read-only behind an `Arc`; every mutable byte of the online path lives
 //! in a per-thread [`BoundSession`]. Therefore N threads hammering one
-//! snapshot must produce exactly (to the bit) the f64 bounds the
+//! snapshot, each through its own clone of one [`SafeBound`] handle, must
+//! produce exactly (to the bit) the f64 bounds the
 //! single-threaded estimator produces — any divergence means shared
 //! mutable state leaked into the snapshot. [`SafeBound::swap_stats`] must
 //! preserve the same guarantee: after a swap every thread converges on
@@ -15,7 +16,7 @@
 use safebound_core::{BoundSession, SafeBound, SafeBoundBuilder, SafeBoundConfig, StatsSnapshot};
 use safebound_query::{parse_sql, Query};
 use safebound_storage::{Catalog, Column, DataType, Field, Schema, Table};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 
 /// Fact/dimension catalog exercising equality, range, IN, and propagated
 /// predicates plus a cyclic self-join (spanning-tree path).
@@ -90,12 +91,14 @@ fn workload() -> Vec<Query> {
     qs
 }
 
-/// Single-threaded reference bits for a snapshot.
-fn reference_bits(snap: &Arc<StatsSnapshot>, queries: &[Query]) -> Vec<u64> {
+/// Single-threaded reference bits for a snapshot, through a handle of
+/// its own.
+fn reference_bits(snap: &StatsSnapshot, queries: &[Query]) -> Vec<u64> {
+    let sb = SafeBound::from_stats(snap.clone());
     let mut session = BoundSession::default();
     queries
         .iter()
-        .map(|q| snap.bound_with_session(q, &mut session).unwrap().to_bits())
+        .map(|q| sb.bound_with_session(q, &mut session).unwrap().to_bits())
         .collect()
 }
 
@@ -104,19 +107,20 @@ const THREADS: usize = 4;
 #[test]
 fn four_threads_sharing_one_snapshot_match_single_thread_bitwise() {
     let cat = catalog();
-    let snap = Arc::new(SafeBoundBuilder::new(SafeBoundConfig::test_small()).build(&cat));
+    let snap = SafeBoundBuilder::new(SafeBoundConfig::test_small()).build(&cat);
     let queries = workload();
     let expect = reference_bits(&snap, &queries);
+    let sb = SafeBound::from_stats(snap);
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
-            let snap = snap.clone();
+            let sb = sb.clone();
             let (queries, expect) = (&queries, &expect);
             scope.spawn(move || {
                 let mut session = BoundSession::default();
                 for round in 0..5 {
                     for (i, q) in queries.iter().enumerate() {
-                        let got = snap.bound_with_session(q, &mut session).unwrap();
+                        let got = sb.bound_with_session(q, &mut session).unwrap();
                         assert_eq!(
                             got.to_bits(),
                             expect[i],
@@ -148,8 +152,7 @@ fn hot_swap_mid_run_converges_to_new_build_bitwise() {
     let queries = workload();
 
     let expect_a = reference_bits(&sb.snapshot(), &queries);
-    let snap_b = Arc::new(build_b.clone());
-    let expect_b = reference_bits(&snap_b, &queries);
+    let expect_b = reference_bits(&build_b, &queries);
     assert_ne!(
         expect_a, expect_b,
         "builds must differ for the test to bite"
@@ -198,8 +201,8 @@ fn racy_swaps_only_ever_serve_published_builds() {
     let build_a = SafeBoundBuilder::new(cfg_a.clone()).build(&cat);
     let build_b = SafeBoundBuilder::new(cfg_b).build(&cat);
     let queries = workload();
-    let expect_a = reference_bits(&Arc::new(build_a.clone()), &queries);
-    let expect_b = reference_bits(&Arc::new(build_b.clone()), &queries);
+    let expect_a = reference_bits(&build_a, &queries);
+    let expect_b = reference_bits(&build_b, &queries);
 
     let sb = SafeBound::from_stats(build_a.clone());
     std::thread::scope(|scope| {

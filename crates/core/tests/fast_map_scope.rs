@@ -11,7 +11,7 @@ fn session_hot_code_builds_no_default_hasher_map() {
     // The core query hot path plus the serve batch dedup.
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let mut files = vec![src.join("../../serve/src/service.rs")];
-    for m in "clock_cache conditioning litcache piecewise pool".split(' ') {
+    for m in "clock_cache conditioning piecewise pool".split(' ') {
         files.push(src.join(m).with_extension("rs"));
     }
     for dir in ["estimator", "simd"] {

@@ -2,7 +2,7 @@
 //! random query batches with **overlapping literal vectors** served
 //! through one warm session (literal cache on) must produce bounds
 //! **bit-identical** to the uncached reference —
-//! the per-relaxation kernel inputs of [`StatsSnapshot::bound_inputs`],
+//! the per-relaxation kernel inputs of [`SafeBound::bound_inputs`],
 //! evaluated independently and min-folded — including across a mid-batch
 //! [`SafeBound::swap_stats`] hot swap.
 //!

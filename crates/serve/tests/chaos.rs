@@ -561,11 +561,9 @@ fn a_failed_save_on_publish_still_publishes_and_keeps_the_last_file() {
     assert_eq!(refresher.snapshot_saves(), 1);
     let saved = std::fs::read(&path).unwrap();
 
-    // The writer writes `<save_path>.tmp` and renames it over the file, so
-    // the hook is installed on the directory holding both.
     let injector = FaultInjector::seeded(17).fail_snapshot_writes(1).build();
     let hook = injector
-        .install_file_hook(&dir)
+        .install_file_hook(&path)
         .expect("enabled injector with a write budget installs a hook");
     let resp = conn.roundtrip("REFRESH");
     assert!(

@@ -171,18 +171,24 @@ fn check_golden(route: &str, got: &str) {
 /// exact counts (checked on a per-workload subset). Along the way, one
 /// long-lived default session and one with the LIKE memo off must agree
 /// bit for bit on every query: a memo hit replays the resolution it
-/// stored. Both the cold bounds and the long-lived session's must match
-/// the committed golden file byte for byte.
+/// stored. Three routes must match the committed golden file byte for
+/// byte: the cold bounds, the long-lived session's, and the min of the
+/// kernel over the exposed per-relaxation inputs.
 #[test]
 fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
-    use safebound::core::{BoundSession, IncrementalBuilder, SafeBoundBuilder};
+    use safebound::core::{
+        fdsb_with_scratch, BoundScratch, BoundSession, IncrementalBuilder, SafeBoundBuilder,
+    };
     use safebound_bench::{build_workloads, experiment_config, ExperimentScale};
     use safebound_datagen::{delete_batch, insert_batch};
 
     let scale = ExperimentScale::smoke();
     let mut memo_on = BoundSession::default();
     let mut memo_off = BoundSession::default().with_memo_capacities(4096, 0);
+    let mut kernel = BoundScratch::default();
     let (mut golden_cold, mut golden_session) = (String::new(), String::new());
+    let mut golden_inputs = String::new();
+    let mut without_relaxation = 0;
     for w in build_workloads(&scale) {
         let cfg = experiment_config();
         let builder = SafeBoundBuilder::new(cfg.clone());
@@ -242,7 +248,17 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
             let off = sb_single
                 .bound_with_session(&bq.query, &mut memo_off)
                 .unwrap();
-            for (text, v) in [(&mut golden_cold, a), (&mut golden_session, on)] {
+            let inputs = sb_single.bound_inputs(&bq.query).unwrap();
+            without_relaxation += usize::from(inputs.is_empty());
+            let via_inputs = inputs
+                .iter()
+                .map(|(plan, stats)| fdsb_with_scratch(plan, stats, &mut kernel).unwrap())
+                .fold(f64::INFINITY, f64::min);
+            for (text, v) in [
+                (&mut golden_cold, a),
+                (&mut golden_session, on),
+                (&mut golden_inputs, via_inputs),
+            ] {
                 let line = format!("{}\t{}\t{:016x}\t{v}\n", w.name, bq.name, v.to_bits());
                 text.push_str(&line);
             }
@@ -275,6 +291,10 @@ fn sharded_and_delta_refreshed_builds_are_bit_identical_across_workloads() {
     }
     check_golden("cold", &golden_cold);
     check_golden("session", &golden_session);
+    // Every smoke query has an acyclic relaxation, so no line needs the
+    // cross-product fallback that the inputs cannot show.
+    assert_eq!(without_relaxation, 0);
+    check_golden("inputs", &golden_inputs);
     let stats = memo_on.stats();
     assert!(
         stats.like_memo_hits > 0,
