@@ -130,9 +130,6 @@ pub enum EstimateError {
     /// The serving layer lost the computation (e.g. the bound panicked
     /// mid-query); the query itself may be fine on retry.
     Internal(String),
-    /// The serving layer gave up waiting on the computation (per-batch
-    /// deadline exceeded); the query itself may be fine on retry.
-    Timeout,
 }
 
 impl std::fmt::Display for EstimateError {
@@ -141,7 +138,6 @@ impl std::fmt::Display for EstimateError {
             EstimateError::UnknownTable(t) => write!(f, "no statistics for table {t:?}"),
             EstimateError::Bound(e) => write!(f, "bound evaluation failed: {e}"),
             EstimateError::Internal(m) => write!(f, "internal: {m}"),
-            EstimateError::Timeout => write!(f, "timeout: bound exceeded its deadline"),
         }
     }
 }

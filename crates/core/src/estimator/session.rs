@@ -278,10 +278,17 @@ macro_rules! session_counters {
         }
 
         impl SessionStats {
-            /// Field-wise accumulate (aggregating several sessions, e.g.
-            /// one per serving shard).
+            /// Field-wise accumulate (aggregating several sessions, or
+            /// the takes of a serving pool's sessions).
             pub fn merge(&mut self, other: &SessionStats) {
                 $(self.$name += other.$name;)*
+            }
+
+            /// Field-wise `self - earlier`: what a session counted since
+            /// `earlier` was read from it. A session's counters never go
+            /// backwards, so no field saturates.
+            pub fn since(&self, earlier: &SessionStats) -> SessionStats {
+                SessionStats { $($name: self.$name.saturating_sub(earlier.$name),)* }
             }
 
             /// Every counter as `(name, value)`, in `STATS` order.

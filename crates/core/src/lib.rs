@@ -28,8 +28,8 @@
 //! [`swap_stats`](estimator::SafeBound::swap_stats) hot swap for
 //! background rebuilds. Each serving thread holds its own
 //! [`BoundSession`] (shape cache + arenas); the
-//! `safebound-serve` crate keeps one per shard and lends it to the
-//! thread that asks for a bound.
+//! `safebound-serve` crate keeps a capped free list of them and lends
+//! one to each thread that asks for a bound.
 //!
 //! ```
 //! use safebound_core::{SafeBound, SafeBoundConfig};

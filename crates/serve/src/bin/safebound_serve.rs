@@ -4,17 +4,16 @@
 //! safebound-serve serve [--addr 127.0.0.1:7878] [--workers N]
 //!                       [--scale tiny|default|full] [--refresh-secs N]
 //!                       [--max-conns N] [--max-inflight N] [--idle-secs N]
-//!                       [--batch-timeout-secs N]
 //!                       [--snapshot-load PATH] [--snapshot-save PATH]
 //!     Build the bundled IMDB catalog + SafeBound statistics, then serve
 //!     the line protocol (see crate docs) with a background statistics
 //!     refresher (periodic when --refresh-secs > 0, always available via
-//!     the REFRESH verb; --idle-secs 0 disables the idle timeout;
-//!     --batch-timeout-secs 0 disables the per-batch reply deadline)
+//!     the REFRESH verb; --idle-secs 0 disables the idle timeout)
 //!     until killed or told to SHUTDOWN — on which every connection
 //!     handler and the refresher is joined before the process exits.
-//!     --workers sets the number of shard sessions (every bound runs on
-//!     the connection thread that asked for it).
+//!     --workers caps the sessions kept idle between bounds (every bound
+//!     runs on the connection thread that asked for it, on a session of
+//!     its own).
 //!
 //!     --snapshot-load PATH  Serve statistics from a snapshot file written
 //!                           by SNAPSHOT SAVE / --snapshot-save instead of
@@ -53,8 +52,8 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  safebound-serve serve [--addr HOST:PORT] [--workers N] \
          [--scale tiny|default|full] [--refresh-secs N] [--max-conns N] \
-         [--max-inflight N] [--idle-secs N] [--batch-timeout-secs N] \
-         [--snapshot-load PATH] [--snapshot-save PATH]\n  \
+         [--max-inflight N] [--idle-secs N] [--snapshot-load PATH] \
+         [--snapshot-save PATH]\n  \
          safebound-serve query --addr HOST:PORT SQL [SQL...]"
     );
     std::process::exit(2);
@@ -113,13 +112,6 @@ fn cmd_serve(args: &[String]) {
             }
             "--snapshot-save" => {
                 snapshot_save = Some(it.next().cloned().unwrap_or_else(|| usage()).into())
-            }
-            "--batch-timeout-secs" => {
-                // 0 = wait indefinitely for a busy shard (no degradation).
-                opts.batch_timeout = match parse("--batch-timeout-secs") {
-                    0 => None,
-                    n => Some(Duration::from_secs(n)),
-                }
             }
             _ => usage(),
         }
@@ -198,7 +190,7 @@ fn cmd_serve(args: &[String]) {
         Err(e) => die(format_args!("cannot bind {addr}: {e}")),
     };
     eprintln!(
-        "serving on {addr} with {workers} shards (line protocol; try PING / SQL / STATS / \
+        "serving on {addr} with up to {workers} idle sessions (line protocol; try PING / SQL / STATS / \
          REFRESH / SHUTDOWN), refresh cadence: {}",
         if refresh_secs > 0 {
             format!("{refresh_secs}s")
@@ -224,9 +216,8 @@ fn cmd_serve(args: &[String]) {
     let Ok(service) = Arc::try_unwrap(service) else {
         unreachable!("all connection handlers joined by serve_with")
     };
-    let workers = service.num_workers();
     drop(service);
-    eprintln!("shutdown complete: refresher joined, {workers} shard sessions dropped");
+    eprintln!("shutdown complete: refresher joined, sessions dropped");
 }
 
 fn cmd_query(args: &[String]) {

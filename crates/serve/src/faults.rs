@@ -1,6 +1,6 @@
 //! Deterministic fault injection for the serving stack.
 //!
-//! A [`FaultInjector`] is threaded through the sharded service
+//! A [`FaultInjector`] is threaded through the session pool
 //! ([`BoundService::with_faults`](crate::BoundService::with_faults)), the
 //! TCP response path ([`ServeOptions::faults`](crate::ServeOptions)), and
 //! the statistics refresher
@@ -8,10 +8,9 @@
 //! and can inject — from a fixed seed, so chaos runs replay exactly —
 //!
 //! * **panics** mid-query, in a single query or a batch (exercises
-//!   `catch_unwind` isolation and the rebuild of the shard's session),
-//! * **latency** before a query, which keeps its shard's session out
-//!   (exercises the deadlines and `ERR timeout` degradation of everyone
-//!   waiting for that shard),
+//!   `catch_unwind` isolation and the drop of the panicked session),
+//! * **latency** before a query, which keeps the caller's session out
+//!   (exercises that nobody else waits for it),
 //! * **refresh build failures** (exercises retry/backoff and
 //!   last-good-snapshot serving), and
 //! * **I/O errors and short writes** on the TCP response path (exercises
@@ -246,7 +245,7 @@ pub struct FaultBuilder {
 
 impl FaultBuilder {
     /// Panic the bound of the given global query sequence numbers
-    /// (counted across all shards, from 0).
+    /// (counted across all callers, from 0).
     pub fn panic_on_queries(mut self, seqs: impl IntoIterator<Item = u64>) -> Self {
         self.inner.panic_queries.extend(seqs);
         self

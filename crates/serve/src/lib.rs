@@ -15,52 +15,45 @@
 //!                    │ SafeBound handle (build-id    │  one per pool,
 //!                    │ atomic + Mutex<Arc<snapshot>>)│  lock-free
 //!                    └──────────────┬────────────────┘  steady-state reads
-//!                 ┌─────────────────┼─────────────────┐
-//!            ┌────▼─────┐      ┌────▼─────┐      ┌────▼─────┐  per shard: a locked
-//!            │ shard 0  │ ...  │ shard i  │ ...  │ shard N  │  slot holding its
-//!            │ session  │      │ session  │      │ session  │  BoundSession (shape
-//!            └────▲─────┘      └────▲─────┘      └────▲─────┘  cache + arenas),
-//!                 │                 │                 │        and a Condvar
-//!                 └──── take, compute, put back ──────┘  on the caller's
-//!                       (shape-hash routing)                 own thread
+//!                    ┌──────────────▼────────────────┐
+//!                    │ idle sessions: at most        │  one Mutex over a
+//!                    │ `workers` BoundSessions       │  list (shape cache +
+//!                    └──────────────▲────────────────┘  arenas each)
+//!                                   │ take (or build), compute, put back
+//!                                   │ on the caller's own thread
 //!                    ┌──────────────┴────────────────┐
 //!                    │ BoundService: bound(),        │  callers: connection
 //!                    │ bound_batch(), TCP server     │  threads, in-process
 //!                    └───────────────────────────────┘  planners
 //! ```
 //!
-//! * **[`BoundService`]** owns the [`SafeBound`]
-//!   handle and N [`BoundSession`]s — the
-//!   mutable half of the estimator (query-shape cache, arena pools,
-//!   hot-literal memo) — one per shard. It starts no thread: every bound
-//!   runs on the thread that asked for it.
-//!   Queries are routed to shards by
-//!   [`Query::shape_hash`](safebound_query::Query::shape_hash) modulo the
-//!   pool size, so every query template consistently lands on the same
-//!   session and its shape cache stays hot regardless of traffic
-//!   interleaving. A caller takes a shard's session out, computes, and
-//!   puts it back; a caller that finds it out waits for it, under its
-//!   deadline.
+//! * **[`BoundService`]** owns the [`SafeBound`] handle and a list of idle
+//!   [`BoundSession`]s — the mutable half of the estimator (query-shape
+//!   cache, arena pools, hot-literal memo). It starts no thread: every
+//!   bound runs on the thread that asked for it. A caller takes the most
+//!   recently returned idle session, or builds one when none is idle,
+//!   computes, and puts it back; the list keeps at most `workers` of them
+//!   and drops the rest. Nobody waits for a session, and a session warmed
+//!   by one caller serves the next.
 //! * **`bound`** (and a single SQL line over TCP) computes the bound on
-//!   the calling thread, on the query's shard's session: no queue, no
+//!   the calling thread, on a session of its own: no queue, no
 //!   allocation, no context switch.
-//! * **`bound_batch`** and its variants are wrappers over one batch path,
+//! * **`bound_batch`** and its variant are wrappers over one batch path,
 //!   also on the calling thread. Identical lines — same shape *and*
 //!   literal vector, confirmed by full equality behind a
 //!   `(shape_hash, literal_fingerprint)` key — are **deduplicated**: one
-//!   representative runs (hitting its shard's literal cache once),
+//!   representative runs (hitting the session's literal cache once),
 //!   duplicates get copies of the answer
 //!   ([`BoundService::batch_dedup_hits`](service::BoundService::batch_dedup_hits)).
-//!   The representatives are computed shard by shard, each shard's session
-//!   taken once for all of its lines, and the answers return in input
-//!   order. The path's scratch costs a fixed number of allocations per
-//!   batch, whatever its length. Over TCP, a `BATCH` parses into a
-//!   recycled batch lent out with its in-flight permit: its lines re-parse
-//!   into the queries of earlier batches, and the batch goes back to the
-//!   pool once the replies are written. A fresh-literal line on a known
-//!   template thus allocates nothing from its bytes to its bound
-//!   (`tests/batch_alloc.rs`). One connection's batch runs on one core;
-//!   connections run in parallel.
+//!   The representatives are computed on one session, taken once for the
+//!   whole batch, and the answers return in input order. The path's
+//!   scratch costs a fixed number of allocations per batch, whatever its
+//!   length. Over TCP, a `BATCH` parses into a recycled batch lent out
+//!   with its in-flight permit: its lines re-parse into the queries of
+//!   earlier batches, and the batch goes back to the pool once the replies
+//!   are written. A fresh-literal line on a known template thus allocates
+//!   nothing from its bytes to its bound (`tests/batch_alloc.rs`). One
+//!   connection's batch runs on one core; connections run in parallel.
 //! * **Hot swap**: the service never pauses. A rebuild calls
 //!   [`SafeBound::swap_stats`](safebound_core::SafeBound::swap_stats) on
 //!   the service's handle; in-flight queries finish on the snapshot they
@@ -107,7 +100,7 @@
 //!
 //! ## Line protocol
 //!
-//! [`server::serve`] speaks a minimal newline-delimited text protocol
+//! [`serve_with`] speaks a minimal newline-delimited text protocol
 //! over `std::net::TcpListener`, one thread per connection:
 //!
 //! | request                     | response                                |
@@ -115,7 +108,7 @@
 //! | `<SQL text>`                | `OK <bound>` or `ERR <message>`         |
 //! | `BATCH <n>` then `n` SQL lines | `n` `OK`/`ERR` lines (one batched bound), or one `ERR overloaded` |
 //! | `PING`                      | `PONG`                                  |
-//! | `STATS`                     | `STATS workers=<n>` (the shard count) `build=<id> swaps=<n> generation=<n> refresher=on\|off connections=<n> inflight_batches=<n> batch_dedup_hits=<n> …` plus the pool-wide [`SessionStats`] merge (`shape_*`, `lit_bound_*`, `lit_cond_hits=0 lit_cond_misses=0` (frozen keys: the literal cache holds whole-query bounds only), `lit_evictions`, `eq_memo_*`, `range_memo_hits=0 range_memo_misses=0 range_memo_evictions=0` (frozen keys: range lookups are not memoized), `like_memo_*`, `relaxations_pruned=0` (a frozen key: every relaxation is evaluated)), `spills=0` (a frozen key: no line leaves its shard), `snapshot_load_failures=<n>`, and `simd=scalar` (a frozen key: the kernels have one portable tier) |
+//! | `STATS`                     | `STATS workers=<n>` (the idle-session cap) `build=<id> swaps=<n> generation=<n> refresher=on\|off connections=<n> inflight_batches=<n> batch_dedup_hits=<n> worker_panics=<n> worker_respawns=<n> worker_timeouts=0` (a frozen key: nobody waits for a session) plus the [`SessionStats`] totals of every completed computation (`shape_*`, `lit_bound_*`, `lit_cond_hits=0 lit_cond_misses=0` (frozen keys: the literal cache holds whole-query bounds only), `lit_evictions`, `eq_memo_*`, `range_memo_hits=0 range_memo_misses=0 range_memo_evictions=0` (frozen keys: range lookups are not memoized), `like_memo_*`, `relaxations_pruned=0` (a frozen key: every relaxation is evaluated)), `spills=0` (a frozen key: no line leaves its batch's session), `snapshot_load_failures=<n>`, and `simd=scalar` (a frozen key: the kernels have one portable tier) |
 //! | `REFRESH`                   | `REFRESHED build=<id> generation=<n>` after a fresh rebuild publishes (`ERR` without a refresher) |
 //! | `SNAPSHOT SAVE <path>`      | `SAVED bytes=<n>` after the published statistics are written through the crash-safe single-file writer (tmp + fsync + atomic rename), or `ERR snapshot save: <reason>` |
 //! | `SNAPSHOT LOAD <path>`      | `LOADED build=<id>` after the file validates (magic, version, checksums, fingerprints) and hot-swaps in, or `ERR snapshot load: <reason>` — a rejected file never unpublishes the last-good snapshot and bumps `snapshot_load_failures` in `STATS` |
@@ -135,8 +128,7 @@
 // and a poisoned lock recovers through `lock_recover`.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![deny(clippy::todo, clippy::unimplemented)]
-// Clocks only in `refresh`, `server` and `service`, threads only in
-// `refresh` and `server` (clippy.toml).
+// Clocks and threads only in `refresh` and `server` (clippy.toml).
 #![deny(clippy::disallowed_methods)]
 
 pub mod faults;
@@ -146,7 +138,7 @@ pub mod service;
 
 pub use faults::{FaultBuilder, FaultInjector};
 pub use refresh::{DeltaSource, RefreshConfig, RefreshError, ShutdownToken, StatsRefresher};
-pub use server::{serve, serve_with, ServeOptions};
+pub use server::{serve_with, ServeOptions};
 pub use service::BoundService;
 
 // Re-exported so service consumers need only this crate.
@@ -155,7 +147,7 @@ pub use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats, S
 /// Acquire a mutex, recovering from poisoning instead of propagating it.
 ///
 /// Every mutex in this crate guards state that is valid at all times —
-/// counters, fully formed handles/snapshots, a shard's session slot —
+/// counters, fully formed handles/snapshots, the list of idle sessions —
 /// updated by single assignments that cannot be observed half-done. A
 /// panic on a thread that happened to hold such a lock therefore leaves
 /// the data intact, and cascading that one panic into every later
@@ -163,9 +155,9 @@ pub use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats, S
 /// server.
 ///
 /// A [`BoundSession`] *can* be left half-updated by a panic, but no
-/// session is ever used under a lock: a caller takes it out of its shard,
-/// computes under `catch_unwind`, and puts back a fresh session after a
-/// panic (`service.rs`, `BoundService::run`).
+/// session is ever used under a lock: a caller takes it out of the list,
+/// computes under `catch_unwind`, and drops it after a panic instead of
+/// putting it back (`service.rs`, `BoundService::run`).
 pub(crate) fn lock_recover<T>(mutex: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex
         .lock()

@@ -1,8 +1,8 @@
 //! A minimal `std::net` TCP front-end speaking the newline-delimited
 //! protocol documented in the crate docs: SQL in, `OK <bound>` out, one
 //! thread per connection. Every bound runs on the connection's own thread,
-//! on the shared [`BoundService`]'s sessions: a single SQL line on its
-//! shard's session, a `BATCH` on each of its shards' sessions in turn.
+//! on a session it takes from the shared [`BoundService`]: one for a
+//! single SQL line, one for all of a `BATCH`'s lines.
 //!
 //! The serving lifecycle lives here too: [`serve_with`] runs the accept
 //! loop under a [`ShutdownToken`], enforces a bounded connection budget
@@ -21,13 +21,11 @@
 //! * Responses go through a `ResponseWriter` that retries interrupted
 //!   and short writes — a response line is delivered whole or the
 //!   connection errors out; it is **never truncated mid-line**.
-//! * A request whose shard's session another connection holds waits for
-//!   it under [`ServeOptions::batch_timeout`]: the lines of a shard still
-//!   held at the deadline come back `ERR timeout: …` while the other lines
-//!   keep their real bounds. The deadline bounds waiting for *another*
-//!   connection; a bound computed on the connection's own thread runs to
-//!   completion (at most ≈ 0.1 ms for a cold paper query, see ROADMAP's
-//!   failure model) and a panic in it answers `ERR internal`.
+//! * No request waits for another connection: each computes on a session
+//!   of its own, so a connection stalled in a bound holds only that
+//!   session. A bound runs to completion on the connection's thread (at
+//!   most ≈ 0.1 ms for a cold paper query, see ROADMAP's failure model),
+//!   and a panic in it answers `ERR internal`.
 //! * A client that stalls mid-`BATCH` past the idle timeout gets a single
 //!   `ERR timeout …` line and a drained close instead of wedging the
 //!   handler thread (and its admission slot) forever.
@@ -78,11 +76,6 @@ pub struct ServeOptions {
     /// Poll granularity for shutdown/idle checks (accept-loop sleep and
     /// per-connection read timeout).
     pub tick: Duration,
-    /// How long a request — a batch or a single line — may wait for shard
-    /// sessions other connections hold: lines whose shard is still held by
-    /// then degrade to `ERR timeout: …` instead of wedging the connection
-    /// behind a stuck one. `None` waits indefinitely.
-    pub batch_timeout: Option<Duration>,
     /// Fault-injection schedule for the response write path (chaos
     /// testing; see [`crate::faults`]). Disabled by default.
     pub faults: FaultInjector,
@@ -95,7 +88,6 @@ impl Default for ServeOptions {
             max_inflight_batches: 64,
             idle_timeout: Duration::from_secs(300),
             tick: Duration::from_millis(25),
-            batch_timeout: Some(Duration::from_secs(60)),
             faults: FaultInjector::disabled(),
         }
     }
@@ -227,7 +219,6 @@ struct ConnCtx {
     active: Arc<AtomicUsize>,
     idle_timeout: Duration,
     tick: Duration,
-    batch_timeout: Option<Duration>,
     faults: FaultInjector,
     /// Rejected snapshot-file loads (refresher file source + `SNAPSHOT
     /// LOAD` verb); shared with the refresher when one is configured so
@@ -263,7 +254,6 @@ pub fn serve_with(
         active: active.clone(),
         idle_timeout: opts.idle_timeout,
         tick: opts.tick,
-        batch_timeout: opts.batch_timeout,
         faults: opts.faults.clone(),
         snapshot_load_failures,
     });
@@ -322,18 +312,6 @@ pub fn serve_with(
         let _ = h.join();
     }
     Ok(())
-}
-
-/// Accept connections forever with default options, no refresher, and no
-/// external shutdown (compatibility entry point; see [`serve_with`]).
-pub fn serve(service: Arc<BoundService>, listener: TcpListener) -> std::io::Result<()> {
-    serve_with(
-        service,
-        listener,
-        None,
-        ShutdownToken::new(),
-        ServeOptions::default(),
-    )
 }
 
 /// Refuse a connection with a single `ERR overloaded` line.
@@ -703,12 +681,14 @@ fn answer(
             // One line, written in pieces into the response buffer:
             // server counters, every session counter in its declared
             // order ([`SessionStats::fields`]), then the tail.
+            // `worker_timeouts` and `spills` are frozen keys: nobody waits
+            // for a session, and no line leaves its batch's session.
             write!(
                 writer,
                 "STATS workers={} build={} swaps={} generation={} refresher={} \
                  refresh_failures={} refresh_last_error={} \
                  connections={} inflight_batches={} batch_dedup_hits={} \
-                 worker_panics={} worker_respawns={} worker_timeouts={}",
+                 worker_panics={} worker_respawns={} worker_timeouts=0",
                 ctx.service.num_workers(),
                 ctx.service.estimator().build_id(),
                 ctx.service.estimator().swap_count(),
@@ -721,14 +701,12 @@ fn answer(
                 ctx.service.batch_dedup_hits(),
                 ctx.service.worker_panics(),
                 ctx.service.worker_respawns(),
-                ctx.service.worker_timeouts(),
             )?;
             for (key, value) in ctx.service.session_stats().fields() {
                 write!(writer, " {key}={value}")?;
             }
             writeln!(
                 writer,
-                // `spills` is a frozen key: no line leaves its shard.
                 " spills=0 snapshot_load_failures={} simd={}",
                 ctx.snapshot_load_failures.load(Ordering::Relaxed),
                 safebound_core::simd_tier().name(),
@@ -758,7 +736,7 @@ fn answer(
                     Err(_) => writeln!(writer, "ERR malformed BATCH count {count:?}")?,
                 }
             } else {
-                answer_deadline(ctx, request, query, writer)?;
+                answer_sql(ctx, request, query, writer)?;
             }
         }
     }
@@ -767,8 +745,7 @@ fn answer(
 
 /// Read `n` SQL lines through the connection's line buffer `buf`, parse
 /// them into `batch`'s recycled slots, and answer all of them through one
-/// [`BoundService::bound_batch_deadline`] (its waits bounded by
-/// [`ServeOptions::batch_timeout`]). Returns `false` when the connection
+/// [`BoundService::bound_batch`]. Returns `false` when the connection
 /// should close; EOF mid-batch still answers the lines that arrived.
 ///
 /// A client that stalls mid-batch past the idle timeout (or sends an
@@ -830,7 +807,7 @@ fn serve_batch(
     }
     let mut bounds = ctx
         .service
-        .bound_batch_deadline(&batch.queries[..parsed], ctx.batch_timeout)
+        .bound_batch(&batch.queries[..parsed])
         .into_iter();
     for line in &batch.lines {
         match line {
@@ -881,20 +858,15 @@ fn drain_batch(
 }
 
 /// One SQL request → one response line, parsed into the connection's
-/// query and computed on this connection's thread. When another
-/// connection holds the query's shard, the request waits for it under the
-/// same deadline as a batch — a stuck holder answers `ERR timeout`.
-fn answer_deadline(
+/// query and computed on this connection's thread.
+fn answer_sql(
     ctx: &ConnCtx,
     sql: &str,
     query: &mut Query,
     writer: &mut ResponseWriter,
 ) -> std::io::Result<()> {
     match parse_sql_into(sql, query) {
-        Ok(()) => {
-            let bound = ctx.service.bound_deadline(query, ctx.batch_timeout);
-            write_bound(writer, Some(bound))
-        }
+        Ok(()) => write_bound(writer, Some(ctx.service.bound(query))),
         Err(e) => writeln!(writer, "ERR parse: {e}"),
     }
 }
@@ -948,7 +920,15 @@ mod tests {
         let service = service();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        std::thread::spawn(move || serve(service, listener));
+        std::thread::spawn(move || {
+            serve_with(
+                service,
+                listener,
+                None,
+                ShutdownToken::new(),
+                ServeOptions::default(),
+            )
+        });
 
         let stream = TcpStream::connect(addr).unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());

@@ -1,4 +1,4 @@
-//! The sharded service: N [`BoundSession`]s — one per shard — and one
+//! The session pool: a capped free list of [`BoundSession`]s over one
 //! shared [`SafeBound`] handle. Every bound runs on the thread that asked.
 //!
 //! See the crate docs for the layering. The service is synchronous by
@@ -8,33 +8,26 @@
 //! is the connection's thread, so connections run in parallel and one
 //! connection's batch runs on one core.
 //!
-//! A shard's session is taken out of the shard for the length of one
-//! computation — a single query, or a batch's lines routed to that shard
-//! — and put back afterwards. A caller that finds it out waits for it,
-//! under its deadline. A caller holds at most one session at a time (a
-//! batch visits its shards in order), so callers cannot deadlock.
+//! A caller takes the most recently returned idle session for the length
+//! of one computation — a single query, or every distinct line of a batch
+//! — or builds a fresh one when none is idle, and puts it back afterwards.
+//! The list keeps at most `workers` sessions and drops the rest. Nobody
+//! waits for a session: the one lock is held only to pop or push one.
 //!
 //! ## Self-healing
 //!
 //! * **Panic isolation** — every computation on a session runs under
 //!   `catch_unwind`. A panic mid-query answers every line of that
-//!   computation `ERR internal` (`EstimateError::Internal`) and puts a
-//!   fresh session back in place of the (possibly inconsistent) one it
-//!   took; the thread — which owns nothing a panic could have corrupted —
-//!   carries on. [`BoundService::worker_panics`] /
-//!   [`BoundService::worker_respawns`] count the panics and the rebuilt
-//!   sessions.
-//! * **Deadlines** — [`BoundService::bound_batch_deadline`] and
-//!   [`BoundService::bound_deadline`] bound how long a caller waits for a
-//!   session *another* caller holds: lines whose shard stays out past the
-//!   deadline degrade to `EstimateError::Timeout` instead of wedging the
-//!   caller; lines of the shards it got still return their real bounds
-//!   ([`BoundService::worker_timeouts`]). A bound the caller computes
-//!   itself runs to completion — there is nobody to abandon it to (see the
-//!   failure model in ROADMAP.md for its worst case).
-//! * **No poison propagation** — the shard mutexes recover from poisoning
+//!   computation `ERR internal` (`EstimateError::Internal`) and drops the
+//!   (possibly inconsistent) session instead of putting it back; the
+//!   thread — which owns nothing a panic could have corrupted — carries
+//!   on. [`BoundService::worker_panics`] / [`BoundService::worker_respawns`]
+//!   count the panics and the dropped sessions.
+//! * **No waiting** — a caller stalled in its own bound holds only its own
+//!   session; every other caller takes another or builds one.
+//! * **No poison propagation** — the list's mutex recovers from poisoning
 //!   (the guarded state is always fully formed; see `lock_recover` in the
-//!   crate root), and no session is ever used under one.
+//!   crate root), and no session is ever used under it.
 
 use crate::faults::{FaultInjector, WorkerFault};
 use crate::{lock_recover, panic_message};
@@ -43,80 +36,45 @@ use safebound_core::{BoundSession, EstimateError, SafeBound, SessionStats};
 use safebound_query::Query;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
 /// One bound's outcome, as the batch path returns it per line.
 type Answer = Result<f64, EstimateError>;
 
-/// One shard: its session behind a lock, and a `Condvar` for the callers
-/// waiting while it is out.
-struct Shard {
-    slot: Mutex<Slot>,
-    /// Signalled when the session is put back and someone is waiting.
-    returned: Condvar,
-    /// Lines computed on this shard.
-    served: AtomicU64,
-}
-
-/// What a shard's lock guards.
-struct Slot {
-    /// The session, `None` while a caller computes on it. Boxed, so a take
-    /// and a put-back move a pointer.
-    session: Option<Box<BoundSession>>,
-    /// The session's counters as of its last put-back, so `STATS`-style
-    /// observability never waits for a session that is out.
+/// What the service's one lock guards.
+#[derive(Default)]
+struct Idle {
+    /// Sessions no caller holds, the most recently returned last.
+    sessions: Vec<BoundSession>,
+    /// What every completed take's session counted during it, summed: a
+    /// total that never goes backwards, whatever is dropped.
     stats: SessionStats,
-    /// Callers waiting for the session. A put-back wakes one only when
-    /// there is one: an uncontended take and put-back make no system call.
-    waiting: usize,
 }
 
-/// How long one request may wait for sessions other callers hold:
-/// `timeout` from its first wait, so a request that never waits never
-/// reads the clock. `None` waits as long as it takes.
-struct Wait {
-    timeout: Option<Duration>,
-    deadline: Option<Instant>,
-    /// Set once the deadline has cost the request a shard; the request is
-    /// counted in `worker_timeouts` once, however many shards it missed.
-    expired: bool,
-}
-
-impl Wait {
-    fn new(timeout: Option<Duration>) -> Self {
-        Wait {
-            timeout,
-            deadline: None,
-            expired: false,
-        }
-    }
-}
-
-/// A sharded SafeBound serving pool.
+/// A SafeBound serving pool.
 ///
-/// Construction builds the sessions and starts no thread. Clones of the
+/// Construction builds no session and starts no thread. Clones of the
 /// inner [`SafeBound`] handle stay valid — in particular, calling
 /// [`SafeBound::swap_stats`](safebound_core::SafeBound::swap_stats) on
 /// [`BoundService::estimator`] hot-swaps statistics under live traffic.
 pub struct BoundService {
     handle: SafeBound,
-    shards: Vec<Shard>,
+    /// The most sessions kept idle.
+    cap: usize,
+    idle: Mutex<Idle>,
     faults: FaultInjector,
     /// Computations that panicked (their lines answered `ERR internal`).
     panics: AtomicU64,
-    /// Sessions rebuilt from scratch after a panic.
+    /// Sessions dropped after a panic.
     respawns: AtomicU64,
-    /// Requests that missed their deadline with lines still unanswered.
-    timeouts: AtomicU64,
     /// Request lines answered by batch-level deduplication instead of a
-    /// computation of their own (see [`BoundService::bound_batch_deadline`]).
+    /// computation of their own (see [`BoundService::bound_batch`]).
     dedup_hits: AtomicU64,
 }
 
 impl BoundService {
-    /// A pool of `workers` shards (min 1), a session each, over the given
-    /// handle.
+    /// A pool over the given handle that keeps at most `workers` (min 1)
+    /// sessions idle between computations.
     pub fn new(handle: SafeBound, workers: usize) -> Self {
         Self::with_faults(handle, workers, FaultInjector::disabled())
     }
@@ -125,24 +83,13 @@ impl BoundService {
     /// testing; see [`crate::faults`]). With
     /// [`FaultInjector::disabled`] this is exactly `new`.
     pub fn with_faults(handle: SafeBound, workers: usize, faults: FaultInjector) -> Self {
-        let shards = (0..workers.max(1))
-            .map(|_| Shard {
-                slot: Mutex::new(Slot {
-                    session: Some(Box::default()),
-                    stats: SessionStats::default(),
-                    waiting: 0,
-                }),
-                returned: Condvar::new(),
-                served: AtomicU64::new(0),
-            })
-            .collect();
         BoundService {
             handle,
-            shards,
+            cap: workers.max(1),
+            idle: Mutex::default(),
             faults,
             panics: AtomicU64::new(0),
             respawns: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
         }
     }
@@ -154,17 +101,10 @@ impl BoundService {
         &self.handle
     }
 
-    /// Number of shards (sessions). The name is the frozen `STATS` key's.
+    /// The most sessions kept idle between computations. The name is the
+    /// frozen `STATS` key's.
     pub fn num_workers(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Queries computed so far, per shard (routing observability).
-    pub fn served_per_worker(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| s.served.load(Ordering::Relaxed))
-            .collect()
+        self.cap
     }
 
     /// Request lines answered by intra-batch deduplication: identical
@@ -174,135 +114,71 @@ impl BoundService {
     }
 
     /// Computations that panicked mid-query (their lines answered
-    /// `ERR internal`, their shard's session rebuilt).
+    /// `ERR internal`, their session dropped).
     pub fn worker_panics(&self) -> u64 {
         self.panics.load(Ordering::Relaxed)
     }
 
-    /// Sessions rebuilt from scratch after a panic — one per
-    /// [`worker_panics`](BoundService::worker_panics). The name is the
-    /// frozen `STATS` key's; no thread is respawned, the one that caught
-    /// the panic carries on.
+    /// Sessions dropped after a panic — one per
+    /// [`worker_panics`](BoundService::worker_panics); a fresh one is
+    /// built when a caller finds none idle. The name is the frozen `STATS`
+    /// key's; no thread is respawned, the one that caught the panic
+    /// carries on.
     pub fn worker_respawns(&self) -> u64 {
         self.respawns.load(Ordering::Relaxed)
     }
 
-    /// Requests whose deadline expired with lines still unanswered (those
-    /// lines degraded to `ERR timeout`).
-    pub fn worker_timeouts(&self) -> u64 {
-        self.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// The pool-wide merge of every shard session's cache counters
-    /// (shape cache, MCV memo, literal cache), as of each session's last
-    /// put-back.
+    /// The cache counters (shape cache, MCV memo, literal cache) of every
+    /// completed computation, summed. They never go backwards: a panicked
+    /// computation adds nothing, and a dropped session keeps what it
+    /// counted.
     pub fn session_stats(&self) -> SessionStats {
-        let mut total = SessionStats::default();
-        for shard in &self.shards {
-            total.merge(&lock_recover(&shard.slot).stats);
-        }
-        total
+        lock_recover(&self.idle).stats
     }
 
-    /// Bound one query on its shape-routed shard: [`bound_deadline`]
-    /// without a deadline.
-    ///
-    /// [`bound_deadline`]: BoundService::bound_deadline
+    /// Bound one query on the calling thread, on an idle session — no
+    /// queue, no allocation once a session is warm.
     pub fn bound(&self, query: &Query) -> Result<f64, EstimateError> {
-        self.bound_deadline(query, None)
-    }
-
-    /// Bound one query on its shape-routed shard's session, on the calling
-    /// thread — no queue, no allocation, the same warm caches the shard's
-    /// batches use.
-    ///
-    /// When another caller holds the session, this waits for it; `timeout`
-    /// bounds that wait ([`EstimateError::Timeout`]), not the bound this
-    /// thread then computes.
-    pub fn bound_deadline(
-        &self,
-        query: &Query,
-        timeout: Option<Duration>,
-    ) -> Result<f64, EstimateError> {
-        let w = self.shard_of(query.shape_hash());
-        self.run(w, &mut Wait::new(timeout), 1, |s| self.bound_one(query, s))
-            .unwrap_or_else(Err)
-    }
-
-    /// Bound a batch: [`BoundService::bound_batch_deadline`] without a
-    /// deadline.
-    pub fn bound_batch(&self, queries: &[Query]) -> Vec<Answer> {
-        self.bound_batch_deadline(queries, None)
+        self.run(|s| self.bound_one(query, s)).unwrap_or_else(Err)
     }
 
     /// [`BoundService::bound_batch`] over a shared batch.
     pub fn bound_batch_shared(&self, queries: Arc<[Query]>) -> Vec<Answer> {
-        self.bound_batch_deadline(&queries, None)
+        self.bound_batch(&queries)
     }
 
-    /// Bound a batch on the calling thread; results return in input order.
+    /// Bound a batch on the calling thread, all of it on one session;
+    /// results return in input order.
     ///
     /// Identical request lines — same shape **and** same literal vector,
     /// confirmed by full query equality after the
     /// `(shape_hash, literal_fingerprint)` pre-key — are deduplicated: one
     /// representative is computed, every duplicate receives a copy of its
-    /// answer ([`BoundService::batch_dedup_hits`]). The representatives are
-    /// routed by shape hash and computed shard by shard, each shard's
-    /// session taken once for all of its lines.
-    ///
-    /// `timeout` bounds the waits for shards other callers hold: the lines
-    /// of a shard still out at the deadline return
-    /// [`EstimateError::Timeout`], every other line its real bound. The
-    /// scratch — shape hashes, dedup links, the results — costs a fixed
-    /// number of allocations whatever the batch's length.
-    pub fn bound_batch_deadline(
-        &self,
-        queries: &[Query],
-        timeout: Option<Duration>,
-    ) -> Vec<Answer> {
-        // One shape-hash walk per line: the dedup key, then the line's
-        // shard.
-        let mut route: Vec<u64> = queries.iter().map(Query::shape_hash).collect();
-        let canon = self.dedup(queries, &route);
-        for r in &mut route {
-            *r = self.shard_of(*r) as u64;
-        }
-        let mut answers: Vec<Answer> = vec![Err(EstimateError::Timeout); queries.len()];
-        let mut wait = Wait::new(timeout);
-        for w in 0..self.shards.len() {
-            let mine = |&i: &usize| canon[i] == i && route[i] == w as u64;
-            let lines = (0..queries.len()).filter(mine).count();
-            if lines == 0 {
-                continue;
+    /// answer ([`BoundService::batch_dedup_hits`]). The scratch — dedup
+    /// links, the results — costs a fixed number of allocations whatever
+    /// the batch's length.
+    pub fn bound_batch(&self, queries: &[Query]) -> Vec<Answer> {
+        let canon = self.dedup(queries);
+        let mut answers: Vec<Answer> = Vec::with_capacity(queries.len());
+        let outcome = self.run(|s| {
+            // A representative always precedes its duplicates.
+            for (i, q) in queries.iter().enumerate() {
+                let answer = match canon[i] {
+                    j if j == i => self.bound_one(q, s),
+                    j => answers[j].clone(),
+                };
+                answers.push(answer);
             }
-            let outcome = self.run(w, &mut wait, lines, |s| {
-                for i in (0..queries.len()).filter(mine) {
-                    answers[i] = self.bound_one(&queries[i], s);
-                }
-            });
-            if let Err(e) = outcome {
-                for i in (0..queries.len()).filter(mine) {
-                    answers[i] = Err(e.clone());
-                }
-            }
-        }
-        // Fan representatives' answers out to their duplicates; a
-        // representative always precedes its duplicates.
-        for i in 0..answers.len() {
-            if canon[i] != i {
-                answers[i] = answers[canon[i]].clone();
-            }
+        });
+        if let Err(e) = outcome {
+            answers.clear();
+            answers.resize(queries.len(), Err(e));
         }
         answers
     }
 
-    /// The shard a query's shape hash routes to.
-    fn shard_of(&self, shape_hash: u64) -> usize {
-        (shape_hash % self.shards.len() as u64) as usize
-    }
-
-    /// Bound one query on a shard's session — the single body behind both
-    /// paths, fault hook included.
+    /// Bound one query on a session — the single body behind both paths,
+    /// fault hook included.
     fn bound_one(&self, query: &Query, session: &mut BoundSession) -> Answer {
         match self.faults.on_worker_query() {
             WorkerFault::None => {}
@@ -313,68 +189,29 @@ impl BoundService {
         self.handle.bound_with_session(query, session)
     }
 
-    /// Run `work` — `lines` calls of [`BoundService::bound_one`] — on
-    /// shard `w`'s session: take it out, waiting under `wait` while another
-    /// caller has it; compute under `catch_unwind`; put it back and wake a
-    /// waiter. A free shard is always computed, even past the deadline.
+    /// Run `work` on a session: take the most recently returned idle one,
+    /// or build one; compute under `catch_unwind`; put it back unless the
+    /// list is full.
     ///
-    /// Success counts the lines and records the session's counters. A
-    /// panic may have left the session arbitrarily inconsistent: a fresh
-    /// one goes back instead, and the panic comes back as the
-    /// `ERR internal` every line of `work` is answered with.
-    fn run<T>(
-        &self,
-        w: usize,
-        wait: &mut Wait,
-        lines: usize,
-        work: impl FnOnce(&mut BoundSession) -> T,
-    ) -> Result<T, EstimateError> {
-        let shard = &self.shards[w];
-        let mut session = {
-            let mut slot = lock_recover(&shard.slot);
-            loop {
-                if let Some(session) = slot.session.take() {
-                    break session;
-                }
-                let left = match wait.timeout {
-                    None => None,
-                    Some(timeout) => {
-                        #[expect(clippy::disallowed_methods, reason = "the wait deadline")]
-                        let now = Instant::now();
-                        let left = wait
-                            .deadline
-                            .get_or_insert(now + timeout)
-                            .saturating_duration_since(now);
-                        if left.is_zero() {
-                            if !std::mem::replace(&mut wait.expired, true) {
-                                self.timeouts.fetch_add(1, Ordering::Relaxed);
-                            }
-                            return Err(EstimateError::Timeout);
-                        }
-                        Some(left)
-                    }
-                };
-                slot.waiting += 1;
-                slot = match left {
-                    None => shard
-                        .returned
-                        .wait(slot)
-                        .unwrap_or_else(PoisonError::into_inner),
-                    Some(left) => shard
-                        .returned
-                        .wait_timeout(slot, left)
-                        .map_or_else(|p| p.into_inner().0, |(guard, _)| guard),
-                };
-                slot.waiting -= 1;
-            }
-        };
-        let outcome = match std::panic::catch_unwind(AssertUnwindSafe(|| work(&mut session))) {
+    /// Success adds what the session counted during `work` to the totals.
+    /// A panic may have left the session arbitrarily inconsistent: it is
+    /// dropped, and the panic comes back as the `ERR internal` every line
+    /// of `work` is answered with.
+    fn run<T>(&self, work: impl FnOnce(&mut BoundSession) -> T) -> Result<T, EstimateError> {
+        let popped = lock_recover(&self.idle).sessions.pop();
+        let mut session = popped.unwrap_or_default();
+        let before = session.stats();
+        match std::panic::catch_unwind(AssertUnwindSafe(|| work(&mut session))) {
             Ok(out) => {
-                shard.served.fetch_add(lines as u64, Ordering::Relaxed);
+                let counted = session.stats().since(&before);
+                let mut idle = lock_recover(&self.idle);
+                idle.stats.merge(&counted);
+                if idle.sessions.len() < self.cap {
+                    idle.sessions.push(session);
+                }
                 Ok(out)
             }
             Err(payload) => {
-                session = Box::default();
                 self.panics.fetch_add(1, Ordering::Relaxed);
                 self.respawns.fetch_add(1, Ordering::Relaxed);
                 Err(EstimateError::Internal(format!(
@@ -382,23 +219,14 @@ impl BoundService {
                     panic_message(payload.as_ref())
                 )))
             }
-        };
-        let mut slot = lock_recover(&shard.slot);
-        slot.stats = session.stats();
-        slot.session = Some(session);
-        let waiting = slot.waiting > 0;
-        drop(slot);
-        if waiting {
-            shard.returned.notify_one();
         }
-        outcome
     }
 
     /// Each line's representative: the first earlier line identical to it
     /// — same shape **and** literal vector, confirmed by full query
     /// equality behind the `(shape_hash, literal_fingerprint)` key — or
     /// itself. Counts the lines answered this way.
-    fn dedup(&self, lines: &[Query], hashes: &[u64]) -> Vec<usize> {
+    fn dedup(&self, lines: &[Query]) -> Vec<usize> {
         let mut canon: Vec<usize> = (0..lines.len()).collect();
         if lines.len() < 2 {
             return canon;
@@ -410,7 +238,7 @@ impl BoundService {
         let mut earlier: Vec<Option<usize>> = vec![None; lines.len()];
         let mut hits = 0u64;
         for (i, q) in lines.iter().enumerate() {
-            let key = (hashes[i], q.literal_fingerprint());
+            let key = (q.shape_hash(), q.literal_fingerprint());
             let mut rep = latest.get(&key).copied();
             while let Some(j) = rep {
                 if lines[j] == *q {
@@ -440,6 +268,7 @@ mod tests {
     use safebound_core::{SafeBoundBuilder, SafeBoundConfig};
     use safebound_query::parse_sql;
     use safebound_storage::{Catalog, Column, DataType, Field, Schema, Table};
+    use std::time::{Duration, Instant};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -527,36 +356,40 @@ mod tests {
         }
     }
 
+    /// Sequential callers reuse one warm session: a second pass over the
+    /// templates builds no shape. Concurrent callers leave at most
+    /// `workers` sessions idle.
     #[test]
-    fn shape_routing_is_stable_and_spreads_templates() {
+    fn sequential_callers_reuse_one_warm_session() {
         let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
-        let service = BoundService::new(sb, 4);
+        let service = BoundService::new(sb, 2);
         let queries = workload();
-        // Same batch twice: per-shard counters must double exactly
-        // (routing is deterministic per shape).
         service.bound_batch(&queries);
-        let after_one = service.served_per_worker();
-        service.bound_batch(&queries);
-        let after_two = service.served_per_worker();
-        for (a, b) in after_one.iter().zip(&after_two) {
-            assert_eq!(2 * a, *b);
-        }
-        assert_eq!(
-            after_one.iter().sum::<u64>() as usize,
-            queries.len(),
-            "every query served exactly once"
-        );
-        assert!(
-            after_one.iter().filter(|&&c| c > 0).count() > 1,
-            "multiple templates should spread over multiple workers: {after_one:?}"
-        );
-        // Pure shape routing: each shard computed exactly the lines whose
-        // shape hash lands on it, so every template keeps its session.
-        let mut routed = vec![0u64; 4];
+        let first = service.session_stats();
+        assert!(first.shape_misses > 0, "{first:?}");
         for q in &queries {
-            routed[(q.shape_hash() % 4) as usize] += 1;
+            service.bound(q).unwrap();
         }
-        assert_eq!(after_one, routed);
+        service.bound_batch(&queries);
+        let later = service.session_stats().since(&first);
+        assert_eq!(later.shape_misses, 0, "{later:?}");
+        assert_eq!(later.shape_hits, 2 * queries.len() as u64, "{later:?}");
+        assert_eq!(lock_recover(&service.idle).sessions.len(), 1);
+
+        const CALLERS: usize = 6;
+        let start = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|scope| {
+            for _ in 0..CALLERS {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..20 {
+                        service.bound_batch(&queries);
+                    }
+                });
+            }
+        });
+        let idle = lock_recover(&service.idle).sessions.len();
+        assert!((1..=2).contains(&idle), "{idle} sessions idle");
     }
 
     #[test]
@@ -585,7 +418,8 @@ mod tests {
         }
         // 24 lines, 3 representatives computed, 21 answered by dedup.
         assert_eq!(service.batch_dedup_hits(), 21);
-        assert_eq!(service.served_per_worker().iter().sum::<u64>(), 3);
+        let stats = service.session_stats();
+        assert_eq!(stats.lit_bound_hits + stats.lit_bound_misses, 3);
         // Errors fan out to duplicates too.
         let bad = parse_sql("SELECT COUNT(*) FROM nonexistent").unwrap();
         let errs = service.bound_batch(&[bad.clone(), bad]);
@@ -651,53 +485,50 @@ mod tests {
         }
     }
 
-    /// A single request whose shard's session is out (another caller is
-    /// computing on it) waits under its deadline and times out; the other
-    /// shard keeps answering; a request without a deadline waits until the
-    /// session is put back and then answers exactly.
+    /// A caller stalled in its own bound holds up nobody: with one idle
+    /// session at most, caller A's batch is delayed 400 ms on its first
+    /// query, and caller B's single line and batch, sent meanwhile, are
+    /// answered exactly before A's delay ends. A's answers are exact too.
     #[test]
-    fn busy_shard_queues_a_single_request_under_its_deadline() {
+    fn a_stalled_caller_holds_up_nobody() {
+        use crate::faults::FaultInjector;
         let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
-        let service = BoundService::new(sb.clone(), 2);
+        let delay = Duration::from_millis(400);
+        let faults = FaultInjector::seeded(7).delay_queries([0], delay).build();
+        let service = BoundService::with_faults(sb.clone(), 1, faults);
         let queries = workload();
-        let shard = |q: &Query| (q.shape_hash() % 2) as usize;
-        let held_q = &queries[0];
-        let free_q = queries
+        let direct: Vec<u64> = queries
             .iter()
-            .find(|q| shard(q) != shard(held_q))
-            .expect("the workload's templates spread over both shards");
+            .map(|q| sb.bound(q).unwrap().to_bits())
+            .collect();
 
-        let home = &service.shards[shard(held_q)];
-        let held = lock_recover(&home.slot).session.take();
-        assert!(held.is_some());
-        let got = service.bound_deadline(held_q, Some(Duration::from_millis(50)));
-        assert!(matches!(got, Err(EstimateError::Timeout)), "{got:?}");
-        assert_eq!(service.worker_timeouts(), 1);
-        assert_eq!(
-            service.bound(free_q).unwrap().to_bits(),
-            sb.bound(free_q).unwrap().to_bits(),
-            "a held shard must not stall the other one"
-        );
-
+        let started = Instant::now();
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| service.bound(held_q));
-            std::thread::sleep(Duration::from_millis(50));
-            assert!(!waiter.is_finished(), "no deadline: it waits");
-            lock_recover(&home.slot).session = held;
-            home.returned.notify_one();
-            assert_eq!(
-                waiter.join().unwrap().unwrap().to_bits(),
-                sb.bound(held_q).unwrap().to_bits()
+            let stalled = scope.spawn(|| service.bound_batch(&queries));
+            // Let A's first query — query 0, the delayed one — start.
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(service.bound(&queries[1]).unwrap().to_bits(), direct[1]);
+            let got = service.bound_batch(&queries);
+            assert!(
+                started.elapsed() < delay,
+                "B waited for A: {:?}",
+                started.elapsed()
             );
+            for (got, want) in got.iter().zip(&direct) {
+                assert_eq!(got.as_ref().unwrap().to_bits(), *want);
+            }
+            for (got, want) in stalled.join().unwrap().iter().zip(&direct) {
+                assert_eq!(got.as_ref().unwrap().to_bits(), *want);
+            }
         });
-        assert_eq!(service.worker_timeouts(), 1);
+        assert!(started.elapsed() >= delay);
         assert_eq!(service.worker_panics(), 0);
-        assert_eq!(service.worker_respawns(), 0);
+        assert_eq!(lock_recover(&service.idle).sessions.len(), 1);
     }
 
     /// Single requests on four threads and batches on a fifth, released
-    /// together, take turns on the two shards' sessions: every answer is
-    /// the direct path's and every line is counted exactly once.
+    /// together, share a pool of two idle sessions: every answer is the
+    /// direct path's and every line is counted exactly once.
     #[test]
     fn mixed_single_and_batch_traffic_is_exact_and_counted() {
         const ROUNDS: usize = 50;
@@ -732,17 +563,17 @@ mod tests {
                 }
             });
         });
+        let stats = service.session_stats();
         assert_eq!(
-            service.served_per_worker().iter().sum::<u64>() as usize,
+            (stats.lit_bound_hits + stats.lit_bound_misses) as usize,
             (SINGLE_THREADS + 1) * ROUNDS * queries.len()
         );
         assert_eq!(service.worker_panics(), 0);
-        assert_eq!(service.worker_timeouts(), 0);
     }
 
     /// A panic in a single request is isolated: `ERR internal` for that
-    /// request, a fresh session for the shard, no poisoned lock, exact
-    /// bounds afterwards.
+    /// request, the session dropped, no poisoned lock, counters that do
+    /// not go backwards, exact bounds afterwards on a fresh session.
     #[test]
     fn inline_panic_answers_internal_and_rebuilds_the_session() {
         use crate::faults::FaultInjector;
@@ -759,6 +590,7 @@ mod tests {
         assert_eq!(service.bound(q).unwrap().to_bits(), want);
         assert_eq!(service.bound(q).unwrap().to_bits(), want);
         assert_eq!(shapes(&service), (1, 1), "the session is warm");
+        let before = service.session_stats();
 
         let err = service.bound(q).unwrap_err();
         assert_eq!(
@@ -767,30 +599,29 @@ mod tests {
         );
         assert_eq!(service.worker_panics(), 1);
         assert_eq!(service.worker_respawns(), 1);
-        assert!(!service.shards[0].slot.is_poisoned());
-        assert_eq!(service.session_stats(), SessionStats::default());
+        assert!(!service.idle.is_poisoned());
+        assert!(lock_recover(&service.idle).sessions.is_empty());
+        assert_eq!(service.session_stats(), before);
 
         assert_eq!(service.bound(q).unwrap().to_bits(), want);
         assert_eq!(
             shapes(&service),
-            (0, 1),
+            (1, 2),
             "a shape miss again: the session really was replaced"
         );
-        assert_eq!(service.served_per_worker(), [3]);
-        assert_eq!(service.worker_timeouts(), 0);
     }
 
     /// Deterministic panic-isolation unit test (the TCP-level version
-    /// lives in `tests/chaos.rs`): a 1-shard pool with injected panics
-    /// answers the panicked batch's lines `ERR internal`, rebuilds the
-    /// session, and keeps serving bit-identical bounds.
+    /// lives in `tests/chaos.rs`): a pool with injected panics answers the
+    /// panicked batch's lines `ERR internal`, drops the session, and keeps
+    /// serving bit-identical bounds on a fresh one.
     #[test]
     fn injected_panics_degrade_and_respawn() {
         use crate::faults::FaultInjector;
         let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
         let queries = workload();
         let direct: Vec<f64> = queries.iter().map(|q| sb.bound(q).unwrap()).collect();
-        // One shard → the global query sequence is the batch's line
+        // One caller → the global query sequence is the batch's line
         // order. Panic on the first query of rounds 2 and 4.
         let qn = queries.len() as u64;
         let faults = FaultInjector::seeded(7)
@@ -800,7 +631,7 @@ mod tests {
         for round in 0..6u64 {
             let results = service.bound_batch(&queries);
             if round == 1 || round == 3 {
-                // The whole batch is one shard's lines: every line
+                // The whole batch is one take of a session: every line
                 // degrades.
                 for r in &results {
                     assert!(
@@ -820,61 +651,5 @@ mod tests {
         }
         assert_eq!(service.worker_panics(), 2);
         assert_eq!(service.worker_respawns(), 2);
-        assert_eq!(service.worker_timeouts(), 0);
-    }
-
-    /// A caller stalled on a shard keeps it: a second caller's lines on
-    /// that shard degrade to `ERR timeout` at its deadline, its lines on
-    /// the other shard keep their real bounds, and the stalled caller's
-    /// own answers are exact.
-    #[test]
-    fn injected_delay_degrades_to_timeout() {
-        use crate::faults::FaultInjector;
-        let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
-        // Delay the very first query long enough that the second caller's
-        // deadline certainly fires first.
-        let faults = FaultInjector::seeded(7)
-            .delay_queries([0], Duration::from_millis(400))
-            .build();
-        let service = BoundService::with_faults(sb.clone(), 2, faults);
-        let queries = workload();
-        let direct: Vec<u64> = queries
-            .iter()
-            .map(|q| sb.bound(q).unwrap().to_bits())
-            .collect();
-        let shard = |q: &Query| (q.shape_hash() % 2) as usize;
-        let held = shard(&queries[0]);
-        let stalled: Vec<Query> = queries
-            .iter()
-            .filter(|q| shard(q) == held)
-            .cloned()
-            .collect();
-        assert!(stalled.len() < queries.len(), "both shards have lines");
-
-        std::thread::scope(|scope| {
-            let first = scope.spawn(|| service.bound_batch(&stalled));
-            while lock_recover(&service.shards[held].slot).session.is_some() {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            let results = service.bound_batch_deadline(&queries, Some(Duration::from_millis(50)));
-            for ((q, want), got) in queries.iter().zip(&direct).zip(&results) {
-                if shard(q) == held {
-                    assert!(matches!(got, Err(EstimateError::Timeout)), "{got:?}");
-                } else {
-                    assert_eq!(got.as_ref().unwrap().to_bits(), *want);
-                }
-            }
-            for (q, got) in stalled.iter().zip(first.join().unwrap()) {
-                assert_eq!(got.unwrap().to_bits(), sb.bound(q).unwrap().to_bits());
-            }
-        });
-        assert_eq!(service.worker_timeouts(), 1);
-        assert_eq!(service.worker_panics(), 0);
-        // The shard was slow, not lost: the pool serves exactly again.
-        let retry = service.bound_batch_deadline(&queries, Some(Duration::from_secs(30)));
-        for (want, got) in direct.iter().zip(&retry) {
-            assert_eq!(got.as_ref().unwrap().to_bits(), *want);
-        }
-        assert_eq!(service.worker_respawns(), 0);
     }
 }

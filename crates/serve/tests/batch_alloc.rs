@@ -23,10 +23,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What one batch allocates on a two-shard service whose batches reach
-/// both shards: the shape-hash routes, the representatives, the dedup map
-/// and its links, and the returned results.
-const BATCH_ALLOCATIONS: usize = 5;
+/// What one batch allocates: the representatives, the dedup map and its
+/// links, and the returned results.
+const BATCH_ALLOCATIONS: usize = 4;
 
 struct CountingAlloc;
 
@@ -224,9 +223,9 @@ fn fresh_literal_requests_allocate_a_constant_per_batch_and_nothing_per_line() {
     let mut rng = Rng(7);
     let mut lines = |n: usize| -> Vec<String> { (0..n).map(|_| fresh_line(&mut rng)).collect() };
 
-    // Warm-up: fill both sessions' literal caches until every slot has
+    // Warm-up: fill the session's literal cache until every slot has
     // been recycled several times, so its key buffer has grown to the
-    // largest key size class (40,960 lines over 2 × 4096 slots); grow the
+    // largest key size class (40,960 lines over 4096 slots); grow the
     // recycled batch to 256 slots; stock the handler's parser with every
     // template's parts.
     for _ in 0..160 {

@@ -5,22 +5,21 @@
 //! Every schedule is seeded and each connection is a serial client, so
 //! each test replays the same fault sequence run after run. Where a second
 //! connection overlaps a delayed one, it sends 100 ms after the delayed
-//! batch, so the delayed query has taken its shard well inside its
-//! 400 ms. Assertions are the self-healing invariants:
+//! batch, so the delayed query has started well inside its 400 ms.
+//! Assertions are the self-healing invariants:
 //!
 //! * injected panics — in a batch or in a single line — degrade the
-//!   lines computed on that shard's session to `ERR internal: …`, the
-//!   session is rebuilt, and every *successful* response stays
+//!   lines computed on that take of a session to `ERR internal: …`, the
+//!   session is dropped, and every *successful* response stays
 //!   bit-identical to a fault-free oracle;
 //! * injected refresh-build failures never unpublish the last-good
 //!   snapshot, surface their reason through `REFRESH`/`STATS`, and the
 //!   refresher recovers once the schedule is exhausted;
 //! * injected write errors and short writes on the TCP response path are
 //!   absorbed by the retrying writer — response lines arrive whole;
-//! * injected latency keeps a shard's session out: another connection
-//!   waiting for that shard degrades to `ERR timeout: …` at its deadline,
-//!   a connection on another shard is not held up, the delayed connection
-//!   gets exact answers, and the shard serves exactly afterwards;
+//! * injected latency keeps the delayed connection's session out, and
+//!   nobody waits for it: another connection is answered exactly before
+//!   the delay ends, and the delayed connection gets exact answers;
 //! * injected snapshot-file read errors, corruption, and truncation on a
 //!   file-backed refresher surface as typed `ERR refresh snapshot load:`
 //!   answers and `snapshot_load_failures` in `STATS`, never unpublish the
@@ -237,10 +236,9 @@ fn quick_opts() -> ServeOptions {
 }
 
 /// ≥ 3 injected panics under live TCP: every panicked round degrades to
-/// `ERR internal: …` (whole rounds — a 1-shard pool computes each batch in
-/// one take of its session), every healthy round is bit-identical to the
-/// oracle, the session is rebuilt after each panic, and shutdown still
-/// joins everyone.
+/// `ERR internal: …` (whole rounds — each batch is computed in one take
+/// of a session), every healthy round is bit-identical to the oracle, the
+/// session is dropped after each panic, and shutdown still joins everyone.
 #[test]
 fn server_survives_injected_worker_panics() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
@@ -263,8 +261,7 @@ fn server_survives_injected_worker_panics() {
             .count();
         if errs > 0 {
             // Panic isolation is all-or-nothing per take of a session:
-            // with one shard the whole round is one take, so every line
-            // degrades.
+            // the whole round is one take, so every line degrades.
             assert_eq!(errs, got.len(), "round {round}: partial job? {got:?}");
             err_rounds += 1;
         } else {
@@ -332,8 +329,8 @@ fn single_lines_survive_injected_inline_panics() {
     server.stop();
 }
 
-/// Batches and single lines alternate on one connection and share one
-/// shard's session across injected panics: a panic inside a batch fails
+/// Batches and single lines alternate on one connection and share its
+/// sessions across injected panics: a panic inside a batch fails
 /// that whole batch and nothing after it, a panic on a single line fails
 /// that line alone.
 #[test]
@@ -640,87 +637,39 @@ fn write_faults_never_truncate_responses() {
     server.stop();
 }
 
-/// Injected latency + a short deadline: connection A's batch holds the
-/// only shard for 400 ms, and connection B's batch, sent meanwhile, waits
-/// for it and degrades to `ERR timeout: …` at its deadline. A's own
-/// replies are exact, nothing is rebuilt, and once A is done B is served
-/// exactly again.
+/// A stalled connection holds up nobody: with one idle session at most,
+/// connection A's batch is delayed 400 ms on its first query, and
+/// connection B's single line and batch, sent meanwhile, are answered
+/// exactly before A's delay ends. A's own replies are exact, and nothing
+/// panics.
 #[test]
-fn injected_latency_degrades_to_timeout() {
+fn a_stalled_connection_holds_up_nobody() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
     let sqls = workload_sql();
     let want = oracle(&sb, &sqls);
-    let faults = FaultInjector::seeded(9)
-        .delay_queries([0], Duration::from_millis(400))
-        .build();
-    let service = Arc::new(BoundService::with_faults(sb, 1, faults));
-    let opts = ServeOptions {
-        batch_timeout: Some(Duration::from_millis(50)),
-        ..quick_opts()
-    };
-    let server = TestServer::start(service, None, ShutdownToken::new(), opts);
-
-    let (mut a, mut b) = (server.connect(), server.connect());
-    a.send_batch(&sqls);
-    // Let A's first line — query 0, the delayed one — take the shard.
-    std::thread::sleep(Duration::from_millis(100));
-    let got = b.batch(&sqls);
-    assert!(
-        got.iter().all(|r| r == TIMED_OUT),
-        "the waiting round must degrade, got {got:?}"
-    );
-    assert_eq!(a.recv_batch(sqls.len()), want, "the delayed round is exact");
-    assert_eq!(b.batch(&sqls), want, "post-stall responses diverged");
-    let stats = b.roundtrip("STATS");
-    assert_eq!(field(&stats, "worker_timeouts"), 1);
-    assert_eq!(field(&stats, "worker_panics"), 0);
-    assert_eq!(field(&stats, "worker_respawns"), 0);
-    assert_eq!(a.roundtrip("QUIT"), "BYE");
-    assert_eq!(b.roundtrip("QUIT"), "BYE");
-    server.stop();
-}
-
-const TIMED_OUT: &str = "ERR timeout: bound exceeded its deadline";
-
-/// On two shards, connection A's batch holds shard 0 under an injected
-/// 400 ms delay; connection B's batch, routed only to shard 1, is answered
-/// exactly and without a timeout before A's delay ends.
-#[test]
-fn a_held_shard_does_not_hold_up_another_shards_batch() {
-    let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
-    let sqls = workload_sql();
-    let on_shard = |w: u64| -> Vec<String> {
-        sqls.iter()
-            .filter(|sql| parse_sql(sql).unwrap().shape_hash() % 2 == w)
-            .cloned()
-            .collect()
-    };
-    let (first, second) = (on_shard(0), on_shard(1));
-    assert!(!first.is_empty() && !second.is_empty());
     let delay = Duration::from_millis(400);
-    let faults = FaultInjector::seeded(21).delay_queries([0], delay).build();
-    let service = Arc::new(BoundService::with_faults(sb.clone(), 2, faults));
-    let opts = ServeOptions {
-        batch_timeout: Some(Duration::from_millis(50)),
-        ..quick_opts()
-    };
-    let server = TestServer::start(service, None, ShutdownToken::new(), opts);
+    let faults = FaultInjector::seeded(9).delay_queries([0], delay).build();
+    let service = Arc::new(BoundService::with_faults(sb, 1, faults));
+    let server = TestServer::start(service, None, ShutdownToken::new(), quick_opts());
 
     let (mut a, mut b) = (server.connect(), server.connect());
     let sent = Instant::now();
-    a.send_batch(&first);
-    // Let A's first line — query 0, the delayed one — take shard 0.
+    a.send_batch(&sqls);
+    // Let A's first line — query 0, the delayed one — start.
     std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(b.batch(&second), oracle(&sb, &second));
+    assert_eq!(b.roundtrip(&sqls[1]), want[1]);
+    assert_eq!(b.batch(&sqls), want);
     assert!(
         sent.elapsed() < delay,
         "B waited for A: {:?}",
         sent.elapsed()
     );
-    assert_eq!(a.recv_batch(first.len()), oracle(&sb, &first));
+    assert_eq!(a.recv_batch(sqls.len()), want, "the delayed round is exact");
     assert!(sent.elapsed() >= delay);
     let stats = b.roundtrip("STATS");
     assert_eq!(field(&stats, "worker_timeouts"), 0);
+    assert_eq!(field(&stats, "worker_panics"), 0);
+    assert_eq!(field(&stats, "worker_respawns"), 0);
     assert_eq!(a.roundtrip("QUIT"), "BYE");
     assert_eq!(b.roundtrip("QUIT"), "BYE");
     server.stop();
@@ -740,15 +689,13 @@ fn expected_reply(sb: &SafeBound, line: &str) -> String {
 }
 
 /// Batches parse into recycled queries: a slot that held one template's
-/// query (or was skipped by a parse error) takes another's, and a batch
-/// whose shard missed its deadline is recycled like any other. Two
-/// batches of different templates with parse errors between their lines
-/// on connection A, then a delayed batch on A while connection B's batch
-/// waits for the only shard past its deadline, then one more batch on
-/// each: every reply reads exactly as a fresh parse and a fault-free bound
-/// say, except B's timed-out lines.
+/// query (or was skipped by a parse error) takes another's. Two batches of
+/// different templates with parse errors between their lines on
+/// connection A, then a delayed batch on A while connection B sends a
+/// batch, then one more batch on each: every reply reads exactly as a
+/// fresh parse and a fault-free bound say.
 #[test]
-fn recycled_batches_answer_exactly_across_templates_errors_and_a_timeout() {
+fn recycled_batches_answer_exactly_across_templates_errors_and_a_stall() {
     let sb = SafeBound::build(&catalog(), SafeBoundConfig::test_small());
     let first: Vec<String> = vec![
         "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND f.year = 1991".into(),
@@ -778,18 +725,14 @@ fn recycled_batches_answer_exactly_across_templates_errors_and_a_timeout() {
         "SELECT COUNT(*) FROM fact f, dim d WHERE f.fk = d.id AND d.w = 2".into(),
     ];
     let parsed = |lines: &[String]| lines.iter().filter(|l| parse_sql(l).is_ok()).count() as u64;
-    // One shard, so the query sequence is the parsed lines in order:
-    // delay the third batch's first.
+    // One serial client at a time, so the query sequence is the parsed
+    // lines in order: delay the third batch's first.
     let delayed = parsed(&first) + parsed(&second);
     let faults = FaultInjector::seeded(11)
         .delay_queries([delayed], Duration::from_millis(400))
         .build();
     let service = Arc::new(BoundService::with_faults(sb.clone(), 1, faults));
-    let opts = ServeOptions {
-        batch_timeout: Some(Duration::from_millis(50)),
-        ..quick_opts()
-    };
-    let server = TestServer::start(service, None, ShutdownToken::new(), opts);
+    let server = TestServer::start(service, None, ShutdownToken::new(), quick_opts());
     let (mut a, mut b) = (server.connect(), server.connect());
     let exact = |lines: &[String]| -> Vec<String> {
         lines.iter().map(|l| expected_reply(&sb, l)).collect()
@@ -804,16 +747,9 @@ fn recycled_batches_answer_exactly_across_templates_errors_and_a_timeout() {
     assert_eq!(a.batch(&second), exact(&second));
 
     a.send_batch(&third);
-    // Let A's delayed line take the shard, then B waits for it.
+    // Let A's delayed line start, then B's batch runs beside it.
     std::thread::sleep(Duration::from_millis(100));
-    let got = b.batch(&second);
-    for ((line, reply), want) in second.iter().zip(&got).zip(exact(&second)) {
-        if parse_sql(line).is_ok() {
-            assert_eq!(reply, TIMED_OUT, "{line}");
-        } else {
-            assert_eq!(*reply, want, "{line}");
-        }
-    }
+    assert_eq!(b.batch(&second), exact(&second));
     assert_eq!(a.recv_batch(third.len()), exact(&third));
 
     let mut fourth = second.clone();
@@ -822,7 +758,7 @@ fn recycled_batches_answer_exactly_across_templates_errors_and_a_timeout() {
     assert_eq!(b.batch(&fourth), exact(&fourth));
 
     let stats = a.roundtrip("STATS");
-    assert_eq!(field(&stats, "worker_timeouts"), 1);
+    assert_eq!(field(&stats, "worker_timeouts"), 0);
     assert_eq!(field(&stats, "worker_panics"), 0);
     assert_eq!(a.roundtrip("QUIT"), "BYE");
     assert_eq!(b.roundtrip("QUIT"), "BYE");

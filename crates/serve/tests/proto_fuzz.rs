@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use safebound_core::{SafeBound, SafeBoundConfig};
-use safebound_serve::{serve, BoundService};
+use safebound_serve::{serve_with, BoundService, ServeOptions, ShutdownToken};
 use safebound_storage::{Catalog, Column, DataType, Field, Schema, Table};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -41,7 +41,15 @@ fn server_addr() -> SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         // Detached: the fuzz server lives for the whole test process.
-        std::thread::spawn(move || serve(service, listener));
+        std::thread::spawn(move || {
+            serve_with(
+                service,
+                listener,
+                None,
+                ShutdownToken::new(),
+                ServeOptions::default(),
+            )
+        });
         addr
     })
 }

@@ -23,7 +23,7 @@
 //! Crate map: [`core`] (the paper's contribution), [`storage`] (column
 //! store + catalog), [`query`] (SQL front end + join trees), [`exec`]
 //! (exact oracle, optimizer, executor), [`baselines`] (compared systems),
-//! [`datagen`] (synthetic benchmarks), [`serve`] (sharded worker pool +
+//! [`datagen`] (synthetic benchmarks), [`serve`] (session pool +
 //! TCP line-protocol front-end over shared statistics snapshots).
 
 #![warn(missing_docs)]

@@ -329,10 +329,10 @@ fn workload_soundness_sweep() {
 /// The paper's online path — fresh literals over known shapes — through
 /// long-lived sessions: every JOB-light and JOB-LightRanges template with
 /// each integer literal re-drawn from a fixed seed, a few thousand lines.
-/// Routed by `shape_hash() % 2` through two default sessions (the way the
-/// server shards), and separately through one session whose literal cache
-/// holds 4 bounds (every computed bound evicts another), every bound must
-/// be bit-identical to the cold path's.
+/// Routed by `shape_hash() % 2` through two default sessions (each sees
+/// half of the templates), and separately through one session whose
+/// literal cache holds 4 bounds (every computed bound evicts another),
+/// every bound must be bit-identical to the cold path's.
 #[test]
 fn fresh_literal_stream_is_bit_identical_to_the_cold_path() {
     use safebound::core::BoundSession;
