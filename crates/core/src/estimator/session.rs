@@ -286,9 +286,11 @@ macro_rules! session_counters {
 
             /// Field-wise `self - earlier`: what a session counted since
             /// `earlier` was read from it. A session's counters never go
-            /// backwards, so no field saturates.
+            /// backwards (clearing a cache keeps its counts), so the plain
+            /// subtraction cannot underflow; a debug build would panic here
+            /// if one ever did.
             pub fn since(&self, earlier: &SessionStats) -> SessionStats {
-                SessionStats { $($name: self.$name.saturating_sub(earlier.$name),)* }
+                SessionStats { $($name: self.$name - earlier.$name,)* }
             }
 
             /// Every counter as `(name, value)`, in `STATS` order.

@@ -13,6 +13,9 @@
 //! — or builds a fresh one when none is idle, and puts it back afterwards.
 //! The list keeps at most `workers` sessions and drops the rest. Nobody
 //! waits for a session: the one lock is held only to pop or push one.
+//! The price is paid when more callers compute at once than `workers`:
+//! each extra caller starts on a cold session (empty shape and literal
+//! caches), and the memory in flight is one session per such caller.
 //!
 //! ## Self-healing
 //!
